@@ -11,25 +11,19 @@
 //!
 //! Timings in the committed file are machine-specific; what the schema
 //! pins is the *shape*: workload identity, one row per
-//! `(format, kernel, sync, rank)` cell, median-of-N nanoseconds per
-//! dispatch path, and the specialized-over-generic speedup. Since v2 the
-//! baseline times the flat-slab CSF **and** the ALTO linearized stream on
-//! the same workload — the table is what `TensorFormat::Auto` dispatches
-//! from (see `splatt_core::dispatch`).
+//! `(kernel, sync, rank)` cell, median-of-N nanoseconds per dispatch
+//! path, and the specialized-over-generic speedup.
 
-use splatt_core::alto::mttkrp_alto;
 use splatt_core::mttkrp::{mttkrp, MatrixAccess, MttkrpConfig, MttkrpWorkspace};
 use splatt_core::{CsfAlloc, CsfSet, KernelKind};
 use splatt_dense::Matrix;
 use splatt_par::{TaskTeam, TeamConfig};
-use splatt_tensor::{synth, AltoTensor, SortVariant, SparseTensor};
+use splatt_tensor::{synth, SortVariant, SparseTensor};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Schema tag of `BENCH_mttkrp.json`. Bump on any layout change. This is
-/// the same tag the dispatcher pins — the committed file feeds both the
-/// perf-trajectory record and `TensorFormat::Auto` decisions.
-pub const BENCH_SCHEMA: &str = splatt_core::dispatch::DISPATCH_BASELINE_SCHEMA;
+/// Schema tag of `BENCH_mttkrp.json`. Bump on any layout change.
+pub const BENCH_SCHEMA: &str = "splatt-bench-mttkrp-v3";
 
 /// File name of the committed baseline at the repo root.
 pub const BASELINE_FILE: &str = "BENCH_mttkrp.json";
@@ -100,12 +94,10 @@ pub fn bench_team(ntasks: usize) -> TaskTeam {
     TaskTeam::with_config(ntasks, TeamConfig::fifo())
 }
 
-/// One `(format, kernel, sync, rank)` baseline cell: median time of
-/// each dispatch path and their ratio.
+/// One `(kernel, sync, rank)` baseline cell: median time of each
+/// dispatch path and their ratio.
 #[derive(Debug, Clone)]
 pub struct BenchCell {
-    /// Tensor format: `csf` or `alto`.
-    pub format: &'static str,
     /// Kernel family: `root`, `internal`, or `leaf`.
     pub kernel: &'static str,
     /// Synchronization: `none` (root), `privatized`, or `locks`.
@@ -155,35 +147,6 @@ pub fn median_mttkrp_ns(
     samples[samples.len() / 2]
 }
 
-/// Median nanoseconds of `reps` timed `mttkrp_alto` calls after
-/// `warmup` untimed ones — the ALTO counterpart of
-/// [`median_mttkrp_ns`], reusing the workspace the same way.
-#[allow(clippy::too_many_arguments)]
-pub fn median_mttkrp_alto_ns(
-    alto: &AltoTensor,
-    factors: &[Matrix],
-    mode: usize,
-    out: &mut Matrix,
-    ws: &mut MttkrpWorkspace,
-    team: &TaskTeam,
-    cfg: &MttkrpConfig,
-    warmup: usize,
-    reps: usize,
-) -> u64 {
-    for _ in 0..warmup {
-        mttkrp_alto(alto, factors, mode, out, ws, team, cfg);
-    }
-    let mut samples: Vec<u64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            mttkrp_alto(alto, factors, mode, out, ws, team, cfg);
-            start.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 fn kernel_label(kind: KernelKind) -> &'static str {
     match kind {
         KernelKind::Root => "root",
@@ -192,96 +155,66 @@ fn kernel_label(kind: KernelKind) -> &'static str {
     }
 }
 
-fn alto_kernel_label(level: usize, order: usize) -> &'static str {
-    if level == 0 {
-        "root"
-    } else if level == order - 1 {
-        "leaf"
-    } else {
-        "internal"
-    }
-}
-
 /// The pinned tensor of a workload.
 pub fn workload_tensor(w: &BenchWorkload) -> SparseTensor {
     synth::power_law(&w.dims, w.nnz, w.alpha, w.seed)
 }
 
-/// Run every baseline cell of `w` on both tensor formats: each kernel
-/// family the representation produces, each sync strategy that kernel
-/// admits, each specialized rank — timing generic vs specialized
-/// dispatch. CSF rows come first, then ALTO rows, each in mode order.
+/// Run every baseline cell of `w`: each kernel family the
+/// representation produces, each sync strategy that kernel admits, each
+/// specialized rank — timing generic vs specialized dispatch, in mode
+/// order.
 pub fn run_cells(w: &BenchWorkload) -> Vec<BenchCell> {
     let tensor = workload_tensor(w);
     let team = bench_team(w.ntasks);
     // CsfAlloc::One exercises all three kernel families on an order-3
-    // tensor: level 0 is root, level 1 internal, level 2 leaf. The ALTO
-    // linearization orders its levels by the same dim-sorted
-    // permutation, so each mode lands in the same kernel family under
-    // both formats and every `(kernel, sync, rank)` point is measured
-    // once per format — exactly the pairs the dispatcher compares.
+    // tensor: level 0 is root, level 1 internal, level 2 leaf.
     let set = CsfSet::build(&tensor, CsfAlloc::One, &team, SortVariant::AllOpts);
-    let alto = AltoTensor::build(&tensor, &team, SortVariant::AllOpts);
 
     let mut cells = Vec::new();
-    for format in ["csf", "alto"] {
-        for mode in 0..tensor.order() {
-            let kernel = match format {
-                "csf" => kernel_label(set.for_mode(mode).1),
-                _ => alto_kernel_label(alto.level_of_mode(mode), tensor.order()),
-            };
-            // root runs unsynchronized; scatter kernels are measured
-            // under both privatization and the lock pool
-            let syncs: &[(&'static str, f64)] = if kernel == "root" {
-                &[("none", splatt_core::mttkrp::DEFAULT_PRIV_THRESHOLD)]
-            } else {
-                &[("privatized", 1e12), ("locks", 0.0)]
-            };
-            for &(sync, priv_threshold) in syncs {
-                for rank in BENCH_RANKS {
-                    let factors: Vec<Matrix> = tensor
-                        .dims()
-                        .iter()
-                        .enumerate()
-                        .map(|(m, &d)| Matrix::random(d, rank, w.seed + m as u64))
-                        .collect();
-                    let mut out = Matrix::zeros(tensor.dims()[mode], rank);
-                    let mut time_path = |specialize: bool| {
-                        let cfg = MttkrpConfig {
-                            access: MatrixAccess::PointerZip,
-                            priv_threshold,
-                            specialize,
-                            ..Default::default()
-                        };
-                        let mut ws = MttkrpWorkspace::new(&cfg, w.ntasks);
-                        if format == "csf" {
-                            median_mttkrp_ns(
-                                &set, &factors, mode, &mut out, &mut ws, &team, &cfg, w.warmup,
-                                w.reps,
-                            )
-                        } else {
-                            median_mttkrp_alto_ns(
-                                &alto, &factors, mode, &mut out, &mut ws, &team, &cfg, w.warmup,
-                                w.reps,
-                            )
-                        }
+    for mode in 0..tensor.order() {
+        let kernel = kernel_label(set.for_mode(mode).1);
+        // root runs unsynchronized; scatter kernels are measured
+        // under both privatization and the lock pool
+        let syncs: &[(&'static str, f64)] = if kernel == "root" {
+            &[("none", splatt_core::mttkrp::DEFAULT_PRIV_THRESHOLD)]
+        } else {
+            &[("privatized", 1e12), ("locks", 0.0)]
+        };
+        for &(sync, priv_threshold) in syncs {
+            for rank in BENCH_RANKS {
+                let factors: Vec<Matrix> = tensor
+                    .dims()
+                    .iter()
+                    .enumerate()
+                    .map(|(m, &d)| Matrix::random(d, rank, w.seed + m as u64))
+                    .collect();
+                let mut out = Matrix::zeros(tensor.dims()[mode], rank);
+                let mut time_path = |specialize: bool| {
+                    let cfg = MttkrpConfig {
+                        access: MatrixAccess::PointerZip,
+                        priv_threshold,
+                        specialize,
+                        ..Default::default()
                     };
-                    // Note on leaf-32: the specialization is retired in
-                    // the kernel drivers, so `specialize: true` there
-                    // times the generic path too — the cell stays in
-                    // the grid (speedup ~1.0, never selected) to keep
-                    // the baseline schema and coverage stable.
-                    let generic_ns = time_path(false);
-                    let specialized_ns = time_path(true);
-                    cells.push(BenchCell {
-                        format,
-                        kernel,
-                        sync,
-                        rank,
-                        generic_ns,
-                        specialized_ns,
-                    });
-                }
+                    let mut ws = MttkrpWorkspace::new(&cfg, w.ntasks);
+                    median_mttkrp_ns(
+                        &set, &factors, mode, &mut out, &mut ws, &team, &cfg, w.warmup, w.reps,
+                    )
+                };
+                // Note on leaf-32: the specialization is retired in
+                // the kernel driver, so `specialize: true` there times
+                // the generic path too — the cell stays in the grid
+                // (speedup ~1.0) to keep the baseline coverage stable.
+                let generic_ns = time_path(false);
+                let specialized_ns = time_path(true);
+                cells.push(BenchCell {
+                    kernel,
+                    sync,
+                    rank,
+                    generic_ns,
+                    specialized_ns,
+                });
             }
         }
     }
@@ -318,9 +251,8 @@ pub fn to_json(w: &BenchWorkload, nnz_actual: usize, cells: &[BenchCell]) -> Str
         }
         let _ = write!(
             out,
-            "\n    {{\"format\": \"{}\", \"kernel\": \"{}\", \"sync\": \"{}\", \"rank\": {}, \
+            "\n    {{\"kernel\": \"{}\", \"sync\": \"{}\", \"rank\": {}, \
              \"generic_ns\": {}, \"specialized_ns\": {}, \"speedup\": {:.3}}}",
-            c.format,
             c.kernel,
             c.sync,
             c.rank,
@@ -341,57 +273,18 @@ pub fn run_baseline() -> String {
     to_json(&w, nnz, &cells)
 }
 
-/// The CI regression gate over a baseline document: every cell the
-/// dispatcher would actually select with rank specialization must carry
-/// a measured speedup of at least 1.0x over its own generic column.
-///
-/// `DispatchTable::decide` refuses losing specialized cells by
-/// construction, so a violation means the committed file was hand-edited
-/// or the decide rule regressed — either way CI must fail. Returns one
-/// description per offending cell (empty = gate passes).
-pub fn dispatch_gate_violations(table: &splatt_core::DispatchTable) -> Vec<String> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut violations = Vec::new();
-    for c in table.cells() {
-        if !seen.insert((c.kernel.clone(), c.sync.clone(), c.rank)) {
-            continue;
-        }
-        let d = table.decide(&c.kernel, &c.sync, c.rank);
-        if !d.specialize {
-            continue;
-        }
-        let selected = table.cells().iter().find(|x| {
-            x.format == d.format && x.kernel == c.kernel && x.sync == c.sync && x.rank == c.rank
-        });
-        if let Some(sel) = selected {
-            if sel.speedup() < 1.0 {
-                violations.push(format!(
-                    "{}/{}/{}/r{}: dispatch selected a specialized cell at {:.3}x (< 1.0x)",
-                    d.format.label(),
-                    sel.kernel,
-                    sel.sync,
-                    sel.rank,
-                    sel.speedup()
-                ));
-            }
-        }
-    }
-    violations
-}
-
 /// Human-readable cell table (printed by `repro bench`).
 pub fn render_cells(cells: &[BenchCell]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<6} {:<10} {:<12} {:>5} {:>14} {:>14} {:>8}",
-        "format", "kernel", "sync", "rank", "generic", "specialized", "speedup"
+        "{:<10} {:<12} {:>5} {:>14} {:>14} {:>8}",
+        "kernel", "sync", "rank", "generic", "specialized", "speedup"
     );
     for c in cells {
         let _ = writeln!(
             out,
-            "{:<6} {:<10} {:<12} {:>5} {:>12}ns {:>12}ns {:>7.2}x",
-            c.format,
+            "{:<10} {:<12} {:>5} {:>12}ns {:>12}ns {:>7.2}x",
             c.kernel,
             c.sync,
             c.rank,
@@ -421,52 +314,22 @@ mod tests {
     }
 
     #[test]
-    fn cells_cover_both_formats_all_kernels_syncs_and_ranks() {
+    fn cells_cover_all_kernels_syncs_and_ranks() {
         let cells = run_cells(&tiny());
-        // per format: 1 root sync + 2 syncs for each of the two scatter
-        // kernels = 5 sync rows, each at |BENCH_RANKS| ranks
-        assert_eq!(cells.len(), 2 * 5 * BENCH_RANKS.len());
-        for format in ["csf", "alto"] {
-            for kernel in ["root", "internal", "leaf"] {
-                for rank in BENCH_RANKS {
-                    assert!(
-                        cells
-                            .iter()
-                            .any(|c| c.format == format && c.kernel == kernel && c.rank == rank),
-                        "missing cell {format}/{kernel}/{rank}"
-                    );
-                }
+        // 1 root sync + 2 syncs for each of the two scatter kernels =
+        // 5 sync rows, each at |BENCH_RANKS| ranks
+        assert_eq!(cells.len(), 5 * BENCH_RANKS.len());
+        for kernel in ["root", "internal", "leaf"] {
+            for rank in BENCH_RANKS {
+                assert!(
+                    cells.iter().any(|c| c.kernel == kernel && c.rank == rank),
+                    "missing cell {kernel}/{rank}"
+                );
             }
         }
         assert!(cells
             .iter()
             .all(|c| c.generic_ns > 0 && c.specialized_ns > 0));
-    }
-
-    #[test]
-    fn formats_measure_identical_kernel_sync_rank_points() {
-        // the dispatcher compares per (kernel, sync, rank) point across
-        // formats — both formats must produce exactly the same point set
-        let cells = run_cells(&tiny());
-        let points = |format: &str| {
-            let mut v: Vec<_> = cells
-                .iter()
-                .filter(|c| c.format == format)
-                .map(|c| (c.kernel, c.sync, c.rank))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(points("csf"), points("alto"));
-    }
-
-    #[test]
-    fn json_feeds_the_dispatcher() {
-        let w = tiny();
-        let cells = run_cells(&w);
-        let table = splatt_core::DispatchTable::parse_str(&to_json(&w, 600, &cells))
-            .expect("baseline JSON must parse as a dispatch table");
-        assert_eq!(table.cells().len(), cells.len());
     }
 
     #[test]
@@ -481,7 +344,6 @@ mod tests {
         let rows = doc.get("cells").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), cells.len());
         for row in rows {
-            assert!(["csf", "alto"].contains(&row.get("format").unwrap().as_str().unwrap()));
             assert!(row.get("generic_ns").unwrap().as_u64().is_some());
             assert!(row.get("specialized_ns").unwrap().as_u64().is_some());
             assert!(row.get("speedup").unwrap().as_f64().is_some());

@@ -13,12 +13,12 @@
 //! mode's MTTKRP output to get `<X, Z>` without touching the tensor again.
 //! Every phase is attributed to the [`Routine`] timer the paper reports.
 
-use crate::alto::{mttkrp_alto, uses_locks_alto};
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::dispatch::{DispatchError, FormatPlan, ModeDecision};
+use crate::csf::{CsfSet, KernelKind};
 use crate::kruskal::KruskalModel;
-use crate::mttkrp::{mttkrp, uses_locks, MttkrpConfig, MttkrpWorkspace};
+use crate::mttkrp::{mttkrp, mttkrp_tiled, uses_locks, MttkrpConfig, MttkrpWorkspace};
 use crate::options::CpalsOptions;
+use crate::tiling::TiledCsf;
 use splatt_dense::{
     hadamard_assign, mat_ata, normalize_columns, solve_normals, solve_normals_ridge, MatNorm,
     Matrix, RidgeOutcome,
@@ -26,9 +26,7 @@ use splatt_dense::{
 use splatt_faults::{FaultKind, FaultPlan, FaultRecord, RecoveryAction};
 use splatt_guard::{LaneSpan, RunGuard, TripReason};
 use splatt_par::{Routine, TaskTeam, TimerRegistry};
-use splatt_probe::{
-    DispatchRow, FaultRow, GuardRow, MttkrpProbe, ProfileReport, RoutineRow, SpanNode,
-};
+use splatt_probe::{FaultRow, GuardRow, MttkrpProbe, ProfileReport, RoutineRow, SpanNode};
 use splatt_tensor::SparseTensor;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -50,13 +48,6 @@ pub struct CpalsOutput {
     /// Full observability report, present when
     /// [`CpalsOptions::profile`] was set.
     pub profile: Option<ProfileReport>,
-    /// Per-mode format/kernel decisions the run actually executed with
-    /// (see [`crate::dispatch`]); one entry per tensor mode.
-    pub dispatch: Vec<ModeDecision>,
-    /// Set when [`crate::dispatch::TensorFormat::Auto`] (or a forced
-    /// ALTO request on an unsupported tensor) degraded to the generic
-    /// CSF fallback instead of failing the run.
-    pub dispatch_warning: Option<DispatchError>,
 }
 
 /// A CP-ALS run that could not complete.
@@ -318,32 +309,24 @@ pub fn try_cp_als_with_team_guarded(
     let order = tensor.order();
     let rank = opts.rank;
 
-    // ---- pre-processing: sort + representation construction. The plan
-    // resolves `opts.format` (forced CSF/ALTO or benchmark-driven auto)
-    // into per-mode decisions and builds only the formats they need ----
-    let plan = FormatPlan::build_timed_guarded(tensor, opts, team, &timers, guard);
-    // optional mode tiling for the CSF modes that would otherwise
-    // scatter — ALTO modes carry their own privatize/locks machinery
+    // ---- pre-processing: sort + CSF construction ----
+    let set = CsfSet::build_timed_guarded(
+        tensor,
+        opts.csf_alloc,
+        team,
+        opts.sort_variant,
+        &timers,
+        guard,
+    );
+    // optional mode tiling for the modes that would otherwise scatter
     // (sorting inside the tile build is attributed to the Sort timer)
-    let tiled: Vec<Option<crate::tiling::TiledCsf>> = if opts.tiling {
+    let tiled: Vec<Option<TiledCsf>> = if opts.tiling {
         (0..order)
-            .map(|m| {
-                if plan.is_alto(m) {
-                    return None;
-                }
-                match plan.set.as_ref().map(|s| s.for_mode(m).1) {
-                    None | Some(crate::csf::KernelKind::Root) => None,
-                    Some(_) => Some(timers.time(Routine::Sort, || {
-                        crate::tiling::TiledCsf::build_guarded(
-                            tensor,
-                            m,
-                            opts.ntasks,
-                            team,
-                            opts.sort_variant,
-                            guard,
-                        )
-                    })),
-                }
+            .map(|m| match set.for_mode(m).1 {
+                KernelKind::Root => None,
+                _ => Some(timers.time(Routine::Sort, || {
+                    TiledCsf::build_guarded(tensor, m, opts.ntasks, team, opts.sort_variant, guard)
+                })),
             })
             .collect()
     } else {
@@ -357,16 +340,6 @@ pub fn try_cp_als_with_team_guarded(
         priv_threshold: opts.priv_threshold,
         specialize: opts.specialize,
     };
-    // Per-mode kernel config: the dispatcher may veto rank-specialized
-    // dispatch mode by mode (a measured-slower specialization cell).
-    let mode_cfgs: Vec<MttkrpConfig> = plan
-        .decisions
-        .iter()
-        .map(|d| MttkrpConfig {
-            specialize: d.specialize,
-            ..mtt_cfg
-        })
-        .collect();
     let mut ws = MttkrpWorkspace::new(&mtt_cfg, opts.ntasks);
     ws.set_guard(guard.cloned());
 
@@ -541,33 +514,16 @@ pub fn try_cp_als_with_team_guarded(
                 mode_node.as_mut().map(|n| (n, "mttkrp")),
                 || {
                     if let Some(tc) = &tiled[mode] {
-                        crate::mttkrp::mttkrp_tiled_guarded(
-                            tc,
-                            &factors,
-                            &mut mout[mode],
-                            team,
-                            &mode_cfgs[mode],
-                            guard,
-                        );
-                    } else if plan.is_alto(mode) {
-                        mttkrp_alto(
-                            plan.alto.as_ref().expect("ALTO modes carry an ALTO build"),
-                            &factors,
-                            mode,
-                            &mut mout[mode],
-                            &mut ws,
-                            team,
-                            &mode_cfgs[mode],
-                        );
+                        mttkrp_tiled(tc, &factors, &mut mout[mode], team, &mtt_cfg, guard);
                     } else {
                         mttkrp(
-                            plan.set.as_ref().expect("CSF modes carry a CSF build"),
+                            &set,
                             &factors,
                             mode,
                             &mut mout[mode],
                             &mut ws,
                             team,
-                            &mode_cfgs[mode],
+                            &mtt_cfg,
                         );
                     }
                 },
@@ -834,44 +790,14 @@ pub fn try_cp_als_with_team_guarded(
         let alloc = splatt_probe::alloc::snapshot().since(&tracking.before);
         let mut span = span_root.take().expect("probe implies span root");
         span.nanos = loop_start.elapsed().as_nanos() as u64;
-        let used_locks = (0..order).any(|m| {
-            if tiled[m].is_some() {
-                return false;
-            }
-            if plan.is_alto(m) {
-                uses_locks_alto(
-                    plan.alto.as_ref().expect("ALTO modes carry an ALTO build"),
-                    m,
-                    opts.ntasks,
-                    &mode_cfgs[m],
-                )
-            } else {
-                uses_locks(
-                    plan.set.as_ref().expect("CSF modes carry a CSF build"),
-                    m,
-                    opts.ntasks,
-                    &mode_cfgs[m],
-                )
-            }
-        });
+        let used_locks =
+            (0..order).any(|m| tiled[m].is_none() && uses_locks(&set, m, opts.ntasks, &mtt_cfg));
         ProfileReport {
             ntasks: opts.ntasks,
             rank,
             iterations,
             lock_strategy: opts.locks.label().to_string(),
             used_locks,
-            dispatch: plan
-                .decisions
-                .iter()
-                .map(|d| DispatchRow {
-                    mode: d.mode,
-                    format: d.format.label().to_string(),
-                    kernel: d.kernel.to_string(),
-                    sync: d.sync.to_string(),
-                    specialize: d.specialize,
-                    source: d.source.label().to_string(),
-                })
-                .collect(),
             routines: Routine::ALL
                 .iter()
                 .map(|&r| RoutineRow {
@@ -919,8 +845,6 @@ pub fn try_cp_als_with_team_guarded(
         fits,
         timers,
         profile,
-        dispatch: plan.decisions,
-        dispatch_warning: plan.warning,
     })
 }
 
@@ -985,102 +909,6 @@ mod tests {
         };
         let out = cp_als(&tensor, &opts);
         assert!(out.fit > 0.97, "fit {} too low", out.fit);
-    }
-
-    #[test]
-    fn forced_alto_format_matches_csf_fit_bitwise() {
-        use crate::dispatch::{FormatChoice, TensorFormat};
-        let (tensor, _) = synth::planted_low_rank(&[22, 18, 14], 3, 1_500, 0.05, 11);
-        let base = CpalsOptions {
-            rank: 4,
-            max_iters: 10,
-            tolerance: 0.0,
-            ntasks: 1,
-            // ALTO's dim-sorted linearization mirrors the One-tree CSF;
-            // Two/All allocs root other modes and reorder the fp ops.
-            csf_alloc: crate::csf::CsfAlloc::One,
-            ..Default::default()
-        };
-        let csf = cp_als(&tensor, &base);
-        let alto = cp_als(
-            &tensor,
-            &CpalsOptions {
-                format: TensorFormat::Alto,
-                ..base.clone()
-            },
-        );
-        // Same dim-sorted mode order, same deterministic sort, same fp
-        // op sequence: the two formats must agree bit for bit.
-        assert_eq!(csf.fits, alto.fits);
-        assert!(alto.dispatch.iter().all(|d| d.format == FormatChoice::Alto));
-        assert!(alto.dispatch_warning.is_none());
-        for (a, b) in csf.model.factors.iter().zip(alto.model.factors.iter()) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-    }
-
-    #[test]
-    fn auto_format_records_decisions_in_profile() {
-        use crate::dispatch::{DecisionSource, TensorFormat};
-        let tensor = synth::power_law(&[24, 20, 16], 1_200, 1.5, 13);
-        let opts = CpalsOptions {
-            rank: 8,
-            max_iters: 2,
-            tolerance: 0.0,
-            ntasks: 2,
-            format: TensorFormat::Auto,
-            profile: true,
-            ..Default::default()
-        };
-        let out = cp_als(&tensor, &opts);
-        assert_eq!(out.dispatch.len(), tensor.order());
-        let profile = out.profile.expect("profile requested");
-        assert_eq!(profile.dispatch.len(), tensor.order());
-        for (d, row) in out.dispatch.iter().zip(profile.dispatch.iter()) {
-            assert_eq!(row.mode, d.mode);
-            assert_eq!(row.format, d.format.label());
-            assert_eq!(row.kernel, d.kernel);
-            assert_eq!(row.sync, d.sync);
-            assert_eq!(row.specialize, d.specialize);
-            assert_eq!(row.source, d.source.label());
-        }
-        // a readable committed baseline yields genuine auto decisions;
-        // a corrupt one degrades — either way the run completes
-        if out.dispatch_warning.is_none() {
-            assert!(out
-                .dispatch
-                .iter()
-                .all(|d| d.source == DecisionSource::Auto));
-        }
-    }
-
-    #[test]
-    fn corrupt_dispatch_baseline_degrades_to_csf_with_warning() {
-        use crate::dispatch::{DecisionSource, FormatChoice, TensorFormat};
-        let dir = std::env::temp_dir().join("splatt-cpals-corrupt-baseline");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.json");
-        std::fs::write(&path, "{not json").unwrap();
-        let (tensor, _) = synth::planted_low_rank(&[16, 12, 10], 2, 600, 0.0, 3);
-        let opts = CpalsOptions {
-            rank: 4,
-            max_iters: 3,
-            tolerance: 0.0,
-            ntasks: 1,
-            format: TensorFormat::Auto,
-            dispatch_baseline: Some(path),
-            ..Default::default()
-        };
-        let out = cp_als(&tensor, &opts);
-        assert!(out.dispatch_warning.is_some(), "corrupt baseline must warn");
-        for d in &out.dispatch {
-            assert_eq!(d.format, FormatChoice::Csf);
-            assert_eq!(d.source, DecisionSource::Fallback);
-            assert!(!d.specialize, "fallback runs the generic kernels");
-        }
-        // and the degraded run still completes like any CSF run
-        assert_eq!(out.iterations, 3);
-        assert!(out.fit.is_finite());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub enum KernelKind {
 /// tree walk in the MTTKRP then streams through two slabs with no pointer
 /// chasing between levels, and construction sizes both slabs exactly with
 /// a two-pass count-then-fill build (no `push` growth in the hot path) —
-/// the linearized-storage layout ALTO and SPLATT's own CSF use.
+/// the linearized-storage layout SPLATT's own CSF uses.
 #[derive(Debug, Clone)]
 pub struct Csf {
     /// `dim_perm[level]` = original mode stored at that tree level.

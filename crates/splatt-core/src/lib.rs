@@ -40,7 +40,6 @@ mod completion;
 mod cpals;
 pub mod csf;
 mod diagnostics;
-pub mod dispatch;
 mod governed;
 mod kruskal;
 mod model_file;
@@ -50,7 +49,6 @@ pub mod refresh;
 mod sgd;
 mod tiling;
 
-pub mod alto;
 pub mod mttkrp;
 pub mod reference;
 
@@ -63,9 +61,6 @@ pub use cpals::{
 };
 pub use csf::{Csf, CsfAlloc, CsfSet, KernelKind};
 pub use diagnostics::corcondia;
-pub use dispatch::{
-    DispatchError, DispatchTable, FormatChoice, FormatPlan, ModeDecision, TensorFormat,
-};
 pub use governed::{
     try_cp_als_governed, try_cp_als_governed_with_team, GovernancePolicy, GovernedRun, OnOverrun,
 };

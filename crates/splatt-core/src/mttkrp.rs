@@ -101,22 +101,20 @@ impl Default for MttkrpConfig {
 ///
 /// Exception: the **leaf** kernel at R = 32 is retired — its fixed
 /// `[f64; 32]` accumulator spills past the register file and benched
-/// consistently below 1.0x (0.804x CSF / 0.887x ALTO), so leaf kernels
-/// at rank 32 always run the generic path in both the CSF and ALTO
-/// drivers, and [`crate::dispatch::DispatchTable::decide`] never offers
-/// that cell as a specialization candidate.
+/// consistently below 1.0x (0.804x), so leaf kernels at rank 32 always
+/// run the generic path.
 pub const SPECIALIZED_RANKS: [usize; 3] = [8, 16, 32];
 
 /// Re-slice a rank-length slice as a fixed-width array reference. Only
 /// reachable from kernels dispatched with `R == rank`, so the length
 /// always matches.
 #[inline(always)]
-pub(crate) fn fixed<const R: usize>(s: &[f64]) -> &[f64; R] {
+fn fixed<const R: usize>(s: &[f64]) -> &[f64; R] {
     s.try_into().expect("specialized kernel width mismatch")
 }
 
 #[inline(always)]
-pub(crate) fn fixed_mut<const R: usize>(s: &mut [f64]) -> &mut [f64; R] {
+fn fixed_mut<const R: usize>(s: &mut [f64]) -> &mut [f64; R] {
     s.try_into().expect("specialized kernel width mismatch")
 }
 
@@ -128,14 +126,14 @@ pub fn use_privatization(dim: usize, ntasks: usize, nnz: usize, threshold: f64) 
 
 /// Reusable buffers and synchronization state for repeated MTTKRP calls.
 pub struct MttkrpWorkspace {
-    pub(crate) pool: LockPool,
-    pub(crate) replicas: ThreadScratch,
+    pool: LockPool,
+    replicas: ThreadScratch,
     /// Per-task walk buffers (`ones` + up/down prefix products), grow-only
     /// so steady-state kernel calls never allocate.
-    pub(crate) kernel: ThreadScratch,
-    pub(crate) ntasks: usize,
-    pub(crate) probe: Option<std::sync::Arc<splatt_probe::MttkrpProbe>>,
-    pub(crate) guard: Option<splatt_guard::RunGuard>,
+    kernel: ThreadScratch,
+    ntasks: usize,
+    probe: Option<std::sync::Arc<splatt_probe::MttkrpProbe>>,
+    guard: Option<splatt_guard::RunGuard>,
 }
 
 impl MttkrpWorkspace {
@@ -197,7 +195,7 @@ pub const GUARD_CHUNK: usize = 64;
 /// Safety protocol: concurrent `row_mut` calls on the *same* row must be
 /// externally synchronized (lock pool), or rows must be partitioned
 /// disjointly across tasks (root kernel).
-pub(crate) struct SharedOut {
+struct SharedOut {
     ptr: *mut f64,
     cols: usize,
     #[cfg(debug_assertions)]
@@ -208,7 +206,7 @@ unsafe impl Send for SharedOut {}
 unsafe impl Sync for SharedOut {}
 
 impl SharedOut {
-    pub(crate) fn new(m: &mut Matrix) -> Self {
+    fn new(m: &mut Matrix) -> Self {
         SharedOut {
             ptr: m.as_mut_slice().as_mut_ptr(),
             cols: m.cols(),
@@ -222,7 +220,7 @@ impl SharedOut {
     /// type-level protocol).
     #[allow(clippy::mut_from_ref)]
     #[inline]
-    pub(crate) unsafe fn row_mut(&self, i: usize) -> &mut [f64] {
+    unsafe fn row_mut(&self, i: usize) -> &mut [f64] {
         #[cfg(debug_assertions)]
         debug_assert!(i < self.rows);
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.cols), self.cols) }
@@ -230,7 +228,7 @@ impl SharedOut {
 }
 
 /// Where a task's scatter contributions land.
-pub(crate) enum OutTarget<'t> {
+enum OutTarget<'t> {
     /// Directly into the shared output; `pool` is `None` for the root
     /// kernel (rows disjoint by partition), `Some` otherwise.
     Shared {
@@ -246,7 +244,7 @@ impl OutTarget<'_> {
     /// compile-time rank (`0` = dynamic); both paths apply the identical
     /// element-wise update order, so they are bit-identical.
     #[inline]
-    pub(crate) fn add_product<const R: usize>(&mut self, idx: usize, down: &[f64], up: &[f64]) {
+    fn add_product<const R: usize>(&mut self, idx: usize, down: &[f64], up: &[f64]) {
         match self {
             OutTarget::Shared { out, pool } => {
                 let _guard = pool.map(|p| p.lock(idx));
@@ -283,7 +281,7 @@ impl OutTarget<'_> {
 
     /// `row[r] += v * src[r]` on output row `idx` (leaf scatter).
     #[inline]
-    pub(crate) fn add_scaled<const R: usize>(&mut self, idx: usize, v: f64, src: &[f64]) {
+    fn add_scaled<const R: usize>(&mut self, idx: usize, v: f64, src: &[f64]) {
         match self {
             OutTarget::Shared { out, pool } => {
                 let _guard = pool.map(|p| p.lock(idx));
@@ -324,7 +322,7 @@ impl OutTarget<'_> {
 /// re-sliced to `&[f64; R]`, giving LLVM an exact trip count to unroll
 /// and vectorize against; the arithmetic — element order included — is
 /// identical to the dynamic path, so both produce bit-identical results.
-pub(crate) trait Access {
+trait Access {
     /// `accum[r] += scale * f[idx][r]` — the leaf gather.
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]);
     /// `dst[r] = a[r] * f[idx][r]` — extend the downward prefix product.
@@ -340,7 +338,7 @@ pub(crate) trait Access {
 /// (the overhead documented in chapel-lang/chapel#8203 and measured in the
 /// paper's Figures 2/3). We model that per-access constant cost with a
 /// small descriptor allocation plus the row copy itself.
-pub(crate) struct RowCopyAccess;
+struct RowCopyAccess;
 
 #[inline]
 fn slice_descriptor(idx: usize, cols: usize) -> Vec<usize> {
@@ -410,7 +408,7 @@ impl Access for RowCopyAccess {
 }
 
 /// Direct 2D indexing: index arithmetic + bounds check per element.
-pub(crate) struct Index2DAccess;
+struct Index2DAccess;
 impl Access for Index2DAccess {
     // Specialized widths keep the per-element 2D index arithmetic (and
     // its bounds check) — only the trip count becomes compile-time.
@@ -456,7 +454,7 @@ impl Access for Index2DAccess {
 }
 
 /// Row slice once, bounds-checked element reads (optimized Chapel port).
-pub(crate) struct PointerCheckedAccess;
+struct PointerCheckedAccess;
 impl Access for PointerCheckedAccess {
     #[inline]
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
@@ -503,7 +501,7 @@ impl Access for PointerCheckedAccess {
 }
 
 /// Row slice with fused iteration — check-free inner loops (C reference).
-pub(crate) struct PointerZipAccess;
+struct PointerZipAccess;
 impl Access for PointerZipAccess {
     #[inline]
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
@@ -627,27 +625,16 @@ pub fn mttkrp(
 /// construction — SPLATT's mode-tiling execution (no locks, no replicas,
 /// no reduction).
 ///
-/// # Panics
-/// Panics if shapes disagree.
-pub fn mttkrp_tiled(
-    tiled: &crate::tiling::TiledCsf,
-    factors: &[Matrix],
-    out: &mut Matrix,
-    team: &TaskTeam,
-    cfg: &MttkrpConfig,
-) {
-    mttkrp_tiled_guarded(tiled, factors, out, team, cfg, None)
-}
-
-/// [`mttkrp_tiled`] under run governance: each task heartbeats its lane
-/// and polls `guard` between tiles (and every [`GUARD_CHUNK`] root slices
-/// within a tile), abandoning remaining work once the run is cancelled.
-/// The output is unspecified after a cancelled kernel; the driver's next
-/// guard check aborts the run before the partial output is consumed.
+/// Under run governance (`guard` given) each task heartbeats its lane
+/// and polls the guard between tiles (and every [`GUARD_CHUNK`] root
+/// slices within a tile), abandoning remaining work once the run is
+/// cancelled. The output is unspecified after a cancelled kernel; the
+/// driver's next guard check aborts the run before the partial output is
+/// consumed.
 ///
 /// # Panics
 /// Panics if shapes disagree.
-pub fn mttkrp_tiled_guarded(
+pub fn mttkrp_tiled(
     tiled: &crate::tiling::TiledCsf,
     factors: &[Matrix],
     out: &mut Matrix,
@@ -733,7 +720,7 @@ fn run_tiled<A: Access, const R: usize>(
 /// Per-task walk arena length: `ones` (one rank row) plus an up and a
 /// down prefix-product buffer per tree level.
 #[inline]
-pub(crate) fn arena_len(order: usize, rank: usize) -> usize {
+fn arena_len(order: usize, rank: usize) -> usize {
     (2 * order + 1) * rank
 }
 
@@ -1214,8 +1201,8 @@ mod tests {
                 };
                 let mut a = Matrix::zeros(t.dims()[mode], rank);
                 let mut b = Matrix::zeros(t.dims()[mode], rank);
-                mttkrp_tiled(&tiled, &factors, &mut a, &team, &generic);
-                mttkrp_tiled(&tiled, &factors, &mut b, &team, &special);
+                mttkrp_tiled(&tiled, &factors, &mut a, &team, &generic, None);
+                mttkrp_tiled(&tiled, &factors, &mut b, &team, &special, None);
                 assert_eq!(a.as_slice(), b.as_slice(), "mode {mode} access {access:?}");
             }
         }
@@ -1261,7 +1248,7 @@ mod tests {
                         ..Default::default()
                     };
                     let mut out = Matrix::zeros(t.dims()[mode], rank);
-                    mttkrp_tiled(&tiled, &factors, &mut out, &team, &cfg);
+                    mttkrp_tiled(&tiled, &factors, &mut out, &team, &cfg, None);
                     let expect = mttkrp_coo(&t, &factors, mode);
                     assert!(
                         out.approx_eq(&expect, 1e-9),
@@ -1284,7 +1271,7 @@ mod tests {
             crate::tiling::TiledCsf::build(&t, 1, 7, &team, splatt_tensor::SortVariant::AllOpts);
         let cfg = MttkrpConfig::default();
         let mut out = Matrix::zeros(t.dims()[1], rank);
-        mttkrp_tiled(&tiled, &factors, &mut out, &team, &cfg);
+        mttkrp_tiled(&tiled, &factors, &mut out, &team, &cfg, None);
         assert!(out.approx_eq(&mttkrp_coo(&t, &factors, 1), 1e-9));
     }
 

@@ -1,7 +1,6 @@
 //! CP-ALS configuration and the paper's three implementation presets.
 
 use crate::csf::CsfAlloc;
-use crate::dispatch::TensorFormat;
 use crate::mttkrp::{MatrixAccess, DEFAULT_PRIV_THRESHOLD};
 use splatt_faults::RecoveryPolicy;
 use splatt_locks::{LockStrategy, DEFAULT_POOL_SIZE};
@@ -96,15 +95,6 @@ pub struct CpalsOptions {
     pub sort_variant: SortVariant,
     /// CSF representation allocation policy.
     pub csf_alloc: CsfAlloc,
-    /// Tensor representation: flat-slab CSF (default), the ALTO
-    /// linearized stream, or per-mode benchmark-driven auto dispatch
-    /// (see [`crate::dispatch`]).
-    pub format: TensorFormat,
-    /// Baseline file driving [`TensorFormat::Auto`] decisions. `None`
-    /// uses the committed repo-root `BENCH_mttkrp.json` compiled into
-    /// the binary; a missing or corrupt file degrades to the generic
-    /// CSF path with a typed warning instead of failing the run.
-    pub dispatch_baseline: Option<PathBuf>,
     /// Privatization threshold (SPLATT default 0.02).
     pub priv_threshold: f64,
     /// Dispatch to the fixed-width MTTKRP kernels when the rank is one
@@ -161,8 +151,6 @@ impl Default for CpalsOptions {
             pool_size: DEFAULT_POOL_SIZE,
             sort_variant: SortVariant::default(),
             csf_alloc: CsfAlloc::default(),
-            format: TensorFormat::default(),
-            dispatch_baseline: None,
             priv_threshold: DEFAULT_PRIV_THRESHOLD,
             specialize: true,
             spin_count: 300,

@@ -322,7 +322,7 @@ impl RefreshEngine {
         let merge_ns = merge_started.elapsed().as_nanos() as u64;
         let new_watermark = pending.last().expect("non-empty").seq + 1;
 
-        // Warm-started, governed refit. The CSF/ALTO rebuild inside
+        // Warm-started, governed refit. The CSF rebuild inside
         // draws on the merged (canonical, strictly sorted) tensor, so
         // the sort-skip fast path fires; we snapshot the global counter
         // around the solve to attribute skips to this round.

@@ -83,82 +83,11 @@ pub fn weighted(prefix: &[usize], nparts: usize) -> Vec<usize> {
     bounds
 }
 
-/// Partition `prefix.len() - 1` weighted items into `nparts` contiguous
-/// parts by recursive bisection of the item space — ALTO-style
-/// coordinate-space partitioning (Laukemann et al.): each split places
-/// a boundary nearest the proportional weight target for the parts on
-/// its left, then recurses into both halves.
-///
-/// Compared with [`weighted`]'s global-target sweep, the recursive form
-/// localizes every decision to the half it splits, which is how ALTO
-/// keeps partitions aligned to coordinate-range boundaries. Both share
-/// the closer-boundary-cut rule: a heavy item straddling a target is
-/// cut *before* when that leaves the boundary nearer the target (the
-/// PR 4 `weighted` fix — without it one part silently absorbs the
-/// whole heavy item plus its neighbours).
-///
-/// Returns `nparts + 1` monotonic boundaries like [`weighted`].
-///
-/// # Panics
-/// Panics if `nparts == 0` or `prefix` is empty.
-pub fn recursive_weighted(prefix: &[usize], nparts: usize) -> Vec<usize> {
-    assert!(nparts > 0, "recursive_weighted: nparts must be positive");
-    assert!(
-        !prefix.is_empty(),
-        "recursive_weighted: prefix sum must be non-empty"
-    );
-    let n = prefix.len() - 1;
-    let mut bounds = vec![0usize; nparts + 1];
-    bounds[nparts] = n;
-    bisect(prefix, 0, n, 0, nparts, &mut bounds);
-    // keep boundaries monotonic even with zero-weight runs
-    for p in 1..=nparts {
-        if bounds[p] < bounds[p - 1] {
-            bounds[p] = bounds[p - 1];
-        }
-    }
-    bounds
-}
-
-/// Place the boundary splitting parts `lo_part..hi_part` of items
-/// `lo_item..hi_item`, then recurse into both halves.
-fn bisect(
-    prefix: &[usize],
-    lo_item: usize,
-    hi_item: usize,
-    lo_part: usize,
-    hi_part: usize,
-    bounds: &mut [usize],
-) {
-    let nparts = hi_part - lo_part;
-    if nparts <= 1 {
-        return;
-    }
-    let nl = nparts / 2;
-    let span = prefix[hi_item] - prefix[lo_item];
-    let target = prefix[lo_item] + (span as u128 * nl as u128 / nparts as u128) as usize;
-    // first index in (lo_item, hi_item] whose prefix weight reaches the
-    // target
-    let idx = (lo_item + prefix[lo_item..=hi_item].partition_point(|&w| w < target)).min(hi_item);
-    // A heavy item straddling the target drags `idx` past it by the
-    // item's full weight; cutting *before* that item can sit much closer
-    // to the target. Pick whichever boundary is nearer (ties keep the
-    // forward cut) — the same rule as `weighted`.
-    let cut = if idx > lo_item && target.abs_diff(prefix[idx - 1]) < target.abs_diff(prefix[idx]) {
-        idx - 1
-    } else {
-        idx
-    };
-    bounds[lo_part + nl] = cut;
-    bisect(prefix, lo_item, cut, lo_part, lo_part + nl, bounds);
-    bisect(prefix, cut, hi_item, lo_part + nl, hi_part, bounds);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The boundary-cut regression fixture shared by both partitioners:
+    /// The boundary-cut regression fixture:
     /// 30 light items, one weight-50 slice, 20 light items. The flooring
     /// target for 2 parts is 50; the first prefix reaching it is *past*
     /// the heavy slice (weight 80), while cutting before it leaves
@@ -295,83 +224,6 @@ mod tests {
         let b = weighted(&p, 2);
         assert_eq!(b, vec![0, 30, 51]);
         assert_balanced_cut(&b, &w, 2, 1.4);
-    }
-
-    #[test]
-    fn recursive_weighted_heavy_boundary_slice_takes_closer_cut() {
-        // The ALTO-style recursive partitioner hits the identical edge
-        // case at its top-level bisection: the same skewed fixture must
-        // take the closer cut, not the forward one.
-        let w = skewed_boundary_weights();
-        let p = prefix_sum(&w);
-        let b = recursive_weighted(&p, 2);
-        assert_eq!(b, vec![0, 30, 51]);
-        assert_balanced_cut(&b, &w, 2, 1.4);
-    }
-
-    #[test]
-    fn recursive_weighted_nested_heavy_slices_stay_balanced() {
-        // heavy items in both halves: the closer-cut rule must apply at
-        // every recursion depth, not just the first split
-        let mut w = vec![1usize; 10];
-        w.push(20);
-        w.extend(std::iter::repeat_n(1, 10));
-        w.push(20);
-        w.extend(std::iter::repeat_n(1, 10));
-        let p = prefix_sum(&w);
-        let b = recursive_weighted(&p, 4);
-        assert_eq!(b.len(), 5);
-        assert_eq!(b[0], 0);
-        assert_eq!(*b.last().unwrap(), w.len());
-        for k in 1..b.len() {
-            assert!(b[k] >= b[k - 1]);
-        }
-        assert_balanced_cut(&b, &w, 4, 1.5);
-    }
-
-    #[test]
-    fn recursive_weighted_uniform_weights_match_block() {
-        let w = vec![1usize; 100];
-        let p = prefix_sum(&w);
-        let b = recursive_weighted(&p, 4);
-        assert_eq!(b, vec![0, 25, 50, 75, 100]);
-    }
-
-    #[test]
-    fn recursive_weighted_covers_and_is_monotonic() {
-        let w = [5usize, 1, 1, 1, 1, 1, 10, 1, 1, 1];
-        let p = prefix_sum(&w);
-        for nparts in [1usize, 2, 3, 5, 8, 16] {
-            let b = recursive_weighted(&p, nparts);
-            assert_eq!(b.len(), nparts + 1);
-            assert_eq!(b[0], 0);
-            assert_eq!(*b.last().unwrap(), w.len());
-            for k in 1..b.len() {
-                assert!(b[k] >= b[k - 1], "nparts {nparts}: {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn recursive_weighted_more_parts_than_items() {
-        let w = [7usize, 7];
-        let p = prefix_sum(&w);
-        let b = recursive_weighted(&p, 5);
-        assert_eq!(b.len(), 6);
-        assert_eq!(b[0], 0);
-        assert_eq!(*b.last().unwrap(), 2);
-        for k in 1..b.len() {
-            assert!(b[k] >= b[k - 1]);
-        }
-    }
-
-    #[test]
-    fn recursive_weighted_all_zero_weights_and_empty() {
-        let p = prefix_sum(&[0usize; 6]);
-        let b = recursive_weighted(&p, 3);
-        assert_eq!(b[0], 0);
-        assert_eq!(*b.last().unwrap(), 6);
-        assert_eq!(recursive_weighted(&prefix_sum(&[]), 4), vec![0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -32,8 +32,8 @@ mod tasks;
 
 pub use locks::{LockCounters, LockStats};
 pub use report::{
-    DispatchRow, FaultRow, GuardRow, NetFrontRow, ProfileReport, QueryKindRow, RefreshRow,
-    RoutineRow, ServeRow, ShardRow, StoreRow, PROFILE_SCHEMA,
+    FaultRow, GuardRow, NetFrontRow, ProfileReport, QueryKindRow, RefreshRow, RoutineRow, ServeRow,
+    ShardRow, StoreRow, PROFILE_SCHEMA,
 };
 pub use span::SpanNode;
 pub use tasks::{TaskTimes, ThreadLoad, ThreadLoadRow};

@@ -34,8 +34,10 @@ use std::fmt::Write as _;
 /// readiness wakeups, frame and write-coalescing totals, per-layer
 /// admission sheds, idle closes, deadline backstops, and worker-pool
 /// size — `null` when serving through the legacy thread-per-connection
-/// front end or not serving at all).
-pub const PROFILE_SCHEMA: &str = "splatt-profile-v10";
+/// front end or not serving at all); v11 removed the `dispatch` array
+/// (the second tensor format it reported on was deleted, so there
+/// is no per-mode format decision left to record).
+pub const PROFILE_SCHEMA: &str = "splatt-profile-v11";
 
 /// One row of the per-routine table (label from `splatt_par::Routine`).
 #[derive(Debug, Clone, PartialEq)]
@@ -78,28 +80,6 @@ pub struct GuardRow {
     pub watchdog_samples: u64,
     /// Human-readable trip reason, empty if the run never tripped.
     pub trip: String,
-}
-
-/// One per-mode tensor-format / kernel decision from the dispatcher —
-/// the v6 schema addition.
-///
-/// Like [`FaultRow`], kept as plain strings so this crate stays
-/// independent of the decomposition core: the CP-ALS drivers translate
-/// their typed `ModeDecision`s into rows.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DispatchRow {
-    /// Mode the decision applies to.
-    pub mode: usize,
-    /// Format label (`csf`, `alto`).
-    pub format: String,
-    /// Kernel-role label (`root`, `internal`, `leaf`).
-    pub kernel: String,
-    /// Synchronization label (`none`, `privatized`, `locks`).
-    pub sync: String,
-    /// Whether a fixed-rank specialized kernel was selected.
-    pub specialize: bool,
-    /// Decision provenance label (`forced`, `auto`, `fallback`).
-    pub source: String,
 }
 
 /// Latency profile of one query kind served by the serving subsystem.
@@ -275,7 +255,7 @@ pub struct RefreshRow {
     pub merge_compare_ops: u64,
     /// Nanoseconds spent merging deltas into the resident tensor.
     pub merge_ns: u64,
-    /// CSF/ALTO rebuild sorts skipped because the merged tensor was
+    /// CSF rebuild sorts skipped because the merged tensor was
     /// already strictly sorted (the incremental-rebuild fast path).
     pub sorts_skipped: u64,
     /// ALS iterations across all warm-started refits.
@@ -303,9 +283,6 @@ pub struct ProfileReport {
     pub lock_strategy: String,
     /// True if at least one MTTKRP used the lock pool (vs privatization).
     pub used_locks: bool,
-    /// Per-mode tensor-format / kernel decisions, one row per mode.
-    /// Empty when the producer predates the dispatcher.
-    pub dispatch: Vec<DispatchRow>,
     pub routines: Vec<RoutineRow>,
     pub threads: ThreadLoad,
     pub locks: LockStats,
@@ -379,24 +356,9 @@ impl ProfileReport {
         json::write_escaped(&mut out, &self.lock_strategy);
         let _ = write!(
             out,
-            ",\n  \"used_locks\": {},\n  \"dispatch\": [",
+            ",\n  \"used_locks\": {},\n  \"routines\": [",
             self.used_locks
         );
-        for (i, d) in self.dispatch.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\n    {{\"mode\": {}, \"format\": ", d.mode);
-            json::write_escaped(&mut out, &d.format);
-            out.push_str(", \"kernel\": ");
-            json::write_escaped(&mut out, &d.kernel);
-            out.push_str(", \"sync\": ");
-            json::write_escaped(&mut out, &d.sync);
-            let _ = write!(out, ", \"specialize\": {}, \"source\": ", d.specialize);
-            json::write_escaped(&mut out, &d.source);
-            out.push('}');
-        }
-        out.push_str("\n  ],\n  \"routines\": [");
         for (i, r) in self.routines.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -669,25 +631,6 @@ impl ProfileReport {
                 r.routine, r.seconds, share
             );
         }
-        if !self.dispatch.is_empty() {
-            out.push_str("\n  format dispatch\n");
-            for d in &self.dispatch {
-                let _ = writeln!(
-                    out,
-                    "  mode {:<3} {:<5} {:<9} {:<11} {} ({})",
-                    d.mode,
-                    d.format,
-                    d.kernel,
-                    d.sync,
-                    if d.specialize {
-                        "specialized"
-                    } else {
-                        "generic"
-                    },
-                    d.source
-                );
-            }
-        }
         out.push_str("\n  per-thread MTTKRP busy time\n");
         for t in &self.threads.threads {
             let _ = writeln!(
@@ -869,24 +812,6 @@ mod tests {
             iterations: 1,
             lock_strategy: "Atomic".into(),
             used_locks: true,
-            dispatch: vec![
-                DispatchRow {
-                    mode: 0,
-                    format: "csf".into(),
-                    kernel: "root".into(),
-                    sync: "none".into(),
-                    specialize: true,
-                    source: "auto".into(),
-                },
-                DispatchRow {
-                    mode: 1,
-                    format: "alto".into(),
-                    kernel: "internal".into(),
-                    sync: "privatized".into(),
-                    specialize: false,
-                    source: "auto".into(),
-                },
-            ],
             routines: vec![
                 RoutineRow {
                     routine: "MTTKRP".into(),
@@ -1038,16 +963,6 @@ mod tests {
         let doc = json::parse(&report.to_json()).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(PROFILE_SCHEMA));
         assert_eq!(doc.get("ntasks").unwrap().as_u64(), Some(2));
-        let dispatch = doc.get("dispatch").unwrap().as_array().unwrap();
-        assert_eq!(dispatch.len(), 2);
-        assert_eq!(dispatch[0].get("format").unwrap().as_str(), Some("csf"));
-        assert_eq!(dispatch[0].get("kernel").unwrap().as_str(), Some("root"));
-        assert_eq!(dispatch[1].get("format").unwrap().as_str(), Some("alto"));
-        assert_eq!(
-            dispatch[1].get("sync").unwrap().as_str(),
-            Some("privatized")
-        );
-        assert_eq!(dispatch[1].get("source").unwrap().as_str(), Some("auto"));
         let routines = doc.get("routines").unwrap().as_array().unwrap();
         assert_eq!(routines.len(), 2);
         assert_eq!(
@@ -1280,9 +1195,6 @@ mod tests {
     fn render_mentions_all_sections() {
         let text = sample().render();
         assert!(text.contains("MTTKRP"));
-        assert!(text.contains("format dispatch"));
-        assert!(text.contains("alto"));
-        assert!(text.contains("privatized"));
         assert!(text.contains("per-thread"));
         assert!(text.contains("load imbalance"));
         assert!(text.contains("acquisitions"));
@@ -1301,15 +1213,6 @@ mod tests {
         assert!(text.contains("refresh: 3 rounds applied 12 deltas"));
         assert!(text.contains("15 warm refit iterations"));
         assert!(text.contains("span tree"));
-    }
-
-    #[test]
-    fn dispatchless_report_has_empty_dispatch_array() {
-        let mut report = sample();
-        report.dispatch.clear();
-        let doc = json::parse(&report.to_json()).expect("valid JSON");
-        assert_eq!(doc.get("dispatch").unwrap().as_array().unwrap().len(), 0);
-        assert!(!report.render().contains("format dispatch"));
     }
 
     #[test]

@@ -19,13 +19,11 @@
 
 mod coo;
 
-pub mod alto;
 pub mod io;
 pub mod sort;
 pub mod stats;
 pub mod synth;
 
-pub use alto::AltoTensor;
 pub use coo::{MergeStats, SparseTensor};
 pub use sort::SortVariant;
 pub use stats::TensorStats;

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Process-wide count of sorts skipped by the already-strictly-sorted
 /// fast path (see [`sort_by_perm_guarded`]) — surfaced in the probe
-/// refresh row so incremental CSF/ALTO rebuilds can prove they reused
+/// refresh row so incremental CSF rebuilds can prove they reused
 /// the canonical order instead of re-sorting.
 static SORTS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 
@@ -152,7 +152,7 @@ pub fn sort_by_perm_guarded(
 
     // Fast path for incremental rebuilds: a tensor already strictly
     // sorted by `perm` (the canonical form `merge_entries` maintains)
-    // needs no work — skip straight to CSF/ALTO construction.
+    // needs no work — skip straight to CSF construction.
     if is_strictly_sorted_by(tt, perm) {
         SORTS_SKIPPED.fetch_add(1, AtomicOrdering::Relaxed);
         return;

@@ -22,8 +22,7 @@ use splatt::serve::{
 use splatt::tensor::{io, synth, TensorStats};
 use splatt::{
     corcondia, try_cp_als, try_cp_als_governed, Constraint, CpalsError, CpalsOptions, CsfAlloc,
-    FaultPlan, GovernancePolicy, Implementation, KruskalModel, Matrix, OnOverrun, TensorFormat,
-    WatchdogConfig,
+    FaultPlan, GovernancePolicy, Implementation, KruskalModel, Matrix, OnOverrun, WatchdogConfig,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -35,9 +34,7 @@ fn usage() -> ExitCode {
         "usage:\n  \
          splatt cpd <tensor.tns> [--rank R] [--iters N] [--tol T] [--tasks N]\n              \
          [--impl reference|ported-initial|ported-optimized]\n              \
-         [--csf one|two|all] [--format csf|alto|auto]\n              \
-         [--dispatch-baseline FILE.json]\n              \
-         [--seed S] [--nonneg 1] [--diagnose 1]\n              \
+         [--csf one|two|all] [--seed S] [--nonneg 1] [--diagnose 1]\n              \
          [--dedup keep|sum|error]\n              \
          [--profile FILE.json] [--out PREFIX]\n              \
          [--fault-plan seed=S,straggler=P,drop=P,corrupt=P,nan=P,nonspd=P,horizon=N]\n              \
@@ -77,17 +74,123 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Flags each subcommand accepts; anything else is rejected by
+/// [`Flags::parse`].
+const CPD_FLAGS: &[&str] = &[
+    "rank",
+    "iters",
+    "tol",
+    "tasks",
+    "impl",
+    "csf",
+    "seed",
+    "nonneg",
+    "diagnose",
+    "dedup",
+    "profile",
+    "out",
+    "model",
+    "fault-plan",
+    "checkpoint",
+    "resume",
+    "deadline",
+    "mem-budget",
+    "stall-bound",
+    "on-overrun",
+];
+const COMPLETE_FLAGS: &[&str] = &[
+    "solver", "rank", "iters", "tol", "reg", "tasks", "seed", "step", "decay", "test", "out",
+    "model",
+];
+const SERVE_FLAGS: &[&str] = &[
+    "model",
+    "addr",
+    "tasks",
+    "depth",
+    "batch",
+    "cache",
+    "deadline-ms",
+    "net-workers",
+    "max-conns",
+    "legacy-threads",
+    "shards",
+    "replicas",
+    "seed",
+];
+const QUERY_FLAGS: &[&str] = &[
+    "model",
+    "coords",
+    "version",
+    "deadline-ms",
+    "mode",
+    "index",
+    "k",
+    "fixed",
+];
+const REFRESH_FLAGS: &[&str] = &[
+    "base",
+    "rank",
+    "iters",
+    "tol",
+    "tasks",
+    "seed",
+    "rounds",
+    "audit-cold",
+    "checkpoint",
+    "model-file",
+    "report",
+    "io-fault-seed",
+    "io-crash-at-op",
+    "deadline",
+    "mem-budget",
+    "stall-bound",
+    "on-overrun",
+];
+
+/// A subcommand body: positional arguments, then the parsed flags.
+type Command = fn(&[String], &Flags) -> Result<(), String>;
+
+/// `(positional argument count, accepted flags, body)` of a subcommand;
+/// `None` for an unknown one.
+fn subcommand(cmd: &str) -> Option<(usize, &'static [&'static str], Command)> {
+    Some(match cmd {
+        "cpd" => (1, CPD_FLAGS, |p, f| cmd_cpd(&p[0], f)),
+        "complete" => (1, COMPLETE_FLAGS, |p, f| cmd_complete(&p[0], f)),
+        "predict" => (2, &[], |p, _| cmd_predict(&p[0], &p[1])),
+        "export-model" => (1, &["out"], |p, f| cmd_export_model(&p[0], f)),
+        "serve" => (0, SERVE_FLAGS, |_, f| cmd_serve(f)),
+        "cluster" => (1, &[], |p, _| cmd_cluster(&p[0])),
+        "query" => (2, QUERY_FLAGS, |p, f| cmd_query(&p[0], &p[1], f)),
+        "ingest" => (2, &["batch", "segment-bytes"], |p, f| {
+            cmd_ingest(&p[0], &p[1], f)
+        }),
+        "recover" => (1, &["base", "out", "report"], |p, f| cmd_recover(&p[0], f)),
+        "refresh" => (1, REFRESH_FLAGS, |p, f| cmd_refresh(&p[0], f)),
+        "stats" => (1, &[], |p, _| cmd_stats(&p[0])),
+        "check" => (1, &[], |p, _| cmd_check(&p[0])),
+        "generate" => (1, &["scale", "seed", "dims", "nnz", "out"], |p, f| {
+            cmd_generate(&p[0], f)
+        }),
+        _ => return None,
+    })
+}
+
 /// Minimal flag parser: `--key value` pairs after the positional args.
 struct Flags(Vec<(String, String)>);
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `args`, rejecting any flag the subcommand does not accept —
+    /// a typo must not silently run with the default.
+    fn parse(args: &[String], accepted: &[&str]) -> Result<Self, String> {
         let mut out = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let key = a
                 .strip_prefix("--")
                 .ok_or_else(|| format!("unexpected argument '{a}'"))?;
+            if !accepted.contains(&key) {
+                return Err(format!("unknown flag --{key}"));
+            }
             let val = it
                 .next()
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
@@ -113,14 +216,50 @@ impl Flags {
             .collect()
     }
 
-    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value '{v}' for --{key}")),
-        }
+    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value '{v}' for --{key}"))
+            })
+            .transpose()
     }
+
+    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.parse_opt(key)?.unwrap_or(default))
+    }
+}
+
+/// The run-governance policy of `cpd` / `refresh`:
+/// `--deadline SECS --mem-budget BYTES --stall-bound MS --on-overrun MODE`.
+fn governance_policy(
+    flags: &Flags,
+    checkpoint_dir: Option<&std::path::Path>,
+) -> Result<GovernancePolicy, String> {
+    let deadline = flags
+        .parse_opt::<f64>("deadline")?
+        .map(|secs| {
+            Duration::try_from_secs_f64(secs)
+                .map_err(|_| format!("invalid value '{secs}' for --deadline"))
+        })
+        .transpose()?;
+    let on_overrun = match flags.get("on-overrun") {
+        None => OnOverrun::default(),
+        Some(v) => OnOverrun::parse(v)
+            .ok_or_else(|| format!("unknown --on-overrun '{v}' (abort|checkpoint|degrade)"))?,
+    };
+    if on_overrun == OnOverrun::Checkpoint && checkpoint_dir.is_none() {
+        return Err("--on-overrun checkpoint requires --checkpoint DIR".into());
+    }
+    Ok(GovernancePolicy {
+        deadline,
+        mem_budget: flags.parse_opt("mem-budget")?,
+        watchdog: flags.parse_opt("stall-bound")?.map(|ms| WatchdogConfig {
+            stall_bound: Duration::from_millis(ms),
+            ..Default::default()
+        }),
+        on_overrun,
+    })
 }
 
 fn load(path: &str) -> Result<splatt::SparseTensor, String> {
@@ -164,12 +303,6 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         "all" => CsfAlloc::All,
         other => return Err(format!("unknown --csf '{other}'")),
     };
-    let format = match flags.get("format") {
-        None => TensorFormat::default(),
-        Some(v) => TensorFormat::parse(v)
-            .ok_or_else(|| format!("unknown --format '{v}' (csf|alto|auto)"))?,
-    };
-    let dispatch_baseline = flags.get("dispatch-baseline").map(std::path::PathBuf::from);
     let constraint = if flags.parse_or("nonneg", 0u8)? != 0 {
         Constraint::NonNegative
     } else {
@@ -217,8 +350,6 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         ntasks: flags.parse_or("tasks", 1)?,
         seed: flags.parse_or("seed", 0xC0FFEE_u64)?,
         csf_alloc,
-        format,
-        dispatch_baseline,
         constraint,
         profile: profile_path.is_some(),
         checkpoint_dir,
@@ -248,55 +379,21 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         println!("checkpointing to {}", dir.display());
     }
 
-    // ---- run governance flags ----
-    let deadline_secs: Option<f64> = flags
-        .get("deadline")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value '{v}' for --deadline"))
-        })
-        .transpose()?;
-    let mem_budget: Option<u64> = flags
-        .get("mem-budget")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value '{v}' for --mem-budget"))
-        })
-        .transpose()?;
-    let stall_bound_ms: Option<u64> = flags
-        .get("stall-bound")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value '{v}' for --stall-bound"))
-        })
-        .transpose()?;
-    let on_overrun = flags
-        .get("on-overrun")
-        .map(|v| {
-            OnOverrun::parse(v)
-                .ok_or_else(|| format!("unknown --on-overrun '{v}' (abort|checkpoint|degrade)"))
-        })
-        .transpose()?
-        .unwrap_or_default();
-    if on_overrun == OnOverrun::Checkpoint && opts.checkpoint_dir.is_none() {
-        return Err("--on-overrun checkpoint requires --checkpoint DIR".into());
-    }
-    let policy = GovernancePolicy {
-        deadline: deadline_secs.map(Duration::from_secs_f64),
-        mem_budget,
-        watchdog: stall_bound_ms.map(|ms| WatchdogConfig {
-            stall_bound: Duration::from_millis(ms),
-            ..Default::default()
-        }),
-        on_overrun,
-    };
+    let policy = governance_policy(flags, opts.checkpoint_dir.as_deref())?;
 
     let out = if policy.is_armed() {
         println!(
             "governance: deadline {}, mem budget {}, stall bound {}, on overrun {}",
-            deadline_secs.map_or("none".into(), |s| format!("{s}s")),
-            mem_budget.map_or("none".into(), |b| format!("{b} bytes")),
-            stall_bound_ms.map_or("none".into(), |ms| format!("{ms}ms")),
+            policy
+                .deadline
+                .map_or("none".into(), |d| format!("{}s", d.as_secs_f64())),
+            policy
+                .mem_budget
+                .map_or("none".into(), |b| format!("{b} bytes")),
+            policy.watchdog.map_or("none".into(), |w| format!(
+                "{}ms",
+                w.stall_bound.as_millis()
+            )),
             policy.on_overrun.label()
         );
         match try_cp_als_governed(&tensor, &opts, fault_plan.as_ref(), &policy) {
@@ -320,27 +417,6 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         "converged: fit {:.6} after {} iterations",
         out.fit, out.iterations
     );
-    if let Some(warning) = &out.dispatch_warning {
-        eprintln!("warning: dispatch degraded to the generic CSF path: {warning}");
-    }
-    if format != TensorFormat::Csf {
-        println!("\nformat dispatch:");
-        for d in &out.dispatch {
-            println!(
-                "  mode {} -> {} {} kernel, {} sync, {} ({})",
-                d.mode,
-                d.format.label(),
-                d.kernel,
-                d.sync,
-                if d.specialize {
-                    "specialized"
-                } else {
-                    "generic"
-                },
-                d.source.label()
-            );
-        }
-    }
     if let Some(plan) = &fault_plan {
         let events = plan.events();
         println!("\ninjected faults: {}", events.len());
@@ -745,47 +821,7 @@ fn cmd_refresh(store_dir: &str, flags: &Flags) -> Result<(), String> {
         ..Default::default()
     };
 
-    // Governance: same flags as `cpd`.
-    let deadline_secs: Option<f64> = flags
-        .get("deadline")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value '{v}' for --deadline"))
-        })
-        .transpose()?;
-    let stall_bound_ms: Option<u64> = flags
-        .get("stall-bound")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value '{v}' for --stall-bound"))
-        })
-        .transpose()?;
-    let on_overrun = flags
-        .get("on-overrun")
-        .map(|v| {
-            OnOverrun::parse(v)
-                .ok_or_else(|| format!("unknown --on-overrun '{v}' (abort|checkpoint|degrade)"))
-        })
-        .transpose()?
-        .unwrap_or_default();
-    if on_overrun == OnOverrun::Checkpoint && cpals.checkpoint_dir.is_none() {
-        return Err("--on-overrun checkpoint requires --checkpoint DIR".into());
-    }
-    let policy = GovernancePolicy {
-        deadline: deadline_secs.map(Duration::from_secs_f64),
-        mem_budget: flags
-            .get("mem-budget")
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid value '{v}' for --mem-budget"))
-            })
-            .transpose()?,
-        watchdog: stall_bound_ms.map(|ms| WatchdogConfig {
-            stall_bound: Duration::from_millis(ms),
-            ..Default::default()
-        }),
-        on_overrun,
-    };
+    let policy = governance_policy(flags, cpals.checkpoint_dir.as_deref())?;
 
     // Disk-fault injection (crash storms drive this from scripts).
     let io_seed: u64 = flags.parse_or("io-fault-seed", 0)?;
@@ -1239,44 +1275,21 @@ fn main() -> ExitCode {
         Some((c, r)) => (c.as_str(), r),
         None => return usage(),
     };
-    let result = match (cmd, rest.split_first()) {
-        ("cpd", Some((path, flag_args))) => Flags::parse(flag_args).and_then(|f| cmd_cpd(path, &f)),
-        ("complete", Some((path, flag_args))) => {
-            Flags::parse(flag_args).and_then(|f| cmd_complete(path, &f))
-        }
-        ("predict", Some((model_path, rest2))) => match rest2.first() {
-            Some(coords) => cmd_predict(model_path, coords),
-            None => return usage(),
-        },
-        ("export-model", Some((input, flag_args))) => {
-            Flags::parse(flag_args).and_then(|f| cmd_export_model(input, &f))
-        }
-        ("serve", _) => Flags::parse(rest).and_then(|f| cmd_serve(&f)),
-        ("cluster", Some((addr, _))) => cmd_cluster(addr),
-        ("query", Some((addr, rest2))) => match rest2.split_first() {
-            Some((op, flag_args)) => Flags::parse(flag_args).and_then(|f| cmd_query(addr, op, &f)),
-            None => return usage(),
-        },
-        ("ingest", Some((store_dir, rest2))) => match rest2.split_first() {
-            Some((delta, flag_args)) => {
-                Flags::parse(flag_args).and_then(|f| cmd_ingest(store_dir, delta, &f))
-            }
-            None => return usage(),
-        },
-        ("recover", Some((store_dir, flag_args))) => {
-            Flags::parse(flag_args).and_then(|f| cmd_recover(store_dir, &f))
-        }
-        ("refresh", Some((store_dir, flag_args))) => {
-            Flags::parse(flag_args).and_then(|f| cmd_refresh(store_dir, &f))
-        }
-        ("stats", Some((path, _))) => cmd_stats(path),
-        ("check", Some((path, _))) => cmd_check(path),
-        ("generate", Some((which, flag_args))) => {
-            Flags::parse(flag_args).and_then(|f| cmd_generate(which, &f))
-        }
-        _ => return usage(),
+    let Some((npos, accepted, body)) = subcommand(cmd) else {
+        return usage();
     };
-    match result {
+    if rest.len() < npos {
+        return usage();
+    }
+    let (pos, flag_args) = rest.split_at(npos);
+    let flags = match Flags::parse(flag_args, accepted) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match body(pos, &flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

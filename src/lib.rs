@@ -110,9 +110,8 @@ pub use splatt_core::{
     corcondia, cp_als, tensor_complete, tensor_complete_ccd, tensor_complete_sgd, try_cp_als,
     try_cp_als_governed, try_cp_als_guarded, CcdOptions, Checkpoint, CheckpointError,
     CompletionOptions, CompletionOutput, Constraint, CpalsError, CpalsOptions, CpalsOutput, Csf,
-    CsfAlloc, CsfSet, DispatchError, DispatchTable, FormatChoice, GovernancePolicy, GovernedRun,
-    Implementation, KruskalModel, MatrixAccess, OnOverrun, RefreshEngine, RefreshError,
-    RefreshOptions, RefreshOutcome, RunAborted, SgdOptions, TensorFormat,
+    CsfAlloc, CsfSet, GovernancePolicy, GovernedRun, Implementation, KruskalModel, MatrixAccess,
+    OnOverrun, RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome, RunAborted, SgdOptions,
 };
 pub use splatt_dense::Matrix;
 pub use splatt_faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction, RecoveryPolicy};

@@ -164,101 +164,34 @@ fn nonneg_flag_is_accepted() {
 }
 
 #[test]
-fn cpd_format_flag_selects_and_reports_dispatch() {
-    let dir = workdir("format");
+fn unknown_flags_are_rejected_by_name_with_exit_code_2() {
+    let dir = workdir("unknown_flags");
     let tns = dir.join("t.tns");
     assert!(splatt()
-        .args(["generate", "random", "--dims", "12x10x8", "--nnz", "400", "--seed", "21"])
+        .args(["generate", "random", "--dims", "8x8x8", "--nnz", "200", "--seed", "21"])
         .args(["--out", tns.to_str().unwrap()])
         .status()
         .unwrap()
         .success());
-
-    // --format csf and --format alto converge to matching fits
-    let fit_of = |format: &str| {
+    // a removed flag (whatever its value) and a typo: neither may
+    // silently run with defaults
+    for (flag, value) in [("--format", "csf"), ("--tassks", "8")] {
         let out = splatt()
-            .args(["cpd", tns.to_str().unwrap(), "--rank", "3", "--iters", "5"])
-            .args(["--tol", "0", "--format", format])
+            .args(["cpd", tns.to_str().unwrap(), "--rank", "2", "--iters", "2"])
+            .args([flag, value])
             .output()
             .unwrap();
-        assert!(
-            out.status.success(),
-            "--format {format}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        let fit: f64 = stdout
-            .lines()
-            .find(|l| l.contains("converged: fit"))
-            .and_then(|l| l.split_whitespace().nth(2))
-            .unwrap()
-            .parse()
-            .unwrap();
-        (fit, stdout)
-    };
-    let (csf_fit, _) = fit_of("csf");
-    let (alto_fit, alto_stdout) = fit_of("alto");
-    assert!(
-        (csf_fit - alto_fit).abs() < 1e-6,
-        "csf fit {csf_fit} vs alto fit {alto_fit}"
-    );
-    assert!(
-        alto_stdout.contains("format dispatch:") && alto_stdout.contains("alto"),
-        "alto run did not report its dispatch: {alto_stdout}"
-    );
-
-    // --format auto reports per-mode decisions from the baseline
-    let (_, auto_stdout) = fit_of("auto");
-    assert!(
-        auto_stdout.contains("format dispatch:"),
-        "auto run did not report decisions: {auto_stdout}"
-    );
-    let decision_lines = auto_stdout
-        .lines()
-        .filter(|l| l.trim_start().starts_with("mode ") && l.contains("->"))
-        .count();
-    assert_eq!(decision_lines, 3, "one decision per mode: {auto_stdout}");
-
-    // unknown format values are typed CLI errors
+        assert_eq!(out.status.code(), Some(2), "{flag} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "stderr must name {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} must fail before running");
+    }
+    // a flag another subcommand owns is still unknown here
     let out = splatt()
-        .args(["cpd", tns.to_str().unwrap(), "--format", "bogus"])
+        .args(["stats", tns.to_str().unwrap(), "--rank", "3"])
         .output()
         .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--format"));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn cpd_auto_format_with_corrupt_baseline_warns_and_completes() {
-    let dir = workdir("format_fallback");
-    let tns = dir.join("t.tns");
-    let baseline = dir.join("corrupt.json");
-    std::fs::write(&baseline, "{not json").unwrap();
-    assert!(splatt()
-        .args(["generate", "random", "--dims", "10x8x6", "--nnz", "250", "--seed", "23"])
-        .args(["--out", tns.to_str().unwrap()])
-        .status()
-        .unwrap()
-        .success());
-    let out = splatt()
-        .args(["cpd", tns.to_str().unwrap(), "--rank", "2", "--iters", "3"])
-        .args(["--format", "auto"])
-        .args(["--dispatch-baseline", baseline.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "fallback run must still complete: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("dispatch degraded"),
-        "no typed warning on stderr: {stderr}"
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("fallback"), "{stdout}");
+    assert_eq!(out.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -178,7 +178,10 @@ fn calm_cluster_answers_every_query_shape_bit_identically() {
     match client.stats().unwrap() {
         Response::Stats(json) => {
             assert!(
-                json.contains("\"schema\": \"splatt-profile-v10\""),
+                json.contains(&format!(
+                    "\"schema\": \"{}\"",
+                    splatt::probe::PROFILE_SCHEMA
+                )),
                 "{json}"
             );
             assert!(json.contains("\"shards\": ["), "{json}");

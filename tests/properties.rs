@@ -287,7 +287,7 @@ fn tiled_mttkrp_matches_reference() {
         let factors = gen_factors(&t, rank, 31);
         let cfg = MttkrpConfig::default();
         let mut out = Matrix::zeros(t.dims()[mode], rank);
-        splatt::core::mttkrp::mttkrp_tiled(&tiled, &factors, &mut out, &team, &cfg);
+        splatt::core::mttkrp::mttkrp_tiled(&tiled, &factors, &mut out, &team, &cfg, None);
         let expect = mttkrp_coo(&t, &factors, mode);
         assert!(
             out.approx_eq(&expect, 1e-8),

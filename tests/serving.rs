@@ -389,7 +389,10 @@ fn tcp_loopback_answers_match_oracle_and_errors_are_typed() {
     match client.stats().unwrap() {
         Response::Stats(json) => {
             assert!(
-                json.contains("\"schema\": \"splatt-profile-v10\""),
+                json.contains(&format!(
+                    "\"schema\": \"{}\"",
+                    splatt::probe::PROFILE_SCHEMA
+                )),
                 "{json}"
             );
             assert!(json.contains("\"serve\": {"), "{json}");
