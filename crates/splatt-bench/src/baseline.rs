@@ -4,10 +4,10 @@
 //! *committed* baseline so every PR can see the perf trajectory, not just
 //! the correctness one. `repro bench` runs a pinned synthetic workload —
 //! fixed dims, nonzero count, distribution, and seed — through every
-//! kernel/sync cell at the specialized ranks, timing the generic
-//! (dynamic-width) and rank-specialized dispatch paths side by side, and
-//! writes the medians to `BENCH_mttkrp.json` at the repo root in a
-//! schema-stable layout.
+//! kernel/sync cell at the fixed-width ranks and the paper's rank 35,
+//! timing the plain loops (`specialize: false`) and the tuned kernels
+//! (`specialize: true`) side by side, and writes the medians to
+//! `BENCH_mttkrp.json` at the repo root in a schema-stable layout.
 //!
 //! Timings in the committed file are machine-specific; what the schema
 //! pins is the *shape*: workload identity, one row per
@@ -23,14 +23,16 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Schema tag of `BENCH_mttkrp.json`. Bump on any layout change.
-pub const BENCH_SCHEMA: &str = "splatt-bench-mttkrp-v3";
+pub const BENCH_SCHEMA: &str = "splatt-bench-mttkrp-v4";
 
 /// File name of the committed baseline at the repo root.
 pub const BASELINE_FILE: &str = "BENCH_mttkrp.json";
 
-/// Ranks measured per cell — the specialized widths. Other ranks take the
-/// generic path by construction, so measuring them adds no information.
-pub const BENCH_RANKS: [usize; 3] = [8, 16, 32];
+/// Ranks measured per cell: the fixed-width instantiations
+/// ([`splatt_core::mttkrp::SPECIALIZED_RANKS`]) and the paper's rank 35,
+/// which runs the blocked gather with dynamic-width row operations — the
+/// only rank the end-to-end `cpd_*` workloads run.
+pub const BENCH_RANKS: [usize; 4] = [8, 16, 32, 35];
 
 /// The pinned workload the baseline runs. Everything that shapes the
 /// timing is part of the workload identity and lands in the JSON.
@@ -104,10 +106,15 @@ pub struct BenchCell {
     pub sync: &'static str,
     /// Decomposition rank of this cell.
     pub rank: usize,
-    /// Median nanoseconds per MTTKRP, generic dynamic-width dispatch.
+    /// Median nanoseconds per MTTKRP, plain loops (`specialize: false`).
     pub generic_ns: u64,
-    /// Median nanoseconds per MTTKRP, rank-specialized dispatch.
+    /// Median nanoseconds per MTTKRP, tuned kernels (`specialize: true`).
     pub specialized_ns: u64,
+    /// Relative range `(max - min) / median` of the timed repetitions,
+    /// the wider of the two paths: how far a regenerated cell may sit
+    /// from the committed one before the difference means anything.
+    /// Printed by `repro bench`, not part of the JSON.
+    pub spread: f64,
 }
 
 impl BenchCell {
@@ -118,9 +125,10 @@ impl BenchCell {
     }
 }
 
-/// Median nanoseconds of `reps` timed `mttkrp` calls after `warmup`
-/// untimed ones. The same workspace is reused throughout, so the timed
-/// window exercises the zero-allocation steady state.
+/// Median nanoseconds, and relative range `(max - min) / median`, of
+/// `reps` timed `mttkrp` calls after `warmup` untimed ones. The same
+/// workspace is reused throughout, so the timed window exercises the
+/// zero-allocation steady state.
 #[allow(clippy::too_many_arguments)]
 pub fn median_mttkrp_ns(
     set: &CsfSet,
@@ -132,7 +140,7 @@ pub fn median_mttkrp_ns(
     cfg: &MttkrpConfig,
     warmup: usize,
     reps: usize,
-) -> u64 {
+) -> (u64, f64) {
     for _ in 0..warmup {
         mttkrp(set, factors, mode, out, ws, team, cfg);
     }
@@ -144,7 +152,9 @@ pub fn median_mttkrp_ns(
         })
         .collect();
     samples.sort_unstable();
-    samples[samples.len() / 2]
+    let median = samples[samples.len() / 2];
+    let range = samples[samples.len() - 1] - samples[0];
+    (median, range as f64 / median.max(1) as f64)
 }
 
 fn kernel_label(kind: KernelKind) -> &'static str {
@@ -162,8 +172,7 @@ pub fn workload_tensor(w: &BenchWorkload) -> SparseTensor {
 
 /// Run every baseline cell of `w`: each kernel family the
 /// representation produces, each sync strategy that kernel admits, each
-/// specialized rank — timing generic vs specialized dispatch, in mode
-/// order.
+/// of [`BENCH_RANKS`] — timing plain vs tuned dispatch, in mode order.
 pub fn run_cells(w: &BenchWorkload) -> Vec<BenchCell> {
     let tensor = workload_tensor(w);
     let team = bench_team(w.ntasks);
@@ -202,18 +211,20 @@ pub fn run_cells(w: &BenchWorkload) -> Vec<BenchCell> {
                         &set, &factors, mode, &mut out, &mut ws, &team, &cfg, w.warmup, w.reps,
                     )
                 };
-                // Note on leaf-32: the specialization is retired in
-                // the kernel driver, so `specialize: true` there times
-                // the generic path too — the cell stays in the grid
-                // (speedup ~1.0) to keep the baseline coverage stable.
-                let generic_ns = time_path(false);
-                let specialized_ns = time_path(true);
+                // Note on the leaf kernel: it has no gather, so at 32
+                // (fixed width retired in the kernel driver) and 35
+                // `specialize: true` times the plain loops too — the
+                // cells stay in the grid (speedup ~1.0) to keep the
+                // baseline coverage stable.
+                let (generic_ns, generic_spread) = time_path(false);
+                let (specialized_ns, specialized_spread) = time_path(true);
                 cells.push(BenchCell {
                     kernel,
                     sync,
                     rank,
                     generic_ns,
                     specialized_ns,
+                    spread: generic_spread.max(specialized_spread),
                 });
             }
         }
@@ -278,19 +289,20 @@ pub fn render_cells(cells: &[BenchCell]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<10} {:<12} {:>5} {:>14} {:>14} {:>8}",
-        "kernel", "sync", "rank", "generic", "specialized", "speedup"
+        "{:<10} {:<12} {:>5} {:>14} {:>14} {:>8} {:>7}",
+        "kernel", "sync", "rank", "generic", "specialized", "speedup", "spread"
     );
     for c in cells {
         let _ = writeln!(
             out,
-            "{:<10} {:<12} {:>5} {:>12}ns {:>12}ns {:>7.2}x",
+            "{:<10} {:<12} {:>5} {:>12}ns {:>12}ns {:>7.2}x {:>6.1}%",
             c.kernel,
             c.sync,
             c.rank,
             c.generic_ns,
             c.specialized_ns,
-            c.speedup()
+            c.speedup(),
+            c.spread * 100.0
         );
     }
     out

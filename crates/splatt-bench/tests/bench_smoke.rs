@@ -7,13 +7,13 @@
 //! 2. The committed baseline justifies always-on specialization: every
 //!    cell the kernel actually specializes measured at least 1.0x over
 //!    its own generic column.
-//! 3. The rank-specialized dispatch is **bit-identical** to the generic
-//!    dynamic-width path on deterministic kernels (root and privatized),
-//!    so committing the specialization cannot move any oracle.
-//! 4. In release builds, the specialized kernels actually pay for
-//!    themselves: the best R=16 cell must beat the generic path by at
-//!    least 1.15x (the bar is measured on the same pinned workload the
-//!    committed baseline uses).
+//! 3. The tuned dispatch is **bit-identical** to the plain loops on
+//!    deterministic kernels (root and privatized), so committing the
+//!    specialization cannot move any oracle.
+//! 4. In release builds, the tuned kernels actually pay for themselves:
+//!    the best R=16 cell must beat the plain loops by at least 1.15x and
+//!    the root kernel at the paper's R=35 by at least 1.2x (the bars are
+//!    measured on the same pinned workload the committed baseline uses).
 
 use splatt_bench::baseline::{
     bench_team, run_cells, workload_tensor, BenchWorkload, BASELINE_FILE, BENCH_RANKS, BENCH_SCHEMA,
@@ -59,17 +59,24 @@ fn committed_baseline_is_schema_stable() {
     }
 }
 
-/// `mttkrp` specializes by a static rule (rank in `SPECIALIZED_RANKS`,
-/// leaf-32 retired). The measured fact that justifies the rule: no cell
-/// the kernel actually specializes measured below 1.0x against its own
-/// generic column in the committed baseline.
+/// `mttkrp` specializes by a static rule: fixed-width row operations at
+/// `SPECIALIZED_RANKS` (leaf-32 retired), the blocked gather at every
+/// rank — 35 included — for the kernels that gather (root, internal).
+/// The measured fact that justifies the rule: no cell the kernel actually
+/// specializes measured below 1.0x against its own generic column in the
+/// committed baseline.
 #[test]
 fn committed_specialized_cells_all_beat_generic() {
     let doc = committed_baseline();
     for cell in doc.get("cells").unwrap().as_array().unwrap() {
         let kernel = cell.get("kernel").unwrap().as_str().unwrap();
         let rank = cell.get("rank").unwrap().as_u64().unwrap() as usize;
-        let specialized = SPECIALIZED_RANKS.contains(&rank) && !(kernel == "leaf" && rank == 32);
+        let specialized = if kernel == "leaf" {
+            // no gather in the leaf kernel: only the fixed widths apply
+            SPECIALIZED_RANKS.contains(&rank) && rank != 32
+        } else {
+            SPECIALIZED_RANKS.contains(&rank) || rank == 35
+        };
         let speedup = cell.get("speedup").unwrap().as_f64().unwrap();
         assert!(
             !specialized || speedup >= 1.0,
@@ -132,10 +139,11 @@ fn specialized_dispatch_is_bit_identical_on_bench_workload() {
     }
 }
 
-/// The perf floor the PR commits to: on the pinned baseline workload the
-/// best R=16 cell runs at least 1.15x faster specialized than generic.
-/// Meaningless without optimization, so debug builds skip it; CI runs it
-/// with `cargo test --release -- --ignored`.
+/// The perf floors the repo commits to: on the pinned baseline workload
+/// the best R=16 cell runs at least 1.15x faster tuned than plain, and
+/// the root kernel at the paper's R=35 at least 1.2x. Meaningless without
+/// optimization, so debug builds skip it; CI runs it with
+/// `cargo test --release`.
 #[cfg_attr(
     debug_assertions,
     ignore = "perf floor is only meaningful in release builds"
@@ -143,18 +151,26 @@ fn specialized_dispatch_is_bit_identical_on_bench_workload() {
 #[test]
 fn specialized_r16_beats_generic_in_release() {
     let w = BenchWorkload::default();
-    let mut best = 0.0f64;
-    // Three attempts absorb scheduler noise on small CI boxes; the floor
-    // itself is well under the steady-state speedup (~1.3x).
+    let (mut best16, mut root35) = (0.0f64, 0.0f64);
+    // Three attempts absorb scheduler noise on small CI boxes; the floors
+    // are well under the steady-state speedups (~1.3x and ~1.5x).
     for attempt in 0..3 {
         let cells = run_cells(&w);
         for c in cells.iter().filter(|c| c.rank == 16) {
-            best = best.max(c.speedup());
+            best16 = best16.max(c.speedup());
         }
-        eprintln!("attempt {attempt}: best R=16 speedup so far {best:.2}x");
-        if best >= 1.15 {
+        for c in cells.iter().filter(|c| c.rank == 35 && c.kernel == "root") {
+            root35 = root35.max(c.speedup());
+        }
+        eprintln!(
+            "attempt {attempt}: best R=16 speedup so far {best16:.2}x, root R=35 {root35:.2}x"
+        );
+        if best16 >= 1.15 && root35 >= 1.2 {
             return;
         }
     }
-    panic!("specialized R=16 kernels only reached {best:.2}x over generic (need >= 1.15x)");
+    panic!(
+        "tuned kernels only reached {best16:.2}x at R=16 (need >= 1.15x) and \
+         {root35:.2}x at root R=35 (need >= 1.2x) over the plain loops"
+    );
 }

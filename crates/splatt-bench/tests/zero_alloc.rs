@@ -29,16 +29,18 @@ fn steady_state_mttkrp_performs_no_hot_loop_allocations() {
     let tensor = workload_tensor(&w);
     let team = bench_team(w.ntasks);
     let set = CsfSet::build(&tensor, CsfAlloc::One, &team, SortVariant::AllOpts);
-    let rank = 16;
-    let factors: Vec<Matrix> = tensor
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(m, &d)| Matrix::random(d, rank, 0xA110C + m as u64))
-        .collect();
-
     splatt_probe::alloc::enable();
-    for imp in [Implementation::Reference, Implementation::PortedOptimized] {
+    // a fixed-width rank and the paper's rank (blocked gather, dynamic-
+    // width row operations)
+    for (rank, imp) in [16, 35].into_iter().flat_map(|rank| {
+        [Implementation::Reference, Implementation::PortedOptimized].map(|imp| (rank, imp))
+    }) {
+        let factors: Vec<Matrix> = tensor
+            .dims()
+            .iter()
+            .enumerate()
+            .map(|(m, &d)| Matrix::random(d, rank, 0xA110C + m as u64))
+            .collect();
         let (access, _, _) = imp.knobs();
         for (sync, priv_threshold) in [("privatized", 1e12), ("locks", 0.0)] {
             let cfg = MttkrpConfig {
@@ -66,13 +68,13 @@ fn steady_state_mttkrp_performs_no_hot_loop_allocations() {
             assert_eq!(
                 delta.hot_loop_allocs(),
                 0,
-                "{} / {sync}: hot-loop allocations in steady state: {delta:?}",
+                "{} / {sync} / rank {rank}: hot-loop allocations in steady state: {delta:?}",
                 imp.label()
             );
             assert_eq!(
                 delta.hot_loop_bytes(),
                 0,
-                "{} / {sync}: hot-loop bytes allocated in steady state: {delta:?}",
+                "{} / {sync} / rank {rank}: hot-loop bytes allocated in steady state: {delta:?}",
                 imp.label()
             );
         }

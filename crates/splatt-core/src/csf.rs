@@ -293,6 +293,17 @@ impl Csf {
         &self.slice_nnz
     }
 
+    /// Mean nonzeros per lowest-level fiber (level `order - 2`): the
+    /// length of the leaf gather. `0.0` for an empty tensor.
+    pub fn nnz_per_fiber(&self) -> f64 {
+        let nfibers = self.nfibers(self.order() - 2);
+        if nfibers == 0 {
+            0.0
+        } else {
+            self.nnz() as f64 / nfibers as f64
+        }
+    }
+
     /// Bytes held by this representation: the flat `fptr`/`fids` slabs,
     /// both level-offset tables, the values, and the per-slice nonzero
     /// weights. This is the figure a `--mem-budget` decision trips on, so
@@ -566,24 +577,47 @@ impl CsfSet {
     }
 
     /// Pick the representation and kernel for an MTTKRP on `mode`
-    /// (SPLATT's `csf_mode_to_use`): a root pairing if one exists, else a
-    /// leaf pairing, else the internal kernel on the first representation.
+    /// (SPLATT's `csf_mode_to_use`, plus one measured rule): a root
+    /// pairing if one exists; else, when `mode` is the leaf of a *later*
+    /// representation, the leaf kernel there unless the first
+    /// representation's fibers are dense ([`DENSE_FIBER_NNZ`]) — then, as
+    /// whenever no root or leaf pairing exists, the internal kernel on
+    /// the first representation.
     pub fn for_mode(&self, mode: usize) -> (&Csf, KernelKind) {
         if let Some(c) = self.csfs.iter().find(|c| c.dim_perm()[0] == mode) {
             return (c, KernelKind::Root);
         }
-        if let Some(c) = self
+        let first = &self.csfs[0];
+        if let Some(i) = self
             .csfs
             .iter()
-            .find(|c| *c.dim_perm().last().unwrap() == mode)
+            .position(|c| *c.dim_perm().last().unwrap() == mode)
         {
-            return (c, KernelKind::Leaf);
+            // `mode` as the leaf of the first representation has no
+            // internal alternative there
+            if i == 0 || first.nnz_per_fiber() < DENSE_FIBER_NNZ {
+                return (&self.csfs[i], KernelKind::Leaf);
+            }
         }
-        let c = &self.csfs[0];
-        let depth = c.level_of_mode(mode);
-        (c, KernelKind::Internal(depth))
+        (first, KernelKind::Internal(first.level_of_mode(mode)))
     }
 }
+
+/// Mean nonzeros per lowest-level fiber of the first representation at
+/// and above which [`CsfSet::for_mode`] routes a mode to the internal
+/// kernel there instead of the leaf kernel on a later representation.
+///
+/// The internal kernel gathers a fiber's nonzeros into a register
+/// accumulator and writes one output row per fiber; the leaf kernel
+/// writes one output row per nonzero. With long fibers the gather wins
+/// (NELL-2-shaped bench tensor, 17.8 nnz/fiber: 24 vs 40 ms at rank 35);
+/// with fibers of about one nonzero the internal kernel pays the extra
+/// tree level for nothing (YELP-shaped, 1.04: 67-75 vs 35 ms). The sweep
+/// in EXPERIMENTS.md ("Kernel routing") has the leaf kernel ahead at 1
+/// and 2 nonzeros per fiber, the two level at 4, and the internal kernel
+/// ahead from 8 up; the constant sits at that crossover, a factor of 4
+/// away from both bench shapes.
+pub const DENSE_FIBER_NNZ: f64 = 4.3;
 
 #[cfg(test)]
 mod tests {
@@ -722,27 +756,44 @@ mod tests {
 
     #[test]
     fn alloc_two_kernel_selection() {
-        // dims: mode1 shortest (root of csf0), mode2 longest (root of csf1),
-        // mode0 middle -> leaf of csf0? csf0 perm = [1, 0, 2] so mode0 is
-        // internal level 1, mode2 is leaf of csf0 but root of csf1.
-        let t = synth::random_uniform(&[40, 10, 70], 500, 1);
-        let set = CsfSet::build(&t, CsfAlloc::Two, &team(), SortVariant::AllOpts);
-        assert_eq!(set.for_mode(1).1, KernelKind::Root);
-        assert_eq!(set.for_mode(2).1, KernelKind::Root);
-        // mode 0: not a root; csf0 perm [1,0,2] has leaf=2, csf1 perm
-        // [2,1,0] has leaf=0 -> leaf kernel on csf1
+        // dims: mode1 shortest (root of csf0, perm [1, 0, 2]), mode2
+        // longest (root of csf1, perm [2, 1, 0]); the middle mode 0 is
+        // internal at depth 1 of csf0 and the leaf of csf1 — which of
+        // the two runs it is decided by csf0's fiber density.
+        let sparse = synth::random_uniform(&[40, 10, 70], 500, 1);
+        let dense = synth::random_uniform(&[40, 10, 70], 5_000, 1);
+        for t in [&sparse, &dense] {
+            let set = CsfSet::build(t, CsfAlloc::Two, &team(), SortVariant::AllOpts);
+            assert_eq!(set.for_mode(1).1, KernelKind::Root);
+            assert_eq!(set.for_mode(2).1, KernelKind::Root);
+        }
+
+        // ~1.7 nonzeros per (mode1, mode0) fiber: leaf kernel on csf1
+        let set = CsfSet::build(&sparse, CsfAlloc::Two, &team(), SortVariant::AllOpts);
+        assert!(set.csfs()[0].nnz_per_fiber() < DENSE_FIBER_NNZ / 2.0);
         let (csf, kind) = set.for_mode(0);
         assert_eq!(kind, KernelKind::Leaf);
         assert_eq!(csf.dim_perm(), &[2, 1, 0]);
+
+        // ~12.5 nonzeros per fiber: internal (gather) kernel on csf0
+        let set = CsfSet::build(&dense, CsfAlloc::Two, &team(), SortVariant::AllOpts);
+        assert!(set.csfs()[0].nnz_per_fiber() > DENSE_FIBER_NNZ * 2.0);
+        let (csf, kind) = set.for_mode(0);
+        assert_eq!(kind, KernelKind::Internal(1));
+        assert_eq!(csf.dim_perm(), &[1, 0, 2]);
     }
 
     #[test]
     fn alloc_one_kernel_selection_internal() {
-        let t = synth::random_uniform(&[40, 10, 70], 500, 1);
-        let set = CsfSet::build(&t, CsfAlloc::One, &team(), SortVariant::AllOpts);
-        // csf perm [1, 0, 2]: mode 0 internal at depth 1, mode 2 leaf
-        assert_eq!(set.for_mode(0).1, KernelKind::Internal(1));
-        assert_eq!(set.for_mode(2).1, KernelKind::Leaf);
+        // one representation: the density rule has nothing to choose
+        // between, dense or not — the leaf of csf0 stays the leaf kernel
+        for nnz in [500, 5_000] {
+            let t = synth::random_uniform(&[40, 10, 70], nnz, 1);
+            let set = CsfSet::build(&t, CsfAlloc::One, &team(), SortVariant::AllOpts);
+            // csf perm [1, 0, 2]: mode 0 internal at depth 1, mode 2 leaf
+            assert_eq!(set.for_mode(0).1, KernelKind::Internal(1));
+            assert_eq!(set.for_mode(2).1, KernelKind::Leaf);
+        }
     }
 
     #[test]

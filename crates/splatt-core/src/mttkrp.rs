@@ -76,11 +76,14 @@ pub struct MttkrpConfig {
     pub pool_size: usize,
     /// Privatize when `dim[mode] * ntasks <= priv_threshold * nnz`.
     pub priv_threshold: f64,
-    /// Dispatch to fixed-width inner kernels when the rank is one of
-    /// [`SPECIALIZED_RANKS`]. The specialized paths perform the exact
-    /// same element-wise operations in the same order as the generic
-    /// loop, so results are bit-identical; the compile-time trip count
-    /// is what lets LLVM fully unroll and vectorize them.
+    /// Run the tuned inner loops: at every rank the register-blocked
+    /// leaf gather ([`MatrixAccess::PointerZip`] and
+    /// [`MatrixAccess::PointerChecked`]), and at the
+    /// [`SPECIALIZED_RANKS`] fixed-width row operations as well. `false`
+    /// runs the plain per-nonzero dynamic-width loops for every access
+    /// strategy — the differential oracle. Both perform the same
+    /// element-wise operations in the same order, so results are
+    /// bit-identical.
     pub specialize: bool,
 }
 
@@ -96,13 +99,17 @@ impl Default for MttkrpConfig {
     }
 }
 
-/// Ranks with dedicated fixed-width kernel instantiations. Any other rank
-/// (or `specialize: false`) takes the generic dynamic-width path.
+/// Ranks whose row operations (`mul_row`, `fma_row`, the scatters) have
+/// fixed-width instantiations. The leaf gather does not depend on this
+/// list: it is register-blocked at every rank (see `Access::gather`), so
+/// any other rank — the paper's 35 included — runs the blocked gather
+/// with dynamic-width row operations. Only `specialize: false` takes the
+/// plain loops throughout.
 ///
 /// Exception: the **leaf** kernel at R = 32 is retired — its fixed
 /// `[f64; 32]` accumulator spills past the register file and benched
 /// consistently below 1.0x (0.804x), so leaf kernels at rank 32 always
-/// run the generic path.
+/// run the dynamic-width row operations.
 pub const SPECIALIZED_RANKS: [usize; 3] = [8, 16, 32];
 
 /// Re-slice a rank-length slice as a fixed-width array reference. Only
@@ -219,7 +226,7 @@ impl SharedOut {
     /// Callers must guarantee no concurrent access to row `i` (see the
     /// type-level protocol).
     #[allow(clippy::mut_from_ref)]
-    #[inline]
+    #[inline(always)]
     unsafe fn row_mut(&self, i: usize) -> &mut [f64] {
         #[cfg(debug_assertions)]
         debug_assert!(i < self.rows);
@@ -243,7 +250,13 @@ impl OutTarget<'_> {
     /// `row[r] += down[r] * up[r]` on output row `idx`. `R` is the
     /// compile-time rank (`0` = dynamic); both paths apply the identical
     /// element-wise update order, so they are bit-identical.
-    #[inline]
+    ///
+    /// The fixed-width operands are read by value before the loop (here
+    /// and in `add_scaled`): once inlined into the walk, the output row is
+    /// not provably disjoint from them, and through the references the
+    /// unrolled loop stays scalar (leaf kernel, R = 16: 0.7x the dynamic
+    /// loop without the copy, 1.4x with).
+    #[inline(always)]
     fn add_product<const R: usize>(&mut self, idx: usize, down: &[f64], up: &[f64]) {
         match self {
             OutTarget::Shared { out, pool } => {
@@ -253,7 +266,7 @@ impl OutTarget<'_> {
                 // this task alone.
                 let row = unsafe { out.row_mut(idx) };
                 if R > 0 {
-                    let (row, down, up) = (fixed_mut::<R>(row), fixed::<R>(down), fixed::<R>(up));
+                    let (row, down, up) = (fixed_mut::<R>(row), *fixed::<R>(down), *fixed::<R>(up));
                     for r in 0..R {
                         row[r] += down[r] * up[r];
                     }
@@ -266,7 +279,7 @@ impl OutTarget<'_> {
             OutTarget::Replica { buf, rank } => {
                 let row = &mut buf[idx * *rank..(idx + 1) * *rank];
                 if R > 0 {
-                    let (row, down, up) = (fixed_mut::<R>(row), fixed::<R>(down), fixed::<R>(up));
+                    let (row, down, up) = (fixed_mut::<R>(row), *fixed::<R>(down), *fixed::<R>(up));
                     for r in 0..R {
                         row[r] += down[r] * up[r];
                     }
@@ -280,7 +293,7 @@ impl OutTarget<'_> {
     }
 
     /// `row[r] += v * src[r]` on output row `idx` (leaf scatter).
-    #[inline]
+    #[inline(always)]
     fn add_scaled<const R: usize>(&mut self, idx: usize, v: f64, src: &[f64]) {
         match self {
             OutTarget::Shared { out, pool } => {
@@ -288,7 +301,7 @@ impl OutTarget<'_> {
                 // SAFETY: as in `add_product`.
                 let row = unsafe { out.row_mut(idx) };
                 if R > 0 {
-                    let (row, src) = (fixed_mut::<R>(row), fixed::<R>(src));
+                    let (row, src) = (fixed_mut::<R>(row), *fixed::<R>(src));
                     for r in 0..R {
                         row[r] += v * src[r];
                     }
@@ -301,7 +314,7 @@ impl OutTarget<'_> {
             OutTarget::Replica { buf, rank } => {
                 let row = &mut buf[idx * *rank..(idx + 1) * *rank];
                 if R > 0 {
-                    let (row, src) = (fixed_mut::<R>(row), fixed::<R>(src));
+                    let (row, src) = (fixed_mut::<R>(row), *fixed::<R>(src));
                     for r in 0..R {
                         row[r] += v * src[r];
                     }
@@ -322,13 +335,111 @@ impl OutTarget<'_> {
 /// re-sliced to `&[f64; R]`, giving LLVM an exact trip count to unroll
 /// and vectorize against; the arithmetic — element order included — is
 /// identical to the dynamic path, so both produce bit-identical results.
+///
+/// Every method is `#[inline(always)]`: the walk is compiled once per
+/// instruction set (see `walk!`), and the row operations have to be
+/// compiled with it rather than once for the baseline target.
 trait Access {
-    /// `accum[r] += scale * f[idx][r]` — the leaf gather.
+    /// `accum[r] += scale * f[idx][r]` — one nonzero of the leaf gather.
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]);
     /// `dst[r] = a[r] * f[idx][r]` — extend the downward prefix product.
     fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]);
     /// `accum[r] += a[r] * f[idx][r]` — combine a child's upward product.
     fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]);
+    /// `accum[r] += vals[x] * f[fids[x]][r]` over one fiber's children —
+    /// the leaf gather, every flop of the root and internal kernels.
+    ///
+    /// The default is the per-nonzero [`Access::axpy_row`] loop, which
+    /// `RowCopy` and `Index2D` keep so their modeled per-row costs are
+    /// paid once per nonzero; the pointer strategies override it with
+    /// [`blocked_gather`].
+    #[inline(always)]
+    fn gather<const R: usize>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
+        for (&fid, &v) in fids.iter().zip(vals) {
+            Self::axpy_row::<R>(f, fid as usize, v, accum);
+        }
+    }
+}
+
+/// `specialize: false`: `A`'s row operations with the default per-nonzero
+/// gather, whatever `A` overrides — the plain loops the tuned paths are
+/// differentially tested against.
+struct Plain<A>(std::marker::PhantomData<A>);
+
+impl<A: Access> Access for Plain<A> {
+    #[inline(always)]
+    fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
+        A::axpy_row::<R>(f, idx, scale, accum);
+    }
+    #[inline(always)]
+    fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
+        A::mul_row::<R>(f, idx, a, dst);
+    }
+    #[inline(always)]
+    fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
+        A::fma_row::<R>(f, idx, a, accum);
+    }
+}
+
+/// The register-blocked leaf gather: the rank is cut into column chunks
+/// of 16 plus one remainder chunk of 1..=15 (which the compiler splits
+/// into 8/4/2/1-wide vectors), and each chunk's accumulator stays in
+/// registers across the whole fiber and is written back once — one load
+/// per vector of factor row instead of the plain loop's load-load-store
+/// through the arena. Per element the operations and their order are those of the
+/// per-nonzero loop (`accum[r] += v * row[r]`, children in order), so the
+/// result is bit-identical. `CHECKED` keeps a bounds-checked read per
+/// element (`PointerChecked`).
+#[inline(always)]
+fn blocked_gather<const R: usize, const CHECKED: bool>(
+    f: &Matrix,
+    fids: &[u32],
+    vals: &[f64],
+    accum: &mut [f64],
+) {
+    let rank = if R > 0 { R } else { accum.len() };
+    let accum = &mut accum[..rank];
+    let mut c = 0;
+    while rank - c >= 16 {
+        gather_chunk::<16, CHECKED>(f, fids, vals, accum, c);
+        c += 16;
+    }
+    macro_rules! tail {
+        ($($w:literal)*) => {
+            match rank - c {
+                $($w => gather_chunk::<$w, CHECKED>(f, fids, vals, accum, c),)*
+                _ => {}
+            }
+        };
+    }
+    tail!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+}
+
+/// Columns `c..c + W` of [`blocked_gather`].
+#[inline(always)]
+fn gather_chunk<const W: usize, const CHECKED: bool>(
+    f: &Matrix,
+    fids: &[u32],
+    vals: &[f64],
+    accum: &mut [f64],
+    c: usize,
+) {
+    let out = fixed_mut::<W>(&mut accum[c..c + W]);
+    let mut acc = *out;
+    for (&fid, &v) in fids.iter().zip(vals) {
+        let row = f.row(fid as usize);
+        if CHECKED {
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a += v * row[c + i];
+            }
+        } else {
+            let row = fixed::<W>(&row[c..c + W]);
+            for i in 0..W {
+                acc[i] += v * row[i];
+            }
+        }
+    }
+    *out = acc;
 }
 
 /// Chapel-slicing analogue: a fresh owned copy per row access.
@@ -360,7 +471,7 @@ impl Access for RowCopyAccess {
     // The specialized widths still pay the full descriptor + copy cost:
     // rank specialization must not quietly erase the modeled Chapel
     // slicing overhead this variant exists to measure.
-    #[inline]
+    #[inline(always)]
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
         let _desc = slice_descriptor(idx, f.cols());
         let row = counted_row_copy(f, idx); // allocation: the modeled slicing cost
@@ -375,7 +486,7 @@ impl Access for RowCopyAccess {
             }
         }
     }
-    #[inline]
+    #[inline(always)]
     fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
         let _desc = slice_descriptor(idx, f.cols());
         let row = counted_row_copy(f, idx);
@@ -390,7 +501,7 @@ impl Access for RowCopyAccess {
             }
         }
     }
-    #[inline]
+    #[inline(always)]
     fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
         let _desc = slice_descriptor(idx, f.cols());
         let row = counted_row_copy(f, idx);
@@ -412,7 +523,7 @@ struct Index2DAccess;
 impl Access for Index2DAccess {
     // Specialized widths keep the per-element 2D index arithmetic (and
     // its bounds check) — only the trip count becomes compile-time.
-    #[inline]
+    #[inline(always)]
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
         if R > 0 {
             let accum = fixed_mut::<R>(accum);
@@ -425,7 +536,7 @@ impl Access for Index2DAccess {
             }
         }
     }
-    #[inline]
+    #[inline(always)]
     fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
         if R > 0 {
             let (a, dst) = (fixed::<R>(a), fixed_mut::<R>(dst));
@@ -438,7 +549,7 @@ impl Access for Index2DAccess {
             }
         }
     }
-    #[inline]
+    #[inline(always)]
     fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
         if R > 0 {
             let (a, accum) = (fixed::<R>(a), fixed_mut::<R>(accum));
@@ -456,7 +567,11 @@ impl Access for Index2DAccess {
 /// Row slice once, bounds-checked element reads (optimized Chapel port).
 struct PointerCheckedAccess;
 impl Access for PointerCheckedAccess {
-    #[inline]
+    #[inline(always)]
+    fn gather<const R: usize>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
+        blocked_gather::<R, true>(f, fids, vals, accum);
+    }
+    #[inline(always)]
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
         let row = f.row(idx);
         if R > 0 {
@@ -470,7 +585,7 @@ impl Access for PointerCheckedAccess {
             }
         }
     }
-    #[inline]
+    #[inline(always)]
     fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
         let row = f.row(idx);
         if R > 0 {
@@ -484,7 +599,7 @@ impl Access for PointerCheckedAccess {
             }
         }
     }
-    #[inline]
+    #[inline(always)]
     fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
         let row = f.row(idx);
         if R > 0 {
@@ -503,7 +618,11 @@ impl Access for PointerCheckedAccess {
 /// Row slice with fused iteration — check-free inner loops (C reference).
 struct PointerZipAccess;
 impl Access for PointerZipAccess {
-    #[inline]
+    #[inline(always)]
+    fn gather<const R: usize>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
+        blocked_gather::<R, false>(f, fids, vals, accum);
+    }
+    #[inline(always)]
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
         if R > 0 {
             let (row, accum) = (fixed::<R>(f.row(idx)), fixed_mut::<R>(accum));
@@ -516,7 +635,7 @@ impl Access for PointerZipAccess {
             }
         }
     }
-    #[inline]
+    #[inline(always)]
     fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
         if R > 0 {
             let (row, a, dst) = (fixed::<R>(f.row(idx)), fixed::<R>(a), fixed_mut::<R>(dst));
@@ -529,7 +648,7 @@ impl Access for PointerZipAccess {
             }
         }
     }
-    #[inline]
+    #[inline(always)]
     fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
         if R > 0 {
             let (row, a, accum) = (fixed::<R>(f.row(idx)), fixed::<R>(a), fixed_mut::<R>(accum));
@@ -548,7 +667,10 @@ impl Access for PointerZipAccess {
 ///
 /// Selects the CSF representation and kernel via [`CsfSet::for_mode`],
 /// decides privatization vs. locking with SPLATT's heuristic, and runs
-/// slice-parallel on `team` with nonzero-weighted task partitioning.
+/// slice-parallel on `team` with nonzero-weighted task partitioning. The
+/// tree walk exists in two compiled copies, baseline and AVX2; which one
+/// runs is read from the CPU once per call — the result is bit-identical
+/// either way.
 ///
 /// ```
 /// use splatt_core::mttkrp::{mttkrp, MttkrpConfig, MttkrpWorkspace};
@@ -585,6 +707,23 @@ pub fn mttkrp(
     cfg: &MttkrpConfig,
 ) {
     let (csf, kind) = set.for_mode(mode);
+    mttkrp_on(Avx2::detect(), csf, kind, factors, mode, out, ws, team, cfg);
+}
+
+/// [`mttkrp`] on a chosen representation, kernel and compiled walk
+/// (`isa: None` = portable).
+#[allow(clippy::too_many_arguments)]
+fn mttkrp_on(
+    isa: Option<Avx2>,
+    csf: &Csf,
+    kind: KernelKind,
+    factors: &[Matrix],
+    mode: usize,
+    out: &mut Matrix,
+    ws: &mut MttkrpWorkspace,
+    team: &TaskTeam,
+    cfg: &MttkrpConfig,
+) {
     assert_eq!(
         out.rows(),
         csf.dims()[mode],
@@ -595,20 +734,24 @@ pub fn mttkrp(
         assert_eq!(f.cols(), out.cols(), "factor {m} rank mismatch");
     }
     // Two-level dispatch: access strategy (outer) x compile-time rank
-    // (inner). `R = 0` is the dynamic-width fallback. The leaf kernel at
-    // R = 32 is retired: its fixed-width accumulator spills past the
+    // (inner). `R = 0` is dynamic-width row operations; `Plain` also
+    // swaps the blocked gather for the per-nonzero loop. The leaf kernel
+    // at R = 32 is retired: its fixed-width accumulator spills past the
     // register file and measured consistently below 1.0x, so leaf-32
-    // always takes the generic path (see `SPECIALIZED_RANKS`).
+    // always takes `R = 0` (see `SPECIALIZED_RANKS`).
     let leaf32_retired = matches!(kind, KernelKind::Leaf);
     macro_rules! dispatch {
         ($A:ty) => {
             match out.cols() {
-                8 if cfg.specialize => run::<$A, 8>(csf, kind, factors, mode, out, ws, team, cfg),
-                16 if cfg.specialize => run::<$A, 16>(csf, kind, factors, mode, out, ws, team, cfg),
-                32 if cfg.specialize && !leaf32_retired => {
-                    run::<$A, 32>(csf, kind, factors, mode, out, ws, team, cfg)
+                _ if !cfg.specialize => {
+                    run::<Plain<$A>, 0>(isa, csf, kind, factors, mode, out, ws, team, cfg)
                 }
-                _ => run::<$A, 0>(csf, kind, factors, mode, out, ws, team, cfg),
+                8 => run::<$A, 8>(isa, csf, kind, factors, mode, out, ws, team, cfg),
+                16 => run::<$A, 16>(isa, csf, kind, factors, mode, out, ws, team, cfg),
+                32 if !leaf32_retired => {
+                    run::<$A, 32>(isa, csf, kind, factors, mode, out, ws, team, cfg)
+                }
+                _ => run::<$A, 0>(isa, csf, kind, factors, mode, out, ws, team, cfg),
             }
         };
     }
@@ -653,9 +796,10 @@ pub fn mttkrp_tiled(
     macro_rules! dispatch {
         ($A:ty) => {
             match out.cols() {
-                8 if cfg.specialize => run_tiled::<$A, 8>(tiled, factors, out, team, guard),
-                16 if cfg.specialize => run_tiled::<$A, 16>(tiled, factors, out, team, guard),
-                32 if cfg.specialize => run_tiled::<$A, 32>(tiled, factors, out, team, guard),
+                _ if !cfg.specialize => run_tiled::<Plain<$A>, 0>(tiled, factors, out, team, guard),
+                8 => run_tiled::<$A, 8>(tiled, factors, out, team, guard),
+                16 => run_tiled::<$A, 16>(tiled, factors, out, team, guard),
+                32 => run_tiled::<$A, 32>(tiled, factors, out, team, guard),
                 _ => run_tiled::<$A, 0>(tiled, factors, out, team, guard),
             }
         };
@@ -680,6 +824,7 @@ fn run_tiled<A: Access, const R: usize>(
     if rank == 0 || tiled.nnz() == 0 {
         return;
     }
+    let isa = Avx2::detect();
     let ntasks = team.ntasks();
     let order = tiled.tile(0).order();
     let shared = SharedOut::new(out);
@@ -704,6 +849,7 @@ fn run_tiled<A: Access, const R: usize>(
                 pool: None,
             };
             task_slices::<A, R>(
+                isa,
                 csf,
                 0,
                 factors,
@@ -738,6 +884,7 @@ pub fn uses_locks(set: &CsfSet, mode: usize, ntasks: usize, cfg: &MttkrpConfig) 
 
 #[allow(clippy::too_many_arguments)]
 fn run<A: Access, const R: usize>(
+    isa: Option<Avx2>,
     csf: &Csf,
     kind: KernelKind,
     factors: &[Matrix],
@@ -796,6 +943,7 @@ fn run<A: Access, const R: usize>(
                 kernel.with_mut(tid, |arena| {
                     let mut target = OutTarget::Replica { buf, rank };
                     task_slices::<A, R>(
+                        isa,
                         csf,
                         od,
                         factors,
@@ -829,6 +977,7 @@ fn run<A: Access, const R: usize>(
             kernel.with_mut(tid, |arena| {
                 let mut target = OutTarget::Shared { out: shared, pool };
                 task_slices::<A, R>(
+                    isa,
                     csf,
                     od,
                     factors,
@@ -850,13 +999,38 @@ fn run<A: Access, const R: usize>(
     }
 }
 
-/// Process a contiguous range of root slices for one task. When `guard`
-/// is present, the task heartbeats and polls for cancellation once per
-/// [`GUARD_CHUNK`] slices on its lane and returns early if the run was
-/// tripped (leaving the target partially written — the governed driver
-/// discards it).
+mod isa {
+    /// Proof that this CPU reported AVX2: the field is private to this
+    /// module, so [`Avx2::detect`] is the only way to obtain one.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Avx2(());
+
+    impl Avx2 {
+        /// `Some` on an x86-64 CPU with AVX2 (std caches the `cpuid`
+        /// answer; this is a relaxed load). Run-time rather than
+        /// `target-cpu`/`RUSTFLAGS`, because a plain `cargo build
+        /// --release` — the end-to-end benchmark's, and any downstream
+        /// user's — targets baseline x86-64.
+        pub(super) fn detect() -> Option<Avx2> {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Some(Avx2(()));
+            }
+            None
+        }
+    }
+}
+use isa::Avx2;
+
+/// Process a contiguous range of root slices for one task on the walk
+/// compiled for `isa`. When `guard` is present, the task heartbeats and
+/// polls for cancellation once per [`GUARD_CHUNK`] slices on its lane and
+/// returns early if the run was tripped (leaving the target partially
+/// written — the governed driver discards it).
 #[allow(clippy::too_many_arguments)]
+#[inline]
 fn task_slices<A: Access, const R: usize>(
+    isa: Option<Avx2>,
     csf: &Csf,
     od: usize,
     factors: &[Matrix],
@@ -866,114 +1040,165 @@ fn task_slices<A: Access, const R: usize>(
     slices: std::ops::Range<usize>,
     guard: Option<(&splatt_guard::RunGuard, usize)>,
 ) {
-    let order = csf.order();
-    // the grow-only arena may be larger than this call needs; carve the
-    // layout [ones | up prefix products | down prefix products] off the
-    // front, one rank row per tree level for each direction
-    let (ones, rest) = arena.split_at_mut(rank);
-    ones.fill(1.0);
-    let (up_bufs, down_bufs) = rest.split_at_mut(order * rank);
-    for (n, s) in slices.enumerate() {
-        if let Some((g, lane)) = guard {
-            if n % GUARD_CHUNK == 0 && g.poll(lane) {
-                return;
+    #[cfg(target_arch = "x86_64")]
+    if isa.is_some() {
+        // SAFETY: an `Avx2` value exists only after
+        // `is_x86_feature_detected!("avx2")` returned true on this CPU
+        // (`isa::Avx2::detect` is its sole constructor), which is the
+        // one requirement of calling a `target_feature(enable = "avx2")`
+        // function.
+        return unsafe {
+            walk_avx2::task_slices::<A, R>(csf, od, factors, rank, target, arena, slices, guard)
+        };
+    }
+    let _ = isa;
+    walk_portable::task_slices::<A, R>(csf, od, factors, rank, target, arena, slices, guard);
+}
+
+/// The tree walk, compiled once per instruction set: `$feature` is empty
+/// for the portable copy and `#[target_feature(enable = "avx2")]` for the
+/// other. The `Access` and `OutTarget` operations are `#[inline(always)]`
+/// and so are compiled into each copy with its features. No FMA: both
+/// copies round every multiply and every add, so they are bit-identical.
+macro_rules! walk {
+    ($name:ident $(, #[$feature:meta])?) => {
+        mod $name {
+            use super::{Access, Csf, Matrix, OutTarget, GUARD_CHUNK};
+
+            #[allow(clippy::too_many_arguments)]
+            $(#[$feature])?
+            pub(super) fn task_slices<A: Access, const R: usize>(
+                csf: &Csf,
+                od: usize,
+                factors: &[Matrix],
+                rank: usize,
+                target: &mut OutTarget<'_>,
+                arena: &mut [f64],
+                slices: std::ops::Range<usize>,
+                guard: Option<(&splatt_guard::RunGuard, usize)>,
+            ) {
+                let order = csf.order();
+                // the grow-only arena may be larger than this call needs;
+                // carve the layout [ones | up prefix products | down
+                // prefix products] off the front, one rank row per tree
+                // level for each direction
+                let (ones, rest) = arena.split_at_mut(rank);
+                ones.fill(1.0);
+                let (up_bufs, down_bufs) = rest.split_at_mut(order * rank);
+                for (n, s) in slices.enumerate() {
+                    if let Some((g, lane)) = guard {
+                        if n % GUARD_CHUNK == 0 && g.poll(lane) {
+                            return;
+                        }
+                    }
+                    descend::<A, R>(
+                        csf, 0, s, od, ones, factors, rank, target, up_bufs, down_bufs,
+                    );
+                }
+            }
+
+            /// Walk from `fiber` at `level` toward the output depth `od`,
+            /// carrying the running product `down` of factor rows at
+            /// levels `< level` (excluding the output level).
+            /// `up_bufs`/`down_bufs` are flat per-task arenas; each
+            /// recursion level peels one rank-length row off the front.
+            #[allow(clippy::too_many_arguments)]
+            $(#[$feature])?
+            fn descend<A: Access, const R: usize>(
+                csf: &Csf,
+                level: usize,
+                fiber: usize,
+                od: usize,
+                down: &[f64],
+                factors: &[Matrix],
+                rank: usize,
+                target: &mut OutTarget<'_>,
+                up_bufs: &mut [f64],
+                down_bufs: &mut [f64],
+            ) {
+                let order = csf.order();
+                let perm = csf.dim_perm();
+                if level == od {
+                    // up-product of the subtree below (excluding this
+                    // level's factor)
+                    compute_up::<A, R>(csf, level, fiber, factors, rank, up_bufs);
+                    let fid = csf.fids(level)[fiber] as usize;
+                    target.add_product::<R>(fid, down, &up_bufs[..rank]);
+                    return;
+                }
+                debug_assert!(level < od);
+                let fid = csf.fids(level)[fiber] as usize;
+                let (cur, rest) = down_bufs.split_at_mut(rank);
+                A::mul_row::<R>(&factors[perm[level]], fid, down, cur);
+                if level == order - 2 {
+                    // children are the leaves and the output is the leaf
+                    // mode: scatter each nonzero into its leaf row
+                    // (SPLATT's leaf kernel)
+                    debug_assert_eq!(od, order - 1);
+                    let leaf_fids = csf.fids(order - 1);
+                    let vals = csf.vals();
+                    for x in csf.children(level, fiber) {
+                        target.add_scaled::<R>(leaf_fids[x] as usize, vals[x], cur);
+                    }
+                } else {
+                    for c in csf.children(level, fiber) {
+                        descend::<A, R>(
+                            csf,
+                            level + 1,
+                            c,
+                            od,
+                            cur,
+                            factors,
+                            rank,
+                            target,
+                            up_bufs,
+                            rest,
+                        );
+                    }
+                }
+            }
+
+            /// Fill the first rank row of `bufs` with the upward product
+            /// of `fiber`'s subtree: the sum over nonzeros below of
+            /// `val * prod(factor rows at levels > level)`.
+            $(#[$feature])?
+            fn compute_up<A: Access, const R: usize>(
+                csf: &Csf,
+                level: usize,
+                fiber: usize,
+                factors: &[Matrix],
+                rank: usize,
+                bufs: &mut [f64],
+            ) {
+                let order = csf.order();
+                let perm = csf.dim_perm();
+                let (buf, rest) = bufs.split_at_mut(rank);
+                buf.fill(0.0);
+                if level == order - 2 {
+                    // hot loop: gather leaf nonzeros against the leaf factor
+                    let x = csf.children(level, fiber);
+                    A::gather::<R>(
+                        &factors[perm[order - 1]],
+                        &csf.fids(order - 1)[x.clone()],
+                        &csf.vals()[x],
+                        buf,
+                    );
+                } else {
+                    let child = &factors[perm[level + 1]];
+                    let child_fids = csf.fids(level + 1);
+                    for c in csf.children(level, fiber) {
+                        compute_up::<A, R>(csf, level + 1, c, factors, rank, rest);
+                        A::fma_row::<R>(child, child_fids[c] as usize, &rest[..rank], buf);
+                    }
+                }
             }
         }
-        descend::<A, R>(
-            csf, 0, s, od, ones, factors, rank, target, up_bufs, down_bufs,
-        );
-    }
+    };
 }
 
-/// Walk from `fiber` at `level` toward the output depth `od`, carrying the
-/// running product `down` of factor rows at levels `< level` (excluding
-/// the output level). `up_bufs`/`down_bufs` are flat per-task arenas; each
-/// recursion level peels one rank-length row off the front.
-#[allow(clippy::too_many_arguments)]
-fn descend<A: Access, const R: usize>(
-    csf: &Csf,
-    level: usize,
-    fiber: usize,
-    od: usize,
-    down: &[f64],
-    factors: &[Matrix],
-    rank: usize,
-    target: &mut OutTarget<'_>,
-    up_bufs: &mut [f64],
-    down_bufs: &mut [f64],
-) {
-    let order = csf.order();
-    let perm = csf.dim_perm();
-    if level == od {
-        // up-product of the subtree below (excluding this level's factor)
-        compute_up::<A, R>(csf, level, fiber, factors, rank, up_bufs);
-        let fid = csf.fids(level)[fiber] as usize;
-        target.add_product::<R>(fid, down, &up_bufs[..rank]);
-        return;
-    }
-    debug_assert!(level < od);
-    let fid = csf.fids(level)[fiber] as usize;
-    let (cur, rest) = down_bufs.split_at_mut(rank);
-    A::mul_row::<R>(&factors[perm[level]], fid, down, cur);
-    if level == order - 2 {
-        // children are the leaves and the output is the leaf mode:
-        // scatter each nonzero into its leaf row (SPLATT's leaf kernel)
-        debug_assert_eq!(od, order - 1);
-        let leaf_fids = csf.fids(order - 1);
-        let vals = csf.vals();
-        for x in csf.children(level, fiber) {
-            target.add_scaled::<R>(leaf_fids[x] as usize, vals[x], cur);
-        }
-    } else {
-        for c in csf.children(level, fiber) {
-            descend::<A, R>(
-                csf,
-                level + 1,
-                c,
-                od,
-                cur,
-                factors,
-                rank,
-                target,
-                up_bufs,
-                rest,
-            );
-        }
-    }
-}
-
-/// Fill the first rank row of `bufs` with the upward product of `fiber`'s
-/// subtree: the sum over nonzeros below of `val * prod(factor rows at
-/// levels > level)`.
-fn compute_up<A: Access, const R: usize>(
-    csf: &Csf,
-    level: usize,
-    fiber: usize,
-    factors: &[Matrix],
-    rank: usize,
-    bufs: &mut [f64],
-) {
-    let order = csf.order();
-    let perm = csf.dim_perm();
-    let (buf, rest) = bufs.split_at_mut(rank);
-    buf.fill(0.0);
-    if level == order - 2 {
-        // hot loop: gather leaf nonzeros against the leaf factor
-        let leaf = &factors[perm[order - 1]];
-        let leaf_fids = csf.fids(order - 1);
-        let vals = csf.vals();
-        for x in csf.children(level, fiber) {
-            A::axpy_row::<R>(leaf, leaf_fids[x] as usize, vals[x], buf);
-        }
-    } else {
-        let child = &factors[perm[level + 1]];
-        let child_fids = csf.fids(level + 1);
-        for c in csf.children(level, fiber) {
-            compute_up::<A, R>(csf, level + 1, c, factors, rank, rest);
-            A::fma_row::<R>(child, child_fids[c] as usize, &rest[..rank], buf);
-        }
-    }
-}
+walk!(walk_portable);
+#[cfg(target_arch = "x86_64")]
+walk!(walk_avx2, #[target_feature(enable = "avx2")]);
 
 #[cfg(test)]
 mod tests {
@@ -1165,6 +1390,53 @@ mod tests {
         }
     }
 
+    /// The two compiled copies of the walk must agree to the last bit at
+    /// every chunk shape of the blocked gather (remainders 1..15, one and
+    /// two full chunks), the fixed-width ranks and their neighbours — for
+    /// every access strategy, kernel, and both gather implementations.
+    /// Debug builds do not vectorize, so CI also runs this in `--release`.
+    #[test]
+    fn portable_and_avx2_walks_are_bit_identical() {
+        let Some(avx2) = Avx2::detect() else {
+            println!("skipped: no avx2");
+            return;
+        };
+        println!("isa: avx2");
+        let t = synth::power_law(&[30, 14, 40], 2_000, 1.8, 41);
+        let team = TaskTeam::new(2);
+        // one tree: root, internal and leaf kernels
+        let set = CsfSet::build(&t, CsfAlloc::One, &team, SortVariant::AllOpts);
+        for rank in [1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40] {
+            let factors = factors_for(&t, rank, 9);
+            for access in ALL_ACCESS {
+                for specialize in [true, false] {
+                    let cfg = MttkrpConfig {
+                        access,
+                        specialize,
+                        priv_threshold: 1e9,
+                        ..Default::default()
+                    };
+                    let mut ws = MttkrpWorkspace::new(&cfg, 2);
+                    for mode in 0..t.order() {
+                        let (csf, kind) = set.for_mode(mode);
+                        let mut run = |isa| {
+                            let mut out = Matrix::zeros(t.dims()[mode], rank);
+                            mttkrp_on(
+                                isa, csf, kind, &factors, mode, &mut out, &mut ws, &team, &cfg,
+                            );
+                            out
+                        };
+                        assert_eq!(
+                            run(None).as_slice(),
+                            run(Some(avx2)).as_slice(),
+                            "rank {rank} mode {mode} ({kind:?}) {access:?} specialize {specialize}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn specialized_dispatch_matches_reference_under_locks() {
         // The lock path interleaves task updates nondeterministically, so
@@ -1204,6 +1476,77 @@ mod tests {
                 mttkrp_tiled(&tiled, &factors, &mut a, &team, &generic, None);
                 mttkrp_tiled(&tiled, &factors, &mut b, &team, &special, None);
                 assert_eq!(a.as_slice(), b.as_slice(), "mode {mode} access {access:?}");
+            }
+        }
+    }
+
+    /// The measurement behind [`crate::csf::DENSE_FIBER_NNZ`]: the middle
+    /// mode of a two-CSF set, leaf kernel on the second representation
+    /// against internal kernel on the first, privatized and under locks,
+    /// across fiber densities. Prints a table; asserts nothing. Run with
+    /// `cargo test --release -p splatt-core routing_sweep -- --ignored
+    /// --nocapture` (the numbers in EXPERIMENTS.md come from this).
+    #[test]
+    #[ignore = "measurement: run by hand in --release"]
+    fn routing_sweep() {
+        let team = TaskTeam::new(1);
+        let rank = 35;
+        let reps = 15;
+        println!("dims nnz nnz/fiber(csf0) sync leaf(csf1)_ms internal(csf0)_ms internal/leaf");
+        for dims in [
+            [300usize, 20_000, 40_000],
+            [150, 2_500, 40_000],
+            [100, 1_500, 40_000],
+            [100, 750, 40_000],
+            [50, 750, 40_000],
+        ] {
+            for skewed in [false, true] {
+                let t = if skewed {
+                    synth::power_law(&dims, 600_000, 1.5, 3)
+                } else {
+                    synth::random_uniform(&dims, 600_000, 3)
+                };
+                let set = CsfSet::build(&t, CsfAlloc::Two, &team, SortVariant::default());
+                let (first, second) = (&set.csfs()[0], &set.csfs()[1]);
+                let mode = first.dim_perm()[1];
+                assert_eq!(second.dim_perm()[2], mode);
+                let factors = factors_for(&t, rank, 5);
+                let mut out = Matrix::zeros(t.dims()[mode], rank);
+                for (sync, priv_threshold) in [("privatized", 1e12), ("locks", 0.0)] {
+                    let cfg = MttkrpConfig {
+                        priv_threshold,
+                        ..Default::default()
+                    };
+                    let mut ws = MttkrpWorkspace::new(&cfg, 1);
+                    let mut best_ms = |csf: &Csf, kind: KernelKind| {
+                        (0..reps)
+                            .map(|_| {
+                                let start = std::time::Instant::now();
+                                mttkrp_on(
+                                    Avx2::detect(),
+                                    csf,
+                                    kind,
+                                    &factors,
+                                    mode,
+                                    &mut out,
+                                    &mut ws,
+                                    &team,
+                                    &cfg,
+                                );
+                                start.elapsed().as_secs_f64() * 1e3
+                            })
+                            .fold(f64::MAX, f64::min)
+                    };
+                    let leaf = best_ms(second, KernelKind::Leaf);
+                    let internal = best_ms(first, KernelKind::Internal(1));
+                    println!(
+                        "{dims:?}{} {} {:.2} {sync} {leaf:.2} {internal:.2} {:.2}",
+                        if skewed { " power-law" } else { " uniform" },
+                        t.nnz(),
+                        first.nnz_per_fiber(),
+                        internal / leaf
+                    );
+                }
             }
         }
     }

