@@ -8,7 +8,9 @@ use crate::datasets;
 use crate::harness::{fmt_secs, run_cpals, sort_seconds, team_for, RunSpec};
 use crate::report::Table;
 use splatt_core::mttkrp::{uses_locks, MttkrpConfig};
-use splatt_core::{cp_als_with_team, CpalsOptions, CsfAlloc, CsfSet, Implementation, MatrixAccess};
+use splatt_core::{
+    cp_als, try_cp_als, CpalsOptions, CpalsRun, CsfAlloc, CsfSet, Implementation, MatrixAccess,
+};
 use splatt_dense::{mat_ata, solve_normals, Matrix};
 use splatt_locks::LockStrategy;
 use splatt_par::{TaskTeam, TeamConfig};
@@ -411,6 +413,10 @@ pub fn ablation_b() -> Table {
     let tensor = datasets::yelp();
     let tasks = 8.min(*datasets::task_counts().last().unwrap());
     let team = team_for(tasks);
+    let on_team = CpalsRun {
+        team: Some(&team),
+        ..Default::default()
+    };
     let set = CsfSet::build(&tensor, CsfAlloc::Two, &team, SortVariant::AllOpts);
     for threshold in [0.0, 0.005, 0.02, 0.1, 1e9] {
         progress(&format!("ablationB: threshold={threshold}"));
@@ -422,7 +428,7 @@ pub fn ablation_b() -> Table {
             priv_threshold: threshold,
             ..Default::default()
         };
-        let out = cp_als_with_team(&tensor, &opts, &team);
+        let out = try_cp_als(&tensor, &opts, &on_team).expect("no checkpointing configured");
         let cfg = MttkrpConfig {
             priv_threshold: threshold,
             ..Default::default()
@@ -455,6 +461,10 @@ pub fn ablation_c() -> Table {
     let tensor = datasets::yelp();
     let tasks = 8.min(*datasets::task_counts().last().unwrap());
     let team = team_for(tasks);
+    let on_team = CpalsRun {
+        team: Some(&team),
+        ..Default::default()
+    };
     for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
         progress(&format!("ablationC: alloc={alloc:?}"));
         let set = CsfSet::build(&tensor, alloc, &team, SortVariant::AllOpts);
@@ -472,7 +482,7 @@ pub fn ablation_c() -> Table {
             csf_alloc: alloc,
             ..Default::default()
         };
-        let out = cp_als_with_team(&tensor, &opts, &team);
+        let out = try_cp_als(&tensor, &opts, &on_team).expect("no checkpointing configured");
         t.push(vec![
             format!("{alloc:?}"),
             format!("{:.1}", bytes as f64 / (1024.0 * 1024.0)),
@@ -531,8 +541,7 @@ pub fn ablation_d() -> Table {
     ];
     for (label, opts) in regimes {
         progress(&format!("ablationD: regime={label}"));
-        let team = team_for(tasks);
-        let out = cp_als_with_team(&tensor, &opts, &team);
+        let out = cp_als(&tensor, &opts);
         t.push(vec![
             label.to_string(),
             fmt_secs(out.timers.seconds(splatt_par::Routine::Mttkrp)),
@@ -677,8 +686,7 @@ pub fn profile() -> Table {
         profile: true,
         ..Default::default()
     };
-    let team = team_for(tasks);
-    let out = cp_als_with_team(&tensor, &opts, &team);
+    let out = cp_als(&tensor, &opts);
     let report = out.profile.expect("profiling was enabled");
     println!("\n{}", report.render());
     crate::report::profile_table(&report)
@@ -692,7 +700,6 @@ pub fn profile() -> Table {
 /// event count, the recovery actions taken, and the fit delta against the
 /// clean run.
 pub fn faults_experiment() -> Table {
-    use splatt_core::try_cp_als;
     use splatt_faults::{FaultPlan, FaultRates};
 
     let mut t = Table::new(
@@ -711,7 +718,8 @@ pub fn faults_experiment() -> Table {
     };
 
     progress("faults: fault-free baseline");
-    let clean = try_cp_als(&tensor, &opts, None).expect("fault-free run cannot fail");
+    let clean =
+        try_cp_als(&tensor, &opts, &CpalsRun::default()).expect("fault-free run cannot fail");
     t.push(vec![
         "(none)".to_string(),
         "0".to_string(),
@@ -765,7 +773,11 @@ pub fn faults_experiment() -> Table {
         progress(&format!("faults: plan '{name}'"));
         // faults stop after the horizon so every run converges cleanly
         let plan = FaultPlan::new(0xFA17, rates).with_horizon(3);
-        let out = try_cp_als(&tensor, &opts, Some(&plan))
+        let injected = CpalsRun {
+            faults: Some(&plan),
+            ..Default::default()
+        };
+        let out = try_cp_als(&tensor, &opts, &injected)
             .unwrap_or_else(|e| panic!("plan '{name}' did not recover: {e}"));
         let events = plan.events();
         let mut actions: Vec<&'static str> = events.iter().map(|e| e.action.label()).collect();

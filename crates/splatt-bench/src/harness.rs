@@ -2,7 +2,7 @@
 
 use crate::datasets::{bench_iters, BENCH_RANK};
 use splatt_core::MatrixAccess;
-use splatt_core::{cp_als_with_team, CpalsOptions, Implementation};
+use splatt_core::{cp_als, CpalsOptions, Implementation};
 use splatt_locks::LockStrategy;
 use splatt_par::{Routine, TaskTeam, TeamConfig};
 use splatt_tensor::{SortVariant, SparseTensor};
@@ -76,8 +76,7 @@ pub fn run_cpals(tensor: &SparseTensor, spec: RunSpec) -> (RoutineSeconds, f64) 
         sort_variant: spec.sort_variant,
         ..Default::default()
     };
-    let team = team_for(spec.ntasks);
-    let out = cp_als_with_team(tensor, &opts, &team);
+    let out = cp_als(tensor, &opts);
     (RoutineSeconds::from_timers(&out.timers), out.fit)
 }
 

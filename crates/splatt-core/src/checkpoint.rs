@@ -16,8 +16,8 @@
 //! (`write temp → fsync → rename → fsync dir`), so a crash mid-save
 //! leaves either the previous checkpoint or the complete new one —
 //! never a parseable-but-truncated file. [`Checkpoint::read_from`]
-//! verifies the frame checksum before parsing and still accepts the
-//! legacy unframed format for files written by older builds.
+//! verifies the frame checksum before parsing; a file without the
+//! artifact magic is rejected typed, never handed to the text parser.
 
 use splatt_dense::Matrix;
 use splatt_store::StoreError;
@@ -265,20 +265,17 @@ impl Checkpoint {
         Ok(path)
     }
 
-    /// Read a checkpoint file from disk: a framed artifact (checksum
-    /// verified before parsing) or the legacy unframed text format.
+    /// Read a checkpoint file from disk: a framed artifact, checksum
+    /// verified before parsing.
     ///
     /// # Errors
-    /// [`CheckpointError::Corrupt`] when the frame fails verification;
-    /// otherwise see [`Checkpoint::read`].
+    /// [`CheckpointError::Corrupt`] when the file is not a framed
+    /// artifact or the frame fails verification; otherwise see
+    /// [`Checkpoint::read`].
     pub fn read_from(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let bytes = std::fs::read(path)?;
-        if splatt_store::is_framed(&bytes) {
-            let frame = splatt_store::unwrap_artifact(&bytes, path)?;
-            Self::read(frame.payload.as_slice())
-        } else {
-            Self::read(bytes.as_slice())
-        }
+        let frame = splatt_store::unwrap_artifact(&bytes, path)?;
+        Self::read(frame.payload.as_slice())
     }
 
     /// The highest-iteration `ckpt-*.splatt` in `dir`, if any.
@@ -456,9 +453,8 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert!(splatt_store::is_framed(&bytes), "checkpoint must be framed");
 
-        // A flip inside the frame must surface as Corrupt; a flip in
-        // the file magic demotes the file to the legacy path, where it
-        // must still fail typed. Either way: never a parsed checkpoint.
+        // A flip anywhere — inside the frame or in the file magic —
+        // must surface as Corrupt: never a parsed checkpoint.
         for probe in [bytes.len() / 2, bytes.len() - 1] {
             let mut damaged = bytes.clone();
             damaged[probe] ^= 0x10;
@@ -468,26 +464,24 @@ mod tests {
                 other => panic!("flip at {probe}: expected Corrupt, got {other:?}"),
             }
         }
-        let mut damaged = bytes.clone();
-        damaged[0] ^= 0x10;
-        std::fs::write(&path, &damaged).unwrap();
-        assert!(Checkpoint::read_from(&path).is_err(), "magic flip parsed");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_unframed_checkpoint_still_reads() {
-        let dir = std::env::temp_dir().join("splatt_ckpt_legacy_unit");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let ck = sample();
-        let path = dir.join("ckpt-00007.splatt");
-        // Old builds wrote the bare text payload.
-        let mut payload = Vec::new();
-        ck.write(&mut payload).unwrap();
-        std::fs::write(&path, &payload).unwrap();
-        let back = Checkpoint::read_from(&path).unwrap();
-        assert_eq!(back, ck);
+        // No artifact magic — one flipped bit of it, or the bare text
+        // payload with nothing to verify — is refused at byte 0, before
+        // the text parser sees anything.
+        let mut magic_flip = bytes.clone();
+        magic_flip[0] ^= 0x10;
+        let mut bare_text = Vec::new();
+        ck.write(&mut bare_text).unwrap();
+        for (what, unframed) in [("magic flip", magic_flip), ("bare text", bare_text)] {
+            std::fs::write(&path, &unframed).unwrap();
+            match Checkpoint::read_from(&path) {
+                Err(CheckpointError::Corrupt(StoreError::Corrupt {
+                    offset: 0,
+                    defect: splatt_store::FrameDefect::BadMagic,
+                    ..
+                })) => {}
+                other => panic!("{what}: expected Corrupt(BadMagic), got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

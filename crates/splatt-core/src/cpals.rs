@@ -15,6 +15,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::csf::{CsfSet, KernelKind};
+use crate::governed::GovernancePolicy;
 use crate::kruskal::KruskalModel;
 use crate::mttkrp::{mttkrp, mttkrp_tiled, uses_locks, MttkrpConfig, MttkrpWorkspace};
 use crate::options::CpalsOptions;
@@ -48,6 +49,47 @@ pub struct CpalsOutput {
     /// Full observability report, present when
     /// [`CpalsOptions::profile`] was set.
     pub profile: Option<ProfileReport>,
+    /// Attempts made: 1 unless a [`Governance::Policy`] with
+    /// [`crate::OnOverrun::Degrade`] retried after a guard trip.
+    pub attempts: usize,
+    /// Human-readable description of each degradation rung applied, in
+    /// order; empty when the first attempt finished inside its limits.
+    pub degradations: Vec<String>,
+}
+
+/// Who may stop a run early. An enum, so "caller-owned guard *and*
+/// policy" cannot be written.
+#[derive(Clone, Copy, Default)]
+pub enum Governance<'a> {
+    /// Nobody: the run ends by convergence or `max_iters`.
+    #[default]
+    None,
+    /// A caller-owned guard. The driver checks it at every iteration and
+    /// mode boundary (and the kernels beneath poll it at tile/chunk
+    /// granularity), aborting into [`CpalsError::Aborted`] with the last
+    /// durable checkpoint and the partial model once it trips. The driver
+    /// heartbeats lane 0 for the guard's watchdog across the iteration
+    /// loop; kernel tasks heartbeat their own lanes.
+    Guard(&'a RunGuard),
+    /// Limits the driver arms itself, one guard per attempt, with the
+    /// policy's trip response (abort, checkpoint, or degrade and retry).
+    Policy(&'a GovernancePolicy),
+}
+
+/// Everything about one CP-ALS run that is not a solver option: what it
+/// runs on, what is injected into it, and who may stop it.
+/// `CpalsRun::default()` is a plain run on a team of its own.
+#[derive(Clone, Copy, Default)]
+pub struct CpalsRun<'a> {
+    /// Task team to run on (reused across runs in the benchmark harness
+    /// to avoid re-spawning workers); `None` spawns one for this run.
+    pub team: Option<&'a TaskTeam>,
+    /// Seeded fault sites to fire during the run. Every injected fault
+    /// plus its recovery action is appended to the plan's event log (and
+    /// to the profile report when [`CpalsOptions::profile`] is set).
+    pub faults: Option<&'a FaultPlan>,
+    /// Who may stop the run early.
+    pub governance: Governance<'a>,
 }
 
 /// A CP-ALS run that could not complete.
@@ -175,95 +217,50 @@ fn span_time<R>(
 /// and if checkpointing or resume was requested and fails — use
 /// [`try_cp_als`] for a fallible run.
 pub fn cp_als(tensor: &SparseTensor, opts: &CpalsOptions) -> CpalsOutput {
-    let team = TaskTeam::with_config(
-        opts.ntasks,
-        splatt_par::TeamConfig {
-            spin_count: opts.spin_count,
-        },
-    );
-    cp_als_with_team(tensor, opts, &team)
+    try_cp_als(tensor, opts, &CpalsRun::default()).unwrap_or_else(|e| panic!("cp_als: {e}"))
 }
 
-/// [`cp_als`] with a caller-provided task team (reused across runs in the
-/// benchmark harness to avoid re-spawning workers).
-///
-/// # Panics
-/// As [`cp_als`]; additionally if `team.ntasks() != opts.ntasks`.
-pub fn cp_als_with_team(
-    tensor: &SparseTensor,
-    opts: &CpalsOptions,
-    team: &TaskTeam,
-) -> CpalsOutput {
-    try_cp_als_with_team(tensor, opts, team, None).unwrap_or_else(|e| panic!("cp_als: {e}"))
-}
-
-/// Fallible CP-ALS with optional fault injection: [`cp_als`] that reports
-/// checkpoint I/O failures and exhausted fault recovery as typed errors
-/// instead of panicking.
-///
-/// When `faults` is given, the plan's seeded fault sites fire during the
-/// run and every injected fault plus its recovery action is appended to
-/// the plan's event log (and to the profile report when
-/// [`CpalsOptions::profile`] is set).
+/// Fallible CP-ALS: [`cp_als`] that reports checkpoint I/O failures,
+/// exhausted fault recovery and guard trips as typed errors instead of
+/// panicking, on the team, fault plan and governance `run` names.
 ///
 /// # Errors
 /// [`CpalsError::Checkpoint`] if `opts.resume_from` cannot be read or
 /// validated, or a checkpoint write to `opts.checkpoint_dir` fails;
 /// [`CpalsError::Unrecovered`] if an injected fault exhausts the bounds in
-/// `opts.recovery`.
+/// `opts.recovery`; [`CpalsError::Aborted`] when a guard trips and the
+/// policy, if any, cannot (or may not) recover.
 ///
 /// # Panics
-/// As [`cp_als`] on invalid options (programmer error, not runtime faults).
+/// As [`cp_als`] on invalid options (programmer error, not runtime
+/// faults); if `run.team` is given and its size is not `opts.ntasks`; and
+/// on [`crate::OnOverrun::Checkpoint`] without `opts.checkpoint_dir` (a
+/// configuration contradiction).
 pub fn try_cp_als(
     tensor: &SparseTensor,
     opts: &CpalsOptions,
-    faults: Option<&FaultPlan>,
+    run: &CpalsRun<'_>,
 ) -> Result<CpalsOutput, CpalsError> {
-    try_cp_als_guarded(tensor, opts, faults, None)
-}
-
-/// [`try_cp_als`] under run governance: when `guard` is given, the
-/// driver checks it at every iteration and mode boundary (and the
-/// kernels beneath poll it at tile/chunk granularity), aborting into
-/// [`CpalsError::Aborted`] with the last durable checkpoint and the
-/// partial model once the guard trips. The driver heartbeats lane 0 for
-/// the guard's watchdog across the iteration loop; kernel tasks
-/// heartbeat their own lanes.
-///
-/// # Errors
-/// As [`try_cp_als`], plus [`CpalsError::Aborted`] on a guard trip.
-///
-/// # Panics
-/// As [`cp_als`] on invalid options.
-pub fn try_cp_als_guarded(
-    tensor: &SparseTensor,
-    opts: &CpalsOptions,
-    faults: Option<&FaultPlan>,
-    guard: Option<&RunGuard>,
-) -> Result<CpalsOutput, CpalsError> {
-    let team = TaskTeam::with_config(
-        opts.ntasks,
-        splatt_par::TeamConfig {
-            spin_count: opts.spin_count,
-        },
-    );
-    try_cp_als_with_team_guarded(tensor, opts, &team, faults, guard)
-}
-
-/// [`try_cp_als`] with a caller-provided task team.
-///
-/// # Errors
-/// As [`try_cp_als`].
-///
-/// # Panics
-/// As [`cp_als_with_team`] on invalid options.
-pub fn try_cp_als_with_team(
-    tensor: &SparseTensor,
-    opts: &CpalsOptions,
-    team: &TaskTeam,
-    faults: Option<&FaultPlan>,
-) -> Result<CpalsOutput, CpalsError> {
-    try_cp_als_with_team_guarded(tensor, opts, team, faults, None)
+    let own_team;
+    let team = match run.team {
+        Some(team) => team,
+        None => {
+            own_team = TaskTeam::with_config(
+                opts.ntasks,
+                splatt_par::TeamConfig {
+                    spin_count: opts.spin_count,
+                },
+            );
+            &own_team
+        }
+    };
+    match run.governance {
+        Governance::None => als_attempt(tensor, opts, team, run.faults, None),
+        Governance::Guard(guard) => als_attempt(tensor, opts, team, run.faults, Some(guard)),
+        Governance::Policy(policy) => {
+            crate::governed::run_under_policy(tensor, opts, team, run.faults, policy)
+        }
+    }
 }
 
 /// Builds the `Aborted` error from the driver's loop state at a guard
@@ -287,14 +284,9 @@ fn abort_error(
     }))
 }
 
-/// [`try_cp_als_guarded`] with a caller-provided task team.
-///
-/// # Errors
-/// As [`try_cp_als_guarded`].
-///
-/// # Panics
-/// As [`cp_als_with_team`] on invalid options.
-pub fn try_cp_als_with_team_guarded(
+/// One guarded pass of the ALS driver — the whole of [`try_cp_als`]
+/// except the choice of team and the policy's retry loop.
+pub(crate) fn als_attempt(
     tensor: &SparseTensor,
     opts: &CpalsOptions,
     team: &TaskTeam,
@@ -845,6 +837,8 @@ pub fn try_cp_als_with_team_guarded(
         fits,
         timers,
         profile,
+        attempts: 1,
+        degradations: Vec::new(),
     })
 }
 

@@ -357,9 +357,9 @@ impl Csf {
 /// Independent reference construction for validating the flat-slab build.
 ///
 /// This is the pre-refactor push-per-nonzero nested-`Vec` algorithm kept
-/// verbatim as a structural oracle: property and regression tests build a
-/// [`NestedCsf`] alongside a [`Csf`] from the same sorted tensor and
-/// assert level-by-level equality. Hidden from docs — it exists only so
+/// verbatim as a structural oracle: property and regression tests build
+/// a [`nested::NestedCsf`] alongside a [`Csf`] from the same sorted tensor
+/// and assert level-by-level equality. Hidden from docs — it exists only so
 /// integration tests outside this crate can reach the oracle.
 #[doc(hidden)]
 pub mod nested {

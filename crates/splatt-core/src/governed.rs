@@ -1,4 +1,5 @@
-//! Governed CP-ALS: the policy layer over [`try_cp_als_guarded`].
+//! Governed CP-ALS: the policy types and the degrade loop behind
+//! [`Governance::Policy`](crate::Governance::Policy).
 //!
 //! A governed run arms a [`RunGuard`] (deadline, memory budget, stall
 //! watchdog) around the ALS driver and decides what happens when the
@@ -23,7 +24,7 @@
 //! measure cumulative allocation *traffic*, and a degraded retry is a
 //! new run whose traffic is judged on its own.
 
-use crate::cpals::{try_cp_als_with_team_guarded, CpalsError, CpalsOutput};
+use crate::cpals::{als_attempt, CpalsError, CpalsOutput};
 use crate::options::CpalsOptions;
 use splatt_faults::FaultPlan;
 use splatt_guard::{GuardConfig, RunGuard, WatchdogConfig};
@@ -82,24 +83,11 @@ pub struct GovernancePolicy {
 }
 
 impl GovernancePolicy {
-    /// Is any limit armed? An empty policy still runs guarded (the guard
-    /// costs one poll per check site) but can only trip via an external
-    /// [`RunGuard::cancel`].
+    /// Is any limit armed? An empty policy has nothing that could trip,
+    /// so it runs without a guard.
     pub fn is_armed(&self) -> bool {
         self.deadline.is_some() || self.mem_budget.is_some() || self.watchdog.is_some()
     }
-}
-
-/// A governed run that completed (possibly after degradation retries).
-#[derive(Debug)]
-pub struct GovernedRun {
-    /// The finished decomposition.
-    pub output: CpalsOutput,
-    /// Human-readable description of each degradation rung applied, in
-    /// order; empty when the first attempt finished inside its limits.
-    pub degradations: Vec<String>,
-    /// Attempts made (1 = no degradation).
-    pub attempts: usize,
 }
 
 /// The degradation ladder: each rung transforms the options into a
@@ -132,47 +120,15 @@ fn degrade(opts: &CpalsOptions, rung: usize) -> Option<(CpalsOptions, String)> {
     }
 }
 
-/// Run CP-ALS under `policy`.
-///
-/// # Errors
-/// Everything [`crate::try_cp_als`] returns, plus
-/// [`CpalsError::Aborted`] when the guard trips and the policy cannot
-/// (or may not) recover.
-///
-/// # Panics
-/// As [`crate::cp_als`] on invalid options, and if
-/// `policy.on_overrun == OnOverrun::Checkpoint` without
-/// `opts.checkpoint_dir` (a configuration contradiction, not a runtime
-/// fault).
-pub fn try_cp_als_governed(
-    tensor: &SparseTensor,
-    opts: &CpalsOptions,
-    faults: Option<&FaultPlan>,
-    policy: &GovernancePolicy,
-) -> Result<GovernedRun, CpalsError> {
-    let team = TaskTeam::with_config(
-        opts.ntasks,
-        splatt_par::TeamConfig {
-            spin_count: opts.spin_count,
-        },
-    );
-    try_cp_als_governed_with_team(tensor, opts, &team, faults, policy)
-}
-
-/// [`try_cp_als_governed`] with a caller-provided task team.
-///
-/// # Errors
-/// As [`try_cp_als_governed`].
-///
-/// # Panics
-/// As [`try_cp_als_governed`].
-pub fn try_cp_als_governed_with_team(
+/// The [`Governance::Policy`](crate::Governance::Policy) arm of
+/// [`crate::try_cp_als`]: run under `policy`, one fresh guard per attempt.
+pub(crate) fn run_under_policy(
     tensor: &SparseTensor,
     opts: &CpalsOptions,
     team: &TaskTeam,
     faults: Option<&FaultPlan>,
     policy: &GovernancePolicy,
-) -> Result<GovernedRun, CpalsError> {
+) -> Result<CpalsOutput, CpalsError> {
     assert!(
         policy.on_overrun != OnOverrun::Checkpoint || opts.checkpoint_dir.is_some(),
         "on_overrun=checkpoint requires a checkpoint_dir"
@@ -186,21 +142,24 @@ pub fn try_cp_als_governed_with_team(
 
     loop {
         attempts += 1;
-        let guard = RunGuard::new(GuardConfig {
-            deadline: policy.deadline.map(|d| d.saturating_sub(start.elapsed())),
-            mem_budget: policy.mem_budget,
-            watchdog: policy.watchdog,
-            lanes: opts.ntasks.max(1),
+        let guard = policy.is_armed().then(|| {
+            RunGuard::new(GuardConfig {
+                deadline: policy.deadline.map(|d| d.saturating_sub(start.elapsed())),
+                mem_budget: policy.mem_budget,
+                watchdog: policy.watchdog,
+                lanes: opts.ntasks.max(1),
+            })
         });
-        let result =
-            try_cp_als_with_team_guarded(tensor, &attempt_opts, team, faults, Some(&guard));
-        guard.shutdown();
+        let result = als_attempt(tensor, &attempt_opts, team, faults, guard.as_ref());
+        if let Some(guard) = &guard {
+            guard.shutdown();
+        }
         let ab = match result {
             Ok(output) => {
-                return Ok(GovernedRun {
-                    output,
-                    degradations,
+                return Ok(CpalsOutput {
                     attempts,
+                    degradations,
+                    ..output
                 })
             }
             Err(CpalsError::Aborted(ab)) => ab,
@@ -223,11 +182,20 @@ pub fn try_cp_als_governed_with_team(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpals::{try_cp_als, CpalsRun, Governance};
     use splatt_tensor::synth;
     use std::time::Duration;
 
     fn planted() -> SparseTensor {
         synth::planted_dense(&[16, 14, 12], 3, 0.0, 11).0
+    }
+
+    fn governed(policy: &GovernancePolicy) -> Result<CpalsOutput, CpalsError> {
+        let run = CpalsRun {
+            governance: Governance::Policy(policy),
+            ..Default::default()
+        };
+        try_cp_als(&planted(), &opts(), &run)
     }
 
     fn opts() -> CpalsOptions {
@@ -242,11 +210,10 @@ mod tests {
 
     #[test]
     fn ungoverned_policy_just_runs() {
-        let out = try_cp_als_governed(&planted(), &opts(), None, &GovernancePolicy::default())
-            .expect("clean run");
+        let out = governed(&GovernancePolicy::default()).expect("clean run");
         assert_eq!(out.attempts, 1);
         assert!(out.degradations.is_empty());
-        assert_eq!(out.output.iterations, 10);
+        assert_eq!(out.iterations, 10);
     }
 
     #[test]
@@ -255,7 +222,7 @@ mod tests {
             deadline: Some(Duration::from_secs(300)),
             ..Default::default()
         };
-        let out = try_cp_als_governed(&planted(), &opts(), None, &policy).expect("clean run");
+        let out = governed(&policy).expect("clean run");
         assert_eq!(out.attempts, 1);
     }
 
@@ -266,7 +233,7 @@ mod tests {
             on_overrun: OnOverrun::Abort,
             ..Default::default()
         };
-        match try_cp_als_governed(&planted(), &opts(), None, &policy) {
+        match governed(&policy) {
             Err(CpalsError::Aborted(ab)) => {
                 assert!(matches!(
                     ab.reason,
@@ -287,7 +254,7 @@ mod tests {
             on_overrun: OnOverrun::Checkpoint,
             ..Default::default()
         };
-        let _ = try_cp_als_governed(&planted(), &opts(), None, &policy);
+        let _ = governed(&policy);
     }
 
     #[test]
@@ -299,7 +266,7 @@ mod tests {
             on_overrun: OnOverrun::Degrade,
             ..Default::default()
         };
-        match try_cp_als_governed(&planted(), &opts(), None, &policy) {
+        match governed(&policy) {
             Err(CpalsError::Aborted(ab)) => {
                 assert!(matches!(
                     ab.reason,

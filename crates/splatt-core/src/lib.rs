@@ -16,7 +16,9 @@
 //! * [`cp_als`] — the full CP-ALS driver (Algorithm 1 of the paper):
 //!   MTTKRP, Gram matrices, normal-equation solves, column normalization,
 //!   λ bookkeeping and fit computation, with the per-routine timers behind
-//!   the paper's Table III.
+//!   the paper's Table III. [`try_cp_als`] is the same driver, fallible,
+//!   on the team, fault plan and governance a [`CpalsRun`] names; there
+//!   is no third entry point.
 //! * [`Implementation`] — presets bundling the knobs into the three
 //!   configurations the paper measures (`Reference` ≙ C/OpenMP,
 //!   `PortedInitial` ≙ unoptimized Chapel, `PortedOptimized` ≙ tuned
@@ -55,15 +57,10 @@ pub mod reference;
 pub use ccd::{tensor_complete_ccd, CcdOptions};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_HEADER};
 pub use completion::{rmse_observed, tensor_complete, CompletionOptions, CompletionOutput};
-pub use cpals::{
-    cp_als, cp_als_with_team, try_cp_als, try_cp_als_guarded, try_cp_als_with_team,
-    try_cp_als_with_team_guarded, CpalsError, CpalsOutput, RunAborted,
-};
+pub use cpals::{cp_als, try_cp_als, CpalsError, CpalsOutput, CpalsRun, Governance, RunAborted};
 pub use csf::{Csf, CsfAlloc, CsfSet, KernelKind};
 pub use diagnostics::corcondia;
-pub use governed::{
-    try_cp_als_governed, try_cp_als_governed_with_team, GovernancePolicy, GovernedRun, OnOverrun,
-};
+pub use governed::{GovernancePolicy, OnOverrun};
 pub use kruskal::KruskalModel;
 pub use model_file::{
     load_model, load_model_path, model_from_checkpoint, save_model, save_model_path, MODEL_HEADER,

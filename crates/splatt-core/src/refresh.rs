@@ -49,8 +49,8 @@
 //! serving loop, tests) hands the path to `ModelRegistry::publish_path`
 //! for zero-downtime republish.
 
-use crate::cpals::{CpalsError, CpalsOutput};
-use crate::governed::{try_cp_als_governed, GovernancePolicy};
+use crate::cpals::{try_cp_als, CpalsError, CpalsOutput, CpalsRun, Governance};
+use crate::governed::GovernancePolicy;
 use crate::kruskal::KruskalModel;
 use crate::model_file::{load_model_path, save_model};
 use crate::options::CpalsOptions;
@@ -333,14 +333,16 @@ impl RefreshEngine {
             .as_ref()
             .filter(|m| warm_start_compatible(m, &work, cpals.rank))
             .cloned();
-        let run = try_cp_als_governed(&work, &cpals, None, &self.opts.policy)
-            .map_err(RefreshError::Solver)?;
+        let governed = CpalsRun {
+            governance: Governance::Policy(&self.opts.policy),
+            ..Default::default()
+        };
+        let run = try_cp_als(&work, &cpals, &governed).map_err(RefreshError::Solver)?;
         let warm_fit_gap = if self.opts.audit_cold {
             let mut cold = cpals.clone();
             cold.warm_start = None;
-            let cold_run = try_cp_als_governed(&work, &cold, None, &self.opts.policy)
-                .map_err(RefreshError::Solver)?;
-            (run.output.fit - cold_run.output.fit).abs()
+            let cold_run = try_cp_als(&work, &cold, &governed).map_err(RefreshError::Solver)?;
+            (run.fit - cold_run.fit).abs()
         } else {
             0.0
         };
@@ -356,7 +358,7 @@ impl RefreshEngine {
         let model_path = self.dir.join(&model_file);
         let publish_started = Instant::now();
         let mut payload = Vec::new();
-        save_model(&run.output.model, &mut payload).map_err(RefreshError::Model)?;
+        save_model(&run.model, &mut payload).map_err(RefreshError::Model)?;
         publish_artifact(&model_path, round, &payload, plan.as_deref())?;
 
         let mut manifest = Manifest::load(&self.dir, plan.as_deref())?.unwrap_or_default();
@@ -373,7 +375,7 @@ impl RefreshEngine {
             fit,
             iterations,
             ..
-        } = run.output;
+        } = run;
         self.tensor = work;
         self.model = Some(model);
         self.watermark = new_watermark;

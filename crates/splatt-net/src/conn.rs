@@ -4,8 +4,8 @@
 //!
 //! The connection owns its socket's mode exclusively: the stream is put
 //! into nonblocking mode once at registration and never toggled again
-//! (the legacy front end's per-request `set_nonblocking` flip raced its
-//! own read timeout; the reactor has no such race by construction).
+//! (a per-request `set_nonblocking` flip would race a read timeout on
+//! the same socket; there is no such race by construction).
 //!
 //! Pipelining discipline: requests on one connection are answered in
 //! the order they arrived, whatever order the worker pool finishes them

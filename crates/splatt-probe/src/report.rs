@@ -33,8 +33,8 @@ use std::fmt::Write as _;
 /// counters from the `splatt-net` reactor: connection counts and peak,
 /// readiness wakeups, frame and write-coalescing totals, per-layer
 /// admission sheds, idle closes, deadline backstops, and worker-pool
-/// size — `null` when serving through the legacy thread-per-connection
-/// front end or not serving at all); v11 removed the `dispatch` array
+/// size — `null` when the engine is used in-process with no front end
+/// attached, or not serving at all); v11 removed the `dispatch` array
 /// (the second tensor format it reported on was deleted, so there
 /// is no per-mode format decision left to record).
 pub const PROFILE_SCHEMA: &str = "splatt-profile-v11";
@@ -160,7 +160,7 @@ pub struct ServeRow {
     /// the process serves single-process, without a router.
     pub shards: Vec<ShardRow>,
     /// Multiplexed front-end counters (the v10 addition); `None` when
-    /// serving through the legacy thread-per-connection front end.
+    /// the engine is used in-process with no front end attached.
     pub net: Option<NetFrontRow>,
 }
 
@@ -1086,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_front_end_serializes_null_net() {
+    fn engine_without_a_front_end_serializes_null_net() {
         let mut report = sample();
         report.serve.as_mut().unwrap().net = None;
         let json = report.to_json();

@@ -21,8 +21,7 @@
 //!   deadlines with a timer-wheel backstop, typed overload shedding at
 //!   accept/decode/batch, cancel-on-disconnect, transient-vs-permanent
 //!   error classification ([`Transience`]), and graceful drain on
-//!   shutdown. The old thread-per-connection front end survives behind
-//!   [`FrontEndConfig::legacy_threads`] as a bit-exact A/B oracle.
+//!   shutdown.
 //! * [`cluster`] — sharded, replicated serving: a consistent-hash
 //!   [`cluster::ShardRing`] over mode-0 rows, a scatter-gather
 //!   [`cluster::Router`] with replica failover and typed `Degraded`

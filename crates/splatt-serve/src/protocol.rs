@@ -194,66 +194,6 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Read one frame while polling `should_stop`, for sockets with a short
-/// read timeout. Returns `Ok(None)` when stopped cleanly *between*
-/// frames; once a frame is underway a stop fails the read instead, so a
-/// half-received frame never desyncs the stream.
-///
-/// Partial reads are accumulated by hand because `read_exact` may
-/// consume bytes before failing with `WouldBlock`/`TimedOut`.
-///
-/// # Errors
-/// Propagates I/O errors; EOF mid-frame is `UnexpectedEof`.
-pub fn read_frame_polled(
-    r: &mut impl Read,
-    should_stop: &dyn Fn() -> bool,
-) -> std::io::Result<Option<Vec<u8>>> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        if should_stop() && got == 0 {
-            return Ok(None);
-        }
-        match r.read(&mut prefix[got..]) {
-            Ok(0) => {
-                return if got == 0 && should_stop() {
-                    Ok(None)
-                } else {
-                    Err(Error::new(ErrorKind::UnexpectedEof, "eof in frame prefix"))
-                };
-            }
-            Ok(n) => got += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if should_stop() && got > 0 {
-                    return Err(Error::new(ErrorKind::TimedOut, "stopped mid-frame"));
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(bad(format!("frame of {len} bytes exceeds limit")));
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return Err(Error::new(ErrorKind::UnexpectedEof, "eof in frame body")),
-            Ok(n) => got += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if should_stop() {
-                    return Err(Error::new(ErrorKind::TimedOut, "stopped mid-frame"));
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
-}
-
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -1,46 +1,30 @@
-//! Serving front ends.
+//! The serving front end.
 //!
-//! The default is the `splatt-net` readiness-polled reactor: one
-//! reactor thread multiplexes every connection (raw `poll(2)` where
-//! available), a bounded worker pool executes decoded requests, and
-//! three admission layers — connection cap at accept, queue depth at
-//! decode, the engine's own gate at batch — shed typed `Overloaded`
-//! frames instead of queueing unboundedly. Socket mode is owned by the
-//! reactor's connection state machine: a socket goes nonblocking once
-//! at registration and never flips again.
+//! One `splatt-net` readiness-polled reactor thread multiplexes every
+//! connection (raw `poll(2)` where available), a bounded worker pool
+//! executes decoded requests, and three admission layers — connection
+//! cap at accept, queue depth at decode, the engine's own gate at batch
+//! — shed typed `Overloaded` frames instead of queueing unboundedly.
+//! Socket mode is owned by the reactor's connection state machine: a
+//! socket goes nonblocking once at registration and never flips again.
 //!
-//! The legacy thread-per-connection front end survives behind
-//! [`FrontEndConfig::legacy_threads`] as the A/B oracle: responses from
-//! the two front ends are bit-identical, which the net-smoke tests pin.
-//! It too now carries a hard connection cap (an [`AdmissionGate`] permit
-//! rides in each connection thread; at capacity the accept loop writes
-//! one typed `Overloaded` frame and closes — O(1) per accept, no
-//! thread-handle bookkeeping), and its sockets are nonblocking for
-//! their whole life with paced read/write loops instead of the old
-//! per-request `set_nonblocking` toggle that raced the read timeout.
-//!
-//! Shutdown is cooperative, clean, and *graceful* on both paths:
-//! cancelling the engine's shutdown token (via
-//! [`ServerHandle::shutdown`], the wire `Shutdown` op, or a signal
-//! handler the embedder wires up) stops accepting and rejects new
-//! submissions, but requests already in flight keep executing through
-//! the engine's drain window and their responses are written in full.
-//! Request cancel tokens are fresh roots (not children of the shutdown
-//! token) precisely so the drain can complete them; client disconnects
-//! are still caught — by the reactor's EOF handling on one path and the
-//! non-blocking socket peek on the other.
+//! Shutdown is cooperative, clean, and *graceful*: cancelling the
+//! engine's shutdown token (via [`ServerHandle::shutdown`], the wire
+//! `Shutdown` op, or a signal handler the embedder wires up) stops
+//! accepting and rejects new submissions, but requests already in flight
+//! keep executing through the engine's drain window and their responses
+//! are written in full. Request cancel tokens are fresh roots (not
+//! children of the shutdown token) precisely so the drain can complete
+//! them; client disconnects are still caught by the reactor's EOF
+//! handling.
 
 use crate::engine::ServeEngine;
-use crate::protocol::{
-    decode_request, encode_response, read_frame_polled, write_frame, Response, WireError, MAX_FRAME,
-};
-use crate::service::{accept_shed_frame, wire_code_of, EngineService};
-use splatt_guard::{AdmissionGate, CancelToken};
+use crate::protocol::MAX_FRAME;
+use crate::service::{accept_shed_frame, EngineService};
 use splatt_net::{serve_frames, NetHandle, NetSnapshot, ReactorConfig};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Front-end tuning for [`serve_with`].
 #[derive(Debug, Clone)]
@@ -56,13 +40,11 @@ pub struct FrontEndConfig {
     pub queue_depth: usize,
     /// Unanswered pipelined requests allowed on one connection.
     pub max_pipeline: usize,
-    /// Reactor front end only: close connections idle this long.
+    /// Close connections idle this long.
     pub idle_timeout: Duration,
     /// Force the portable sweep poller (tests exercise the
     /// `WouldBlock` paths deterministically with this).
     pub force_sweep: bool,
-    /// Use the legacy thread-per-connection front end.
-    pub legacy_threads: bool,
 }
 
 impl Default for FrontEndConfig {
@@ -74,21 +56,15 @@ impl Default for FrontEndConfig {
             max_pipeline: 32,
             idle_timeout: Duration::from_secs(60),
             force_sweep: false,
-            legacy_threads: false,
         }
     }
 }
 
-enum Front {
-    Reactor(Option<NetHandle>),
-    Legacy(Option<std::thread::JoinHandle<()>>),
-}
-
-/// A running server: the bound address plus whichever front end serves it.
+/// A running server: the bound address plus the reactor serving it.
 pub struct ServerHandle {
     addr: SocketAddr,
     engine: Arc<ServeEngine>,
-    front: Front,
+    net: NetHandle,
 }
 
 impl ServerHandle {
@@ -102,18 +78,14 @@ impl ServerHandle {
         &self.engine
     }
 
-    /// Front-end counters; `None` on the legacy front end, which has
-    /// none (that asymmetry is itself probe-visible: schema v10 reports
-    /// `"net": null` for it).
+    /// Front-end counters. Always `Some` for a running server; the
+    /// `Option` is the signature the end-to-end benchmark holds.
     pub fn net_counters(&self) -> Option<NetSnapshot> {
-        match &self.front {
-            Front::Reactor(h) => h.as_ref().map(NetHandle::counters),
-            Front::Legacy(_) => None,
-        }
+        Some(self.net.counters())
     }
 
     /// Request shutdown without blocking: trips the engine token, which
-    /// both front ends observe within one poll interval.
+    /// the reactor observes within one poll interval.
     pub fn request_shutdown(&self) {
         self.engine.shutdown_token().cancel();
     }
@@ -121,19 +93,8 @@ impl ServerHandle {
     /// Block until the server stops (token cancelled — by
     /// [`ServerHandle::shutdown`], the wire `Shutdown` op, or the
     /// embedder), then drain the front end and the engine's batcher.
-    pub fn join(mut self) {
-        match &mut self.front {
-            Front::Reactor(h) => {
-                if let Some(h) = h.take() {
-                    h.wait();
-                }
-            }
-            Front::Legacy(t) => {
-                if let Some(t) = t.take() {
-                    let _ = t.join();
-                }
-            }
-        }
+    pub fn join(self) {
+        self.net.wait();
         self.engine.shutdown();
     }
 
@@ -144,8 +105,8 @@ impl ServerHandle {
     }
 }
 
-/// Bind `addr` (e.g. `127.0.0.1:0`) and serve `engine` on the default
-/// (reactor) front end with default tuning.
+/// Bind `addr` (e.g. `127.0.0.1:0`) and serve `engine` with default
+/// front-end tuning.
 ///
 /// # Errors
 /// Propagates bind failures.
@@ -153,7 +114,7 @@ pub fn serve(engine: Arc<ServeEngine>, addr: &str) -> std::io::Result<ServerHand
     serve_with(engine, addr, FrontEndConfig::default())
 }
 
-/// Bind `addr` and serve `engine` on the configured front end.
+/// Bind `addr` and serve `engine` under `config`.
 ///
 /// # Errors
 /// Propagates bind and front-end setup failures.
@@ -164,9 +125,6 @@ pub fn serve_with(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    if config.legacy_threads {
-        return serve_legacy(engine, listener, local, &config);
-    }
     let service = Arc::new(EngineService::new(Arc::clone(&engine)));
     let workers = if config.workers == 0 {
         ReactorConfig::default().workers
@@ -201,220 +159,6 @@ pub fn serve_with(
     Ok(ServerHandle {
         addr: local,
         engine,
-        front: Front::Reactor(Some(handle)),
+        net: handle,
     })
-}
-
-fn serve_legacy(
-    engine: Arc<ServeEngine>,
-    listener: TcpListener,
-    local: SocketAddr,
-    config: &FrontEndConfig,
-) -> std::io::Result<ServerHandle> {
-    listener.set_nonblocking(true)?;
-    let accept_engine = Arc::clone(&engine);
-    let accept_stop = engine.shutdown_token().child();
-    let gate = Arc::new(AdmissionGate::new(config.max_conns));
-    let drain = engine.config().drain_deadline + Duration::from_secs(1);
-    let accept_thread = std::thread::Builder::new()
-        .name("splatt-serve-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_engine, &accept_stop, &gate, drain))?;
-    Ok(ServerHandle {
-        addr: local,
-        engine,
-        front: Front::Legacy(Some(accept_thread)),
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    engine: &Arc<ServeEngine>,
-    stop: &CancelToken,
-    gate: &Arc<AdmissionGate>,
-    drain: Duration,
-) {
-    let shed_payload = accept_shed_frame(gate.max_depth());
-    while !stop.is_cancelled() {
-        match listener.accept() {
-            Ok((stream, _)) => match gate.try_admit_owned() {
-                Ok(permit) => {
-                    let engine = Arc::clone(engine);
-                    let conn_stop = stop.child();
-                    // The permit rides in the connection thread and
-                    // releases its slot when the thread exits — the
-                    // gate's depth IS the open-connection count, so
-                    // per-accept cost is O(1) with no handle Vec.
-                    let _ = std::thread::Builder::new()
-                        .name("splatt-serve-conn".into())
-                        .spawn(move || {
-                            let _permit = permit;
-                            handle_conn(&engine, &conn_stop, &stream);
-                        });
-                }
-                Err(_) => shed_accept(stream, &shed_payload),
-            },
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-    // Connection threads poll the stop token and exit on their own;
-    // give in-flight requests the engine's drain window to finish.
-    let deadline = Instant::now() + drain;
-    while gate.depth() > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Over-capacity accept: write one typed `Overloaded` frame (briefly —
-/// a stalled peer must not stall the accept loop) and close.
-fn shed_accept(mut stream: TcpStream, payload: &[u8]) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let _ = write_frame(&mut stream, payload);
-}
-
-/// `Read` adapter for a permanently-nonblocking socket: paces
-/// `WouldBlock` with a short sleep so `read_frame_polled`'s retry loop
-/// idles at a few-millisecond cadence instead of hot-spinning.
-struct PacedReader<'a> {
-    stream: &'a TcpStream,
-}
-
-impl Read for PacedReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match (&*self.stream).read(buf) {
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-                Err(e)
-            }
-            other => other,
-        }
-    }
-}
-
-/// `write_all` for a permanently-nonblocking socket, pacing
-/// `WouldBlock` the same way.
-fn write_all_paced(stream: &TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        match (&*stream).write(buf) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-fn write_frame_paced(stream: &TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    write_all_paced(stream, &frame)
-}
-
-/// Non-blocking liveness probe: true once the peer has gone away.
-fn disconnected(stream: &TcpStream) -> bool {
-    let mut probe = [0u8; 1];
-    match stream.peek(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => false,
-        Err(_) => true,
-    }
-}
-
-fn handle_conn(engine: &Arc<ServeEngine>, stop: &CancelToken, stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // Nonblocking for the connection's whole life: reads pace through
-    // PacedReader, writes through write_all_paced, and the liveness
-    // peek during engine waits needs no mode flipping. (The old code
-    // toggled set_nonblocking around each query, racing its own 50ms
-    // read timeout.)
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    loop {
-        let mut reader = PacedReader { stream };
-        let payload = match read_frame_polled(&mut reader, &|| stop.is_cancelled()) {
-            Ok(Some(p)) => p,
-            Ok(None) => break, // stopped between frames
-            Err(_) => break,   // disconnect, EOF, or garbage framing
-        };
-        let response = match decode_request(&payload) {
-            Ok(req) => handle_request(engine, stream, req),
-            Err(e) => Response::Error(WireError::BadRequest, e.to_string()),
-        };
-        let shutdown_ack = matches!(response, Response::Ack);
-        if write_frame_paced(stream, &encode_response(&response)).is_err() {
-            break;
-        }
-        if shutdown_ack {
-            engine.shutdown_token().cancel();
-            break;
-        }
-    }
-}
-
-fn handle_request(
-    engine: &Arc<ServeEngine>,
-    stream: &TcpStream,
-    req: crate::protocol::Request,
-) -> Response {
-    use crate::engine::{Query, QueryResult};
-    use crate::protocol::RequestBody;
-    let query = match req.body {
-        RequestBody::Stats => return Response::Stats(engine.profile_report().to_json()),
-        RequestBody::List => return Response::Models(engine.registry().list()),
-        RequestBody::Shutdown => return Response::Ack,
-        RequestBody::Health => {
-            return Response::Health {
-                worker: engine.config().worker,
-                shard: engine.config().shard,
-            }
-        }
-        RequestBody::Entry { order: _, coords } => Query::Entry { coords },
-        RequestBody::Slice { mode, index } => Query::Slice { mode, index },
-        RequestBody::TopK { mode, k, fixed } => Query::TopK { mode, k, fixed },
-        RequestBody::TopKShard {
-            mode,
-            k,
-            fixed,
-            sel,
-        } => Query::TopKShard {
-            mode,
-            k,
-            fixed,
-            sel,
-        },
-        RequestBody::SliceShard { mode, index, sel } => Query::SliceShard { mode, index, sel },
-    };
-    let deadline = if req.deadline_ms > 0 {
-        Some(Duration::from_millis(u64::from(req.deadline_ms)))
-    } else {
-        None
-    };
-    // A fresh root token per request — deliberately NOT a child of the
-    // server stop token, so shutdown drains in-flight requests instead
-    // of cancelling them. A vanished client is still caught by the
-    // non-blocking socket poll below.
-    let request_root = CancelToken::new();
-    let result = engine.query(
-        &req.model,
-        req.version,
-        query,
-        deadline,
-        &request_root,
-        || disconnected(stream),
-    );
-    match result {
-        Ok(QueryResult::Entries(vals)) => Response::Entries(vals),
-        Ok(QueryResult::Slice(vals)) => Response::Slice(vals.to_vec()),
-        Ok(QueryResult::TopK(pairs)) => Response::TopK(pairs.to_vec()),
-        Err(err) => Response::Error(wire_code_of(&err), err.to_string()),
-    }
 }

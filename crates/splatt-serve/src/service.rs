@@ -162,8 +162,7 @@ impl EngineService {
         // A fresh root token per request — deliberately NOT a child of
         // the shutdown token, so a drain completes in-flight requests
         // instead of cancelling them. Disconnects surface through the
-        // reactor-owned alive flag polled below; the per-request socket
-        // peeking (and its nonblocking-mode toggling) is gone.
+        // reactor-owned alive flag polled below.
         let request_root = splatt_guard::CancelToken::new();
         let result = self.engine.query(
             &req.model,

@@ -5,7 +5,7 @@
 //! provides three guarantees a bare `File::create` cannot:
 //!
 //! 1. **Detection** — every on-disk record is CRC32-framed
-//!    ([`frame`]): length-prefixed, generation-stamped, checksummed.
+//!    ([`Frame`]): length-prefixed, generation-stamped, checksummed.
 //!    Torn tails, bit flips, and short reads surface as typed
 //!    [`FrameDefect`]s at a byte offset; corrupt data is never
 //!    silently returned.
@@ -14,7 +14,7 @@
 //!    an artifact path sees the old version or the new one, never a
 //!    hybrid, no matter where a crash lands.
 //! 3. **Durable append** — [`Wal`] is an append-only log of nnz delta
-//!    batches ([`delta`]) with group-commit fsync (acknowledgement =
+//!    batches ([`encode_delta`]) with group-commit fsync (acknowledgement =
 //!    `commit()` returning), segment rotation, and recovery that
 //!    truncates at most the unacknowledged torn tail — damage to
 //!    acknowledged records is refused as [`StoreError::Corrupt`],
@@ -26,7 +26,7 @@
 //! recovery storm test replays a workload crashed at every single op
 //! boundary and pins that nothing acknowledged is ever lost.
 //!
-//! Durability counters ([`counters`]) feed the probe report's `store`
+//! Durability counters ([`StoreCounters`]) feed the probe report's `store`
 //! row (schema v8) without adding a crate edge — the CLI copies the
 //! snapshot into plain probe rows.
 

@@ -21,8 +21,8 @@ use splatt::serve::{
 };
 use splatt::tensor::{io, synth, TensorStats};
 use splatt::{
-    corcondia, try_cp_als, try_cp_als_governed, Constraint, CpalsError, CpalsOptions, CsfAlloc,
-    FaultPlan, GovernancePolicy, Implementation, KruskalModel, Matrix, OnOverrun, WatchdogConfig,
+    corcondia, try_cp_als, Constraint, CpalsError, CpalsOptions, CpalsRun, CsfAlloc, FaultPlan,
+    Governance, GovernancePolicy, Implementation, KruskalModel, Matrix, OnOverrun, WatchdogConfig,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -48,7 +48,7 @@ fn usage() -> ExitCode {
          splatt export-model <checkpoint|model|.kruskal> --out FILE\n  \
          splatt serve --model NAME=FILE[,NAME=FILE...] [--addr HOST:PORT]\n              \
          [--tasks N] [--depth N] [--batch N] [--cache N] [--deadline-ms MS]\n              \
-         [--net-workers N] [--max-conns N] [--legacy-threads 1]\n              \
+         [--net-workers N] [--max-conns N]\n              \
          [--shards N [--replicas M] [--seed S]]   (cluster mode: one --model)\n  \
          splatt cluster <addr>   (router health + per-shard failover counters)\n  \
          splatt query <addr> entry --model NAME --coords i,j,k[;i,j,k...]\n              \
@@ -112,7 +112,6 @@ const SERVE_FLAGS: &[&str] = &[
     "deadline-ms",
     "net-workers",
     "max-conns",
-    "legacy-threads",
     "shards",
     "replicas",
     "seed",
@@ -381,7 +380,7 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
 
     let policy = governance_policy(flags, opts.checkpoint_dir.as_deref())?;
 
-    let out = if policy.is_armed() {
+    if policy.is_armed() {
         println!(
             "governance: deadline {}, mem budget {}, stall bound {}, on overrun {}",
             policy
@@ -396,23 +395,24 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
             )),
             policy.on_overrun.label()
         );
-        match try_cp_als_governed(&tensor, &opts, fault_plan.as_ref(), &policy) {
-            Ok(run) => {
-                for d in &run.degradations {
-                    println!("degraded: {d}");
-                }
-                run.output
-            }
-            Err(CpalsError::Aborted(ab)) => {
-                let mut msg = format!("{}", CpalsError::Aborted(ab));
-                msg.push_str("\nhint: re-run with --resume to continue from the checkpoint");
-                return Err(msg);
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    } else {
-        try_cp_als(&tensor, &opts, fault_plan.as_ref()).map_err(|e| e.to_string())?
+    }
+    let run = CpalsRun {
+        faults: fault_plan.as_ref(),
+        governance: Governance::Policy(&policy),
+        ..Default::default()
     };
+    let out = match try_cp_als(&tensor, &opts, &run) {
+        Ok(out) => out,
+        Err(e @ CpalsError::Aborted(_)) => {
+            return Err(format!(
+                "{e}\nhint: re-run with --resume to continue from the checkpoint"
+            ));
+        }
+        Err(e) => return Err(e.to_string()),
+    };
+    for d in &out.degradations {
+        println!("degraded: {d}");
+    }
     println!(
         "converged: fit {:.6} after {} iterations",
         out.fit, out.iterations
@@ -1009,7 +1009,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let front = FrontEndConfig {
         workers: flags.parse_or("net-workers", front_defaults.workers)?,
         max_conns: flags.parse_or("max-conns", front_defaults.max_conns)?,
-        legacy_threads: flags.parse_or("legacy-threads", 0u8)? != 0,
         ..front_defaults
     };
     let engine = ServeEngine::start(config);

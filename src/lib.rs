@@ -108,10 +108,10 @@ pub mod store {
 
 pub use splatt_core::{
     corcondia, cp_als, tensor_complete, tensor_complete_ccd, tensor_complete_sgd, try_cp_als,
-    try_cp_als_governed, try_cp_als_guarded, CcdOptions, Checkpoint, CheckpointError,
-    CompletionOptions, CompletionOutput, Constraint, CpalsError, CpalsOptions, CpalsOutput, Csf,
-    CsfAlloc, CsfSet, GovernancePolicy, GovernedRun, Implementation, KruskalModel, MatrixAccess,
-    OnOverrun, RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome, RunAborted, SgdOptions,
+    CcdOptions, Checkpoint, CheckpointError, CompletionOptions, CompletionOutput, Constraint,
+    CpalsError, CpalsOptions, CpalsOutput, CpalsRun, Csf, CsfAlloc, CsfSet, Governance,
+    GovernancePolicy, Implementation, KruskalModel, MatrixAccess, OnOverrun, RefreshEngine,
+    RefreshError, RefreshOptions, RefreshOutcome, RunAborted, SgdOptions,
 };
 pub use splatt_dense::Matrix;
 pub use splatt_faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction, RecoveryPolicy};

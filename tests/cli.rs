@@ -91,6 +91,29 @@ fn cpd_writes_factors_and_model_then_predict() {
     }
     assert!(model.exists());
 
+    // the same run under a deadline it cannot reach goes through the
+    // same driver call and prints the same fit line
+    let fit_line = |stdout: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("converged: fit"))
+            .unwrap_or_else(|| panic!("no fit line: {stdout}"))
+            .to_string()
+    };
+    let governed = splatt()
+        .args(["cpd", tns.to_str().unwrap(), "--rank", "3", "--iters", "5"])
+        .args(["--tasks", "2", "--deadline", "300"])
+        .output()
+        .unwrap();
+    assert!(
+        governed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&governed.stderr)
+    );
+    let governed_stdout = String::from_utf8_lossy(&governed.stdout);
+    assert!(governed_stdout.contains("governance: deadline 300s"));
+    assert_eq!(fit_line(&stdout), fit_line(&governed_stdout));
+
     // predict on the training coordinates: prints one value per line
     let out = splatt()
         .args(["predict", model.to_str().unwrap(), tns.to_str().unwrap()])
@@ -173,11 +196,17 @@ fn unknown_flags_are_rejected_by_name_with_exit_code_2() {
         .status()
         .unwrap()
         .success());
-    // a removed flag (whatever its value) and a typo: neither may
+    // removed flags (whatever their value) and a typo: none may
     // silently run with defaults
-    for (flag, value) in [("--format", "csf"), ("--tassks", "8")] {
+    let cpd = ["cpd", tns.to_str().unwrap(), "--rank", "2", "--iters", "2"];
+    let serve = ["serve", "--model", "m=unread.model"];
+    for (subcommand, flag, value) in [
+        (&cpd[..], "--format", "csf"),
+        (&cpd[..], "--tassks", "8"),
+        (&serve[..], "--legacy-threads", "1"),
+    ] {
         let out = splatt()
-            .args(["cpd", tns.to_str().unwrap(), "--rank", "2", "--iters", "2"])
+            .args(subcommand)
             .args([flag, value])
             .output()
             .unwrap();

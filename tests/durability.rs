@@ -26,7 +26,7 @@ use splatt::store::{
     counters_snapshot, decode_delta, encode_delta, parse_frame_at, Manifest, StoreError, Wal,
     WalOptions,
 };
-use splatt::{try_cp_als, Checkpoint, CpalsOptions, KruskalModel, Matrix, SparseTensor};
+use splatt::{try_cp_als, Checkpoint, CpalsOptions, CpalsRun, KruskalModel, Matrix, SparseTensor};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -222,7 +222,7 @@ fn crash_storm_recovery_is_lossless_and_refit_matches_clean_oracle() {
         checkpoint_dir: Some(ck_dir.clone()),
         ..Default::default()
     };
-    try_cp_als(&base, &seed_opts, None).unwrap();
+    try_cp_als(&base, &seed_opts, &CpalsRun::default()).unwrap();
     let ck_path = Checkpoint::latest_in(&ck_dir)
         .unwrap()
         .expect("checkpoint written");
@@ -234,7 +234,11 @@ fn crash_storm_recovery_is_lossless_and_refit_matches_clean_oracle() {
         resume_from: Some(ck_path),
         ..Default::default()
     };
-    let refit = |t: &SparseTensor| try_cp_als(t, &refit_opts, None).unwrap().model;
+    let refit = |t: &SparseTensor| {
+        try_cp_als(t, &refit_opts, &CpalsRun::default())
+            .unwrap()
+            .model
+    };
 
     // Quiet run: count the I/O ops the full ingest performs.
     let quiet = Arc::new(IoFaultPlan::quiet(0xD15C));

@@ -11,7 +11,17 @@
 
 use splatt::rt::qc;
 use splatt::tensor::synth;
-use splatt::{try_cp_als, Checkpoint, CpalsOptions, CpalsOutput, FaultPlan, FaultRates, Matrix};
+use splatt::{
+    try_cp_als, Checkpoint, CpalsOptions, CpalsOutput, CpalsRun, FaultPlan, FaultRates, Governance,
+    Matrix,
+};
+
+fn injecting(plan: &FaultPlan) -> CpalsRun<'_> {
+    CpalsRun {
+        faults: Some(plan),
+        ..Default::default()
+    }
+}
 
 fn planted() -> splatt::SparseTensor {
     synth::planted_dense(&[18, 15, 12], 3, 0.0, 7).0
@@ -78,7 +88,7 @@ fn recoverable_fault_matrix_preserves_converged_fit() {
         ntasks: 2,
         ..Default::default()
     };
-    let clean = try_cp_als(&tensor, &opts, None).expect("fault-free run");
+    let clean = try_cp_als(&tensor, &opts, &CpalsRun::default()).expect("fault-free run");
 
     qc::check("recoverable fault matrix", 10, |g| {
         // at least one kind active per case; dropped stays low so the
@@ -90,7 +100,7 @@ fn recoverable_fault_matrix_preserves_converged_fit() {
             ..Default::default()
         };
         let plan = FaultPlan::new(g.u64(), rates).with_horizon(3);
-        let out = try_cp_als(&tensor, &opts, Some(&plan))
+        let out = try_cp_als(&tensor, &opts, &injecting(&plan))
             .unwrap_or_else(|e| panic!("seed {:#x}: {e}", g.seed()));
         assert!(
             !plan.any_unrecovered(),
@@ -108,7 +118,7 @@ fn recoverable_fault_matrix_preserves_converged_fit() {
 fn three_fault_kinds_at_once_still_converge() {
     let tensor = planted();
     let opts = converge_opts();
-    let clean = try_cp_als(&tensor, &opts, None).unwrap();
+    let clean = try_cp_als(&tensor, &opts, &CpalsRun::default()).unwrap();
     let rates = FaultRates {
         straggler: 0.5,
         dropped: 0.15,
@@ -117,7 +127,7 @@ fn three_fault_kinds_at_once_still_converge() {
         ..Default::default()
     };
     let plan = FaultPlan::new(0xFA11, rates).with_horizon(4);
-    let out = try_cp_als(&tensor, &opts, Some(&plan)).expect("plan must recover");
+    let out = try_cp_als(&tensor, &opts, &injecting(&plan)).expect("plan must recover");
     let kinds: std::collections::HashSet<_> = plan.events().iter().map(|e| e.kind).collect();
     assert!(
         kinds.len() >= 3,
@@ -144,7 +154,7 @@ fn numerics_preserving_recoveries_are_bit_identical() {
         ntasks: 2,
         ..Default::default()
     };
-    let clean = try_cp_als(&tensor, &opts, None).unwrap();
+    let clean = try_cp_als(&tensor, &opts, &CpalsRun::default()).unwrap();
     let rates = FaultRates {
         straggler: 0.5,
         dropped: 0.15,
@@ -152,7 +162,7 @@ fn numerics_preserving_recoveries_are_bit_identical() {
         ..Default::default()
     };
     let plan = FaultPlan::new(0xB17, rates).with_horizon(5);
-    let out = try_cp_als(&tensor, &opts, Some(&plan)).unwrap();
+    let out = try_cp_als(&tensor, &opts, &injecting(&plan)).unwrap();
     assert!(plan.event_count() > 0, "plan injected nothing");
     assert_bit_identical(&clean, &out, "numerics-preserving recovery");
 }
@@ -173,7 +183,7 @@ fn resume_from_checkpoint_is_bit_for_bit() {
         ntasks: 2,
         ..Default::default()
     };
-    let straight = try_cp_als(&tensor, &base, None).unwrap();
+    let straight = try_cp_als(&tensor, &base, &CpalsRun::default()).unwrap();
 
     // "crash" after 4 iterations, leaving checkpoints behind
     let killed = try_cp_als(
@@ -183,7 +193,7 @@ fn resume_from_checkpoint_is_bit_for_bit() {
             checkpoint_dir: Some(dir.clone()),
             ..base.clone()
         },
-        None,
+        &CpalsRun::default(),
     )
     .unwrap();
     assert_eq!(killed.iterations, 4);
@@ -198,7 +208,7 @@ fn resume_from_checkpoint_is_bit_for_bit() {
             resume_from: Some(latest),
             ..base.clone()
         },
-        None,
+        &CpalsRun::default(),
     )
     .unwrap();
     assert_eq!(resumed.iterations, straight.iterations);
@@ -218,7 +228,7 @@ fn resume_composes_with_fault_injection() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let opts = converge_opts();
-    let clean = try_cp_als(&tensor, &opts, None).unwrap();
+    let clean = try_cp_als(&tensor, &opts, &CpalsRun::default()).unwrap();
 
     let rates = FaultRates {
         straggler: 0.4,
@@ -233,7 +243,7 @@ fn resume_composes_with_fault_injection() {
             checkpoint_dir: Some(dir.clone()),
             ..opts.clone()
         },
-        Some(&FaultPlan::new(0xCAFE, rates).with_horizon(6)),
+        &injecting(&FaultPlan::new(0xCAFE, rates).with_horizon(6)),
     )
     .unwrap();
     assert_eq!(killed.iterations, 3);
@@ -246,7 +256,7 @@ fn resume_composes_with_fault_injection() {
             resume_from: Some(latest),
             ..opts.clone()
         },
-        Some(&plan),
+        &injecting(&plan),
     )
     .unwrap();
     assert!(!plan.any_unrecovered());
@@ -279,7 +289,7 @@ fn profile_report_lists_every_injected_fault() {
         ..Default::default()
     };
     let plan = FaultPlan::new(0x0B5, rates).with_horizon(4);
-    let out = try_cp_als(&tensor, &opts, Some(&plan)).unwrap();
+    let out = try_cp_als(&tensor, &opts, &injecting(&plan)).unwrap();
     let report = out.profile.expect("profiling was enabled");
     let events = plan.events();
     assert!(!events.is_empty(), "plan injected nothing");
@@ -319,7 +329,7 @@ fn cancel_mid_run_leaves_resumable_checkpoints() {
         ntasks: 2,
         ..Default::default()
     };
-    let straight = try_cp_als(&tensor, &base, None).unwrap();
+    let straight = try_cp_als(&tensor, &base, &CpalsRun::default()).unwrap();
 
     // the victim run is slowed by stragglers (pure latency, no
     // numerical effect) so the main thread can cancel it mid-flight
@@ -340,7 +350,11 @@ fn cancel_mid_run_leaves_resumable_checkpoints() {
                 },
             )
             .with_straggler_scale(400);
-            splatt::try_cp_als_guarded(&tensor, &opts, Some(&plan), Some(&guard))
+            let run = CpalsRun {
+                governance: Governance::Guard(&guard),
+                ..injecting(&plan)
+            };
+            try_cp_als(&tensor, &opts, &run)
         })
     };
 
@@ -380,7 +394,7 @@ fn cancel_mid_run_leaves_resumable_checkpoints() {
             resume_from: Some(latest),
             ..base
         },
-        None,
+        &CpalsRun::default(),
     )
     .unwrap();
     assert_bit_identical(&straight, &resumed, "cancel-then-resume");
@@ -404,7 +418,7 @@ fn organic_nan_surfaces_typed_error() {
         ntasks: 1,
         ..Default::default()
     };
-    let err = try_cp_als(&t, &opts, None).expect_err("organic NaN must fail");
+    let err = try_cp_als(&t, &opts, &CpalsRun::default()).expect_err("organic NaN must fail");
     match err {
         splatt::CpalsError::Unrecovered { kind, .. } => {
             assert_eq!(kind, splatt::FaultKind::NanPoison)
@@ -414,7 +428,7 @@ fn organic_nan_surfaces_typed_error() {
     // an armed (but never-firing) plan exhausts its rollback budget on
     // the identical replays and surfaces the same typed error
     let plan = FaultPlan::new(0x0A9, FaultRates::default());
-    let err = try_cp_als(&t, &opts, Some(&plan)).expect_err("organic NaN must fail");
+    let err = try_cp_als(&t, &opts, &injecting(&plan)).expect_err("organic NaN must fail");
     assert!(matches!(
         err,
         splatt::CpalsError::Unrecovered {

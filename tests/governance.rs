@@ -16,8 +16,8 @@
 use splatt::guard::{GuardConfig, RunGuard, StallReport, TripReason, WatchdogConfig};
 use splatt::tensor::synth;
 use splatt::{
-    try_cp_als, try_cp_als_guarded, Checkpoint, CpalsError, CpalsOptions, CpalsOutput, FaultKind,
-    FaultPlan, FaultRates, Matrix, MatrixAccess, RunAborted,
+    cp_als, try_cp_als, Checkpoint, CpalsError, CpalsOptions, CpalsOutput, CpalsRun, FaultKind,
+    FaultPlan, FaultRates, Governance, GovernancePolicy, Matrix, MatrixAccess, RunAborted,
 };
 use std::sync::Mutex;
 use std::time::Duration;
@@ -26,6 +26,15 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The run context of a caller-owned guard, with or without a fault plan.
+fn under_guard<'a>(faults: Option<&'a FaultPlan>, guard: &'a RunGuard) -> CpalsRun<'a> {
+    CpalsRun {
+        faults,
+        governance: Governance::Guard(guard),
+        ..Default::default()
+    }
 }
 
 fn planted() -> splatt::SparseTensor {
@@ -108,8 +117,8 @@ fn watchdog_reports_every_straggler_stall() {
         lanes: opts.ntasks,
         ..Default::default()
     });
-    let clean = try_cp_als(&tensor, &opts, None).expect("clean run");
-    let out = try_cp_als_guarded(&tensor, &opts, Some(&plan), Some(&guard))
+    let clean = try_cp_als(&tensor, &opts, &CpalsRun::default()).expect("clean run");
+    let out = try_cp_als(&tensor, &opts, &under_guard(Some(&plan), &guard))
         .expect("a non-tripping watchdog must not abort the run");
     guard.shutdown();
 
@@ -164,7 +173,7 @@ fn tripping_watchdog_aborts_with_stalled_reason() {
         ..Default::default()
     });
     let ab = expect_aborted(
-        try_cp_als_guarded(&tensor, &opts, Some(&plan), Some(&guard)),
+        try_cp_als(&tensor, &opts, &under_guard(Some(&plan), &guard)),
         "tripping watchdog",
     );
     guard.shutdown();
@@ -192,7 +201,7 @@ fn deadline_abort_resumes_bit_for_bit() {
         max_iters: 40,
         ..base_opts()
     };
-    let straight = try_cp_als(&tensor, &base, None).unwrap();
+    let straight = try_cp_als(&tensor, &base, &CpalsRun::default()).unwrap();
 
     // every iteration sleeps >= 30ms, so 40 iterations need >= 1.2s and
     // the 800ms deadline must trip mid-run; the first iteration sleeps
@@ -205,14 +214,13 @@ fn deadline_abort_resumes_bit_for_bit() {
         ..Default::default()
     });
     let ab = expect_aborted(
-        try_cp_als_guarded(
+        try_cp_als(
             &tensor,
             &CpalsOptions {
                 checkpoint_dir: Some(dir.clone()),
                 ..base.clone()
             },
-            Some(&plan),
-            Some(&guard),
+            &under_guard(Some(&plan), &guard),
         ),
         "deadline",
     );
@@ -236,7 +244,7 @@ fn deadline_abort_resumes_bit_for_bit() {
             resume_from: Some(latest),
             ..base
         },
-        None,
+        &CpalsRun::default(),
     )
     .unwrap();
     assert_bit_identical(&straight, &resumed, "deadline-abort resume");
@@ -262,7 +270,7 @@ fn memory_budget_abort_resumes_bit_for_bit() {
         access: MatrixAccess::RowCopy,
         ..base_opts()
     };
-    let straight = try_cp_als(&tensor, &base, None).unwrap();
+    let straight = try_cp_als(&tensor, &base, &CpalsRun::default()).unwrap();
 
     // calibrate: traffic of (build + 1 iteration) and per-iteration delta
     splatt::probe::alloc::enable();
@@ -273,7 +281,7 @@ fn memory_budget_abort_resumes_bit_for_bit() {
             max_iters: 1,
             ..base.clone()
         },
-        None,
+        &CpalsRun::default(),
     )
     .unwrap();
     let one = splatt::probe::alloc::snapshot().since(&before1);
@@ -284,7 +292,7 @@ fn memory_budget_abort_resumes_bit_for_bit() {
             max_iters: 3,
             ..base.clone()
         },
-        None,
+        &CpalsRun::default(),
     )
     .unwrap();
     let three = splatt::probe::alloc::snapshot().since(&before3);
@@ -300,14 +308,13 @@ fn memory_budget_abort_resumes_bit_for_bit() {
         ..Default::default()
     });
     let ab = expect_aborted(
-        try_cp_als_guarded(
+        try_cp_als(
             &tensor,
             &CpalsOptions {
                 checkpoint_dir: Some(dir.clone()),
                 ..base.clone()
             },
-            None,
-            Some(&guard),
+            &under_guard(None, &guard),
         ),
         "memory budget",
     );
@@ -334,7 +341,7 @@ fn memory_budget_abort_resumes_bit_for_bit() {
             resume_from: Some(latest),
             ..base
         },
-        None,
+        &CpalsRun::default(),
     )
     .unwrap();
     assert_bit_identical(&straight, &resumed, "budget-abort resume");
@@ -353,7 +360,7 @@ fn profile_records_guard_activity() {
         ..base_opts()
     };
     let guard = RunGuard::unarmed();
-    let out = try_cp_als_guarded(&tensor, &opts, None, Some(&guard)).unwrap();
+    let out = try_cp_als(&tensor, &opts, &under_guard(None, &guard)).unwrap();
     let p = out.profile.expect("profiling was enabled");
     let g = p.guard.as_ref().expect("guarded run records a guard row");
     assert!(g.checks > 0, "driver checks were counted");
@@ -364,7 +371,7 @@ fn profile_records_guard_activity() {
     assert!(json.contains("\"guard\""), "guard object missing: {json}");
     assert!(json.contains("\"checks\""));
 
-    let out2 = try_cp_als(&tensor, &opts, None).unwrap();
+    let out2 = try_cp_als(&tensor, &opts, &CpalsRun::default()).unwrap();
     let p2 = out2.profile.expect("profiling was enabled");
     assert!(p2.guard.is_none());
     assert!(p2.to_json().contains("\"guard\": null"));
@@ -379,12 +386,63 @@ fn pre_cancelled_guard_aborts_immediately() {
     let guard = RunGuard::unarmed();
     guard.cancel();
     let ab = expect_aborted(
-        try_cp_als_guarded(&tensor, &base_opts(), None, Some(&guard)),
+        try_cp_als(&tensor, &base_opts(), &under_guard(None, &guard)),
         "pre-cancelled",
     );
     assert_eq!(ab.reason, TripReason::Cancelled);
     assert_eq!(ab.iteration, 1, "tripped at the first iteration check");
     assert!(ab.last_checkpoint.is_none());
+}
+
+/// Every way of spelling "nothing stops this run" through the one entry
+/// point — own or provided team, no plan or a plan that never fires, no
+/// governance or governance that never trips — is the same run as
+/// `cp_als`: same fit history bit for bit, one attempt, no degradation.
+#[test]
+fn every_non_tripping_run_context_matches_cp_als() {
+    let _s = serial();
+    let tensor = planted();
+    let opts = base_opts();
+    let clean = cp_als(&tensor, &opts);
+
+    let team = splatt::par::TaskTeam::new(opts.ntasks);
+    let quiet_plan = FaultPlan::new(0x51, FaultRates::default());
+    let guard = RunGuard::unarmed();
+    let unarmed = GovernancePolicy::default();
+    let generous = GovernancePolicy {
+        deadline: Some(Duration::from_secs(300)),
+        ..Default::default()
+    };
+    let teams = [("own team", None), ("provided team", Some(&team))];
+    let plans = [("no plan", None), ("zero-rate plan", Some(&quiet_plan))];
+    let governances = [
+        ("ungoverned", Governance::None),
+        ("un-tripped guard", Governance::Guard(&guard)),
+        ("un-armed policy", Governance::Policy(&unarmed)),
+        ("generous deadline", Governance::Policy(&generous)),
+    ];
+    for (team_label, team) in teams {
+        for (plan_label, faults) in plans {
+            for (gov_label, governance) in governances {
+                let what = format!("{team_label}, {plan_label}, {gov_label}");
+                let run = CpalsRun {
+                    team,
+                    faults,
+                    governance,
+                };
+                let out =
+                    try_cp_als(&tensor, &opts, &run).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_bit_identical(&clean, &out, &what);
+                assert_eq!(out.attempts, 1, "{what}");
+                assert!(out.degradations.is_empty(), "{what}");
+            }
+        }
+    }
+    assert_eq!(
+        quiet_plan.event_count(),
+        0,
+        "a zero-rate plan injects nothing"
+    );
 }
 
 /// Release-mode smoke for the ISSUE's overhead bound: a clean guarded
@@ -407,9 +465,9 @@ fn clean_guard_overhead_is_under_two_percent() {
     };
     let run = |guarded: bool| -> f64 {
         let out = if guarded {
-            try_cp_als_guarded(&tensor, &opts, None, Some(&RunGuard::unarmed())).unwrap()
+            try_cp_als(&tensor, &opts, &under_guard(None, &RunGuard::unarmed())).unwrap()
         } else {
-            try_cp_als(&tensor, &opts, None).unwrap()
+            try_cp_als(&tensor, &opts, &CpalsRun::default()).unwrap()
         };
         out.timers.seconds(splatt::par::Routine::Mttkrp)
     };

@@ -1,13 +1,13 @@
 //! Front-end smoke tests for the `splatt-net` reactor: a 10k-connection
 //! mostly-idle run served by a bounded worker pool, a saturation run
 //! showing typed shedding with bounded admitted-request latency, and a
-//! bit-identical A/B sweep against the legacy thread-per-connection
-//! oracle. The first two write `target/net-smoke-report.json` /
+//! bit-identical sweep against an in-test oracle built from the
+//! `core::query` kernels. The first two write `target/net-smoke-report.json` /
 //! `target/net-saturation-report.json` for CI artifact upload.
 
 use splatt::serve::protocol::{
-    decode_response, encode_request, read_frame, write_frame, Request, RequestBody, Response,
-    WireError,
+    decode_response, encode_request, encode_response, read_frame, write_frame, Request,
+    RequestBody, Response, WireError,
 };
 use splatt::serve::{serve_with, FrontEndConfig, ServeConfig, ServeEngine, ServerHandle};
 use splatt::{KruskalModel, Matrix};
@@ -306,28 +306,82 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
     handle.shutdown();
 }
 
+/// The answer `req` must get, built without the engine or the socket
+/// loop: the `core::query` kernels on the model the test published, and
+/// literal `Response` values for the ops that never touch a kernel.
+fn oracle_response(model: &KruskalModel, req: &Request) -> Response {
+    use splatt::core::query::{entry_values, slice_len, slice_values, top_k, QueryArena};
+    use splatt::serve::ModelInfo;
+    let mut arena = QueryArena::new();
+    if req.model == "missing" {
+        return Response::Error(
+            WireError::ModelNotFound,
+            "model 'missing' version 3 not found".into(),
+        );
+    }
+    match &req.body {
+        RequestBody::Entry { order, coords } => {
+            let mut out = vec![0.0; coords.len() / usize::from(*order)];
+            entry_values(model, coords, &mut out).expect("oracle entry");
+            Response::Entries(out)
+        }
+        RequestBody::Slice { mode, index } => {
+            let mode = usize::from(*mode);
+            let mut out = vec![0.0; slice_len(model, mode).expect("oracle slice mode")];
+            slice_values(model, mode, *index, &mut arena, &mut out).expect("oracle slice");
+            Response::Slice(out)
+        }
+        RequestBody::TopK { mode, k, fixed } => {
+            let mut out = Vec::new();
+            top_k(
+                model,
+                usize::from(*mode),
+                *k as usize,
+                fixed,
+                &mut arena,
+                &mut out,
+            )
+            .expect("oracle top-k");
+            Response::TopK(out)
+        }
+        RequestBody::List => Response::Models(vec![ModelInfo {
+            name: "m".into(),
+            version: 1,
+            order: 3,
+            rank: 3,
+        }]),
+        // a single-process engine is not part of a cluster
+        RequestBody::Health => Response::Health {
+            worker: u32::MAX,
+            shard: u32::MAX,
+        },
+        other => panic!("the sweep does not issue {other:?}"),
+    }
+}
+
+/// 160 seeded requests over six kinds (entry, slice, top-k, list,
+/// health, typed model-not-found): every response frame must equal,
+/// byte for byte, the frame encoded from [`oracle_response`]. The sweep
+/// once compared the reactor against a thread-per-connection loop over
+/// the same engine; this oracle shares neither the socket loop nor the
+/// engine with the server under test.
 #[test]
-fn reactor_and_legacy_front_ends_answer_bit_identically() {
+fn reactor_answers_a_seeded_sweep_bit_identically_to_the_query_oracle() {
     let _guard = serial_guard();
     let (reactor, model) = start_server(FrontEndConfig::default(), ServeConfig::default());
-    let (legacy, _) = start_server(
-        FrontEndConfig {
-            legacy_threads: true,
-            ..FrontEndConfig::default()
-        },
-        ServeConfig::default(),
-    );
     assert!(reactor.net_counters().is_some());
-    assert!(legacy.net_counters().is_none(), "legacy has no reactor");
 
-    let mut a = splatt::serve::Client::connect(reactor.addr()).expect("connect reactor");
-    let mut b = splatt::serve::Client::connect(legacy.addr()).expect("connect legacy");
-    a.set_io_timeout(Some(Duration::from_secs(20))).unwrap();
-    b.set_io_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut client = splatt::serve::Client::connect(reactor.addr()).expect("connect reactor");
+    client
+        .set_io_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
 
     let mut rng = Rng(0xAB0_CAFE);
+    let mut kinds_seen = [0usize; 6];
     for i in 0..160 {
-        let req = match rng.below(6) {
+        let kind = rng.below(6) as usize;
+        kinds_seen[kind] += 1;
+        let req = match kind {
             0 => entry_request(&mut rng, &model, 5_000).0,
             1 => Request {
                 deadline_ms: 5_000,
@@ -368,11 +422,14 @@ fn reactor_and_legacy_front_ends_answer_bit_identically() {
                 body: RequestBody::Slice { mode: 0, index: 0 },
             },
         };
-        let fa = a.call_frame(&req).expect("reactor call");
-        let fb = b.call_frame(&req).expect("legacy call");
-        assert_eq!(fa, fb, "response {i} differs between front ends: {req:?}");
+        let got = client.call_frame(&req).expect("reactor call");
+        let want = encode_response(&oracle_response(&model, &req));
+        assert_eq!(got, want, "response {i} differs from the oracle: {req:?}");
     }
+    assert!(
+        kinds_seen.iter().all(|&n| n > 0),
+        "the seed must reach all six request kinds: {kinds_seen:?}"
+    );
 
     reactor.shutdown();
-    legacy.shutdown();
 }
