@@ -1,9 +1,8 @@
 //! Query kernels over a decomposed Kruskal model — the compute layer of
 //! the serving subsystem.
 //!
-//! Three query kinds, all brute-force dense reconstruction from the
-//! factors (the downstream counterpart of the paper's pattern-extraction
-//! use case):
+//! Three query kinds (the downstream counterpart of the paper's
+//! pattern-extraction use case):
 //!
 //! * [`entry_values`] — reconstruct the modeled value at a batch of
 //!   coordinates.
@@ -13,11 +12,43 @@
 //!   coordinates in all other modes and return the `k` best, ties broken
 //!   toward the lower index.
 //!
-//! Every value is produced by the same scalar evaluation as
-//! [`crate::reference::kruskal_value`] — same association, same summation
-//! order — so batched answers are **bit-identical** to the unbatched
-//! dense-reconstruction oracle, the invariant the serving property tests
-//! pin down.
+//! Every value is **bit-identical** to
+//! [`crate::reference::kruskal_value`] at the same coordinate — the
+//! invariant the serving property tests pin down, and what lets a cluster
+//! router merge per-shard partials into the single-process answer.
+//!
+//! # One scoring core, and what it may hoist
+//!
+//! `kruskal_value` is `Σ_r λ_r · (((f₀·f₁)·f₂)…)`: the factor entries
+//! multiplied left to right in mode order, `λ_r` applied last, the rank
+//! terms added in ascending `r`. A top-k, and every innermost run of a
+//! slice, is a *scan*: one mode `s` varies and every other coordinate is
+//! held. The association decides what a scan may take out of its per-cell
+//! loop:
+//!
+//! * `Π_{j<s} f_j` is a left-to-right prefix of the product itself, the
+//!   same value in every cell, so it is computed once per scan (once per
+//!   query for a top-k, once per outer odometer tick for a slice).
+//! * `λ_r` and the entries of the modes after `s` multiply a value that
+//!   already contains the scanned entry. They are applied per cell, in
+//!   order. Folding them into one weight vector (the GEMV form
+//!   `F_s · (λ ∘ a ∘ b)`) would reassociate and move low bits.
+//!
+//! The core takes factor rows once as slices and scores four cells per
+//! step with four independent accumulators. Each cell's `Σ_r` still runs
+//! in rank order — the four serial chains are interleaved, not
+//! reassociated — so the additions of one cell overlap the others'.
+//! All four scan entry points ([`top_k`], [`top_k_rows`],
+//! [`slice_values`], [`slice_values_rows`]) go through it.
+//!
+//! One caveat is IEEE 754's, not this module's. When two NaNs with
+//! *different* bit patterns meet in one multiply or add, the standard
+//! leaves open whose payload survives; x86 keeps the first operand's, and
+//! which operand comes first is the compiler's choice per call site. On
+//! such inputs `kruskal_value` is not bit-determined even against itself,
+//! and the guarantee is NaN for NaN. Everything else — infinities, signed
+//! zeros, the NaN the hardware makes of `∞ − ∞` or `0 · ∞`, any number of
+//! NaNs of one pattern — is exact to the bit.
 //!
 //! Kernels take a [`QueryArena`]: a grow-only scratch (the PR 4 kernel
 //! discipline) so the steady-state query hot path allocates nothing once
@@ -27,6 +58,7 @@
 
 use crate::kruskal::KruskalModel;
 use crate::reference::kruskal_value;
+use splatt_dense::Matrix;
 
 /// Why a query cannot be answered against a given model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,15 +93,27 @@ impl std::fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// Grow-only scratch for the query kernels: one coordinate buffer, one
-/// score buffer, one candidate-index buffer. Buffers never shrink; after
-/// the first query of each shape the kernels allocate nothing.
+/// prefix-product buffer (a rank's worth), one score buffer, one
+/// candidate-index buffer (at most twice the largest `k` served).
+/// Buffers never shrink; after the first query of each shape the kernels
+/// allocate nothing.
 #[derive(Debug, Default)]
 pub struct QueryArena {
     coord: Vec<u32>,
+    prefix: Vec<f64>,
     scores: Vec<f64>,
     ranked: Vec<u32>,
     growth_allocs: u64,
     growth_bytes: u64,
+}
+
+/// Grow `buf` to at least `len` elements; the bytes added.
+fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) -> usize {
+    let added = len.saturating_sub(buf.len());
+    if added > 0 {
+        buf.resize(len, T::default());
+    }
+    added * std::mem::size_of::<T>()
 }
 
 impl QueryArena {
@@ -88,44 +132,23 @@ impl QueryArena {
         self.growth_bytes
     }
 
-    fn record(&mut self, bytes: usize) {
-        if bytes > 0 {
-            self.growth_allocs += 1;
-            self.growth_bytes += bytes as u64;
-            splatt_probe::alloc::record_kernel_scratch(bytes);
+    /// Make room for a query over an order-`order`, rank-`rank` model
+    /// that scores `cells` rows and keeps `candidates` of them while
+    /// selecting (both 0 for a slice, which scores straight into its
+    /// output).
+    fn reserve(&mut self, order: usize, rank: usize, cells: usize, candidates: usize) {
+        for bytes in [
+            grow(&mut self.coord, order),
+            grow(&mut self.prefix, rank),
+            grow(&mut self.scores, cells),
+            grow(&mut self.ranked, candidates),
+        ] {
+            if bytes > 0 {
+                self.growth_allocs += 1;
+                self.growth_bytes += bytes as u64;
+                splatt_probe::alloc::record_kernel_scratch(bytes);
+            }
         }
-    }
-
-    fn coord_buf(&mut self, order: usize) -> &mut [u32] {
-        if self.coord.len() < order {
-            let bytes = (order - self.coord.len()) * std::mem::size_of::<u32>();
-            self.coord.resize(order, 0);
-            self.record(bytes);
-        }
-        &mut self.coord[..order]
-    }
-
-    fn score_bufs(&mut self, order: usize, dim: usize) -> (&mut [u32], &mut [f64], &mut [u32]) {
-        if self.coord.len() < order {
-            let bytes = (order - self.coord.len()) * std::mem::size_of::<u32>();
-            self.coord.resize(order, 0);
-            self.record(bytes);
-        }
-        if self.scores.len() < dim {
-            let bytes = (dim - self.scores.len()) * std::mem::size_of::<f64>();
-            self.scores.resize(dim, 0.0);
-            self.record(bytes);
-        }
-        if self.ranked.len() < dim {
-            let bytes = (dim - self.ranked.len()) * std::mem::size_of::<u32>();
-            self.ranked.resize(dim, 0);
-            self.record(bytes);
-        }
-        (
-            &mut self.coord[..order],
-            &mut self.scores[..dim],
-            &mut self.ranked[..dim],
-        )
     }
 }
 
@@ -179,6 +202,120 @@ pub fn entry_values(
     Ok(())
 }
 
+/// `W` cells of a scan, their `Σ_r` chains interleaved: cell `c` reads the
+/// scanned factor's row `rows[c]`, and per rank term the multiplications
+/// run in `kruskal_value`'s order — `prefix` (when `PRE`), the scanned
+/// entry, `tail`'s modes, `λ_r` last.
+#[inline(always)]
+fn score_cells<const W: usize, const PRE: bool>(
+    lambda: &[f64],
+    prefix: &[f64],
+    rows: [&[f64]; W],
+    tail: &impl Fn(usize, f64) -> f64,
+) -> [f64; W] {
+    // What `kruskal_value`'s `.sum()` starts from, whichever zero that is.
+    let mut acc = [std::iter::empty::<f64>().sum::<f64>(); W];
+    for (r, &weight) in lambda.iter().enumerate() {
+        for (acc, row) in acc.iter_mut().zip(&rows) {
+            let head = if PRE { prefix[r] * row[r] } else { row[r] };
+            *acc += weight * tail(r, head);
+        }
+    }
+    acc
+}
+
+/// The scoring loop of [`scan`] for one compile-time shape of the
+/// product: four cells per step, then the 0..=3 left over one at a time.
+#[inline(always)]
+fn score_rows<const PRE: bool>(
+    lambda: &[f64],
+    prefix: &[f64],
+    factor: &Matrix,
+    rows: Option<&[u32]>,
+    tail: impl Fn(usize, f64) -> f64,
+    out: &mut [f64],
+) {
+    let rank = lambda.len();
+    let prefix = if PRE { &prefix[..rank] } else { prefix };
+    let row = |j: usize| &factor.row(rows.map_or(j, |rows| rows[j] as usize))[..rank];
+    let mut quads = out.chunks_exact_mut(4);
+    let mut j = 0;
+    for quad in &mut quads {
+        let rows = [row(j), row(j + 1), row(j + 2), row(j + 3)];
+        quad.copy_from_slice(&score_cells::<4, PRE>(lambda, prefix, rows, &tail));
+        j += 4;
+    }
+    for slot in quads.into_remainder() {
+        [*slot] = score_cells::<1, PRE>(lambda, prefix, [row(j)], &tail);
+        j += 1;
+    }
+}
+
+/// The modes after the scanned one, applied per cell in mode order. Up to
+/// two are compiled in with their rows taken once; a longer tail (order
+/// five and up) loops over the modes per element.
+fn score_tail<const PRE: bool>(
+    model: &KruskalModel,
+    coord: &[u32],
+    mode: usize,
+    prefix: &[f64],
+    rows: Option<&[u32]>,
+    out: &mut [f64],
+) {
+    let (lambda, factor) = (&model.lambda[..], &model.factors[mode]);
+    let rank = lambda.len();
+    let after = &model.factors[mode + 1..];
+    let at = &coord[mode + 1..];
+    let fixed_row = |j: usize| &after[j].row(at[j] as usize)[..rank];
+    match after.len() {
+        0 => score_rows::<PRE>(lambda, prefix, factor, rows, |_, p| p, out),
+        1 => {
+            let a = fixed_row(0);
+            score_rows::<PRE>(lambda, prefix, factor, rows, |r, p| p * a[r], out);
+        }
+        2 => {
+            let (a, b) = (fixed_row(0), fixed_row(1));
+            score_rows::<PRE>(lambda, prefix, factor, rows, |r, p| p * a[r] * b[r], out);
+        }
+        _ => {
+            let tail = |r: usize, p: f64| {
+                after
+                    .iter()
+                    .zip(at)
+                    .fold(p, |p, (f, &i)| p * f.row(i as usize)[r])
+            };
+            score_rows::<PRE>(lambda, prefix, factor, rows, tail, out);
+        }
+    }
+}
+
+/// The scoring core every scan entry point shares: `out[j]` is the
+/// model's value with mode `mode` at row `rows[j]` (row `j` when `rows` is
+/// `None`) and every other mode at its `coord` entry, bit-identical to
+/// `kruskal_value` there. See the module docs for what is hoisted: the
+/// product over the modes before `mode` goes to `prefix` once, everything
+/// else stays in the per-cell chain.
+fn scan(
+    model: &KruskalModel,
+    coord: &[u32],
+    mode: usize,
+    prefix: &mut [f64],
+    rows: Option<&[u32]>,
+    out: &mut [f64],
+) {
+    let rank = model.lambda.len();
+    if mode == 0 {
+        return score_tail::<false>(model, coord, mode, prefix, rows, out);
+    }
+    prefix.copy_from_slice(&model.factors[0].row(coord[0] as usize)[..rank]);
+    for (f, &i) in model.factors[1..mode].iter().zip(&coord[1..mode]) {
+        for (p, &x) in prefix.iter_mut().zip(f.row(i as usize)) {
+            *p *= x;
+        }
+    }
+    score_tail::<true>(model, coord, mode, prefix, rows, out);
+}
+
 /// Number of entries in the dense slice obtained by fixing `mode`.
 pub fn slice_len(model: &KruskalModel, mode: usize) -> Result<usize, QueryError> {
     let order = model.order();
@@ -194,9 +331,51 @@ pub fn slice_len(model: &KruskalModel, mode: usize) -> Result<usize, QueryError>
         .product())
 }
 
+/// The part of a slice (fixing `fixed`) in which the modes below `lo`
+/// keep their `coord` entries: the free modes from `lo` up walk row-major,
+/// last fastest — one [`scan`] of the last free mode per tick of the
+/// odometer over the ones before it. The caller guarantees a free mode at
+/// or above `lo`.
+fn slice_runs(
+    model: &KruskalModel,
+    fixed: usize,
+    lo: usize,
+    coord: &mut [u32],
+    prefix: &mut [f64],
+    out: &mut [f64],
+) {
+    let scanned = (lo..model.order())
+        .rev()
+        .find(|&m| m != fixed)
+        .expect("a slice run needs a free mode");
+    let run = model.factors[scanned].rows();
+    if run == 0 {
+        return;
+    }
+    let outer = |m: &usize| *m != fixed;
+    for m in (lo..scanned).filter(outer) {
+        coord[m] = 0;
+    }
+    for chunk in out.chunks_exact_mut(run) {
+        scan(model, coord, scanned, prefix, None, chunk);
+        for m in (lo..scanned).rev().filter(outer) {
+            coord[m] += 1;
+            if (coord[m] as usize) < model.factors[m].rows() {
+                break;
+            }
+            coord[m] = 0;
+        }
+    }
+}
+
 /// Reconstruct the dense slice `X[.., index, ..]` (fixing `mode` at
 /// `index`) into `out`, row-major over the remaining modes in ascending
 /// mode order.
+///
+/// The last free mode is scanned by the shared scoring core with the
+/// product over every mode before it hoisted per run, so a slice costs
+/// about three flops per value and rank term instead of a full
+/// `kruskal_value` each.
 ///
 /// # Errors
 /// Rejects out-of-range `mode`/`index`.
@@ -216,48 +395,67 @@ pub fn slice_values(
         return Err(QueryError::CoordOutOfRange { mode, index, dim });
     }
     assert_eq!(out.len(), len, "slice_values: output length mismatch");
-    let order = model.order();
-    let coord = arena.coord_buf(order);
+    let (order, rank) = (model.order(), model.lambda.len());
+    arena.reserve(order, rank, 0, 0);
+    let (coord, prefix) = (&mut arena.coord[..order], &mut arena.prefix[..rank]);
     coord[mode] = index;
-    // Mixed-radix walk over the remaining modes: the *last* free mode
-    // varies fastest (row-major).
-    for (m, c) in coord.iter_mut().enumerate() {
-        if m != mode {
-            *c = 0;
-        }
-    }
-    for slot in out.iter_mut() {
-        *slot = kruskal_value(&model.lambda, &model.factors, coord);
-        // increment the free-mode odometer
-        for m in (0..order).rev() {
-            if m == mode {
-                continue;
-            }
-            coord[m] += 1;
-            if (coord[m] as usize) < model.factors[m].rows() {
-                break;
-            }
-            coord[m] = 0;
-        }
+    if order == 1 {
+        // No free mode: the slice is the one cell at the fixed row.
+        scan(model, coord, 0, prefix, Some(&[index]), out);
+    } else {
+        slice_runs(model, mode, 0, coord, prefix, out);
     }
     Ok(())
 }
 
-/// Score every index along `mode` against `fixed` (coordinates for the
-/// other modes, ascending mode order) and append the `k` best
-/// `(index, score)` pairs to `out`, scores descending, ties broken
-/// toward the lower index. `k` is clamped to the mode's dimension.
+/// Leave the positions of the `take` best of `0..n` in `buf[..take]`, best
+/// first, under `best_first` — O(n + take log take) whatever the input.
 ///
-/// Each score is the full dense-reconstruction value at the assembled
-/// coordinate, so rankings are bit-consistent with [`entry_values`].
-///
-/// # Errors
-/// Rejects out-of-range `mode` and malformed or out-of-range `fixed`.
-pub fn top_k(
+/// `buf` holds up to `2 * take` candidates (all `n` when that is fewer).
+/// When it fills, `select_nth_unstable_by` keeps the best `take` and the
+/// worst of those becomes the bar a later position must beat to be kept at
+/// all: a prune is O(take) and needs `take` insertions to come round
+/// again, and on scores in no particular order all but a few positions
+/// cost the one comparison against the bar.
+fn select_best(
+    n: usize,
+    take: usize,
+    buf: &mut [u32],
+    best_first: impl Fn(&u32, &u32) -> std::cmp::Ordering,
+) {
+    let mut len = 0;
+    let mut bar = None;
+    for i in 0..n as u32 {
+        if bar.is_some_and(|bar| best_first(&i, &bar).is_ge()) {
+            continue;
+        }
+        buf[len] = i;
+        len += 1;
+        if len == buf.len() && len > take {
+            buf.select_nth_unstable_by(take - 1, &best_first);
+            bar = Some(buf[take - 1]);
+            len = take;
+        }
+    }
+    if len > take {
+        buf[..len].select_nth_unstable_by(take - 1, &best_first);
+    }
+    buf[..take].sort_unstable_by(&best_first);
+}
+
+/// [`top_k`] over every row of `mode` (`rows` is `None`) or over the
+/// listed ones: validate, score through [`scan`], select with
+/// [`select_best`] under the documented comparator (`total_cmp`
+/// descending, then ascending global index). That is a total order on
+/// (score, index) pairs, so which `k` come first, and in what order, does
+/// not depend on how they were found — the answer is the one a full sort
+/// gives.
+fn rank_rows(
     model: &KruskalModel,
     mode: usize,
     k: usize,
     fixed: &[u32],
+    rows: Option<&[u32]>,
     arena: &mut QueryArena,
     out: &mut Vec<(u32, f64)>,
 ) -> Result<(), QueryError> {
@@ -272,44 +470,74 @@ pub fn top_k(
         });
     }
     let dim = model.factors[mode].rows();
-    let (coord, scores, ranked) = arena.score_bufs(order, dim);
-    {
-        let mut fx = fixed.iter();
-        for (m, c) in coord.iter_mut().enumerate() {
-            if m != mode {
-                *c = *fx.next().expect("fixed length checked above");
+    if let Some(&index) = rows.and_then(|rows| rows.iter().find(|&&r| r as usize >= dim)) {
+        return Err(QueryError::CoordOutOfRange { mode, index, dim });
+    }
+    let (n, rank) = (rows.map_or(dim, <[u32]>::len), model.lambda.len());
+    let take = k.min(n);
+    let candidates = (2 * take).min(n);
+    arena.reserve(order, rank, n, candidates);
+    let coord = &mut arena.coord[..order];
+    let mut fx = fixed.iter();
+    for (m, c) in coord.iter_mut().enumerate() {
+        if m != mode {
+            *c = *fx.next().expect("fixed length checked above");
+            let dim = model.factors[m].rows();
+            if *c as usize >= dim {
+                return Err(QueryError::CoordOutOfRange {
+                    mode: m,
+                    index: *c,
+                    dim,
+                });
             }
         }
     }
-    for (m, &c) in coord.iter().enumerate() {
-        if m != mode && c as usize >= model.factors[m].rows() {
-            return Err(QueryError::CoordOutOfRange {
-                mode: m,
-                index: c,
-                dim: model.factors[m].rows(),
-            });
-        }
+    if take == 0 {
+        return Ok(());
     }
-    for (i, score) in scores.iter_mut().enumerate() {
-        coord[mode] = i as u32;
-        *score = kruskal_value(&model.lambda, &model.factors, coord);
-    }
-    for (i, r) in ranked.iter_mut().enumerate() {
-        *r = i as u32;
-    }
+    let (scores, ranked) = (&mut arena.scores[..n], &mut arena.ranked[..candidates]);
+    scan(model, coord, mode, &mut arena.prefix[..rank], rows, scores);
     // total_cmp gives a deterministic order even for NaN scores
-    // (degenerate models); index ascends within equal scores.
-    ranked.sort_unstable_by(|&a, &b| {
+    // (degenerate models); ties go to the lower *global* index, so a
+    // merge across shards reproduces the single-process ordering.
+    let global = |i: u32| rows.map_or(i, |rows| rows[i as usize]);
+    select_best(n, take, ranked, |&a, &b| {
         scores[b as usize]
             .total_cmp(&scores[a as usize])
-            .then(a.cmp(&b))
+            .then_with(|| global(a).cmp(&global(b)))
     });
-    let take = k.min(dim);
-    out.reserve(take);
-    for &i in &ranked[..take] {
-        out.push((i, scores[i as usize]));
-    }
+    out.extend(
+        ranked[..take]
+            .iter()
+            .map(|&i| (global(i), scores[i as usize])),
+    );
     Ok(())
+}
+
+/// Score every index along `mode` against `fixed` (coordinates for the
+/// other modes, ascending mode order) and append the `k` best
+/// `(index, score)` pairs to `out`, scores descending, ties broken
+/// toward the lower index. `k` is clamped to the mode's dimension.
+///
+/// Each score is bit-identical to the dense-reconstruction value at the
+/// assembled coordinate, so rankings are bit-consistent with
+/// [`entry_values`]. Scoring is one pass over the mode's factor (the
+/// shared core of the module docs); choosing the `k` best of `dim` is
+/// O(dim + k log k) in the worst case — a bounded candidate buffer, not a
+/// sort of all `dim` — and on unordered scores close to one comparison
+/// per row.
+///
+/// # Errors
+/// Rejects out-of-range `mode` and malformed or out-of-range `fixed`.
+pub fn top_k(
+    model: &KruskalModel,
+    mode: usize,
+    k: usize,
+    fixed: &[u32],
+    arena: &mut QueryArena,
+    out: &mut Vec<(u32, f64)>,
+) -> Result<(), QueryError> {
+    rank_rows(model, mode, k, fixed, None, arena, out)
 }
 
 /// Shard-restricted [`top_k`]: score only the mode-`mode` indices in
@@ -317,7 +545,7 @@ pub fn top_k(
 /// are bit-identical to the full kernel on the covered rows) and append
 /// the `k` best `(global index, score)` pairs to `out`, scores
 /// descending, ties broken toward the lower global index. `k` is clamped
-/// to `rows.len()`.
+/// to `rows.len()`; selection is O(rows + k log k).
 ///
 /// A cluster router merges these per-shard partial heaps with the same
 /// comparator to reproduce the single-process oracle bit-for-bit.
@@ -334,64 +562,7 @@ pub fn top_k_rows(
     arena: &mut QueryArena,
     out: &mut Vec<(u32, f64)>,
 ) -> Result<(), QueryError> {
-    let order = model.order();
-    if mode >= order {
-        return Err(QueryError::ModeOutOfRange { mode, order });
-    }
-    if fixed.len() + 1 != order {
-        return Err(QueryError::OrderMismatch {
-            got: fixed.len(),
-            order,
-        });
-    }
-    let dim = model.factors[mode].rows();
-    for &r in rows {
-        if r as usize >= dim {
-            return Err(QueryError::CoordOutOfRange {
-                mode,
-                index: r,
-                dim,
-            });
-        }
-    }
-    let (coord, scores, ranked) = arena.score_bufs(order, rows.len());
-    {
-        let mut fx = fixed.iter();
-        for (m, c) in coord.iter_mut().enumerate() {
-            if m != mode {
-                *c = *fx.next().expect("fixed length checked above");
-            }
-        }
-    }
-    for (m, &c) in coord.iter().enumerate() {
-        if m != mode && c as usize >= model.factors[m].rows() {
-            return Err(QueryError::CoordOutOfRange {
-                mode: m,
-                index: c,
-                dim: model.factors[m].rows(),
-            });
-        }
-    }
-    for (&r, score) in rows.iter().zip(scores.iter_mut()) {
-        coord[mode] = r;
-        *score = kruskal_value(&model.lambda, &model.factors, coord);
-    }
-    for (i, slot) in ranked.iter_mut().enumerate() {
-        *slot = i as u32;
-    }
-    // Same total order as `top_k`, with ties on the *global* index so a
-    // merge across shards reproduces the oracle ordering.
-    ranked.sort_unstable_by(|&a, &b| {
-        scores[b as usize]
-            .total_cmp(&scores[a as usize])
-            .then(rows[a as usize].cmp(&rows[b as usize]))
-    });
-    let take = k.min(rows.len());
-    out.reserve(take);
-    for &i in &ranked[..take] {
-        out.push((rows[i as usize], scores[i as usize]));
-    }
-    Ok(())
+    rank_rows(model, mode, k, fixed, Some(rows), arena, out)
 }
 
 /// Shard-restricted [`slice_values`] for `mode != 0`: reconstruct only
@@ -401,8 +572,9 @@ pub fn top_k_rows(
 /// the block for mode-0 index `i` occupies
 /// `out_full[i * block .. (i + 1) * block]` where
 /// `block = slice_len / dim0`; each block here is bit-identical to the
-/// full kernel's, which is what lets a router stitch per-shard partials
-/// into the oracle answer.
+/// full kernel's (both run the shared scoring core over the same runs),
+/// which is what lets a router stitch per-shard partials into the oracle
+/// answer.
 ///
 /// # Errors
 /// Rejects `mode == 0` (the sharded mode cannot also be the fixed one),
@@ -427,14 +599,12 @@ pub fn slice_values_rows(
         return Err(QueryError::CoordOutOfRange { mode, index, dim });
     }
     let dim0 = model.factors[0].rows();
-    for &r in rows {
-        if r as usize >= dim0 {
-            return Err(QueryError::CoordOutOfRange {
-                mode: 0,
-                index: r,
-                dim: dim0,
-            });
-        }
+    if let Some(&index) = rows.iter().find(|&&r| r as usize >= dim0) {
+        return Err(QueryError::CoordOutOfRange {
+            mode: 0,
+            index,
+            dim: dim0,
+        });
     }
     let block: usize = model
         .factors
@@ -448,28 +618,17 @@ pub fn slice_values_rows(
         rows.len() * block,
         "slice_values_rows: output length mismatch"
     );
-    let coord = arena.coord_buf(order);
+    let rank = model.lambda.len();
+    arena.reserve(order, rank, 0, 0);
+    let (coord, prefix) = (&mut arena.coord[..order], &mut arena.prefix[..rank]);
     coord[mode] = index;
-    for (&row, chunk) in rows.iter().zip(out.chunks_exact_mut(block.max(1))) {
-        coord[0] = row;
-        for (m, c) in coord.iter_mut().enumerate() {
-            if m != mode && m != 0 {
-                *c = 0;
-            }
-        }
-        for slot in chunk.iter_mut() {
-            *slot = kruskal_value(&model.lambda, &model.factors, coord);
-            // Same odometer as the full kernel, minus the pinned mode 0.
-            for m in (1..order).rev() {
-                if m == mode {
-                    continue;
-                }
-                coord[m] += 1;
-                if (coord[m] as usize) < model.factors[m].rows() {
-                    break;
-                }
-                coord[m] = 0;
-            }
+    if order == 2 {
+        // Mode 0 is the only free mode: the listed rows are the scan.
+        scan(model, coord, 0, prefix, Some(rows), out);
+    } else {
+        for (&row, chunk) in rows.iter().zip(out.chunks_exact_mut(block.max(1))) {
+            coord[0] = row;
+            slice_runs(model, mode, 1, coord, prefix, chunk);
         }
     }
     Ok(())

@@ -34,7 +34,7 @@
 
 use super::health::HealthBoard;
 use super::shard::{ShardMap, ShardRing};
-use super::shared::SharedModel;
+use super::shared::{ShardView, SharedModel};
 use crate::client::{classify, Client, Transience};
 use crate::protocol::{
     decode_request, decode_response, encode_response, Request, RequestBody, Response, ShardSel,
@@ -106,6 +106,8 @@ pub struct Router {
     map: ShardMap,
     ring: ShardRing,
     model: SharedModel,
+    /// Each shard's owned mode-0 rows, for stitching slice partials.
+    views: Vec<ShardView>,
     workers: Vec<SocketAddr>,
     health: HealthBoard,
     counters: Vec<ShardCounters>,
@@ -131,6 +133,9 @@ impl Router {
             "worker list does not tile the [nshards, nreplicas] grid"
         );
         let ring = ShardRing::new(config.nshards, config.seed);
+        let views = (0..config.nshards as u32)
+            .map(|shard| model.view(&ring, shard))
+            .collect();
         let counters = (0..config.nshards)
             .map(|_| ShardCounters::default())
             .collect();
@@ -139,6 +144,7 @@ impl Router {
             map,
             ring,
             model,
+            views,
             workers,
             health,
             counters,
@@ -467,7 +473,7 @@ impl Router {
         for (shard, result) in results.into_iter().enumerate() {
             match result.expect("every shard was queried") {
                 Response::Slice(partial) => {
-                    let rows = self.ring.owned_rows(shard as u32, dim0);
+                    let rows = &self.views[shard].rows;
                     if partial.len() != rows.len() * block {
                         return Response::Error(
                             WireError::Internal,

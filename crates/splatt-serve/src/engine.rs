@@ -25,7 +25,6 @@
 //! object via [`ServeEngine::profile_report`].
 
 use crate::cache::{CacheKey, CacheValue, ResultCache};
-use crate::cluster::ShardRing;
 use crate::protocol::ShardSel;
 use crate::registry::{ModelRegistry, ServableModel};
 use crate::stats::{QueryKind, ServeStats};
@@ -664,8 +663,7 @@ fn run_one(item: &Pending, arena: &mut QueryArena) -> Result<QueryResult, ServeE
             fixed,
             sel,
         } => {
-            let dim = model.factors[0].rows();
-            let rows = ShardRing::new(sel.nshards as usize, sel.seed).owned_rows(sel.shard, dim);
+            let rows = item.model.owned_rows(*sel);
             let mut out = Vec::new();
             query::top_k_rows(
                 model,
@@ -681,7 +679,7 @@ fn run_one(item: &Pending, arena: &mut QueryArena) -> Result<QueryResult, ServeE
         }
         Query::SliceShard { mode, index, sel } => {
             let dim = model.factors[0].rows();
-            let rows = ShardRing::new(sel.nshards as usize, sel.seed).owned_rows(sel.shard, dim);
+            let rows = item.model.owned_rows(*sel);
             let len = query::slice_len(model, *mode as usize).map_err(to_bad)?;
             let block = len.checked_div(dim).unwrap_or(0);
             let mut out = vec![0.0; rows.len() * block];

@@ -229,10 +229,6 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f64(&mut self) -> std::io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     fn string(&mut self, len: usize) -> std::io::Result<String> {
         String::from_utf8(self.take(len)?.to_vec()).map_err(|_| bad("invalid UTF-8"))
     }
@@ -249,6 +245,44 @@ impl<'a> Cursor<'a> {
             out.push(self.u32()?);
         }
         Ok(out)
+    }
+
+    /// A `u32` record count off the wire, refused unless that many
+    /// records of at least `min_width` bytes each fit in the bytes that
+    /// remain — checked before anything is allocated for them.
+    fn count(&mut self, min_width: usize) -> std::io::Result<usize> {
+        let count = self.u32()? as usize;
+        if count > (self.buf.len() - self.pos) / min_width {
+            return Err(bad("truncated payload"));
+        }
+        Ok(count)
+    }
+
+    /// A counted list of `f64` bit patterns, decoded in one pass.
+    fn f64s(&mut self) -> std::io::Result<Vec<f64>> {
+        let count = self.count(8)?;
+        Ok(self
+            .take(count * 8)?
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+            .collect())
+    }
+
+    /// A counted list of `(u32 index, f64 score)` pairs, decoded in one
+    /// pass.
+    fn pairs(&mut self) -> std::io::Result<Vec<(u32, f64)>> {
+        let count = self.count(12)?;
+        Ok(self
+            .take(count * 12)?
+            .chunks_exact(12)
+            .map(|b| {
+                let (i, v) = b.split_at(4);
+                (
+                    u32::from_le_bytes(i.try_into().expect("4-byte index")),
+                    f64::from_bits(u64::from_le_bytes(v.try_into().expect("8-byte score"))),
+                )
+            })
+            .collect())
     }
 
     fn done(&self) -> std::io::Result<()> {
@@ -436,51 +470,66 @@ pub fn decode_request(payload: &[u8]) -> std::io::Result<Request> {
     })
 }
 
+/// An ok-payload header (`status 0`, `op`, `u32` count) in a buffer
+/// reserved once for the `count` records of `width` bytes that follow.
+fn bulk_header(op: u8, count: usize, width: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(6 + count * width);
+    out.extend_from_slice(&[0, op]);
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    out
+}
+
+fn encode_f64s(op: u8, vals: &[f64]) -> Vec<u8> {
+    let mut out = bulk_header(op, vals.len(), 8);
+    out.extend(vals.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    out
+}
+
+/// The payload of [`Response::Entries`], encoded from borrowed values.
+pub(crate) fn encode_entries(vals: &[f64]) -> Vec<u8> {
+    encode_f64s(OP_ENTRY, vals)
+}
+
+/// The payload of [`Response::Slice`], encoded from borrowed values — the
+/// engine's `Arc`-shared result goes to the wire without an owned copy.
+pub(crate) fn encode_slice(vals: &[f64]) -> Vec<u8> {
+    encode_f64s(OP_SLICE, vals)
+}
+
+/// The payload of [`Response::TopK`], encoded from borrowed pairs.
+pub(crate) fn encode_top_k(pairs: &[(u32, f64)]) -> Vec<u8> {
+    let mut out = bulk_header(OP_TOPK, pairs.len(), 12);
+    for (i, v) in pairs {
+        out.extend_from_slice(&i.to_le_bytes());
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    out
+}
+
 /// Serialize a response payload (no frame prefix).
+///
+/// After the `0` status byte, a second op byte disambiguates ok-payloads
+/// so responses are self-describing (the client checks it against the
+/// request).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     match resp {
+        Response::Entries(vals) => return encode_entries(vals),
+        Response::Slice(vals) => return encode_slice(vals),
+        Response::TopK(pairs) => return encode_top_k(pairs),
         Response::Error(code, msg) => {
             out.push(*code as u8);
             let msg = &msg.as_bytes()[..msg.len().min(u16::MAX as usize)];
             out.extend_from_slice(&(msg.len() as u16).to_le_bytes());
             out.extend_from_slice(msg);
-            return out;
-        }
-        _ => out.push(0),
-    }
-    // A second op byte disambiguates ok-payloads so responses are
-    // self-describing (the client checks it against the request).
-    match resp {
-        Response::Entries(vals) => {
-            out.push(OP_ENTRY);
-            out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-            for v in vals {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
-        Response::Slice(vals) => {
-            out.push(OP_SLICE);
-            out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-            for v in vals {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
-        Response::TopK(pairs) => {
-            out.push(OP_TOPK);
-            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-            for (i, v) in pairs {
-                out.extend_from_slice(&i.to_le_bytes());
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
         }
         Response::Stats(json) => {
-            out.push(OP_STATS);
+            out.extend_from_slice(&[0, OP_STATS]);
             out.extend_from_slice(&(json.len() as u32).to_le_bytes());
             out.extend_from_slice(json.as_bytes());
         }
         Response::Models(models) => {
-            out.push(OP_LIST);
+            out.extend_from_slice(&[0, OP_LIST]);
             out.extend_from_slice(&(models.len() as u32).to_le_bytes());
             for m in models {
                 out.extend_from_slice(&(m.name.len() as u16).to_le_bytes());
@@ -490,13 +539,12 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 out.extend_from_slice(&m.rank.to_le_bytes());
             }
         }
-        Response::Ack => out.push(OP_SHUTDOWN),
+        Response::Ack => out.extend_from_slice(&[0, OP_SHUTDOWN]),
         Response::Health { worker, shard } => {
-            out.push(OP_HEALTH);
+            out.extend_from_slice(&[0, OP_HEALTH]);
             out.extend_from_slice(&worker.to_le_bytes());
             out.extend_from_slice(&shard.to_le_bytes());
         }
-        Response::Error(..) => unreachable!("handled above"),
     }
     out
 }
@@ -518,35 +566,18 @@ pub fn decode_response(payload: &[u8]) -> std::io::Result<Response> {
     }
     let op = c.u8()?;
     let resp = match op {
-        OP_ENTRY | OP_SLICE => {
-            let count = c.u32()? as usize;
-            let mut vals = Vec::with_capacity(count.min(MAX_FRAME / 8));
-            for _ in 0..count {
-                vals.push(c.f64()?);
-            }
-            if op == OP_ENTRY {
-                Response::Entries(vals)
-            } else {
-                Response::Slice(vals)
-            }
-        }
-        OP_TOPK => {
-            let count = c.u32()? as usize;
-            let mut pairs = Vec::with_capacity(count.min(MAX_FRAME / 12));
-            for _ in 0..count {
-                let i = c.u32()?;
-                let v = c.f64()?;
-                pairs.push((i, v));
-            }
-            Response::TopK(pairs)
-        }
+        OP_ENTRY => Response::Entries(c.f64s()?),
+        OP_SLICE => Response::Slice(c.f64s()?),
+        OP_TOPK => Response::TopK(c.pairs()?),
         OP_STATS => {
             let len = c.u32()? as usize;
             Response::Stats(c.string(len)?)
         }
         OP_LIST => {
-            let count = c.u32()? as usize;
-            let mut models = Vec::with_capacity(count.min(MAX_FRAME / 32));
+            // A listing row is at least its `u16` name length and three
+            // `u64`s.
+            let count = c.count(26)?;
+            let mut models = Vec::with_capacity(count);
             for _ in 0..count {
                 let name_len = c.u16()? as usize;
                 let name = c.string(name_len)?;
@@ -677,6 +708,80 @@ mod tests {
         roundtrip_response(Response::Error(WireError::DeadlineExpired, String::new()));
         roundtrip_response(Response::Error(WireError::Degraded, "shard 1 dark".into()));
         roundtrip_response(Response::Error(WireError::Cancelled, "client gone".into()));
+    }
+
+    /// The ok-payload bytes of a value list as the encoder has always
+    /// written them: one element at a time.
+    fn f64_payload(op: u8, vals: &[f64]) -> Vec<u8> {
+        let mut want = vec![0, op];
+        want.extend_from_slice(&(vals.len() as u32).to_le_bytes());
+        for v in vals {
+            want.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        want
+    }
+
+    #[test]
+    fn bulk_payloads_keep_their_wire_bytes() {
+        let big: Vec<f64> = (0..12_288).map(|i| (i as f64 - 6000.0) * 0.37).collect();
+        for vals in [Vec::new(), big] {
+            let bytes = encode_response(&Response::Slice(vals.clone()));
+            assert_eq!(bytes, f64_payload(OP_SLICE, &vals));
+            assert_eq!(bytes.capacity(), bytes.len(), "reserved once, exactly");
+            roundtrip_response(Response::Slice(vals.clone()));
+            assert_eq!(
+                encode_response(&Response::Entries(vals.clone())),
+                f64_payload(OP_ENTRY, &vals)
+            );
+        }
+
+        let pairs = vec![
+            (7u32, f64::NAN),
+            (u32::MAX, -0.0),
+            (0, f64::NEG_INFINITY),
+            (3, -f64::NAN),
+        ];
+        let mut want = vec![0, OP_TOPK];
+        want.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        for (i, v) in &pairs {
+            want.extend_from_slice(&i.to_le_bytes());
+            want.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        let bytes = encode_response(&Response::TopK(pairs.clone()));
+        assert_eq!(bytes, want);
+        // NaN != NaN, so compare the decoded pairs by bit pattern.
+        match decode_response(&bytes).unwrap() {
+            Response::TopK(got) => {
+                assert_eq!(got.len(), pairs.len());
+                for (g, w) in got.iter().zip(&pairs) {
+                    assert_eq!((g.0, g.1.to_bits()), (w.0, w.1.to_bits()));
+                }
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn response_counts_are_checked_against_the_bytes_present() {
+        // A 6-byte frame claiming u32::MAX records must be refused from
+        // its length alone, typed, before anything is reserved for it —
+        // in a client, or in the router decoding a shard reply.
+        // (op, smallest record in bytes)
+        for (op, width) in [(OP_ENTRY, 8), (OP_SLICE, 8), (OP_TOPK, 12), (OP_LIST, 26)] {
+            let mut frame = vec![0, op];
+            frame.extend_from_slice(&u32::MAX.to_le_bytes());
+            let err = decode_response(&frame).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "op {op}");
+            // One byte short of the claimed three records, and one byte
+            // past them, are refused the same way.
+            for len in [3 * width - 1, 3 * width + 1] {
+                let mut frame = vec![0, op];
+                frame.extend_from_slice(&3u32.to_le_bytes());
+                frame.resize(6 + len, 0);
+                let err = decode_response(&frame).unwrap_err();
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "op {op}, {len} bytes");
+            }
+        }
     }
 
     #[test]

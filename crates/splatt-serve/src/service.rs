@@ -16,7 +16,10 @@ use splatt_net::{Disposition, FrameService, NetCounters, Reply, RequestCtx, Shed
 use splatt_probe::NetFrontRow;
 
 use crate::engine::{Query, QueryResult, ServeEngine, ServeError};
-use crate::protocol::{decode_request, encode_response, Request, RequestBody, Response, WireError};
+use crate::protocol::{
+    decode_request, encode_entries, encode_response, encode_slice, encode_top_k, Request,
+    RequestBody, Response, WireError,
+};
 
 /// Map a typed engine refusal onto its wire code. The `Cancelled`
 /// mapping is deliberate: it used to be folded into `Internal`, which
@@ -121,22 +124,27 @@ impl EngineService {
         self.net.get().map(|c| net_row_of(c))
     }
 
-    fn respond(&self, req: Request, ctx: &RequestCtx) -> Response {
+    /// The encoded reply payload for one decoded request. Query results
+    /// are encoded from the engine's (possibly cache-shared) buffers as
+    /// they are, not first copied into an owned [`Response`].
+    fn respond(&self, req: Request, ctx: &RequestCtx) -> Vec<u8> {
         let query = match req.body {
             RequestBody::Stats => {
                 let mut report = self.engine.profile_report();
                 if let Some(serve) = report.serve.as_mut() {
                     serve.net = self.net_row();
                 }
-                return Response::Stats(report.to_json());
+                return encode_response(&Response::Stats(report.to_json()));
             }
-            RequestBody::List => return Response::Models(self.engine.registry().list()),
-            RequestBody::Shutdown => return Response::Ack,
+            RequestBody::List => {
+                return encode_response(&Response::Models(self.engine.registry().list()))
+            }
+            RequestBody::Shutdown => return encode_response(&Response::Ack),
             RequestBody::Health => {
-                return Response::Health {
+                return encode_response(&Response::Health {
                     worker: self.engine.config().worker,
                     shard: self.engine.config().shard,
-                }
+                })
             }
             RequestBody::Entry { order: _, coords } => Query::Entry { coords },
             RequestBody::Slice { mode, index } => Query::Slice { mode, index },
@@ -173,27 +181,32 @@ impl EngineService {
             || ctx.is_aborted(),
         );
         match result {
-            Ok(QueryResult::Entries(vals)) => Response::Entries(vals),
-            Ok(QueryResult::Slice(vals)) => Response::Slice(vals.to_vec()),
-            Ok(QueryResult::TopK(pairs)) => Response::TopK(pairs.to_vec()),
-            Err(err) => Response::Error(wire_code_of(&err), err.to_string()),
+            Ok(QueryResult::Entries(vals)) => encode_entries(&vals),
+            Ok(QueryResult::Slice(vals)) => encode_slice(&vals),
+            Ok(QueryResult::TopK(pairs)) => encode_top_k(&pairs),
+            Err(err) => encode_response(&Response::Error(wire_code_of(&err), err.to_string())),
         }
     }
 }
 
 impl FrameService for EngineService {
     fn handle(&self, payload: &[u8], ctx: &RequestCtx) -> Reply {
-        let response = match decode_request(payload) {
-            Ok(req) => self.respond(req, ctx),
-            Err(e) => Response::Error(WireError::BadRequest, e.to_string()),
-        };
-        let disposition = if matches!(response, Response::Ack) {
-            Disposition::ShutdownAfterWrite
-        } else {
-            Disposition::Continue
+        let (payload, disposition) = match decode_request(payload) {
+            Ok(req) => {
+                let disposition = if matches!(req.body, RequestBody::Shutdown) {
+                    Disposition::ShutdownAfterWrite
+                } else {
+                    Disposition::Continue
+                };
+                (self.respond(req, ctx), disposition)
+            }
+            Err(e) => (
+                encode_response(&Response::Error(WireError::BadRequest, e.to_string())),
+                Disposition::Continue,
+            ),
         };
         Reply {
-            payload: encode_response(&response),
+            payload,
             disposition,
         }
     }

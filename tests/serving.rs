@@ -188,6 +188,216 @@ fn batched_queries_match_dense_oracle_orders_3_to_5() {
     });
 }
 
+// ---- scan kernels vs the per-cell oracle, at the shapes the blocking cares about ----
+
+/// A factor whose rows exercise everything a multiply or an add can
+/// meet: most rows finite (with signed zeros among them), about one row
+/// in five carrying an infinity or a NaN, and some rows exact copies of
+/// others so that scores tie.
+///
+/// The NaN entries carry the bit pattern this machine's own arithmetic
+/// produces for ∞ − ∞ and 0 · ∞, so one NaN pattern circulates. When two
+/// *different* NaNs meet in one operation, IEEE 754 leaves the surviving
+/// payload open and x86 takes the first operand's — an operand order the
+/// compiler picks per call site, so there `kruskal_value` is not
+/// bit-determined even against itself.
+fn gen_edgy_factor(g: &mut Gen, rows: usize, rank: usize) -> Matrix {
+    use std::hint::black_box;
+    const ZEROS: [f64; 2] = [0.0, -0.0];
+    let machine_nan = black_box(f64::INFINITY) - black_box(f64::INFINITY);
+    assert!(machine_nan.is_nan());
+    let non_finite = [f64::INFINITY, f64::NEG_INFINITY, machine_nan];
+    let mut data = Vec::with_capacity(rows * rank);
+    for _ in 0..rows {
+        let wild = g.usize_in(0..5) == 0;
+        for _ in 0..rank {
+            data.push(match g.usize_in(0..12) {
+                0 => *g.choose(&ZEROS),
+                1 if wild => *g.choose(&non_finite),
+                _ => g.f64_in(-2.0, 2.0),
+            });
+        }
+    }
+    for _ in 0..rows / 3 {
+        let (from, to) = (g.usize_in(0..rows), g.usize_in(0..rows));
+        data.copy_within(from * rank..(from + 1) * rank, to * rank);
+    }
+    Matrix::from_vec(rows, rank, data)
+}
+
+/// `rows` of a dimension, unsorted and with repeats.
+fn gen_row_list(g: &mut Gen, dim: usize) -> Vec<u32> {
+    let mut rows: Vec<u32> = g.permutation(dim).into_iter().map(|r| r as u32).collect();
+    rows.truncate(g.usize_in(0..dim + 1));
+    for _ in 0..g.usize_in(0..4) {
+        rows.push(g.usize_in(0..dim) as u32);
+    }
+    rows
+}
+
+fn assert_pairs_eq(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length mismatch");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            (g.0, g.1.to_bits()),
+            (w.0, w.1.to_bits()),
+            "{what}: pair {i} differs ({g:?} vs {w:?})"
+        );
+    }
+}
+
+#[test]
+fn scan_kernels_match_the_per_cell_oracle_bit_for_bit() {
+    use splatt::core::query::{
+        slice_len, slice_values, slice_values_rows, top_k, top_k_rows, QueryArena,
+    };
+    use splatt::core::reference::kruskal_value;
+
+    const RANKS: [usize; 9] = [0, 1, 3, 4, 5, 15, 16, 17, 35];
+    // Dimensions on both sides of the four-cell block. Every mode gets a
+    // small one except one per case, which gets a long one, so a whole
+    // slice stays a few thousand cells.
+    const SHORT: [usize; 4] = [1, 3, 4, 5];
+    const LONG: [usize; 3] = [5, 9, 130];
+
+    let mut g = Gen::from_seed(0x5ca9_0018);
+    // One arena for the whole sweep: every call inherits the previous
+    // call's scratch, whatever its shape was.
+    let mut arena = QueryArena::new();
+    let mut case = 0usize;
+    for order in 1..=5usize {
+        for rank in RANKS {
+            case += 1;
+            let long_mode = case % order;
+            let dims: Vec<usize> = (0..order)
+                .map(|m| {
+                    if m == long_mode {
+                        LONG[case % LONG.len()]
+                    } else {
+                        SHORT[(case + m) % SHORT.len()]
+                    }
+                })
+                .collect();
+            let mut lambda = g.f64_vec(rank, -2.0, 2.0);
+            if rank > 2 {
+                lambda[g.usize_in(0..rank)] = -0.0;
+            }
+            let model = KruskalModel {
+                lambda,
+                factors: dims
+                    .iter()
+                    .map(|&d| gen_edgy_factor(&mut g, d, rank))
+                    .collect(),
+            };
+            let value = |coord: &[u32]| kruskal_value(&model.lambda, &model.factors, coord);
+            let what = format!("order {order} rank {rank} dims {dims:?}");
+
+            for mode in 0..order {
+                // -- top-k: every row, then an unsorted list with repeats
+                let fixed: Vec<u32> = (0..order)
+                    .filter(|&m| m != mode)
+                    .map(|m| g.usize_in(0..dims[m]) as u32)
+                    .collect();
+                let all: Vec<u32> = (0..dims[mode] as u32).collect();
+                let listed = gen_row_list(&mut g, dims[mode]);
+                for rows in [None, Some(&listed)] {
+                    let mut coord = fixed.clone();
+                    coord.insert(mode, 0);
+                    let mut ranked: Vec<(u32, f64)> = rows
+                        .unwrap_or(&all)
+                        .iter()
+                        .map(|&i| {
+                            coord[mode] = i;
+                            (i, value(&coord))
+                        })
+                        .collect();
+                    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    let n = ranked.len();
+                    for k in [0, 1, n.saturating_sub(1), n, n + 7] {
+                        let mut got = Vec::new();
+                        match rows {
+                            None => top_k(&model, mode, k, &fixed, &mut arena, &mut got),
+                            Some(rows) => {
+                                top_k_rows(&model, mode, k, &fixed, rows, &mut arena, &mut got)
+                            }
+                        }
+                        .unwrap();
+                        let listed = rows.is_some();
+                        assert_pairs_eq(
+                            &got,
+                            &ranked[..k.min(n)],
+                            &format!("{what}: top-{k} of mode {mode} (listed rows: {listed})"),
+                        );
+                    }
+                }
+
+                // -- slice: whole, then the blocks of listed mode-0 rows
+                let index = g.usize_in(0..dims[mode]) as u32;
+                let want = oracle_slice(&model, mode, index);
+                let mut got = vec![f64::NAN; slice_len(&model, mode).unwrap()];
+                slice_values(&model, mode, index, &mut arena, &mut got).unwrap();
+                assert_bits_eq(&got, &want, &format!("{what}: slice of mode {mode}"));
+                if mode > 0 {
+                    let rows = gen_row_list(&mut g, dims[0]);
+                    let block = want.len() / dims[0];
+                    let want: Vec<f64> = rows
+                        .iter()
+                        .flat_map(|&r| &want[r as usize * block..][..block])
+                        .copied()
+                        .collect();
+                    let mut got = vec![f64::NAN; want.len()];
+                    slice_values_rows(&model, mode, index, &rows, &mut arena, &mut got).unwrap();
+                    assert_bits_eq(&got, &want, &format!("{what}: slice rows of mode {mode}"));
+                }
+            }
+        }
+    }
+}
+
+/// The blocked scan plus bounded selection against what they replaced —
+/// one `kruskal_value` per row and a sort of every row — as a ratio on
+/// the same box, same run. Release only: a debug build times the
+/// optimizer's absence.
+#[test]
+fn top_k_beats_the_per_cell_full_sort_oracle_threefold() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    use splatt::core::query::{top_k, QueryArena};
+    let model = KruskalModel {
+        lambda: (0..16).map(|r| 0.5 + r as f64 * 0.1).collect(),
+        factors: vec![
+            Matrix::random(16_384, 16, 1),
+            Matrix::random(8, 16, 2),
+            Matrix::random(8, 16, 3),
+        ],
+    };
+    let mut arena = QueryArena::new();
+    let quietest = |run: &mut dyn FnMut() -> Vec<(u32, f64)>| {
+        (0..15)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                let answer = std::hint::black_box(run());
+                (started.elapsed(), answer)
+            })
+            .min_by_key(|(elapsed, _)| *elapsed)
+            .expect("15 repetitions")
+    };
+    let (kernel, got) = quietest(&mut || {
+        let mut out = Vec::new();
+        top_k(&model, 0, 10, &[3, 5], &mut arena, &mut out).unwrap();
+        out
+    });
+    let (oracle, want) = quietest(&mut || oracle_topk(&model, 0, 10, &[3, 5]));
+    assert_pairs_eq(&got, &want, "top-10 of 16384");
+    let ratio = oracle.as_secs_f64() / kernel.as_secs_f64();
+    println!("top_k {kernel:?}, per-cell + full sort {oracle:?}, ratio {ratio:.1}");
+    assert!(
+        ratio >= 3.0,
+        "top_k ({kernel:?}) must be at least 3x the per-cell oracle ({oracle:?}), got {ratio:.2}x"
+    );
+}
+
 #[test]
 fn top_k_breaks_ties_by_ascending_index() {
     // Rank-1 model whose mode-0 column is constant: every index along
