@@ -1,6 +1,6 @@
 //! Smoke over the committed MTTKRP bench baseline.
 //!
-//! Four guarantees, in increasing strictness:
+//! Five guarantees, in increasing strictness:
 //! 1. `BENCH_mttkrp.json` at the repo root parses and carries the pinned
 //!    schema — a PR that changes the layout must bump `BENCH_SCHEMA` and
 //!    regenerate the file.
@@ -14,6 +14,9 @@
 //!    the best R=16 cell must beat the plain loops by at least 1.15x and
 //!    the root kernel at the paper's R=35 by at least 1.2x (the bars are
 //!    measured on the same pinned workload the committed baseline uses).
+//! 5. In release builds, so does the dense layer: the lane-panel
+//!    `cholesky_solve` runs a YELP-shaped factor at least 2x faster than
+//!    one right-hand side at a time, and returns the same bits.
 
 use splatt_bench::baseline::{
     bench_team, run_cells, workload_tensor, BenchWorkload, BASELINE_FILE, BENCH_RANKS, BENCH_SCHEMA,
@@ -172,5 +175,68 @@ fn specialized_r16_beats_generic_in_release() {
     panic!(
         "tuned kernels only reached {best16:.2}x at R=16 (need >= 1.15x) and \
          {root35:.2}x at root R=35 (need >= 1.2x) over the plain loops"
+    );
+}
+
+/// `cholesky_solve` one right-hand side at a time: a one-row solve is
+/// below the panel width, so it runs the scalar loop each lane of the
+/// panel reproduces — `cholesky_solve` as it was before the lane panel.
+fn solve_per_row(l: &Matrix, b: &mut Matrix) {
+    let mut one = Matrix::zeros(1, b.cols());
+    for i in 0..b.rows() {
+        one.as_mut_slice().copy_from_slice(b.row(i));
+        splatt_dense::cholesky_solve(l, &mut one);
+        b.row_mut(i).copy_from_slice(one.as_slice());
+    }
+}
+
+/// The dense layer's floor: at `cpd_yelp`'s longest factor (25000 x 35)
+/// the lane-panel solve beats the per-row loop by at least 2x (3-7x
+/// when measured), quietest of several repetitions of each — a ratio on
+/// this machine, never nanoseconds — and the two agree bit for bit.
+/// Meaningless without optimization, so debug builds skip it.
+#[cfg_attr(
+    debug_assertions,
+    ignore = "perf floor is only meaningful in release builds"
+)]
+#[test]
+fn panel_solve_beats_per_row_solve_in_release() {
+    use std::time::Instant;
+    let (rows, rank) = (25_000, 35);
+    let m = Matrix::random(rows, rank, 3);
+    let mut v = splatt_dense::mat_ata(&m);
+    for i in 0..rank {
+        v[(i, i)] += 1.0;
+    }
+    let l = splatt_dense::cholesky_factor(&v).unwrap();
+    let quietest = |solve: &dyn Fn(&Matrix, &mut Matrix)| {
+        let mut best = f64::MAX;
+        let mut solved = m.clone();
+        for _ in 0..7 {
+            solved = m.clone();
+            let start = Instant::now();
+            solve(&l, &mut solved);
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        (best, solved)
+    };
+    let (per_row_s, expect) = quietest(&solve_per_row);
+    let (panel_s, got) = quietest(&splatt_dense::cholesky_solve);
+    assert!(
+        got.as_slice()
+            .iter()
+            .zip(expect.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "panel solve changed bits"
+    );
+    let ratio = per_row_s / panel_s;
+    eprintln!(
+        "cholesky_solve {rows}x{rank}: per-row {:.2} ms, panel {:.2} ms, ratio {ratio:.2}",
+        per_row_s * 1e3,
+        panel_s * 1e3
+    );
+    assert!(
+        ratio >= 2.0,
+        "panel solve only {ratio:.2}x the per-row loop (need >= 2x)"
     );
 }

@@ -29,7 +29,7 @@
 //! * `PointerZip` — row slice with fused iterator traversal, letting LLVM
 //!   drop all bounds checks; the C-reference configuration.
 
-use crate::csf::{Csf, CsfSet, KernelKind};
+use crate::csf::{Csf, CsfSet, KernelKind, DENSE_FIBER_NNZ};
 use splatt_dense::Matrix;
 use splatt_locks::{LockPool, LockStrategy, DEFAULT_POOL_SIZE};
 use splatt_par::{partition, TaskTeam, ThreadScratch};
@@ -79,11 +79,12 @@ pub struct MttkrpConfig {
     /// Run the tuned inner loops: at every rank the register-blocked
     /// leaf gather ([`MatrixAccess::PointerZip`] and
     /// [`MatrixAccess::PointerChecked`]), and at the
-    /// [`SPECIALIZED_RANKS`] fixed-width row operations as well. `false`
-    /// runs the plain per-nonzero dynamic-width loops for every access
-    /// strategy — the differential oracle. Both perform the same
-    /// element-wise operations in the same order, so results are
-    /// bit-identical.
+    /// [`SPECIALIZED_RANKS`] fixed-width row operations as well; on
+    /// sparse-fiber tensors those two strategies also prefetch rows a few
+    /// fibers ahead. `false` runs the plain per-nonzero dynamic-width
+    /// loops, without prefetch, for every access strategy — the
+    /// differential oracle. Both perform the same element-wise operations
+    /// in the same order, so results are bit-identical.
     pub specialize: bool,
 }
 
@@ -247,6 +248,15 @@ enum OutTarget<'t> {
 }
 
 impl OutTarget<'_> {
+    /// Prefetch output row `idx` (shared or replica) ahead of its scatter.
+    #[inline(always)]
+    fn prefetch_row(&self, idx: usize) {
+        match self {
+            OutTarget::Shared { out, .. } => prefetch_row(out.ptr, idx, out.cols),
+            OutTarget::Replica { buf, rank } => prefetch_row(buf.as_ptr(), idx, *rank),
+        }
+    }
+
     /// `row[r] += down[r] * up[r]` on output row `idx`. `R` is the
     /// compile-time rank (`0` = dynamic); both paths apply the identical
     /// element-wise update order, so they are bit-identical.
@@ -340,6 +350,13 @@ impl OutTarget<'_> {
 /// instruction set (see `walk!`), and the row operations have to be
 /// compiled with it rather than once for the baseline target.
 trait Access {
+    /// Does the tree walk prefetch rows [`PREFETCH_FIBERS`] fibers ahead
+    /// for this strategy? A property of the strategy, not an option: on
+    /// for the two pointer strategies (the shipped paths), off for
+    /// `RowCopy` and `Index2D` — whose modeled per-access costs are the
+    /// thing the paper's Figures 2/3 measure — and off for [`Plain`], so
+    /// `specialize: false` stays the untouched oracle.
+    const PREFETCH: bool;
     /// `accum[r] += scale * f[idx][r]` — one nonzero of the leaf gather.
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]);
     /// `dst[r] = a[r] * f[idx][r]` — extend the downward prefix product.
@@ -367,6 +384,7 @@ trait Access {
 struct Plain<A>(std::marker::PhantomData<A>);
 
 impl<A: Access> Access for Plain<A> {
+    const PREFETCH: bool = false;
     #[inline(always)]
     fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
         A::axpy_row::<R>(f, idx, scale, accum);
@@ -442,6 +460,42 @@ fn gather_chunk<const W: usize, const CHECKED: bool>(
     *out = acc;
 }
 
+/// Fibers of look-ahead for the walk's software prefetch (see `walk!`).
+///
+/// From a sweep on the `cpd_yelp` shape (13666 x 3666 x 25000, 600 k
+/// nonzeros, rank 35, modes cycled as ALS cycles them, quietest of five
+/// alternating runs, ms for mode 0 / 1 / 2): none 37.1 / 41.3 / 35.6,
+/// 4 fibers 31.1 / 36.1 / 34.9, **8** 30.5 / 37.1 / 34.1, 16 31.9 / 38.3 /
+/// 34.8, 32 36.8 / 38.3 / 35.8. Four and eight are level, sixteen is a
+/// little behind, and at 32 most of the gain is gone.
+const PREFETCH_FIBERS: usize = 8;
+
+/// Hint row `idx` of the row-major, `cols`-wide matrix at `base` toward
+/// the cache, ahead of its use. A row is `cols * 8` bytes at no particular
+/// alignment, so every line it spans gets its own prefetch. Nothing is
+/// read or written: no value the kernels compute can depend on this.
+/// Compiles to nothing off x86-64.
+#[inline(always)]
+fn prefetch_row(base: *const f64, idx: usize, cols: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let row = base.wrapping_add(idx * cols).cast::<i8>();
+        let lines = ((row.addr() % LINE) + cols * 8).div_ceil(LINE);
+        for line in 0..lines {
+            // SAFETY: `_mm_prefetch` needs SSE, which every x86-64 target
+            // has. It is a hint, not an access: it cannot fault on any
+            // address, mapped or not, and the address is formed with
+            // `wrapping_add`, which has no in-bounds requirement — so an
+            // `idx` past the matrix would cost a useless hint, not UB.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(row.wrapping_add(line * LINE)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (base, idx, cols);
+}
+
 /// Chapel-slicing analogue: a fresh owned copy per row access.
 ///
 /// A Chapel slice expression (`factor[i, ..]`) builds a new domain object
@@ -468,6 +522,7 @@ fn counted_row_copy(f: &Matrix, idx: usize) -> Vec<f64> {
 }
 
 impl Access for RowCopyAccess {
+    const PREFETCH: bool = false;
     // The specialized widths still pay the full descriptor + copy cost:
     // rank specialization must not quietly erase the modeled Chapel
     // slicing overhead this variant exists to measure.
@@ -521,6 +576,7 @@ impl Access for RowCopyAccess {
 /// Direct 2D indexing: index arithmetic + bounds check per element.
 struct Index2DAccess;
 impl Access for Index2DAccess {
+    const PREFETCH: bool = false;
     // Specialized widths keep the per-element 2D index arithmetic (and
     // its bounds check) — only the trip count becomes compile-time.
     #[inline(always)]
@@ -567,6 +623,7 @@ impl Access for Index2DAccess {
 /// Row slice once, bounds-checked element reads (optimized Chapel port).
 struct PointerCheckedAccess;
 impl Access for PointerCheckedAccess {
+    const PREFETCH: bool = true;
     #[inline(always)]
     fn gather<const R: usize>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
         blocked_gather::<R, true>(f, fids, vals, accum);
@@ -618,6 +675,7 @@ impl Access for PointerCheckedAccess {
 /// Row slice with fused iteration — check-free inner loops (C reference).
 struct PointerZipAccess;
 impl Access for PointerZipAccess {
+    const PREFETCH: bool = true;
     #[inline(always)]
     fn gather<const R: usize>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
         blocked_gather::<R, false>(f, fids, vals, accum);
@@ -1040,6 +1098,19 @@ fn task_slices<A: Access, const R: usize>(
     slices: std::ops::Range<usize>,
     guard: Option<(&splatt_guard::RunGuard, usize)>,
 ) {
+    // Hint rows ahead only where they miss: with dense fibers (NELL-2)
+    // the factor rows are cache-resident and the hints are pure cost, so
+    // the walk reuses the statistic the kernel routing already reads. A
+    // compile-time parameter of the walk, so each tensor runs a loop with
+    // the hints or a loop without them, never a loop that asks.
+    let prefetch = A::PREFETCH && csf.nnz_per_fiber() < DENSE_FIBER_NNZ;
+    macro_rules! call {
+        ($walk:ident, $prefetch:literal) => {
+            $walk::task_slices::<A, R, $prefetch>(
+                csf, od, factors, rank, target, arena, slices, guard,
+            )
+        };
+    }
     #[cfg(target_arch = "x86_64")]
     if isa.is_some() {
         // SAFETY: an `Avx2` value exists only after
@@ -1048,11 +1119,19 @@ fn task_slices<A: Access, const R: usize>(
         // one requirement of calling a `target_feature(enable = "avx2")`
         // function.
         return unsafe {
-            walk_avx2::task_slices::<A, R>(csf, od, factors, rank, target, arena, slices, guard)
+            if prefetch {
+                call!(walk_avx2, true)
+            } else {
+                call!(walk_avx2, false)
+            }
         };
     }
     let _ = isa;
-    walk_portable::task_slices::<A, R>(csf, od, factors, rank, target, arena, slices, guard);
+    if prefetch {
+        call!(walk_portable, true)
+    } else {
+        call!(walk_portable, false)
+    }
 }
 
 /// The tree walk, compiled once per instruction set: `$feature` is empty
@@ -1060,14 +1139,44 @@ fn task_slices<A: Access, const R: usize>(
 /// other. The `Access` and `OutTarget` operations are `#[inline(always)]`
 /// and so are compiled into each copy with its features. No FMA: both
 /// copies round every multiply and every add, so they are bit-identical.
+///
+/// # Fiber-ahead prefetch
+///
+/// At about one nonzero per fiber (YELP: 1.04) the walk is a COO loop in
+/// disguise: every fiber pulls a factor row or two — `rank * 8` bytes, 5-6
+/// cache lines at rank 35 — from matrices that do not fit in L2, at
+/// addresses the hardware prefetcher cannot guess. The walk can: they are
+/// in `fids`/`fptr`, [`PREFETCH_FIBERS`] entries ahead of the fiber being
+/// reduced. So a walk with `PF` set hints:
+///
+/// * in `compute_up`, while child fiber `c` is reduced: the child-factor
+///   row of fiber `c + D` and, when that fiber's children are the
+///   nonzeros, the leaf-factor row of its first one (at one nonzero per
+///   fiber the first is the fiber) — the root kernel's two gathers;
+/// * in `descend`'s leaf scatter: this level's factor row for fiber
+///   `fiber + D`, and the **output** row of nonzero `x + D`.
+///
+/// `PF` is set for the strategies with [`Access::PREFETCH`] (the two
+/// pointer strategies; `RowCopy`, `Index2D` and the `specialize: false`
+/// oracle `Plain` run what they ran) on a tree whose fibers are sparse
+/// ([`Csf::nnz_per_fiber`] below [`DENSE_FIBER_NNZ`], the statistic the
+/// kernel routing reads): on NELL-2's dense fibers the rows are
+/// cache-resident and ungated hints cost the root kernels 20 %. The index
+/// arrays are read in bounds (`get`), the rows are only hinted (see
+/// `prefetch_row`), and no arithmetic moves: a prefetching walk is
+/// bit-identical to a plain one. The internal kernel's `add_product` row
+/// is not hinted: every internal-kernel run behind a committed number is
+/// on a dense-fiber tree, where nothing is.
 macro_rules! walk {
     ($name:ident $(, #[$feature:meta])?) => {
         mod $name {
-            use super::{Access, Csf, Matrix, OutTarget, GUARD_CHUNK};
+            use super::{
+                prefetch_row, Access, Csf, Matrix, OutTarget, GUARD_CHUNK, PREFETCH_FIBERS,
+            };
 
             #[allow(clippy::too_many_arguments)]
             $(#[$feature])?
-            pub(super) fn task_slices<A: Access, const R: usize>(
+            pub(super) fn task_slices<A: Access, const R: usize, const PF: bool>(
                 csf: &Csf,
                 od: usize,
                 factors: &[Matrix],
@@ -1091,7 +1200,7 @@ macro_rules! walk {
                             return;
                         }
                     }
-                    descend::<A, R>(
+                    descend::<A, R, PF>(
                         csf, 0, s, od, ones, factors, rank, target, up_bufs, down_bufs,
                     );
                 }
@@ -1104,7 +1213,7 @@ macro_rules! walk {
             /// recursion level peels one rank-length row off the front.
             #[allow(clippy::too_many_arguments)]
             $(#[$feature])?
-            fn descend<A: Access, const R: usize>(
+            fn descend<A: Access, const R: usize, const PF: bool>(
                 csf: &Csf,
                 level: usize,
                 fiber: usize,
@@ -1121,7 +1230,7 @@ macro_rules! walk {
                 if level == od {
                     // up-product of the subtree below (excluding this
                     // level's factor)
-                    compute_up::<A, R>(csf, level, fiber, factors, rank, up_bufs);
+                    compute_up::<A, R, PF>(csf, level, fiber, factors, rank, up_bufs);
                     let fid = csf.fids(level)[fiber] as usize;
                     target.add_product::<R>(fid, down, &up_bufs[..rank]);
                     return;
@@ -1137,12 +1246,23 @@ macro_rules! walk {
                     debug_assert_eq!(od, order - 1);
                     let leaf_fids = csf.fids(order - 1);
                     let vals = csf.vals();
+                    if PF {
+                        if let Some(&ahead) = csf.fids(level).get(fiber + PREFETCH_FIBERS) {
+                            let f = &factors[perm[level]];
+                            prefetch_row(f.as_slice().as_ptr(), ahead as usize, rank);
+                        }
+                    }
                     for x in csf.children(level, fiber) {
+                        if PF {
+                            if let Some(&ahead) = leaf_fids.get(x + PREFETCH_FIBERS) {
+                                target.prefetch_row(ahead as usize);
+                            }
+                        }
                         target.add_scaled::<R>(leaf_fids[x] as usize, vals[x], cur);
                     }
                 } else {
                     for c in csf.children(level, fiber) {
-                        descend::<A, R>(
+                        descend::<A, R, PF>(
                             csf,
                             level + 1,
                             c,
@@ -1162,7 +1282,7 @@ macro_rules! walk {
             /// of `fiber`'s subtree: the sum over nonzeros below of
             /// `val * prod(factor rows at levels > level)`.
             $(#[$feature])?
-            fn compute_up<A: Access, const R: usize>(
+            fn compute_up<A: Access, const R: usize, const PF: bool>(
                 csf: &Csf,
                 level: usize,
                 fiber: usize,
@@ -1187,7 +1307,22 @@ macro_rules! walk {
                     let child = &factors[perm[level + 1]];
                     let child_fids = csf.fids(level + 1);
                     for c in csf.children(level, fiber) {
-                        compute_up::<A, R>(csf, level + 1, c, factors, rank, rest);
+                        if PF {
+                            if let Some(&ahead) = child_fids.get(c + PREFETCH_FIBERS) {
+                                prefetch_row(child.as_slice().as_ptr(), ahead as usize, rank);
+                                if level + 3 == order {
+                                    // that fiber's children are the
+                                    // nonzeros (`fptr` has one entry more
+                                    // than `fids`)
+                                    let x = csf.fptr(level + 1)[c + PREFETCH_FIBERS];
+                                    if let Some(&first) = csf.fids(order - 1).get(x) {
+                                        let leaf = &factors[perm[order - 1]];
+                                        prefetch_row(leaf.as_slice().as_ptr(), first as usize, rank);
+                                    }
+                                }
+                            }
+                        }
+                        compute_up::<A, R, PF>(csf, level + 1, c, factors, rank, rest);
                         A::fma_row::<R>(child, child_fids[c] as usize, &rest[..rank], buf);
                     }
                 }
@@ -1393,7 +1528,10 @@ mod tests {
     /// The two compiled copies of the walk must agree to the last bit at
     /// every chunk shape of the blocked gather (remainders 1..15, one and
     /// two full chunks), the fixed-width ranks and their neighbours — for
-    /// every access strategy, kernel, and both gather implementations.
+    /// every access strategy, kernel, and both gather implementations —
+    /// and on the tensors a fiber-ahead prefetch can get wrong: about one
+    /// nonzero per fiber, deeper trees, fewer fibers than
+    /// [`PREFETCH_FIBERS`], one nonzero, none.
     /// Debug builds do not vectorize, so CI also runs this in `--release`.
     #[test]
     fn portable_and_avx2_walks_are_bit_identical() {
@@ -1402,39 +1540,60 @@ mod tests {
             return;
         };
         println!("isa: avx2");
-        let t = synth::power_law(&[30, 14, 40], 2_000, 1.8, 41);
         let team = TaskTeam::new(2);
-        // one tree: root, internal and leaf kernels
-        let set = CsfSet::build(&t, CsfAlloc::One, &team, SortVariant::AllOpts);
-        for rank in [1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40] {
-            let factors = factors_for(&t, rank, 9);
-            for access in ALL_ACCESS {
-                for specialize in [true, false] {
-                    let cfg = MttkrpConfig {
-                        access,
-                        specialize,
-                        priv_threshold: 1e9,
-                        ..Default::default()
-                    };
-                    let mut ws = MttkrpWorkspace::new(&cfg, 2);
-                    for mode in 0..t.order() {
-                        let (csf, kind) = set.for_mode(mode);
-                        let mut run = |isa| {
-                            let mut out = Matrix::zeros(t.dims()[mode], rank);
-                            mttkrp_on(
-                                isa, csf, kind, &factors, mode, &mut out, &mut ws, &team, &cfg,
-                            );
-                            out
+        for t in [
+            synth::power_law(&[30, 14, 40], 2_000, 1.8, 41),
+            synth::random_uniform(&[300, 200, 400], 700, 29),
+            synth::random_uniform(&[8, 12, 6, 9], 900, 31),
+            synth::random_uniform(&[5, 6, 4, 7, 3], 600, 37),
+            synth::random_uniform(&[9, 7, 11], PREFETCH_FIBERS - 3, 43),
+            SparseTensor::from_entries(vec![4, 5, 6], &[(vec![1, 2, 3], 2.0)]),
+            SparseTensor::new(vec![3, 4, 5]),
+        ] {
+            // one tree: root, internal and leaf kernels
+            let set = CsfSet::build(&t, CsfAlloc::One, &team, SortVariant::AllOpts);
+            for rank in [1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40] {
+                let factors = factors_for(&t, rank, 9);
+                for access in ALL_ACCESS {
+                    for specialize in [true, false] {
+                        let cfg = MttkrpConfig {
+                            access,
+                            specialize,
+                            priv_threshold: 1e9,
+                            ..Default::default()
                         };
-                        assert_eq!(
-                            run(None).as_slice(),
-                            run(Some(avx2)).as_slice(),
-                            "rank {rank} mode {mode} ({kind:?}) {access:?} specialize {specialize}"
-                        );
+                        let mut ws = MttkrpWorkspace::new(&cfg, 2);
+                        for mode in 0..t.order() {
+                            let (csf, kind) = set.for_mode(mode);
+                            let mut run = |isa| {
+                                let mut out = Matrix::zeros(t.dims()[mode], rank);
+                                mttkrp_on(
+                                    isa, csf, kind, &factors, mode, &mut out, &mut ws, &team, &cfg,
+                                );
+                                out
+                            };
+                            assert_eq!(
+                                run(None).as_slice(),
+                                run(Some(avx2)).as_slice(),
+                                "dims {:?} nnz {} rank {rank} mode {mode} ({kind:?}) {access:?} \
+                                 specialize {specialize}",
+                                t.dims(),
+                                t.nnz()
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// A hint is not an access: a row far outside the matrix, or an
+    /// empty one, is harmless.
+    #[test]
+    fn prefetch_hint_cannot_fault() {
+        let m = Matrix::zeros(2, 35);
+        prefetch_row(m.as_slice().as_ptr(), usize::MAX / 1024, 35);
+        prefetch_row(m.as_slice().as_ptr(), 0, 0);
     }
 
     #[test]

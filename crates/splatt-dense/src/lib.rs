@@ -35,3 +35,10 @@ pub use solve::{solve_normals, solve_normals_ridge, NormalsMethod, RidgeOutcome}
 /// Absolute tolerance used by the test suites in this crate when comparing
 /// floating point results of algebraically-equivalent computations.
 pub const TEST_TOL: f64 = 1e-9;
+
+/// The bit patterns of a matrix: what the differential tests of this
+/// crate compare, so that the sign of zero and NaN count.
+#[cfg(test)]
+pub(crate) fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}

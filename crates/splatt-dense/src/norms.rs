@@ -8,7 +8,6 @@
 //! "Mat norm" timer covers exactly this routine.
 
 use crate::Matrix;
-use splatt_rt::par;
 
 /// Which column norm to use, matching SPLATT's `MAT_NORM_2` / `MAT_NORM_MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,9 +18,6 @@ pub enum MatNorm {
     /// Used on subsequent iterations so `lambda` absorbs only growth.
     Max,
 }
-
-/// Number of rows above which column-norm accumulation runs in parallel.
-const NORM_PAR_THRESHOLD: usize = 8192;
 
 /// Normalize the columns of `a` in place, writing the per-column norms into
 /// `lambda`.
@@ -41,67 +37,29 @@ pub fn normalize_columns(a: &mut Matrix, lambda: &mut [f64], which: MatNorm) {
         lambda.len(),
         cols
     );
+    // Column norms, accumulated over rows in row order: `lambda` is a
+    // function of the matrix alone, whatever the host or the run.
     lambda.fill(0.0);
-
-    // accumulate column norms
-    let accumulate = |rows: &[f64]| -> Vec<f64> {
-        let mut local = vec![0.0; cols];
-        match which {
-            MatNorm::Two => {
-                for row in rows.chunks_exact(cols) {
-                    for (acc, &v) in local.iter_mut().zip(row) {
-                        *acc += v * v;
-                    }
-                }
-            }
-            MatNorm::Max => {
-                for row in rows.chunks_exact(cols) {
-                    for (acc, &v) in local.iter_mut().zip(row) {
-                        *acc = acc.max(v.abs());
-                    }
-                }
-            }
-        }
-        local
-    };
-
-    let combined: Vec<f64> = if a.rows() >= NORM_PAR_THRESHOLD {
-        let nchunks = par::current_num_threads().max(1);
-        let rows_per = a.rows().div_ceil(nchunks).max(1);
-        let chunk_len = rows_per * cols;
-        let data = a.as_slice();
-        let n_chunks = data.len().div_ceil(chunk_len);
-        par::par_map_reduce(
-            n_chunks,
-            || vec![0.0; cols],
-            |c| {
-                let lo = c * chunk_len;
-                let hi = (lo + chunk_len).min(data.len());
-                accumulate(&data[lo..hi])
-            },
-            |mut acc, local| {
-                for (a, l) in acc.iter_mut().zip(local) {
-                    match which {
-                        MatNorm::Two => *a += l,
-                        MatNorm::Max => *a = a.max(l),
-                    }
-                }
-                acc
-            },
-        )
-    } else {
-        accumulate(a.as_slice())
-    };
-
+    let rows = a.as_slice().chunks_exact(cols);
     match which {
         MatNorm::Two => {
-            for (l, sumsq) in lambda.iter_mut().zip(combined) {
-                *l = sumsq.sqrt();
+            for row in rows {
+                for (acc, &v) in lambda.iter_mut().zip(row) {
+                    *acc += v * v;
+                }
+            }
+            for l in lambda.iter_mut() {
+                *l = l.sqrt();
             }
         }
         MatNorm::Max => {
-            for (l, m) in lambda.iter_mut().zip(combined) {
-                *l = m.max(1.0);
+            for row in rows {
+                for (acc, &v) in lambda.iter_mut().zip(row) {
+                    *acc = acc.max(v.abs());
+                }
+            }
+            for l in lambda.iter_mut() {
+                *l = l.max(1.0);
             }
         }
     }
@@ -197,8 +155,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_sequential() {
-        let orig = Matrix::random(NORM_PAR_THRESHOLD + 100, 5, 77);
+    fn tall_matrix_matches_naive_norms() {
+        let orig = Matrix::random(8292, 5, 77);
         let mut a_par = orig.clone();
         let mut l_par = vec![0.0; 5];
         normalize_columns(&mut a_par, &mut l_par, MatNorm::Two);
@@ -206,6 +164,38 @@ mod tests {
         for (j, &l) in l_par.iter().enumerate() {
             let expect = col_norm2(&orig, j);
             assert!((l - expect).abs() < 1e-9 * expect.max(1.0));
+        }
+    }
+
+    /// `lambda` and the scaled matrix are functions of the matrix alone:
+    /// at the row counts where the row-chunked threaded path used to
+    /// start (8192) and around them, each column norm is the sequential
+    /// row-order accumulation, to the bit.
+    #[test]
+    fn norms_are_the_sequential_row_order_accumulation() {
+        for rows in [4095, 4096, 8193] {
+            for which in [MatNorm::Two, MatNorm::Max] {
+                let orig = Matrix::from_fn(rows, 7, |i, j| ((i * 7 + j) as f64).sin() * 3.0);
+                let mut a = orig.clone();
+                let mut lambda = vec![0.0; 7];
+                normalize_columns(&mut a, &mut lambda, which);
+                for (j, &l) in lambda.iter().enumerate() {
+                    let column = (0..rows).map(|i| orig[(i, j)]);
+                    let expect = match which {
+                        MatNorm::Two => column.fold(0.0, |acc, v| acc + v * v).sqrt(),
+                        MatNorm::Max => column.fold(0.0f64, |acc, v| acc.max(v.abs())).max(1.0),
+                    };
+                    assert_eq!(
+                        l.to_bits(),
+                        expect.to_bits(),
+                        "{which:?} rows {rows} col {j}"
+                    );
+                    for i in 0..rows {
+                        let scaled = orig[(i, j)] * (1.0 / l);
+                        assert_eq!(a[(i, j)].to_bits(), scaled.to_bits());
+                    }
+                }
+            }
         }
     }
 

@@ -138,6 +138,7 @@ pub fn solve_normals_ridge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
     use crate::ops::mat_ata;
 
     fn spd(n: usize, seed: u64) -> Matrix {
@@ -252,5 +253,57 @@ mod tests {
         let method = solve_normals(&v, &mut m);
         assert_eq!(method, NormalsMethod::PseudoInverse);
         assert!(m.approx_eq(&Matrix::zeros(2, 3), 1e-12));
+    }
+
+    /// The lane-panel solve seen through the two entry points CP-ALS
+    /// calls: whatever route reaches `cholesky_solve`, every row equals
+    /// the per-row loop on the same factor, to the bit.
+    #[test]
+    fn normal_solves_equal_the_per_row_oracle_bit_for_bit() {
+        use crate::cholesky::{cholesky_factor, cholesky_solve_per_row};
+        for rows in [1, 7, 8, 9, 25] {
+            let v = spd(35, 20);
+            let m = Matrix::random(rows, 35, 21);
+            let mut expect = m.clone();
+            cholesky_solve_per_row(&cholesky_factor(&v).unwrap(), &mut expect);
+
+            let mut plain = m.clone();
+            assert_eq!(solve_normals(&v, &mut plain), NormalsMethod::Cholesky);
+            assert_eq!(bits(&plain), bits(&expect), "solve_normals, {rows} rows");
+
+            let mut ridged = m.clone();
+            let outcome = solve_normals_ridge(&v, &mut ridged, 1e-8, 100.0, 10);
+            assert_eq!(outcome, RidgeOutcome::Cholesky);
+            assert_eq!(
+                bits(&ridged),
+                bits(&expect),
+                "ridge (none needed), {rows} rows"
+            );
+
+            // exactly singular: the regularized path factors V + ridge I
+            let ones = Matrix::from_fn(6, 6, |_, _| 1.0);
+            let m = Matrix::random(rows, 6, 22);
+            let mut solved = m.clone();
+            let RidgeOutcome::Regularized { ridge, .. } =
+                solve_normals_ridge(&ones, &mut solved, 1e-8, 100.0, 12)
+            else {
+                panic!("expected a regularized solve");
+            };
+            let mut vr = ones.clone();
+            for i in 0..6 {
+                vr[(i, i)] += ridge;
+            }
+            let mut expect = m.clone();
+            cholesky_solve_per_row(&cholesky_factor(&vr).unwrap(), &mut expect);
+            assert_eq!(bits(&solved), bits(&expect), "regularized, {rows} rows");
+
+            // no factorization succeeds: `m` keeps every bit
+            let mut nan_v = spd(6, 23);
+            nan_v[(2, 2)] = f64::NAN;
+            let mut untouched = m.clone();
+            let outcome = solve_normals_ridge(&nan_v, &mut untouched, 1e-8, 100.0, 4);
+            assert!(matches!(outcome, RidgeOutcome::Failed { attempts: 4, .. }));
+            assert_eq!(bits(&untouched), bits(&m), "failed solve, {rows} rows");
+        }
     }
 }

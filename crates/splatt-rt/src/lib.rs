@@ -10,12 +10,9 @@
 //! - [`rng`] — a small, fast, seedable PRNG ([`rng::StdRng`],
 //!   xoshiro256** seeded through SplitMix64) with the `random` /
 //!   `random_range` surface the generators and examples use.
-//! - [`par`] — scoped fork-join helpers over index ranges and slices for
-//!   the few data-parallel loops outside the `TaskTeam` world.
 //! - [`qc`] — a deterministic mini property-testing harness (seeded cases,
 //!   failing-seed reporting) used by the workspace test suites.
 
-pub mod par;
 pub mod qc;
 pub mod rng;
 pub mod sync;

@@ -241,35 +241,76 @@ fn kernel_routing_follows_fiber_density() {
 /// The differential matrix over the ranks people use: every chunk shape
 /// of the blocked gather (remainders 1..15, one and two full chunks), the
 /// fixed-width ranks 8/16/32 with their neighbours, and the paper's 35 —
-/// x 4 access strategies x root/internal/leaf x privatized/locks. The
-/// tuned kernels (`specialize: true`) must equal the plain per-nonzero
-/// loops (`specialize: false`) bit for bit, and both the COO oracle to
-/// 1e-9. Both sync paths are run where they are deterministic: replicas
-/// reduce in task order on three tasks; the lock path on one task.
+/// x 4 access strategies x root/internal/leaf/tiled x privatized/locks.
+/// The tuned kernels (`specialize: true`: blocked gather, fixed widths and
+/// — for the pointer strategies — the fiber-ahead prefetch) must equal
+/// the plain per-nonzero loops (`specialize: false`, no prefetch) bit for
+/// bit, and both the COO oracle to 1e-9. Both sync paths are run where
+/// they are deterministic: replicas reduce in task order on one, two and
+/// three tasks; the lock path on one task.
+///
+/// The tensors are the shapes a look-ahead can get wrong: about one
+/// nonzero per fiber (what the prefetch is for), deeper trees, fewer
+/// fibers than the prefetch distance, one nonzero, none. The last few
+/// fibers of every level are where an off-by-one would index past `fids`,
+/// so this runs in debug (bounds checks live) as well as `--release`.
 #[test]
 fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
     use splatt::tensor::synth;
-    let t = synth::power_law(&[30, 14, 40], 2_500, 1.8, 23);
-    let teams = [TaskTeam::new(3), TaskTeam::new(1)];
+    let paper_like = synth::power_law(&[30, 14, 40], 2_500, 1.8, 23);
     // one tree serves all three kernel shapes
-    let set = CsfSet::build(&t, CsfAlloc::One, &teams[0], SortVariant::default());
+    let team = TaskTeam::new(1);
+    let set = CsfSet::build(&paper_like, CsfAlloc::One, &team, SortVariant::default());
     let kinds: Vec<KernelKind> = (0..3).map(|m| set.for_mode(m).1).collect();
     assert!(kinds.contains(&KernelKind::Root));
     assert!(kinds.contains(&KernelKind::Internal(1)));
     assert!(kinds.contains(&KernelKind::Leaf));
 
+    let hypersparse = synth::random_uniform(&[300, 200, 400], 700, 29);
+    let set = CsfSet::build(&hypersparse, CsfAlloc::One, &team, SortVariant::default());
+    assert!(set.csfs()[0].nnz_per_fiber() < 1.1);
+
+    let tensors = [
+        ("paper-like", paper_like),
+        ("hypersparse", hypersparse),
+        ("order 4", synth::random_uniform(&[8, 12, 6, 9], 900, 31)),
+        ("order 5", synth::random_uniform(&[5, 6, 4, 7, 3], 600, 37)),
+        ("5 nonzeros", synth::random_uniform(&[9, 7, 11], 5, 41)),
+        (
+            "1 nonzero",
+            SparseTensor::from_entries(vec![4, 5, 6], &[(vec![1, 2, 3], 2.0)]),
+        ),
+        ("empty", SparseTensor::new(vec![3, 4, 5])),
+    ];
+    for (name, t) in &tensors {
+        tuned_equals_plain(name, t);
+    }
+}
+
+/// One tensor of [`tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank`].
+fn tuned_equals_plain(name: &str, t: &SparseTensor) {
+    let teams = [TaskTeam::new(1), TaskTeam::new(2), TaskTeam::new(3)];
+    let set = CsfSet::build(t, CsfAlloc::One, &teams[1], SortVariant::default());
+    let tiled: Vec<_> = (0..t.order())
+        .map(|m| splatt::core::TiledCsf::build(t, m, 3, &teams[1], SortVariant::default()))
+        .collect();
     for rank in [1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40] {
-        let factors = gen_factors(&t, rank, 5);
-        let oracles: Vec<Matrix> = (0..3).map(|m| mttkrp_coo(&t, &factors, m)).collect();
+        let factors = gen_factors(t, rank, 5);
+        let oracles: Vec<Matrix> = (0..t.order()).map(|m| mttkrp_coo(t, &factors, m)).collect();
         for access in [
             MatrixAccess::RowCopy,
             MatrixAccess::Index2D,
             MatrixAccess::PointerChecked,
             MatrixAccess::PointerZip,
         ] {
-            for (team, sync, priv_threshold) in
-                [(&teams[0], "privatized", 1e12), (&teams[1], "locks", 0.0)]
-            {
+            for (team, sync, priv_threshold, run_tiled) in [
+                (&teams[0], "privatized x1", 1e12, false),
+                (&teams[1], "privatized x2", 1e12, false),
+                (&teams[2], "privatized x3", 1e12, false),
+                (&teams[0], "locks x1", 0.0, false),
+                (&teams[0], "tiled x1", 0.0, true),
+                (&teams[1], "tiled x2", 0.0, true),
+            ] {
                 for (mode, oracle) in oracles.iter().enumerate() {
                     let run = |specialize: bool| {
                         let cfg = MttkrpConfig {
@@ -278,15 +319,26 @@ fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
                             specialize,
                             ..Default::default()
                         };
-                        let mut ws = MttkrpWorkspace::new(&cfg, team.ntasks());
                         let mut out = Matrix::zeros(t.dims()[mode], rank);
-                        mttkrp(&set, &factors, mode, &mut out, &mut ws, team, &cfg);
+                        if run_tiled {
+                            splatt::core::mttkrp::mttkrp_tiled(
+                                &tiled[mode],
+                                &factors,
+                                &mut out,
+                                team,
+                                &cfg,
+                                None,
+                            );
+                        } else {
+                            let mut ws = MttkrpWorkspace::new(&cfg, team.ntasks());
+                            mttkrp(&set, &factors, mode, &mut out, &mut ws, team, &cfg);
+                        }
                         out
                     };
                     let (plain, tuned) = (run(false), run(true));
                     let cell = format!(
-                        "rank {rank} {access:?} {sync} mode {mode} ({:?})",
-                        kinds[mode]
+                        "{name}: rank {rank} {access:?} {sync} mode {mode} ({:?})",
+                        set.for_mode(mode).1
                     );
                     assert_eq!(plain.as_slice(), tuned.as_slice(), "{cell}");
                     assert!(tuned.approx_eq(oracle, 1e-9), "{cell}");
