@@ -29,6 +29,9 @@ use crate::service::{Disposition, Reply};
 /// payload (matching `splatt-serve`'s frame layer).
 pub const FRAME_HEADER: usize = 4;
 
+/// Reassembly-buffer capacity an idle connection may keep.
+const READ_BUF_KEEP: usize = 16 * 1024;
+
 /// Result of pumping bytes from the socket.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ReadOutcome {
@@ -53,8 +56,13 @@ pub struct Conn {
     /// Distinguishes reincarnations of the same slab slot so stale
     /// completions and timers can be recognized and dropped.
     pub generation: u32,
-    /// Raw bytes read but not yet framed.
+    /// Raw bytes read off the socket; `read_buf[read_pos..]` is not yet
+    /// framed.
     read_buf: Vec<u8>,
+    /// Prefix of `read_buf` already handed out as frames. Consuming a
+    /// frame only moves this; [`Conn::compact`] reclaims the prefix once
+    /// per read pass.
+    read_pos: usize,
     /// Encoded, length-prefixed response bytes not yet written.
     out_buf: Vec<u8>,
     /// Prefix of `out_buf` already written to the socket.
@@ -99,6 +107,7 @@ impl Conn {
             fd,
             generation,
             read_buf: Vec::new(),
+            read_pos: 0,
             out_buf: Vec::new(),
             out_pos: 0,
             pending_out_frames: 0,
@@ -135,34 +144,45 @@ impl Conn {
         }
     }
 
-    /// Extract the next complete frame from the reassembly buffer.
-    /// `Ok(None)` means more bytes are needed.
+    /// The next complete frame's payload, borrowed from the reassembly
+    /// buffer. `Ok(None)` means more bytes are needed. The frame stays
+    /// at the head of the buffer until [`Conn::consume_frame`].
     ///
     /// # Errors
     /// [`FrameTooLarge`] when the peer announces a frame over `max_frame`.
-    pub fn next_frame(&mut self, max_frame: usize) -> Result<Option<Vec<u8>>, FrameTooLarge> {
-        if self.read_buf.len() < FRAME_HEADER {
+    pub fn peek_frame(&self, max_frame: usize) -> Result<Option<&[u8]>, FrameTooLarge> {
+        let unframed = &self.read_buf[self.read_pos..];
+        let Some((header, rest)) = unframed.split_first_chunk::<FRAME_HEADER>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([
-            self.read_buf[0],
-            self.read_buf[1],
-            self.read_buf[2],
-            self.read_buf[3],
-        ]) as usize;
+        };
+        let len = u32::from_le_bytes(*header) as usize;
         if len > max_frame {
             return Err(FrameTooLarge {
                 len,
                 max: max_frame,
             });
         }
-        if self.read_buf.len() < FRAME_HEADER + len {
-            return Ok(None);
+        Ok(rest.get(..len))
+    }
+
+    /// Drop the frame [`Conn::peek_frame`] last returned, whose payload
+    /// was `payload_len` bytes.
+    pub fn consume_frame(&mut self, payload_len: usize) {
+        self.read_pos = (self.read_pos + FRAME_HEADER + payload_len).min(self.read_buf.len());
+    }
+
+    /// Reclaim the consumed prefix of the reassembly buffer. Called once
+    /// per read pass, after its frames: when every byte was framed (the
+    /// usual case) nothing moves, otherwise the partial tail slides to
+    /// the front. A buffer one large request grew is given back.
+    pub fn compact(&mut self) {
+        if self.read_pos == self.read_buf.len() {
+            self.read_buf.clear();
+            self.read_buf.shrink_to(READ_BUF_KEEP);
+        } else {
+            self.read_buf.drain(..self.read_pos);
         }
-        let mut payload = self.read_buf.split_off(FRAME_HEADER);
-        let rest = payload.split_off(len);
-        self.read_buf = rest;
-        Ok(Some(payload))
+        self.read_pos = 0;
     }
 
     /// Assign the next request sequence number and mark it in flight.
@@ -327,12 +347,12 @@ mod tests {
         let mut scratch = [0u8; 4096];
         std::thread::sleep(std::time::Duration::from_millis(20));
         conn.read_ready(&mut scratch, Instant::now()).unwrap();
-        assert!(conn.next_frame(1 << 20).unwrap().is_none());
+        assert!(conn.peek_frame(1 << 20).unwrap().is_none());
         peer.write_all(&msg[3..]).unwrap();
         peer.flush().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         conn.read_ready(&mut scratch, Instant::now()).unwrap();
-        assert_eq!(conn.next_frame(1 << 20).unwrap().unwrap(), b"hello");
+        assert_eq!(conn.peek_frame(1 << 20).unwrap().unwrap(), b"hello");
     }
 
     #[test]
@@ -343,7 +363,7 @@ mod tests {
         let mut scratch = [0u8; 4096];
         std::thread::sleep(std::time::Duration::from_millis(20));
         conn.read_ready(&mut scratch, Instant::now()).unwrap();
-        let err = conn.next_frame(10).unwrap_err();
+        let err = conn.peek_frame(10).unwrap_err();
         assert_eq!(err.len, 100);
         assert_eq!(err.max, 10);
     }

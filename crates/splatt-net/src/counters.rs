@@ -25,6 +25,10 @@ pub struct NetCounters {
     pub readiness_wakeups: AtomicU64,
     /// Complete request frames parsed off sockets.
     pub frames_read: AtomicU64,
+    /// Request frames answered on the reactor thread by
+    /// `FrameService::try_handle_now` — never handed to the pool. With
+    /// `sheds_decode`, what is left of `frames_read` went to a worker.
+    pub frames_inline: AtomicU64,
     /// Response frames appended to connection write buffers.
     pub frames_written: AtomicU64,
     /// Write syscalls issued.
@@ -55,6 +59,7 @@ pub struct NetSnapshot {
     pub polls: u64,
     pub readiness_wakeups: u64,
     pub frames_read: u64,
+    pub frames_inline: u64,
     pub frames_written: u64,
     pub writes: u64,
     pub coalesced_writes: u64,
@@ -86,6 +91,7 @@ impl NetCounters {
             polls: self.polls.load(Ordering::Relaxed),
             readiness_wakeups: self.readiness_wakeups.load(Ordering::Relaxed),
             frames_read: self.frames_read.load(Ordering::Relaxed),
+            frames_inline: self.frames_inline.load(Ordering::Relaxed),
             frames_written: self.frames_written.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             coalesced_writes: self.coalesced_writes.load(Ordering::Relaxed),
@@ -129,6 +135,7 @@ mod tests {
         c.idle_closed.store(10, Ordering::Relaxed);
         c.deadline_backstops.store(11, Ordering::Relaxed);
         c.worker_threads.store(12, Ordering::Relaxed);
+        c.frames_inline.store(13, Ordering::Relaxed);
         let snap = c.snapshot();
         assert_eq!(snap.accepted, 1);
         assert_eq!(snap.polls, 2);
@@ -142,5 +149,6 @@ mod tests {
         assert_eq!(snap.idle_closed, 10);
         assert_eq!(snap.deadline_backstops, 11);
         assert_eq!(snap.worker_threads, 12);
+        assert_eq!(snap.frames_inline, 13);
     }
 }

@@ -24,12 +24,16 @@
 //! - [`WorkerPool`]: N threads draining a job queue whose boundedness
 //!   comes from admission permits, not queue limits.
 //! - [`serve_frames`]: the reactor itself, stitched to the application
-//!   through the protocol-agnostic [`FrameService`] trait.
+//!   through the protocol-agnostic [`FrameService`] trait. A request the
+//!   service can finish without blocking runs to completion on the
+//!   reactor thread ([`FrameService::try_handle_now`]); the pool is for
+//!   the rest.
 //!
 //! Backpressure is layered and *typed*: an accept-layer connection cap,
 //! a decode-layer queue-depth gate plus per-connection pipeline cap
-//! (both `splatt_guard::AdmissionGate`s), and whatever gate the
-//! application holds inside [`FrameService::handle`]. Refusals are
+//! (both `splatt_guard::AdmissionGate`s, consulted before a request is
+//! run on either thread), and whatever gate the application holds
+//! inside [`FrameService::handle`] and [`FrameService::try_handle_now`]. Refusals are
 //! written to the wire as application-encoded frames, so an overloaded
 //! server answers "overloaded" in microseconds instead of letting TCP
 //! queues time requests out. Every layer's sheds — plus connection,

@@ -1,15 +1,31 @@
 //! The reactor: one thread multiplexing every connection through a
-//! readiness poller, with a bounded worker pool doing the blocking
-//! application work.
+//! readiness poller, answering cheap requests itself and leaving the
+//! blocking application work to a bounded worker pool.
 //!
 //! ## Threading model
 //!
 //! One reactor thread owns the listener, every connection, the timer
-//! wheel, and all socket I/O. `workers` pool threads run
-//! [`FrameService::handle`] (which may block on the serving engine) and
-//! push completions into a shared queue, waking the reactor through a
-//! loopback socket pair. Total front-end threads are `1 + workers`,
-//! independent of connection count.
+//! wheel, and all socket I/O. Each admitted request is first offered to
+//! [`FrameService::try_handle_now`] on that thread, as a slice borrowed
+//! from the connection's read buffer. A request the service can finish
+//! there runs to completion — its reply is in the connection's write
+//! buffer when the call returns — with no thread hand-off, no
+//! completion queue, no wake-up and no backstop timer, and the replies
+//! of one read pass leave in one write. A request the service declines
+//! is copied out (its one allocation) and goes to one of `workers` pool
+//! threads, which run [`FrameService::handle`] (it may block on the
+//! serving engine) and push completions into a shared queue, waking the
+//! reactor through a loopback socket pair. Total front-end threads are
+//! `1 + workers`, independent of connection count.
+//!
+//! Inline work holds the reactor — nothing else is read, written or
+//! accepted while it runs — so the service bounds the cost of one call
+//! (see the trait docs) and the reactor bounds the calls one connection
+//! gets per read pass: a reply not yet flushed still counts against the
+//! pipeline cap, so at most `max_pipeline` of them. In exchange an
+//! inline request never waits behind a pooled one from another
+//! connection: a scan that occupies every worker does not delay a point
+//! read. On one connection, responses keep request order either way.
 //!
 //! ## Admission layers
 //!
@@ -18,11 +34,14 @@
 //!   [`ReactorConfig::accept_shed_frame`]) and are closed.
 //! - **decode**: a second gate caps decoded-but-unanswered requests
 //!   across all connections, and a per-connection pipeline cap bounds
-//!   any one client. Shed requests get a typed reply from
+//!   any one client. Both are consulted before the inline offer, so an
+//!   inline-eligible request is shed exactly when a pooled one would
+//!   be. Shed requests get a typed reply from
 //!   [`FrameService::shed_reply`] that participates in response
 //!   ordering as an instant completion.
 //! - **batch**: the application's own gate inside
-//!   [`FrameService::handle`] (the serving engine's admission gate).
+//!   [`FrameService::handle`] and [`FrameService::try_handle_now`] (the
+//!   serving engine's admission gate).
 //!
 //! ## Shutdown
 //!
@@ -35,13 +54,14 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use splatt_guard::{AdmissionGate, CancelToken};
 use splatt_rt::sync::Mutex;
 
-use crate::conn::{Conn, ReadOutcome};
+use crate::conn::{Conn, FrameTooLarge, ReadOutcome};
 use crate::counters::{NetCounters, NetSnapshot};
 use crate::poller::{Event, Interest, Poller};
 use crate::pool::WorkerPool;
@@ -127,6 +147,25 @@ struct Completion {
     token: u64,
     seq: u64,
     reply: Reply,
+}
+
+/// Where an admitted or refused frame goes.
+enum Routed {
+    /// Answered on the reactor thread: a shed, or the service's
+    /// `try_handle_now`.
+    Instant(Reply),
+    /// An owned copy of the payload for a pool job, with the decode
+    /// permit the job holds while it runs.
+    Pooled(Vec<u8>, splatt_guard::OwnedAdmissionPermit),
+}
+
+/// Per-connection state of one `read_conn` pass.
+#[derive(Default)]
+struct ReadPass {
+    /// Frames `try_handle_now` answered in this pass.
+    inline: usize,
+    /// Whether the pass left reply bytes to flush.
+    buffered: bool,
 }
 
 /// State shared between the reactor thread, worker jobs, and the handle.
@@ -546,23 +585,27 @@ impl Reactor {
                 }
             }
         };
+        // Replies this pass left in the write buffer go out in one
+        // flush at its end, so a pipelined burst answered here costs
+        // one write, not one per frame.
+        let mut pass = ReadPass::default();
         loop {
-            let frame = {
-                let Some(conn) = self.conns[slot].as_mut() else {
+            match self.process_frame(slot, now, &mut pass) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(_) => {
+                    // Frame-layer protocol violation: drop the
+                    // connection; there is no frame to answer in.
+                    self.close_conn(slot);
                     return false;
-                };
-                match conn.next_frame(self.config.max_frame) {
-                    Ok(Some(f)) => f,
-                    Ok(None) => break,
-                    Err(_) => {
-                        // Frame-layer protocol violation: drop the
-                        // connection; there is no frame to answer in.
-                        self.close_conn(slot);
-                        return false;
-                    }
                 }
-            };
-            self.process_frame(slot, frame, now);
+            }
+        }
+        if let Some(conn) = self.conns[slot].as_mut() {
+            conn.compact();
+        }
+        if pass.buffered {
+            self.flush_conn(slot);
             if self.conns[slot].is_none() {
                 return false;
             }
@@ -574,51 +617,83 @@ impl Reactor {
         true
     }
 
-    fn process_frame(&mut self, slot: usize, payload: Vec<u8>, now: Instant) {
-        let counters = Arc::clone(&self.shared.counters);
-        counters
-            .frames_read
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    /// Route the frame at the head of `slot`'s reassembly buffer: shed
+    /// it, answer it here, or hand it to the pool. `Ok(false)` when no
+    /// complete frame is there yet.
+    fn process_frame(
+        &mut self,
+        slot: usize,
+        now: Instant,
+        pass: &mut ReadPass,
+    ) -> Result<bool, FrameTooLarge> {
+        let counters = &self.shared.counters;
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return Ok(false);
+        };
+        let Some(payload) = conn.peek_frame(self.config.max_frame)? else {
+            return Ok(false);
+        };
+        let payload_len = payload.len();
+        counters.frames_read.fetch_add(1, Relaxed);
+        // Layer 2a: per-connection pipeline cap. A reply made on this
+        // thread in this pass is not on the wire before the pass's
+        // flush, so it still counts: one pass answers at most
+        // `max_pipeline` frames of one connection inline.
+        let routed = if conn.pipeline_depth() + pass.inline >= self.config.max_pipeline {
+            counters.sheds_decode.fetch_add(1, Relaxed);
+            Routed::Instant(Reply::ok(self.service.shed_reply(ShedLayer::Pipeline {
+                max_pipeline: self.config.max_pipeline,
+            })))
+        } else {
+            // Layer 2b: global decode-queue depth.
+            match self.shared.decode_gate.try_admit_owned() {
+                Err(over) => {
+                    counters.sheds_decode.fetch_add(1, Relaxed);
+                    Routed::Instant(Reply::ok(self.service.shed_reply(ShedLayer::QueueDepth {
+                        depth: over.depth,
+                        max_depth: over.max_depth,
+                    })))
+                }
+                // The permit covers the inline call as it covers a
+                // pooled job's run, and is released on return.
+                Ok(permit) => match self.service.try_handle_now(payload) {
+                    Some(reply) => {
+                        counters.frames_inline.fetch_add(1, Relaxed);
+                        pass.inline += 1;
+                        Routed::Instant(reply)
+                    }
+                    // The pooled frame's one allocation.
+                    None => Routed::Pooled(payload.to_vec(), permit),
+                },
+            }
+        };
+        conn.consume_frame(payload_len);
+        match routed {
+            // Answered without leaving this thread: the reply takes its
+            // place in the response order (behind any earlier pooled
+            // request) and never goes in flight — no pool job, no
+            // completion, no wake-up, no backstop timer.
+            Routed::Instant(reply) => {
+                let seq = conn.begin_instant();
+                pass.buffered |= self.buffer_reply(slot, seq, reply) > 0;
+            }
+            Routed::Pooled(payload, permit) => self.dispatch(slot, payload, permit, now),
+        }
+        Ok(true)
+    }
+
+    /// Hand one admitted request to the worker pool.
+    fn dispatch(
+        &mut self,
+        slot: usize,
+        payload: Vec<u8>,
+        permit: splatt_guard::OwnedAdmissionPermit,
+        now: Instant,
+    ) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
         let generation = conn.generation;
-        // Layer 2a: per-connection pipeline cap.
-        if conn.pipeline_depth() >= self.config.max_pipeline {
-            counters
-                .sheds_decode
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let reply = Reply::ok(self.service.shed_reply(ShedLayer::Pipeline {
-                max_pipeline: self.config.max_pipeline,
-            }));
-            let seq = conn.begin_instant();
-            let appended = conn.enqueue_reply(seq, reply);
-            counters
-                .frames_written
-                .fetch_add(appended as u64, std::sync::atomic::Ordering::Relaxed);
-            self.flush_conn(slot);
-            return;
-        }
-        // Layer 2b: global decode-queue depth.
-        let permit = match self.shared.decode_gate.try_admit_owned() {
-            Ok(p) => p,
-            Err(over) => {
-                counters
-                    .sheds_decode
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let reply = Reply::ok(self.service.shed_reply(ShedLayer::QueueDepth {
-                    depth: over.depth,
-                    max_depth: over.max_depth,
-                }));
-                let seq = conn.begin_instant();
-                let appended = conn.enqueue_reply(seq, reply);
-                counters
-                    .frames_written
-                    .fetch_add(appended as u64, std::sync::atomic::Ordering::Relaxed);
-                self.flush_conn(slot);
-                return;
-            }
-        };
         let seq = conn.begin_request();
         let deadline = self.service.deadline_of(&payload).map(|d| now + d);
         if let Some(d) = deadline {
@@ -650,6 +725,25 @@ impl Reactor {
         }));
     }
 
+    /// Park `reply` at `seq` on `slot`'s connection and move every
+    /// reply that is now next in line into its write buffer. Returns
+    /// the frames buffered; the caller flushes.
+    fn buffer_reply(&mut self, slot: usize, seq: u64, reply: Reply) -> usize {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return 0;
+        };
+        if reply.disposition == Disposition::ShutdownAfterWrite && !self.shutdown_hook_called {
+            self.shutdown_hook_called = true;
+            self.service.on_shutdown();
+        }
+        let appended = conn.enqueue_reply(seq, reply);
+        self.shared
+            .counters
+            .frames_written
+            .fetch_add(appended as u64, Relaxed);
+        appended
+    }
+
     fn process_completions(&mut self) {
         let batch = {
             let mut queue = self.shared.completions.lock();
@@ -669,16 +763,7 @@ impl Reactor {
                 // the deadline backstop already answered this sequence.
                 continue;
             }
-            if reply.disposition == Disposition::ShutdownAfterWrite && !self.shutdown_hook_called {
-                self.shutdown_hook_called = true;
-                self.service.on_shutdown();
-            }
-            let appended = conn.enqueue_reply(seq, reply);
-            self.shared
-                .counters
-                .frames_written
-                .fetch_add(appended as u64, std::sync::atomic::Ordering::Relaxed);
-            if appended > 0 {
+            if self.buffer_reply(slot, seq, reply) > 0 {
                 self.flush_conn(slot);
             }
         }
@@ -776,12 +861,7 @@ impl Reactor {
             .deadline_backstops
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let reply = Reply::ok(self.service.deadline_reply());
-        let appended = conn.enqueue_reply(seq, reply);
-        self.shared
-            .counters
-            .frames_written
-            .fetch_add(appended as u64, std::sync::atomic::Ordering::Relaxed);
-        if appended > 0 {
+        if self.buffer_reply(slot, seq, reply) > 0 {
             self.flush_conn(slot);
         }
     }
@@ -808,10 +888,15 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Echoes payloads back; payloads starting with `b"sleep"` stall
-    /// the worker long enough to exercise pipelining and backstops.
+    /// the worker long enough to exercise pipelining and backstops,
+    /// ones starting with `b"park"` hold their worker until the test
+    /// calls [`EchoService::release`], and ones starting with `b"now"`
+    /// are echoed on the reactor thread.
     struct EchoService {
         handled: AtomicU64,
         shutdowns: AtomicU64,
+        parked: AtomicU64,
+        released: (std::sync::Mutex<bool>, std::sync::Condvar),
     }
 
     impl EchoService {
@@ -819,7 +904,15 @@ mod tests {
             EchoService {
                 handled: AtomicU64::new(0),
                 shutdowns: AtomicU64::new(0),
+                parked: AtomicU64::new(0),
+                released: (std::sync::Mutex::new(false), std::sync::Condvar::new()),
             }
+        }
+
+        /// Let every `b"park"` request, parked or still to come, finish.
+        fn release(&self) {
+            *self.released.0.lock().unwrap() = true;
+            self.released.1.notify_all();
         }
     }
 
@@ -829,6 +922,13 @@ mod tests {
             if payload.starts_with(b"sleep") {
                 std::thread::sleep(Duration::from_millis(50));
             }
+            if payload.starts_with(b"park") {
+                self.parked.fetch_add(1, Ordering::Relaxed);
+                let mut released = self.released.0.lock().unwrap();
+                while !*released {
+                    released = self.released.1.wait(released).unwrap();
+                }
+            }
             if payload == b"quit" {
                 return Reply {
                     payload: b"bye".to_vec(),
@@ -836,6 +936,12 @@ mod tests {
                 };
             }
             Reply::ok(payload.to_vec())
+        }
+
+        fn try_handle_now(&self, payload: &[u8]) -> Option<Reply> {
+            payload
+                .starts_with(b"now")
+                .then(|| Reply::ok(payload.to_vec()))
         }
 
         fn shed_reply(&self, _layer: ShedLayer) -> Vec<u8> {
@@ -1085,5 +1191,293 @@ mod tests {
         // The sleeper ran; the doomed requests were skipped (alive flag
         // cleared before their jobs started).
         assert_eq!(service.handled.load(Ordering::Relaxed), 1);
+    }
+
+    /// Spin until `cond` holds; the conditions waited on here are made
+    /// true by the reactor or a worker, never by the clock.
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn connect(handle: &NetHandle) -> TcpStream {
+        let c = TcpStream::connect(handle.addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        c
+    }
+
+    /// `n` frames `now-0..n` in one buffer, for a single `write`.
+    fn now_burst(n: usize) -> Vec<u8> {
+        let mut burst = Vec::new();
+        for i in 0..n {
+            let payload = format!("now-{i}");
+            burst.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            burst.extend_from_slice(payload.as_bytes());
+        }
+        burst
+    }
+
+    #[test]
+    fn inline_frames_never_touch_the_pool_and_pooled_frames_never_count_inline() {
+        let (handle, service, _stop) = start(ReactorConfig {
+            workers: 1,
+            thread_name: "paths-test".into(),
+            ..ReactorConfig::default()
+        });
+        let mut c = connect(&handle);
+        for i in 0..12u32 {
+            let msg = format!("now-{i}");
+            send_frame(&mut c, msg.as_bytes());
+            assert_eq!(recv_frame(&mut c), msg.as_bytes());
+        }
+        let snap = handle.counters();
+        assert_eq!(snap.frames_read, 12);
+        assert_eq!(snap.frames_inline, 12);
+        assert_eq!(snap.frames_written, 12);
+        assert_eq!(snap.deadline_backstops, 0);
+        assert_eq!(service.handled.load(Ordering::Relaxed), 0, "pool jobs");
+        for i in 0..5u32 {
+            let msg = format!("ping-{i}");
+            send_frame(&mut c, msg.as_bytes());
+            assert_eq!(recv_frame(&mut c), msg.as_bytes());
+        }
+        let snap = handle.counters();
+        assert_eq!(snap.frames_read, 17);
+        assert_eq!(snap.frames_inline, 12);
+        assert_eq!(service.handled.load(Ordering::Relaxed), 5);
+        handle.join();
+    }
+
+    #[test]
+    fn inline_replies_keep_request_order_and_coalesce_behind_a_pooled_one() {
+        let (handle, service, _stop) = start(ReactorConfig {
+            workers: 1,
+            thread_name: "order-test".into(),
+            ..ReactorConfig::default()
+        });
+        let mut c = connect(&handle);
+        send_frame(&mut c, b"park-head");
+        wait_for("the head request to reach its worker", || {
+            service.parked.load(Ordering::Relaxed) == 1
+        });
+        for i in 0..8u32 {
+            send_frame(&mut c, format!("now-{i}").as_bytes());
+        }
+        wait_for("eight inline answers", || {
+            handle.counters().frames_inline == 8
+        });
+        // Answered, but parked behind the head of line: nothing has
+        // been buffered, let alone written.
+        let snap = handle.counters();
+        assert_eq!((snap.frames_written, snap.writes), (0, 0), "{snap:?}");
+        service.release();
+        assert_eq!(recv_frame(&mut c), b"park-head");
+        for i in 0..8u32 {
+            assert_eq!(recv_frame(&mut c), format!("now-{i}").as_bytes());
+        }
+        wait_for("the flush to be counted", || {
+            handle.counters().coalesced_writes > 0
+        });
+        let snap = handle.counters();
+        assert_eq!(snap.frames_written, 9);
+        assert_eq!(
+            (snap.writes, snap.coalesced_writes),
+            (1, 1),
+            "nine replies, one write: {snap:?}"
+        );
+        assert_eq!(service.handled.load(Ordering::Relaxed), 1);
+        handle.join();
+    }
+
+    #[test]
+    fn a_pipelined_inline_burst_is_answered_in_one_write() {
+        let (handle, service, _stop) = start(ReactorConfig {
+            workers: 1,
+            thread_name: "burst-test".into(),
+            ..ReactorConfig::default()
+        });
+        let mut c = connect(&handle);
+        // One write, so one read pass sees all ten frames.
+        c.write_all(&now_burst(10)).unwrap();
+        for i in 0..10 {
+            assert_eq!(recv_frame(&mut c), format!("now-{i}").as_bytes());
+        }
+        // The client can see the bytes before the reactor has counted
+        // the write that carried them.
+        wait_for("the flush to be counted", || {
+            handle.counters().coalesced_writes > 0
+        });
+        let snap = handle.counters();
+        assert_eq!(snap.frames_inline, 10);
+        assert!(snap.coalesced_writes > 0, "{snap:?}");
+        assert!(
+            snap.writes < 10,
+            "a flush per pass, not per reply: {snap:?}"
+        );
+        assert_eq!(service.handled.load(Ordering::Relaxed), 0);
+        handle.join();
+    }
+
+    #[test]
+    fn the_gates_are_consulted_before_the_inline_offer() {
+        // Decode gate: depth 0 sheds the inline-eligible frame too.
+        let (handle, _service, _stop) = start(ReactorConfig {
+            workers: 1,
+            queue_depth: 0,
+            thread_name: "inline-qdepth-test".into(),
+            ..ReactorConfig::default()
+        });
+        let mut c = connect(&handle);
+        send_frame(&mut c, b"now-refused");
+        assert_eq!(recv_frame(&mut c), b"SHED");
+        let snap = handle.counters();
+        assert_eq!((snap.frames_inline, snap.sheds_decode), (0, 1));
+        handle.join();
+
+        // Pipeline cap: behind one unanswered request, the same.
+        let (handle, service, _stop) = start(ReactorConfig {
+            workers: 1,
+            max_pipeline: 1,
+            thread_name: "inline-pipecap-test".into(),
+            ..ReactorConfig::default()
+        });
+        let mut c = connect(&handle);
+        send_frame(&mut c, b"park");
+        wait_for("the parked request", || {
+            service.parked.load(Ordering::Relaxed) == 1
+        });
+        send_frame(&mut c, b"now-refused");
+        wait_for("the shed", || handle.counters().sheds_decode == 1);
+        service.release();
+        assert_eq!(recv_frame(&mut c), b"park");
+        assert_eq!(recv_frame(&mut c), b"SHED");
+        assert_eq!(handle.counters().frames_inline, 0);
+        handle.join();
+
+        // And an inline reply not yet flushed still occupies its
+        // pipeline slot: one pass answers `max_pipeline` frames of one
+        // connection, the rest of the burst is shed, in order.
+        let (handle, _service, _stop) = start(ReactorConfig {
+            workers: 1,
+            max_pipeline: 4,
+            thread_name: "inline-pass-test".into(),
+            ..ReactorConfig::default()
+        });
+        let mut c = connect(&handle);
+        c.write_all(&now_burst(10)).unwrap();
+        for i in 0..10 {
+            let want = if i < 4 {
+                format!("now-{i}").into_bytes()
+            } else {
+                b"SHED".to_vec()
+            };
+            assert_eq!(recv_frame(&mut c), want, "reply {i}");
+        }
+        let snap = handle.counters();
+        assert_eq!((snap.frames_inline, snap.sheds_decode), (4, 6));
+        // The next pass starts from an empty pipeline.
+        send_frame(&mut c, b"now-again");
+        assert_eq!(recv_frame(&mut c), b"now-again");
+        handle.join();
+    }
+
+    #[test]
+    fn a_client_vanishing_mid_pipeline_of_inline_frames_leaks_no_permit() {
+        let (handle, _service, _stop) = start(ReactorConfig {
+            workers: 1,
+            thread_name: "inline-vanish-test".into(),
+            ..ReactorConfig::default()
+        });
+        {
+            let mut c = connect(&handle);
+            c.write_all(&now_burst(20)).unwrap();
+            // Dropped with every reply unread.
+        }
+        wait_for("the connection to be reaped", || {
+            let snap = handle.counters();
+            snap.accepted == 1 && snap.connections_open == 0
+        });
+        assert_eq!(handle.decode_gate().depth(), 0);
+        assert_eq!(handle.accept_gate().depth(), 0);
+        // The gate still admits: a fresh connection is served.
+        let mut c = connect(&handle);
+        send_frame(&mut c, b"now-alive");
+        assert_eq!(recv_frame(&mut c), b"now-alive");
+        assert_eq!(handle.decode_gate().depth(), 0);
+        handle.join();
+    }
+
+    #[test]
+    fn an_inline_request_does_not_wait_for_a_busy_pool() {
+        let (handle, service, _stop) = start(ReactorConfig {
+            workers: 1,
+            thread_name: "isolation-test".into(),
+            ..ReactorConfig::default()
+        });
+        let mut slow = connect(&handle);
+        send_frame(&mut slow, b"park-the-only-worker");
+        wait_for("the only worker to be held", || {
+            service.parked.load(Ordering::Relaxed) == 1
+        });
+        // The pool is fully occupied until `release`; the point read on
+        // a second connection is answered regardless.
+        let mut fast = connect(&handle);
+        for i in 0..5u32 {
+            let msg = format!("now-{i}");
+            send_frame(&mut fast, msg.as_bytes());
+            assert_eq!(recv_frame(&mut fast), msg.as_bytes());
+        }
+        assert_eq!(service.handled.load(Ordering::Relaxed), 1);
+        assert_eq!(handle.decode_gate().depth(), 1, "the parked request's");
+        service.release();
+        assert_eq!(recv_frame(&mut slow), b"park-the-only-worker");
+        handle.join();
+    }
+
+    #[test]
+    fn shutdown_and_drain_complete_with_inline_traffic_in_flight() {
+        let (handle, service, stop) = start(ReactorConfig {
+            workers: 1,
+            thread_name: "inline-drain-test".into(),
+            ..ReactorConfig::default()
+        });
+        let mut c = connect(&handle);
+        let hammer = std::thread::spawn(move || {
+            // Closed loop of inline requests until the reactor goes
+            // away; every reply that does arrive must be whole and ours.
+            let mut answered = 0u64;
+            loop {
+                let msg = format!("now-{answered}");
+                let mut frame = (msg.len() as u32).to_le_bytes().to_vec();
+                frame.extend_from_slice(msg.as_bytes());
+                if c.write_all(&frame).is_err() {
+                    return answered;
+                }
+                let mut len = [0u8; 4];
+                if c.read_exact(&mut len).is_err() {
+                    return answered;
+                }
+                let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+                c.read_exact(&mut payload)
+                    .expect("a started frame completes");
+                assert_eq!(payload, msg.as_bytes());
+                answered += 1;
+            }
+        });
+        wait_for("inline traffic", || handle.counters().frames_inline >= 50);
+        // A protocol-level shutdown request is acknowledged under it ...
+        let mut q = connect(&handle);
+        send_frame(&mut q, b"quit");
+        assert_eq!(recv_frame(&mut q), b"bye");
+        wait_for("the shutdown hook", || {
+            service.shutdowns.load(Ordering::Relaxed) == 1
+        });
+        // ... and the drain finishes while the client is still sending.
+        stop.cancel();
+        handle.join();
+        assert!(hammer.join().expect("hammer thread") >= 50);
     }
 }

@@ -3,9 +3,11 @@
 //! `splatt-net` owns sockets, framing, ordering, and backpressure; it
 //! knows nothing about what the bytes inside a frame mean. A
 //! [`FrameService`] supplies that meaning: it turns one request payload
-//! into one [`Reply`], peeks deadlines out of payloads so the reactor
-//! can arm its backstop timers, and encodes the typed shed frames the
-//! reactor writes when admission control refuses work.
+//! into one [`Reply`] — on the reactor thread when the request is cheap
+//! enough to run to completion there, on a worker otherwise — peeks
+//! deadlines out of payloads so the reactor can arm its backstop
+//! timers, and encodes the typed shed frames the reactor writes when
+//! admission control refuses work.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,7 +73,10 @@ pub struct RequestCtx {
 }
 
 impl RequestCtx {
-    pub(crate) fn new(alive: Arc<AtomicBool>, deadline: Option<Instant>) -> RequestCtx {
+    /// The context of a request on the connection `alive` stands for.
+    /// The reactor builds one per pooled request; it is public so a
+    /// [`FrameService`] can be driven without a reactor around it.
+    pub fn new(alive: Arc<AtomicBool>, deadline: Option<Instant>) -> RequestCtx {
         RequestCtx { alive, deadline }
     }
 
@@ -91,11 +96,29 @@ impl RequestCtx {
 
 /// The application half of the reactor; see the module docs.
 ///
-/// `handle` runs on a worker-pool thread and may block; everything else
-/// runs on the reactor thread and must be fast and allocation-light.
+/// Every admitted request is offered to `try_handle_now` first, on the
+/// reactor thread; one it declines goes to `handle` on a worker-pool
+/// thread, which may block. Everything but `handle` runs on the reactor
+/// thread — while it runs, no other connection is served — and must be
+/// fast, allocation-light and free of waits.
 pub trait FrameService: Send + Sync + 'static {
-    /// Serve one request payload. Runs on a worker thread.
+    /// Serve one request payload. Runs on a worker thread; may block.
     fn handle(&self, payload: &[u8], ctx: &RequestCtx) -> Reply;
+
+    /// Answer `payload` right now, or decline with `None` and have it
+    /// go to [`FrameService::handle`]. Runs on the **reactor thread,
+    /// must not block**: no waiting on another thread, a queue or a
+    /// timer, and a bounded amount of work the implementation can state
+    /// — the reply cannot outlive this call, so the reactor arms no
+    /// deadline backstop for it. The reactor consults the pipeline cap
+    /// and the decode gate first, exactly as for a pooled request, and
+    /// holds the decode permit across this call; a `Some` reply keeps
+    /// its place in the connection's response order and, for the same
+    /// payload, must carry the bytes `handle` would have produced.
+    fn try_handle_now(&self, payload: &[u8]) -> Option<Reply> {
+        let _ = payload;
+        None
+    }
 
     /// Peek the request's deadline budget out of its payload without
     /// fully decoding it, so the reactor can arm a backstop timer.

@@ -13,7 +13,14 @@
 //! call, so the load is noise even when enabled). Profiled runs in the
 //! same process share the counters — take [`snapshot`] deltas around the
 //! region of interest, as `cp_als` does.
+//!
+//! Those counters see the allocations the kernels announce. What a test
+//! needs when it bounds *every* allocation of a code region — a decoder
+//! fed untrusted bytes — is [`CountingAlloc`], at the bottom of this
+//! file.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -178,9 +185,95 @@ pub fn snapshot() -> AllocStats {
     }
 }
 
+thread_local! {
+    /// Heap bytes the current thread has requested through
+    /// [`CountingAlloc`]. A `Cell` of a plain integer: no lazy
+    /// initializer and no destructor, so reading it from inside the
+    /// allocator cannot itself allocate or run after teardown.
+    static THREAD_HEAP_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator with a per-thread count of the bytes requested
+/// from it — the heap-side hook, for tests that must *assert* an
+/// allocation bound ("decoding these bytes allocated at most a small
+/// multiple of them") instead of eyeballing one. A test binary opts in
+/// with `#[global_allocator] static HEAP: CountingAlloc = CountingAlloc;`
+/// and reads [`thread_heap_bytes`] around the region of interest; being
+/// per thread, the count is exact under a parallel test harness. No
+/// product binary installs it.
+pub struct CountingAlloc;
+
+fn count_heap_bytes(bytes: usize) {
+    // `try_with`: a thread's last frees can run during its teardown.
+    let _ = THREAD_HEAP_BYTES.try_with(|b| b.set(b.get().wrapping_add(bytes as u64)));
+}
+
+// SAFETY: every method hands its arguments, unchanged, to the same
+// method of `System` and returns what `System` returned, so each
+// `GlobalAlloc` contract is `System`'s own; the counting beside the
+// call touches only a thread-local integer and neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_heap_bytes(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_heap_bytes(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A grown block counts for its growth: the old bytes were
+        // counted when they were first requested.
+        count_heap_bytes(new_size.saturating_sub(layout.size()));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract,
+        // and `ptr` came from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Heap bytes this thread has requested so far (monotonic; take
+/// deltas). Always 0 unless [`CountingAlloc`] is the global allocator.
+pub fn thread_heap_bytes() -> u64 {
+    THREAD_HEAP_BYTES.with(Cell::get)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counting_alloc_counts_this_thread_s_requests_and_only_those() {
+        let start = thread_heap_bytes();
+        let mut v: Vec<u8> = Vec::with_capacity(1000);
+        assert_eq!(thread_heap_bytes() - start, 1000);
+        // A grown block counts for its growth.
+        v.reserve_exact(3000);
+        assert_eq!(thread_heap_bytes() - start, 3000);
+        drop(v);
+        assert_eq!(thread_heap_bytes() - start, 3000, "frees do not count");
+        let before = thread_heap_bytes();
+        let theirs = std::thread::spawn(|| {
+            let before = thread_heap_bytes();
+            let big = vec![0u8; 1 << 20];
+            std::hint::black_box(&big);
+            thread_heap_bytes() - before
+        })
+        .join()
+        .expect("allocating thread");
+        assert_eq!(theirs, 1 << 20);
+        assert!(thread_heap_bytes() - before < 1 << 20, "another thread's");
+    }
 
     #[test]
     fn disabled_records_nothing_enabled_records() {

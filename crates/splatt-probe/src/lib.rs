@@ -15,7 +15,9 @@
 //! - [`alloc`] — process-global allocation counters for the `RowCopy`
 //!   access variant (slice descriptors + row copies, the Chapel slice
 //!   story) and privatization-reduction byte counts. Gated by one relaxed
-//!   atomic load when disabled.
+//!   atomic load when disabled. Also the heap-side hook for tests:
+//!   [`alloc::CountingAlloc`], a per-thread count of bytes requested
+//!   from the system allocator, which no product binary installs.
 //! - [`SpanNode`] / [`ProfileReport`] — a hierarchical span tree
 //!   (CPD total → iteration → mode → kernel) plus the flat per-routine
 //!   table, rendered in the paper's Table III layout or serialized as
@@ -29,6 +31,11 @@ mod locks;
 mod report;
 mod span;
 mod tasks;
+
+/// The crate's own tests run on the counting allocator they test.
+#[cfg(test)]
+#[global_allocator]
+static HEAP: alloc::CountingAlloc = alloc::CountingAlloc;
 
 pub use locks::{LockCounters, LockStats};
 pub use report::{

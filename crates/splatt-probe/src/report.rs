@@ -36,8 +36,11 @@ use std::fmt::Write as _;
 /// size — `null` when the engine is used in-process with no front end
 /// attached, or not serving at all); v11 removed the `dispatch` array
 /// (the second tensor format it reported on was deleted, so there
-/// is no per-mode format decision left to record).
-pub const PROFILE_SCHEMA: &str = "splatt-profile-v11";
+/// is no per-mode format decision left to record); v12 added the two
+/// path counters `serve.caller_runs` (requests the engine computed on
+/// the calling thread, never queued) and `serve.net.frames_inline`
+/// (frames the reactor answered on its own thread, never pooled).
+pub const PROFILE_SCHEMA: &str = "splatt-profile-v12";
 
 /// One row of the per-routine table (label from `splatt_par::Routine`).
 #[derive(Debug, Clone, PartialEq)]
@@ -138,6 +141,10 @@ pub struct ServeRow {
     pub batched_requests: u64,
     /// Largest batch coalesced.
     pub max_batch: u64,
+    /// Requests computed on the thread that submitted them (the v12
+    /// addition): they rode in no batch, so a request is in
+    /// `batched_requests`, here, or a cache hit.
+    pub caller_runs: u64,
     /// Log2 batch-size histogram: `batch_buckets[i]` counts batches of
     /// size in `[2^i, 2^(i+1))`.
     pub batch_buckets: Vec<u64>,
@@ -181,6 +188,9 @@ pub struct NetFrontRow {
     pub readiness_wakeups: u64,
     /// Complete request frames parsed off sockets.
     pub frames_read: u64,
+    /// Request frames answered on the reactor thread, never handed to
+    /// the worker pool (the v12 addition).
+    pub frames_inline: u64,
     /// Response frames appended to write buffers.
     pub frames_written: u64,
     /// Write syscalls issued.
@@ -467,8 +477,8 @@ impl ProfileReport {
                 let _ = write!(
                     out,
                     "\n  ], \"batches\": {}, \"batched_requests\": {}, \"max_batch\": {}, \
-                     \"batch_buckets\": [",
-                    s.batches, s.batched_requests, s.max_batch
+                     \"caller_runs\": {}, \"batch_buckets\": [",
+                    s.batches, s.batched_requests, s.max_batch, s.caller_runs
                 );
                 for (j, b) in s.batch_buckets.iter().enumerate() {
                     if j > 0 {
@@ -520,6 +530,7 @@ impl ProfileReport {
                             "{{\"accepted\": {}, \"connections_open\": {}, \
                              \"connections_peak\": {}, \"polls\": {}, \
                              \"readiness_wakeups\": {}, \"frames_read\": {}, \
+                             \"frames_inline\": {}, \
                              \"frames_written\": {}, \"writes\": {}, \
                              \"coalesced_writes\": {}, \"sheds_accept\": {}, \
                              \"sheds_decode\": {}, \"idle_closed\": {}, \
@@ -530,6 +541,7 @@ impl ProfileReport {
                             n.polls,
                             n.readiness_wakeups,
                             n.frames_read,
+                            n.frames_inline,
                             n.frames_written,
                             n.writes,
                             n.coalesced_writes,
@@ -696,12 +708,14 @@ impl ProfileReport {
         if let Some(s) = &self.serve {
             let _ = writeln!(
                 out,
-                "\n  serve: {} batches over {} requests (max batch {}), cache {:.1}% hit \
+                "\n  serve: {} batches over {} requests (max batch {}), {} caller-run, \
+                 cache {:.1}% hit \
                  ({} hits / {} misses, {} evictions), {} shed, {} deadline-expired, \
                  {} arena growths ({} B)",
                 s.batches,
                 s.batched_requests,
                 s.max_batch,
+                s.caller_runs,
                 100.0 * s.cache_hit_rate(),
                 s.cache_hits,
                 s.cache_misses,
@@ -715,7 +729,7 @@ impl ProfileReport {
                 let _ = writeln!(
                     out,
                     "  net: {} conns open (peak {}, {} accepted), {} workers, \
-                     {} wakeups / {} polls, {} frames in / {} out, \
+                     {} wakeups / {} polls, {} frames in ({} inline) / {} out, \
                      {} coalesced of {} writes, sheds {} accept / {} decode, \
                      {} idle-closed, {} backstops",
                     n.connections_open,
@@ -725,6 +739,7 @@ impl ProfileReport {
                     n.readiness_wakeups,
                     n.polls,
                     n.frames_read,
+                    n.frames_inline,
                     n.frames_written,
                     n.coalesced_writes,
                     n.writes,
@@ -891,6 +906,7 @@ mod tests {
                 batches: 250,
                 batched_requests: 1000,
                 max_batch: 16,
+                caller_runs: 850,
                 batch_buckets: vec![100, 80, 40, 20, 10],
                 cache_hits: 300,
                 cache_misses: 100,
@@ -920,6 +936,7 @@ mod tests {
                     polls: 50_000,
                     readiness_wakeups: 42_000,
                     frames_read: 120_000,
+                    frames_inline: 70_000,
                     frames_written: 120_000,
                     writes: 90_000,
                     coalesced_writes: 8_000,
@@ -1043,6 +1060,7 @@ mod tests {
                 .len(),
             5
         );
+        assert_eq!(serve.get("caller_runs").unwrap().as_u64(), Some(850));
         assert_eq!(serve.get("cache_hits").unwrap().as_u64(), Some(300));
         assert_eq!(serve.get("cache_evictions").unwrap().as_u64(), Some(5));
         let rate = serve.get("cache_hit_rate").unwrap().as_f64().unwrap();
@@ -1075,6 +1093,7 @@ mod tests {
         assert_eq!(net.get("polls").unwrap().as_u64(), Some(50_000));
         assert_eq!(net.get("readiness_wakeups").unwrap().as_u64(), Some(42_000));
         assert_eq!(net.get("frames_read").unwrap().as_u64(), Some(120_000));
+        assert_eq!(net.get("frames_inline").unwrap().as_u64(), Some(70_000));
         assert_eq!(net.get("frames_written").unwrap().as_u64(), Some(120_000));
         assert_eq!(net.get("writes").unwrap().as_u64(), Some(90_000));
         assert_eq!(net.get("coalesced_writes").unwrap().as_u64(), Some(8_000));

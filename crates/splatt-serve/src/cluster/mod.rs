@@ -29,7 +29,7 @@ pub mod shared;
 
 pub use health::{HealthBoard, HealthState};
 pub use router::{serve_router, ClusterConfig, Router, RouterHandle};
-pub use shard::{ShardMap, ShardRing, VNODES};
+pub use shard::{ShardMap, ShardRing, MAX_SHARDS, VNODES};
 pub use shared::{ShardView, SharedModel};
 
 use crate::engine::{ServeConfig, ServeEngine};

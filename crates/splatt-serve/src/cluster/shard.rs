@@ -21,6 +21,14 @@ use splatt_dist::ProcessGrid;
 /// ring (nshards * 64 points) stays small enough to rebuild per query.
 pub const VNODES: usize = 64;
 
+/// Most shards a ring may have. A worker rebuilds the ring from the
+/// `nshards` a request carries, so the count is a wire input: the bound
+/// keeps the largest ring at `MAX_SHARDS * VNODES` 16-byte points
+/// (1 MiB) where an unchecked `u32` could ask for terabytes. The engine
+/// refuses a larger [`ShardSel`](crate::protocol::ShardSel) typed; a
+/// router configured past it fails at construction.
+pub const MAX_SHARDS: u32 = 1024;
+
 /// SplitMix64 finalizer: a cheap, well-mixed `u64 -> u64` hash.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -43,9 +51,13 @@ impl ShardRing {
     /// Build the ring for `nshards` shards under `seed`.
     ///
     /// # Panics
-    /// Panics when `nshards` is zero.
+    /// Panics when `nshards` is zero or exceeds [`MAX_SHARDS`].
     pub fn new(nshards: usize, seed: u64) -> Self {
         assert!(nshards > 0, "ring needs at least one shard");
+        assert!(
+            nshards <= MAX_SHARDS as usize,
+            "{nshards} shards exceed the limit of {MAX_SHARDS}"
+        );
         let mut points = Vec::with_capacity(nshards * VNODES);
         for shard in 0..nshards as u64 {
             let base = splitmix64(seed ^ splitmix64(shard));

@@ -1,34 +1,51 @@
-//! The serving engine: admission control in front of a micro-batching
-//! scheduler over a `splatt-par` task team.
+//! The serving engine: admission control in front of two execution
+//! paths — caller-runs for point reads, a micro-batching scheduler over
+//! a `splatt-par` task team for everything else.
 //!
 //! Request flow:
 //!
 //! 1. [`ServeEngine::query`] admits the request through the
 //!    [`AdmissionGate`] (at capacity → typed
-//!    [`ServeError::Overloaded`], immediately).
-//! 2. Slice and top-k requests consult the LRU result cache; a hit
-//!    returns without touching the scheduler.
-//! 3. Misses are queued. A dedicated batcher thread drains the queue,
-//!    coalesces requests by `(model version, query kind)`, and fans each
-//!    batch out over the task team with static block partitioning —
-//!    every task reconstructs with its own grow-only [`QueryArena`], so
-//!    the steady-state hot path is allocation-free after warm-up.
-//! 4. The caller blocks on a response slot with a deadline: expired
+//!    [`ServeError::Overloaded`], immediately), resolves the model and
+//!    validates the query against it.
+//! 2. An `Entry` query of at most [`Query::CALLER_RUNS_COORDS`]
+//!    coordinates (a property of the request, not a setting) is
+//!    computed right there, on the calling thread, and comes back as an
+//!    already-filled ticket. Its kernel is a few hundred nanoseconds;
+//!    queueing it cost two thread hand-offs and a condvar round trip,
+//!    forty times the arithmetic. It never reaches the scheduler, forms
+//!    no batch and cannot wait, which is what lets the TCP front end
+//!    answer it on the reactor thread. It counts in
+//!    [`ServeStats::caller_runs`].
+//! 3. Slice and top-k requests consult the LRU result cache; a hit
+//!    returns the same kind of filled ticket without touching the
+//!    scheduler.
+//! 4. Everything else — scans that missed the cache, shard-scoped
+//!    queries, large entry batches — is queued. A dedicated batcher
+//!    thread drains the queue, coalesces requests by `(model version,
+//!    query kind)`, and fans each batch out over the task team with
+//!    static block partitioning — every task reconstructs with its own
+//!    grow-only [`QueryArena`], so the steady-state hot path is
+//!    allocation-free after warm-up.
+//! 5. The caller blocks on a response slot with a deadline: expired
 //!    requests come back as typed [`ServeError::DeadlineExpired`]
 //!    (whether they expired in queue or while the caller waited), and a
 //!    caller-supplied abort poll (the TCP front end's disconnect
 //!    detector) turns an abandoned wait into cooperative cancellation —
-//!    a request never hangs.
+//!    a request never hangs. A filled ticket returns at once.
 //!
-//! Latency per kind, batch sizes, cache traffic, sheds, and arena growth
-//! all land in [`ServeStats`], surfaced as the probe schema v5 `serve`
-//! object via [`ServeEngine::profile_report`].
+//! Latency per kind (both paths), batch sizes, caller-run and cache
+//! traffic, sheds, and arena growth all land in [`ServeStats`],
+//! surfaced as the probe schema's `serve` object via
+//! [`ServeEngine::profile_report`].
 
 use crate::cache::{CacheKey, CacheValue, ResultCache};
+use crate::cluster::MAX_SHARDS;
 use crate::protocol::ShardSel;
 use crate::registry::{ModelRegistry, ServableModel};
 use crate::stats::{QueryKind, ServeStats};
 use splatt_core::query::{self, QueryArena};
+use splatt_core::KruskalModel;
 use splatt_guard::{AdmissionGate, CancelToken, Overloaded};
 use splatt_par::{partition, TaskLocal, TaskTeam};
 use splatt_probe::ProfileReport;
@@ -106,6 +123,26 @@ pub enum Query {
 }
 
 impl Query {
+    /// Largest `Entry` query, in coordinates (tuples × order), that the
+    /// engine computes on the thread that submits it instead of
+    /// queueing it for the batcher — and that the TCP front end
+    /// therefore answers on its reactor thread.
+    ///
+    /// The bound is on coordinates, not tuples, because that is what
+    /// the work is proportional to and what a request states about
+    /// itself: a coordinate costs one pass over a `rank`-long factor
+    /// row, ≈ 45 ns at rank 16 (`query.entry_ns`: 137 ns per order-3
+    /// tuple), linear in rank. Worst-case reactor hold time: one
+    /// request is at most 64 × 45 ns ≈ 3 µs of kernel, and the reactor
+    /// answers at most `max_pipeline` (32) requests of one connection
+    /// per read pass, so `CALLER_RUNS_COORDS` × per-coordinate cost ×
+    /// `max_pipeline` ≈ 0.1 ms at rank 16 before another connection is
+    /// served. A typical point read is one tuple.
+    ///
+    /// [`ServeEngine::query`] on an `Entry` this small never waits for
+    /// another thread.
+    pub const CALLER_RUNS_COORDS: usize = 64;
+
     /// The kind bucket this query records under. Shard-scoped queries
     /// record under their parent kind — they are the same kernels over a
     /// row subset, and keeping the kind set stable keeps the probe
@@ -344,8 +381,9 @@ impl ServeEngine {
         self.wait(ticket, poll_abort)
     }
 
-    /// Queue a request (or answer it from cache) and return a ticket to
-    /// wait on. Callers that want shedding must admit through
+    /// Queue a request — or answer it on this thread, when it is an
+    /// `Entry` within [`Query::CALLER_RUNS_COORDS`] or hits the result
+    /// cache — and return a ticket to wait on. Callers that want shedding must admit through
     /// [`ServeEngine::gate`] first and hold the permit until the wait
     /// returns; [`ServeEngine::query`] does both.
     ///
@@ -374,15 +412,25 @@ impl ServeEngine {
         let submitted = Instant::now();
         let deadline = submitted + deadline.unwrap_or(self.config.default_deadline);
         let kind = query.kind();
+        let ready = |result| Ticket {
+            slot: ResponseSlot::prefilled(result),
+            kind,
+            submitted,
+            deadline,
+            // A filled slot is never waited on, so its token is never
+            // polled: no child to allocate and track.
+            cancel: cancel.clone(),
+        };
 
+        match &query {
+            Query::Entry { coords } if coords.len() <= Query::CALLER_RUNS_COORDS => {
+                self.stats.record_caller_run();
+                return Ok(ready(entry_values(&model.model, coords)));
+            }
+            _ => {}
+        }
         if let Some(hit) = self.cache_lookup(&model, &query) {
-            return Ok(Ticket {
-                slot: ResponseSlot::prefilled(Ok(hit)),
-                kind,
-                submitted,
-                deadline,
-                cancel: cancel.child(),
-            });
+            return Ok(ready(Ok(hit)));
         }
 
         let slot = ResponseSlot::new();
@@ -577,6 +625,14 @@ impl ServeEngine {
     }
 
     fn validate_sel(sel: &ShardSel) -> Result<(), ServeError> {
+        // `nshards` sizes the hash ring the worker rebuilds for the
+        // query, so it is bounded before anything is built from it.
+        if sel.nshards > MAX_SHARDS {
+            return Err(ServeError::BadQuery(format!(
+                "{} shards exceed the limit of {MAX_SHARDS}",
+                sel.nshards
+            )));
+        }
         if sel.nshards == 0 || sel.shard >= sel.nshards {
             return Err(ServeError::BadQuery(format!(
                 "shard {} out of range for {} shard(s)",
@@ -634,17 +690,20 @@ impl ServeEngine {
     }
 }
 
+/// Reconstruct the modeled value at each tuple of `coords`.
+fn entry_values(model: &KruskalModel, coords: &[u32]) -> Result<QueryResult, ServeError> {
+    let mut out = vec![0.0; coords.len() / model.order().max(1)];
+    query::entry_values(model, coords, &mut out)
+        .map_err(|e| ServeError::BadQuery(e.to_string()))?;
+    Ok(QueryResult::Entries(out))
+}
+
 /// Execute one query against its model with a task-local arena.
 fn run_one(item: &Pending, arena: &mut QueryArena) -> Result<QueryResult, ServeError> {
     let model = &item.model.model;
     let to_bad = |e: query::QueryError| ServeError::BadQuery(e.to_string());
     match &item.query {
-        Query::Entry { coords } => {
-            let order = model.order();
-            let mut out = vec![0.0; coords.len() / order.max(1)];
-            query::entry_values(model, coords, &mut out).map_err(to_bad)?;
-            Ok(QueryResult::Entries(out))
-        }
+        Query::Entry { coords } => entry_values(model, coords),
         Query::Slice { mode, index } => {
             let len = query::slice_len(model, *mode as usize).map_err(to_bad)?;
             let mut out = vec![0.0; len];
@@ -1085,7 +1144,22 @@ mod tests {
         assert_eq!(serve.kinds.len(), 1);
         assert_eq!(serve.kinds[0].kind, "entry");
         assert_eq!(serve.kinds[0].requests, 4);
+        // Point reads run on their caller: counted, never batched.
+        assert_eq!((serve.caller_runs, serve.batches), (4, 0));
+        // A scan is what the batcher is for.
+        eng.query(
+            "m",
+            0,
+            Query::Slice { mode: 1, index: 2 },
+            None,
+            &root,
+            || false,
+        )
+        .unwrap();
+        let report = eng.profile_report();
+        let serve = report.serve.clone().expect("serve row");
         assert!(serve.batches >= 1);
+        assert_eq!(serve.caller_runs, 4);
         let json = report.to_json();
         assert!(json.contains("\"serve\": {"), "json: {json}");
         eng.shutdown();

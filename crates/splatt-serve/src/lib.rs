@@ -28,7 +28,7 @@
 //!   answers, shared single-parse model loading
 //!   ([`cluster::SharedModel`]), and a [`cluster::LoopbackCluster`]
 //!   harness for deterministic shard-kill storms.
-//! * Probe integration — every counter surfaces in the schema v10
+//! * Probe integration — every counter surfaces in the probe schema's
 //!   `serve` object via [`ServeEngine::profile_report`] (the cluster's
 //!   per-shard failover counters ride in `serve.shards`, the reactor
 //!   front end's connection/wakeup/shed counters in `serve.net`).
@@ -46,6 +46,14 @@ mod registry;
 mod server;
 mod service;
 mod stats;
+#[cfg(test)]
+mod wire_mutation;
+
+/// The unit tests count their heap requests: the wire mutation test
+/// asserts an allocation bound per decoded frame.
+#[cfg(test)]
+#[global_allocator]
+static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingAlloc;
 
 pub use cache::{CacheKey, CacheValue, ResultCache};
 pub use client::{classify, Client, Transience};

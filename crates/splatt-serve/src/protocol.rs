@@ -205,28 +205,39 @@ impl<'a> Cursor<'a> {
     }
 
     fn take(&mut self, n: usize) -> std::io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(bad("truncated payload"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let s = rest.get(..n).ok_or_else(|| bad("truncated payload"))?;
         self.pos += n;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> std::io::Result<[u8; N]> {
+        let (head, _) = self
+            .take(N)?
+            .split_first_chunk::<N>()
+            .ok_or_else(|| bad("truncated payload"))?;
+        Ok(*head)
+    }
+
+    /// Bytes not yet taken.
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     fn u8(&mut self) -> std::io::Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u16(&mut self) -> std::io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> std::io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> std::io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn string(&mut self, len: usize) -> std::io::Result<String> {
@@ -237,14 +248,11 @@ impl<'a> Cursor<'a> {
         // `count` comes off the wire: refuse anything the remaining
         // bytes cannot hold BEFORE sizing the allocation, so a tiny
         // crafted frame cannot demand a multi-GiB reserve.
-        if count > (self.buf.len() - self.pos) / 4 {
+        if count > self.remaining() / 4 {
             return Err(bad("truncated payload"));
         }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        let (words, _) = self.take(count * 4)?.as_chunks::<4>();
+        Ok(words.iter().map(|w| u32::from_le_bytes(*w)).collect())
     }
 
     /// A `u32` record count off the wire, refused unless that many
@@ -252,7 +260,7 @@ impl<'a> Cursor<'a> {
     /// remain — checked before anything is allocated for them.
     fn count(&mut self, min_width: usize) -> std::io::Result<usize> {
         let count = self.u32()? as usize;
-        if count > (self.buf.len() - self.pos) / min_width {
+        if count > self.remaining() / min_width {
             return Err(bad("truncated payload"));
         }
         Ok(count)
@@ -261,10 +269,10 @@ impl<'a> Cursor<'a> {
     /// A counted list of `f64` bit patterns, decoded in one pass.
     fn f64s(&mut self) -> std::io::Result<Vec<f64>> {
         let count = self.count(8)?;
-        Ok(self
-            .take(count * 8)?
-            .chunks_exact(8)
-            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+        let (words, _) = self.take(count * 8)?.as_chunks::<8>();
+        Ok(words
+            .iter()
+            .map(|w| f64::from_bits(u64::from_le_bytes(*w)))
             .collect())
     }
 
@@ -272,14 +280,14 @@ impl<'a> Cursor<'a> {
     /// pass.
     fn pairs(&mut self) -> std::io::Result<Vec<(u32, f64)>> {
         let count = self.count(12)?;
-        Ok(self
-            .take(count * 12)?
-            .chunks_exact(12)
-            .map(|b| {
-                let (i, v) = b.split_at(4);
+        let (records, _) = self.take(count * 12)?.as_chunks::<12>();
+        Ok(records
+            .iter()
+            .map(|r| {
+                let [i0, i1, i2, i3, v @ ..] = *r;
                 (
-                    u32::from_le_bytes(i.try_into().expect("4-byte index")),
-                    f64::from_bits(u64::from_le_bytes(v.try_into().expect("8-byte score"))),
+                    u32::from_le_bytes([i0, i1, i2, i3]),
+                    f64::from_bits(u64::from_le_bytes(v)),
                 )
             })
             .collect())
@@ -412,6 +420,11 @@ pub fn decode_request(payload: &[u8]) -> std::io::Result<Request> {
         OP_ENTRY => {
             let order = c.u8()?;
             let count = c.u32()? as usize;
+            if order == 0 && count != 0 {
+                // No encoder writes this (it would decode to an empty
+                // batch and re-encode with count 0).
+                return Err(bad(format!("{count} tuples of order 0")));
+            }
             let total = count
                 .checked_mul(order as usize)
                 .ok_or_else(|| bad("coordinate count overflow"))?;
@@ -468,6 +481,26 @@ pub fn decode_request(payload: &[u8]) -> std::io::Result<Request> {
         version,
         body,
     })
+}
+
+/// The coordinate count (`order` × tuple count) an `Entry` request
+/// payload announces, read from its op byte and fixed-offset header
+/// fields without decoding it; `None` for every other op and for a
+/// payload too short to tell. A `Some` here promises nothing about the
+/// rest of the payload — [`decode_request`] still has to accept it, and
+/// then its `coords` has exactly this length.
+pub(crate) fn peek_entry_coords(payload: &[u8]) -> Option<u64> {
+    let (&op, rest) = payload.split_first()?;
+    if op != OP_ENTRY {
+        return None;
+    }
+    // deadline_ms, then the name length
+    let (name_len, rest) = rest.get(4..)?.split_first_chunk::<2>()?;
+    // name, version
+    let rest = rest.get(usize::from(u16::from_le_bytes(*name_len)) + 8..)?;
+    let (&order, rest) = rest.split_first()?;
+    let (count, _) = rest.split_first_chunk::<4>()?;
+    Some(u64::from(order) * u64::from(u32::from_le_bytes(*count)))
 }
 
 /// An ok-payload header (`status 0`, `op`, `u32` count) in a buffer

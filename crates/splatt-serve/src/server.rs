@@ -1,10 +1,11 @@
 //! The serving front end.
 //!
 //! One `splatt-net` readiness-polled reactor thread multiplexes every
-//! connection (raw `poll(2)` where available), a bounded worker pool
-//! executes decoded requests, and three admission layers — connection
-//! cap at accept, queue depth at decode, the engine's own gate at batch
-//! — shed typed `Overloaded` frames instead of queueing unboundedly.
+//! connection (raw `poll(2)` where available) and answers point reads
+//! itself (small `Entry` frames), a bounded worker pool executes every
+//! other request, and three admission layers — connection cap at
+//! accept, queue depth at decode, the engine's own gate at batch — shed
+//! typed `Overloaded` frames instead of queueing unboundedly.
 //! Socket mode is owned by the reactor's connection state machine: a
 //! socket goes nonblocking once at registration and never flips again.
 //!

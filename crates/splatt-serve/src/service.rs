@@ -8,6 +8,15 @@
 //! [`ServeEngine::query`]), typed error mapping, and the probe `Stats`
 //! answer, into which it splices the live front-end counters so one
 //! wire round trip reports the whole pipeline.
+//!
+//! It also decides which thread a request runs on, from the request
+//! alone: an `Entry` frame small enough that the engine computes it on
+//! its caller ([`Query::CALLER_RUNS_COORDS`]) is answered by
+//! [`FrameService::try_handle_now`] on the reactor thread; every other
+//! frame — scans, shard ops, `Stats`/`List`/`Health`/`Shutdown`, large
+//! entry batches — goes to a pool worker, where it may wait for the
+//! batcher. Both run the same [`EngineService::reply_to`], so a request
+//! gets the same bytes on either thread.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -17,8 +26,8 @@ use splatt_probe::NetFrontRow;
 
 use crate::engine::{Query, QueryResult, ServeEngine, ServeError};
 use crate::protocol::{
-    decode_request, encode_entries, encode_response, encode_slice, encode_top_k, Request,
-    RequestBody, Response, WireError,
+    decode_request, encode_entries, encode_response, encode_slice, encode_top_k, peek_entry_coords,
+    Request, RequestBody, Response, WireError,
 };
 
 /// Map a typed engine refusal onto its wire code. The `Cancelled`
@@ -68,10 +77,8 @@ pub(crate) fn accept_shed_frame(max_conns: usize) -> Vec<u8> {
 /// Peek `deadline_ms` (payload bytes 1..5) without a full decode, so
 /// the reactor can arm its backstop timer before dispatch.
 pub(crate) fn peek_deadline(payload: &[u8], default: Duration) -> Option<Duration> {
-    if payload.len() < 5 {
-        return None;
-    }
-    let ms = u32::from_le_bytes([payload[1], payload[2], payload[3], payload[4]]);
+    let (ms, _) = payload.get(1..)?.split_first_chunk::<4>()?;
+    let ms = u32::from_le_bytes(*ms);
     if ms > 0 {
         Some(Duration::from_millis(u64::from(ms)))
     } else {
@@ -89,6 +96,7 @@ pub(crate) fn net_row_of(counters: &NetCounters) -> NetFrontRow {
         polls: s.polls,
         readiness_wakeups: s.readiness_wakeups,
         frames_read: s.frames_read,
+        frames_inline: s.frames_inline,
         frames_written: s.frames_written,
         writes: s.writes,
         coalesced_writes: s.coalesced_writes,
@@ -102,7 +110,7 @@ pub(crate) fn net_row_of(counters: &NetCounters) -> NetFrontRow {
 
 /// See the module docs.
 pub(crate) struct EngineService {
-    engine: Arc<ServeEngine>,
+    pub(crate) engine: Arc<ServeEngine>,
     /// Set once the reactor exists (it owns the counters); `Stats`
     /// answers before that simply omit the net row.
     net: OnceLock<Arc<NetCounters>>,
@@ -124,10 +132,34 @@ impl EngineService {
         self.net.get().map(|c| net_row_of(c))
     }
 
+    /// The reply to one request payload as [`decode_request`] read it,
+    /// whichever thread that happened on. `aborted` is polled while the
+    /// engine makes the caller wait.
+    fn reply_to(&self, decoded: std::io::Result<Request>, aborted: impl FnMut() -> bool) -> Reply {
+        let (payload, disposition) = match decoded {
+            Ok(req) => {
+                let disposition = if matches!(req.body, RequestBody::Shutdown) {
+                    Disposition::ShutdownAfterWrite
+                } else {
+                    Disposition::Continue
+                };
+                (self.respond(req, aborted), disposition)
+            }
+            Err(e) => (
+                encode_response(&Response::Error(WireError::BadRequest, e.to_string())),
+                Disposition::Continue,
+            ),
+        };
+        Reply {
+            payload,
+            disposition,
+        }
+    }
+
     /// The encoded reply payload for one decoded request. Query results
     /// are encoded from the engine's (possibly cache-shared) buffers as
     /// they are, not first copied into an owned [`Response`].
-    fn respond(&self, req: Request, ctx: &RequestCtx) -> Vec<u8> {
+    fn respond(&self, req: Request, aborted: impl FnMut() -> bool) -> Vec<u8> {
         let query = match req.body {
             RequestBody::Stats => {
                 let mut report = self.engine.profile_report();
@@ -170,7 +202,7 @@ impl EngineService {
         // A fresh root token per request — deliberately NOT a child of
         // the shutdown token, so a drain completes in-flight requests
         // instead of cancelling them. Disconnects surface through the
-        // reactor-owned alive flag polled below.
+        // caller's abort poll (the reactor-owned alive flag).
         let request_root = splatt_guard::CancelToken::new();
         let result = self.engine.query(
             &req.model,
@@ -178,7 +210,7 @@ impl EngineService {
             query,
             deadline,
             &request_root,
-            || ctx.is_aborted(),
+            aborted,
         );
         match result {
             Ok(QueryResult::Entries(vals)) => encode_entries(&vals),
@@ -191,24 +223,26 @@ impl EngineService {
 
 impl FrameService for EngineService {
     fn handle(&self, payload: &[u8], ctx: &RequestCtx) -> Reply {
-        let (payload, disposition) = match decode_request(payload) {
-            Ok(req) => {
-                let disposition = if matches!(req.body, RequestBody::Shutdown) {
-                    Disposition::ShutdownAfterWrite
-                } else {
-                    Disposition::Continue
-                };
-                (self.respond(req, ctx), disposition)
-            }
-            Err(e) => (
-                encode_response(&Response::Error(WireError::BadRequest, e.to_string())),
-                Disposition::Continue,
-            ),
-        };
-        Reply {
-            payload,
-            disposition,
+        self.reply_to(decode_request(payload), || ctx.is_aborted())
+    }
+
+    fn try_handle_now(&self, payload: &[u8]) -> Option<Reply> {
+        // Everything but a small `Entry` is turned away on its op byte
+        // and announced size, before any decoding.
+        if peek_entry_coords(payload)? > Query::CALLER_RUNS_COORDS as u64 {
+            return None;
         }
+        // The one full decode. A frame it refuses gets its typed
+        // `BadRequest` here; one it accepts is answered here only if
+        // the engine will not queue it — the header the peek read
+        // promised that, the decoded body has to keep the promise.
+        let decoded = decode_request(payload);
+        let answered_here = match &decoded {
+            Ok(req) => matches!(&req.body, RequestBody::Entry { coords, .. }
+                if coords.len() <= Query::CALLER_RUNS_COORDS),
+            Err(_) => true,
+        };
+        answered_here.then(|| self.reply_to(decoded, || false))
     }
 
     fn deadline_of(&self, payload: &[u8]) -> Option<Duration> {
@@ -228,10 +262,148 @@ impl FrameService for EngineService {
     }
 }
 
+/// A service over a fresh engine serving one small order-3 model, `"m"`.
+#[cfg(test)]
+pub(crate) fn test_service(config: crate::engine::ServeConfig) -> EngineService {
+    use splatt_dense::Matrix;
+    let engine = ServeEngine::start(config);
+    engine.publish(
+        "m",
+        splatt_core::KruskalModel {
+            lambda: vec![2.0, 0.5],
+            factors: vec![
+                Matrix::random(6, 2, 40),
+                Matrix::random(4, 2, 41),
+                Matrix::random(5, 2, 42),
+            ],
+        },
+    );
+    EngineService::new(engine)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::encode_request;
+    use crate::engine::ServeConfig;
+    use crate::protocol::{decode_response, encode_request, ShardSel};
+    use std::sync::atomic::AtomicBool;
+
+    fn entry(model: &str, order: u8, coords: Vec<u32>) -> Vec<u8> {
+        encode_request(&Request {
+            deadline_ms: 0,
+            model: model.into(),
+            version: 0,
+            body: RequestBody::Entry { order, coords },
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn an_inline_reply_has_the_pooled_reply_s_bytes() {
+        let svc = test_service(ServeConfig::default());
+        let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)), None);
+        let mut truncated = entry("m", 3, vec![1, 2, 3]);
+        truncated.pop();
+        let at_the_bound = entry("m", 1, vec![0; Query::CALLER_RUNS_COORDS]);
+        for payload in [
+            entry("m", 3, vec![0, 0, 0]),
+            entry("m", 3, vec![5, 3, 4, 0, 1, 2]),
+            entry("m", 3, Vec::new()),
+            entry("m", 3, vec![0, 9, 0]), // coordinate out of range
+            entry("m", 2, vec![0, 0]),    // does not tile the order-3 model
+            entry("ghost", 3, vec![0, 0, 0]),
+            at_the_bound, // 64 coordinates of an order-3 model: ragged, typed
+            truncated,
+        ] {
+            let inline = svc
+                .try_handle_now(&payload)
+                .expect("a small Entry runs inline");
+            assert_eq!(inline, svc.handle(&payload, &ctx), "{payload:?}");
+            match decode_response(&inline.payload).expect("a well-formed reply") {
+                Response::Entries(_)
+                | Response::Error(WireError::BadRequest | WireError::ModelNotFound, _) => {}
+                other => panic!("unexpected inline reply {other:?}"),
+            }
+        }
+        // Nothing above reached the batcher, from either entry point.
+        let serve = svc.engine.profile_report().serve.expect("serve row");
+        assert_eq!(serve.batches, 0);
+        svc.engine.shutdown();
+    }
+
+    #[test]
+    fn only_small_entries_are_answered_inline() {
+        let svc = test_service(ServeConfig::default());
+        let sel = ShardSel {
+            shard: 0,
+            nshards: 1,
+            seed: 7,
+        };
+        let mut declined: Vec<RequestBody> = vec![
+            RequestBody::Slice { mode: 0, index: 0 },
+            RequestBody::TopK {
+                mode: 0,
+                k: 2,
+                fixed: vec![0, 0],
+            },
+            RequestBody::Stats,
+            RequestBody::List,
+            RequestBody::Shutdown,
+            RequestBody::Health,
+            RequestBody::TopKShard {
+                mode: 0,
+                k: 2,
+                fixed: vec![0, 0],
+                sel,
+            },
+            RequestBody::SliceShard {
+                mode: 1,
+                index: 0,
+                sel,
+            },
+        ];
+        // One coordinate past the bound, as tuples of either order.
+        declined.push(RequestBody::Entry {
+            order: 1,
+            coords: vec![0; Query::CALLER_RUNS_COORDS + 1],
+        });
+        declined.push(RequestBody::Entry {
+            order: 3,
+            coords: vec![0; 66],
+        });
+        for body in declined {
+            let payload = encode_request(&Request {
+                deadline_ms: 0,
+                model: "m".into(),
+                version: 0,
+                body: body.clone(),
+            })
+            .unwrap();
+            assert_eq!(svc.try_handle_now(&payload), None, "{body:?}");
+        }
+        assert_eq!(svc.try_handle_now(&[]), None);
+        assert_eq!(svc.engine.stats().caller_runs(), 0);
+        svc.engine.shutdown();
+    }
+
+    #[test]
+    fn the_engine_gate_sheds_an_inline_frame_typed() {
+        let svc = test_service(ServeConfig {
+            max_depth: 0,
+            ..ServeConfig::default()
+        });
+        let reply = svc
+            .try_handle_now(&entry("m", 3, vec![0, 0, 0]))
+            .expect("still answered inline");
+        assert!(matches!(
+            decode_response(&reply.payload).unwrap(),
+            Response::Error(WireError::Overloaded, _)
+        ));
+        assert_eq!(reply.disposition, Disposition::Continue);
+        assert_eq!(svc.engine.gate().sheds(), 1);
+        assert_eq!(svc.engine.stats().caller_runs(), 0);
+        svc.engine.shutdown();
+    }
 
     #[test]
     fn peek_deadline_matches_full_decode() {

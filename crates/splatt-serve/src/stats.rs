@@ -114,6 +114,7 @@ pub struct ServeStats {
     batches: AtomicU64,
     batched_requests: AtomicU64,
     max_batch: AtomicU64,
+    caller_runs: AtomicU64,
     deadline_rejections: AtomicU64,
     arena_growth_allocs: AtomicU64,
     arena_growth_bytes: AtomicU64,
@@ -137,6 +138,16 @@ impl ServeStats {
         self.batched_requests.fetch_add(size, Ordering::Relaxed);
         self.max_batch.fetch_max(size, Ordering::Relaxed);
         self.batch_sizes.record(size);
+    }
+
+    /// Record one request computed on the thread that submitted it.
+    pub fn record_caller_run(&self) {
+        self.caller_runs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Requests computed on their submitting thread so far.
+    pub fn caller_runs(&self) -> u64 {
+        self.caller_runs.load(Ordering::Relaxed)
     }
 
     /// Record a request rejected because its deadline expired.
@@ -201,6 +212,7 @@ impl ServeStats {
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
             max_batch: self.max_batch.load(Ordering::Relaxed),
+            caller_runs: self.caller_runs(),
             batch_buckets: self.batch_sizes.snapshot(),
             cache_hits,
             cache_misses,

@@ -1,0 +1,288 @@
+//! Mutation test over the bytes a client controls: every wire request
+//! kind, mutated, through [`decode_request`] and through
+//! [`EngineService::try_handle_now`] — the decode that now runs on the
+//! reactor thread, where a panic is an outage and not a lost worker.
+//!
+//! Start from a valid encoding of each [`RequestBody`] kind (fields
+//! drawn by `splatt_rt::qc`), then: truncate at every byte, invert
+//! every byte, flip one drawn bit in every byte, overwrite every
+//! integer field (op, deadline, lengths, counts, order, mode, shard
+//! selection, …) with 0, 1, `MAX − 1` and `MAX`, and overwrite a few
+//! drawn bytes with drawn values. For every mutant:
+//!
+//! - no panic (`qc::check` turns one into a failure naming the seed);
+//! - `decode_request` returns a typed `InvalidData` error or a request
+//!   that re-encodes to exactly the mutant's bytes and decodes back to
+//!   itself (`decode ∘ encode = id`, both ways);
+//! - neither call requests more heap than a small multiple of the bytes
+//!   present ([`splatt_probe::alloc::CountingAlloc`], per thread);
+//! - `try_handle_now` answers exactly the frames that are a small
+//!   `Entry` or malformed beyond decoding, with a well-formed typed
+//!   reply equal to the pooled path's, and nothing it answers ever
+//!   reaches the batcher.
+
+use crate::engine::{Query, ServeConfig};
+use crate::protocol::{
+    decode_request, decode_response, encode_request, peek_entry_coords, Request, RequestBody,
+    Response, ShardSel, WireError,
+};
+use crate::service::{test_service, EngineService};
+use splatt_net::{Disposition, FrameService, RequestCtx};
+use splatt_probe::alloc::thread_heap_bytes;
+use splatt_rt::qc::{self, Gen};
+use std::io::ErrorKind;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
+/// Heap a call may request: this multiple of the payload's length …
+const HEAP_FACTOR: u64 = 4;
+/// … plus this much for what does not scale with it (an error's boxed
+/// message, the response slot, a one-tuple answer and its frame).
+const HEAP_SLACK: u64 = 512;
+
+const KINDS: usize = 9;
+
+/// A valid request of kind `kind` against the model [`service`] serves.
+fn request_of(kind: usize, g: &mut Gen) -> Request {
+    let fixed = |g: &mut Gen| vec![g.range(0..4u32), g.range(0..5u32)];
+    let sel = |g: &mut Gen| {
+        let nshards = g.range(1..5u32);
+        ShardSel {
+            shard: g.range(0..nshards),
+            nshards,
+            seed: g.u64(),
+        }
+    };
+    let body = match kind {
+        0 => {
+            // On both sides of the inline bound, sometimes empty.
+            let tuples = *g.choose(&[0usize, 1, 1, 1, 2, 7, 21, 22, 40]);
+            RequestBody::Entry {
+                order: 3,
+                coords: (0..tuples)
+                    .flat_map(|_| [g.range(0..6u32), g.range(0..4u32), g.range(0..5u32)])
+                    .collect(),
+            }
+        }
+        1 => RequestBody::Slice {
+            mode: g.range(0..3u8),
+            index: g.range(0..4u32),
+        },
+        2 => RequestBody::TopK {
+            mode: 0,
+            k: g.range(1..8u32),
+            fixed: fixed(g),
+        },
+        3 => RequestBody::Stats,
+        4 => RequestBody::List,
+        5 => RequestBody::Shutdown,
+        6 => RequestBody::Health,
+        7 => RequestBody::TopKShard {
+            mode: 0,
+            k: g.range(1..8u32),
+            fixed: fixed(g),
+            sel: sel(g),
+        },
+        _ => RequestBody::SliceShard {
+            mode: g.range(1..3u8),
+            index: g.range(0..4u32),
+            sel: sel(g),
+        },
+    };
+    let named = matches!(kind, 0..=2 | 7 | 8);
+    Request {
+        deadline_ms: *g.choose(&[0, 1, 250, u32::MAX]),
+        model: if named { "m".into() } else { String::new() },
+        version: *g.choose(&[0, 0, 1, 2]),
+        body,
+    }
+}
+
+/// `(offset, width)` of every integer field of `req`'s encoding.
+fn integer_fields(req: &Request) -> Vec<(usize, usize)> {
+    // op, deadline_ms, name_len, [name], version
+    let body = 7 + req.model.len() + 8;
+    let mut fields = vec![(0, 1), (1, 4), (5, 2), (body - 8, 8)];
+    let mut at = body;
+    let mut push = |widths: &[usize]| {
+        for &w in widths {
+            fields.push((at, w));
+            at += w;
+        }
+    };
+    match &req.body {
+        // order, count
+        RequestBody::Entry { .. } => push(&[1, 4]),
+        // mode, index
+        RequestBody::Slice { .. } => push(&[1, 4]),
+        // mode, k, nfixed, fixed…
+        RequestBody::TopK { fixed, .. } => {
+            push(&[1, 4, 1]);
+            push(&vec![4; fixed.len()]);
+        }
+        // … then shard, nshards, seed
+        RequestBody::TopKShard { fixed, .. } => {
+            push(&[1, 4, 1]);
+            push(&vec![4; fixed.len()]);
+            push(&[4, 4, 8]);
+        }
+        RequestBody::SliceShard { .. } => push(&[1, 4, 4, 4, 8]),
+        RequestBody::Stats | RequestBody::List | RequestBody::Shutdown | RequestBody::Health => {}
+    }
+    fields
+}
+
+/// Every mutant of `payload`; see the module docs.
+fn mutants(payload: &[u8], fields: &[(usize, usize)], g: &mut Gen) -> Vec<Vec<u8>> {
+    let mut out = vec![payload.to_vec()];
+    for cut in 0..payload.len() {
+        out.push(payload[..cut].to_vec());
+    }
+    for at in 0..payload.len() {
+        for mask in [0xFF, 1u8 << g.range(0..8u32)] {
+            let mut m = payload.to_vec();
+            m[at] ^= mask;
+            out.push(m);
+        }
+    }
+    for &(at, width) in fields {
+        let max = u64::MAX >> (64 - 8 * width);
+        for value in [0, 1, max - 1, max] {
+            let mut m = payload.to_vec();
+            m[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            out.push(m);
+        }
+    }
+    for _ in 0..8 {
+        let mut m = payload.to_vec();
+        for _ in 0..g.range(2..5usize) {
+            let at = g.usize_in(0..m.len());
+            m[at] = g.u64() as u8;
+        }
+        out.push(m);
+    }
+    // A frame longer than it says: trailing bytes.
+    let mut m = payload.to_vec();
+    m.push(g.u64() as u8);
+    out.push(m);
+    out
+}
+
+fn service() -> EngineService {
+    test_service(ServeConfig {
+        ntasks: 1,
+        ..ServeConfig::default()
+    })
+}
+
+/// The heap `f` requested on this thread, with its result.
+fn heap_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = thread_heap_bytes();
+    let out = f();
+    (out, thread_heap_bytes() - before)
+}
+
+fn check_mutant(svc: &EngineService, ctx: &RequestCtx, m: &[u8]) {
+    let budget = HEAP_FACTOR * m.len() as u64 + HEAP_SLACK;
+
+    let (decoded, heap) = heap_of(|| decode_request(m));
+    assert!(
+        heap <= budget,
+        "decode_request asked for {heap} B for a {} B frame: {m:?}",
+        m.len()
+    );
+    match &decoded {
+        Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{m:?}"),
+        Ok(req) => {
+            let again = encode_request(req).expect("a decoded request re-encodes");
+            assert_eq!(again, m, "decode then encode changed the bytes of {req:?}");
+            assert_eq!(&decode_request(&again).expect("and decodes again"), req);
+        }
+    }
+
+    let (inline, heap) = heap_of(|| svc.try_handle_now(m));
+    assert!(
+        heap <= budget,
+        "try_handle_now asked for {heap} B for a {} B frame: {m:?}",
+        m.len()
+    );
+    // Which thread answers is decided by the header fields the peek
+    // reads, and has to agree with what the frame turned out to be.
+    let small_entry = matches!(&decoded, Ok(Request { body: RequestBody::Entry { coords, .. }, .. })
+        if coords.len() <= Query::CALLER_RUNS_COORDS);
+    let announced_small =
+        peek_entry_coords(m).is_some_and(|n| n <= Query::CALLER_RUNS_COORDS as u64);
+    let want_inline = small_entry || (decoded.is_err() && announced_small);
+    assert_eq!(
+        inline.is_some(),
+        want_inline,
+        "{m:?} decoded as {decoded:?}"
+    );
+    let Some(reply) = inline else { return };
+    assert_eq!(reply.disposition, Disposition::Continue);
+    match decode_response(&reply.payload).expect("a well-formed reply") {
+        Response::Entries(vals) => {
+            let Ok(Request {
+                body: RequestBody::Entry { order, coords },
+                ..
+            }) = &decoded
+            else {
+                panic!("values for {decoded:?}");
+            };
+            assert_eq!(vals.len() * usize::from(*order), coords.len());
+        }
+        Response::Error(WireError::BadRequest | WireError::ModelNotFound, _) => {}
+        other => panic!("{other:?} for {m:?}"),
+    }
+    assert_eq!(
+        reply,
+        svc.handle(m, ctx),
+        "inline and pooled replies differ"
+    );
+}
+
+#[test]
+fn mutated_requests_decode_typed_bounded_and_never_panic() {
+    let svc = service();
+    let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)), None);
+    qc::check("wire request mutants", 48, |g| {
+        for kind in 0..KINDS {
+            let req = request_of(kind, g);
+            let payload = encode_request(&req).expect("a valid request encodes");
+            assert_eq!(decode_request(&payload).expect("and decodes"), req);
+            for m in mutants(&payload, &integer_fields(&req), g) {
+                check_mutant(&svc, &ctx, &m);
+            }
+        }
+    });
+    // Every frame `try_handle_now` took was computed on this thread.
+    let serve = svc.engine.profile_report().serve.expect("serve row");
+    assert_eq!((serve.batches, serve.batched_requests), (0, 0));
+    assert!(serve.caller_runs > 0);
+    svc.engine.shutdown();
+}
+
+/// What the mutation test found, pinned as the bytes that showed it
+/// (first seen as case 4 of the default base, seed 0xe76e8509e963b66d).
+#[test]
+fn regressions_the_mutation_test_found() {
+    let svc = service();
+    let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)), None);
+    // An `Entry` of order 0 announcing one tuple decoded as the empty
+    // batch, which encodes with count 0: two byte strings, one request.
+    let mut order_zero = encode_request(&Request {
+        deadline_ms: 0,
+        model: "m".into(),
+        version: 0,
+        body: RequestBody::Entry {
+            order: 0,
+            coords: Vec::new(),
+        },
+    })
+    .unwrap();
+    let count_at = order_zero.len() - 4;
+    order_zero[count_at] = 1;
+    assert!(decode_request(&order_zero).is_err());
+    check_mutant(&svc, &ctx, &order_zero);
+    svc.engine.shutdown();
+}

@@ -1,13 +1,15 @@
 //! Front-end smoke tests for the `splatt-net` reactor: a 10k-connection
 //! mostly-idle run served by a bounded worker pool, a saturation run
-//! showing typed shedding with bounded admitted-request latency, and a
+//! showing typed shedding with bounded admitted-request latency, a
 //! bit-identical sweep against an in-test oracle built from the
-//! `core::query` kernels. The first two write `target/net-smoke-report.json` /
+//! `core::query` kernels, and the two request paths — point reads on
+//! the reactor thread, scans through the pool — counted exactly,
+//! isolated from each other, and drained on shutdown. The first two write `target/net-smoke-report.json` /
 //! `target/net-saturation-report.json` for CI artifact upload.
 
 use splatt::serve::protocol::{
     decode_response, encode_request, encode_response, read_frame, write_frame, Request,
-    RequestBody, Response, WireError,
+    RequestBody, Response, ShardSel, WireError,
 };
 use splatt::serve::{serve_with, FrontEndConfig, ServeConfig, ServeEngine, ServerHandle};
 use splatt::{KruskalModel, Matrix};
@@ -54,11 +56,75 @@ fn test_model(seed: u64) -> KruskalModel {
 }
 
 fn start_server(front: FrontEndConfig, config: ServeConfig) -> (ServerHandle, KruskalModel) {
+    start_server_with(test_model(0xBEEF), front, config)
+}
+
+fn start_server_with(
+    model: KruskalModel,
+    front: FrontEndConfig,
+    config: ServeConfig,
+) -> (ServerHandle, KruskalModel) {
     let engine = ServeEngine::start(config);
-    let model = test_model(0xBEEF);
     engine.publish("m", model.clone());
     let handle = serve_with(engine, "127.0.0.1:0", front).expect("bind");
     (handle, model)
+}
+
+/// A model whose mode-0 top-k is a real scan (tens of microseconds in
+/// release, milliseconds in debug): work that occupies a pool worker
+/// and queues for the batcher, where a point read no longer does.
+fn scan_model(seed: u64) -> KruskalModel {
+    KruskalModel {
+        lambda: vec![1.5, -0.75, 0.25, 2.0],
+        factors: vec![
+            Matrix::random(20_000, 4, seed),
+            Matrix::random(5, 4, seed ^ 0xA5),
+            Matrix::random(6, 4, seed ^ 0x5A),
+        ],
+    }
+}
+
+/// A scan request with its oracle answer.
+type ScanCase = (Request, Vec<(u32, f64)>);
+
+/// The `n`-th distinct mode-0 top-k request against [`scan_model`]
+/// (30 distinct `fixed` pairs) with its oracle answer.
+fn scan_request(model: &KruskalModel, n: usize, deadline_ms: u32) -> ScanCase {
+    let fixed = vec![(n % 5) as u32, (n / 5 % 6) as u32];
+    let mut want = Vec::new();
+    splatt::core::query::top_k(
+        model,
+        0,
+        8,
+        &fixed,
+        &mut splatt::core::query::QueryArena::new(),
+        &mut want,
+    )
+    .expect("oracle top-k");
+    (
+        Request {
+            deadline_ms,
+            model: "m".into(),
+            version: 0,
+            body: RequestBody::TopK {
+                mode: 0,
+                k: 8,
+                fixed,
+            },
+        },
+        want,
+    )
+}
+
+fn assert_pairs_eq(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length mismatch");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            (g.0, g.1.to_bits()),
+            (w.0, w.1.to_bits()),
+            "{what}: pair {i}"
+        );
+    }
 }
 
 fn entry_request(rng: &mut Rng, model: &KruskalModel, deadline_ms: u32) -> (Request, Vec<f64>) {
@@ -201,7 +267,12 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
     const PIPELINE: usize = 16;
     const ROUNDS: usize = 6;
 
-    let (handle, model) = start_server(
+    // Point reads are answered on the reactor thread and never queue, so
+    // the load that saturates the decode gate and the pool is scans:
+    // pipelined top-k over a 20 000-row mode, every result computed (no
+    // result cache to short-circuit a repeated key).
+    let (handle, model) = start_server_with(
+        scan_model(0xBEEF),
         FrontEndConfig {
             workers: 2,
             max_conns: 64,
@@ -212,11 +283,54 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
         ServeConfig {
             ntasks: 1,
             max_depth: 2,
+            cache_capacity: 0,
             ..ServeConfig::default()
         },
     );
     let addr = handle.addr();
     let started = Instant::now();
+    let scans: Arc<Vec<ScanCase>> = Arc::new(
+        (0..30)
+            .map(|n| scan_request(&model, n, DEADLINE_MS))
+            .collect(),
+    );
+
+    // Meanwhile, on a connection of its own, closed-loop point reads:
+    // each comes back bit-exact or typed `Overloaded` (the decode gate
+    // and the engine gate are both consulted before it is computed),
+    // never untyped and never late.
+    let burst_over = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (reading, burst_may_start) = std::sync::mpsc::channel();
+    let point_reader = {
+        let burst_over = Arc::clone(&burst_over);
+        let model = model.clone();
+        std::thread::spawn(move || {
+            let mut rng = Rng(0x0009_0147);
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let (mut exact, mut shed) = (0u64, 0u64);
+            while !burst_over.load(std::sync::atomic::Ordering::Relaxed) {
+                let (req, want) = entry_request(&mut rng, &model, DEADLINE_MS);
+                match call_raw(&mut stream, &req).expect("point read") {
+                    Response::Entries(vals) => {
+                        assert_bits_eq(&vals, &want, "point read under saturation");
+                        exact += 1;
+                    }
+                    Response::Error(WireError::Overloaded, _) => shed += 1,
+                    other => panic!("untyped point-read outcome: {other:?}"),
+                }
+                // The burst starts once the reader is in its loop.
+                let _ = reading.send(());
+            }
+            (exact, shed)
+        })
+    };
+    burst_may_start
+        .recv()
+        .expect("the point reader's first answer");
 
     let ok_latencies: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let sheds = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -224,7 +338,7 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
         .map(|c| {
             let ok_latencies = Arc::clone(&ok_latencies);
             let sheds = Arc::clone(&sheds);
-            let model = model.clone();
+            let scans = Arc::clone(&scans);
             std::thread::spawn(move || {
                 let mut rng = Rng(0x5A7_0000 + c as u64);
                 let mut stream = TcpStream::connect(addr).expect("connect");
@@ -238,15 +352,15 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
                     let mut wants = Vec::with_capacity(PIPELINE);
                     let sent = Instant::now();
                     for _ in 0..PIPELINE {
-                        let (req, want) = entry_request(&mut rng, &model, DEADLINE_MS);
-                        write_frame(&mut stream, &encode_request(&req).unwrap()).expect("send");
+                        let (req, want) = &scans[rng.below(scans.len() as u64) as usize];
+                        write_frame(&mut stream, &encode_request(req).unwrap()).expect("send");
                         wants.push(want);
                     }
                     for want in &wants {
                         let frame = read_frame(&mut stream).expect("recv");
                         match decode_response(&frame).expect("decode") {
-                            Response::Entries(vals) => {
-                                assert_bits_eq(&vals, want, "saturated entry");
+                            Response::TopK(pairs) => {
+                                assert_pairs_eq(&pairs, want, "saturated scan");
                                 ok_latencies
                                     .lock()
                                     .unwrap()
@@ -268,6 +382,12 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
     for t in threads {
         t.join().expect("client thread");
     }
+    burst_over.store(true, std::sync::atomic::Ordering::Relaxed);
+    let (point_exact, point_shed) = point_reader.join().expect("point-read thread");
+    assert!(
+        point_exact + point_shed > 0,
+        "no point read completed during the burst"
+    );
 
     let snapshot = handle.net_counters().expect("reactor front end");
     let mut lat = ok_latencies.lock().unwrap().clone();
@@ -291,7 +411,8 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
          \"rounds\": {ROUNDS}, \"deadline_ms\": {DEADLINE_MS}, \"elapsed_ms\": {}, \
          \"admitted\": {}, \"typed_sheds\": {shed_total}, \"p99_micros\": {p99}, \
          \"sheds_decode\": {}, \"sheds_accept\": {}, \"frames_read\": {}, \
-         \"coalesced_writes\": {}, \"writes\": {}}}\n",
+         \"coalesced_writes\": {}, \"writes\": {}, \"frames_inline\": {}, \
+         \"point_reads_exact\": {point_exact}, \"point_reads_shed\": {point_shed}}}\n",
         started.elapsed().as_millis(),
         lat.len(),
         snapshot.sheds_decode,
@@ -299,6 +420,7 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
         snapshot.frames_read,
         snapshot.coalesced_writes,
         snapshot.writes,
+        snapshot.frames_inline,
     );
     std::fs::create_dir_all("target").ok();
     std::fs::write("target/net-saturation-report.json", report).expect("write report");
@@ -432,4 +554,275 @@ fn reactor_answers_a_seeded_sweep_bit_identically_to_the_query_oracle() {
     );
 
     reactor.shutdown();
+}
+
+fn connect(handle: &ServerHandle) -> TcpStream {
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+}
+
+/// The path counters a running server reports about itself, read the
+/// way an operator would: one `Stats` request over the wire.
+struct PathCounts {
+    caller_runs: u64,
+    batches: u64,
+    batched_requests: u64,
+    frames_read: u64,
+    frames_inline: u64,
+}
+
+fn wire_path_counts(stream: &mut TcpStream) -> PathCounts {
+    let stats = Request {
+        deadline_ms: 0,
+        model: String::new(),
+        version: 0,
+        body: RequestBody::Stats,
+    };
+    let Response::Stats(json) = call_raw(stream, &stats).expect("stats") else {
+        panic!("expected a stats reply");
+    };
+    let doc = splatt::probe::json::parse(&json).expect("stats JSON");
+    let serve = doc.get("serve").expect("serve object");
+    let net = serve.get("net").expect("net object");
+    let count = |obj: &splatt::probe::json::Value, key: &str| {
+        obj.get(key)
+            .and_then(splatt::probe::json::Value::as_u64)
+            .unwrap_or_else(|| panic!("{key} missing from {json}"))
+    };
+    PathCounts {
+        caller_runs: count(serve, "caller_runs"),
+        batches: count(serve, "batches"),
+        batched_requests: count(serve, "batched_requests"),
+        frames_read: count(net, "frames_read"),
+        frames_inline: count(net, "frames_inline"),
+    }
+}
+
+/// N point reads are N inline frames, N caller-runs, no batch and no
+/// pool job; N scans after them add nothing to either inline count and
+/// ride in batches — and `Stats` answers which path each took.
+#[test]
+fn point_reads_run_inline_and_scans_go_through_the_pool_counted_exactly() {
+    let _guard = serial_guard();
+    const N: u64 = 25;
+    let (handle, model) = start_server(FrontEndConfig::default(), ServeConfig::default());
+    let mut stream = connect(&handle);
+    let mut rng = Rng(0xC0_0417);
+    for _ in 0..N {
+        let (req, want) = entry_request(&mut rng, &model, 5_000);
+        match call_raw(&mut stream, &req).expect("point read") {
+            Response::Entries(vals) => assert_bits_eq(&vals, &want, "inline entry"),
+            other => panic!("expected entries, got {other:?}"),
+        }
+    }
+    let net = handle.net_counters().expect("reactor front end");
+    assert_eq!((net.frames_read, net.frames_inline), (N, N));
+    // read − inline − shed is what went to a worker: nothing.
+    assert_eq!(net.sheds_decode, 0);
+    assert_eq!(net.deadline_backstops, 0);
+    let counts = wire_path_counts(&mut stream);
+    assert_eq!(counts.caller_runs, N);
+    assert_eq!((counts.batches, counts.batched_requests), (0, 0));
+    // The `Stats` frame is itself read (and pooled) before it reports.
+    assert_eq!((counts.frames_read, counts.frames_inline), (N + 1, N));
+
+    for n in 0..N {
+        // distinct keys: none is answered from the result cache
+        let req = Request {
+            deadline_ms: 5_000,
+            model: "m".into(),
+            version: 0,
+            body: RequestBody::TopK {
+                mode: 0,
+                k: 3,
+                fixed: vec![(n % 5) as u32, (n / 5) as u32],
+            },
+        };
+        let got = call_raw(&mut stream, &req).expect("scan");
+        assert_eq!(got, oracle_response(&model, &req), "scan {n}");
+    }
+    let counts = wire_path_counts(&mut stream);
+    assert_eq!(counts.frames_inline, N, "no scan was answered inline");
+    assert_eq!(counts.caller_runs, N, "no scan ran on its caller");
+    assert_eq!(counts.frames_read, 2 * N + 2);
+    assert_eq!(counts.batched_requests, N);
+    assert!(counts.batches >= 1 && counts.batches <= N);
+    handle.shutdown();
+}
+
+/// With the only pool worker busy on a backlog of scans from one
+/// connection, a point read on another is answered at once: when the
+/// point reads are done, most of the backlog is still unanswered.
+#[test]
+fn a_point_read_does_not_wait_for_another_connection_s_scans() {
+    let _guard = serial_guard();
+    const SCANS: usize = 24;
+    const POINTS: u64 = 5;
+    // 200 000 rows at rank 8: every scan is a millisecond or more.
+    let model = KruskalModel {
+        lambda: vec![1.0; 8],
+        factors: vec![
+            Matrix::random(200_000, 8, 0x51),
+            Matrix::random(5, 8, 0x52),
+            Matrix::random(6, 8, 0x53),
+        ],
+    };
+    let (handle, model) = start_server_with(
+        model,
+        FrontEndConfig {
+            workers: 1,
+            ..FrontEndConfig::default()
+        },
+        ServeConfig {
+            ntasks: 1,
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let mut scanner = connect(&handle);
+    let scans: Vec<_> = (0..SCANS)
+        .map(|n| scan_request(&model, n, 30_000))
+        .collect();
+    for (req, _) in &scans {
+        write_frame(&mut scanner, &encode_request(req).unwrap()).expect("send scan");
+    }
+    let mut reader = connect(&handle);
+    let mut rng = Rng(0x150_1A7E);
+    for _ in 0..POINTS {
+        let (req, want) = entry_request(&mut rng, &model, 5_000);
+        match call_raw(&mut reader, &req).expect("point read") {
+            Response::Entries(vals) => assert_bits_eq(&vals, &want, "isolated entry"),
+            other => panic!("expected entries, got {other:?}"),
+        }
+    }
+    let net = handle.net_counters().expect("reactor front end");
+    assert_eq!(net.frames_inline, POINTS);
+    assert!(
+        net.frames_written < POINTS + SCANS as u64 / 2,
+        "the point reads waited for the scans: {net:?}"
+    );
+    for (n, (_, want)) in scans.iter().enumerate() {
+        let frame = read_frame(&mut scanner).expect("scan reply");
+        match decode_response(&frame).expect("decode") {
+            Response::TopK(pairs) => assert_pairs_eq(&pairs, want, &format!("scan {n}")),
+            other => panic!("expected top-k, got {other:?}"),
+        }
+    }
+    handle.shutdown();
+}
+
+/// A wire `Shutdown` is acknowledged and the server drains and exits
+/// while a client is still issuing point reads; that client sees exact
+/// answers, then typed `ShuttingDown` or the connection closing —
+/// nothing untyped, nothing torn.
+#[test]
+fn wire_shutdown_drains_with_inline_traffic_in_flight() {
+    let _guard = serial_guard();
+    let (handle, model) = start_server(FrontEndConfig::default(), ServeConfig::default());
+    let mut stream = connect(&handle);
+    let hammer = std::thread::spawn(move || {
+        let mut rng = Rng(0x000D_2A14);
+        let mut exact = 0u64;
+        loop {
+            let (req, want) = entry_request(&mut rng, &model, 5_000);
+            match call_raw(&mut stream, &req) {
+                Ok(Response::Entries(vals)) => {
+                    assert_bits_eq(&vals, &want, "entry during drain");
+                    exact += 1;
+                }
+                Ok(Response::Error(WireError::ShuttingDown, _)) | Err(_) => return exact,
+                Ok(other) => panic!("untyped outcome during drain: {other:?}"),
+            }
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.net_counters().expect("front end").frames_inline < 50 {
+        assert!(Instant::now() < deadline, "no inline traffic");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut control = connect(&handle);
+    let shutdown = Request {
+        deadline_ms: 0,
+        model: String::new(),
+        version: 0,
+        body: RequestBody::Shutdown,
+    };
+    assert_eq!(
+        call_raw(&mut control, &shutdown).expect("shutdown ack"),
+        Response::Ack
+    );
+    handle.join();
+    assert!(hammer.join().expect("hammer thread") >= 50);
+}
+
+/// One ~50-byte frame used to be able to abort the server: a shard
+/// selection's `nshards` sized a hash ring unchecked. It is refused
+/// typed, and the connection goes on being served.
+#[test]
+fn an_oversized_shard_count_is_refused_typed_and_the_connection_lives() {
+    let _guard = serial_guard();
+    let (handle, model) = start_server(FrontEndConfig::default(), ServeConfig::default());
+    let mut stream = connect(&handle);
+    let sel = |nshards| ShardSel {
+        shard: 0,
+        nshards,
+        seed: 0x5EED,
+    };
+    let shard_ops = |nshards| {
+        [
+            RequestBody::TopKShard {
+                mode: 0,
+                k: 3,
+                fixed: vec![0, 0],
+                sel: sel(nshards),
+            },
+            RequestBody::SliceShard {
+                mode: 1,
+                index: 0,
+                sel: sel(nshards),
+            },
+        ]
+    };
+    for nshards in [u32::MAX, splatt::serve::cluster::MAX_SHARDS + 1] {
+        for body in shard_ops(nshards) {
+            let req = Request {
+                deadline_ms: 5_000,
+                model: "m".into(),
+                version: 0,
+                body,
+            };
+            assert!(encode_request(&req).unwrap().len() < 64);
+            match call_raw(&mut stream, &req).expect("typed refusal") {
+                Response::Error(WireError::BadRequest, msg) => {
+                    assert!(msg.contains("exceed the limit"), "{msg}");
+                }
+                other => panic!("expected BadRequest for {nshards} shards, got {other:?}"),
+            }
+        }
+    }
+    // Same connection, next request: answered.
+    let mut rng = Rng(0x11FE);
+    let (req, want) = entry_request(&mut rng, &model, 5_000);
+    match call_raw(&mut stream, &req).expect("follow-up") {
+        Response::Entries(vals) => assert_bits_eq(&vals, &want, "follow-up entry"),
+        other => panic!("expected entries, got {other:?}"),
+    }
+    // And the largest legal ring is still built and answered from.
+    for body in shard_ops(splatt::serve::cluster::MAX_SHARDS) {
+        let req = Request {
+            deadline_ms: 20_000,
+            model: "m".into(),
+            version: 0,
+            body,
+        };
+        match call_raw(&mut stream, &req).expect("legal ring") {
+            Response::TopK(_) | Response::Slice(_) => {}
+            other => panic!("expected a shard answer, got {other:?}"),
+        }
+    }
+    handle.shutdown();
 }
