@@ -4,15 +4,17 @@
 //! *committed* baseline so every PR can see the perf trajectory, not just
 //! the correctness one. `repro bench` runs a pinned synthetic workload —
 //! fixed dims, nonzero count, distribution, and seed — through every
-//! kernel/sync cell at the fixed-width ranks and the paper's rank 35,
-//! timing the plain loops (`specialize: false`) and the tuned kernels
-//! (`specialize: true`) side by side, and writes the medians to
+//! kernel/sync cell at ranks 8, 16, 32 and the paper's 35, timing the
+//! plain loops (`specialize: false`) and the tuned kernels
+//! (`specialize: true`: blocked gather, blocked scatter — one body for
+//! every rank) side by side, and writes the medians to
 //! `BENCH_mttkrp.json` at the repo root in a schema-stable layout.
 //!
 //! Timings in the committed file are machine-specific; what the schema
 //! pins is the *shape*: workload identity, one row per
-//! `(kernel, sync, rank)` cell, median-of-N nanoseconds per dispatch
-//! path, and the specialized-over-generic speedup.
+//! `(kernel, sync, rank)` cell, median-of-N nanoseconds per path, and
+//! the tuned-over-plain speedup (the `generic_ns` / `specialized_ns` /
+//! `speedup` keys keep their v4 names).
 
 use splatt_core::mttkrp::{mttkrp, MatrixAccess, MttkrpConfig, MttkrpWorkspace};
 use splatt_core::{CsfAlloc, CsfSet, KernelKind};
@@ -28,10 +30,9 @@ pub const BENCH_SCHEMA: &str = "splatt-bench-mttkrp-v4";
 /// File name of the committed baseline at the repo root.
 pub const BASELINE_FILE: &str = "BENCH_mttkrp.json";
 
-/// Ranks measured per cell: the fixed-width instantiations
-/// ([`splatt_core::mttkrp::SPECIALIZED_RANKS`]) and the paper's rank 35,
-/// which runs the blocked gather with dynamic-width row operations — the
-/// only rank the end-to-end `cpd_*` workloads run.
+/// Ranks measured per cell: a full chunk of the blocked kernels and
+/// less (16, 8), two chunks (32), and the paper's rank 35 — two chunks
+/// and a remainder, the only rank the end-to-end `cpd_*` workloads run.
 pub const BENCH_RANKS: [usize; 4] = [8, 16, 32, 35];
 
 /// The pinned workload the baseline runs. Everything that shapes the
@@ -211,11 +212,11 @@ pub fn run_cells(w: &BenchWorkload) -> Vec<BenchCell> {
                         &set, &factors, mode, &mut out, &mut ws, &team, &cfg, w.warmup, w.reps,
                     )
                 };
-                // Note on the leaf kernel: it has no gather, so at 32
-                // (fixed width retired in the kernel driver) and 35
-                // `specialize: true` times the plain loops too — the
-                // cells stay in the grid (speedup ~1.0) to keep the
-                // baseline coverage stable.
+                // Note on the leaf kernel: under locks it has no tuned
+                // loop (one acquisition per nonzero, the plain scatter),
+                // so `specialize: true` times the same code — the cells
+                // stay in the grid (speedup ~1.0) to keep the baseline
+                // coverage stable.
                 let (generic_ns, generic_spread) = time_path(false);
                 let (specialized_ns, specialized_spread) = time_path(true);
                 cells.push(BenchCell {
@@ -274,14 +275,6 @@ pub fn to_json(w: &BenchWorkload, nnz_actual: usize, cells: &[BenchCell]) -> Str
     }
     out.push_str("\n  ]\n}\n");
     out
-}
-
-/// Run the pinned workload and return the baseline JSON document.
-pub fn run_baseline() -> String {
-    let w = BenchWorkload::default();
-    let nnz = workload_tensor(&w).nnz();
-    let cells = run_cells(&w);
-    to_json(&w, nnz, &cells)
 }
 
 /// Human-readable cell table (printed by `repro bench`).

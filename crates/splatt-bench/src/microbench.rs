@@ -265,12 +265,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Override the per-benchmark measurement budget for this group.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.c.time_budget = d;
-        self
-    }
-
     /// Run one benchmark in this group.
     pub fn bench_function(
         &mut self,

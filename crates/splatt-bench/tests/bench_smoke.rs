@@ -4,9 +4,9 @@
 //! 1. `BENCH_mttkrp.json` at the repo root parses and carries the pinned
 //!    schema — a PR that changes the layout must bump `BENCH_SCHEMA` and
 //!    regenerate the file.
-//! 2. The committed baseline justifies always-on specialization: every
-//!    cell the kernel actually specializes measured at least 1.0x over
-//!    its own generic column.
+//! 2. The committed baseline justifies the always-on tuned kernels:
+//!    every cell whose tuned code differs from its plain code measured at
+//!    least 1.0x over its own generic column.
 //! 3. The tuned dispatch is **bit-identical** to the plain loops on
 //!    deterministic kernels (root and privatized), so committing the
 //!    specialization cannot move any oracle.
@@ -21,7 +21,7 @@
 use splatt_bench::baseline::{
     bench_team, run_cells, workload_tensor, BenchWorkload, BASELINE_FILE, BENCH_RANKS, BENCH_SCHEMA,
 };
-use splatt_core::mttkrp::{mttkrp, MatrixAccess, MttkrpConfig, MttkrpWorkspace, SPECIALIZED_RANKS};
+use splatt_core::mttkrp::{mttkrp, MatrixAccess, MttkrpConfig, MttkrpWorkspace};
 use splatt_core::{CsfAlloc, CsfSet};
 use splatt_dense::Matrix;
 use splatt_probe::json;
@@ -62,29 +62,28 @@ fn committed_baseline_is_schema_stable() {
     }
 }
 
-/// `mttkrp` specializes by a static rule: fixed-width row operations at
-/// `SPECIALIZED_RANKS` (leaf-32 retired), the blocked gather at every
-/// rank — 35 included — for the kernels that gather (root, internal).
-/// The measured fact that justifies the rule: no cell the kernel actually
-/// specializes measured below 1.0x against its own generic column in the
-/// committed baseline.
+/// The tuned kernels differ from the plain loops in the blocked gather
+/// (root and internal kernels) and the blocked scatter (leaf kernel into
+/// a replica), at every rank alike. The measured fact that justifies
+/// running them always: no such cell measured below 1.0x against its own
+/// generic column in the committed baseline. Leaf under locks runs the
+/// per-nonzero scatter in both columns; those cells are reported, not
+/// judged.
 #[test]
 fn committed_specialized_cells_all_beat_generic() {
     let doc = committed_baseline();
     for cell in doc.get("cells").unwrap().as_array().unwrap() {
         let kernel = cell.get("kernel").unwrap().as_str().unwrap();
-        let rank = cell.get("rank").unwrap().as_u64().unwrap() as usize;
-        let specialized = if kernel == "leaf" {
-            // no gather in the leaf kernel: only the fixed widths apply
-            SPECIALIZED_RANKS.contains(&rank) && rank != 32
-        } else {
-            SPECIALIZED_RANKS.contains(&rank) || rank == 35
-        };
+        let sync = cell.get("sync").unwrap().as_str().unwrap();
+        let rank = cell.get("rank").unwrap().as_u64().unwrap();
         let speedup = cell.get("speedup").unwrap().as_f64().unwrap();
+        if (kernel, sync) == ("leaf", "locks") {
+            eprintln!("{kernel}/{sync}/r{rank}: per-nonzero scatter both columns, {speedup:.3}x");
+            continue;
+        }
         assert!(
-            !specialized || speedup >= 1.0,
-            "{kernel}/{}/r{rank}: specialized path measured {speedup:.3}x (< 1.0x)",
-            cell.get("sync").unwrap().as_str().unwrap()
+            speedup >= 1.0,
+            "{kernel}/{sync}/r{rank}: tuned path measured {speedup:.3}x (< 1.0x)"
         );
     }
 }

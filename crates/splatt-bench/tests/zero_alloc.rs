@@ -30,8 +30,8 @@ fn steady_state_mttkrp_performs_no_hot_loop_allocations() {
     let team = bench_team(w.ntasks);
     let set = CsfSet::build(&tensor, CsfAlloc::One, &team, SortVariant::AllOpts);
     splatt_probe::alloc::enable();
-    // a fixed-width rank and the paper's rank (blocked gather, dynamic-
-    // width row operations)
+    // one full column chunk of the blocked kernels, and the paper's rank
+    // (two chunks and a remainder)
     for (rank, imp) in [16, 35].into_iter().flat_map(|rank| {
         [Implementation::Reference, Implementation::PortedOptimized].map(|imp| (rank, imp))
     }) {

@@ -76,15 +76,15 @@ pub struct MttkrpConfig {
     pub pool_size: usize,
     /// Privatize when `dim[mode] * ntasks <= priv_threshold * nnz`.
     pub priv_threshold: f64,
-    /// Run the tuned inner loops: at every rank the register-blocked
-    /// leaf gather ([`MatrixAccess::PointerZip`] and
-    /// [`MatrixAccess::PointerChecked`]), and at the
-    /// [`SPECIALIZED_RANKS`] fixed-width row operations as well; on
-    /// sparse-fiber tensors those two strategies also prefetch rows a few
-    /// fibers ahead. `false` runs the plain per-nonzero dynamic-width
-    /// loops, without prefetch, for every access strategy — the
-    /// differential oracle. Both perform the same element-wise operations
-    /// in the same order, so results are bit-identical.
+    /// Run the tuned inner loops. [`MatrixAccess::PointerZip`] and
+    /// [`MatrixAccess::PointerChecked`] then take the register-blocked
+    /// leaf gather and the blocked leaf scatter — the same code at every
+    /// rank — and on sparse-fiber tensors prefetch rows a few fibers
+    /// ahead; `RowCopy` and `Index2D` have no tuned variant. `false` runs
+    /// the plain per-nonzero loops, without prefetch, for every access
+    /// strategy — the differential oracle. Both perform the same
+    /// element-wise operations in the same order, so results are
+    /// bit-identical.
     pub specialize: bool,
 }
 
@@ -100,30 +100,17 @@ impl Default for MttkrpConfig {
     }
 }
 
-/// Ranks whose row operations (`mul_row`, `fma_row`, the scatters) have
-/// fixed-width instantiations. The leaf gather does not depend on this
-/// list: it is register-blocked at every rank (see `Access::gather`), so
-/// any other rank — the paper's 35 included — runs the blocked gather
-/// with dynamic-width row operations. Only `specialize: false` takes the
-/// plain loops throughout.
-///
-/// Exception: the **leaf** kernel at R = 32 is retired — its fixed
-/// `[f64; 32]` accumulator spills past the register file and benched
-/// consistently below 1.0x (0.804x), so leaf kernels at rank 32 always
-/// run the dynamic-width row operations.
-pub const SPECIALIZED_RANKS: [usize; 3] = [8, 16, 32];
-
-/// Re-slice a rank-length slice as a fixed-width array reference. Only
-/// reachable from kernels dispatched with `R == rank`, so the length
-/// always matches.
+/// Re-slice a `W`-long slice as a fixed-width array reference: how the
+/// blocked gather and scatter hand the compiler a chunk it can keep in
+/// registers. Callers slice to `c..c + W` first, so the length matches.
 #[inline(always)]
-fn fixed<const R: usize>(s: &[f64]) -> &[f64; R] {
-    s.try_into().expect("specialized kernel width mismatch")
+fn fixed<const W: usize>(s: &[f64]) -> &[f64; W] {
+    s.try_into().expect("chunk width mismatch")
 }
 
 #[inline(always)]
-fn fixed_mut<const R: usize>(s: &mut [f64]) -> &mut [f64; R] {
-    s.try_into().expect("specialized kernel width mismatch")
+fn fixed_mut<const W: usize>(s: &mut [f64]) -> &mut [f64; W] {
+    s.try_into().expect("chunk width mismatch")
 }
 
 /// SPLATT's privatization heuristic: replicate the output per task when
@@ -257,94 +244,70 @@ impl OutTarget<'_> {
         }
     }
 
-    /// `row[r] += down[r] * up[r]` on output row `idx`. `R` is the
-    /// compile-time rank (`0` = dynamic); both paths apply the identical
-    /// element-wise update order, so they are bit-identical.
-    ///
-    /// The fixed-width operands are read by value before the loop (here
-    /// and in `add_scaled`): once inlined into the walk, the output row is
-    /// not provably disjoint from them, and through the references the
-    /// unrolled loop stays scalar (leaf kernel, R = 16: 0.7x the dynamic
-    /// loop without the copy, 1.4x with).
+    /// Run `update` on output row `idx`, under the row's lock when the
+    /// target has a pool.
     #[inline(always)]
-    fn add_product<const R: usize>(&mut self, idx: usize, down: &[f64], up: &[f64]) {
+    fn with_row(&mut self, idx: usize, update: impl FnOnce(&mut [f64])) {
         match self {
             OutTarget::Shared { out, pool } => {
                 let _guard = pool.map(|p| p.lock(idx));
                 // SAFETY: either the lock pool serializes access to this
                 // row's hash class, or (root kernel) the row is owned by
                 // this task alone.
-                let row = unsafe { out.row_mut(idx) };
-                if R > 0 {
-                    let (row, down, up) = (fixed_mut::<R>(row), *fixed::<R>(down), *fixed::<R>(up));
-                    for r in 0..R {
-                        row[r] += down[r] * up[r];
-                    }
-                } else {
-                    for ((o, &d), &u) in row.iter_mut().zip(down).zip(up) {
-                        *o += d * u;
-                    }
-                }
+                update(unsafe { out.row_mut(idx) });
             }
-            OutTarget::Replica { buf, rank } => {
-                let row = &mut buf[idx * *rank..(idx + 1) * *rank];
-                if R > 0 {
-                    let (row, down, up) = (fixed_mut::<R>(row), *fixed::<R>(down), *fixed::<R>(up));
-                    for r in 0..R {
-                        row[r] += down[r] * up[r];
-                    }
-                } else {
-                    for ((o, &d), &u) in row.iter_mut().zip(down).zip(up) {
-                        *o += d * u;
-                    }
-                }
-            }
+            OutTarget::Replica { buf, rank } => update(&mut buf[idx * *rank..(idx + 1) * *rank]),
         }
+    }
+
+    /// `row[r] += down[r] * up[r]` on output row `idx`.
+    #[inline(always)]
+    fn add_product(&mut self, idx: usize, down: &[f64], up: &[f64]) {
+        self.with_row(idx, |row| {
+            for ((o, &d), &u) in row.iter_mut().zip(down).zip(up) {
+                *o += d * u;
+            }
+        });
     }
 
     /// `row[r] += v * src[r]` on output row `idx` (leaf scatter).
     #[inline(always)]
-    fn add_scaled<const R: usize>(&mut self, idx: usize, v: f64, src: &[f64]) {
-        match self {
-            OutTarget::Shared { out, pool } => {
-                let _guard = pool.map(|p| p.lock(idx));
-                // SAFETY: as in `add_product`.
-                let row = unsafe { out.row_mut(idx) };
-                if R > 0 {
-                    let (row, src) = (fixed_mut::<R>(row), *fixed::<R>(src));
-                    for r in 0..R {
-                        row[r] += v * src[r];
-                    }
-                } else {
-                    for (o, &s) in row.iter_mut().zip(src) {
-                        *o += v * s;
-                    }
+    fn add_scaled(&mut self, idx: usize, v: f64, src: &[f64]) {
+        self.with_row(idx, |row| {
+            for (o, &s) in row.iter_mut().zip(src) {
+                *o += v * s;
+            }
+        });
+    }
+
+    /// The leaf scatter of one fiber, a nonzero at a time: row `fids[x]`
+    /// gets `vals[x] * src` for each `x` in `nz`. `fids` and `vals` are
+    /// the whole leaf level, so a walk with `PF` set can hint the output
+    /// row [`PREFETCH_FIBERS`] nonzeros ahead, past the fiber's end.
+    #[inline(always)]
+    fn scatter<const PF: bool>(
+        &mut self,
+        fids: &[u32],
+        vals: &[f64],
+        nz: std::ops::Range<usize>,
+        src: &[f64],
+    ) {
+        for x in nz {
+            if PF {
+                if let Some(&ahead) = fids.get(x + PREFETCH_FIBERS) {
+                    self.prefetch_row(ahead as usize);
                 }
             }
-            OutTarget::Replica { buf, rank } => {
-                let row = &mut buf[idx * *rank..(idx + 1) * *rank];
-                if R > 0 {
-                    let (row, src) = (fixed_mut::<R>(row), *fixed::<R>(src));
-                    for r in 0..R {
-                        row[r] += v * src[r];
-                    }
-                } else {
-                    for (o, &s) in row.iter_mut().zip(src) {
-                        *o += v * s;
-                    }
-                }
-            }
+            self.add_scaled(fids[x] as usize, vals[x], src);
         }
     }
 }
 
-/// Monomorphized factor-row access operations.
-///
-/// Each method is additionally const-generic over the compile-time rank
-/// `R` (`0` = dynamic width). When `R > 0` the row and accumulator are
-/// re-sliced to `&[f64; R]`, giving LLVM an exact trip count to unroll
-/// and vectorize against; the arithmetic — element order included — is
-/// identical to the dynamic path, so both produce bit-identical results.
+/// Monomorphized factor-row access operations — one body each, whatever
+/// the rank: the row operations are plain loops over the row, and the two
+/// per-fiber operations ([`Access::gather`], [`Access::scatter`]) have a
+/// per-nonzero default that the pointer strategies replace with a
+/// register-blocked routine.
 ///
 /// Every method is `#[inline(always)]`: the walk is compiled once per
 /// instruction set (see `walk!`), and the row operations have to be
@@ -358,11 +321,11 @@ trait Access {
     /// `specialize: false` stays the untouched oracle.
     const PREFETCH: bool;
     /// `accum[r] += scale * f[idx][r]` — one nonzero of the leaf gather.
-    fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]);
+    fn axpy_row(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]);
     /// `dst[r] = a[r] * f[idx][r]` — extend the downward prefix product.
-    fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]);
+    fn mul_row(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]);
     /// `accum[r] += a[r] * f[idx][r]` — combine a child's upward product.
-    fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]);
+    fn fma_row(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]);
     /// `accum[r] += vals[x] * f[fids[x]][r]` over one fiber's children —
     /// the leaf gather, every flop of the root and internal kernels.
     ///
@@ -371,37 +334,77 @@ trait Access {
     /// paid once per nonzero; the pointer strategies override it with
     /// [`blocked_gather`].
     #[inline(always)]
-    fn gather<const R: usize>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
+    fn gather(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
         for (&fid, &v) in fids.iter().zip(vals) {
-            Self::axpy_row::<R>(f, fid as usize, v, accum);
+            Self::axpy_row(f, fid as usize, v, accum);
         }
+    }
+    /// `out[fids[x]][r] += vals[x] * src[r]` over one fiber's nonzeros
+    /// `nz` — the leaf scatter, every flop of the leaf kernel. It reads no
+    /// factor row, so what a strategy chooses here is only the loop shape:
+    /// the default is the per-nonzero [`OutTarget::scatter`], which
+    /// `RowCopy`, `Index2D` and [`Plain`] keep; the pointer strategies
+    /// override it with [`blocked_scatter`].
+    #[inline(always)]
+    fn scatter<const PF: bool>(
+        target: &mut OutTarget<'_>,
+        fids: &[u32],
+        vals: &[f64],
+        nz: std::ops::Range<usize>,
+        src: &[f64],
+    ) {
+        target.scatter::<PF>(fids, vals, nz, src);
     }
 }
 
 /// `specialize: false`: `A`'s row operations with the default per-nonzero
-/// gather, whatever `A` overrides — the plain loops the tuned paths are
-/// differentially tested against.
+/// gather and scatter, whatever `A` overrides — the plain loops the tuned
+/// paths are differentially tested against.
 struct Plain<A>(std::marker::PhantomData<A>);
 
 impl<A: Access> Access for Plain<A> {
     const PREFETCH: bool = false;
     #[inline(always)]
-    fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
-        A::axpy_row::<R>(f, idx, scale, accum);
+    fn axpy_row(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
+        A::axpy_row(f, idx, scale, accum);
     }
     #[inline(always)]
-    fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
-        A::mul_row::<R>(f, idx, a, dst);
+    fn mul_row(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
+        A::mul_row(f, idx, a, dst);
     }
     #[inline(always)]
-    fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
-        A::fma_row::<R>(f, idx, a, accum);
+    fn fma_row(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
+        A::fma_row(f, idx, a, accum);
     }
 }
 
+/// Run `$chunk` over the column chunks of a rank-long row, with the
+/// constant `$W` set to each chunk's width and `$c` to its first column:
+/// the full chunks of 16, then one remainder chunk of 1..=15 (which the
+/// compiler splits into 8/4/2/1-wide vectors).
+macro_rules! column_chunks {
+    ($rank:ident, $c:ident, $W:ident => $chunk:expr) => {
+        let mut $c = 0;
+        while $rank - $c >= 16 {
+            const $W: usize = 16;
+            $chunk;
+            $c += 16;
+        }
+        column_chunks!(@tail $rank - $c, $W => $chunk, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+    };
+    (@tail $rest:expr, $W:ident => $chunk:expr, $($w:literal)*) => {
+        match $rest {
+            $($w => {
+                const $W: usize = $w;
+                $chunk
+            })*
+            _ => {}
+        }
+    };
+}
+
 /// The register-blocked leaf gather: the rank is cut into column chunks
-/// of 16 plus one remainder chunk of 1..=15 (which the compiler splits
-/// into 8/4/2/1-wide vectors), and each chunk's accumulator stays in
+/// (see `column_chunks!`), and each chunk's accumulator stays in
 /// registers across the whole fiber and is written back once — one load
 /// per vector of factor row instead of the plain loop's load-load-store
 /// through the arena. Per element the operations and their order are those of the
@@ -409,28 +412,9 @@ impl<A: Access> Access for Plain<A> {
 /// result is bit-identical. `CHECKED` keeps a bounds-checked read per
 /// element (`PointerChecked`).
 #[inline(always)]
-fn blocked_gather<const R: usize, const CHECKED: bool>(
-    f: &Matrix,
-    fids: &[u32],
-    vals: &[f64],
-    accum: &mut [f64],
-) {
-    let rank = if R > 0 { R } else { accum.len() };
-    let accum = &mut accum[..rank];
-    let mut c = 0;
-    while rank - c >= 16 {
-        gather_chunk::<16, CHECKED>(f, fids, vals, accum, c);
-        c += 16;
-    }
-    macro_rules! tail {
-        ($($w:literal)*) => {
-            match rank - c {
-                $($w => gather_chunk::<$w, CHECKED>(f, fids, vals, accum, c),)*
-                _ => {}
-            }
-        };
-    }
-    tail!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+fn blocked_gather<const CHECKED: bool>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
+    let rank = accum.len();
+    column_chunks!(rank, c, W => gather_chunk::<W, CHECKED>(f, fids, vals, accum, c));
 }
 
 /// Columns `c..c + W` of [`blocked_gather`].
@@ -458,6 +442,64 @@ fn gather_chunk<const W: usize, const CHECKED: bool>(
         }
     }
     *out = acc;
+}
+
+/// The blocked leaf scatter, the mirror image of [`blocked_gather`]:
+/// into a task's replica, each column chunk of the down-product row `src`
+/// is read once, by value — so it stays in registers, and the compiler
+/// need not ask whether an output row aliases it — and added, scaled,
+/// into the row of each of the fiber's nonzeros in order. The plain loop
+/// reloads `src` for every nonzero. Per output element the additions and
+/// their order are the per-nonzero loop's, also when one fiber names the
+/// same row twice (uncoalesced duplicates), so the result is
+/// bit-identical. The rows are slices of the replica: no pointer
+/// arithmetic, no `unsafe`.
+///
+/// Two cases keep the per-nonzero loop. Under locks every nonzero is its
+/// own acquisition, with nothing to hold in registers across them. And
+/// the prefetching walk (`PF`) runs where fibers hold about one nonzero,
+/// so there is nothing to reuse across a fiber either — and the chunk
+/// code, compiled into that walk, cost its lock path 10 % on the
+/// `cpd_yelp` shape (31 -> 34.5 ms per leaf MTTKRP) by its size alone.
+#[inline(always)]
+fn blocked_scatter<const PF: bool>(
+    target: &mut OutTarget<'_>,
+    fids: &[u32],
+    vals: &[f64],
+    nz: std::ops::Range<usize>,
+    src: &[f64],
+) {
+    match target {
+        OutTarget::Replica { buf, rank } if !PF => {
+            let rank = *rank;
+            column_chunks!(
+                rank, c, W => scatter_chunk::<W>(buf, rank, fids, vals, nz.clone(), src, c)
+            );
+        }
+        _ => target.scatter::<PF>(fids, vals, nz, src),
+    }
+}
+
+/// Columns `c..c + W` of [`blocked_scatter`].
+#[inline(always)]
+fn scatter_chunk<const W: usize>(
+    buf: &mut [f64],
+    rank: usize,
+    fids: &[u32],
+    vals: &[f64],
+    nz: std::ops::Range<usize>,
+    src: &[f64],
+    c: usize,
+) {
+    let chunk = *fixed::<W>(&src[c..c + W]);
+    for x in nz {
+        let at = fids[x] as usize * rank + c;
+        let row = fixed_mut::<W>(&mut buf[at..at + W]);
+        let v = vals[x];
+        for i in 0..W {
+            row[i] += v * chunk[i];
+        }
+    }
 }
 
 /// Fibers of look-ahead for the walk's software prefetch (see `walk!`).
@@ -523,52 +565,30 @@ fn counted_row_copy(f: &Matrix, idx: usize) -> Vec<f64> {
 
 impl Access for RowCopyAccess {
     const PREFETCH: bool = false;
-    // The specialized widths still pay the full descriptor + copy cost:
-    // rank specialization must not quietly erase the modeled Chapel
-    // slicing overhead this variant exists to measure.
+    // Every row operation pays the full descriptor + copy cost: the
+    // modeled Chapel slicing overhead this variant exists to measure.
     #[inline(always)]
-    fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
+    fn axpy_row(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
         let _desc = slice_descriptor(idx, f.cols());
         let row = counted_row_copy(f, idx); // allocation: the modeled slicing cost
-        if R > 0 {
-            let (row, accum) = (fixed::<R>(&row), fixed_mut::<R>(accum));
-            for r in 0..R {
-                accum[r] += scale * row[r];
-            }
-        } else {
-            for (a, &v) in accum.iter_mut().zip(&row) {
-                *a += scale * v;
-            }
+        for (a, &v) in accum.iter_mut().zip(&row) {
+            *a += scale * v;
         }
     }
     #[inline(always)]
-    fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
+    fn mul_row(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
         let _desc = slice_descriptor(idx, f.cols());
         let row = counted_row_copy(f, idx);
-        if R > 0 {
-            let (row, a, dst) = (fixed::<R>(&row), fixed::<R>(a), fixed_mut::<R>(dst));
-            for r in 0..R {
-                dst[r] = a[r] * row[r];
-            }
-        } else {
-            for ((d, &x), &v) in dst.iter_mut().zip(a).zip(&row) {
-                *d = x * v;
-            }
+        for ((d, &x), &v) in dst.iter_mut().zip(a).zip(&row) {
+            *d = x * v;
         }
     }
     #[inline(always)]
-    fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
+    fn fma_row(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
         let _desc = slice_descriptor(idx, f.cols());
         let row = counted_row_copy(f, idx);
-        if R > 0 {
-            let (row, a, accum) = (fixed::<R>(&row), fixed::<R>(a), fixed_mut::<R>(accum));
-            for r in 0..R {
-                accum[r] += a[r] * row[r];
-            }
-        } else {
-            for ((acc, &x), &v) in accum.iter_mut().zip(a).zip(&row) {
-                *acc += x * v;
-            }
+        for ((acc, &x), &v) in accum.iter_mut().zip(a).zip(&row) {
+            *acc += x * v;
         }
     }
 }
@@ -577,45 +597,22 @@ impl Access for RowCopyAccess {
 struct Index2DAccess;
 impl Access for Index2DAccess {
     const PREFETCH: bool = false;
-    // Specialized widths keep the per-element 2D index arithmetic (and
-    // its bounds check) — only the trip count becomes compile-time.
     #[inline(always)]
-    fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
-        if R > 0 {
-            let accum = fixed_mut::<R>(accum);
-            for r in 0..R {
-                accum[r] += scale * f[(idx, r)];
-            }
-        } else {
-            for (r, a) in accum.iter_mut().enumerate() {
-                *a += scale * f[(idx, r)];
-            }
+    fn axpy_row(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
+        for (r, a) in accum.iter_mut().enumerate() {
+            *a += scale * f[(idx, r)];
         }
     }
     #[inline(always)]
-    fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
-        if R > 0 {
-            let (a, dst) = (fixed::<R>(a), fixed_mut::<R>(dst));
-            for r in 0..R {
-                dst[r] = a[r] * f[(idx, r)];
-            }
-        } else {
-            for (r, (d, &x)) in dst.iter_mut().zip(a).enumerate() {
-                *d = x * f[(idx, r)];
-            }
+    fn mul_row(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
+        for (r, (d, &x)) in dst.iter_mut().zip(a).enumerate() {
+            *d = x * f[(idx, r)];
         }
     }
     #[inline(always)]
-    fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
-        if R > 0 {
-            let (a, accum) = (fixed::<R>(a), fixed_mut::<R>(accum));
-            for r in 0..R {
-                accum[r] += a[r] * f[(idx, r)];
-            }
-        } else {
-            for (r, (acc, &x)) in accum.iter_mut().zip(a).enumerate() {
-                *acc += x * f[(idx, r)];
-            }
+    fn fma_row(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
+        for (r, (acc, &x)) in accum.iter_mut().zip(a).enumerate() {
+            *acc += x * f[(idx, r)];
         }
     }
 }
@@ -625,49 +622,38 @@ struct PointerCheckedAccess;
 impl Access for PointerCheckedAccess {
     const PREFETCH: bool = true;
     #[inline(always)]
-    fn gather<const R: usize>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
-        blocked_gather::<R, true>(f, fids, vals, accum);
+    fn gather(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
+        blocked_gather::<true>(f, fids, vals, accum);
     }
     #[inline(always)]
-    fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
+    fn scatter<const PF: bool>(
+        target: &mut OutTarget<'_>,
+        fids: &[u32],
+        vals: &[f64],
+        nz: std::ops::Range<usize>,
+        src: &[f64],
+    ) {
+        blocked_scatter::<PF>(target, fids, vals, nz, src);
+    }
+    #[inline(always)]
+    fn axpy_row(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
         let row = f.row(idx);
-        if R > 0 {
-            let (row, accum) = (fixed::<R>(row), fixed_mut::<R>(accum));
-            for r in 0..R {
-                accum[r] += scale * row[r];
-            }
-        } else {
-            for (r, a) in accum.iter_mut().enumerate() {
-                *a += scale * row[r];
-            }
+        for (r, a) in accum.iter_mut().enumerate() {
+            *a += scale * row[r];
         }
     }
     #[inline(always)]
-    fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
+    fn mul_row(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
         let row = f.row(idx);
-        if R > 0 {
-            let (row, a, dst) = (fixed::<R>(row), fixed::<R>(a), fixed_mut::<R>(dst));
-            for r in 0..R {
-                dst[r] = a[r] * row[r];
-            }
-        } else {
-            for (r, (d, &x)) in dst.iter_mut().zip(a).enumerate() {
-                *d = x * row[r];
-            }
+        for (r, (d, &x)) in dst.iter_mut().zip(a).enumerate() {
+            *d = x * row[r];
         }
     }
     #[inline(always)]
-    fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
+    fn fma_row(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
         let row = f.row(idx);
-        if R > 0 {
-            let (row, a, accum) = (fixed::<R>(row), fixed::<R>(a), fixed_mut::<R>(accum));
-            for r in 0..R {
-                accum[r] += a[r] * row[r];
-            }
-        } else {
-            for (r, (acc, &x)) in accum.iter_mut().zip(a).enumerate() {
-                *acc += x * row[r];
-            }
+        for (r, (acc, &x)) in accum.iter_mut().zip(a).enumerate() {
+            *acc += x * row[r];
         }
     }
 }
@@ -677,48 +663,55 @@ struct PointerZipAccess;
 impl Access for PointerZipAccess {
     const PREFETCH: bool = true;
     #[inline(always)]
-    fn gather<const R: usize>(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
-        blocked_gather::<R, false>(f, fids, vals, accum);
+    fn gather(f: &Matrix, fids: &[u32], vals: &[f64], accum: &mut [f64]) {
+        blocked_gather::<false>(f, fids, vals, accum);
     }
     #[inline(always)]
-    fn axpy_row<const R: usize>(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
-        if R > 0 {
-            let (row, accum) = (fixed::<R>(f.row(idx)), fixed_mut::<R>(accum));
-            for r in 0..R {
-                accum[r] += scale * row[r];
-            }
-        } else {
-            for (a, &v) in accum.iter_mut().zip(f.row(idx)) {
-                *a += scale * v;
-            }
+    fn scatter<const PF: bool>(
+        target: &mut OutTarget<'_>,
+        fids: &[u32],
+        vals: &[f64],
+        nz: std::ops::Range<usize>,
+        src: &[f64],
+    ) {
+        blocked_scatter::<PF>(target, fids, vals, nz, src);
+    }
+    #[inline(always)]
+    fn axpy_row(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
+        for (a, &v) in accum.iter_mut().zip(f.row(idx)) {
+            *a += scale * v;
         }
     }
     #[inline(always)]
-    fn mul_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
-        if R > 0 {
-            let (row, a, dst) = (fixed::<R>(f.row(idx)), fixed::<R>(a), fixed_mut::<R>(dst));
-            for r in 0..R {
-                dst[r] = a[r] * row[r];
-            }
-        } else {
-            for ((d, &x), &v) in dst.iter_mut().zip(a).zip(f.row(idx)) {
-                *d = x * v;
-            }
+    fn mul_row(f: &Matrix, idx: usize, a: &[f64], dst: &mut [f64]) {
+        for ((d, &x), &v) in dst.iter_mut().zip(a).zip(f.row(idx)) {
+            *d = x * v;
         }
     }
     #[inline(always)]
-    fn fma_row<const R: usize>(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
-        if R > 0 {
-            let (row, a, accum) = (fixed::<R>(f.row(idx)), fixed::<R>(a), fixed_mut::<R>(accum));
-            for r in 0..R {
-                accum[r] += a[r] * row[r];
-            }
-        } else {
-            for ((acc, &x), &v) in accum.iter_mut().zip(a).zip(f.row(idx)) {
-                *acc += x * v;
-            }
+    fn fma_row(f: &Matrix, idx: usize, a: &[f64], accum: &mut [f64]) {
+        for ((acc, &x), &v) in accum.iter_mut().zip(a).zip(f.row(idx)) {
+            *acc += x * v;
         }
     }
+}
+
+/// The one place a configuration picks compiled code: `$run::<A>` for
+/// the access strategy, or `$run::<Plain<A>>` under `specialize: false`.
+/// The rank is not part of the choice — every body takes every rank.
+macro_rules! dispatch_access {
+    ($cfg:expr, $run:ident $args:tt) => {
+        match ($cfg.access, $cfg.specialize) {
+            (MatrixAccess::RowCopy, true) => $run::<RowCopyAccess> $args,
+            (MatrixAccess::RowCopy, false) => $run::<Plain<RowCopyAccess>> $args,
+            (MatrixAccess::Index2D, true) => $run::<Index2DAccess> $args,
+            (MatrixAccess::Index2D, false) => $run::<Plain<Index2DAccess>> $args,
+            (MatrixAccess::PointerChecked, true) => $run::<PointerCheckedAccess> $args,
+            (MatrixAccess::PointerChecked, false) => $run::<Plain<PointerCheckedAccess>> $args,
+            (MatrixAccess::PointerZip, true) => $run::<PointerZipAccess> $args,
+            (MatrixAccess::PointerZip, false) => $run::<Plain<PointerZipAccess>> $args,
+        }
+    };
 }
 
 /// Compute the MTTKRP for `mode` into `out` (`dims[mode] x rank`).
@@ -791,34 +784,7 @@ fn mttkrp_on(
         assert_eq!(f.rows(), csf.dims()[m], "factor {m} rows mismatch");
         assert_eq!(f.cols(), out.cols(), "factor {m} rank mismatch");
     }
-    // Two-level dispatch: access strategy (outer) x compile-time rank
-    // (inner). `R = 0` is dynamic-width row operations; `Plain` also
-    // swaps the blocked gather for the per-nonzero loop. The leaf kernel
-    // at R = 32 is retired: its fixed-width accumulator spills past the
-    // register file and measured consistently below 1.0x, so leaf-32
-    // always takes `R = 0` (see `SPECIALIZED_RANKS`).
-    let leaf32_retired = matches!(kind, KernelKind::Leaf);
-    macro_rules! dispatch {
-        ($A:ty) => {
-            match out.cols() {
-                _ if !cfg.specialize => {
-                    run::<Plain<$A>, 0>(isa, csf, kind, factors, mode, out, ws, team, cfg)
-                }
-                8 => run::<$A, 8>(isa, csf, kind, factors, mode, out, ws, team, cfg),
-                16 => run::<$A, 16>(isa, csf, kind, factors, mode, out, ws, team, cfg),
-                32 if !leaf32_retired => {
-                    run::<$A, 32>(isa, csf, kind, factors, mode, out, ws, team, cfg)
-                }
-                _ => run::<$A, 0>(isa, csf, kind, factors, mode, out, ws, team, cfg),
-            }
-        };
-    }
-    match cfg.access {
-        MatrixAccess::RowCopy => dispatch!(RowCopyAccess),
-        MatrixAccess::Index2D => dispatch!(Index2DAccess),
-        MatrixAccess::PointerChecked => dispatch!(PointerCheckedAccess),
-        MatrixAccess::PointerZip => dispatch!(PointerZipAccess),
-    }
+    dispatch_access!(cfg, run(isa, csf, kind, factors, mode, out, ws, team, cfg));
 }
 
 /// Compute the MTTKRP for a *tiled* mode: each task runs the lock-free
@@ -851,26 +817,10 @@ pub fn mttkrp_tiled(
         tiled.ntiles() == 0 || out.rows() == tiled.tile(0).dims()[mode],
         "output rows must match mode dim"
     );
-    macro_rules! dispatch {
-        ($A:ty) => {
-            match out.cols() {
-                _ if !cfg.specialize => run_tiled::<Plain<$A>, 0>(tiled, factors, out, team, guard),
-                8 => run_tiled::<$A, 8>(tiled, factors, out, team, guard),
-                16 => run_tiled::<$A, 16>(tiled, factors, out, team, guard),
-                32 => run_tiled::<$A, 32>(tiled, factors, out, team, guard),
-                _ => run_tiled::<$A, 0>(tiled, factors, out, team, guard),
-            }
-        };
-    }
-    match cfg.access {
-        MatrixAccess::RowCopy => dispatch!(RowCopyAccess),
-        MatrixAccess::Index2D => dispatch!(Index2DAccess),
-        MatrixAccess::PointerChecked => dispatch!(PointerCheckedAccess),
-        MatrixAccess::PointerZip => dispatch!(PointerZipAccess),
-    }
+    dispatch_access!(cfg, run_tiled(tiled, factors, out, team, guard));
 }
 
-fn run_tiled<A: Access, const R: usize>(
+fn run_tiled<A: Access>(
     tiled: &crate::tiling::TiledCsf,
     factors: &[Matrix],
     out: &mut Matrix,
@@ -906,7 +856,7 @@ fn run_tiled<A: Access, const R: usize>(
                 out: shared,
                 pool: None,
             };
-            task_slices::<A, R>(
+            task_slices::<A>(
                 isa,
                 csf,
                 0,
@@ -941,7 +891,7 @@ pub fn uses_locks(set: &CsfSet, mode: usize, ntasks: usize, cfg: &MttkrpConfig) 
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run<A: Access, const R: usize>(
+fn run<A: Access>(
     isa: Option<Avx2>,
     csf: &Csf,
     kind: KernelKind,
@@ -1000,7 +950,7 @@ fn run<A: Access, const R: usize>(
             replicas.with_mut(tid, |buf| {
                 kernel.with_mut(tid, |arena| {
                     let mut target = OutTarget::Replica { buf, rank };
-                    task_slices::<A, R>(
+                    task_slices::<A>(
                         isa,
                         csf,
                         od,
@@ -1034,7 +984,7 @@ fn run<A: Access, const R: usize>(
             let _lane = splatt_guard::LaneSpan::enter(guard, tid);
             kernel.with_mut(tid, |arena| {
                 let mut target = OutTarget::Shared { out: shared, pool };
-                task_slices::<A, R>(
+                task_slices::<A>(
                     isa,
                     csf,
                     od,
@@ -1087,7 +1037,7 @@ use isa::Avx2;
 /// written — the governed driver discards it).
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn task_slices<A: Access, const R: usize>(
+fn task_slices<A: Access>(
     isa: Option<Avx2>,
     csf: &Csf,
     od: usize,
@@ -1106,9 +1056,7 @@ fn task_slices<A: Access, const R: usize>(
     let prefetch = A::PREFETCH && csf.nnz_per_fiber() < DENSE_FIBER_NNZ;
     macro_rules! call {
         ($walk:ident, $prefetch:literal) => {
-            $walk::task_slices::<A, R, $prefetch>(
-                csf, od, factors, rank, target, arena, slices, guard,
-            )
+            $walk::task_slices::<A, $prefetch>(csf, od, factors, rank, target, arena, slices, guard)
         };
     }
     #[cfg(target_arch = "x86_64")]
@@ -1176,7 +1124,7 @@ macro_rules! walk {
 
             #[allow(clippy::too_many_arguments)]
             $(#[$feature])?
-            pub(super) fn task_slices<A: Access, const R: usize, const PF: bool>(
+            pub(super) fn task_slices<A: Access, const PF: bool>(
                 csf: &Csf,
                 od: usize,
                 factors: &[Matrix],
@@ -1200,7 +1148,7 @@ macro_rules! walk {
                             return;
                         }
                     }
-                    descend::<A, R, PF>(
+                    descend::<A, PF>(
                         csf, 0, s, od, ones, factors, rank, target, up_bufs, down_bufs,
                     );
                 }
@@ -1213,7 +1161,7 @@ macro_rules! walk {
             /// recursion level peels one rank-length row off the front.
             #[allow(clippy::too_many_arguments)]
             $(#[$feature])?
-            fn descend<A: Access, const R: usize, const PF: bool>(
+            fn descend<A: Access, const PF: bool>(
                 csf: &Csf,
                 level: usize,
                 fiber: usize,
@@ -1230,39 +1178,36 @@ macro_rules! walk {
                 if level == od {
                     // up-product of the subtree below (excluding this
                     // level's factor)
-                    compute_up::<A, R, PF>(csf, level, fiber, factors, rank, up_bufs);
+                    compute_up::<A, PF>(csf, level, fiber, factors, rank, up_bufs);
                     let fid = csf.fids(level)[fiber] as usize;
-                    target.add_product::<R>(fid, down, &up_bufs[..rank]);
+                    target.add_product(fid, down, &up_bufs[..rank]);
                     return;
                 }
                 debug_assert!(level < od);
                 let fid = csf.fids(level)[fiber] as usize;
                 let (cur, rest) = down_bufs.split_at_mut(rank);
-                A::mul_row::<R>(&factors[perm[level]], fid, down, cur);
+                A::mul_row(&factors[perm[level]], fid, down, cur);
                 if level == order - 2 {
                     // children are the leaves and the output is the leaf
                     // mode: scatter each nonzero into its leaf row
                     // (SPLATT's leaf kernel)
                     debug_assert_eq!(od, order - 1);
-                    let leaf_fids = csf.fids(order - 1);
-                    let vals = csf.vals();
                     if PF {
                         if let Some(&ahead) = csf.fids(level).get(fiber + PREFETCH_FIBERS) {
                             let f = &factors[perm[level]];
                             prefetch_row(f.as_slice().as_ptr(), ahead as usize, rank);
                         }
                     }
-                    for x in csf.children(level, fiber) {
-                        if PF {
-                            if let Some(&ahead) = leaf_fids.get(x + PREFETCH_FIBERS) {
-                                target.prefetch_row(ahead as usize);
-                            }
-                        }
-                        target.add_scaled::<R>(leaf_fids[x] as usize, vals[x], cur);
-                    }
+                    A::scatter::<PF>(
+                        target,
+                        csf.fids(order - 1),
+                        csf.vals(),
+                        csf.children(level, fiber),
+                        cur,
+                    );
                 } else {
                     for c in csf.children(level, fiber) {
-                        descend::<A, R, PF>(
+                        descend::<A, PF>(
                             csf,
                             level + 1,
                             c,
@@ -1282,7 +1227,7 @@ macro_rules! walk {
             /// of `fiber`'s subtree: the sum over nonzeros below of
             /// `val * prod(factor rows at levels > level)`.
             $(#[$feature])?
-            fn compute_up<A: Access, const R: usize, const PF: bool>(
+            fn compute_up<A: Access, const PF: bool>(
                 csf: &Csf,
                 level: usize,
                 fiber: usize,
@@ -1297,7 +1242,7 @@ macro_rules! walk {
                 if level == order - 2 {
                     // hot loop: gather leaf nonzeros against the leaf factor
                     let x = csf.children(level, fiber);
-                    A::gather::<R>(
+                    A::gather(
                         &factors[perm[order - 1]],
                         &csf.fids(order - 1)[x.clone()],
                         &csf.vals()[x],
@@ -1322,8 +1267,8 @@ macro_rules! walk {
                                 }
                             }
                         }
-                        compute_up::<A, R, PF>(csf, level + 1, c, factors, rank, rest);
-                        A::fma_row::<R>(child, child_fids[c] as usize, &rest[..rank], buf);
+                        compute_up::<A, PF>(csf, level + 1, c, factors, rank, rest);
+                        A::fma_row(child, child_fids[c] as usize, &rest[..rank], buf);
                     }
                 }
             }
@@ -1488,11 +1433,11 @@ mod tests {
 
     #[test]
     fn specialized_dispatch_is_bit_identical_to_generic() {
-        // The fixed-width kernels must not merely be close — they perform
+        // The tuned kernels must not merely be close — they perform
         // the same operations in the same order, so outputs are equal to
         // the last bit. Privatized + root paths are deterministic (task-
         // ordered reduction), which makes exact comparison meaningful.
-        for rank in SPECIALIZED_RANKS {
+        for rank in [8, 16, 32] {
             let t = synth::power_law(&[30, 14, 40], 2_000, 1.8, rank as u64);
             let team = TaskTeam::new(3);
             let set = CsfSet::build(&t, CsfAlloc::Two, &team, SortVariant::AllOpts);
@@ -1526,9 +1471,9 @@ mod tests {
     }
 
     /// The two compiled copies of the walk must agree to the last bit at
-    /// every chunk shape of the blocked gather (remainders 1..15, one and
-    /// two full chunks), the fixed-width ranks and their neighbours — for
-    /// every access strategy, kernel, and both gather implementations —
+    /// every chunk shape of the blocked gather and scatter (remainders
+    /// 1..15, one and two full chunks), 8/16/32 and their neighbours — for
+    /// every access strategy, kernel, and both the tuned and plain loops —
     /// and on the tensors a fiber-ahead prefetch can get wrong: about one
     /// nonzero per fiber, deeper trees, fewer fibers than
     /// [`PREFETCH_FIBERS`], one nonzero, none.
@@ -1602,7 +1547,7 @@ mod tests {
         // compare against the COO reference (within fp tolerance) rather
         // than bit-for-bit.
         let t = synth::power_law(&[20, 12, 28], 1_500, 1.5, 17);
-        for rank in SPECIALIZED_RANKS {
+        for rank in [8, 16, 32] {
             let cfg = MttkrpConfig {
                 priv_threshold: 0.0,
                 specialize: true,

@@ -97,10 +97,10 @@ pub struct CpalsOptions {
     pub csf_alloc: CsfAlloc,
     /// Privatization threshold (SPLATT default 0.02).
     pub priv_threshold: f64,
-    /// Run the tuned MTTKRP inner loops (the register-blocked gather at
-    /// every rank, fixed-width row operations at
-    /// [`crate::mttkrp::SPECIALIZED_RANKS`]) instead of the plain
-    /// per-nonzero loops. Bit-identical either way; on by default.
+    /// Run the tuned MTTKRP inner loops (the register-blocked gather and
+    /// scatter and the fiber-ahead prefetch — the same code at every
+    /// rank) instead of the plain per-nonzero loops. Bit-identical
+    /// either way; on by default.
     pub specialize: bool,
     /// Spin-before-park count for the task team's idle workers.
     /// Defaults to 300 — the `QT_SPINCOUNT=300` setting the paper lands

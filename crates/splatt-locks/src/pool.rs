@@ -69,11 +69,6 @@ impl LockPool {
         }
     }
 
-    /// Create a pool of [`DEFAULT_POOL_SIZE`] locks.
-    pub fn with_default_size(strategy: LockStrategy) -> Self {
-        Self::new(strategy, DEFAULT_POOL_SIZE)
-    }
-
     /// Attach (or detach) contention counters. While attached, every
     /// acquisition through [`LockPool::lock`] / [`LockPool::lock_many`]
     /// records acquisition/contention/spin/wait statistics into `counters`.

@@ -69,9 +69,6 @@ pub enum TeamError {
         /// preserved verbatim; anything else is summarized).
         payload: String,
     },
-    /// The broadcast was abandoned because its cancellation predicate
-    /// fired (only returned by [`TaskTeam::coforall_cancellable`]).
-    Cancelled,
 }
 
 impl TeamError {
@@ -92,7 +89,6 @@ impl std::fmt::Display for TeamError {
             TeamError::Panicked { worker, payload } => {
                 write!(f, "task {worker} in TaskTeam::coforall panicked: {payload}")
             }
-            TeamError::Cancelled => write!(f, "coforall cancelled before completion"),
         }
     }
 }
@@ -238,53 +234,8 @@ impl TaskTeam {
         }
     }
 
-    /// Fallible [`TaskTeam::coforall`]: every task still runs to
-    /// completion (or unwinds), but a panic anywhere in the team comes
-    /// back as a typed [`TeamError`] instead of unwinding the caller.
-    pub fn try_coforall<F>(&self, f: F) -> Result<(), TeamError>
-    where
-        F: Fn(usize) + Sync,
-    {
-        match self.broadcast(&f) {
-            Ok(()) => Ok(()),
-            Err(Broadcast::Caller(payload)) => Err(TeamError::Panicked {
-                worker: 0,
-                payload: TeamError::panic_message(payload.as_ref()),
-            }),
-            Err(Broadcast::Worker(err)) => Err(err),
-        }
-    }
-
-    /// Cancellable [`TaskTeam::try_coforall`]: each task consults
-    /// `is_cancelled` before running its body (and the whole broadcast
-    /// is skipped when it is already set), so a tripped run guard stops
-    /// scheduling new task bodies. Returns [`TeamError::Cancelled`] when
-    /// the predicate was set before or during the broadcast; bodies that
-    /// did run ran to completion.
-    ///
-    /// The predicate is a plain `Fn() -> bool` rather than a guard type
-    /// so this crate stays independent of `splatt-guard`; pass
-    /// `|| guard.is_cancelled()`.
-    pub fn coforall_cancellable<F, C>(&self, is_cancelled: &C, f: F) -> Result<(), TeamError>
-    where
-        F: Fn(usize) + Sync,
-        C: Fn() -> bool + Sync,
-    {
-        if is_cancelled() {
-            return Err(TeamError::Cancelled);
-        }
-        self.try_coforall(|tid| {
-            if !is_cancelled() {
-                f(tid);
-            }
-        })?;
-        if is_cancelled() {
-            return Err(TeamError::Cancelled);
-        }
-        Ok(())
-    }
-
-    /// The broadcast core shared by the `coforall` variants.
+    /// The broadcast core: runs every task to completion (or unwind) and
+    /// reports the first panic.
     fn broadcast<F>(&self, f: &F) -> Result<(), Broadcast>
     where
         F: Fn(usize) + Sync,
@@ -553,53 +504,31 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 4);
     }
 
-    #[test]
-    fn try_coforall_returns_typed_error_with_worker_and_payload() {
-        let team = TaskTeam::new(4);
-        let err = team
-            .try_coforall(|tid| {
-                if tid == 2 {
-                    panic!("kernel exploded on tile {tid}");
-                }
-            })
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TeamError::Panicked {
-                worker: 2,
-                payload: "kernel exploded on tile 2".to_string(),
-            }
-        );
-        assert!(err.to_string().contains("task 2"));
-        // team must still be usable afterwards
-        team.try_coforall(|_| {}).unwrap();
+    /// `coforall`'s panic, caught: the payload it resumed or raised.
+    fn panic_of(team: &TaskTeam, f: impl Fn(usize) + Sync) -> Box<dyn std::any::Any + Send> {
+        catch_unwind(AssertUnwindSafe(|| team.coforall(f))).unwrap_err()
     }
 
     #[test]
-    fn try_coforall_reports_caller_panic_as_worker_zero() {
+    fn coforall_resumes_a_caller_panic_with_its_own_payload() {
         let team = TaskTeam::new(2);
-        let err = team
-            .try_coforall(|tid| {
-                if tid == 0 {
-                    panic!("driver-side failure");
-                }
-            })
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TeamError::Panicked {
-                worker: 0,
-                payload: "driver-side failure".to_string(),
+        let payload = panic_of(&team, |tid| {
+            if tid == 0 {
+                panic!("driver-side failure");
             }
+        });
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("driver-side failure")
         );
     }
 
     #[test]
-    fn try_coforall_single_task_team_is_fallible_too() {
+    fn coforall_single_task_team_propagates_and_survives_a_panic() {
         let team = TaskTeam::new(1);
-        let err = team.try_coforall(|_| panic!("inline")).unwrap_err();
-        assert!(matches!(err, TeamError::Panicked { worker: 0, .. }));
-        team.try_coforall(|_| {}).unwrap();
+        let payload = panic_of(&team, |_| panic!("inline"));
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("inline"));
+        team.coforall(|_| {});
     }
 
     #[test]
@@ -619,40 +548,6 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains("task 3"), "message was: {msg}");
         assert!(msg.contains("boom"), "message was: {msg}");
-    }
-
-    #[test]
-    fn coforall_cancellable_skips_bodies_once_cancelled() {
-        let team = TaskTeam::new(4);
-        let ran = AtomicUsize::new(0);
-
-        // Already cancelled: no body runs at all.
-        let err = team
-            .coforall_cancellable(&|| true, |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap_err();
-        assert_eq!(err, TeamError::Cancelled);
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-
-        // Not cancelled: all bodies run.
-        team.coforall_cancellable(&|| false, |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 4);
-
-        // Cancelled mid-broadcast: the error surfaces even though some
-        // bodies ran.
-        let flag = AtomicBool::new(false);
-        let err = team
-            .coforall_cancellable(&|| flag.load(Ordering::Relaxed), |tid| {
-                if tid == 0 {
-                    flag.store(true, Ordering::Relaxed);
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, TeamError::Cancelled);
     }
 
     #[test]

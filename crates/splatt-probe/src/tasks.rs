@@ -92,10 +92,6 @@ impl ThreadLoad {
         self.threads.iter().map(|t| t.nanos).sum()
     }
 
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_nanos() as f64 * 1e-9
-    }
-
     /// Load imbalance as max/mean of per-thread busy time: 1.0 is perfectly
     /// balanced; the classic metric for coforall-style static partitions.
     pub fn imbalance(&self) -> f64 {

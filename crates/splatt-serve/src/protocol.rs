@@ -177,11 +177,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
+/// What [`read_frame`] will allocate on the word of a length prefix
+/// alone (1 MiB). A frame up to this size is read into one exact
+/// allocation; a longer one gets its buffer a chunk at a time, each
+/// chunk only after the bytes before it arrived — so four corrupt bytes
+/// cost a blocking client one chunk, not [`MAX_FRAME`].
+const READ_CHUNK: usize = 1 << 20;
+
 /// Read one frame.
 ///
 /// # Errors
 /// Fails on oversized length prefixes and propagates I/O errors
-/// (`UnexpectedEof` on a clean close before the prefix).
+/// (`UnexpectedEof` on a clean close before the prefix, or before the
+/// payload the prefix announced is complete).
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -189,8 +197,13 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
     if len > MAX_FRAME {
         return Err(bad(format!("frame of {len} bytes exceeds limit")));
     }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; len.min(READ_CHUNK)];
     r.read_exact(&mut payload)?;
+    while payload.len() < len {
+        let have = payload.len();
+        payload.resize(have + (len - have).min(READ_CHUNK), 0);
+        r.read_exact(&mut payload[have..])?;
+    }
     Ok(payload)
 }
 
@@ -858,6 +871,38 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert!(read_frame(&mut buf.as_slice()).is_err());
+    }
+
+    /// The cluster router reads every worker reply through `read_frame`:
+    /// a prefix is a claim, and only bytes that arrive earn heap.
+    #[test]
+    fn a_frame_is_allocated_as_its_bytes_arrive_not_as_its_prefix_claims() {
+        use splatt_probe::alloc::thread_heap_bytes;
+        let wire = (MAX_FRAME as u32).to_le_bytes();
+        let before = thread_heap_bytes();
+        let err = read_frame(&mut wire.as_slice()).unwrap_err();
+        let heap = thread_heap_bytes() - before;
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        assert!(heap <= READ_CHUNK as u64, "{heap} B for a bare prefix");
+
+        // Past the chunk size a frame still arrives whole, for at most
+        // twice its bytes (the buffer doubles) and a chunk.
+        let payload: Vec<u8> = (0..3usize << 20).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        wire.extend_from_slice(b"next frame");
+        let mut r = wire.as_slice();
+        let before = thread_heap_bytes();
+        let got = read_frame(&mut r).unwrap();
+        let heap = thread_heap_bytes() - before;
+        assert!(got == payload, "a 3 MiB frame changed in transit");
+        assert_eq!(r, b"next frame", "read past the frame");
+        assert!(heap <= (2 * payload.len() + READ_CHUNK) as u64, "{heap} B");
+
+        // Cut short inside the second chunk: typed, not a short frame.
+        let cut = &wire[..4 + READ_CHUNK + 5];
+        let err = read_frame(&mut &*cut).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -168,15 +168,6 @@ impl ServeStats {
         self.deadline_rejections.load(Ordering::Relaxed)
     }
 
-    /// Query-arena growth totals `(allocs, bytes)` — flat after warm-up
-    /// in a healthy steady state.
-    pub fn arena_growth(&self) -> (u64, u64) {
-        (
-            self.arena_growth_allocs.load(Ordering::Relaxed),
-            self.arena_growth_bytes.load(Ordering::Relaxed),
-        )
-    }
-
     /// Requests answered for `kind`.
     pub fn requests(&self, kind: QueryKind) -> u64 {
         self.latency[kind.index()].count()

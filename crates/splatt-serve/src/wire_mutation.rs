@@ -1,20 +1,23 @@
-//! Mutation test over the bytes a client controls: every wire request
-//! kind, mutated, through [`decode_request`] and through
+//! Mutation test over the bytes a peer controls, both directions: every
+//! wire request kind, mutated, through [`decode_request`] and through
 //! [`EngineService::try_handle_now`] — the decode that now runs on the
-//! reactor thread, where a panic is an outage and not a lost worker.
+//! reactor thread, where a panic is an outage and not a lost worker —
+//! and every wire response kind, mutated, through [`decode_response`],
+//! which the cluster router runs on whatever a worker sent back.
 //!
-//! Start from a valid encoding of each [`RequestBody`] kind (fields
-//! drawn by `splatt_rt::qc`), then: truncate at every byte, invert
-//! every byte, flip one drawn bit in every byte, overwrite every
+//! Start from a valid encoding of each [`RequestBody`] / [`Response`]
+//! kind (fields drawn by `splatt_rt::qc`), then: truncate at every byte,
+//! invert every byte, flip one drawn bit in every byte, overwrite every
 //! integer field (op, deadline, lengths, counts, order, mode, shard
 //! selection, …) with 0, 1, `MAX − 1` and `MAX`, and overwrite a few
 //! drawn bytes with drawn values. For every mutant:
 //!
 //! - no panic (`qc::check` turns one into a failure naming the seed);
-//! - `decode_request` returns a typed `InvalidData` error or a request
-//!   that re-encodes to exactly the mutant's bytes and decodes back to
-//!   itself (`decode ∘ encode = id`, both ways);
-//! - neither call requests more heap than a small multiple of the bytes
+//! - the decoder returns a typed `InvalidData` error or a value that
+//!   re-encodes to exactly the mutant's bytes (`decode ∘ encode = id`,
+//!   both ways: a valid value decodes back to itself, and one byte
+//!   string is one value);
+//! - no call requests more heap than a small multiple of the bytes
 //!   present ([`splatt_probe::alloc::CountingAlloc`], per thread);
 //! - `try_handle_now` answers exactly the frames that are a small
 //!   `Entry` or malformed beyond decoding, with a well-formed typed
@@ -23,9 +26,10 @@
 
 use crate::engine::{Query, ServeConfig};
 use crate::protocol::{
-    decode_request, decode_response, encode_request, peek_entry_coords, Request, RequestBody,
-    Response, ShardSel, WireError,
+    decode_request, decode_response, encode_request, encode_response, peek_entry_coords, Request,
+    RequestBody, Response, ShardSel, WireError,
 };
+use crate::registry::ModelInfo;
 use crate::service::{test_service, EngineService};
 use splatt_net::{Disposition, FrameService, RequestCtx};
 use splatt_probe::alloc::thread_heap_bytes;
@@ -36,6 +40,13 @@ use std::sync::Arc;
 
 /// Heap a call may request: this multiple of the payload's length …
 const HEAP_FACTOR: u64 = 4;
+/// … and for `decode_response`, this one. The decoded value that is
+/// largest against its wire bytes is a `Models` listing: a 48-byte
+/// [`ModelInfo`] row is reserved for every 26 wire bytes the count may
+/// claim (`u16` name length and three `u64`s: 48/26 < 1.85), and the
+/// names are copied out of the payload (< 1). `TopK` is a 16-byte pair
+/// per 12 wire bytes (< 1.34), `Entries`/`Slice`/`Stats`/`Error` one copy.
+const RESPONSE_HEAP_FACTOR: u64 = 3;
 /// … plus this much for what does not scale with it (an error's boxed
 /// message, the response slot, a one-tuple answer and its frame).
 const HEAP_SLACK: u64 = 512;
@@ -285,4 +296,121 @@ fn regressions_the_mutation_test_found() {
     assert!(decode_request(&order_zero).is_err());
     check_mutant(&svc, &ctx, &order_zero);
     svc.engine.shutdown();
+}
+
+const RESPONSE_KINDS: usize = 8;
+
+const WIRE_ERRORS: [WireError; 8] = [
+    WireError::Overloaded,
+    WireError::DeadlineExpired,
+    WireError::ModelNotFound,
+    WireError::BadRequest,
+    WireError::ShuttingDown,
+    WireError::Internal,
+    WireError::Degraded,
+    WireError::Cancelled,
+];
+
+fn name_of(g: &mut Gen) -> String {
+    let len = *g.choose(&[0usize, 1, 5, 40]);
+    (0..len).map(|_| *g.choose(&['m', '-', '7', 'é'])).collect()
+}
+
+/// A valid response of kind `kind`; kind 7 is one of every [`WireError`].
+fn responses_of(kind: usize, g: &mut Gen) -> Vec<Response> {
+    let len = *g.choose(&[0usize, 1, 2, 9]);
+    vec![match kind {
+        0 => Response::Entries(g.f64_vec(len, -4.0, 4.0)),
+        1 => Response::Slice(g.f64_vec(len, -4.0, 4.0)),
+        2 => Response::TopK(
+            (0..len)
+                .map(|_| (g.range(0..90u32), g.f64_in(-4.0, 4.0)))
+                .collect(),
+        ),
+        3 => Response::Stats(format!("{{\"serve\": \"{}\"}}", name_of(g))),
+        4 => Response::Models(
+            (0..len)
+                .map(|_| ModelInfo {
+                    name: name_of(g),
+                    version: g.range(1..4u64),
+                    order: g.range(1..6u64),
+                    rank: *g.choose(&[1, 35, u64::MAX]),
+                })
+                .collect(),
+        ),
+        5 => Response::Ack,
+        6 => Response::Health {
+            worker: *g.choose(&[0, 3, u32::MAX]),
+            shard: *g.choose(&[0, 2, u32::MAX]),
+        },
+        _ => {
+            return WIRE_ERRORS
+                .iter()
+                .map(|&code| Response::Error(code, name_of(g)))
+                .collect()
+        }
+    }]
+}
+
+/// `(offset, width)` of every integer field of `resp`'s encoding: the
+/// status byte, the op, every length and count, and the fixed-width
+/// fields of `Health` and of each `Models` row.
+fn response_integer_fields(resp: &Response) -> Vec<(usize, usize)> {
+    let mut fields = vec![(0, 1)];
+    match resp {
+        // message length
+        Response::Error(..) => fields.push((1, 2)),
+        Response::Ack => fields.push((1, 1)),
+        // count, or the JSON's length
+        Response::Entries(_) | Response::Slice(_) | Response::TopK(_) | Response::Stats(_) => {
+            fields.extend([(1, 1), (2, 4)]);
+        }
+        Response::Health { .. } => fields.extend([(1, 1), (2, 4), (6, 4)]),
+        Response::Models(rows) => {
+            fields.extend([(1, 1), (2, 4)]);
+            let mut at = 6;
+            for row in rows {
+                // name length, [name], version, order, rank
+                fields.push((at, 2));
+                at += 2 + row.name.len();
+                fields.extend([(at, 8), (at + 8, 8), (at + 16, 8)]);
+                at += 24;
+            }
+        }
+    }
+    fields
+}
+
+fn check_response_mutant(m: &[u8]) {
+    let (decoded, heap) = heap_of(|| decode_response(m));
+    assert!(
+        heap <= RESPONSE_HEAP_FACTOR * m.len() as u64 + HEAP_SLACK,
+        "decode_response asked for {heap} B for a {} B frame: {m:?}",
+        m.len()
+    );
+    match decoded {
+        Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{m:?}"),
+        // Compared as bytes: a flipped bit makes NaNs, which no value
+        // equals.
+        Ok(resp) => assert_eq!(
+            encode_response(&resp),
+            m,
+            "decode then encode changed the bytes of {resp:?}"
+        ),
+    }
+}
+
+#[test]
+fn mutated_responses_decode_typed_bounded_and_never_panic() {
+    qc::check("wire response mutants", 48, |g| {
+        for kind in 0..RESPONSE_KINDS {
+            for resp in responses_of(kind, g) {
+                let payload = encode_response(&resp);
+                assert_eq!(decode_response(&payload).expect("decodes"), resp);
+                for m in mutants(&payload, &response_integer_fields(&resp), g) {
+                    check_response_mutant(&m);
+                }
+            }
+        }
+    });
 }

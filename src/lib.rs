@@ -119,6 +119,5 @@ pub use splatt_guard::{
     CancelToken, Deadline, GuardConfig, MemoryBudget, RunGuard, TripReason, WatchdogConfig,
 };
 pub use splatt_locks::LockStrategy;
-pub use splatt_par::TeamError;
 pub use splatt_serve::{ServeConfig, ServeEngine, ServeError};
 pub use splatt_tensor::{SortVariant, SparseTensor};

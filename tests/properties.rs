@@ -239,21 +239,23 @@ fn kernel_routing_follows_fiber_density() {
 }
 
 /// The differential matrix over the ranks people use: every chunk shape
-/// of the blocked gather (remainders 1..15, one and two full chunks), the
-/// fixed-width ranks 8/16/32 with their neighbours, and the paper's 35 —
+/// of the blocked gather and scatter (remainders 1..15, one and two full
+/// chunks), 8/16/32 with their neighbours, and the paper's 35 —
 /// x 4 access strategies x root/internal/leaf/tiled x privatized/locks.
-/// The tuned kernels (`specialize: true`: blocked gather, fixed widths and
-/// — for the pointer strategies — the fiber-ahead prefetch) must equal
-/// the plain per-nonzero loops (`specialize: false`, no prefetch) bit for
-/// bit, and both the COO oracle to 1e-9. Both sync paths are run where
-/// they are deterministic: replicas reduce in task order on one, two and
-/// three tasks; the lock path on one task.
+/// The tuned kernels (`specialize: true`: blocked gather, blocked scatter
+/// and — all for the pointer strategies — the fiber-ahead prefetch) must
+/// equal the plain per-nonzero loops (`specialize: false`, no prefetch)
+/// bit for bit, and both the COO oracle to 1e-9. Both sync paths are run
+/// where they are deterministic: replicas reduce in task order on one,
+/// two and three tasks; the lock path on one task.
 ///
-/// The tensors are the shapes a look-ahead can get wrong: about one
+/// The tensors are the shapes a look-ahead can get wrong — about one
 /// nonzero per fiber (what the prefetch is for), deeper trees, fewer
-/// fibers than the prefetch distance, one nonzero, none. The last few
-/// fibers of every level are where an off-by-one would index past `fids`,
-/// so this runs in debug (bounds checks live) as well as `--release`.
+/// fibers than the prefetch distance, one nonzero, none — and the ones a
+/// blocked scatter can: exact duplicate coordinates, fibers longer than a
+/// chunk. The last few fibers of every level are where an off-by-one
+/// would index past `fids`, so this runs in debug (bounds checks live) as
+/// well as `--release`.
 #[test]
 fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
     use splatt::tensor::synth;
@@ -270,9 +272,30 @@ fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
     let set = CsfSet::build(&hypersparse, CsfAlloc::One, &team, SortVariant::default());
     assert!(set.csfs()[0].nnz_per_fiber() < 1.1);
 
+    // Every coordinate two to four times over, uncoalesced, with values
+    // that differ: one fiber adds into the same output row more than
+    // once, which is where a blocked scatter looping in the wrong order
+    // (columns outside nonzeros, or the reverse) would change bits.
+    let mut entries = Vec::new();
+    for n in 0..60u32 {
+        let coord = vec![n % 4, (n / 4) % 3, (n * 7) % 9];
+        for copy in 0..2 + n % 3 {
+            entries.push((coord.clone(), 0.5 + f64::from(n) - 1.25 * f64::from(copy)));
+        }
+    }
+    let duplicates = SparseTensor::from_entries(vec![4, 3, 9], &entries);
+
+    // Fibers longer than a 16-wide chunk is wide, and than the prefetch
+    // distance is long.
+    let long_fibers = synth::random_uniform(&[4, 3, 60], 500, 43);
+    let set = CsfSet::build(&long_fibers, CsfAlloc::One, &team, SortVariant::default());
+    assert!(set.csfs()[0].nnz_per_fiber() > 16.0);
+
     let tensors = [
         ("paper-like", paper_like),
         ("hypersparse", hypersparse),
+        ("duplicates", duplicates),
+        ("long fibers", long_fibers),
         ("order 4", synth::random_uniform(&[8, 12, 6, 9], 900, 31)),
         ("order 5", synth::random_uniform(&[5, 6, 4, 7, 3], 600, 37)),
         ("5 nonzeros", synth::random_uniform(&[9, 7, 11], 5, 41)),
