@@ -72,7 +72,7 @@ fn steady_state_mttkrp_performs_no_hot_loop_allocations() {
                 imp.label()
             );
             assert_eq!(
-                delta.hot_loop_bytes(),
+                delta.total_bytes(),
                 0,
                 "{} / {sync} / rank {rank}: hot-loop bytes allocated in steady state: {delta:?}",
                 imp.label()

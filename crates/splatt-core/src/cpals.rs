@@ -27,7 +27,7 @@ use splatt_dense::{
 use splatt_faults::{FaultKind, FaultPlan, FaultRecord, RecoveryAction};
 use splatt_guard::{LaneSpan, RunGuard, TripReason};
 use splatt_par::{Routine, TaskTeam, TimerRegistry};
-use splatt_probe::{FaultRow, GuardRow, MttkrpProbe, ProfileReport, RoutineRow, SpanNode};
+use splatt_probe::{FaultRow, MttkrpProbe, ProfileReport, RoutineRow, SpanNode};
 use splatt_tensor::SparseTensor;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -55,6 +55,9 @@ pub struct CpalsOutput {
     /// Human-readable description of each degradation rung applied, in
     /// order; empty when the first attempt finished inside its limits.
     pub degradations: Vec<String>,
+    /// CSF roots this run built without sorting ([`CsfSet::sorts_skipped`]:
+    /// the tensor was already strictly sorted for them).
+    pub sorts_skipped: u64,
 }
 
 /// Who may stop a run early. An enum, so "caller-owned guard *and*
@@ -814,16 +817,7 @@ pub(crate) fn als_attempt(
                         .collect()
                 })
                 .unwrap_or_default(),
-            guard: guard.map(|g| {
-                let snap = g.snapshot();
-                GuardRow {
-                    checks: snap.checks,
-                    trips: snap.trips,
-                    watchdog_reports: snap.watchdog_reports,
-                    watchdog_samples: snap.watchdog_samples,
-                    trip: snap.trip.map(|t| t.to_string()).unwrap_or_default(),
-                }
-            }),
+            guard: guard.map(RunGuard::snapshot),
             serve: None,
             store: None,
             refresh: None,
@@ -838,6 +832,7 @@ pub(crate) fn als_attempt(
         timers,
         profile,
         attempts: 1,
+        sorts_skipped: set.sorts_skipped(),
         degradations: Vec::new(),
     })
 }

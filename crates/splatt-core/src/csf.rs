@@ -472,6 +472,7 @@ pub mod nested {
 pub struct CsfSet {
     csfs: Vec<Csf>,
     alloc: CsfAlloc,
+    sorts_skipped: u64,
 }
 
 /// Mode permutation rooted at `root` with the remaining modes ordered by
@@ -512,15 +513,15 @@ impl CsfSet {
         guard: Option<&splatt_guard::RunGuard>,
     ) -> Self {
         let dims = tensor.dims();
-        let roots = Self::roots_for(dims, alloc);
-        let csfs = roots
+        let mut sorts_skipped = 0;
+        let csfs = Self::roots_for(dims, alloc)
             .iter()
             .map(|&r| {
                 let perm = perm_rooted_at(dims, r);
                 let mut sorted = tensor.clone();
-                timers.time(splatt_par::Routine::Sort, || {
-                    sort::sort_by_perm_guarded(&mut sorted, &perm, team, variant, guard);
-                });
+                sorts_skipped += u64::from(timers.time(splatt_par::Routine::Sort, || {
+                    sort::sort_by_perm_guarded(&mut sorted, &perm, team, variant, guard)
+                }));
                 if guard.is_some_and(|g| g.is_cancelled()) && !sorted.is_sorted_by(&perm) {
                     let empty = SparseTensor::new(dims.to_vec());
                     Csf::from_sorted(&empty, &perm)
@@ -529,7 +530,11 @@ impl CsfSet {
                 }
             })
             .collect();
-        CsfSet { csfs, alloc }
+        CsfSet {
+            csfs,
+            alloc,
+            sorts_skipped,
+        }
     }
 
     /// The root modes `alloc` dictates for a tensor with these dims.
@@ -558,12 +563,15 @@ impl CsfSet {
         team: &TaskTeam,
         variant: SortVariant,
     ) -> Self {
-        let dims = tensor.dims();
-        let csfs = Self::roots_for(dims, alloc)
-            .iter()
-            .map(|&r| Csf::build(tensor, &perm_rooted_at(dims, r), team, variant))
-            .collect();
-        CsfSet { csfs, alloc }
+        let untimed = splatt_par::TimerRegistry::new();
+        Self::build_timed_guarded(tensor, alloc, team, variant, &untimed, None)
+    }
+
+    /// Roots built without sorting, because the tensor was already
+    /// strictly sorted for them (the canonical order
+    /// `SparseTensor::merge_entries` maintains is one root's order).
+    pub fn sorts_skipped(&self) -> u64 {
+        self.sorts_skipped
     }
 
     /// The allocation policy used.

@@ -322,11 +322,10 @@ impl RefreshEngine {
         let merge_ns = merge_started.elapsed().as_nanos() as u64;
         let new_watermark = pending.last().expect("non-empty").seq + 1;
 
-        // Warm-started, governed refit. The CSF rebuild inside
-        // draws on the merged (canonical, strictly sorted) tensor, so
-        // the sort-skip fast path fires; we snapshot the global counter
-        // around the solve to attribute skips to this round.
-        let sorts_before = splatt_tensor::sort::sorts_skipped();
+        // Warm-started, governed refit. The CSF rebuild inside draws on
+        // the merged (canonical, strictly sorted) tensor, so the
+        // sort-skip fast path fires; each solve reports the skips of the
+        // CSF set it built.
         let mut cpals = self.opts.cpals.clone();
         cpals.warm_start = self
             .model
@@ -338,15 +337,16 @@ impl RefreshEngine {
             ..Default::default()
         };
         let run = try_cp_als(&work, &cpals, &governed).map_err(RefreshError::Solver)?;
+        let mut sorts_skipped = run.sorts_skipped;
         let warm_fit_gap = if self.opts.audit_cold {
             let mut cold = cpals.clone();
             cold.warm_start = None;
             let cold_run = try_cp_als(&work, &cold, &governed).map_err(RefreshError::Solver)?;
+            sorts_skipped += cold_run.sorts_skipped;
             (run.fit - cold_run.fit).abs()
         } else {
             0.0
         };
-        let sorts_skipped = splatt_tensor::sort::sorts_skipped() - sorts_before;
 
         // Publish: model artifact first, then the manifest commit point.
         let round = self.round + 1;

@@ -70,7 +70,7 @@ mod tests {
         assert!(budget.used_bytes() >= 512);
         assert!(budget.over_budget().is_none());
 
-        alloc::record_privatization(4096);
+        alloc::record_replica_growth(4096);
         let over = budget.over_budget().expect("traffic crossed the cap");
         assert!(over >= 4608);
     }
@@ -81,7 +81,7 @@ mod tests {
         let budget = MemoryBudget::new(u64::MAX);
         alloc::record_row_copy(100);
         alloc::record_descriptor(200);
-        alloc::record_privatization(300);
+        alloc::record_replica_growth(300);
         assert!(budget.used_bytes() >= 600);
     }
 }

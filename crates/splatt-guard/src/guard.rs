@@ -12,10 +12,11 @@
 //!   check returns the same reason, so abort attribution is stable
 //!   even when a deadline expires while the token is already tripped.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use splatt_probe::{GuardCounters, GuardRow};
 use splatt_rt::sync::Mutex;
 
 use crate::budget::MemoryBudget;
@@ -102,21 +103,6 @@ pub struct GuardConfig {
     pub lanes: usize,
 }
 
-/// Counters and watchdog activity at one instant, for probe reports.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GuardSnapshot {
-    /// Full driver checks performed.
-    pub checks: u64,
-    /// Checks that returned a trip.
-    pub trips: u64,
-    /// Stall reports filed by the watchdog.
-    pub watchdog_reports: u64,
-    /// Sampling passes the watchdog completed.
-    pub watchdog_samples: u64,
-    /// The sticky trip reason, if the run tripped.
-    pub trip: Option<TripReason>,
-}
-
 struct GuardInner {
     token: CancelToken,
     deadline: Option<Deadline>,
@@ -124,8 +110,9 @@ struct GuardInner {
     heartbeats: Arc<Heartbeats>,
     ledger: Arc<WatchdogLedger>,
     watchdog: Mutex<Option<Watchdog>>,
-    checks: AtomicU64,
-    trips: AtomicU64,
+    /// `checks` and `trips` count here; the watchdog's two are read
+    /// off its ledger when a snapshot is taken.
+    counters: GuardCounters,
     trip: Mutex<Option<TripReason>>,
 }
 
@@ -160,8 +147,7 @@ impl RunGuard {
                 heartbeats,
                 ledger,
                 watchdog: Mutex::new(watchdog),
-                checks: AtomicU64::new(0),
-                trips: AtomicU64::new(0),
+                counters: GuardCounters::new(),
                 trip: Mutex::new(None),
             }),
         }
@@ -238,11 +224,11 @@ impl RunGuard {
     /// (also cancelling the token); later checks return it unchanged.
     pub fn check(&self, lane: usize) -> Result<(), TripReason> {
         let inner = &self.inner;
-        inner.checks.fetch_add(1, Ordering::Relaxed);
+        inner.counters.checks.fetch_add(1, Ordering::Relaxed);
         inner.heartbeats.beat(lane);
 
         if let Some(reason) = inner.trip.lock().clone() {
-            inner.trips.fetch_add(1, Ordering::Relaxed);
+            inner.counters.trips.fetch_add(1, Ordering::Relaxed);
             return Err(reason);
         }
         if let Some(dl) = &inner.deadline {
@@ -278,7 +264,7 @@ impl RunGuard {
     /// Record the first trip (sticky), cancel the token, count it.
     fn trip(&self, reason: TripReason) -> TripReason {
         let inner = &self.inner;
-        inner.trips.fetch_add(1, Ordering::Relaxed);
+        inner.counters.trips.fetch_add(1, Ordering::Relaxed);
         inner.token.cancel();
         let mut slot = inner.trip.lock();
         if slot.is_none() {
@@ -297,14 +283,15 @@ impl RunGuard {
         self.inner.ledger.reports()
     }
 
-    /// Counters for the probe report.
-    pub fn snapshot(&self) -> GuardSnapshot {
-        GuardSnapshot {
-            checks: self.inner.checks.load(Ordering::Relaxed),
-            trips: self.inner.trips.load(Ordering::Relaxed),
+    /// The probe report's `guard` row: the counters, and the sticky trip
+    /// reason as text (empty if the run never tripped).
+    pub fn snapshot(&self) -> GuardRow {
+        let trip = self.trip_reason().map(|t| t.to_string());
+        GuardRow {
             watchdog_reports: self.inner.ledger.report_count(),
             watchdog_samples: self.inner.ledger.samples(),
-            trip: self.trip_reason(),
+            trip: trip.unwrap_or_default(),
+            ..self.inner.counters.snapshot()
         }
     }
 
@@ -368,7 +355,7 @@ mod tests {
         let snap = g.snapshot();
         assert_eq!(snap.checks, 10);
         assert_eq!(snap.trips, 0);
-        assert!(snap.trip.is_none());
+        assert_eq!(snap.trip, "");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use admission::{AdmissionGate, AdmissionPermit, Overloaded, OwnedAdmissionPe
 pub use budget::MemoryBudget;
 pub use cancel::CancelToken;
 pub use deadline::Deadline;
-pub use guard::{GuardConfig, GuardSnapshot, LaneSpan, RunGuard, TripReason};
+pub use guard::{GuardConfig, LaneSpan, RunGuard, TripReason};
 pub use retry::RetryPolicy;
 pub use watchdog::{Heartbeats, StallReport, Watchdog, WatchdogConfig, WatchdogLedger};
 

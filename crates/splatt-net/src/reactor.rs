@@ -62,7 +62,7 @@ use splatt_guard::{AdmissionGate, CancelToken};
 use splatt_rt::sync::Mutex;
 
 use crate::conn::{Conn, FrameTooLarge, ReadOutcome};
-use crate::counters::{NetCounters, NetSnapshot};
+use crate::counters::{conn_closed, conn_opened, NetCounters, NetSnapshot};
 use crate::poller::{Event, Interest, Poller};
 use crate::pool::WorkerPool;
 use crate::service::{Disposition, FrameService, Reply, RequestCtx, ShedLayer};
@@ -533,7 +533,7 @@ impl Reactor {
                 self.conns.len() - 1
             }
         };
-        self.shared.counters.conn_opened();
+        conn_opened(&self.shared.counters);
         self.wheel.schedule(
             now + self.config.idle_timeout,
             TimerKey::Idle {
@@ -546,7 +546,7 @@ impl Reactor {
     fn close_conn(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             conn.mark_dead();
-            self.shared.counters.conn_closed();
+            conn_closed(&self.shared.counters);
             self.free.push(slot);
         }
     }
@@ -870,7 +870,7 @@ impl Reactor {
         for slot in 0..self.conns.len() {
             if let Some(conn) = self.conns[slot].take() {
                 conn.mark_dead();
-                self.shared.counters.conn_closed();
+                conn_closed(&self.shared.counters);
             }
         }
         // Workers drain their queue (jobs see dead alive-flags and

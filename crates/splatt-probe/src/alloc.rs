@@ -19,20 +19,15 @@
 //! fed untrusted bytes — is [`CountingAlloc`], at the bottom of this
 //! file.
 
+use crate::counters::AllocCounters;
+pub use crate::counters::AllocStats;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-static ROW_COPIES: AtomicU64 = AtomicU64::new(0);
-static ROW_COPY_BYTES: AtomicU64 = AtomicU64::new(0);
-static DESCRIPTOR_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DESCRIPTOR_BYTES: AtomicU64 = AtomicU64::new(0);
-static REPLICA_BYTES: AtomicU64 = AtomicU64::new(0);
-static REPLICA_REDUCTIONS: AtomicU64 = AtomicU64::new(0);
-static KERNEL_SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static KERNEL_SCRATCH_BYTES: AtomicU64 = AtomicU64::new(0);
+static COUNTERS: AllocCounters = AllocCounters::new();
 
 /// Turn recording on (used while a profiled run is active).
 pub fn enable() {
@@ -52,8 +47,10 @@ pub fn enabled() -> bool {
 #[inline]
 pub fn record_row_copy(bytes: usize) {
     if enabled() {
-        ROW_COPIES.fetch_add(1, Ordering::Relaxed);
-        ROW_COPY_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        COUNTERS.row_copies.fetch_add(1, Ordering::Relaxed);
+        COUNTERS
+            .row_copy_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -61,18 +58,10 @@ pub fn record_row_copy(bytes: usize) {
 #[inline]
 pub fn record_descriptor(bytes: usize) {
     if enabled() {
-        DESCRIPTOR_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        DESCRIPTOR_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
-/// A privatized MTTKRP sized its per-task replicas at `bytes` total and
-/// performed one reduction pass over them.
-#[inline]
-pub fn record_privatization(bytes: usize) {
-    if enabled() {
-        REPLICA_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-        REPLICA_REDUCTIONS.fetch_add(1, Ordering::Relaxed);
+        COUNTERS.descriptor_allocs.fetch_add(1, Ordering::Relaxed);
+        COUNTERS
+            .descriptor_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -84,7 +73,9 @@ pub fn record_privatization(bytes: usize) {
 #[inline]
 pub fn record_replica_growth(bytes: usize) {
     if enabled() {
-        REPLICA_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        COUNTERS
+            .replica_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -92,7 +83,7 @@ pub fn record_replica_growth(bytes: usize) {
 #[inline]
 pub fn record_replica_reduction() {
     if enabled() {
-        REPLICA_REDUCTIONS.fetch_add(1, Ordering::Relaxed);
+        COUNTERS.replica_reductions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -101,61 +92,22 @@ pub fn record_replica_reduction() {
 #[inline]
 pub fn record_kernel_scratch(bytes: usize) {
     if enabled() {
-        KERNEL_SCRATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        KERNEL_SCRATCH_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        COUNTERS
+            .kernel_scratch_allocs
+            .fetch_add(1, Ordering::Relaxed);
+        COUNTERS
+            .kernel_scratch_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
-}
-
-/// Point-in-time copy of the global counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    pub row_copies: u64,
-    pub row_copy_bytes: u64,
-    pub descriptor_allocs: u64,
-    pub descriptor_bytes: u64,
-    pub replica_bytes: u64,
-    pub replica_reductions: u64,
-    pub kernel_scratch_allocs: u64,
-    pub kernel_scratch_bytes: u64,
 }
 
 impl AllocStats {
-    /// Counter-wise difference vs an earlier snapshot.
-    pub fn since(&self, earlier: &AllocStats) -> AllocStats {
-        AllocStats {
-            row_copies: self.row_copies.wrapping_sub(earlier.row_copies),
-            row_copy_bytes: self.row_copy_bytes.wrapping_sub(earlier.row_copy_bytes),
-            descriptor_allocs: self
-                .descriptor_allocs
-                .wrapping_sub(earlier.descriptor_allocs),
-            descriptor_bytes: self.descriptor_bytes.wrapping_sub(earlier.descriptor_bytes),
-            replica_bytes: self.replica_bytes.wrapping_sub(earlier.replica_bytes),
-            replica_reductions: self
-                .replica_reductions
-                .wrapping_sub(earlier.replica_reductions),
-            kernel_scratch_allocs: self
-                .kernel_scratch_allocs
-                .wrapping_sub(earlier.kernel_scratch_allocs),
-            kernel_scratch_bytes: self
-                .kernel_scratch_bytes
-                .wrapping_sub(earlier.kernel_scratch_bytes),
-        }
-    }
-
-    /// Total bytes across the traffic streams — the quantity a memory
-    /// budget bounds.
+    /// Total bytes across the traffic streams (everything except
+    /// reduction-pass counts, which are not allocations) — the quantity
+    /// a memory budget bounds. A steady-state MTTKRP window — warm
+    /// workspace, unchanged shapes — must report zero here for the
+    /// slice-based access strategies.
     pub fn total_bytes(&self) -> u64 {
-        self.row_copy_bytes
-            .wrapping_add(self.descriptor_bytes)
-            .wrapping_add(self.replica_bytes)
-            .wrapping_add(self.kernel_scratch_bytes)
-    }
-
-    /// Bytes allocated inside the kernels themselves (everything except
-    /// reduction-pass counts, which are not allocations). A steady-state
-    /// MTTKRP window — warm workspace, unchanged shapes — must report
-    /// zero here for the slice-based access strategies.
-    pub fn hot_loop_bytes(&self) -> u64 {
         self.row_copy_bytes
             .wrapping_add(self.descriptor_bytes)
             .wrapping_add(self.replica_bytes)
@@ -164,7 +116,7 @@ impl AllocStats {
 
     /// Allocation *events* in the hot path (copies, descriptors, scratch
     /// growths — replica growth is byte-only and covered by
-    /// [`AllocStats::hot_loop_bytes`]).
+    /// [`AllocStats::total_bytes`]).
     pub fn hot_loop_allocs(&self) -> u64 {
         self.row_copies
             .wrapping_add(self.descriptor_allocs)
@@ -172,17 +124,9 @@ impl AllocStats {
     }
 }
 
+/// Point-in-time copy of the global counters.
 pub fn snapshot() -> AllocStats {
-    AllocStats {
-        row_copies: ROW_COPIES.load(Ordering::Relaxed),
-        row_copy_bytes: ROW_COPY_BYTES.load(Ordering::Relaxed),
-        descriptor_allocs: DESCRIPTOR_ALLOCS.load(Ordering::Relaxed),
-        descriptor_bytes: DESCRIPTOR_BYTES.load(Ordering::Relaxed),
-        replica_bytes: REPLICA_BYTES.load(Ordering::Relaxed),
-        replica_reductions: REPLICA_REDUCTIONS.load(Ordering::Relaxed),
-        kernel_scratch_allocs: KERNEL_SCRATCH_ALLOCS.load(Ordering::Relaxed),
-        kernel_scratch_bytes: KERNEL_SCRATCH_BYTES.load(Ordering::Relaxed),
-    }
+    COUNTERS.snapshot()
 }
 
 thread_local! {
@@ -248,6 +192,13 @@ pub fn thread_heap_bytes() -> u64 {
     THREAD_HEAP_BYTES.with(Cell::get)
 }
 
+/// `f`'s result with the heap bytes it requested on this thread.
+pub fn heap_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = thread_heap_bytes();
+    let out = f();
+    (out, thread_heap_bytes() - before)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +233,8 @@ mod tests {
         let before = snapshot();
         record_row_copy(280);
         record_descriptor(16);
-        record_privatization(1024);
+        record_replica_growth(1024);
+        record_replica_reduction();
         assert_eq!(snapshot().since(&before), AllocStats::default());
 
         enable();
@@ -290,7 +242,8 @@ mod tests {
         record_row_copy(280);
         record_row_copy(280);
         record_descriptor(16);
-        record_privatization(1024);
+        record_replica_growth(1024);
+        record_replica_reduction();
         record_replica_growth(512);
         record_replica_reduction();
         record_kernel_scratch(2048);
@@ -305,6 +258,6 @@ mod tests {
         assert_eq!(delta.kernel_scratch_allocs, 1);
         assert_eq!(delta.kernel_scratch_bytes, 2048);
         assert_eq!(delta.hot_loop_allocs(), 2 + 1 + 1);
-        assert_eq!(delta.hot_loop_bytes(), 560 + 16 + 1024 + 512 + 2048);
+        assert_eq!(delta.total_bytes(), 560 + 16 + 1024 + 512 + 2048);
     }
 }

@@ -3,7 +3,10 @@
 //! The paper's whole argument (Table III, Figures 2–8) is built on
 //! *measurements*: per-routine timers, lock-pool behaviour on YELP vs
 //! NELL-2, and the 18x slice-copy overhead of the row-copy access path.
-//! This crate supplies the counters behind those measurements:
+//! This crate supplies the counters behind those measurements — and
+//! declares, once each, the counters of every subsystem built around
+//! them (`counters.rs`: one `counter_set!` list per set generates the
+//! atomics, the snapshot row and the field table the report walks):
 //!
 //! - [`LockCounters`] — acquisitions / contended acquisitions / failed
 //!   CAS-spin iterations / accumulated wait time for a lock pool.
@@ -26,6 +29,7 @@
 //!   output without external dependencies.
 
 pub mod alloc;
+mod counters;
 pub mod json;
 mod locks;
 mod report;
@@ -37,11 +41,12 @@ mod tasks;
 #[global_allocator]
 static HEAP: alloc::CountingAlloc = alloc::CountingAlloc;
 
-pub use locks::{LockCounters, LockStats};
-pub use report::{
-    FaultRow, GuardRow, NetFrontRow, ProfileReport, QueryKindRow, RefreshRow, RoutineRow, ServeRow,
-    ShardRow, StoreRow, PROFILE_SCHEMA,
+pub use counters::{
+    AllocStats, Field, GuardCounters, GuardRow, LockCounters, LockStats, NetCounters, NetSnapshot,
+    QueryKindRow, RefreshRow, ServeCounters, ServeRow, ShardCounters, ShardRow, StoreAtomics,
+    StoreCounters,
 };
+pub use report::{render_counters, FaultRow, ProfileReport, RoutineRow, PROFILE_SCHEMA};
 pub use span::SpanNode;
 pub use tasks::{TaskTimes, ThreadLoad, ThreadLoadRow};
 

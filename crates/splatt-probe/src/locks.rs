@@ -1,24 +1,11 @@
-//! Lock-pool contention counters.
+//! Lock-pool contention counters: how the pool records into the
+//! [`LockCounters`] set, and what its [`LockStats`] snapshot derives.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::counters::{LockCounters, LockStats};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Shared counters for one `LockPool`. All increments are relaxed — the
-/// counters are diagnostics, not synchronization.
-#[derive(Debug, Default)]
-pub struct LockCounters {
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-    releases: AtomicU64,
-    spin_iters: AtomicU64,
-    wait_nanos: AtomicU64,
-}
-
 impl LockCounters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An acquisition that succeeded on the first try.
     #[inline]
     pub fn record_uncontended(&self) {
@@ -40,34 +27,6 @@ impl LockCounters {
     pub fn record_release(&self) {
         self.releases.fetch_add(1, Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> LockStats {
-        LockStats {
-            acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            spin_iters: self.spin_iters.load(Ordering::Relaxed),
-            wait_nanos: self.wait_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn reset(&self) {
-        self.acquisitions.store(0, Ordering::Relaxed);
-        self.contended.store(0, Ordering::Relaxed);
-        self.releases.store(0, Ordering::Relaxed);
-        self.spin_iters.store(0, Ordering::Relaxed);
-        self.wait_nanos.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time copy of [`LockCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    pub acquisitions: u64,
-    pub contended: u64,
-    pub releases: u64,
-    pub spin_iters: u64,
-    pub wait_nanos: u64,
 }
 
 impl LockStats {
@@ -78,10 +37,6 @@ impl LockStats {
         } else {
             self.contended as f64 / self.acquisitions as f64
         }
-    }
-
-    pub fn wait(&self) -> Duration {
-        Duration::from_nanos(self.wait_nanos)
     }
 
     /// Quiescent self-consistency: every acquisition has been released.
@@ -109,8 +64,6 @@ mod tests {
         assert_eq!(s.wait_nanos, 500);
         assert!(s.is_balanced());
         assert!((s.contention_rate() - 0.5).abs() < 1e-12);
-        c.reset();
-        assert_eq!(c.snapshot(), LockStats::default());
     }
 
     #[test]

@@ -84,6 +84,46 @@ impl Gen {
     pub fn f64_vec(&mut self, len: usize, lo: f64, hi: f64) -> Vec<f64> {
         (0..len).map(|_| self.f64_in(lo, hi)).collect()
     }
+
+    /// The mutation set the untrusted-byte decoders are tested under,
+    /// from one valid encoding: `bytes` itself, every strict prefix,
+    /// every byte inverted and with one drawn bit flipped, every
+    /// integer field (`(offset, width)` in `fields`, little-endian)
+    /// overwritten with 0, 1, `MAX − 1` and `MAX`, eight copies with a
+    /// few drawn bytes overwritten, and one with a drawn byte appended.
+    pub fn byte_mutants(&mut self, bytes: &[u8], fields: &[(usize, usize)]) -> Vec<Vec<u8>> {
+        let mut out = vec![bytes.to_vec()];
+        for cut in 0..bytes.len() {
+            out.push(bytes[..cut].to_vec());
+        }
+        for at in 0..bytes.len() {
+            for mask in [0xFF, 1u8 << self.range(0..8u32)] {
+                let mut m = bytes.to_vec();
+                m[at] ^= mask;
+                out.push(m);
+            }
+        }
+        for &(at, width) in fields {
+            let max = u64::MAX >> (64 - 8 * width);
+            for value in [0, 1, max - 1, max] {
+                let mut m = bytes.to_vec();
+                m[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                out.push(m);
+            }
+        }
+        for _ in 0..8 {
+            let mut m = bytes.to_vec();
+            for _ in 0..self.range(2..5usize) {
+                let at = self.usize_in(0..m.len());
+                m[at] = self.u64() as u8;
+            }
+            out.push(m);
+        }
+        let mut m = bytes.to_vec();
+        m.push(self.u64() as u8);
+        out.push(m);
+        out
+    }
 }
 
 fn env_u64(name: &str) -> Option<u64> {

@@ -40,7 +40,7 @@ use crate::protocol::{
     decode_request, decode_response, encode_response, Request, RequestBody, Response, ShardSel,
     WireError, MAX_FRAME,
 };
-use crate::service::{accept_shed_frame, backstop_frame, net_row_of, peek_deadline, shed_frame};
+use crate::service::{accept_shed_frame, backstop_frame, peek_deadline, shed_frame};
 use crate::stats::ServeStats;
 use splatt_faults::NetFaultPlan;
 use splatt_guard::{CancelToken, Deadline, RetryPolicy};
@@ -48,9 +48,9 @@ use splatt_net::{
     serve_frames, Disposition, FrameService, NetCounters, NetHandle, NetSnapshot, ReactorConfig,
     Reply, RequestCtx, ShedLayer,
 };
-use splatt_probe::{ProfileReport, ShardRow};
+use splatt_probe::{ProfileReport, ShardCounters, ShardRow};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -90,14 +90,6 @@ impl Default for ClusterConfig {
             connect_timeout: Duration::from_millis(500),
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct ShardCounters {
-    retries: AtomicU64,
-    failovers: AtomicU64,
-    degraded: AtomicU64,
-    replica_lag_micros: AtomicU64,
 }
 
 /// The scatter-gather router; see the module docs.
@@ -236,19 +228,11 @@ impl Router {
         let mut row = self.stats.to_row(0, 0, 0, 0);
         row.shards = (0..self.config.nshards)
             .map(|shard| {
-                let c = &self.counters[shard];
+                let replicas = self.map.replicas(shard);
+                let transitions = replicas.iter().map(|&w| self.health.transitions_of(w));
                 ShardRow {
-                    shard,
-                    retries: c.retries.load(Ordering::Relaxed),
-                    failovers: c.failovers.load(Ordering::Relaxed),
-                    degraded: c.degraded.load(Ordering::Relaxed),
-                    health_transitions: self
-                        .map
-                        .replicas(shard)
-                        .iter()
-                        .map(|&w| self.health.transitions_of(w))
-                        .sum(),
-                    replica_lag_micros: c.replica_lag_micros.load(Ordering::Relaxed),
+                    health_transitions: transitions.sum(),
+                    ..self.counters[shard].snapshot()
                 }
             })
             .collect();
@@ -624,7 +608,7 @@ impl FrameService for RouterService {
                 if matches!(req.body, RequestBody::Stats) {
                     let mut report = self.router.profile_report();
                     if let Some(serve) = report.serve.as_mut() {
-                        serve.net = self.net.get().map(|c| net_row_of(c));
+                        serve.net = self.net.get().map(|c| c.snapshot());
                     }
                     Response::Stats(report.to_json())
                 } else {

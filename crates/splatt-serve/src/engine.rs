@@ -15,8 +15,8 @@
 //!    queueing it cost two thread hand-offs and a condvar round trip,
 //!    forty times the arithmetic. It never reaches the scheduler, forms
 //!    no batch and cannot wait, which is what lets the TCP front end
-//!    answer it on the reactor thread. It counts in
-//!    [`ServeStats::caller_runs`].
+//!    answer it on the reactor thread. It counts through
+//!    [`ServeStats::record_caller_run`].
 //! 3. Slice and top-k requests consult the LRU result cache; a hit
 //!    returns the same kind of filled ticket without touching the
 //!    scheduler.
@@ -1017,7 +1017,7 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, ServeError::DeadlineExpired);
-        assert!(eng.stats().deadline_rejections() >= 1);
+        assert!(eng.stats().counters.snapshot().deadline_rejections >= 1);
         eng.shutdown();
     }
 

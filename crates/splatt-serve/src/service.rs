@@ -21,8 +21,9 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use splatt_net::{Disposition, FrameService, NetCounters, Reply, RequestCtx, ShedLayer};
-use splatt_probe::NetFrontRow;
+use splatt_net::{
+    Disposition, FrameService, NetCounters, NetSnapshot, Reply, RequestCtx, ShedLayer,
+};
 
 use crate::engine::{Query, QueryResult, ServeEngine, ServeError};
 use crate::protocol::{
@@ -86,28 +87,6 @@ pub(crate) fn peek_deadline(payload: &[u8], default: Duration) -> Option<Duratio
     }
 }
 
-/// Roll live front-end counters into the probe `serve.net` row.
-pub(crate) fn net_row_of(counters: &NetCounters) -> NetFrontRow {
-    let s = counters.snapshot();
-    NetFrontRow {
-        accepted: s.accepted,
-        connections_open: s.connections_open,
-        connections_peak: s.connections_peak,
-        polls: s.polls,
-        readiness_wakeups: s.readiness_wakeups,
-        frames_read: s.frames_read,
-        frames_inline: s.frames_inline,
-        frames_written: s.frames_written,
-        writes: s.writes,
-        coalesced_writes: s.coalesced_writes,
-        sheds_accept: s.sheds_accept,
-        sheds_decode: s.sheds_decode,
-        idle_closed: s.idle_closed,
-        deadline_backstops: s.deadline_backstops,
-        worker_threads: s.worker_threads,
-    }
-}
-
 /// See the module docs.
 pub(crate) struct EngineService {
     pub(crate) engine: Arc<ServeEngine>,
@@ -128,8 +107,8 @@ impl EngineService {
         let _ = self.net.set(counters);
     }
 
-    pub(crate) fn net_row(&self) -> Option<NetFrontRow> {
-        self.net.get().map(|c| net_row_of(c))
+    pub(crate) fn net_row(&self) -> Option<NetSnapshot> {
+        self.net.get().map(|c| c.snapshot())
     }
 
     /// The reply to one request payload as [`decode_request`] read it,
@@ -382,7 +361,7 @@ mod tests {
             assert_eq!(svc.try_handle_now(&payload), None, "{body:?}");
         }
         assert_eq!(svc.try_handle_now(&[]), None);
-        assert_eq!(svc.engine.stats().caller_runs(), 0);
+        assert_eq!(svc.engine.stats().counters.snapshot().caller_runs, 0);
         svc.engine.shutdown();
     }
 
@@ -401,7 +380,7 @@ mod tests {
         ));
         assert_eq!(reply.disposition, Disposition::Continue);
         assert_eq!(svc.engine.gate().sheds(), 1);
-        assert_eq!(svc.engine.stats().caller_runs(), 0);
+        assert_eq!(svc.engine.stats().counters.snapshot().caller_runs, 0);
         svc.engine.shutdown();
     }
 

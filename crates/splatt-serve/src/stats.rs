@@ -1,8 +1,9 @@
 //! Serving telemetry: lock-free log2 latency histograms per query kind,
-//! the batch-size distribution, and counters that roll up into the probe
-//! schema v5 `serve` object.
+//! the batch-size distribution, and the scalar counters (declared in
+//! `splatt-probe` as `ServeCounters`) that roll up with them into the
+//! probe report's `serve` object.
 
-use splatt_probe::{QueryKindRow, ServeRow};
+use splatt_probe::{QueryKindRow, ServeCounters, ServeRow};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets: bucket 31 absorbs everything ≥ ~36 minutes.
@@ -111,13 +112,10 @@ impl Log2Histogram {
 pub struct ServeStats {
     latency: [Log2Histogram; 3],
     batch_sizes: Log2Histogram,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    max_batch: AtomicU64,
-    caller_runs: AtomicU64,
-    deadline_rejections: AtomicU64,
-    arena_growth_allocs: AtomicU64,
-    arena_growth_bytes: AtomicU64,
+    /// The scalars. The cache and shed counts of the set stay zero here:
+    /// the cache and the admission gate keep their own, and
+    /// [`ServeStats::to_row`] is handed them.
+    pub counters: ServeCounters,
 }
 
 impl ServeStats {
@@ -134,43 +132,35 @@ impl ServeStats {
 
     /// Record one executed batch of `size` coalesced requests.
     pub fn record_batch(&self, size: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests.fetch_add(size, Ordering::Relaxed);
-        self.max_batch.fetch_max(size, Ordering::Relaxed);
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .batched_requests
+            .fetch_add(size, Ordering::Relaxed);
+        self.counters.max_batch.fetch_max(size, Ordering::Relaxed);
         self.batch_sizes.record(size);
     }
 
     /// Record one request computed on the thread that submitted it.
     pub fn record_caller_run(&self) {
-        self.caller_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests computed on their submitting thread so far.
-    pub fn caller_runs(&self) -> u64 {
-        self.caller_runs.load(Ordering::Relaxed)
+        self.counters.caller_runs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a request rejected because its deadline expired.
     pub fn record_deadline_rejection(&self) {
-        self.deadline_rejections.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .deadline_rejections
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Publish the current query-arena growth totals (monotonic; the
     /// scheduler stores the aggregate after each batch).
     pub fn set_arena_growth(&self, allocs: u64, bytes: u64) {
-        self.arena_growth_allocs
+        self.counters
+            .arena_growth_allocs
             .fetch_max(allocs, Ordering::Relaxed);
-        self.arena_growth_bytes.fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Deadline rejections so far.
-    pub fn deadline_rejections(&self) -> u64 {
-        self.deadline_rejections.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered for `kind`.
-    pub fn requests(&self, kind: QueryKind) -> u64 {
-        self.latency[kind.index()].count()
+        self.counters
+            .arena_growth_bytes
+            .fetch_max(bytes, Ordering::Relaxed);
     }
 
     /// Roll everything up into the probe `serve` row; cache and shed
@@ -198,25 +188,16 @@ impl ServeStats {
                 }
             })
             .collect();
+        // Per-shard failover counters are a router concern, and the net
+        // row belongs to the front end; both fill in after this rollup.
         ServeRow {
             kinds,
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            caller_runs: self.caller_runs(),
             batch_buckets: self.batch_sizes.snapshot(),
             cache_hits,
             cache_misses,
             cache_evictions,
             sheds,
-            deadline_rejections: self.deadline_rejections(),
-            arena_growth_allocs: self.arena_growth_allocs.load(Ordering::Relaxed),
-            arena_growth_bytes: self.arena_growth_bytes.load(Ordering::Relaxed),
-            // Per-shard failover counters are a router concern, and the
-            // net row belongs to the front end; both fill in after this
-            // rollup.
-            shards: Vec::new(),
-            net: None,
+            ..self.counters.snapshot()
         }
     }
 }

@@ -32,7 +32,7 @@ use crate::protocol::{
 use crate::registry::ModelInfo;
 use crate::service::{test_service, EngineService};
 use splatt_net::{Disposition, FrameService, RequestCtx};
-use splatt_probe::alloc::thread_heap_bytes;
+use splatt_probe::alloc::heap_of;
 use splatt_rt::qc::{self, Gen};
 use std::io::ErrorKind;
 use std::sync::atomic::AtomicBool;
@@ -143,54 +143,11 @@ fn integer_fields(req: &Request) -> Vec<(usize, usize)> {
     fields
 }
 
-/// Every mutant of `payload`; see the module docs.
-fn mutants(payload: &[u8], fields: &[(usize, usize)], g: &mut Gen) -> Vec<Vec<u8>> {
-    let mut out = vec![payload.to_vec()];
-    for cut in 0..payload.len() {
-        out.push(payload[..cut].to_vec());
-    }
-    for at in 0..payload.len() {
-        for mask in [0xFF, 1u8 << g.range(0..8u32)] {
-            let mut m = payload.to_vec();
-            m[at] ^= mask;
-            out.push(m);
-        }
-    }
-    for &(at, width) in fields {
-        let max = u64::MAX >> (64 - 8 * width);
-        for value in [0, 1, max - 1, max] {
-            let mut m = payload.to_vec();
-            m[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
-            out.push(m);
-        }
-    }
-    for _ in 0..8 {
-        let mut m = payload.to_vec();
-        for _ in 0..g.range(2..5usize) {
-            let at = g.usize_in(0..m.len());
-            m[at] = g.u64() as u8;
-        }
-        out.push(m);
-    }
-    // A frame longer than it says: trailing bytes.
-    let mut m = payload.to_vec();
-    m.push(g.u64() as u8);
-    out.push(m);
-    out
-}
-
 fn service() -> EngineService {
     test_service(ServeConfig {
         ntasks: 1,
         ..ServeConfig::default()
     })
-}
-
-/// The heap `f` requested on this thread, with its result.
-fn heap_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = thread_heap_bytes();
-    let out = f();
-    (out, thread_heap_bytes() - before)
 }
 
 fn check_mutant(svc: &EngineService, ctx: &RequestCtx, m: &[u8]) {
@@ -261,7 +218,7 @@ fn mutated_requests_decode_typed_bounded_and_never_panic() {
             let req = request_of(kind, g);
             let payload = encode_request(&req).expect("a valid request encodes");
             assert_eq!(decode_request(&payload).expect("and decodes"), req);
-            for m in mutants(&payload, &integer_fields(&req), g) {
+            for m in g.byte_mutants(&payload, &integer_fields(&req)) {
                 check_mutant(&svc, &ctx, &m);
             }
         }
@@ -407,7 +364,7 @@ fn mutated_responses_decode_typed_bounded_and_never_panic() {
             for resp in responses_of(kind, g) {
                 let payload = encode_response(&resp);
                 assert_eq!(decode_response(&payload).expect("decodes"), resp);
-                for m in mutants(&payload, &response_integer_fields(&resp), g) {
+                for m in g.byte_mutants(&payload, &response_integer_fields(&resp)) {
                     check_response_mutant(&m);
                 }
             }

@@ -14,13 +14,14 @@
 //! torn writes / bit flips are injected into the temp file (where the
 //! CRC framing of [`publish_artifact`] must catch them).
 
-use crate::counters;
+use crate::counters::COUNTERS;
 use crate::error::StoreError;
 use crate::frame::{self, Frame, FrameDefect, ARTIFACT_MAGIC};
 use splatt_faults::{IoFault, IoFaultPlan};
 use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Draw an op for a non-writing step (create, rename); only a
 /// scheduled crash can stop it.
@@ -76,7 +77,7 @@ pub(crate) fn fsync_faulted(
         }
     }
     file.sync_all()?;
-    counters::inc_fsyncs();
+    COUNTERS.fsyncs.fetch_add(1, Relaxed);
     Ok(())
 }
 
@@ -143,7 +144,7 @@ pub fn publish_bytes(
     step(plan, "publish rename")?;
     fs::rename(&tmp, path)?;
     fsync_dir(&dir, plan, "publish fsync-dir")?;
-    counters::inc_atomic_publishes();
+    COUNTERS.atomic_publishes.fetch_add(1, Relaxed);
     Ok(())
 }
 
@@ -170,7 +171,7 @@ pub fn is_framed(bytes: &[u8]) -> bool {
 /// frame CRC, and that nothing trails the frame.
 pub fn unwrap_artifact(bytes: &[u8], path: &Path) -> Result<Frame, StoreError> {
     if !is_framed(bytes) {
-        counters::inc_checksum_failures();
+        COUNTERS.checksum_failures.fetch_add(1, Relaxed);
         return Err(StoreError::Corrupt {
             path: path.to_path_buf(),
             offset: 0,
@@ -181,7 +182,7 @@ pub fn unwrap_artifact(bytes: &[u8], path: &Path) -> Result<Frame, StoreError> {
     match frame::parse_frame_at(body, 0) {
         Ok((frame, end)) if end == body.len() => Ok(frame),
         Ok((_, end)) => {
-            counters::inc_checksum_failures();
+            COUNTERS.checksum_failures.fetch_add(1, Relaxed);
             Err(StoreError::Corrupt {
                 path: path.to_path_buf(),
                 offset: (ARTIFACT_MAGIC.len() + end) as u64,
@@ -189,7 +190,7 @@ pub fn unwrap_artifact(bytes: &[u8], path: &Path) -> Result<Frame, StoreError> {
             })
         }
         Err(defect) => {
-            counters::inc_checksum_failures();
+            COUNTERS.checksum_failures.fetch_add(1, Relaxed);
             Err(StoreError::Corrupt {
                 path: path.to_path_buf(),
                 offset: ARTIFACT_MAGIC.len() as u64,

@@ -1,98 +1,16 @@
-//! Process-wide durability counters, mirrored into the probe report.
+//! Process-wide durability counters.
 //!
-//! The store keeps its observability surface as plain numbers so
-//! `splatt-probe` (which by policy depends on nothing) can carry them
-//! in its schema-stable JSON without a crate edge. Counters are global
-//! atomics: the CLI snapshots them after an ingest/recover run and
-//! copies the snapshot into the probe `store` row.
+//! The set is declared in `splatt-probe` (`StoreAtomics`, with every
+//! other counter set of the workspace) and lives here as one global:
+//! the WAL and the atomic-publish path increment its fields directly,
+//! and a [`snapshot`] — the CLI takes one after an ingest/recover run —
+//! is the probe report's `store` row as it stands.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use splatt_probe::{StoreAtomics, StoreCounters};
 
-static WAL_APPENDS: AtomicU64 = AtomicU64::new(0);
-static WAL_COMMITS: AtomicU64 = AtomicU64::new(0);
-static FSYNCS: AtomicU64 = AtomicU64::new(0);
-static ATOMIC_PUBLISHES: AtomicU64 = AtomicU64::new(0);
-static SEGMENTS_ROTATED: AtomicU64 = AtomicU64::new(0);
-static RECOVERIES: AtomicU64 = AtomicU64::new(0);
-static RECORDS_RECOVERED: AtomicU64 = AtomicU64::new(0);
-static TORN_BYTES_TRUNCATED: AtomicU64 = AtomicU64::new(0);
-static CHECKSUM_FAILURES: AtomicU64 = AtomicU64::new(0);
-
-/// A point-in-time snapshot of the store's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreCounters {
-    /// Records appended to a WAL (buffered; not yet durable).
-    pub wal_appends: u64,
-    /// Group commits that reached the durable-ack point.
-    pub wal_commits: u64,
-    /// `fsync` calls issued (segments, artifacts, directories).
-    pub fsyncs: u64,
-    /// Artifacts published through the temp→fsync→rename protocol.
-    pub atomic_publishes: u64,
-    /// WAL segment rotations.
-    pub segments_rotated: u64,
-    /// WAL recovery scans performed on open.
-    pub recoveries: u64,
-    /// Records returned by recovery scans.
-    pub records_recovered: u64,
-    /// Bytes physically truncated off torn WAL tails.
-    pub torn_bytes_truncated: u64,
-    /// CRC mismatches observed while reading frames.
-    pub checksum_failures: u64,
-}
-
-pub(crate) fn inc_wal_appends() {
-    WAL_APPENDS.fetch_add(1, Ordering::Relaxed);
-}
-pub(crate) fn inc_wal_commits() {
-    WAL_COMMITS.fetch_add(1, Ordering::Relaxed);
-}
-pub(crate) fn inc_fsyncs() {
-    FSYNCS.fetch_add(1, Ordering::Relaxed);
-}
-pub(crate) fn inc_atomic_publishes() {
-    ATOMIC_PUBLISHES.fetch_add(1, Ordering::Relaxed);
-}
-pub(crate) fn inc_segments_rotated() {
-    SEGMENTS_ROTATED.fetch_add(1, Ordering::Relaxed);
-}
-pub(crate) fn inc_recoveries() {
-    RECOVERIES.fetch_add(1, Ordering::Relaxed);
-}
-pub(crate) fn add_records_recovered(n: u64) {
-    RECORDS_RECOVERED.fetch_add(n, Ordering::Relaxed);
-}
-pub(crate) fn add_torn_bytes_truncated(n: u64) {
-    TORN_BYTES_TRUNCATED.fetch_add(n, Ordering::Relaxed);
-}
-pub(crate) fn inc_checksum_failures() {
-    CHECKSUM_FAILURES.fetch_add(1, Ordering::Relaxed);
-}
+pub(crate) static COUNTERS: StoreAtomics = StoreAtomics::new();
 
 /// Snapshot every counter.
 pub fn snapshot() -> StoreCounters {
-    StoreCounters {
-        wal_appends: WAL_APPENDS.load(Ordering::Relaxed),
-        wal_commits: WAL_COMMITS.load(Ordering::Relaxed),
-        fsyncs: FSYNCS.load(Ordering::Relaxed),
-        atomic_publishes: ATOMIC_PUBLISHES.load(Ordering::Relaxed),
-        segments_rotated: SEGMENTS_ROTATED.load(Ordering::Relaxed),
-        recoveries: RECOVERIES.load(Ordering::Relaxed),
-        records_recovered: RECORDS_RECOVERED.load(Ordering::Relaxed),
-        torn_bytes_truncated: TORN_BYTES_TRUNCATED.load(Ordering::Relaxed),
-        checksum_failures: CHECKSUM_FAILURES.load(Ordering::Relaxed),
-    }
-}
-
-/// Reset every counter to zero (test isolation).
-pub fn reset() {
-    WAL_APPENDS.store(0, Ordering::Relaxed);
-    WAL_COMMITS.store(0, Ordering::Relaxed);
-    FSYNCS.store(0, Ordering::Relaxed);
-    ATOMIC_PUBLISHES.store(0, Ordering::Relaxed);
-    SEGMENTS_ROTATED.store(0, Ordering::Relaxed);
-    RECOVERIES.store(0, Ordering::Relaxed);
-    RECORDS_RECOVERED.store(0, Ordering::Relaxed);
-    TORN_BYTES_TRUNCATED.store(0, Ordering::Relaxed);
-    CHECKSUM_FAILURES.store(0, Ordering::Relaxed);
+    COUNTERS.snapshot()
 }

@@ -26,9 +26,9 @@
 //! recovery storm test replays a workload crashed at every single op
 //! boundary and pins that nothing acknowledged is ever lost.
 //!
-//! Durability counters ([`StoreCounters`]) feed the probe report's `store`
-//! row (schema v8) without adding a crate edge — the CLI copies the
-//! snapshot into plain probe rows.
+//! Durability counters: [`counters_snapshot`] returns the probe report's
+//! `store` row ([`StoreCounters`], declared in `splatt-probe` with every
+//! other counter set and re-exported here).
 
 mod atomic;
 mod counters;
@@ -37,10 +37,18 @@ mod delta;
 mod error;
 mod frame;
 mod manifest;
+#[cfg(test)]
+mod mutation;
 mod wal;
 
+/// The unit tests count their heap requests: the mutation test asserts
+/// an allocation bound per decoded frame and delta.
+#[cfg(test)]
+#[global_allocator]
+static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingAlloc;
+
 pub use atomic::{is_framed, publish_artifact, publish_bytes, read_artifact, unwrap_artifact};
-pub use counters::{reset as reset_counters, snapshot as counters_snapshot, StoreCounters};
+pub use counters::snapshot as counters_snapshot;
 pub use crc::{crc32, Crc32};
 pub use delta::{decode_delta, encode_delta, DeltaDecodeError, DeltaEntry};
 pub use error::StoreError;
@@ -49,4 +57,5 @@ pub use frame::{
     ARTIFACT_MAGIC, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_PAYLOAD_LEN,
 };
 pub use manifest::{Manifest, MANIFEST_HEADER, MANIFEST_NAME};
+pub use splatt_probe::StoreCounters;
 pub use wal::{Wal, WalOptions, WalRecord, WalRecovery};

@@ -27,12 +27,13 @@
 //! appended, never a hole.
 
 use crate::atomic::{fsync_dir, fsync_faulted, read_faulted, write_faulted};
-use crate::counters;
+use crate::counters::COUNTERS;
 use crate::error::StoreError;
 use crate::frame::{self, FrameDefect};
 use splatt_faults::IoFaultPlan;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Tuning knobs for a [`Wal`].
@@ -133,7 +134,7 @@ impl Wal {
         let mut expected_seq = 0u64;
 
         if !segments.is_empty() {
-            counters::inc_recoveries();
+            COUNTERS.recoveries.fetch_add(1, Relaxed);
             recovery.segments_scanned = segments.len();
             let last = segments.len() - 1;
             for (i, (_, path)) in segments.iter().enumerate() {
@@ -153,7 +154,7 @@ impl Wal {
                     None => {}
                     Some((offset, kind)) => {
                         if kind == FrameDefect::ChecksumMismatch {
-                            counters::inc_checksum_failures();
+                            COUNTERS.checksum_failures.fetch_add(1, Relaxed);
                         }
                         if i != last {
                             // Bytes can only follow a fully committed
@@ -172,7 +173,7 @@ impl Wal {
                         fsync_faulted(&f, plan_ref, "wal truncate-fsync")?;
                         recovery.truncated_bytes = torn;
                         recovery.tail_defect = Some(kind);
-                        counters::add_torn_bytes_truncated(torn);
+                        COUNTERS.torn_bytes_truncated.fetch_add(torn, Relaxed);
                     }
                 }
                 recovery
@@ -182,7 +183,9 @@ impl Wal {
                         payload: f.payload,
                     }));
             }
-            counters::add_records_recovered(recovery.records.len() as u64);
+            COUNTERS
+                .records_recovered
+                .fetch_add(recovery.records.len() as u64, Relaxed);
         }
 
         // Resume appending into the last segment (or create the first).
@@ -239,7 +242,7 @@ impl Wal {
         frame::encode_frame_into(&mut self.pending, seq, payload);
         self.next_seq += 1;
         self.pending_last_seq = Some(seq);
-        counters::inc_wal_appends();
+        COUNTERS.wal_appends.fetch_add(1, Relaxed);
         Ok(seq)
     }
 
@@ -268,7 +271,7 @@ impl Wal {
         if self.written_seq > self.acked_seq {
             fsync_faulted(&self.file, plan_ref, "wal fsync")?;
             self.acked_seq = self.written_seq;
-            counters::inc_wal_commits();
+            COUNTERS.wal_commits.fetch_add(1, Relaxed);
         }
         if self.seg_len >= self.segment_bytes {
             self.rotate(plan_ref)?;
@@ -287,7 +290,7 @@ impl Wal {
         self.file = OpenOptions::new().append(true).open(&path)?;
         self.seg_index = next_index;
         self.seg_len = 0;
-        counters::inc_segments_rotated();
+        COUNTERS.segments_rotated.fetch_add(1, Relaxed);
         Ok(())
     }
 

@@ -26,19 +26,6 @@
 
 use crate::SparseTensor;
 use splatt_par::{partition, TaskTeam};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-
-/// Process-wide count of sorts skipped by the already-strictly-sorted
-/// fast path (see [`sort_by_perm_guarded`]) — surfaced in the probe
-/// refresh row so incremental CSF rebuilds can prove they reused
-/// the canonical order instead of re-sorting.
-static SORTS_SKIPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the skipped-sort counter.
-pub fn sorts_skipped() -> u64 {
-    SORTS_SKIPPED.load(AtomicOrdering::Relaxed)
-}
-
 /// `true` if the tensor is *strictly* sorted by `perm` — every adjacent
 /// pair strictly increasing, so no duplicate coordinates. Strictness is
 /// what makes skipping the sort safe: with exact duplicates a re-sort
@@ -147,13 +134,17 @@ pub fn sort_by_perm(tt: &mut SparseTensor, perm: &[usize], team: &TaskTeam, vari
 /// leaves the tensor partially sorted, and the driver's next full guard
 /// check turns the cancellation into a typed abort before the result is
 /// used.
+///
+/// Returns `true` when the tensor was already strictly sorted by `perm`
+/// and no sort ran — what an incremental CSF rebuild counts to prove it
+/// reused the canonical order `merge_entries` maintains.
 pub fn sort_by_perm_guarded(
     tt: &mut SparseTensor,
     perm: &[usize],
     team: &TaskTeam,
     variant: SortVariant,
     guard: Option<&splatt_guard::RunGuard>,
-) {
+) -> bool {
     let order = tt.order();
     assert_eq!(perm.len(), order, "perm must cover every mode");
     {
@@ -165,15 +156,14 @@ pub fn sort_by_perm_guarded(
     }
     let nnz = tt.nnz();
     if nnz <= 1 {
-        return;
+        return false;
     }
 
     // Fast path for incremental rebuilds: a tensor already strictly
     // sorted by `perm` (the canonical form `merge_entries` maintains)
     // needs no work — skip straight to CSF construction.
     if is_strictly_sorted_by(tt, perm) {
-        SORTS_SKIPPED.fetch_add(1, AtomicOrdering::Relaxed);
-        return;
+        return true;
     }
 
     let primary = perm[0];
@@ -184,7 +174,7 @@ pub fn sort_by_perm_guarded(
 
     // ---- phase 2: per-bucket quicksort on the remaining modes ----
     if order == 1 {
-        return;
+        return false;
     }
     let ntasks = team.ntasks();
 
@@ -276,6 +266,7 @@ pub fn sort_by_perm_guarded(
             }
         }
     });
+    false
 }
 
 /// Convenience wrapper: sort for CSF construction rooted at `mode`
@@ -622,6 +613,7 @@ fn insertion_sort(keys: &mut [&mut [u32]], vals: &mut [f64], lo: usize, hi: usiz
 mod tests {
     use super::*;
     use crate::synth;
+    use std::sync::atomic::Ordering as AtomicOrdering;
 
     fn check_sorted(tt: &SparseTensor, perm: &[usize]) {
         assert!(tt.is_sorted_by(perm), "tensor not sorted by {perm:?}");

@@ -623,21 +623,6 @@ fn cmd_export_model(input: &str, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Copy a global store-counter snapshot into the probe report's store row.
-fn store_row(c: splatt::store::StoreCounters) -> splatt::probe::StoreRow {
-    splatt::probe::StoreRow {
-        wal_appends: c.wal_appends,
-        wal_commits: c.wal_commits,
-        fsyncs: c.fsyncs,
-        atomic_publishes: c.atomic_publishes,
-        segments_rotated: c.segments_rotated,
-        recoveries: c.recoveries,
-        records_recovered: c.records_recovered,
-        torn_bytes_truncated: c.torn_bytes_truncated,
-        checksum_failures: c.checksum_failures,
-    }
-}
-
 /// Append the nonzeros of `delta.tns` to a store directory's WAL in
 /// group-committed batches, then publish a refreshed manifest. Every
 /// batch reported as committed here is durable: the WAL fsyncs before
@@ -690,16 +675,12 @@ fn cmd_ingest(store_dir: &str, delta_path: &str, flags: &Flags) -> Result<(), St
     let generation = manifest
         .publish(dir, None)
         .map_err(|e| format!("{store_dir}: {e}"))?;
-    let c = counters_snapshot();
     println!(
         "ingested {committed_nnz} nonzeros from {delta_path} into {store_dir} \
          (manifest generation {generation})"
     );
-    println!(
-        "store: {} WAL appends in {} commits, {} fsyncs, {} atomic publishes, \
-         {} segments rotated",
-        c.wal_appends, c.wal_commits, c.fsyncs, c.atomic_publishes, c.segments_rotated
-    );
+    let counters = counters_snapshot().fields();
+    print!("{}", splatt::probe::render_counters("store", &counters));
     Ok(())
 }
 
@@ -780,7 +761,7 @@ fn cmd_recover(store_dir: &str, flags: &Flags) -> Result<(), String> {
     }
     if let Some(report_path) = flags.get("report") {
         let report = splatt::probe::ProfileReport {
-            store: Some(store_row(counters_snapshot())),
+            store: Some(counters_snapshot()),
             ..Default::default()
         };
         std::fs::write(report_path, report.to_json()).map_err(|e| format!("{report_path}: {e}"))?;
@@ -898,7 +879,7 @@ fn cmd_refresh(store_dir: &str, flags: &Flags) -> Result<(), String> {
     }
     if let Some(report_path) = flags.get("report") {
         let report = splatt::probe::ProfileReport {
-            store: Some(store_row(counters_snapshot())),
+            store: Some(counters_snapshot()),
             refresh: Some(eng.refresh_row()),
             ..Default::default()
         };

@@ -259,6 +259,46 @@ fn loopback_republish_serves_every_query_and_merges_incrementally() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Two engines refreshing in one process each count the sorts *their*
+/// CSF builds skipped. The merged tensor is strictly sorted in mode
+/// order 0,1,2, so a root's sort is skipped exactly when its level
+/// order is that order: on ascending dims the shortest-mode root is
+/// (0,1,2) and skips once per refit, on descending dims neither root is
+/// and nothing skips. When the count was a before/after delta of a
+/// process-global counter, the descending engine reported the ascending
+/// engine's skips whenever their refits overlapped.
+#[test]
+fn concurrent_engines_count_only_their_own_skipped_sorts() {
+    const ROUNDS: usize = 4;
+    let run = |name: &'static str, dims: [usize; 3], go: Arc<std::sync::Barrier>| {
+        std::thread::spawn(move || {
+            let dir = test_dir(name);
+            let batches = planted_batches(&dims, ROUNDS, 7);
+            let mut manifest = Manifest::default();
+            manifest.set("order", "3");
+            manifest.publish(&dir, None).unwrap();
+            let mut eng = RefreshEngine::open(&dir, None, quick_opts(25)).unwrap();
+            let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+            let mut per_round = Vec::new();
+            for batch in &batches {
+                wal.append(&encode_delta(3, batch)).unwrap();
+                wal.commit().unwrap();
+                go.wait(); // both engines refit at the same time
+                let before = eng.refresh_row().sorts_skipped;
+                eng.refresh_once().unwrap().expect("one pending record");
+                per_round.push(eng.refresh_row().sorts_skipped - before);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            per_round
+        })
+    };
+    let go = Arc::new(std::sync::Barrier::new(2));
+    let ascending = run("skips_asc", [6, 7, 8], Arc::clone(&go));
+    let descending = run("skips_desc", [8, 7, 6], go);
+    assert_eq!(ascending.join().unwrap(), [1; ROUNDS]);
+    assert_eq!(descending.join().unwrap(), [0; ROUNDS]);
+}
+
 // ---------------------------------------------------------------------
 // 3. Crash storm
 // ---------------------------------------------------------------------

@@ -618,6 +618,51 @@ fn tcp_loopback_answers_match_oracle_and_errors_are_typed() {
     handle.join();
 }
 
+/// What a running server answers to `Stats` has, section by section,
+/// the key set of the committed golden profile: the live rows and the
+/// pinned document come off the same counter declarations.
+#[test]
+fn live_stats_reply_has_the_golden_key_set_in_every_section() {
+    use splatt::probe::json::{parse, Value};
+    let golden = parse(include_str!(
+        "../crates/splatt-probe/testdata/profile_v12.json"
+    ))
+    .expect("golden parses");
+    let handle = serve(demo_engine(), "127.0.0.1:0").expect("bind loopback");
+    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
+    // One answered query, so `serve.kinds` has a row to compare.
+    let reply = client.entries("demo", 0, 0, 3, vec![0, 0, 0]).unwrap();
+    assert!(matches!(reply, Response::Entries(_)), "{reply:?}");
+    let Response::Stats(text) = client.stats().unwrap() else {
+        panic!("expected a stats reply");
+    };
+    let live = parse(&text).expect("stats reply parses");
+
+    fn keys(section: &Value) -> Vec<String> {
+        let members = section.as_object().expect("a JSON object");
+        members.keys().cloned().collect()
+    }
+    let sections = |doc: &Value| {
+        let serve = doc.get("serve").unwrap();
+        let kinds = serve.get("kinds").unwrap().as_array().unwrap();
+        vec![
+            ("top level", keys(doc)),
+            ("locks", keys(doc.get("locks").unwrap())),
+            ("alloc", keys(doc.get("alloc").unwrap())),
+            ("serve", keys(serve)),
+            ("serve.kinds[0]", keys(&kinds[0])),
+            ("serve.net", keys(serve.get("net").unwrap())),
+        ]
+    };
+    assert_eq!(sections(&live), sections(&golden));
+    // A server with no run to report leaves those sections null.
+    for absent in ["guard", "store", "refresh"] {
+        assert_eq!(live.get(absent), Some(&Value::Null), "{absent}");
+    }
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 #[test]
 fn deadline_expired_requests_are_typed_not_hung() {
     let engine = demo_engine();
