@@ -55,9 +55,6 @@ pub struct CpalsOutput {
     /// Human-readable description of each degradation rung applied, in
     /// order; empty when the first attempt finished inside its limits.
     pub degradations: Vec<String>,
-    /// CSF roots this run built without sorting ([`CsfSet::sorts_skipped`]:
-    /// the tensor was already strictly sorted for them).
-    pub sorts_skipped: u64,
 }
 
 /// Who may stop a run early. An enum, so "caller-owned guard *and*
@@ -91,6 +88,12 @@ pub struct CpalsRun<'a> {
     /// plus its recovery action is appended to the plan's event log (and
     /// to the profile report when [`CpalsOptions::profile`] is set).
     pub faults: Option<&'a FaultPlan>,
+    /// The tensor's CSF representations, when the caller already holds
+    /// them (the refresh engine keeps each root's order alive between
+    /// refits); `None` sorts the tensor and builds them for this run.
+    /// Must be the set [`CsfSet::build`] gives this tensor under
+    /// [`CpalsOptions::csf_alloc`].
+    pub csf: Option<&'a CsfSet>,
     /// Who may stop the run early.
     pub governance: Governance<'a>,
 }
@@ -258,10 +261,10 @@ pub fn try_cp_als(
         }
     };
     match run.governance {
-        Governance::None => als_attempt(tensor, opts, team, run.faults, None),
-        Governance::Guard(guard) => als_attempt(tensor, opts, team, run.faults, Some(guard)),
+        Governance::None => als_attempt(tensor, opts, team, run, None),
+        Governance::Guard(guard) => als_attempt(tensor, opts, team, run, Some(guard)),
         Governance::Policy(policy) => {
-            crate::governed::run_under_policy(tensor, opts, team, run.faults, policy)
+            crate::governed::run_under_policy(tensor, opts, team, run, policy)
         }
     }
 }
@@ -288,14 +291,16 @@ fn abort_error(
 }
 
 /// One guarded pass of the ALS driver — the whole of [`try_cp_als`]
-/// except the choice of team and the policy's retry loop.
+/// except the choice of team (`run.team` is not read) and the policy's
+/// retry loop.
 pub(crate) fn als_attempt(
     tensor: &SparseTensor,
     opts: &CpalsOptions,
     team: &TaskTeam,
-    faults: Option<&FaultPlan>,
+    run: &CpalsRun<'_>,
     guard: Option<&RunGuard>,
 ) -> Result<CpalsOutput, CpalsError> {
+    let faults = run.faults;
     assert!(opts.rank > 0, "rank must be positive");
     assert!(opts.max_iters > 0, "max_iters must be positive");
     assert_eq!(team.ntasks(), opts.ntasks, "team size must match options");
@@ -304,15 +309,32 @@ pub(crate) fn als_attempt(
     let order = tensor.order();
     let rank = opts.rank;
 
-    // ---- pre-processing: sort + CSF construction ----
-    let set = CsfSet::build_timed_guarded(
-        tensor,
-        opts.csf_alloc,
-        team,
-        opts.sort_variant,
-        &timers,
-        guard,
-    );
+    // ---- pre-processing: sort + CSF construction, unless given ----
+    let built;
+    let set = match run.csf {
+        Some(given) => {
+            assert_eq!(given.alloc(), opts.csf_alloc, "given CSF set: wrong policy");
+            assert!(
+                given
+                    .csfs()
+                    .iter()
+                    .all(|c| c.dims() == tensor.dims() && c.nnz() == tensor.nnz()),
+                "given CSF set is not of this tensor"
+            );
+            given
+        }
+        None => {
+            built = CsfSet::build_timed_guarded(
+                tensor,
+                opts.csf_alloc,
+                team,
+                opts.sort_variant,
+                &timers,
+                guard,
+            );
+            &built
+        }
+    };
     // optional mode tiling for the modes that would otherwise scatter
     // (sorting inside the tile build is attributed to the Sort timer)
     let tiled: Vec<Option<TiledCsf>> = if opts.tiling {
@@ -512,7 +534,7 @@ pub(crate) fn als_attempt(
                         mttkrp_tiled(tc, &factors, &mut mout[mode], team, &mtt_cfg, guard);
                     } else {
                         mttkrp(
-                            &set,
+                            set,
                             &factors,
                             mode,
                             &mut mout[mode],
@@ -786,7 +808,7 @@ pub(crate) fn als_attempt(
         let mut span = span_root.take().expect("probe implies span root");
         span.nanos = loop_start.elapsed().as_nanos() as u64;
         let used_locks =
-            (0..order).any(|m| tiled[m].is_none() && uses_locks(&set, m, opts.ntasks, &mtt_cfg));
+            (0..order).any(|m| tiled[m].is_none() && uses_locks(set, m, opts.ntasks, &mtt_cfg));
         ProfileReport {
             ntasks: opts.ntasks,
             rank,
@@ -832,7 +854,6 @@ pub(crate) fn als_attempt(
         timers,
         profile,
         attempts: 1,
-        sorts_skipped: set.sorts_skipped(),
         degradations: Vec::new(),
     })
 }

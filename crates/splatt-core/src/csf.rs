@@ -139,18 +139,21 @@ impl Csf {
     /// heap vectors.
     pub(crate) fn from_sorted(sorted: &SparseTensor, dim_perm: &[usize]) -> Self {
         debug_assert!(sorted.is_sorted_by(dim_perm), "tensor must be pre-sorted");
-        let order = sorted.order();
-        let nnz = sorted.nnz();
-        let nlevels = order;
-        let vals = sorted.vals().to_vec();
-
         // index streams in level order
         let streams: Vec<&[u32]> = dim_perm.iter().map(|&m| sorted.ind(m)).collect();
+        Self::from_streams(&streams, sorted.vals(), sorted.dims(), dim_perm)
+    }
+
+    /// The build proper, from the index streams in level order.
+    fn from_streams(streams: &[&[u32]], vals: &[f64], dims: &[usize], dim_perm: &[usize]) -> Self {
+        let nnz = vals.len();
+        let nlevels = dim_perm.len();
+        let vals = vals.to_vec();
 
         // Pass 1: count the fibers opened at each level.
         let mut nfib = vec![0usize; nlevels];
         for x in 0..nnz {
-            for count in nfib[open_level(&streams, x, nlevels)..].iter_mut() {
+            for count in nfib[open_level(streams, x, nlevels)..].iter_mut() {
                 *count += 1;
             }
         }
@@ -176,7 +179,7 @@ impl Csf {
         // `x`, the leaves consumed — every nonzero is its own leaf).
         let mut cursor = vec![0usize; nlevels];
         for x in 0..nnz {
-            for l in open_level(&streams, x, nlevels)..nlevels {
+            for l in open_level(streams, x, nlevels)..nlevels {
                 if l < nlevels - 1 {
                     fptr[fptr_off[l] + cursor[l]] = cursor[l + 1];
                 }
@@ -210,7 +213,7 @@ impl Csf {
 
         Csf {
             dim_perm: dim_perm.to_vec(),
-            dims: sorted.dims().to_vec(),
+            dims: dims.to_vec(),
             fptr,
             fptr_off,
             fids,
@@ -472,7 +475,6 @@ pub mod nested {
 pub struct CsfSet {
     csfs: Vec<Csf>,
     alloc: CsfAlloc,
-    sorts_skipped: u64,
 }
 
 /// Mode permutation rooted at `root` with the remaining modes ordered by
@@ -513,28 +515,64 @@ impl CsfSet {
         guard: Option<&splatt_guard::RunGuard>,
     ) -> Self {
         let dims = tensor.dims();
-        let mut sorts_skipped = 0;
-        let csfs = Self::roots_for(dims, alloc)
+        let csfs = Self::level_orders(dims, alloc)
             .iter()
-            .map(|&r| {
-                let perm = perm_rooted_at(dims, r);
+            .map(|perm| {
                 let mut sorted = tensor.clone();
-                sorts_skipped += u64::from(timers.time(splatt_par::Routine::Sort, || {
-                    sort::sort_by_perm_guarded(&mut sorted, &perm, team, variant, guard)
-                }));
-                if guard.is_some_and(|g| g.is_cancelled()) && !sorted.is_sorted_by(&perm) {
+                timers.time(splatt_par::Routine::Sort, || {
+                    sort::sort_by_perm_guarded(&mut sorted, perm, team, variant, guard)
+                });
+                if guard.is_some_and(|g| g.is_cancelled()) && !sorted.is_sorted_by(perm) {
                     let empty = SparseTensor::new(dims.to_vec());
-                    Csf::from_sorted(&empty, &perm)
+                    Csf::from_sorted(&empty, perm)
                 } else {
-                    Csf::from_sorted(&sorted, &perm)
+                    Csf::from_sorted(&sorted, perm)
                 }
             })
             .collect();
-        CsfSet {
-            csfs,
-            alloc,
-            sorts_skipped,
-        }
+        CsfSet { csfs, alloc }
+    }
+
+    /// The level order (`dim_perm`) of each representation `alloc`
+    /// dictates for a tensor with these dims, in the set's order.
+    pub fn level_orders(dims: &[usize], alloc: CsfAlloc) -> Vec<Vec<usize>> {
+        Self::roots_for(dims, alloc)
+            .iter()
+            .map(|&root| perm_rooted_at(dims, root))
+            .collect()
+    }
+
+    /// The set [`CsfSet::build`] gives the tensor, assembled without
+    /// sorting it: `leveled[i]` is the tensor with its modes permuted
+    /// into the `i`-th of [`CsfSet::level_orders`] and its nonzeros
+    /// sorted — what a caller that keeps those copies sorted across
+    /// builds (the refresh engine) hands over in place of the tensor.
+    ///
+    /// # Panics
+    /// Panics if the copies are not one per level order of their dims.
+    pub fn from_level_sorted(alloc: CsfAlloc, dims: &[usize], leveled: &[&SparseTensor]) -> Self {
+        let orders = Self::level_orders(dims, alloc);
+        assert_eq!(leveled.len(), orders.len(), "one copy per representation");
+        let csfs = orders
+            .iter()
+            .zip(leveled)
+            .map(|(perm, copy)| {
+                assert!(
+                    perm.iter()
+                        .map(|&m| dims[m])
+                        .eq(copy.dims().iter().copied()),
+                    "a copy's dims are not the tensor's in its level order"
+                );
+                let levels = 0..perm.len();
+                debug_assert!(
+                    copy.is_sorted_by(&levels.clone().collect::<Vec<_>>()),
+                    "copies must be pre-sorted"
+                );
+                let streams: Vec<&[u32]> = levels.map(|l| copy.ind(l)).collect();
+                Csf::from_streams(&streams, copy.vals(), dims, perm)
+            })
+            .collect();
+        CsfSet { csfs, alloc }
     }
 
     /// The root modes `alloc` dictates for a tensor with these dims.
@@ -565,13 +603,6 @@ impl CsfSet {
     ) -> Self {
         let untimed = splatt_par::TimerRegistry::new();
         Self::build_timed_guarded(tensor, alloc, team, variant, &untimed, None)
-    }
-
-    /// Roots built without sorting, because the tensor was already
-    /// strictly sorted for them (the canonical order
-    /// `SparseTensor::merge_entries` maintains is one root's order).
-    pub fn sorts_skipped(&self) -> u64 {
-        self.sorts_skipped
     }
 
     /// The allocation policy used.
@@ -851,6 +882,34 @@ mod tests {
                 let flat = Csf::build(&t, &perm, &team(), SortVariant::AllOpts);
                 let oracle = nested::build(&t, &perm, &team(), SortVariant::AllOpts);
                 nested::assert_equivalent(&flat, &oracle);
+            }
+        }
+    }
+
+    #[test]
+    fn set_assembled_from_level_sorted_copies_equals_the_built_set() {
+        let mut t = synth::power_law(&[30, 22, 26, 9], 2_000, 1.7, 8);
+        t.coalesce();
+        for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+            let built = CsfSet::build(&t, alloc, &team(), SortVariant::AllOpts);
+            let copies: Vec<SparseTensor> = CsfSet::level_orders(t.dims(), alloc)
+                .iter()
+                .map(|perm| {
+                    // canonical in permuted modes = sorted for that root
+                    let mut copy = t.permute_modes(perm);
+                    copy.coalesce();
+                    copy
+                })
+                .collect();
+            let given =
+                CsfSet::from_level_sorted(alloc, t.dims(), &copies.iter().collect::<Vec<_>>());
+            assert_eq!(given.alloc(), alloc);
+            assert_eq!(given.csfs().len(), built.csfs().len());
+            for (a, b) in given.csfs().iter().zip(built.csfs()) {
+                assert_eq!((a.dim_perm(), a.dims()), (b.dim_perm(), b.dims()));
+                assert_eq!((&a.fptr, &a.fptr_off), (&b.fptr, &b.fptr_off));
+                assert_eq!((&a.fids, &a.fids_off), (&b.fids, &b.fids_off));
+                assert_eq!((&a.vals, &a.slice_nnz), (&b.vals, &b.slice_nnz));
             }
         }
     }

@@ -24,9 +24,8 @@
 //! measure cumulative allocation *traffic*, and a degraded retry is a
 //! new run whose traffic is judged on its own.
 
-use crate::cpals::{als_attempt, CpalsError, CpalsOutput};
+use crate::cpals::{als_attempt, CpalsError, CpalsOutput, CpalsRun};
 use crate::options::CpalsOptions;
-use splatt_faults::FaultPlan;
 use splatt_guard::{GuardConfig, RunGuard, WatchdogConfig};
 use splatt_par::TaskTeam;
 use splatt_tensor::SparseTensor;
@@ -126,7 +125,7 @@ pub(crate) fn run_under_policy(
     tensor: &SparseTensor,
     opts: &CpalsOptions,
     team: &TaskTeam,
-    faults: Option<&FaultPlan>,
+    run: &CpalsRun<'_>,
     policy: &GovernancePolicy,
 ) -> Result<CpalsOutput, CpalsError> {
     assert!(
@@ -150,7 +149,7 @@ pub(crate) fn run_under_policy(
                 lanes: opts.ntasks.max(1),
             })
         });
-        let result = als_attempt(tensor, &attempt_opts, team, faults, guard.as_ref());
+        let result = als_attempt(tensor, &attempt_opts, team, run, guard.as_ref());
         if let Some(guard) = &guard {
             guard.shutdown();
         }

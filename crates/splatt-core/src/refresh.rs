@@ -2,29 +2,56 @@
 //!
 //! The batch pipeline the workspace grew up with — `ingest` appends
 //! delta batches to the WAL, `recover` replays the whole log, `cpd`
-//! refits from scratch — hides three costs that only show up once the
-//! tensor is *alive*: every refresh re-coalesces the full tensor
-//! (`O(N log N)` per batch instead of `O(N + d)`), every refit restarts
-//! from random factors (paying the full iteration budget to rediscover
-//! a solution one delta away), and every republish is a full pipeline
-//! restart. [`RefreshEngine`] is the streaming driver that removes all
-//! three:
+//! sorts the tensor and refits from random factors — pays for the whole
+//! tensor and the whole log every time a few records arrive.
+//! [`RefreshEngine`] is the streaming driver whose round costs what the
+//! round's *delta* requires: reading it, three merges, the CSF
+//! assembly, a warm refit and the publish. Four moves, each giving the
+//! bits the batch pipeline gives:
 //!
-//! 1. **Tail, don't replay** — [`RefreshEngine::refresh_once`] scans the
-//!    WAL ([`Wal::recover`]) and applies only records past the durably
-//!    committed *watermark*. The watermark is exclusive: every WAL
-//!    sequence **below** it is folded into the committed state recorded
-//!    in the store manifest (WAL sequences start at 0, so watermark
-//!    `k` means "the first `k` records are in").
-//! 2. **Merge, don't re-coalesce** — each delta batch goes through
-//!    [`SparseTensor::merge_entries`], the linear two-way merge; the
-//!    accumulated [`MergeStats::compare_ops`] are the auditable
-//!    asymptotic-cost evidence, surfaced in the probe report's
-//!    `refresh` row.
-//! 3. **Warm-start, don't restart** — the refit seeds
+//! 1. **Tail, don't re-scan** — the engine remembers the
+//!    [`WalPosition`] of the first record it has not applied and
+//!    [`RefreshEngine::refresh_once`] reads the log from there
+//!    ([`Wal::tail`]): the bytes of the new records, however long the
+//!    log before them. The committed *watermark* is exclusive: every WAL
+//!    sequence **below** it is folded into the state the store manifest
+//!    records (sequences start at 0, so watermark `k` means "the first
+//!    `k` records are in").
+//! 2. **One merge per round** — every pending record is decoded and
+//!    validated first, the batches are concatenated in record order and
+//!    merged once. [`SparseTensor::merge_entries`] accumulates a cell
+//!    left to right in batch order, so one merge of the concatenation is
+//!    bit-identical to one merge per record — through cancellations to
+//!    zero, cells that reappear later, and `-0.0`.
+//!    [`RefreshEngine::open`] replays the records below the watermark
+//!    the same way. [`MergeStats::compare_ops`] of the merge into the
+//!    resident tensor is the auditable cost evidence, surfaced in the
+//!    probe report's `refresh` row.
+//! 3. **Root orders kept alive** — for every CSF representation the
+//!    solver would build ([`CsfSet::level_orders`]) the engine keeps the
+//!    tensor with its modes permuted into that level order, and advances
+//!    the copy by the *same* merge on the permuted delta: a canonical
+//!    tensor in permuted modes is the tensor sorted for that root. The
+//!    solver is handed the set assembled from the copies
+//!    ([`CpalsRun::csf`]), so a warm round sorts nothing. The copies are
+//!    derived state: a representation the engine holds no copy for (the
+//!    first round; a level order that changed because merged deltas grew
+//!    a mode past another) is rebuilt from the merged tensor by
+//!    permute-and-sort, and says so in `sorts_skipped`.
+//! 4. **Warm-start, don't restart** — the refit seeds
 //!    [`CpalsOptions::warm_start`] with the previous model, runs under a
 //!    [`GovernancePolicy`] (deadline / overrun ladder), and publishes
 //!    the result with the atomic artifact protocol.
+//!
+//! # The engine never writes the log
+//!
+//! The WAL belongs to its writer. There is no store lock, and ingest and
+//! refresh run side by side, so the engine reads with [`Wal::tail`] and
+//! with nothing else: bytes at the end of the final segment that do not
+//! parse may be a `write` the writer is in the middle of, and the
+//! writer's restart recovery — which truncates them — would cut off a
+//! record the writer goes on to acknowledge. The engine stops in front
+//! of them, leaves them, creates no file, and reads them next round.
 //!
 //! # Commit protocol (crash safety)
 //!
@@ -40,6 +67,13 @@
 //! redo round overwrites it atomically). No interleaving leaves a torn
 //! model or a watermark ahead of the data it claims.
 //!
+//! A round only *reads* the tensor — the merge produces a new one — and
+//! installs tensor, model, watermark and log position together after
+//! the commit, so a failed round leaves every one of them exactly as it
+//! was. The root copies are the exception, because they can be: a round
+//! consumes them as it advances them, and one that fails leaves none,
+//! which costs the next round the sorts and nothing else.
+//!
 //! The whole path threads an optional [`IoFaultPlan`], so the recovery
 //! storm test can crash a refresh at every injected I/O op and pin
 //! watermark-consistent recovery.
@@ -50,14 +84,18 @@
 //! for zero-downtime republish.
 
 use crate::cpals::{try_cp_als, CpalsError, CpalsOutput, CpalsRun, Governance};
+use crate::csf::CsfSet;
 use crate::governed::GovernancePolicy;
 use crate::kruskal::KruskalModel;
 use crate::model_file::{load_model_path, save_model};
 use crate::options::CpalsOptions;
 use splatt_faults::IoFaultPlan;
+use splatt_par::{TaskTeam, TeamConfig};
 use splatt_probe::RefreshRow;
-use splatt_store::{decode_delta, publish_artifact, Manifest, StoreError, Wal, WalRecord};
-use splatt_tensor::{MergeStats, SparseTensor};
+use splatt_store::{
+    decode_delta, publish_artifact, DeltaEntry, Manifest, StoreError, Wal, WalPosition, WalRecord,
+};
+use splatt_tensor::{sort, MergeStats, SparseTensor};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,6 +118,10 @@ pub enum RefreshError {
     Store(StoreError),
     /// Reading or parsing the previous model artifact failed.
     Model(std::io::Error),
+    /// A committed manifest value is present but is not a number. It is
+    /// not read as 0: that would re-apply every record and run the model
+    /// generations backwards.
+    Manifest { key: &'static str, value: String },
     /// A WAL record's delta payload would not decode.
     Decode { seq: u64, detail: String },
     /// A WAL record carries a different tensor order than the store.
@@ -101,6 +143,9 @@ impl std::fmt::Display for RefreshError {
         match self {
             RefreshError::Store(e) => write!(f, "store: {e}"),
             RefreshError::Model(e) => write!(f, "model artifact: {e}"),
+            RefreshError::Manifest { key, value } => {
+                write!(f, "manifest key {key} holds {value:?}, not a number")
+            }
             RefreshError::Decode { seq, detail } => {
                 write!(f, "WAL record seq {seq}: {detail}")
             }
@@ -142,7 +187,7 @@ pub struct RefreshOptions {
     /// ladder).
     pub policy: GovernancePolicy,
     /// Disk-fault plan threaded through every store operation the
-    /// engine performs (WAL scan, model publish, manifest publish).
+    /// engine performs (WAL read, model publish, manifest publish).
     pub plan: Option<Arc<IoFaultPlan>>,
     /// Also run a cold (random-init) refit each round and record
     /// `|warm fit − cold fit|` as `warm_fit_gap`. Doubles refit cost;
@@ -160,7 +205,7 @@ pub struct RefreshOutcome {
     pub applied: u64,
     /// Individual delta entries merged this round.
     pub entries: u64,
-    /// Merge statistics summed over this round's batches.
+    /// Statistics of this round's merge into the resident tensor.
     pub merge: MergeStats,
     /// Fit of the refreshed model.
     pub fit: f64,
@@ -178,15 +223,29 @@ pub struct RefreshOutcome {
     pub degradations: Vec<String>,
 }
 
+/// The resident tensor in one CSF representation's order: mode `l` of
+/// `leveled` is mode `perm[l]` of the tensor, and `leveled` is canonical
+/// — which is the tensor sorted by `perm`.
+#[derive(Debug)]
+struct RootOrder {
+    perm: Vec<usize>,
+    leveled: SparseTensor,
+}
+
 /// The online refresh driver. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct RefreshEngine {
     dir: PathBuf,
     opts: RefreshOptions,
+    /// Canonical ([`SparseTensor::is_canonical`]) from `open` on.
     tensor: SparseTensor,
+    /// Derived from `tensor`; empty until the first round.
+    roots: Vec<RootOrder>,
     model: Option<KruskalModel>,
     watermark: u64,
     round: u64,
+    /// Where the record with sequence number `watermark` starts, or will.
+    wal_pos: WalPosition,
     counters: RefreshRow,
 }
 
@@ -194,66 +253,63 @@ impl RefreshEngine {
     /// Open a store directory for refreshing.
     ///
     /// Rebuilds the resident tensor as `base` (or an all-ones-dims
-    /// empty tensor of the store's order) plus every WAL record at or
-    /// below the committed watermark, and loads the previously
-    /// published model for warm starts. Records *past* the watermark
-    /// are left for [`Self::refresh_once`].
+    /// empty tensor of the store's order) plus every WAL record below
+    /// the committed watermark — merged in one batch, which also makes a
+    /// `base` with duplicates or stored zeros canonical — and loads the
+    /// previously published model for warm starts. The log is read up to
+    /// the watermark and no further; records *past* it are left for
+    /// [`Self::refresh_once`].
     ///
     /// # Errors
-    /// Store/decode errors, and [`RefreshError::EmptyStore`] when the
-    /// tensor order cannot be determined.
+    /// Store/decode errors, [`RefreshError::Manifest`] for a committed
+    /// watermark or round that does not parse, and
+    /// [`RefreshError::EmptyStore`] when the tensor order cannot be
+    /// determined.
     pub fn open(
         dir: &Path,
         base: Option<SparseTensor>,
         opts: RefreshOptions,
     ) -> Result<RefreshEngine, RefreshError> {
-        let plan = opts.plan.clone();
-        let manifest = Manifest::load(dir, plan.as_deref())?.unwrap_or_default();
-        let watermark: u64 = manifest
-            .get(KEY_REFRESH_SEQ)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let round: u64 = manifest
-            .get(KEY_REFRESH_ROUND)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        let plan = opts.plan.as_deref();
+        let manifest = Manifest::load(dir, plan)?.unwrap_or_default();
+        let committed = |key: &'static str| -> Result<u64, RefreshError> {
+            manifest.get(key).map_or(Ok(0), |value| {
+                value.parse().map_err(|_| RefreshError::Manifest {
+                    key,
+                    value: value.to_string(),
+                })
+            })
+        };
+        let watermark = committed(KEY_REFRESH_SEQ)?;
+        let round = committed(KEY_REFRESH_ROUND)?;
 
-        let recovery = Wal::recover(dir, plan.clone())?;
+        // Redo: everything below the watermark is already part of the
+        // committed state, so fold it back into the resident tensor.
+        let start = WalPosition::default();
+        let replay = Wal::tail(dir, start, watermark, plan)?;
 
         let mut tensor = match base {
             Some(t) => t,
             None => {
-                let order = manifest
-                    .get("order")
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .or_else(|| {
-                        recovery
-                            .records
-                            .first()
-                            .and_then(|r| decode_delta(&r.payload).ok())
-                            .map(|(o, _)| o)
-                    })
-                    .ok_or(RefreshError::EmptyStore)?;
-                SparseTensor::new(vec![1; order])
+                let of_first = |records: &[WalRecord]| {
+                    let first = records.first()?;
+                    Some(decode_delta(&first.payload).ok()?.0)
+                };
+                let order = match manifest.get("order").and_then(|v| v.parse().ok()) {
+                    Some(order) => Some(order),
+                    // with nothing applied yet the first record is unread
+                    None if watermark == 0 => of_first(&Wal::tail(dir, start, 1, plan)?.records),
+                    None => of_first(&replay.records),
+                };
+                SparseTensor::new(vec![1; order.ok_or(RefreshError::EmptyStore)?])
             }
         };
-
-        // Redo: everything below the watermark is already part of the
-        // committed state, so fold it back into the resident tensor.
-        for rec in recovery.records.iter().filter(|r| r.seq < watermark) {
-            apply_record(&mut tensor, rec)?;
-        }
+        tensor.merge_entries(&decode_batch(&replay.records, tensor.order())?);
 
         let model_file = manifest
             .get(KEY_REFRESH_MODEL)
             .map(str::to_string)
-            .unwrap_or_else(|| {
-                if opts.model_file.is_empty() {
-                    REFRESH_MODEL_FILE.to_string()
-                } else {
-                    opts.model_file.clone()
-                }
-            });
+            .unwrap_or_else(|| opts.model_file());
         let model_path = dir.join(&model_file);
         let model = if watermark > 0 && model_path.is_file() {
             Some(load_model_path(&model_path).map_err(RefreshError::Model)?)
@@ -269,9 +325,11 @@ impl RefreshEngine {
             dir: dir.to_path_buf(),
             opts,
             tensor,
+            roots: Vec::new(),
             model,
             watermark,
             round,
+            wal_pos: replay.next,
             counters,
         })
     }
@@ -280,69 +338,62 @@ impl RefreshEngine {
     /// publish. Returns `Ok(None)` when the WAL holds nothing new.
     ///
     /// On error the engine's resident state is untouched (the round
-    /// works on a copy and installs it only after the manifest commit
-    /// succeeds), so a caller may retry or reopen without
-    /// double-applying deltas.
+    /// builds the next state beside it and installs it only after the
+    /// manifest commit succeeds), so a caller may retry or reopen
+    /// without double-applying deltas. A record that does not decode, or
+    /// is of the wrong order, fails the round before anything is merged
+    /// and names the first such record.
     ///
     /// # Errors
     /// Store, decode, and solver errors; injected crashes surface as
     /// [`RefreshError::Store`].
     pub fn refresh_once(&mut self) -> Result<Option<RefreshOutcome>, RefreshError> {
-        let plan = self.opts.plan.clone();
-        let recovery = Wal::recover(&self.dir, plan.clone())?;
-        let pending: Vec<&WalRecord> = recovery
-            .records
-            .iter()
-            .filter(|r| r.seq >= self.watermark)
-            .collect();
-        if pending.is_empty() {
+        let plan = self.opts.plan.as_deref();
+        let tail = Wal::tail(&self.dir, self.wal_pos, u64::MAX, plan)?;
+        let Some(last) = tail.records.last() else {
             return Ok(None);
-        }
-
-        // Work on a copy so a crash mid-round leaves the resident
-        // tensor consistent with the committed watermark.
-        let mut work = self.tensor.clone();
-        let mut merge = MergeStats {
-            base_was_canonical: true,
-            ..Default::default()
         };
-        let mut entries = 0u64;
-        let merge_started = Instant::now();
-        for (i, rec) in pending.iter().enumerate() {
-            let stats = apply_record(&mut work, rec)?;
-            if i == 0 {
-                merge.base_nnz = stats.base_nnz;
-            }
-            merge.out_nnz = stats.out_nnz;
-            merge.delta_nnz += stats.delta_nnz;
-            merge.compare_ops += stats.compare_ops;
-            merge.base_was_canonical &= stats.base_was_canonical;
-            entries += stats.delta_nnz as u64;
-        }
-        let merge_ns = merge_started.elapsed().as_nanos() as u64;
-        let new_watermark = pending.last().expect("non-empty").seq + 1;
+        let new_watermark = last.seq + 1;
+        let delta = decode_batch(&tail.records, self.tensor.order())?;
 
-        // Warm-started, governed refit. The CSF rebuild inside draws on
-        // the merged (canonical, strictly sorted) tensor, so the
-        // sort-skip fast path fires; each solve reports the skips of the
-        // CSF set it built.
+        let merge_started = Instant::now();
+        let (work, merge) = self.tensor.merged_canonical(&delta);
+        let merge_ns = merge_started.elapsed().as_nanos() as u64;
+
+        // Warm-started, governed refit on the CSF set assembled from the
+        // advanced root orders.
         let mut cpals = self.opts.cpals.clone();
+        let team = TaskTeam::with_config(
+            cpals.ntasks,
+            TeamConfig {
+                spin_count: cpals.spin_count,
+            },
+        );
+        // The resident copies are given up here, each freed as soon as
+        // its successor exists (a round would otherwise hold every order
+        // of the tensor twice); a round that fails leaves none, and the
+        // next one sorts.
+        let resident = std::mem::take(&mut self.roots);
+        let (roots, sorts_skipped) = self.advance_roots(resident, &work, &delta, &team);
+        drop(delta);
+        let leveled: Vec<&SparseTensor> = roots.iter().map(|r| &r.leveled).collect();
+        let csf = CsfSet::from_level_sorted(cpals.csf_alloc, work.dims(), &leveled);
         cpals.warm_start = self
             .model
             .as_ref()
             .filter(|m| warm_start_compatible(m, &work, cpals.rank))
             .cloned();
         let governed = CpalsRun {
+            team: Some(&team),
+            csf: Some(&csf),
             governance: Governance::Policy(&self.opts.policy),
             ..Default::default()
         };
         let run = try_cp_als(&work, &cpals, &governed).map_err(RefreshError::Solver)?;
-        let mut sorts_skipped = run.sorts_skipped;
         let warm_fit_gap = if self.opts.audit_cold {
             let mut cold = cpals.clone();
             cold.warm_start = None;
             let cold_run = try_cp_als(&work, &cold, &governed).map_err(RefreshError::Solver)?;
-            sorts_skipped += cold_run.sorts_skipped;
             (run.fit - cold_run.fit).abs()
         } else {
             0.0
@@ -350,23 +401,19 @@ impl RefreshEngine {
 
         // Publish: model artifact first, then the manifest commit point.
         let round = self.round + 1;
-        let model_file = if self.opts.model_file.is_empty() {
-            REFRESH_MODEL_FILE.to_string()
-        } else {
-            self.opts.model_file.clone()
-        };
+        let model_file = self.opts.model_file();
         let model_path = self.dir.join(&model_file);
         let publish_started = Instant::now();
         let mut payload = Vec::new();
         save_model(&run.model, &mut payload).map_err(RefreshError::Model)?;
-        publish_artifact(&model_path, round, &payload, plan.as_deref())?;
+        publish_artifact(&model_path, round, &payload, plan)?;
 
-        let mut manifest = Manifest::load(&self.dir, plan.as_deref())?.unwrap_or_default();
+        let mut manifest = Manifest::load(&self.dir, plan)?.unwrap_or_default();
         manifest.set("order", &work.order().to_string());
         manifest.set(KEY_REFRESH_SEQ, &new_watermark.to_string());
         manifest.set(KEY_REFRESH_MODEL, &model_file);
         manifest.set(KEY_REFRESH_ROUND, &round.to_string());
-        manifest.publish(&self.dir, plan.as_deref())?;
+        manifest.publish(&self.dir, plan)?;
         let publish_ns = publish_started.elapsed().as_nanos() as u64;
 
         // Committed: install the round's state and counters.
@@ -376,16 +423,21 @@ impl RefreshEngine {
             iterations,
             ..
         } = run;
+        let applied = tail.records.len() as u64;
+        let entries = merge.delta_nnz as u64;
         self.tensor = work;
+        self.roots = roots;
         self.model = Some(model);
         self.watermark = new_watermark;
         self.round = round;
+        self.wal_pos = tail.next;
         self.counters.rounds += 1;
-        self.counters.deltas_applied += pending.len() as u64;
+        self.counters.deltas_applied += applied;
         self.counters.entries_merged += entries;
         self.counters.merge_compare_ops += merge.compare_ops;
         self.counters.merge_ns += merge_ns;
         self.counters.sorts_skipped += sorts_skipped;
+        self.counters.wal_bytes_scanned += tail.bytes_scanned;
         self.counters.refit_iterations += iterations as u64;
         self.counters.warm_fit = fit;
         self.counters.warm_fit_gap = warm_fit_gap;
@@ -393,7 +445,7 @@ impl RefreshEngine {
         self.counters.watermark = new_watermark;
 
         Ok(Some(RefreshOutcome {
-            applied: pending.len() as u64,
+            applied,
             entries,
             merge,
             fit,
@@ -404,6 +456,46 @@ impl RefreshEngine {
             model_path,
             degradations: run.degradations,
         }))
+    }
+
+    /// The root orders of `work` — the resident tensor with `delta`
+    /// merged in — and how many of them were advanced by merging the
+    /// permuted delta into their `resident` copy. The others (no copy
+    /// yet, or `work`'s dims order its levels differently) are `work`
+    /// permuted and sorted.
+    fn advance_roots(
+        &self,
+        mut resident: Vec<RootOrder>,
+        work: &SparseTensor,
+        delta: &[DeltaEntry],
+        team: &TaskTeam,
+    ) -> (Vec<RootOrder>, u64) {
+        let mut merged = 0;
+        let roots = CsfSet::level_orders(work.dims(), self.opts.cpals.csf_alloc)
+            .into_iter()
+            .map(|perm| {
+                let leveled = match resident.iter().position(|r| r.perm == perm) {
+                    Some(i) => {
+                        merged += 1;
+                        let permuted: Vec<DeltaEntry> = delta
+                            .iter()
+                            .map(|(coord, v)| (perm.iter().map(|&m| coord[m]).collect(), *v))
+                            .collect();
+                        let old = resident.swap_remove(i);
+                        old.leveled.merged_canonical(&permuted).0
+                    }
+                    None => {
+                        let mut leveled = work.permute_modes(&perm);
+                        let identity: Vec<usize> = (0..perm.len()).collect();
+                        let variant = self.opts.cpals.sort_variant;
+                        sort::sort_by_perm(&mut leveled, &identity, team, variant);
+                        leveled
+                    }
+                };
+                RootOrder { perm, leveled }
+            })
+            .collect();
+        (roots, merged)
     }
 
     /// The committed watermark (exclusive: WAL records with
@@ -428,7 +520,7 @@ impl RefreshEngine {
         self.model.as_ref()
     }
 
-    /// Cumulative counters in probe-report form (schema v9 `refresh`).
+    /// Cumulative counters in probe-report form (the `refresh` row).
     pub fn refresh_row(&self) -> RefreshRow {
         self.counters
     }
@@ -436,6 +528,17 @@ impl RefreshEngine {
     /// The store directory this engine refreshes.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+}
+
+impl RefreshOptions {
+    /// The model artifact's file name: `model_file`, or the default.
+    fn model_file(&self) -> String {
+        if self.model_file.is_empty() {
+            REFRESH_MODEL_FILE.to_string()
+        } else {
+            self.model_file.clone()
+        }
     }
 }
 
@@ -451,20 +554,27 @@ fn warm_start_compatible(model: &KruskalModel, tensor: &SparseTensor, rank: usiz
             .all(|(f, &d)| f.rows() <= d)
 }
 
-/// Decode one WAL record and merge it into `tensor`.
-fn apply_record(tensor: &mut SparseTensor, rec: &WalRecord) -> Result<MergeStats, RefreshError> {
-    let (order, entries) = decode_delta(&rec.payload).map_err(|e| RefreshError::Decode {
-        seq: rec.seq,
-        detail: e.to_string(),
-    })?;
-    if order != tensor.order() {
-        return Err(RefreshError::OrderMismatch {
+/// Decode `records` into one batch, in record order.
+///
+/// # Errors
+/// The first record that does not decode, or is not of `order`.
+fn decode_batch(records: &[WalRecord], order: usize) -> Result<Vec<DeltaEntry>, RefreshError> {
+    let mut batch = Vec::new();
+    for rec in records {
+        let (found, entries) = decode_delta(&rec.payload).map_err(|e| RefreshError::Decode {
             seq: rec.seq,
-            expected: tensor.order(),
-            found: order,
-        });
+            detail: e.to_string(),
+        })?;
+        if found != order {
+            return Err(RefreshError::OrderMismatch {
+                seq: rec.seq,
+                expected: order,
+                found,
+            });
+        }
+        batch.extend(entries);
     }
-    Ok(tensor.merge_entries(&entries))
+    Ok(batch)
 }
 
 #[cfg(test)]
@@ -593,6 +703,32 @@ mod tests {
     }
 
     #[test]
+    fn a_garbled_committed_watermark_is_an_error_not_zero() {
+        for key in [KEY_REFRESH_SEQ, KEY_REFRESH_ROUND] {
+            let dir = temp_dir("garbled");
+            let (batches, full) = planted_batches(2);
+            ingest(&dir, &batches, full.order());
+            RefreshEngine::open(&dir, None, quick_opts())
+                .unwrap()
+                .refresh_once()
+                .unwrap()
+                .unwrap();
+            let mut manifest = Manifest::load(&dir, None).unwrap().unwrap();
+            manifest.set(key, "2?");
+            manifest.publish(&dir, None).unwrap();
+            // read as 0 this re-applied both records and restarted the
+            // model generations at 1
+            match RefreshEngine::open(&dir, None, quick_opts()) {
+                Err(RefreshError::Manifest { key: k, value }) => {
+                    assert_eq!((k, value.as_str()), (key, "2?"));
+                }
+                other => panic!("expected a Manifest error, got {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn order_mismatch_is_rejected_with_seq() {
         let dir = temp_dir("order");
         let (batches, full) = planted_batches(1);
@@ -620,6 +756,58 @@ mod tests {
         // The failed round must not have moved the resident state.
         assert_eq!(eng.watermark(), 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_round_changes_nothing_and_the_next_one_re_sorts() {
+        let (batches, full) = planted_batches(3);
+        let order = full.order();
+        let append = |dir: &Path, batch: &Batch| {
+            let (mut wal, _r) = Wal::open(dir, WalOptions::default()).unwrap();
+            wal.append(&encode_delta(order, batch)).unwrap();
+            wal.commit().unwrap();
+        };
+        // a twin that never fails says what the rounds must publish
+        let (dir, twin_dir) = (temp_dir("failed"), temp_dir("failed_twin"));
+        ingest(&dir, &batches[..1], order);
+        ingest(&twin_dir, &batches[..1], order);
+        let mut eng = RefreshEngine::open(&dir, None, quick_opts()).unwrap();
+        let mut twin = RefreshEngine::open(&twin_dir, None, quick_opts()).unwrap();
+        for e in [&mut eng, &mut twin] {
+            e.refresh_once().unwrap().unwrap();
+        }
+        append(&dir, &batches[1]);
+        append(&twin_dir, &batches[1]);
+
+        // the refit aborts: past the merges, before anything is published
+        eng.opts.policy.deadline = Some(std::time::Duration::ZERO);
+        let before = (eng.watermark(), eng.round(), eng.tensor().clone());
+        let model = eng.model().cloned();
+        let err = eng.refresh_once().unwrap_err();
+        assert!(matches!(err, RefreshError::Solver(_)), "{err}");
+        assert_eq!((eng.watermark(), eng.round()), (before.0, before.1));
+        assert_eq!(eng.tensor(), &before.2);
+        assert_eq!(eng.model(), model.as_ref());
+        assert_eq!(eng.refresh_row().rounds, 1, "nothing counted");
+        assert!(eng.roots.is_empty(), "the round consumed the root copies");
+
+        // the retry rebuilds them by sorting, and publishes what the twin
+        // publishes from copies it advanced by merging
+        eng.opts.policy.deadline = None;
+        let skipped = eng.refresh_row().sorts_skipped;
+        eng.refresh_once().unwrap().unwrap();
+        assert_eq!(eng.refresh_row().sorts_skipped, skipped);
+        twin.refresh_once().unwrap().unwrap();
+        assert!(twin.refresh_row().sorts_skipped > skipped);
+        assert_eq!(eng.tensor(), twin.tensor());
+        assert_eq!(eng.model(), twin.model());
+        // and from then on merges again
+        append(&dir, &batches[2]);
+        eng.refresh_once().unwrap().unwrap();
+        assert!(eng.refresh_row().sorts_skipped > skipped);
+        for d in [dir, twin_dir] {
+            std::fs::remove_dir_all(&d).ok();
+        }
     }
 
     #[test]

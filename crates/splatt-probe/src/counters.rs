@@ -333,10 +333,14 @@ counter_set! {
         merge_compare_ops,
         /// Nanoseconds spent merging deltas into the resident tensor.
         merge_ns,
-        /// CSF roots the refits built without sorting, because the
-        /// merged tensor was already strictly sorted for them (the
-        /// incremental-rebuild fast path).
+        /// CSF roots handed to the solver without sorting the tensor:
+        /// the engine advanced its resident copy in that root's order by
+        /// merging the round's delta into it.
         sorts_skipped,
+        /// Framed bytes of the WAL records the rounds read: the log is
+        /// tailed from the first unapplied record, so a round's share is
+        /// the size of its own records, however long the log before them.
+        wal_bytes_scanned,
         /// ALS iterations across all warm-started refits.
         refit_iterations => warm_fit => warm_fit_gap,
         /// Nanoseconds spent publishing (model artifact + manifest + registry).

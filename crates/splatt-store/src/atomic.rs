@@ -19,7 +19,7 @@ use crate::error::StoreError;
 use crate::frame::{self, Frame, FrameDefect, ARTIFACT_MAGIC};
 use splatt_faults::{IoFault, IoFaultPlan};
 use std::fs::{self, File};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -99,8 +99,21 @@ pub(crate) fn read_faulted(
     plan: Option<&IoFaultPlan>,
     site: &str,
 ) -> Result<Vec<u8>, StoreError> {
+    read_faulted_from(path, 0, plan, site)
+}
+
+/// [`read_faulted`] of the bytes from `offset` to the end of the file
+/// (none, when the file is shorter than that).
+pub(crate) fn read_faulted_from(
+    path: &Path,
+    offset: u64,
+    plan: Option<&IoFaultPlan>,
+    site: &str,
+) -> Result<Vec<u8>, StoreError> {
     let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_to_end(&mut bytes)?;
     if let Some(p) = plan {
         let op = p.next_op(site)?;
         if let Some(short) = p.short_read_len(op, site, bytes.len()) {

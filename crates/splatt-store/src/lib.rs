@@ -18,7 +18,8 @@
 //!    `commit()` returning), segment rotation, and recovery that
 //!    truncates at most the unacknowledged torn tail — damage to
 //!    acknowledged records is refused as [`StoreError::Corrupt`],
-//!    never dropped.
+//!    never dropped. Recovery belongs to the writer; a reader of a
+//!    live log uses [`Wal::tail`], which writes nothing.
 //!
 //! The whole crate is std-only and deterministic under the
 //! [`splatt_faults::IoFaultPlan`] disk-fault injector: every create,
@@ -58,4 +59,4 @@ pub use frame::{
 };
 pub use manifest::{Manifest, MANIFEST_HEADER, MANIFEST_NAME};
 pub use splatt_probe::StoreCounters;
-pub use wal::{Wal, WalOptions, WalRecord, WalRecovery};
+pub use wal::{Wal, WalOptions, WalPosition, WalRecord, WalRecovery, WalTail};

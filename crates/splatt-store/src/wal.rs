@@ -25,8 +25,19 @@
 //! Recovery therefore returns *at least* every acknowledged record and
 //! *at most* the appended prefix — never a record that was not
 //! appended, never a hole.
+//!
+//! ## Reading a log someone else writes
+//!
+//! Recovery is the *writer's* restart: it truncates, creates the first
+//! segment and fsyncs. A reader of a live log must do none of that —
+//! bytes that do not parse yet may be a `write` the writer is in the
+//! middle of, and cutting them off cuts off a record the writer goes on
+//! to acknowledge. [`Wal::tail`] is the reader: it opens segments
+//! read-only from a [`WalPosition`], applies the same CRC, contiguity
+//! and non-final-segment checks to what it reads, and at a defect in the
+//! final segment stops, says so, and leaves the file as it found it.
 
-use crate::atomic::{fsync_dir, fsync_faulted, read_faulted, write_faulted};
+use crate::atomic::{fsync_dir, fsync_faulted, read_faulted, read_faulted_from, write_faulted};
 use crate::counters::COUNTERS;
 use crate::error::StoreError;
 use crate::frame::{self, FrameDefect};
@@ -72,6 +83,33 @@ pub struct WalRecovery {
     /// Bytes truncated off the torn tail of the final segment.
     pub truncated_bytes: u64,
     /// The defect that ended the final segment, if it was torn.
+    pub tail_defect: Option<FrameDefect>,
+}
+
+/// Where a reader of the log stands: the record it expects next and the
+/// byte that record's frame starts at. The default is the start of the
+/// log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WalPosition {
+    /// Index of the segment file.
+    pub segment: u64,
+    /// Byte offset inside that segment.
+    pub offset: u64,
+    /// Sequence number of the record expected there.
+    pub seq: u64,
+}
+
+/// What one [`Wal::tail`] read found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalTail {
+    /// Every intact record read, in sequence order.
+    pub records: Vec<WalRecord>,
+    /// Where the next read starts: just past the last record returned.
+    pub next: WalPosition,
+    /// Framed size of `records`: the bytes this read had to parse.
+    pub bytes_scanned: u64,
+    /// The defect that ended the final segment, if its tail did not
+    /// parse. The bytes are still on disk.
     pub tail_defect: Option<FrameDefect>,
 }
 
@@ -233,6 +271,87 @@ impl Wal {
             },
         )?;
         Ok(recovery)
+    }
+
+    /// Read the records from `from` up to (not including) sequence
+    /// number `until_seq`, or to the end of the log, without writing:
+    /// nothing is truncated, created or fsynced, and a directory that
+    /// does not exist is an empty log. A read costs the bytes after
+    /// `from`, however long the log before it is.
+    ///
+    /// # Errors
+    /// [`StoreError::SequenceGap`] when a frame does not carry the next
+    /// sequence number; [`StoreError::Corrupt`] for a defect in a segment
+    /// that has a successor. A defect in the final segment ends the read
+    /// with [`WalTail::tail_defect`] set: a torn tail, or the writer in
+    /// the middle of a `write`.
+    pub fn tail(
+        dir: &Path,
+        from: WalPosition,
+        until_seq: u64,
+        plan: Option<&IoFaultPlan>,
+    ) -> Result<WalTail, StoreError> {
+        let mut tail = WalTail {
+            records: Vec::new(),
+            next: from,
+            bytes_scanned: 0,
+            tail_defect: None,
+        };
+        let segments = match list_segments(dir) {
+            Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            listed => listed?,
+        };
+        let last = segments.last().map(|(index, _)| *index);
+        for (index, path) in segments.iter().filter(|(i, _)| *i >= from.segment) {
+            if tail.next.seq >= until_seq {
+                break;
+            }
+            let start = if *index == from.segment {
+                from.offset
+            } else {
+                0
+            };
+            let bytes = read_faulted_from(path, start, plan, "wal tail-read")?;
+            tail.next.segment = *index;
+            tail.next.offset = start;
+            let mut at = 0usize;
+            while at < bytes.len() && tail.next.seq < until_seq {
+                match frame::parse_frame_at(&bytes, at) {
+                    Ok((f, end)) => {
+                        if f.generation != tail.next.seq {
+                            return Err(StoreError::SequenceGap {
+                                path: path.clone(),
+                                expected: tail.next.seq,
+                                found: f.generation,
+                            });
+                        }
+                        tail.bytes_scanned += (end - at) as u64;
+                        at = end;
+                        tail.next.offset = start + end as u64;
+                        tail.next.seq += 1;
+                        tail.records.push(WalRecord {
+                            seq: f.generation,
+                            payload: f.payload,
+                        });
+                    }
+                    Err(defect) => {
+                        if defect == FrameDefect::ChecksumMismatch {
+                            COUNTERS.checksum_failures.fetch_add(1, Relaxed);
+                        }
+                        if Some(*index) != last {
+                            return Err(StoreError::Corrupt {
+                                path: path.clone(),
+                                offset: start + at as u64,
+                                defect,
+                            });
+                        }
+                        tail.tail_defect = Some(defect);
+                        return Ok(tail);
+                    }
+                }
+            }
+        }
+        Ok(tail)
     }
 
     /// Buffer one record; returns its sequence number. Not durable
@@ -466,6 +585,121 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn tail_resumes_where_it_stopped_and_reads_only_the_suffix() {
+        let dir = tmpdir("tail");
+        let opts = WalOptions {
+            segment_bytes: 64,
+            plan: None,
+        };
+        let (mut wal, _) = Wal::open(&dir, opts).expect("open");
+        let payload = |i: u64| format!("payload number {i:04}").into_bytes();
+        let framed = frame::frame_len(payload(0).len()) as u64;
+        let (mut pos, mut seen) = (WalPosition::default(), 0u64);
+        // a growing log, several rotations: each read is the new records
+        for batch in [3u64, 1, 0, 7, 2] {
+            for _ in 0..batch {
+                wal.append(&payload(wal.next_seq())).expect("append");
+                wal.commit().expect("commit");
+            }
+            let tail = Wal::tail(&dir, pos, u64::MAX, None).expect("tail");
+            assert_eq!(tail.records.len() as u64, batch);
+            assert_eq!(tail.bytes_scanned, batch * framed, "flat in log length");
+            assert_eq!(tail.tail_defect, None);
+            for r in &tail.records {
+                assert_eq!((r.seq, &r.payload), (seen, &payload(seen)));
+                seen += 1;
+            }
+            pos = tail.next;
+            assert_eq!(pos.seq, seen);
+        }
+        assert!(wal.segment_index() > 2, "expected several rotations");
+        // one read from the start sees what the pieces saw, and lands on
+        // the same position; a bounded one stops before `until_seq`
+        let whole = Wal::tail(&dir, WalPosition::default(), u64::MAX, None).expect("tail");
+        assert_eq!((whole.records.len() as u64, whole.next), (seen, pos));
+        let prefix = Wal::tail(&dir, WalPosition::default(), 5, None).expect("tail");
+        assert_eq!(prefix.next.seq, 5);
+        let rest = Wal::tail(&dir, prefix.next, u64::MAX, None).expect("tail");
+        assert_eq!(rest.records[..], whole.records[5..]);
+    }
+
+    #[test]
+    fn tail_leaves_a_torn_tail_and_an_empty_directory_as_they_are() {
+        let dir = tmpdir("tail-ro");
+        let start = WalPosition::default();
+        let none = Wal::tail(&dir, start, u64::MAX, None).expect("tail");
+        assert!(none.records.is_empty());
+        assert_eq!(none.next, start);
+        assert_eq!(std::fs::read_dir(&dir).expect("ls").count(), 0);
+        let missing = Wal::tail(&dir.join("absent"), start, u64::MAX, None).expect("tail");
+        assert!(missing.records.is_empty());
+        assert!(!dir.join("absent").exists());
+
+        // a whole frame and most of the next: a writer mid-`write`
+        let seg = dir.join(segment_name(0));
+        let second = frame::encode_frame(1, b"second record");
+        let mut bytes = frame::encode_frame(0, b"first record");
+        bytes.extend_from_slice(&second[..second.len() - 4]);
+        std::fs::write(&seg, &bytes).expect("write");
+        let torn = Wal::tail(&dir, start, u64::MAX, None).expect("tail");
+        assert_eq!(torn.records.len(), 1);
+        assert_eq!(torn.tail_defect, Some(FrameDefect::TruncatedPayload));
+        assert_eq!(
+            std::fs::read(&seg).expect("read"),
+            bytes,
+            "bytes left alone"
+        );
+        // the writer finishes: the next read picks the record up
+        bytes.extend_from_slice(&second[second.len() - 4..]);
+        std::fs::write(&seg, &bytes).expect("write");
+        let done = Wal::tail(&dir, torn.next, u64::MAX, None).expect("tail");
+        assert_eq!(done.records.len(), 1);
+        assert_eq!(done.records[0].payload, b"second record");
+        assert_eq!(done.tail_defect, None);
+    }
+
+    #[test]
+    fn tail_refuses_damage_and_gaps_in_acknowledged_segments() {
+        let dir = tmpdir("tail-corrupt");
+        {
+            let opts = WalOptions {
+                segment_bytes: 32,
+                plan: None,
+            };
+            let (mut wal, _) = Wal::open(&dir, opts).expect("open");
+            for i in 0..6u64 {
+                wal.append(format!("record body {i}").as_bytes())
+                    .expect("append");
+                wal.commit().expect("commit");
+            }
+        }
+        let start = WalPosition::default();
+        let clean = Wal::tail(&dir, start, u64::MAX, None).expect("tail");
+        // starting one record late is a gap, not a silent skip
+        let late = WalPosition { seq: 1, ..start };
+        match Wal::tail(&dir, late, u64::MAX, None) {
+            Err(StoreError::SequenceGap {
+                expected, found, ..
+            }) => assert_eq!((expected, found), (1, 0)),
+            other => panic!("expected SequenceGap, got {other:?}"),
+        }
+        let seg = dir.join(segment_name(0));
+        let mut bytes = std::fs::read(&seg).expect("read");
+        *bytes.last_mut().expect("non-empty") ^= 0x01;
+        std::fs::write(&seg, &bytes).expect("write");
+        match Wal::tail(&dir, start, u64::MAX, None) {
+            Err(StoreError::Corrupt { path, defect, .. }) => {
+                assert_eq!(path, seg);
+                assert_eq!(defect, FrameDefect::ChecksumMismatch);
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // a reader past the damage never meets it
+        let after_first = Wal::tail(&dir, clean.next, u64::MAX, None).expect("tail");
+        assert!(after_first.records.is_empty());
     }
 
     #[test]

@@ -234,10 +234,11 @@ impl SparseTensor {
     /// replaying the same acknowledged prefix always yields the same
     /// tensor.
     ///
-    /// The merge is a linear sorted two-way merge of the canonical base
-    /// against the sorted batch — O(N + Δ·log Δ) — not a full re-sort
-    /// of all N + Δ entries. A non-canonical base pays a one-time
-    /// [`SparseTensor::coalesce`] first. Per-cell accumulation is
+    /// The merge sorts the batch — O(Δ·log Δ) — and then runs
+    /// [`SparseTensor::merged_canonical`] against the canonical base,
+    /// not a full re-sort of all N + Δ entries. A non-canonical base
+    /// pays a one-time [`SparseTensor::coalesce`] first, and explicit
+    /// zeros stored in the base are dropped. Per-cell accumulation is
     /// strictly left-to-right (base value first, then deltas in batch
     /// order), so splitting one batch into several merges the same
     /// prefix to a *bit-identical* tensor even for values with inexact
@@ -247,17 +248,49 @@ impl SparseTensor {
     /// Panics if any entry's coordinate arity differs from the tensor
     /// order.
     pub fn merge_entries(&mut self, entries: &[(Vec<u32>, f64)]) -> MergeStats {
-        use std::cmp::Ordering;
-        let order = self.order();
-        for (coord, _) in entries {
-            assert_eq!(coord.len(), order, "delta entry arity mismatch");
-            for (d, &i) in self.dims.iter_mut().zip(coord) {
-                *d = (*d).max(i as usize + 1);
-            }
-        }
         let base_was_canonical = self.is_strictly_sorted();
         if !base_was_canonical {
             self.coalesce();
+        }
+        let base_nnz = self.nnz();
+        // a strictly sorted base may still store explicit zeros
+        drop_zeros(&mut self.inds, &mut self.vals);
+        let (merged, stats) = self.merged_canonical(entries);
+        *self = merged;
+        MergeStats {
+            base_nnz,
+            base_was_canonical,
+            ..stats
+        }
+    }
+
+    /// [`SparseTensor::merge_entries`] for a base the caller keeps
+    /// canonical ([`SparseTensor::is_canonical`]), into a new tensor:
+    /// `self` is only read, so a caller that may still fail keeps its
+    /// old state without cloning it first. The O(N) canonicity scan runs
+    /// under `debug_assert!` only — what a caller that merges round after
+    /// round (the refresh engine: every output of this function is
+    /// canonical) saves over the public entry point.
+    ///
+    /// Each distinct batch coordinate is located in the base by a
+    /// galloping search from the previous one (probes at distance 1, 2,
+    /// 4, … then a bisection: `O(log gap)` comparisons, at most one more
+    /// than a linear scan of the gap), and the base entries between two
+    /// insertions move as slices, so a sparse batch costs one copy of
+    /// the base plus `O(Δ·log(N/Δ))` comparisons.
+    ///
+    /// # Panics
+    /// Panics if any entry's coordinate arity differs from the tensor
+    /// order.
+    pub fn merged_canonical(&self, entries: &[(Vec<u32>, f64)]) -> (SparseTensor, MergeStats) {
+        debug_assert!(self.is_canonical(), "base must be canonical");
+        let order = self.order();
+        let mut dims = self.dims.clone();
+        for (coord, _) in entries {
+            assert_eq!(coord.len(), order, "delta entry arity mismatch");
+            for (d, &i) in dims.iter_mut().zip(coord) {
+                *d = (*d).max(i as usize + 1);
+            }
         }
         let mut compare_ops: u64 = 0;
         // Stable sort of the batch by coordinate: ties keep batch order,
@@ -269,71 +302,91 @@ impl SparseTensor {
         });
         let n = self.nnz();
         let dn = entries.len();
-        let mut new_inds: Vec<Vec<u32>> = vec![Vec::with_capacity(n + dn); order];
-        let mut new_vals: Vec<f64> = Vec::with_capacity(n + dn);
-        let cmp_base_delta = |inds: &[Vec<u32>], x: usize, coord: &[u32]| -> Ordering {
-            for (ind, &c) in inds.iter().zip(coord) {
-                match ind[x].cmp(&c) {
+        let mut inds: Vec<Vec<u32>> = vec![Vec::with_capacity(n + dn); order];
+        let mut vals: Vec<f64> = Vec::with_capacity(n + dn);
+        let copy_run = |inds: &mut [Vec<u32>], vals: &mut Vec<f64>, run: std::ops::Range<usize>| {
+            for (out, base) in inds.iter_mut().zip(&self.inds) {
+                out.extend_from_slice(&base[run.clone()]);
+            }
+            vals.extend_from_slice(&self.vals[run]);
+        };
+        let (mut bi, mut di) = (0usize, 0usize);
+        while di < dn {
+            let (coord, first) = (entries[dperm[di]].0.as_slice(), entries[dperm[di]].1);
+            let (at, present) = self.gallop(bi, coord, &mut compare_ops);
+            copy_run(&mut inds, &mut vals, bi..at);
+            bi = at + usize::from(present);
+            let mut acc = if present { self.vals[at] } else { 0.0 };
+            acc += first;
+            di += 1;
+            while di < dn && {
+                compare_ops += 1;
+                entries[dperm[di]].0 == coord
+            } {
+                acc += entries[dperm[di]].1;
+                di += 1;
+            }
+            if acc != 0.0 {
+                for (out, &c) in inds.iter_mut().zip(coord) {
+                    out.push(c);
+                }
+                vals.push(acc);
+            }
+        }
+        copy_run(&mut inds, &mut vals, bi..n);
+        let stats = MergeStats {
+            base_nnz: n,
+            delta_nnz: dn,
+            out_nnz: vals.len(),
+            compare_ops,
+            base_was_canonical: true,
+        };
+        (SparseTensor { dims, inds, vals }, stats)
+    }
+
+    /// The first nonzero at or after `from` whose coordinate is not less
+    /// than `coord`, and whether it equals `coord`. Requires a sorted
+    /// tensor with every nonzero before `from` less than `coord`; each
+    /// coordinate comparison adds one to `ops`.
+    fn gallop(&self, from: usize, coord: &[u32], ops: &mut u64) -> (usize, bool) {
+        use std::cmp::Ordering;
+        let mut compare = |x: usize| -> Ordering {
+            *ops += 1;
+            for (ind, c) in self.inds.iter().zip(coord) {
+                match ind[x].cmp(c) {
                     Ordering::Equal => continue,
                     other => return other,
                 }
             }
             Ordering::Equal
         };
-        let (mut bi, mut di) = (0usize, 0usize);
-        while bi < n || di < dn {
-            let rel = if bi == n {
-                Ordering::Greater
-            } else if di == dn {
-                Ordering::Less
-            } else {
-                compare_ops += 1;
-                cmp_base_delta(&self.inds, bi, &entries[dperm[di]].0)
-            };
-            if rel == Ordering::Less {
-                let v = self.vals[bi];
-                if v != 0.0 {
-                    for (ni, oi) in new_inds.iter_mut().zip(&self.inds) {
-                        ni.push(oi[bi]);
-                    }
-                    new_vals.push(v);
+        let n = self.nnz();
+        // nonzeros before `lo` are less than `coord`, those from `hi` on
+        // are not; `equal` is what the comparison at `hi` returned
+        let (mut lo, mut hi, mut equal) = (from, n, false);
+        let (mut probe, mut stride) = (from, 1usize);
+        while lo < n {
+            let x = probe.min(n - 1);
+            match compare(x) {
+                Ordering::Less => {
+                    lo = x + 1;
+                    probe = x + stride;
+                    stride *= 2;
                 }
-                bi += 1;
-            } else {
-                let coord = entries[dperm[di]].0.as_slice();
-                let mut acc = if rel == Ordering::Equal {
-                    let v = self.vals[bi];
-                    bi += 1;
-                    v
-                } else {
-                    0.0
-                };
-                acc += entries[dperm[di]].1;
-                di += 1;
-                while di < dn && {
-                    compare_ops += 1;
-                    entries[dperm[di]].0 == coord
-                } {
-                    acc += entries[dperm[di]].1;
-                    di += 1;
-                }
-                if acc != 0.0 {
-                    for (ni, &c) in new_inds.iter_mut().zip(coord) {
-                        ni.push(c);
-                    }
-                    new_vals.push(acc);
+                other => {
+                    (hi, equal) = (x, other == Ordering::Equal);
+                    break;
                 }
             }
         }
-        self.inds = new_inds;
-        self.vals = new_vals;
-        MergeStats {
-            base_nnz: n,
-            delta_nnz: dn,
-            out_nnz: self.vals.len(),
-            compare_ops,
-            base_was_canonical,
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match compare(mid) {
+                Ordering::Less => lo = mid + 1,
+                other => (hi, equal) = (mid, other == Ordering::Equal),
+            }
         }
+        (lo, equal)
     }
 
     /// Merge duplicate coordinates by summing their values, dropping exact
@@ -373,18 +426,7 @@ impl SparseTensor {
             }
         }
         // drop exact-zero entries created by cancellation
-        let mut keep = vec![true; new_vals.len()];
-        for (k, v) in keep.iter_mut().zip(&new_vals) {
-            *k = *v != 0.0;
-        }
-        if keep.iter().any(|k| !k) {
-            for ind in &mut new_inds {
-                let mut it = keep.iter();
-                ind.retain(|_| *it.next().unwrap());
-            }
-            let mut it = keep.iter();
-            new_vals.retain(|_| *it.next().unwrap());
-        }
+        drop_zeros(&mut new_inds, &mut new_vals);
         self.inds = new_inds;
         self.vals = new_vals;
     }
@@ -420,6 +462,12 @@ impl SparseTensor {
         })
     }
 
+    /// `true` if the tensor is in the form [`SparseTensor::merge_entries`]
+    /// leaves it in: strictly sorted, and no stored value is an exact zero.
+    pub fn is_canonical(&self) -> bool {
+        self.is_strictly_sorted() && self.vals.iter().all(|&v| v != 0.0)
+    }
+
     /// Multiset of `(coordinate, value)` pairs, sorted — for equivalence
     /// checks in tests (sorting must be a permutation of this multiset).
     pub fn canonical_entries(&self) -> Vec<(Vec<u32>, f64)> {
@@ -429,6 +477,18 @@ impl SparseTensor {
         out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
         out
     }
+}
+
+/// Remove every nonzero whose stored value is an exact zero.
+fn drop_zeros(inds: &mut [Vec<u32>], vals: &mut Vec<f64>) {
+    if vals.iter().all(|&v| v != 0.0) {
+        return;
+    }
+    for ind in inds {
+        let mut it = vals.iter();
+        ind.retain(|_| *it.next().unwrap() != 0.0);
+    }
+    vals.retain(|&v| v != 0.0);
 }
 
 #[cfg(test)]
@@ -612,6 +672,203 @@ mod tests {
         // A second merge into the now-canonical output skips coalesce.
         let stats2 = t.merge_entries(&[(vec![1, 1, 1], 1.0)]);
         assert!(stats2.base_was_canonical);
+    }
+
+    /// `merge_entries` as it was before the galloping kernel: sort the
+    /// batch, then one comparison per step of a two-way merge that pushes
+    /// every nonzero on its own. The oracle of the property below.
+    fn merge_entries_plain(t: &mut SparseTensor, entries: &[(Vec<u32>, f64)]) -> MergeStats {
+        use std::cmp::Ordering;
+        let order = t.order();
+        for (coord, _) in entries {
+            assert_eq!(coord.len(), order, "delta entry arity mismatch");
+            for (d, &i) in t.dims.iter_mut().zip(coord) {
+                *d = (*d).max(i as usize + 1);
+            }
+        }
+        let base_was_canonical = t.is_strictly_sorted();
+        if !base_was_canonical {
+            t.coalesce();
+        }
+        let mut compare_ops: u64 = 0;
+        // Stable sort of the batch by coordinate: ties keep batch order,
+        // so duplicate deltas to one cell accumulate left-to-right.
+        let mut dperm: Vec<usize> = (0..entries.len()).collect();
+        dperm.sort_by(|&a, &b| {
+            compare_ops += 1;
+            entries[a].0.cmp(&entries[b].0)
+        });
+        let n = t.nnz();
+        let dn = entries.len();
+        let mut new_inds: Vec<Vec<u32>> = vec![Vec::with_capacity(n + dn); order];
+        let mut new_vals: Vec<f64> = Vec::with_capacity(n + dn);
+        let cmp_base_delta = |inds: &[Vec<u32>], x: usize, coord: &[u32]| -> Ordering {
+            for (ind, &c) in inds.iter().zip(coord) {
+                match ind[x].cmp(&c) {
+                    Ordering::Equal => continue,
+                    other => return other,
+                }
+            }
+            Ordering::Equal
+        };
+        let (mut bi, mut di) = (0usize, 0usize);
+        while bi < n || di < dn {
+            let rel = if bi == n {
+                Ordering::Greater
+            } else if di == dn {
+                Ordering::Less
+            } else {
+                compare_ops += 1;
+                cmp_base_delta(&t.inds, bi, &entries[dperm[di]].0)
+            };
+            if rel == Ordering::Less {
+                let v = t.vals[bi];
+                if v != 0.0 {
+                    for (ni, oi) in new_inds.iter_mut().zip(&t.inds) {
+                        ni.push(oi[bi]);
+                    }
+                    new_vals.push(v);
+                }
+                bi += 1;
+            } else {
+                let coord = entries[dperm[di]].0.as_slice();
+                let mut acc = if rel == Ordering::Equal {
+                    let v = t.vals[bi];
+                    bi += 1;
+                    v
+                } else {
+                    0.0
+                };
+                acc += entries[dperm[di]].1;
+                di += 1;
+                while di < dn && {
+                    compare_ops += 1;
+                    entries[dperm[di]].0 == coord
+                } {
+                    acc += entries[dperm[di]].1;
+                    di += 1;
+                }
+                if acc != 0.0 {
+                    for (ni, &c) in new_inds.iter_mut().zip(coord) {
+                        ni.push(c);
+                    }
+                    new_vals.push(acc);
+                }
+            }
+        }
+        t.inds = new_inds;
+        t.vals = new_vals;
+        MergeStats {
+            base_nnz: n,
+            delta_nnz: dn,
+            out_nnz: t.vals.len(),
+            compare_ops,
+            base_was_canonical,
+        }
+    }
+
+    fn bits(t: &SparseTensor) -> (&[usize], &[Vec<u32>], Vec<u64>) {
+        let vals = t.vals.iter().map(|v| v.to_bits()).collect();
+        (&t.dims, &t.inds, vals)
+    }
+
+    #[test]
+    fn galloping_merge_matches_the_plain_loop() {
+        use splatt_rt::qc;
+        // small inexact values and their negatives, so cells cancel to
+        // exactly 0.0 and inexact sums depend on accumulation order
+        const VALUES: [f64; 7] = [0.1, -0.1, 0.7, -0.7, 2.5, -0.0, 1e-3];
+        qc::check("merge_entries == plain two-way merge", 400, |g| {
+            let order = g.usize_in(2..6);
+            let dims: Vec<usize> = (0..order).map(|_| g.usize_in(1..5)).collect();
+            let cells: usize = dims.iter().product();
+            // where the batch lies relative to the base: 0 before it,
+            // 1 after it, 2 interleaved (and possibly past its dims)
+            let layout = g.usize_in(0..3);
+            let lead = dims[0] as u32;
+            let coord = |g: &mut qc::Gen, band: u32, grow: u32| -> Vec<u32> {
+                let mut c: Vec<u32> = dims.iter().map(|&d| g.range(0..d as u32 + grow)).collect();
+                c[0] += band * lead;
+                c
+            };
+            let mut base = SparseTensor::new(dims.iter().map(|&d| d * 3).collect());
+            for _ in 0..[0, 1, cells / 2, cells * 2][g.usize_in(0..4)] {
+                let c = coord(g, u32::from(layout != 1), 0);
+                base.push(&c, *g.choose(&VALUES));
+            }
+            match g.usize_in(0..3) {
+                0 => {} // duplicates, unsorted: the coalesce path
+                1 => base.coalesce(),
+                _ => {
+                    // strictly sorted, with explicit zeros stored
+                    base.coalesce();
+                    for v in base.vals.iter_mut().step_by(3) {
+                        *v = 0.0;
+                    }
+                }
+            }
+            let band = [0, 2, 1][layout];
+            let grow = u32::from(layout == 2) * 2;
+            let delta: Vec<(Vec<u32>, f64)> = (0..[0, 1, 3, cells, cells * 3][g.usize_in(0..5)])
+                .map(|_| (coord(g, band, grow), *g.choose(&VALUES)))
+                .collect();
+
+            let (mut fast, mut plain) = (base.clone(), base);
+            let stats = fast.merge_entries(&delta);
+            let expect = merge_entries_plain(&mut plain, &delta);
+            assert_eq!(bits(&fast), bits(&plain));
+            assert!(fast.is_canonical());
+            assert_eq!(
+                MergeStats {
+                    compare_ops: 0,
+                    ..stats
+                },
+                MergeStats {
+                    compare_ops: 0,
+                    ..expect
+                }
+            );
+            // A search that skips pays at most one comparison more than
+            // the scan it replaces (when the answer is the first nonzero
+            // it skipped), so no search-based merge is below the plain
+            // loop on every input; per located coordinate is the bound.
+            let located = delta
+                .iter()
+                .map(|(c, _)| c)
+                .collect::<std::collections::BTreeSet<_>>();
+            assert!(
+                stats.compare_ops <= expect.compare_ops + located.len() as u64,
+                "{} comparisons against the plain loop's {}",
+                stats.compare_ops,
+                expect.compare_ops
+            );
+            if layout != 2 {
+                assert!(stats.compare_ops <= expect.compare_ops);
+            }
+        });
+    }
+
+    #[test]
+    fn a_sparse_batch_costs_logarithmic_comparisons() {
+        // 4096 nonzeros, 8 deltas spread through them: the plain loop
+        // compares its way past every base nonzero, the search does not
+        let mut base = SparseTensor::new(vec![64, 64]);
+        for i in 0..64u32 {
+            for j in 0..64u32 {
+                base.push(&[i, j], 1.0);
+            }
+        }
+        let delta: Vec<(Vec<u32>, f64)> = (0..8u32).map(|k| (vec![k * 8 + 3, 17], 0.5)).collect();
+        let mut plain = base.clone();
+        let stats = base.merge_entries(&delta);
+        let expect = merge_entries_plain(&mut plain, &delta);
+        assert_eq!(bits(&base), bits(&plain));
+        assert!(expect.compare_ops > 3_500, "{}", expect.compare_ops);
+        assert!(
+            stats.compare_ops < 8 * (2 * 12 + 4),
+            "{}",
+            stats.compare_ops
+        );
     }
 
     #[test]

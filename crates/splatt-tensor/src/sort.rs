@@ -134,17 +134,13 @@ pub fn sort_by_perm(tt: &mut SparseTensor, perm: &[usize], team: &TaskTeam, vari
 /// leaves the tensor partially sorted, and the driver's next full guard
 /// check turns the cancellation into a typed abort before the result is
 /// used.
-///
-/// Returns `true` when the tensor was already strictly sorted by `perm`
-/// and no sort ran — what an incremental CSF rebuild counts to prove it
-/// reused the canonical order `merge_entries` maintains.
 pub fn sort_by_perm_guarded(
     tt: &mut SparseTensor,
     perm: &[usize],
     team: &TaskTeam,
     variant: SortVariant,
     guard: Option<&splatt_guard::RunGuard>,
-) -> bool {
+) {
     let order = tt.order();
     assert_eq!(perm.len(), order, "perm must cover every mode");
     {
@@ -156,14 +152,14 @@ pub fn sort_by_perm_guarded(
     }
     let nnz = tt.nnz();
     if nnz <= 1 {
-        return false;
+        return;
     }
 
     // Fast path for incremental rebuilds: a tensor already strictly
     // sorted by `perm` (the canonical form `merge_entries` maintains)
     // needs no work — skip straight to CSF construction.
     if is_strictly_sorted_by(tt, perm) {
-        return true;
+        return;
     }
 
     let primary = perm[0];
@@ -174,7 +170,7 @@ pub fn sort_by_perm_guarded(
 
     // ---- phase 2: per-bucket quicksort on the remaining modes ----
     if order == 1 {
-        return false;
+        return;
     }
     let ntasks = team.ntasks();
 
@@ -266,7 +262,6 @@ pub fn sort_by_perm_guarded(
             }
         }
     });
-    false
 }
 
 /// Convenience wrapper: sort for CSF construction rooted at `mode`

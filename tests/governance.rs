@@ -399,9 +399,10 @@ fn pre_cancelled_guard_aborts_immediately() {
 }
 
 /// Every way of spelling "nothing stops this run" through the one entry
-/// point — own or provided team, no plan or a plan that never fires, no
-/// governance or governance that never trips — is the same run as
-/// `cp_als`: same fit history bit for bit, one attempt, no degradation.
+/// point — own or provided team, CSF set built or given, no plan or a
+/// plan that never fires, no governance or governance that never trips —
+/// is the same run as `cp_als`: same fit history bit for bit, one
+/// attempt, no degradation.
 #[test]
 fn every_non_tripping_run_context_matches_cp_als() {
     let _s = serial();
@@ -417,7 +418,9 @@ fn every_non_tripping_run_context_matches_cp_als() {
         deadline: Some(Duration::from_secs(300)),
         ..Default::default()
     };
+    let set = splatt::core::CsfSet::build(&tensor, opts.csf_alloc, &team, opts.sort_variant);
     let teams = [("own team", None), ("provided team", Some(&team))];
+    let csfs = [("built set", None), ("given set", Some(&set))];
     let plans = [("no plan", None), ("zero-rate plan", Some(&quiet_plan))];
     let governances = [
         ("ungoverned", Governance::None),
@@ -428,17 +431,20 @@ fn every_non_tripping_run_context_matches_cp_als() {
     for (team_label, team) in teams {
         for (plan_label, faults) in plans {
             for (gov_label, governance) in governances {
-                let what = format!("{team_label}, {plan_label}, {gov_label}");
-                let run = CpalsRun {
-                    team,
-                    faults,
-                    governance,
-                };
-                let out =
-                    try_cp_als(&tensor, &opts, &run).unwrap_or_else(|e| panic!("{what}: {e}"));
-                assert_bit_identical(&clean, &out, &what);
-                assert_eq!(out.attempts, 1, "{what}");
-                assert!(out.degradations.is_empty(), "{what}");
+                for (csf_label, csf) in csfs {
+                    let what = format!("{team_label}, {csf_label}, {plan_label}, {gov_label}");
+                    let run = CpalsRun {
+                        team,
+                        faults,
+                        csf,
+                        governance,
+                    };
+                    let out =
+                        try_cp_als(&tensor, &opts, &run).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_bit_identical(&clean, &out, &what);
+                    assert_eq!(out.attempts, 1, "{what}");
+                    assert!(out.degradations.is_empty(), "{what}");
+                }
             }
         }
     }
