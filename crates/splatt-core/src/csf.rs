@@ -9,7 +9,8 @@
 //! the trade at the center of the paper's YELP-vs-NELL-2 behaviour.
 
 use splatt_par::TaskTeam;
-use splatt_tensor::{sort, SortVariant, SparseTensor};
+use splatt_tensor::{sort, SortVariant, SortedBatch, SparseTensor};
+use std::ops::Range;
 
 /// How many CSF representations to allocate (SPLATT's `SPLATT_CSF_*`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,19 +142,12 @@ impl Csf {
         debug_assert!(sorted.is_sorted_by(dim_perm), "tensor must be pre-sorted");
         // index streams in level order
         let streams: Vec<&[u32]> = dim_perm.iter().map(|&m| sorted.ind(m)).collect();
-        Self::from_streams(&streams, sorted.vals(), sorted.dims(), dim_perm)
-    }
-
-    /// The build proper, from the index streams in level order.
-    fn from_streams(streams: &[&[u32]], vals: &[f64], dims: &[usize], dim_perm: &[usize]) -> Self {
-        let nnz = vals.len();
         let nlevels = dim_perm.len();
-        let vals = vals.to_vec();
 
         // Pass 1: count the fibers opened at each level.
         let mut nfib = vec![0usize; nlevels];
-        for x in 0..nnz {
-            for count in nfib[open_level(streams, x, nlevels)..].iter_mut() {
+        for x in 0..sorted.nnz() {
+            for count in nfib[open_level(&streams, x, nlevels)..].iter_mut() {
                 *count += 1;
             }
         }
@@ -178,8 +172,8 @@ impl Csf {
         // opened so far (for the deepest interior level that count equals
         // `x`, the leaves consumed — every nonzero is its own leaf).
         let mut cursor = vec![0usize; nlevels];
-        for x in 0..nnz {
-            for l in open_level(streams, x, nlevels)..nlevels {
+        for x in 0..sorted.nnz() {
+            for l in open_level(&streams, x, nlevels)..nlevels {
                 if l < nlevels - 1 {
                     fptr[fptr_off[l] + cursor[l]] = cursor[l + 1];
                 }
@@ -192,35 +186,102 @@ impl Csf {
             fptr[fptr_off[l] + cursor[l]] = cursor[l + 1];
         }
 
-        // Per-slice nonzero counts for weighted partitioning. Subtrees
-        // are contiguous at every level, so slice `s` owns the leaf range
-        // between the first-child chains of slices `s` and `s + 1`.
-        let leaf_start = |s: usize| -> usize {
-            let mut f = s;
-            for l in 0..nlevels - 1 {
-                f = fptr[fptr_off[l] + f];
-            }
-            f
-        };
-        let nslices = nfib[0];
-        let mut slice_nnz = Vec::with_capacity(nslices);
-        let mut prev = leaf_start(0);
-        for s in 1..=nslices {
-            let next = leaf_start(s);
-            slice_nnz.push(next - prev);
-            prev = next;
-        }
-
-        Csf {
+        let mut csf = Csf {
             dim_perm: dim_perm.to_vec(),
-            dims: dims.to_vec(),
+            dims: sorted.dims().to_vec(),
             fptr,
             fptr_off,
             fids,
             fids_off,
-            vals,
-            slice_nnz,
+            vals: sorted.vals().to_vec(),
+            slice_nnz: Vec::new(),
+        };
+        csf.slice_nnz = csf.leaves_per_slice();
+        csf
+    }
+
+    /// Per-slice nonzero counts for weighted partitioning. Subtrees are
+    /// contiguous at every level, so slice `s` owns the leaf range
+    /// between the first-child chains of slices `s` and `s + 1`.
+    fn leaves_per_slice(&self) -> Vec<usize> {
+        let leaf_start =
+            |s: usize| -> usize { (0..self.order() - 1).fold(s, |f, l| self.fptr(l)[f]) };
+        let mut prev = leaf_start(0);
+        (1..=self.nfibers(0))
+            .map(|s| {
+                let next = leaf_start(s);
+                let n = next - prev;
+                prev = next;
+                n
+            })
+            .collect()
+    }
+
+    /// The CSF [`Csf::build`] builds from this tree's tensor with
+    /// `delta` merged in by [`SparseTensor::merged_canonical`], read off
+    /// this tree and the delta alone — no tensor, no sort of its
+    /// nonzeros. `self` must hold a canonical tensor (distinct
+    /// coordinates, no stored zeros), as the CSFs of the refresh
+    /// engine's tensor do.
+    ///
+    /// The delta is permuted into the tree's level order and sorted
+    /// stably ([`SortedBatch`]), then merged into the old tree level by
+    /// level. Sibling fibers the delta does not touch are appended with
+    /// their subtrees as one run per level (`fids` and `vals` verbatim,
+    /// `fptr` shifted by one offset); a prefix the tree lacks becomes a
+    /// new fiber; a cell accumulates as the tensor merge does — its old
+    /// value or `0.0`, then each delta in batch order — and is dropped
+    /// when that is exactly zero, as is every fiber left without
+    /// children, up to the root. Dims grow to admit the delta.
+    pub fn merged(&self, delta: &[(Vec<u32>, f64)]) -> Csf {
+        let batch = SortedBatch::new(delta, &self.dim_perm);
+        let mut dims = self.dims.clone();
+        for (&m, &e) in self.dim_perm.iter().zip(batch.extent()) {
+            dims[m] = dims[m].max(e);
         }
+        let order = self.order();
+        // each delta entry opens at most one fiber per level
+        let room = |l: usize| self.nfibers(l) + batch.len() + 1;
+        let mut merge = TreeMerge {
+            base: self,
+            batch: &batch,
+            fids: (0..order).map(|l| Vec::with_capacity(room(l))).collect(),
+            fptr: (0..order - 1)
+                .map(|l| Vec::with_capacity(room(l)))
+                .collect(),
+            vals: Vec::with_capacity(room(order - 1)),
+        };
+        merge.level(0, 0..self.nfibers(0), 0..batch.len());
+
+        // Close every pointer level, then lay the levels end to end.
+        let TreeMerge {
+            mut fptr,
+            fids,
+            vals,
+            ..
+        } = merge;
+        for (l, ptrs) in fptr.iter_mut().enumerate() {
+            ptrs.push(fids[l + 1].len());
+        }
+        let offsets = |lens: Vec<usize>| -> Vec<usize> {
+            let ends = lens.into_iter().scan(0, |end, n| {
+                *end += n;
+                Some(*end)
+            });
+            std::iter::once(0).chain(ends).collect()
+        };
+        let mut out = Csf {
+            dim_perm: self.dim_perm.clone(),
+            dims,
+            fptr_off: offsets(fptr.iter().map(Vec::len).collect()),
+            fptr: fptr.concat(),
+            fids_off: offsets(fids.iter().map(Vec::len).collect()),
+            fids: fids.concat(),
+            vals,
+            slice_nnz: Vec::new(),
+        };
+        out.slice_nnz = out.leaves_per_slice();
+        out
     }
 
     /// Number of modes.
@@ -357,15 +418,94 @@ impl Csf {
     }
 }
 
+/// The walk of [`Csf::merged`]: the old tree and the sorted delta in
+/// step, the merged tree appended level by level.
+struct TreeMerge<'a> {
+    base: &'a Csf,
+    batch: &'a SortedBatch<'a>,
+    /// Per level, the fiber ids written so far (leaf ids at the last).
+    fids: Vec<Vec<u32>>,
+    /// Per level but the last, each written fiber's first child.
+    fptr: Vec<Vec<usize>>,
+    vals: Vec<f64>,
+}
+
+impl TreeMerge<'_> {
+    /// Merge the base fibers `fibers` of `level` — siblings under one
+    /// parent, or the roots — with the delta entries `ds`, which share
+    /// their first `level` indices with that parent.
+    fn level(&mut self, level: usize, fibers: Range<usize>, ds: Range<usize>) {
+        let (base, batch) = (self.base, self.batch);
+        let ids = base.fids(level);
+        let leaf = level + 1 == base.order();
+        let (mut f, mut d) = (fibers.start, ds.start);
+        while d < ds.end {
+            let id = batch.index(d, level);
+            let ties = (d..ds.end).take_while(|&e| batch.index(e, level) == id);
+            let group = d..d + ties.count();
+            let at = f + ids[f..fibers.end].partition_point(|&x| x < id);
+            self.copy(level, f..at);
+            let present = at < fibers.end && ids[at] == id;
+            if leaf {
+                let old = if present { base.vals[at] } else { 0.0 };
+                let acc = group.clone().fold(old, |acc, e| acc + batch.value(e));
+                if acc != 0.0 {
+                    self.fids[level].push(id);
+                    self.vals.push(acc);
+                }
+            } else {
+                let first_child = self.fids[level + 1].len();
+                let children = if present {
+                    base.children(level, at)
+                } else {
+                    0..0
+                };
+                self.level(level + 1, children, group.clone());
+                if self.fids[level + 1].len() > first_child {
+                    self.fids[level].push(id);
+                    self.fptr[level].push(first_child);
+                }
+            }
+            f = at + usize::from(present);
+            d = group.end;
+        }
+        self.copy(level, f..fibers.end);
+    }
+
+    /// Append the base fibers `fibers` of `level` with their subtrees:
+    /// one contiguous run per level below.
+    fn copy(&mut self, level: usize, fibers: Range<usize>) {
+        let base = self.base;
+        let Range {
+            start: mut lo,
+            end: mut hi,
+        } = fibers;
+        for l in level..base.order() {
+            if lo == hi {
+                return;
+            }
+            self.fids[l].extend_from_slice(&base.fids(l)[lo..hi]);
+            if l + 1 == base.order() {
+                self.vals.extend_from_slice(&base.vals[lo..hi]);
+                return;
+            }
+            // the run's children land where the next level stands
+            let ptrs = &base.fptr(l)[lo..=hi];
+            let (from, to) = (ptrs[0], self.fids[l + 1].len());
+            self.fptr[l].extend(ptrs[..hi - lo].iter().map(|&p| p - from + to));
+            (lo, hi) = (ptrs[0], ptrs[hi - lo]);
+        }
+    }
+}
+
 /// Independent reference construction for validating the flat-slab build.
 ///
 /// This is the pre-refactor push-per-nonzero nested-`Vec` algorithm kept
 /// verbatim as a structural oracle: property and regression tests build
 /// a [`nested::NestedCsf`] alongside a [`Csf`] from the same sorted tensor
-/// and assert level-by-level equality. Hidden from docs — it exists only so
-/// integration tests outside this crate can reach the oracle.
-#[doc(hidden)]
-pub mod nested {
+/// and assert level-by-level equality.
+#[cfg(test)]
+pub(crate) mod nested {
     use super::open_level;
     use splatt_par::TaskTeam;
     use splatt_tensor::{sort, SortVariant, SparseTensor};
@@ -542,37 +682,37 @@ impl CsfSet {
             .collect()
     }
 
-    /// The set [`CsfSet::build`] gives the tensor, assembled without
-    /// sorting it: `leveled[i]` is the tensor with its modes permuted
-    /// into the `i`-th of [`CsfSet::level_orders`] and its nonzeros
-    /// sorted — what a caller that keeps those copies sorted across
-    /// builds (the refresh engine) hands over in place of the tensor.
-    ///
-    /// # Panics
-    /// Panics if the copies are not one per level order of their dims.
-    pub fn from_level_sorted(alloc: CsfAlloc, dims: &[usize], leveled: &[&SparseTensor]) -> Self {
-        let orders = Self::level_orders(dims, alloc);
-        assert_eq!(leveled.len(), orders.len(), "one copy per representation");
-        let csfs = orders
+    /// The set [`CsfSet::build`] gives `tensor` under `alloc`, where
+    /// `tensor` is the canonical tensor `resident` was built from with
+    /// `delta` merged in ([`SparseTensor::merged_canonical`]). Each
+    /// representation whose level order `resident` holds is merged from
+    /// it ([`Csf::merged`]); the others — no resident set yet, or dims
+    /// growth that re-ordered a tree's levels — are built by sorting
+    /// `tensor`. Also returns how many were merged. `resident` is only
+    /// read.
+    pub fn merged(
+        resident: Option<&CsfSet>,
+        tensor: &SparseTensor,
+        delta: &[(Vec<u32>, f64)],
+        alloc: CsfAlloc,
+        team: &TaskTeam,
+        variant: SortVariant,
+    ) -> (Self, usize) {
+        let mut merged = 0;
+        let csfs = Self::level_orders(tensor.dims(), alloc)
             .iter()
-            .zip(leveled)
-            .map(|(perm, copy)| {
-                assert!(
-                    perm.iter()
-                        .map(|&m| dims[m])
-                        .eq(copy.dims().iter().copied()),
-                    "a copy's dims are not the tensor's in its level order"
-                );
-                let levels = 0..perm.len();
-                debug_assert!(
-                    copy.is_sorted_by(&levels.clone().collect::<Vec<_>>()),
-                    "copies must be pre-sorted"
-                );
-                let streams: Vec<&[u32]> = levels.map(|l| copy.ind(l)).collect();
-                Csf::from_streams(&streams, copy.vals(), dims, perm)
+            .map(|perm| {
+                let old = resident.and_then(|set| set.csfs.iter().find(|c| c.dim_perm == *perm));
+                match old {
+                    Some(old) => {
+                        merged += 1;
+                        old.merged(delta)
+                    }
+                    None => Csf::build(tensor, perm, team, variant),
+                }
             })
             .collect();
-        CsfSet { csfs, alloc }
+        (CsfSet { csfs, alloc }, merged)
     }
 
     /// The root modes `alloc` dictates for a tensor with these dims.
@@ -659,8 +799,9 @@ impl CsfSet {
 pub const DENSE_FIBER_NNZ: f64 = 4.3;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use splatt_rt::qc;
     use splatt_tensor::synth;
 
     fn team() -> TaskTeam {
@@ -886,32 +1027,175 @@ mod tests {
         }
     }
 
+    /// The flat-slab CSF must agree with the pre-refactor nested-`Vec`
+    /// construction level by level, and round-trip back to COO, for every
+    /// allocation policy, orders 3 through 5, including empty and singleton
+    /// tensors and tensors with duplicate coordinates.
     #[test]
-    fn set_assembled_from_level_sorted_copies_equals_the_built_set() {
-        let mut t = synth::power_law(&[30, 22, 26, 9], 2_000, 1.7, 8);
-        t.coalesce();
-        for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
-            let built = CsfSet::build(&t, alloc, &team(), SortVariant::AllOpts);
-            let copies: Vec<SparseTensor> = CsfSet::level_orders(t.dims(), alloc)
-                .iter()
-                .map(|perm| {
-                    // canonical in permuted modes = sorted for that root
-                    let mut copy = t.permute_modes(perm);
-                    copy.coalesce();
-                    copy
-                })
-                .collect();
-            let given =
-                CsfSet::from_level_sorted(alloc, t.dims(), &copies.iter().collect::<Vec<_>>());
-            assert_eq!(given.alloc(), alloc);
-            assert_eq!(given.csfs().len(), built.csfs().len());
-            for (a, b) in given.csfs().iter().zip(built.csfs()) {
-                assert_eq!((a.dim_perm(), a.dims()), (b.dim_perm(), b.dims()));
-                assert_eq!((&a.fptr, &a.fptr_off), (&b.fptr, &b.fptr_off));
-                assert_eq!((&a.fids, &a.fids_off), (&b.fids, &b.fids_off));
-                assert_eq!((&a.vals, &a.slice_nnz), (&b.vals, &b.slice_nnz));
+    fn flat_csf_matches_nested_oracle_and_roundtrips() {
+        qc::check("flat csf vs nested oracle", 48, |g| {
+            let order = g.usize_in(3..6);
+            // dims 1..=8 per mode, duplicates allowed, ~1 case in 5
+            // empty or a singleton
+            let dims: Vec<usize> = (0..order).map(|_| g.usize_in(1..9)).collect();
+            let nnz = match g.usize_in(0..10) {
+                0 => 0,
+                1 => 1,
+                _ => g.usize_in(2..150),
+            };
+            let mut t = SparseTensor::new(dims.clone());
+            for _ in 0..nnz {
+                let coord: Vec<u32> = dims.iter().map(|&d| g.usize_in(0..d) as u32).collect();
+                t.push(&coord, g.f64_in(-5.0, 5.0));
             }
-        }
+            let team = TaskTeam::new(g.usize_in(1..4));
+            for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+                let set = CsfSet::build(&t, alloc, &team, SortVariant::AllOpts);
+                for csf in set.csfs() {
+                    let oracle = nested::build(&t, csf.dim_perm(), &team, SortVariant::AllOpts);
+                    nested::assert_equivalent(csf, &oracle);
+                    assert_eq!(csf.nnz(), t.nnz());
+                    if t.nnz() > 0 {
+                        assert_eq!(csf.to_coo().canonical_entries(), t.canonical_entries());
+                    }
+                }
+            }
+        });
+    }
+
+    /// Field-for-field equality, values by `to_bits`.
+    pub(crate) fn assert_same(got: &Csf, want: &Csf) {
+        assert_eq!((&got.dim_perm, &got.dims), (&want.dim_perm, &want.dims));
+        assert_eq!(
+            (&got.fptr_off, &got.fids_off),
+            (&want.fptr_off, &want.fids_off)
+        );
+        assert_eq!(got.fids, want.fids, "fids of {:?}", got.dim_perm);
+        assert_eq!(got.fptr, want.fptr, "fptr of {:?}", got.dim_perm);
+        let bits = |c: &Csf| c.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "vals of {:?}", got.dim_perm);
+        assert_eq!(
+            got.slice_nnz, want.slice_nnz,
+            "slice_nnz of {:?}",
+            got.dim_perm
+        );
+    }
+
+    /// `Csf::merged` against a rebuild from the merged tensor, on every
+    /// tree `CsfAlloc::{One, Two, All}` would hold: orders 2–5; empty
+    /// bases and empty deltas; duplicates inside the delta; cancellations
+    /// that empty a leaf, a fiber, a root slice or the whole tensor; a
+    /// cancelled cell re-created later in the batch; `-0.0` into absent
+    /// and present cells; dims growth; deltas wholly before, wholly after
+    /// or interleaved with the base.
+    #[test]
+    fn merged_csf_equals_a_rebuild_of_the_merged_tensor() {
+        use std::cell::Cell;
+        // small inexact values and their negatives: cells cancel to
+        // exactly 0.0, and sums depend on the order they are added in
+        const VALUES: [f64; 7] = [0.1, -0.1, 0.7, -0.7, 2.5, -0.0, 1e-3];
+        let (cases, reverse_caught) = (Cell::new(0u32), Cell::new(0u32));
+        qc::check("Csf::merged == Csf::from_sorted(merged tensor)", 300, |g| {
+            let order = g.usize_in(2..6);
+            let dims: Vec<usize> = (0..order).map(|_| g.usize_in(1..5)).collect();
+            let cells: usize = dims.iter().product();
+            // where the batch lies relative to the base in mode 0 — band 0
+            // before it, 2 after it, 1 among it and past its dims
+            let layout = g.usize_in(0..3);
+            let coord = |g: &mut qc::Gen, band: u32, grow: u32| -> Vec<u32> {
+                let mut c: Vec<u32> = dims.iter().map(|&d| g.range(0..d as u32 + grow)).collect();
+                c[0] += band * dims[0] as u32;
+                c
+            };
+            let mut base_dims = dims.clone();
+            base_dims[0] *= 2;
+            let mut base = SparseTensor::new(base_dims);
+            let drawn: Vec<(Vec<u32>, f64)> = (0..[0, 1, cells / 2, cells * 2][g.usize_in(0..4)])
+                .map(|_| (coord(g, u32::from(layout != 1), 0), *g.choose(&VALUES)))
+                .collect();
+            base.merge_entries(&drawn);
+            let (band, grow) = ([0, 2, 1][layout], u32::from(layout == 2) * 2);
+            let mut delta: Vec<(Vec<u32>, f64)> = (0..[0, 1, 3, cells, cells * 3]
+                [g.usize_in(0..5)])
+                .map(|_| (coord(g, band, grow), *g.choose(&VALUES)))
+                .collect();
+
+            // Cancel the base nonzeros that agree with a drawn one on the
+            // modes in `agree`: all of them (a leaf), all but one (a
+            // fiber of the trees with that leaf mode), one (a root slice
+            // of the tree rooted there) or none (the whole tensor). The
+            // cut goes in at a drawn place, maybe followed by a
+            // re-creation of one of its cells.
+            if base.nnz() > 0 && g.bool() {
+                let pick = base.coord(g.usize_in(0..base.nnz()));
+                let agree: Vec<usize> = match g.usize_in(0..4) {
+                    0 => (0..order).collect(),
+                    1 => {
+                        let free = g.usize_in(0..order);
+                        (0..order).filter(|&m| m != free).collect()
+                    }
+                    2 => vec![g.usize_in(0..order)],
+                    _ => Vec::new(),
+                };
+                let mut cut: Vec<(Vec<u32>, f64)> = (0..base.nnz())
+                    .filter(|&x| agree.iter().all(|&m| base.ind(m)[x] == pick[m]))
+                    .map(|x| (base.coord(x), -base.vals()[x]))
+                    .collect();
+                if g.bool() {
+                    cut.push((pick, *g.choose(&VALUES)));
+                }
+                let at = g.usize_in(0..delta.len() + 1);
+                delta.splice(at..at, cut);
+            }
+
+            let merged = base.merged_canonical(&delta).0;
+            let team = TaskTeam::new(1);
+            let build =
+                |t: &SparseTensor, perm: &[usize]| Csf::build(t, perm, &team, SortVariant::AllOpts);
+            let reversed: Vec<_> = delta.iter().rev().cloned().collect();
+            let mut caught = false;
+            for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+                for perm in CsfSet::level_orders(base.dims(), alloc) {
+                    let old = build(&base, &perm);
+                    let got = old.merged(&delta);
+                    assert_same(&got, &build(&merged, &perm));
+                    let oracle = nested::build(&merged, &perm, &team, SortVariant::AllOpts);
+                    nested::assert_equivalent(&got, &oracle);
+                    // adding each cell's deltas in reverse batch order
+                    let bits = |c: &Csf| c.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    caught |= bits(&old.merged(&reversed)) != bits(&got);
+                }
+                // the set: merged where the level order held, built where not
+                let resident = CsfSet::build(&base, alloc, &team, SortVariant::AllOpts);
+                let (set, n) = CsfSet::merged(
+                    Some(&resident),
+                    &merged,
+                    &delta,
+                    alloc,
+                    &team,
+                    SortVariant::AllOpts,
+                );
+                let want = CsfSet::build(&merged, alloc, &team, SortVariant::AllOpts);
+                assert_eq!(set.csfs().len(), want.csfs().len());
+                for (got, want) in set.csfs().iter().zip(want.csfs()) {
+                    assert_same(got, want);
+                }
+                let kept = CsfSet::level_orders(merged.dims(), alloc)
+                    .iter()
+                    .filter(|p| CsfSet::level_orders(base.dims(), alloc).contains(p))
+                    .count();
+                assert_eq!(n, kept);
+            }
+            cases.set(cases.get() + 1);
+            reverse_caught.set(reverse_caught.get() + u32::from(caught));
+        });
+        // the property tells batch order from its reverse
+        assert!(
+            reverse_caught.get() * 10 >= cases.get(),
+            "a reverse-order scatter passed {} of {} cases",
+            cases.get() - reverse_caught.get(),
+            cases.get()
+        );
     }
 
     #[test]

@@ -1420,13 +1420,16 @@ mod tests {
                 (vec![3, 2, 1], 4.0),
             ],
         );
+        use crate::csf::nested;
         let team = TaskTeam::new(2);
         for root in 0..t.order() {
             let mut perm: Vec<usize> = (0..t.order()).collect();
             perm.swap(0, root);
             let flat = Csf::build(&t, &perm, &team, SortVariant::AllOpts);
-            let nested = crate::csf::nested::build(&t, &perm, &team, SortVariant::AllOpts);
-            crate::csf::nested::assert_equivalent(&flat, &nested);
+            nested::assert_equivalent(
+                &flat,
+                &nested::build(&t, &perm, &team, SortVariant::AllOpts),
+            );
         }
         run_config(&t, 4, CsfAlloc::All, &MttkrpConfig::default(), 2);
     }

@@ -5,9 +5,9 @@
 //! sorts the tensor and refits from random factors — pays for the whole
 //! tensor and the whole log every time a few records arrive.
 //! [`RefreshEngine`] is the streaming driver whose round costs what the
-//! round's *delta* requires: reading it, three merges, the CSF
-//! assembly, a warm refit and the publish. Four moves, each giving the
-//! bits the batch pipeline gives:
+//! round's *delta* requires: reading it, merging it into the tensor and
+//! into each resident CSF, a warm refit and the publish. Four moves,
+//! each giving the bits the batch pipeline gives:
 //!
 //! 1. **Tail, don't re-scan** — the engine remembers the
 //!    [`WalPosition`] of the first record it has not applied and
@@ -27,17 +27,18 @@
 //!    the same way. [`MergeStats::compare_ops`] of the merge into the
 //!    resident tensor is the auditable cost evidence, surfaced in the
 //!    probe report's `refresh` row.
-//! 3. **Root orders kept alive** — for every CSF representation the
-//!    solver would build ([`CsfSet::level_orders`]) the engine keeps the
-//!    tensor with its modes permuted into that level order, and advances
-//!    the copy by the *same* merge on the permuted delta: a canonical
-//!    tensor in permuted modes is the tensor sorted for that root. The
-//!    solver is handed the set assembled from the copies
-//!    ([`CpalsRun::csf`]), so a warm round sorts nothing. The copies are
-//!    derived state: a representation the engine holds no copy for (the
-//!    first round; a level order that changed because merged deltas grew
-//!    a mode past another) is rebuilt from the merged tensor by
-//!    permute-and-sort, and says so in `sorts_skipped`.
+//! 3. **The resident CSFs are merged** — the engine keeps the
+//!    [`CsfSet`] it handed the last refit, and [`CsfSet::merged`] reads
+//!    the round's delta into each of its trees ([`Csf::merged`](crate::csf::Csf::merged):
+//!    untouched sibling runs copied, missing prefixes inserted, cells
+//!    accumulated as the tensor merge accumulates them, emptied fibers
+//!    dropped). The result is field for field the set
+//!    [`CsfSet::build`] sorts out of the merged tensor, and the solver
+//!    is handed it ([`CpalsRun::csf`]), so a warm round sorts nothing
+//!    and copies no tensor. A level order the engine holds no tree for
+//!    (the first round; one that changed because merged deltas grew a
+//!    mode past another) is built from the merged tensor by sorting,
+//!    and says so in `sorts_skipped`.
 //! 4. **Warm-start, don't restart** — the refit seeds
 //!    [`CpalsOptions::warm_start`] with the previous model, runs under a
 //!    [`GovernancePolicy`] (deadline / overrun ladder), and publishes
@@ -67,12 +68,10 @@
 //! redo round overwrites it atomically). No interleaving leaves a torn
 //! model or a watermark ahead of the data it claims.
 //!
-//! A round only *reads* the tensor — the merge produces a new one — and
-//! installs tensor, model, watermark and log position together after
-//! the commit, so a failed round leaves every one of them exactly as it
-//! was. The root copies are the exception, because they can be: a round
-//! consumes them as it advances them, and one that fails leaves none,
-//! which costs the next round the sorts and nothing else.
+//! A round only *reads* the tensor and the resident CSFs — the merges
+//! produce new ones — and installs tensor, CSFs, model, watermark and
+//! log position together after the commit, so a failed round leaves
+//! every one of them exactly as it was.
 //!
 //! The whole path threads an optional [`IoFaultPlan`], so the recovery
 //! storm test can crash a refresh at every injected I/O op and pin
@@ -95,7 +94,7 @@ use splatt_probe::RefreshRow;
 use splatt_store::{
     decode_delta, publish_artifact, DeltaEntry, Manifest, StoreError, Wal, WalPosition, WalRecord,
 };
-use splatt_tensor::{sort, MergeStats, SparseTensor};
+use splatt_tensor::{MergeStats, SparseTensor};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -223,15 +222,6 @@ pub struct RefreshOutcome {
     pub degradations: Vec<String>,
 }
 
-/// The resident tensor in one CSF representation's order: mode `l` of
-/// `leveled` is mode `perm[l]` of the tensor, and `leveled` is canonical
-/// — which is the tensor sorted by `perm`.
-#[derive(Debug)]
-struct RootOrder {
-    perm: Vec<usize>,
-    leveled: SparseTensor,
-}
-
 /// The online refresh driver. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct RefreshEngine {
@@ -239,8 +229,9 @@ pub struct RefreshEngine {
     opts: RefreshOptions,
     /// Canonical ([`SparseTensor::is_canonical`]) from `open` on.
     tensor: SparseTensor,
-    /// Derived from `tensor`; empty until the first round.
-    roots: Vec<RootOrder>,
+    /// The set [`CsfSet::build`] gives `tensor` under the solver's
+    /// allocation policy; `None` until the first round.
+    csf: Option<CsfSet>,
     model: Option<KruskalModel>,
     watermark: u64,
     round: u64,
@@ -325,7 +316,7 @@ impl RefreshEngine {
             dir: dir.to_path_buf(),
             opts,
             tensor,
-            roots: Vec::new(),
+            csf: None,
             model,
             watermark,
             round,
@@ -349,19 +340,22 @@ impl RefreshEngine {
     /// [`RefreshError::Store`].
     pub fn refresh_once(&mut self) -> Result<Option<RefreshOutcome>, RefreshError> {
         let plan = self.opts.plan.as_deref();
+        let since = |started: Instant| started.elapsed().as_nanos() as u64;
+        let started = Instant::now();
         let tail = Wal::tail(&self.dir, self.wal_pos, u64::MAX, plan)?;
         let Some(last) = tail.records.last() else {
             return Ok(None);
         };
         let new_watermark = last.seq + 1;
         let delta = decode_batch(&tail.records, self.tensor.order())?;
+        let tail_ns = since(started);
 
-        let merge_started = Instant::now();
+        let started = Instant::now();
         let (work, merge) = self.tensor.merged_canonical(&delta);
-        let merge_ns = merge_started.elapsed().as_nanos() as u64;
+        let merge_ns = since(started);
 
-        // Warm-started, governed refit on the CSF set assembled from the
-        // advanced root orders.
+        // The same delta merged into the resident CSFs (or, for a level
+        // order they do not hold, the merged tensor sorted).
         let mut cpals = self.opts.cpals.clone();
         let team = TaskTeam::with_config(
             cpals.ntasks,
@@ -369,15 +363,20 @@ impl RefreshEngine {
                 spin_count: cpals.spin_count,
             },
         );
-        // The resident copies are given up here, each freed as soon as
-        // its successor exists (a round would otherwise hold every order
-        // of the tensor twice); a round that fails leaves none, and the
-        // next one sorts.
-        let resident = std::mem::take(&mut self.roots);
-        let (roots, sorts_skipped) = self.advance_roots(resident, &work, &delta, &team);
+        let started = Instant::now();
+        let (csf, sorts_skipped) = CsfSet::merged(
+            self.csf.as_ref(),
+            &work,
+            &delta,
+            cpals.csf_alloc,
+            &team,
+            cpals.sort_variant,
+        );
+        let csf_ns = since(started);
         drop(delta);
-        let leveled: Vec<&SparseTensor> = roots.iter().map(|r| &r.leveled).collect();
-        let csf = CsfSet::from_level_sorted(cpals.csf_alloc, work.dims(), &leveled);
+
+        // Warm-started, governed refit on that set.
+        let started = Instant::now();
         cpals.warm_start = self
             .model
             .as_ref()
@@ -398,12 +397,13 @@ impl RefreshEngine {
         } else {
             0.0
         };
+        let refit_ns = since(started);
 
         // Publish: model artifact first, then the manifest commit point.
+        let started = Instant::now();
         let round = self.round + 1;
         let model_file = self.opts.model_file();
         let model_path = self.dir.join(&model_file);
-        let publish_started = Instant::now();
         let mut payload = Vec::new();
         save_model(&run.model, &mut payload).map_err(RefreshError::Model)?;
         publish_artifact(&model_path, round, &payload, plan)?;
@@ -414,7 +414,7 @@ impl RefreshEngine {
         manifest.set(KEY_REFRESH_MODEL, &model_file);
         manifest.set(KEY_REFRESH_ROUND, &round.to_string());
         manifest.publish(&self.dir, plan)?;
-        let publish_ns = publish_started.elapsed().as_nanos() as u64;
+        let publish_ns = since(started);
 
         // Committed: install the round's state and counters.
         let CpalsOutput {
@@ -426,7 +426,7 @@ impl RefreshEngine {
         let applied = tail.records.len() as u64;
         let entries = merge.delta_nnz as u64;
         self.tensor = work;
-        self.roots = roots;
+        self.csf = Some(csf);
         self.model = Some(model);
         self.watermark = new_watermark;
         self.round = round;
@@ -436,8 +436,11 @@ impl RefreshEngine {
         self.counters.entries_merged += entries;
         self.counters.merge_compare_ops += merge.compare_ops;
         self.counters.merge_ns += merge_ns;
-        self.counters.sorts_skipped += sorts_skipped;
+        self.counters.csf_ns += csf_ns;
+        self.counters.sorts_skipped += sorts_skipped as u64;
+        self.counters.tail_ns += tail_ns;
         self.counters.wal_bytes_scanned += tail.bytes_scanned;
+        self.counters.refit_ns += refit_ns;
         self.counters.refit_iterations += iterations as u64;
         self.counters.warm_fit = fit;
         self.counters.warm_fit_gap = warm_fit_gap;
@@ -456,46 +459,6 @@ impl RefreshEngine {
             model_path,
             degradations: run.degradations,
         }))
-    }
-
-    /// The root orders of `work` — the resident tensor with `delta`
-    /// merged in — and how many of them were advanced by merging the
-    /// permuted delta into their `resident` copy. The others (no copy
-    /// yet, or `work`'s dims order its levels differently) are `work`
-    /// permuted and sorted.
-    fn advance_roots(
-        &self,
-        mut resident: Vec<RootOrder>,
-        work: &SparseTensor,
-        delta: &[DeltaEntry],
-        team: &TaskTeam,
-    ) -> (Vec<RootOrder>, u64) {
-        let mut merged = 0;
-        let roots = CsfSet::level_orders(work.dims(), self.opts.cpals.csf_alloc)
-            .into_iter()
-            .map(|perm| {
-                let leveled = match resident.iter().position(|r| r.perm == perm) {
-                    Some(i) => {
-                        merged += 1;
-                        let permuted: Vec<DeltaEntry> = delta
-                            .iter()
-                            .map(|(coord, v)| (perm.iter().map(|&m| coord[m]).collect(), *v))
-                            .collect();
-                        let old = resident.swap_remove(i);
-                        old.leveled.merged_canonical(&permuted).0
-                    }
-                    None => {
-                        let mut leveled = work.permute_modes(&perm);
-                        let identity: Vec<usize> = (0..perm.len()).collect();
-                        let variant = self.opts.cpals.sort_variant;
-                        sort::sort_by_perm(&mut leveled, &identity, team, variant);
-                        leveled
-                    }
-                };
-                RootOrder { perm, leveled }
-            })
-            .collect();
-        (roots, merged)
     }
 
     /// The committed watermark (exclusive: WAL records with
@@ -759,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_round_changes_nothing_and_the_next_one_re_sorts() {
+    fn a_failed_round_changes_nothing_not_even_its_csfs() {
         let (batches, full) = planted_batches(3);
         let order = full.order();
         let append = |dir: &Path, batch: &Batch| {
@@ -783,31 +746,129 @@ mod tests {
         eng.opts.policy.deadline = Some(std::time::Duration::ZERO);
         let before = (eng.watermark(), eng.round(), eng.tensor().clone());
         let model = eng.model().cloned();
+        let csf = eng.csf.clone().expect("the first round built the set");
         let err = eng.refresh_once().unwrap_err();
         assert!(matches!(err, RefreshError::Solver(_)), "{err}");
         assert_eq!((eng.watermark(), eng.round()), (before.0, before.1));
         assert_eq!(eng.tensor(), &before.2);
         assert_eq!(eng.model(), model.as_ref());
         assert_eq!(eng.refresh_row().rounds, 1, "nothing counted");
-        assert!(eng.roots.is_empty(), "the round consumed the root copies");
+        assert_same_set(eng.csf.as_ref().unwrap(), &csf);
 
-        // the retry rebuilds them by sorting, and publishes what the twin
-        // publishes from copies it advanced by merging
+        // the retry merges into every resident tree, and publishes what
+        // the twin publishes
         eng.opts.policy.deadline = None;
         let skipped = eng.refresh_row().sorts_skipped;
         eng.refresh_once().unwrap().unwrap();
-        assert_eq!(eng.refresh_row().sorts_skipped, skipped);
+        let roots = csf.csfs().len() as u64;
+        assert_eq!(eng.refresh_row().sorts_skipped, skipped + roots);
         twin.refresh_once().unwrap().unwrap();
-        assert!(twin.refresh_row().sorts_skipped > skipped);
+        assert_eq!(
+            eng.refresh_row().sorts_skipped,
+            twin.refresh_row().sorts_skipped
+        );
         assert_eq!(eng.tensor(), twin.tensor());
         assert_eq!(eng.model(), twin.model());
-        // and from then on merges again
-        append(&dir, &batches[2]);
-        eng.refresh_once().unwrap().unwrap();
-        assert!(eng.refresh_row().sorts_skipped > skipped);
         for d in [dir, twin_dir] {
             std::fs::remove_dir_all(&d).ok();
         }
+    }
+
+    fn assert_same_set(got: &CsfSet, want: &CsfSet) {
+        assert_eq!(got.alloc(), want.alloc());
+        assert_eq!(got.csfs().len(), want.csfs().len());
+        for (got, want) in got.csfs().iter().zip(want.csfs()) {
+            crate::csf::tests::assert_same(got, want);
+        }
+    }
+
+    /// After every committed and every failed round the engine's resident
+    /// set is field for field the one `CsfSet::build` sorts out of its
+    /// tensor — through dims growth that keeps the level orders, growth
+    /// that changes them, and a delta that cancels a root slice.
+    #[test]
+    fn the_resident_set_is_always_a_rebuild() {
+        use crate::csf::CsfAlloc;
+        let (batches, full) = planted_batches(3);
+        let order = full.order();
+        for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+            let dir = temp_dir(&format!("resident_{alloc:?}"));
+            ingest(&dir, &batches[..1], order);
+            let mut opts = quick_opts();
+            opts.cpals.csf_alloc = alloc;
+            let mut eng = RefreshEngine::open(&dir, None, opts).unwrap();
+            let rebuilt = |eng: &RefreshEngine| {
+                let team = TaskTeam::new(1);
+                let want = CsfSet::build(eng.tensor(), alloc, &team, Default::default());
+                assert_same_set(eng.csf.as_ref().expect("a committed round"), &want);
+            };
+            eng.refresh_once().unwrap().unwrap();
+            rebuilt(&eng);
+
+            // dims [8, 7, 6] once the planted batches are in; then mode 0
+            // grows (the level orders hold), the slice 5 of the shortest
+            // mode cancels, and mode 1 grows past mode 0 (they change)
+            let slice: Batch = full
+                .canonical_entries()
+                .into_iter()
+                .filter(|(c, _)| c[2] == 5)
+                .map(|(c, v)| (c, -v))
+                .collect();
+            let rounds: [Batch; 5] = [
+                batches[1].clone(),
+                batches[2].clone(),
+                vec![(vec![10, 1, 1], 0.5), (vec![9, 0, 4], -1.5)],
+                slice,
+                vec![(vec![3, 14, 2], 2.0), (vec![0, 12, 0], 1.0)],
+            ];
+            for batch in &rounds {
+                let (mut wal, _r) = Wal::open(&dir, WalOptions::default()).unwrap();
+                wal.append(&encode_delta(order, batch)).unwrap();
+                wal.commit().unwrap();
+                drop(wal);
+                // a round that fails in the refit, after both merges
+                eng.opts.policy.deadline = Some(std::time::Duration::ZERO);
+                eng.refresh_once().unwrap_err();
+                rebuilt(&eng);
+                eng.opts.policy.deadline = None;
+                eng.refresh_once().unwrap().unwrap();
+                rebuilt(&eng);
+            }
+            assert_eq!(eng.tensor().dims(), &[11, 15, 6]);
+            assert!(!eng.tensor().ind(2).contains(&5), "the slice cancelled");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// The round split the engine counts: five disjoint stretches of a
+    /// round, so together never more than the rounds took.
+    #[test]
+    fn the_round_split_never_sums_past_the_rounds() {
+        let dir = temp_dir("split");
+        let (batches, full) = planted_batches(3);
+        ingest(&dir, &batches[..1], full.order());
+        let mut eng = RefreshEngine::open(&dir, None, quick_opts()).unwrap();
+        let mut wall = 0u64;
+        for (i, batch) in batches.iter().enumerate() {
+            if i > 0 {
+                ingest(&dir, std::slice::from_ref(batch), full.order());
+            }
+            let started = Instant::now();
+            eng.refresh_once().unwrap().unwrap();
+            assert!(eng.refresh_once().unwrap().is_none());
+            wall += started.elapsed().as_nanos() as u64;
+        }
+        let row = eng.refresh_row();
+        let split = [
+            row.tail_ns,
+            row.merge_ns,
+            row.csf_ns,
+            row.refit_ns,
+            row.publish_ns,
+        ];
+        assert!(split.iter().all(|&ns| ns > 0), "{row:?}");
+        assert!(split.iter().sum::<u64>() <= wall, "{split:?} > {wall}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -333,14 +333,23 @@ counter_set! {
         merge_compare_ops,
         /// Nanoseconds spent merging deltas into the resident tensor.
         merge_ns,
+        /// Nanoseconds spent producing the CSF set each refit runs on:
+        /// merging the round's delta into the resident trees, or sorting
+        /// the merged tensor for a level order the engine held none of.
+        csf_ns,
         /// CSF roots handed to the solver without sorting the tensor:
-        /// the engine advanced its resident copy in that root's order by
-        /// merging the round's delta into it.
+        /// the engine merged the round's delta into its resident tree of
+        /// that level order.
         sorts_skipped,
+        /// Nanoseconds spent reading and decoding the WAL tail.
+        tail_ns,
         /// Framed bytes of the WAL records the rounds read: the log is
         /// tailed from the first unapplied record, so a round's share is
         /// the size of its own records, however long the log before them.
         wal_bytes_scanned,
+        /// Nanoseconds spent in the warm-started refits (and their cold
+        /// audits, when requested).
+        refit_ns,
         /// ALS iterations across all warm-started refits.
         refit_iterations => warm_fit => warm_fit_gap,
         /// Nanoseconds spent publishing (model artifact + manifest + registry).

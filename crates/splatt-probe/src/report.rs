@@ -21,15 +21,16 @@ use std::fmt::Write as _;
 
 /// Version tag embedded in every JSON profile. Bump only with a schema
 /// change; tests pin the current value and a golden document
-/// (`testdata/profile_v13.json`) pins every key and its order. What
+/// (`testdata/profile_v14.json`) pins every key and its order. What
 /// each version added: v2 `faults`; v3 `guard`; v4 `alloc.kernel_scratch_*`;
 /// v5 `serve`; v6 a `dispatch` array, removed again in v11 with the
 /// second tensor format it reported on; v7 `serve.shards`; v8 `store`;
 /// v9 `refresh`; v10 `serve.net`; v12 PR 21's two path counters (in
 /// `serve` the requests computed on their caller, in `serve.net` the
 /// frames answered on the reactor thread); v13
-/// `refresh.wal_bytes_scanned`.
-pub const PROFILE_SCHEMA: &str = "splatt-profile-v13";
+/// `refresh.wal_bytes_scanned`; v14 the refresh round's split,
+/// `refresh.{tail,csf,refit}_ns`.
+pub const PROFILE_SCHEMA: &str = "splatt-profile-v14";
 
 /// One row of the per-routine table (label from `splatt_par::Routine`).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -430,7 +431,7 @@ mod tests {
     use crate::tasks::ThreadLoadRow;
 
     /// Every section present, two query kinds, two shards, a net row:
-    /// the report whose JSON `testdata/profile_v13.json` pins.
+    /// the report whose JSON `testdata/profile_v14.json` pins.
     fn sample() -> ProfileReport {
         let mut span = SpanNode::leaf("cpd", 2_000_000);
         span.push(SpanNode::leaf("iteration 0", 1_900_000));
@@ -573,8 +574,11 @@ mod tests {
                 entries_merged: 480,
                 merge_compare_ops: 5200,
                 merge_ns: 1_500_000,
+                csf_ns: 3_600_000,
                 sorts_skipped: 9,
+                tail_ns: 450_000,
                 wal_bytes_scanned: 61_440,
+                refit_ns: 4_200_000,
                 refit_iterations: 15,
                 publish_ns: 800_000,
                 watermark: 12,
@@ -591,7 +595,7 @@ mod tests {
     #[test]
     fn json_is_byte_identical_to_the_committed_golden() {
         let json = sample().to_json();
-        assert_eq!(json, include_str!("../testdata/profile_v13.json"));
+        assert_eq!(json, include_str!("../testdata/profile_v14.json"));
         let doc = json::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(PROFILE_SCHEMA));
     }
@@ -666,8 +670,8 @@ mod tests {
         assert!(text.contains("    net: accepted 10500, connections_open 9800,"));
         assert!(text.contains("  store: wal_appends 120, wal_commits 30,"));
         assert!(text.contains("  refresh: rounds 3, deltas_applied 12,"));
-        assert!(text.contains("wal_bytes_scanned 61440, refit_iterations 15,\n"));
-        assert!(text.contains("warm_fit 0.998765, warm_fit_gap 0.000000042, publish_ns 800000,"));
+        assert!(text.contains("refit_ns 4200000, refit_iterations 15, warm_fit 0.998765,\n"));
+        assert!(text.contains("warm_fit_gap 0.000000042, publish_ns 800000, watermark 12"));
         for line in text.lines() {
             assert!(line.len() <= TEXT_WIDTH || !line.contains(", "), "{line}");
         }

@@ -50,7 +50,7 @@ impl Manifest {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut text = String::from(MANIFEST_HEADER);
         text.push('\n');
         for (k, v) in &self.entries {
@@ -62,22 +62,29 @@ impl Manifest {
         text.into_bytes()
     }
 
-    fn decode(generation: u64, payload: &[u8], path: &Path) -> Result<Manifest, StoreError> {
+    /// The inverse of [`Manifest::encode`] and no more lenient: the
+    /// header line, then `key=value` lines, every line `'\n'`-terminated
+    /// and none empty — so a value keeps a trailing `'\r'`, and whatever
+    /// decodes re-encodes to the same bytes. Anything else is
+    /// [`StoreError::Corrupt`].
+    pub(crate) fn decode(
+        generation: u64,
+        payload: &[u8],
+        path: &Path,
+    ) -> Result<Manifest, StoreError> {
         let corrupt = || StoreError::Corrupt {
             path: path.to_path_buf(),
             offset: 0,
             defect: FrameDefect::BadMagic,
         };
         let text = std::str::from_utf8(payload).map_err(|_| corrupt())?;
-        let mut lines = text.lines();
+        let body = text.strip_suffix('\n').ok_or_else(corrupt)?;
+        let mut lines = body.split('\n');
         if lines.next() != Some(MANIFEST_HEADER) {
             return Err(corrupt());
         }
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(body.matches('\n').count());
         for line in lines {
-            if line.is_empty() {
-                continue;
-            }
             let (k, v) = line.split_once('=').ok_or_else(corrupt)?;
             entries.push((k.to_string(), v.to_string()));
         }
@@ -166,6 +173,45 @@ mod tests {
         match Manifest::load(&dir, None) {
             Err(StoreError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Regression: `decode` split with `str::lines`, which eats a `'\r'`
+    /// before each `'\n'` — a refresh engine reopened on this store read
+    /// its model from `model.splatt` instead of `model.splatt\r`.
+    #[test]
+    fn a_value_ending_in_carriage_return_comes_back_with_it() {
+        let dir = tmpdir();
+        let mut m = Manifest::default();
+        m.set("refresh_model", "model.splatt\r");
+        m.publish(&dir, None).expect("publish");
+        let loaded = Manifest::load(&dir, None).expect("load").expect("some");
+        assert_eq!(loaded.get("refresh_model"), Some("model.splatt\r"));
+    }
+
+    #[test]
+    fn only_what_encode_writes_decodes() {
+        let path = Path::new("MANIFEST.splatt");
+        let decode = |text: &str| Manifest::decode(1, text.as_bytes(), path);
+        let header = MANIFEST_HEADER;
+        for good in [format!("{header}\n"), format!("{header}\nk=v\n=\na==b\n")] {
+            let m = decode(&good).expect(&good);
+            assert_eq!(m.encode(), good.as_bytes());
+        }
+        for bad in [
+            String::new(),
+            header.to_string(),             // no final newline
+            format!("{header}\nk=v"),       // no final newline
+            format!("{header}\nk=v\n\n"),   // a blank line
+            format!("{header}\n\nk=v\n"),   // a blank line
+            format!("{header}\r\nk=v\r\n"), // CRLF
+            format!("{header}\nk\n"),       // no '='
+            "splatt-manifest-v0\nk=v\n".to_string(),
+        ] {
+            assert!(
+                matches!(decode(&bad), Err(StoreError::Corrupt { .. })),
+                "{bad:?}"
+            );
         }
     }
 

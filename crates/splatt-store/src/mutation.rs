@@ -1,8 +1,11 @@
 //! Mutation test over the bytes the disk controls: a frame through
 //! [`parse_frame_at`] and a delta payload through [`decode_delta`] —
 //! what WAL recovery runs on whatever a crash, a torn write or a bad
-//! sector left behind. The store slice of the harness
-//! `splatt-serve/src/wire_mutation.rs` runs over the wire decoders.
+//! sector left behind — and an artifact file through
+//! [`unwrap_artifact`] with the manifest inside it through
+//! [`Manifest::decode`], what every store open reads first. The store
+//! slice of the harness `splatt-serve/src/wire_mutation.rs` runs over
+//! the wire decoders.
 //!
 //! Start from a valid encoding (fields drawn by `splatt_rt::qc`) and
 //! take its [`Gen::byte_mutants`] — truncations, inversions, bit flips,
@@ -12,25 +15,37 @@
 //!
 //! - no panic (`qc::check` turns one into a failure naming the seed);
 //! - the decoder returns a typed [`FrameDefect`] / [`DeltaDecodeError`]
-//!   or a value that re-encodes to exactly the bytes it was read from
-//!   (for a frame, the bytes up to the offset the parse returns: frames
-//!   are read back to back);
+//!   / [`StoreError::Corrupt`] or a value that re-encodes to exactly the
+//!   bytes it was read from (for a frame, the bytes up to the offset the
+//!   parse returns: frames are read back to back);
 //! - no call requests more heap than a stated multiple of the bytes
 //!   present ([`splatt_probe::alloc::CountingAlloc`], per thread).
 
+use crate::atomic::unwrap_artifact;
 use crate::delta::{decode_delta, encode_delta, DeltaDecodeError, DeltaEntry};
-use crate::frame::{encode_frame, parse_frame_at, FrameDefect, FRAME_HEADER_LEN};
+use crate::error::StoreError;
+use crate::frame::{
+    encode_frame, encode_frame_into, parse_frame_at, Frame, FrameDefect, ARTIFACT_MAGIC,
+    FRAME_HEADER_LEN,
+};
+use crate::manifest::Manifest;
 use splatt_probe::alloc::heap_of;
 use splatt_rt::qc::{self, Gen};
+use std::path::Path;
 
 /// Heap [`parse_frame_at`] may request per byte present: the CRC input
-/// and the returned payload are one copy of the payload each.
+/// and the returned payload are one copy of the payload each — and
+/// [`unwrap_artifact`], which adds the file magic and no copy.
 const FRAME_HEAP_FACTOR: u64 = 2;
 /// … and [`decode_delta`]: an entry is `4·order + 8` wire bytes and
 /// decodes to a 32-byte `(Vec<u32>, f64)` slot plus `4·order` bytes of
 /// coordinates — `(32 + 4·order) / (8 + 4·order)` ≤ 3, at order 1.
 const DELTA_HEAP_FACTOR: u64 = 3;
-/// … plus this much for what does not scale (an error's message).
+/// … and [`Manifest::decode`]: an entry line is at least the 2 bytes
+/// `=\n` and decodes to a 48-byte `(String, String)` slot plus at most
+/// its own bytes — ≤ 24 + 1 per byte, at `=\n`.
+const MANIFEST_HEAP_FACTOR: u64 = 25;
+/// … plus this much for what does not scale (an error's message or path).
 const HEAP_SLACK: u64 = 256;
 
 fn check_frame_mutant(m: &[u8]) -> Result<(), FrameDefect> {
@@ -65,6 +80,54 @@ fn check_delta_mutant(m: &[u8]) -> Result<(), DeltaDecodeError> {
         "decode then encode changed the bytes of {entries:?}"
     );
     Ok(())
+}
+
+fn check_artifact_mutant(m: &[u8]) -> Result<Frame, StoreError> {
+    let (unwrapped, heap) = heap_of(|| unwrap_artifact(m, Path::new("a.splatt")));
+    assert!(
+        heap <= FRAME_HEAP_FACTOR * m.len() as u64 + HEAP_SLACK,
+        "unwrap_artifact asked for {heap} B for {} B: {m:?}",
+        m.len()
+    );
+    let frame = unwrapped.inspect_err(|e| assert!(matches!(e, StoreError::Corrupt { .. })))?;
+    let mut again = ARTIFACT_MAGIC.to_vec();
+    encode_frame_into(&mut again, frame.generation, &frame.payload);
+    assert_eq!(
+        again, m,
+        "unwrap then publish changed the bytes of {frame:?}"
+    );
+    Ok(frame)
+}
+
+fn check_manifest_mutant(m: &[u8]) -> Result<(), StoreError> {
+    let (decoded, heap) = heap_of(|| Manifest::decode(1, m, Path::new("MANIFEST.splatt")));
+    assert!(
+        heap <= MANIFEST_HEAP_FACTOR * m.len() as u64 + HEAP_SLACK,
+        "Manifest::decode asked for {heap} B for {} B: {m:?}",
+        m.len()
+    );
+    let manifest = decoded.inspect_err(|e| assert!(matches!(e, StoreError::Corrupt { .. })))?;
+    assert_eq!(
+        manifest.encode(),
+        m,
+        "decode then encode changed the bytes of {manifest:?}"
+    );
+    Ok(())
+}
+
+/// A valid manifest: the refresh engine's keys and others, values
+/// empty, numeric, holding `=`, multi-byte, or ending in `'\r'`.
+fn manifest_of(g: &mut Gen) -> Manifest {
+    let mut m = Manifest::default();
+    for _ in 0..*g.choose(&[0usize, 1, 3, 6]) {
+        let key = *g.choose(&["order", "refresh_seq", "refresh_model", "k", ""]);
+        let drawn = g.u64().to_string();
+        let value = g
+            .choose(&["", "3", "model.splatt\r", "a=b", "über", drawn.as_str()])
+            .to_string();
+        m.set(key, &value);
+    }
+    m
 }
 
 /// A valid batch: orders 1 (the heap bound's worst case) to 5, sometimes
@@ -114,6 +177,36 @@ fn mutated_frames_and_deltas_decode_typed_bounded_and_never_panic() {
         for m in g.byte_mutants(&frame, &[(0, 4), (4, 8), (12, 4), (16, 4)]) {
             if check_frame_mutant(&m).is_ok() {
                 assert!(m.starts_with(&frame), "a damaged frame parsed: {m:?}");
+            }
+        }
+    });
+}
+
+#[test]
+fn mutated_artifacts_and_manifests_decode_typed_bounded_and_never_panic() {
+    qc::check("artifact + manifest mutants", 48, |g| {
+        let payload = manifest_of(g).encode();
+        // No integer fields; a mutant that decodes is another manifest
+        // (a prefix ending on a line, a changed key or value byte) and
+        // must re-encode to itself.
+        let decoded = g
+            .byte_mutants(&payload, &[])
+            .iter()
+            .filter(|m| check_manifest_mutant(m).is_ok())
+            .count();
+        assert!(decoded >= 1, "the unmutated manifest decodes");
+
+        // The file `Manifest::publish` writes: file magic, then one frame
+        // (magic, generation, length, CRC). Nothing damaged unwraps —
+        // not even with a byte after it — and what unwraps decodes.
+        let drawn = g.u64();
+        let mut artifact = ARTIFACT_MAGIC.to_vec();
+        encode_frame_into(&mut artifact, *g.choose(&[0, 1, drawn, u64::MAX]), &payload);
+        let fields = [(0, 8), (8, 4), (12, 8), (20, 4), (24, 4)];
+        for m in g.byte_mutants(&artifact, &fields) {
+            if let Ok(frame) = check_artifact_mutant(&m) {
+                assert_eq!(m, artifact, "a damaged artifact unwrapped");
+                check_manifest_mutant(&frame.payload).expect("the manifest inside");
             }
         }
     });

@@ -30,6 +30,131 @@ pub struct MergeStats {
     pub base_was_canonical: bool,
 }
 
+/// A delta batch sorted by coordinate in one mode order — the sort both
+/// incremental merges run: [`SparseTensor::merged_canonical`] in the
+/// tensor's own mode order, `Csf::merged` (in `splatt-core`) in a
+/// tree's level order.
+///
+/// The entries are ordered by a stable `sort_by`: ties keep batch order,
+/// so a cell's deltas accumulate left to right. Where a coordinate's
+/// indices — each in the bits its position's extent needs — and the
+/// entry's index fit in 64 bits together, the sort runs over one `u64`
+/// per entry (coordinate above index) and compares the coordinate bits
+/// in place; else it runs over entry indices and compares the
+/// coordinates through them. Either way it sorts one 8-byte item per
+/// entry and each comparison has the outcome the entries' `Vec<u32>`s
+/// would give, so the comparisons — and [`SortedBatch::compare_ops`] —
+/// are those of sorting entry indices by their `Vec`s, in the memory
+/// that takes.
+#[derive(Debug, Clone)]
+pub struct SortedBatch<'a> {
+    entries: &'a [(Vec<u32>, f64)],
+    modes: Vec<usize>,
+    /// Entry indices in sorted order.
+    sorted: Vec<usize>,
+    /// One past the largest index at each position (0 when empty).
+    extent: Vec<usize>,
+    compare_ops: u64,
+}
+
+impl<'a> SortedBatch<'a> {
+    /// Sort `entries` by their coordinates read in the mode order
+    /// `modes`: position `l` of a sorted coordinate is mode `modes[l]`.
+    ///
+    /// # Panics
+    /// Panics if any entry's coordinate arity differs from `modes.len()`.
+    pub fn new(entries: &'a [(Vec<u32>, f64)], modes: &[usize]) -> Self {
+        let mut extent = vec![0usize; modes.len()];
+        for (coord, _) in entries {
+            assert_eq!(coord.len(), modes.len(), "delta entry arity mismatch");
+            for (e, &m) in extent.iter_mut().zip(modes) {
+                *e = (*e).max(coord[m] as usize + 1);
+            }
+        }
+        // bits that hold every value below `n`
+        let bits = |n: usize| usize::BITS - n.saturating_sub(1).leading_zeros();
+        let widths: Vec<u32> = extent.iter().map(|&e| bits(e)).collect();
+        let index_bits = bits(entries.len());
+        let mut compare_ops: u64 = 0;
+        let sorted = if widths.iter().sum::<u32>() + index_bits <= u64::BITS {
+            let mut packed: Vec<u64> = entries
+                .iter()
+                .enumerate()
+                .map(|(x, (coord, _))| {
+                    let key = modes
+                        .iter()
+                        .zip(&widths)
+                        .fold(0u64, |k, (&m, &w)| (k << w) | u64::from(coord[m]));
+                    (key << index_bits) | x as u64
+                })
+                .collect();
+            packed.sort_by(|a, b| {
+                compare_ops += 1;
+                (a >> index_bits).cmp(&(b >> index_bits))
+            });
+            let index = (1u64 << index_bits) - 1;
+            packed.into_iter().map(|p| (p & index) as usize).collect()
+        } else {
+            let key = |x: usize| modes.iter().map(move |&m| entries[x].0[m]);
+            let mut sorted: Vec<usize> = (0..entries.len()).collect();
+            sorted.sort_by(|&a, &b| {
+                compare_ops += 1;
+                key(a).cmp(key(b))
+            });
+            sorted
+        };
+        SortedBatch {
+            entries,
+            modes: modes.to_vec(),
+            sorted,
+            extent,
+            compare_ops,
+        }
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// `true` for an empty batch.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.sorted.is_empty()
+    }
+
+    /// The `i`-th entry in sorted order, as the batch holds it.
+    #[inline]
+    pub fn entry(&self, i: usize) -> &'a (Vec<u32>, f64) {
+        &self.entries[self.sorted[i]]
+    }
+
+    /// Position `l` of the `i`-th coordinate in sorted order: its index
+    /// in mode `modes[l]`.
+    #[inline]
+    pub fn index(&self, i: usize, l: usize) -> u32 {
+        self.entry(i).0[self.modes[l]]
+    }
+
+    /// The value of the `i`-th entry in sorted order.
+    #[inline]
+    pub fn value(&self, i: usize) -> f64 {
+        self.entry(i).1
+    }
+
+    /// One past the largest index at each position of the mode order:
+    /// the dims the batch needs (0 everywhere for an empty batch).
+    pub fn extent(&self) -> &[usize] {
+        &self.extent
+    }
+
+    /// Coordinate comparisons the sort made.
+    pub fn compare_ops(&self) -> u64 {
+        self.compare_ops
+    }
+}
+
 /// An order-`N` sparse tensor in coordinate (COO) format.
 ///
 /// Duplicate coordinates are permitted (their values add, matching the
@@ -272,7 +397,8 @@ impl SparseTensor {
     /// round (the refresh engine: every output of this function is
     /// canonical) saves over the public entry point.
     ///
-    /// Each distinct batch coordinate is located in the base by a
+    /// The batch is sorted as a [`SortedBatch`]. Each distinct batch
+    /// coordinate is then located in the base by a
     /// galloping search from the previous one (probes at distance 1, 2,
     /// 4, … then a bisection: `O(log gap)` comparisons, at most one more
     /// than a linear scan of the gap), and the base entries between two
@@ -285,23 +411,19 @@ impl SparseTensor {
     pub fn merged_canonical(&self, entries: &[(Vec<u32>, f64)]) -> (SparseTensor, MergeStats) {
         debug_assert!(self.is_canonical(), "base must be canonical");
         let order = self.order();
-        let mut dims = self.dims.clone();
-        for (coord, _) in entries {
-            assert_eq!(coord.len(), order, "delta entry arity mismatch");
-            for (d, &i) in dims.iter_mut().zip(coord) {
-                *d = (*d).max(i as usize + 1);
-            }
-        }
-        let mut compare_ops: u64 = 0;
         // Stable sort of the batch by coordinate: ties keep batch order,
         // so duplicate deltas to one cell accumulate left-to-right.
-        let mut dperm: Vec<usize> = (0..entries.len()).collect();
-        dperm.sort_by(|&a, &b| {
-            compare_ops += 1;
-            entries[a].0.cmp(&entries[b].0)
-        });
+        let identity: Vec<usize> = (0..order).collect();
+        let batch = SortedBatch::new(entries, &identity);
+        let dims = self
+            .dims
+            .iter()
+            .zip(batch.extent())
+            .map(|(&d, &e)| d.max(e))
+            .collect();
+        let mut compare_ops = batch.compare_ops();
         let n = self.nnz();
-        let dn = entries.len();
+        let dn = batch.len();
         let mut inds: Vec<Vec<u32>> = vec![Vec::with_capacity(n + dn); order];
         let mut vals: Vec<f64> = Vec::with_capacity(n + dn);
         let copy_run = |inds: &mut [Vec<u32>], vals: &mut Vec<f64>, run: std::ops::Range<usize>| {
@@ -312,18 +434,18 @@ impl SparseTensor {
         };
         let (mut bi, mut di) = (0usize, 0usize);
         while di < dn {
-            let (coord, first) = (entries[dperm[di]].0.as_slice(), entries[dperm[di]].1);
+            let coord = batch.entry(di).0.as_slice();
             let (at, present) = self.gallop(bi, coord, &mut compare_ops);
             copy_run(&mut inds, &mut vals, bi..at);
             bi = at + usize::from(present);
             let mut acc = if present { self.vals[at] } else { 0.0 };
-            acc += first;
+            acc += batch.value(di);
             di += 1;
             while di < dn && {
                 compare_ops += 1;
-                entries[dperm[di]].0 == coord
+                batch.entry(di).0 == coord
             } {
-                acc += entries[dperm[di]].1;
+                acc += batch.value(di);
                 di += 1;
             }
             if acc != 0.0 {
@@ -844,6 +966,54 @@ mod tests {
             );
             if layout != 2 {
                 assert!(stats.compare_ops <= expect.compare_ops);
+            }
+        });
+    }
+
+    #[test]
+    fn the_flat_sort_compares_like_the_entry_sort_in_any_mode_order() {
+        use splatt_rt::qc;
+        qc::check("SortedBatch == stable sort of the entries", 64, |g| {
+            let order = g.usize_in(2..6);
+            let modes = g.permutation(order);
+            // 32-bit indices at two positions do not pack into 64 bits;
+            // batches past the sort's small-input thresholds too
+            let wide = g.bool();
+            let small = g.usize_in(0..60);
+            let len = *g.choose(&[small, 700, 3000]);
+            let entries: Vec<(Vec<u32>, f64)> = (0..len)
+                .map(|i| {
+                    let coord = (0..order).map(|_| match wide {
+                        true => *g.choose(&[0, 1, 2, u32::MAX]),
+                        false => g.range(0..5u32),
+                    });
+                    (coord.collect(), i as f64)
+                })
+                .collect();
+            let batch = SortedBatch::new(&entries, &modes);
+            // the sort `merged_canonical` ran before: an index vector
+            // ordered by comparing the entries' own `Vec`s
+            let permuted: Vec<Vec<u32>> = entries
+                .iter()
+                .map(|(c, _)| modes.iter().map(|&m| c[m]).collect())
+                .collect();
+            let mut ops = 0u64;
+            let mut expect: Vec<usize> = (0..entries.len()).collect();
+            expect.sort_by(|&a, &b| {
+                ops += 1;
+                permuted[a].cmp(&permuted[b])
+            });
+            assert_eq!(batch.compare_ops(), ops);
+            assert_eq!(batch.len(), expect.len());
+            for (i, &x) in expect.iter().enumerate() {
+                assert_eq!(batch.entry(i), &entries[x]);
+                for (l, &c) in permuted[x].iter().enumerate() {
+                    assert_eq!(batch.index(i, l), c);
+                }
+            }
+            for (l, &m) in modes.iter().enumerate() {
+                let most = entries.iter().map(|(c, _)| c[m] as usize + 1).max();
+                assert_eq!(batch.extent()[l], most.unwrap_or(0));
             }
         });
     }

@@ -24,7 +24,7 @@ pub mod sort;
 pub mod stats;
 pub mod synth;
 
-pub use coo::{MergeStats, SparseTensor};
+pub use coo::{MergeStats, SortedBatch, SparseTensor};
 pub use sort::SortVariant;
 pub use stats::TensorStats;
 pub use synth::DatasetShape;

@@ -67,52 +67,6 @@ fn csf_roundtrips_coo() {
     });
 }
 
-/// A random tensor of the given order (dims 1..=8 per mode, duplicate
-/// coordinates allowed; ~1 case in 5 is empty or a singleton).
-fn gen_tensor_of_order(g: &mut Gen, order: usize) -> SparseTensor {
-    let dims: Vec<usize> = (0..order).map(|_| g.usize_in(1..9)).collect();
-    let nnz = match g.usize_in(0..10) {
-        0 => 0,
-        1 => 1,
-        _ => g.usize_in(2..150),
-    };
-    let mut t = SparseTensor::new(dims.clone());
-    for _ in 0..nnz {
-        let coord: Vec<u32> = dims.iter().map(|&d| g.usize_in(0..d) as u32).collect();
-        t.push(&coord, g.f64_in(-5.0, 5.0));
-    }
-    t
-}
-
-/// The flat-slab CSF must agree with the pre-refactor nested-`Vec`
-/// construction level by level, and round-trip back to COO, for every
-/// allocation policy, orders 3 through 5, including empty and singleton
-/// tensors and tensors with duplicate coordinates.
-#[test]
-fn flat_csf_matches_nested_oracle_and_roundtrips() {
-    qc::check("flat csf vs nested oracle", 48, |g| {
-        let order = g.usize_in(3..6);
-        let t = gen_tensor_of_order(g, order);
-        let team = TaskTeam::new(g.usize_in(1..4));
-        for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
-            let set = CsfSet::build(&t, alloc, &team, SortVariant::AllOpts);
-            for csf in set.csfs() {
-                let oracle = splatt::core::csf::nested::build(
-                    &t,
-                    csf.dim_perm(),
-                    &team,
-                    SortVariant::AllOpts,
-                );
-                splatt::core::csf::nested::assert_equivalent(csf, &oracle);
-                assert_eq!(csf.nnz(), t.nnz());
-                if t.nnz() > 0 {
-                    assert_eq!(csf.to_coo().canonical_entries(), t.canonical_entries());
-                }
-            }
-        }
-    });
-}
-
 #[test]
 fn mttkrp_matches_reference() {
     qc::check("mttkrp matches coo oracle", 64, |g| {
