@@ -19,6 +19,7 @@
 //! verifies the frame checksum before parsing; a file without the
 //! artifact magic is rejected typed, never handed to the text parser.
 
+use crate::kruskal::with_claimed_capacity;
 use splatt_dense::Matrix;
 use splatt_store::StoreError;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -86,7 +87,9 @@ pub struct Checkpoint {
     pub factors: Vec<Matrix>,
 }
 
-fn hex_line<'a>(
+/// One line of space-separated `f64` bit patterns (16 hex digits each):
+/// the value encoding of checkpoints and bit-exact model files.
+pub(crate) fn hex_line<'a>(
     out: &mut impl Write,
     values: impl Iterator<Item = &'a f64>,
 ) -> std::io::Result<()> {
@@ -206,7 +209,7 @@ impl Checkpoint {
         let lambda = parse_hex_line(&next(&mut lineno)?, lineno, rank)?;
         let fits = parse_hex_line(&next(&mut lineno)?, lineno, nfits)?;
 
-        let mut factors = Vec::with_capacity(order);
+        let mut factors = with_claimed_capacity(order);
         for _ in 0..order {
             let head = next(&mut lineno)?;
             let parts: Vec<&str> = head.split_whitespace().collect();
@@ -230,10 +233,7 @@ impl Checkpoint {
                     message: format!("factor has {cols} columns but rank is {rank}"),
                 });
             }
-            // Cap the up-front reservation: `rows` comes from untrusted
-            // bytes, and a corrupt header must produce a Parse error at
-            // the first missing line, not an allocation bomb here.
-            let mut data = Vec::with_capacity(rows.saturating_mul(cols).min(1 << 22));
+            let mut data = with_claimed_capacity(rows.saturating_mul(cols));
             for _ in 0..rows {
                 data.extend(parse_hex_line(&next(&mut lineno)?, lineno, cols)?);
             }

@@ -4,6 +4,18 @@ use crate::reference::kruskal_value;
 use splatt_dense::Matrix;
 use splatt_tensor::SparseTensor;
 
+/// Most elements a model decoder reserves on the word of a count it read
+/// from untrusted bytes (an order, a row count).
+const RESERVE_CAP: usize = 1 << 8;
+
+/// An empty vector for `claimed` elements, a count read from untrusted
+/// bytes: at most [`RESERVE_CAP`] are reserved up front and the rest grow
+/// as the values arrive, so a crafted header fails at its first missing
+/// line instead of reserving what the bytes present could never fill.
+pub(crate) fn with_claimed_capacity<T>(claimed: usize) -> Vec<T> {
+    Vec::with_capacity(claimed.min(RESERVE_CAP))
+}
+
 /// A rank-`R` Kruskal tensor: weights `lambda` and one column-normalized
 /// factor matrix per mode. The modeled value at coordinate `(i_1..i_N)` is
 /// `sum_r lambda[r] * prod_m factors[m][i_m][r]`.
@@ -123,7 +135,7 @@ impl KruskalModel {
             return Err(bad("lambda length does not match rank"));
         }
 
-        let mut factors = Vec::with_capacity(order);
+        let mut factors = with_claimed_capacity(order);
         for _ in 0..order {
             let head = next()?;
             let parts: Vec<&str> = head.split_whitespace().collect();
@@ -135,7 +147,7 @@ impl KruskalModel {
             if cols != rank {
                 return Err(bad("factor columns do not match rank"));
             }
-            let mut data = Vec::with_capacity(rows * cols);
+            let mut data = with_claimed_capacity(rows.saturating_mul(cols));
             for _ in 0..rows {
                 let line = next()?;
                 let before = data.len();

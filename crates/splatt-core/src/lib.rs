@@ -45,14 +45,21 @@ mod diagnostics;
 mod governed;
 mod kruskal;
 mod model_file;
+#[cfg(test)]
+mod mutation;
 mod options;
 pub mod query;
 pub mod refresh;
-mod sgd;
 mod tiling;
 
 pub mod mttkrp;
 pub mod reference;
+
+/// The unit tests count their heap requests: the mutation test asserts
+/// an allocation bound per decoded model file.
+#[cfg(test)]
+#[global_allocator]
+static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingAlloc;
 
 pub use ccd::{tensor_complete_ccd, CcdOptions};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_HEADER};
@@ -71,5 +78,4 @@ pub use query::{QueryArena, QueryError};
 pub use refresh::{
     RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome, REFRESH_MODEL_FILE,
 };
-pub use sgd::{tensor_complete_sgd, SgdOptions};
 pub use tiling::TiledCsf;

@@ -15,8 +15,8 @@
 //! *not* bit-exact) — so `splatt export-model` and `splatt serve` accept
 //! whatever a pipeline already has on disk.
 
-use crate::checkpoint::Checkpoint;
-use crate::kruskal::KruskalModel;
+use crate::checkpoint::{hex_line, Checkpoint};
+use crate::kruskal::{with_claimed_capacity, KruskalModel};
 use splatt_dense::Matrix;
 use std::io::{BufRead, BufReader, BufWriter, Error, ErrorKind, Read, Write};
 use std::path::Path;
@@ -26,21 +26,6 @@ pub const MODEL_HEADER: &str = "splatt-model-v1";
 
 fn bad(msg: impl Into<String>) -> Error {
     Error::new(ErrorKind::InvalidData, msg.into())
-}
-
-fn hex_line<'a>(
-    out: &mut impl Write,
-    values: impl Iterator<Item = &'a f64>,
-) -> std::io::Result<()> {
-    let mut first = true;
-    for v in values {
-        if !first {
-            write!(out, " ")?;
-        }
-        write!(out, "{:016x}", v.to_bits())?;
-        first = false;
-    }
-    writeln!(out)
 }
 
 fn parse_hex_line(line: &str, expect: usize) -> std::io::Result<Vec<f64>> {
@@ -104,7 +89,7 @@ pub fn load_model(r: impl Read) -> std::io::Result<KruskalModel> {
     let order: usize = parts[4].parse().map_err(|_| bad("bad order"))?;
 
     let lambda = parse_hex_line(&next()?, rank)?;
-    let mut factors = Vec::with_capacity(order);
+    let mut factors = with_claimed_capacity(order);
     for _ in 0..order {
         let head = next()?;
         let parts: Vec<&str> = head.split_whitespace().collect();
@@ -116,10 +101,7 @@ pub fn load_model(r: impl Read) -> std::io::Result<KruskalModel> {
         if cols != rank {
             return Err(bad(format!("factor has {cols} columns but rank is {rank}")));
         }
-        // Cap the up-front reservation: `rows` comes from untrusted
-        // bytes, and a corrupt header must fail at the first missing
-        // line, not reserve rows*cols floats here.
-        let mut data = Vec::with_capacity(rows.saturating_mul(cols).min(1 << 22));
+        let mut data = with_claimed_capacity(rows.saturating_mul(cols));
         for _ in 0..rows {
             data.extend(parse_hex_line(&next()?, cols)?);
         }
@@ -161,7 +143,11 @@ pub fn model_from_checkpoint(ckpt: Checkpoint) -> KruskalModel {
 /// Returns `InvalidData` for unrecognized or malformed content and
 /// propagates I/O failures.
 pub fn load_model_path(path: &Path) -> std::io::Result<KruskalModel> {
-    let raw = std::fs::read(path)?;
+    load_model_bytes(std::fs::read(path)?, path)
+}
+
+/// [`load_model_path`] on the bytes of the file at `path`.
+pub(crate) fn load_model_bytes(raw: Vec<u8>, path: &Path) -> std::io::Result<KruskalModel> {
     // Framed artifacts (written by `save_model_path` / checkpoint
     // saves) are checksum-verified before any parsing; the payload is
     // then sniffed like a bare file.

@@ -7,14 +7,15 @@ use splatt_tensor::SparseTensor;
 /// A tensor partitioned into per-rank blocks: rank `(i1..iN)` owns the
 /// nonzeros whose mode-`m` index falls in chunk `i_m` of that mode, for
 /// every mode. Chunk boundaries are balanced by per-index nonzero counts
-/// (the medium-grained paper's "chunking" step).
+/// (the medium-grained paper's "chunking" step). Only the boundaries and
+/// each block's nonzero count are kept, not the blocks themselves.
 #[derive(Debug, Clone)]
 pub struct TensorDistribution {
     grid: ProcessGrid,
     /// Per mode: `grid.dims()[m] + 1` index boundaries.
     mode_bounds: Vec<Vec<usize>>,
-    /// Per rank: its block (global indices, global dims).
-    blocks: Vec<SparseTensor>,
+    /// Per rank: the nonzeros in its block.
+    block_nnz: Vec<usize>,
 }
 
 impl TensorDistribution {
@@ -31,41 +32,33 @@ impl TensorDistribution {
         let order = tensor.order();
 
         // nnz-balanced chunk boundaries per mode
-        let mut mode_bounds = Vec::with_capacity(order);
-        for m in 0..order {
-            let mut hist = vec![0usize; tensor.dims()[m]];
-            for &i in tensor.ind(m) {
-                hist[i as usize] += 1;
-            }
-            let prefix = partition::prefix_sum(&hist);
-            mode_bounds.push(partition::weighted(&prefix, grid.dims()[m]));
-        }
-
-        // route each nonzero to its block
-        let chunk_of = |m: usize, idx: usize| -> usize {
-            let bounds = &mode_bounds[m];
-            // last boundary <= idx (bounds may repeat for empty chunks)
-            let mut c = bounds.partition_point(|&b| b <= idx) - 1;
-            c = c.min(grid.dims()[m] - 1);
-            c
-        };
-        let mut blocks: Vec<SparseTensor> = (0..grid.nprocs())
-            .map(|_| SparseTensor::new(tensor.dims().to_vec()))
+        let mode_bounds: Vec<Vec<usize>> = (0..order)
+            .map(|m| {
+                let mut hist = vec![0usize; tensor.dims()[m]];
+                for &i in tensor.ind(m) {
+                    hist[i as usize] += 1;
+                }
+                partition::weighted(&partition::prefix_sum(&hist), grid.dims()[m])
+            })
             .collect();
-        let mut coord = vec![0u32; order];
+
+        // count each nonzero into its block: the chunk of each index is
+        // the last boundary <= it (bounds repeat for empty chunks; the
+        // last is the mode length, so it is never past the last chunk)
+        let mut block_nnz = vec![0; grid.nprocs()];
         let mut gcoord = vec![0usize; order];
         for x in 0..tensor.nnz() {
-            for m in 0..order {
-                coord[m] = tensor.ind(m)[x];
-                gcoord[m] = chunk_of(m, coord[m] as usize);
+            for (m, c) in gcoord.iter_mut().enumerate() {
+                let idx = tensor.ind(m)[x] as usize;
+                *c = mode_bounds[m].partition_point(|&b| b <= idx) - 1;
             }
-            blocks[grid.rank_of(&gcoord)].push(&coord, tensor.vals()[x]);
+            block_nnz[grid.rank_of(&gcoord)] += 1;
         }
 
         TensorDistribution {
             grid,
             mode_bounds,
-            blocks,
+            block_nnz,
         }
     }
 
@@ -74,43 +67,14 @@ impl TensorDistribution {
         &self.grid
     }
 
-    /// Rank `r`'s local block.
-    pub fn block(&self, rank: usize) -> &SparseTensor {
-        &self.blocks[rank]
-    }
-
     /// Index range of chunk `layer` in `mode`.
     pub fn mode_range(&self, mode: usize, layer: usize) -> std::ops::Range<usize> {
         self.mode_bounds[mode][layer]..self.mode_bounds[mode][layer + 1]
     }
 
-    /// The mode-`mode` index range `rank`'s block lives in.
-    pub fn rank_mode_range(&self, rank: usize, mode: usize) -> std::ops::Range<usize> {
-        let layer = self.grid.coords_of(rank)[mode];
-        self.mode_range(mode, layer)
-    }
-
-    /// The sub-range of factor rows `rank` *owns* (updates) in `mode`:
-    /// the layer's range split evenly among the layer group's members.
-    pub fn owned_rows(&self, rank: usize, mode: usize) -> std::ops::Range<usize> {
-        let range = self.rank_mode_range(rank, mode);
-        let group = self.grid.layer_group(rank, mode);
-        let pos = group
-            .iter()
-            .position(|&r| r == rank)
-            .expect("rank must belong to its own layer group");
-        let local = partition::block(range.end - range.start, group.len(), pos);
-        (range.start + local.start)..(range.start + local.end)
-    }
-
-    /// Nonzeros summed across blocks (equals the source tensor's count).
-    pub fn total_nnz(&self) -> usize {
-        self.blocks.iter().map(|b| b.nnz()).sum()
-    }
-
     /// Heaviest block's nonzero count (load-balance indicator).
     pub fn max_block_nnz(&self) -> usize {
-        self.blocks.iter().map(|b| b.nnz()).max().unwrap_or(0)
+        self.block_nnz.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -128,75 +92,50 @@ mod tests {
     #[test]
     fn blocks_partition_the_nonzeros() {
         let (t, d) = dist(vec![2, 3, 2]);
-        assert_eq!(d.total_nnz(), t.nnz());
-        // union of block entries equals the original multiset
-        let mut all: Vec<_> = (0..d.grid().nprocs())
-            .flat_map(|r| d.block(r).canonical_entries())
-            .collect();
-        all.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        assert_eq!(all, t.canonical_entries());
+        let single = TensorDistribution::new(&t, ProcessGrid::new(vec![1, 1, 1]));
+        assert_eq!(single.block_nnz, [t.nnz()]);
+        assert_eq!(d.block_nnz.iter().sum::<usize>(), t.nnz());
+        // the per-block counts of the block-copying distribution this
+        // one replaced, on the same tensor and grid
+        assert_eq!(
+            d.block_nnz,
+            [309, 313, 343, 397, 318, 332, 342, 308, 340, 368, 310, 320]
+        );
     }
 
     #[test]
-    fn block_indices_respect_ranges() {
-        let (_, d) = dist(vec![2, 2, 2]);
-        for r in 0..8 {
-            let block = d.block(r);
-            for m in 0..3 {
-                let range = d.rank_mode_range(r, m);
-                for &i in block.ind(m) {
-                    assert!(
-                        range.contains(&(i as usize)),
-                        "rank {r} mode {m}: index {i} outside {range:?}"
-                    );
-                }
+    fn block_counts_respect_ranges() {
+        // a skewed tensor, and one confined to an octant (empty blocks)
+        let mut octant = SparseTensor::new(vec![8, 8, 8]);
+        for i in 0..4u32 {
+            octant.push(&[i, i % 4, i % 4], 1.0 + i as f64);
+        }
+        for t in [dist(vec![2, 2, 2]).0, octant] {
+            let d = TensorDistribution::new(&t, ProcessGrid::new(vec![2, 2, 2]));
+            for r in 0..8 {
+                let layers = d.grid().coords_of(r);
+                let inside = (0..t.nnz())
+                    .filter(|&x| {
+                        (0..3).all(|m| d.mode_range(m, layers[m]).contains(&(t.ind(m)[x] as usize)))
+                    })
+                    .count();
+                assert_eq!(d.block_nnz[r], inside, "rank {r}");
             }
         }
     }
 
     #[test]
     fn mode_ranges_tile_each_dimension() {
-        let (t, d) = dist(vec![2, 3, 2]);
-        for m in 0..3 {
-            let extent = d.grid().dims()[m];
-            assert_eq!(d.mode_range(m, 0).start, 0);
-            assert_eq!(d.mode_range(m, extent - 1).end, t.dims()[m]);
-            for l in 1..extent {
-                assert_eq!(d.mode_range(m, l - 1).end, d.mode_range(m, l).start);
-            }
-        }
-    }
-
-    #[test]
-    fn owned_rows_partition_each_layer_range() {
-        let (_, d) = dist(vec![2, 2, 2]);
-        for mode in 0..3 {
-            for layer in 0..2 {
-                // ranks in this layer
-                let rep = (0..8)
-                    .find(|&r| d.grid().coords_of(r)[mode] == layer)
-                    .unwrap();
-                let group = d.grid().layer_group(rep, mode);
-                let range = d.mode_range(mode, layer);
-                let mut covered = vec![false; range.end - range.start];
-                for &r in &group {
-                    for i in d.owned_rows(r, mode) {
-                        assert!(!covered[i - range.start], "row {i} owned twice");
-                        covered[i - range.start] = true;
-                    }
+        for grid in [vec![2, 3, 2], vec![1, 1, 1]] {
+            let (t, d) = dist(grid);
+            for m in 0..3 {
+                let extent = d.grid().dims()[m];
+                assert_eq!(d.mode_range(m, 0).start, 0);
+                assert_eq!(d.mode_range(m, extent - 1).end, t.dims()[m]);
+                for l in 1..extent {
+                    assert_eq!(d.mode_range(m, l - 1).end, d.mode_range(m, l).start);
                 }
-                assert!(covered.iter().all(|&c| c), "mode {mode} layer {layer}");
             }
-        }
-    }
-
-    #[test]
-    fn single_grid_owns_everything() {
-        let t = synth::random_uniform(&[10, 10, 10], 500, 1);
-        let d = TensorDistribution::new(&t, ProcessGrid::single(3));
-        assert_eq!(d.block(0).nnz(), 500);
-        for m in 0..3 {
-            assert_eq!(d.owned_rows(0, m), 0..10);
         }
     }
 
@@ -204,13 +143,9 @@ mod tests {
     fn blocks_are_roughly_balanced_on_uniform_data() {
         let t = synth::random_uniform(&[64, 64, 64], 16_000, 9);
         let d = TensorDistribution::new(&t, ProcessGrid::new(vec![2, 2, 2]));
-        // perfect balance would be 2000 per block; allow generous slack
-        // (block balance is the product of three 1-D balances)
-        assert!(
-            d.max_block_nnz() < 4_000,
-            "max block {} of 16000",
-            d.max_block_nnz()
-        );
+        // perfect balance is 2000 per block; block balance is the product
+        // of three 1-D balances
+        assert!(d.max_block_nnz() < 4_000, "max block {}", d.max_block_nnz());
     }
 
     #[test]

@@ -18,11 +18,6 @@ impl ProcessGrid {
         ProcessGrid { dims }
     }
 
-    /// A `1 x 1 x ... x 1` grid (single locale; zero communication).
-    pub fn single(order: usize) -> Self {
-        ProcessGrid::new(vec![1; order])
-    }
-
     /// Grid extents.
     pub fn dims(&self) -> &[usize] {
         &self.dims
@@ -67,21 +62,11 @@ impl ProcessGrid {
         rank
     }
 
-    /// The *layer group* of `rank` for `mode`: every rank whose grid
-    /// coordinate along `mode` equals `rank`'s. These ranks share the
-    /// same mode-`mode` index range and are the communicator for that
-    /// mode's factor exchange. The result is sorted; `rank` is included.
-    pub fn layer_group(&self, rank: usize, mode: usize) -> Vec<usize> {
-        assert!(mode < self.order(), "mode out of range");
-        let me = self.coords_of(rank);
-        self.ranks_with_coord(mode, me[mode])
-    }
-
     /// Every rank whose grid coordinate along `mode` equals `coord`,
-    /// sorted ascending. This is [`ProcessGrid::layer_group`] addressed
-    /// by layer index instead of by a member rank — the form the serving
-    /// cluster uses to enumerate a shard's replica set on an
-    /// `[nshards, nreplicas]` grid.
+    /// sorted ascending: the *layer* of the medium-grained algorithm,
+    /// whose ranks share the mode-`mode` index range and exchange that
+    /// mode's factor rows — and the replica set of a shard on the
+    /// serving cluster's `[nshards, nreplicas]` grid.
     ///
     /// # Panics
     /// Panics on an out-of-range `mode` or `coord`.
@@ -117,39 +102,19 @@ mod tests {
     }
 
     #[test]
-    fn layer_groups_partition_ranks() {
-        let g = ProcessGrid::new(vec![2, 2, 2]);
-        for mode in 0..3 {
-            // groups for distinct layer indices are disjoint and cover all
-            let mut seen = [false; 8];
-            for layer_rep in 0..8 {
-                for &r in &g.layer_group(layer_rep, mode) {
-                    if g.coords_of(r)[mode] == g.coords_of(layer_rep)[mode] {
-                        seen[r] = true;
-                    }
+    fn layers_partition_ranks_into_groups_of_nprocs_over_extent() {
+        let g = ProcessGrid::new(vec![2, 4, 1]);
+        for (mode, &extent) in g.dims().iter().enumerate() {
+            let mut seen = vec![0; g.nprocs()];
+            for layer in 0..extent {
+                let ranks = g.ranks_with_coord(mode, layer);
+                assert_eq!(ranks.len(), 8 / extent, "mode {mode}");
+                for r in ranks {
+                    assert_eq!(g.coords_of(r)[mode], layer);
+                    seen[r] += 1;
                 }
             }
-            assert!(seen.iter().all(|&s| s), "mode {mode}");
-        }
-    }
-
-    #[test]
-    fn layer_group_size_is_nprocs_over_extent() {
-        let g = ProcessGrid::new(vec![2, 4, 1]);
-        assert_eq!(g.layer_group(0, 0).len(), 4); // 8 / 2
-        assert_eq!(g.layer_group(0, 1).len(), 2); // 8 / 4
-        assert_eq!(g.layer_group(0, 2).len(), 8); // 8 / 1
-    }
-
-    #[test]
-    fn layer_group_contains_self_and_is_sorted() {
-        let g = ProcessGrid::new(vec![3, 2]);
-        for r in 0..6 {
-            for mode in 0..2 {
-                let grp = g.layer_group(r, mode);
-                assert!(grp.contains(&r));
-                assert!(grp.windows(2).all(|w| w[0] < w[1]));
-            }
+            assert!(seen.iter().all(|&n| n == 1), "mode {mode}");
         }
     }
 
@@ -160,18 +125,6 @@ mod tests {
         assert_eq!(g.ranks_with_coord(0, 0), vec![0, 1]);
         assert_eq!(g.ranks_with_coord(0, 2), vec![4, 5]);
         assert_eq!(g.ranks_with_coord(1, 1), vec![1, 3, 5]);
-        // Consistent with the member-rank addressing.
-        for r in 0..6 {
-            let c = g.coords_of(r);
-            assert_eq!(g.layer_group(r, 0), g.ranks_with_coord(0, c[0]));
-        }
-    }
-
-    #[test]
-    fn single_grid_has_one_rank() {
-        let g = ProcessGrid::single(3);
-        assert_eq!(g.nprocs(), 1);
-        assert_eq!(g.layer_group(0, 1), vec![0]);
     }
 
     #[test]

@@ -1,31 +1,15 @@
-//! Simulated distributed-memory CP-ALS (the paper's second future-work
-//! item).
-//!
-//! The Chapel-port paper closes with: *"We also plan to incorporate
-//! SPLATT's novel distributed-memory features [Smith & Karypis, IPDPS
-//! 2016] for tensor decomposition in our code, leveraging Chapel's
-//! multi-locales."* That reference is the **medium-grained algorithm**: a
-//! process grid `p1 x p2 x ... x pN` partitions the tensor into blocks;
-//! each process runs local MTTKRPs on its block and exchanges factor rows
-//! only within grid *layers* (processes sharing an index range).
-//!
-//! No cluster is available in this environment, so the locales are
-//! **simulated**: ranks execute as tasks in bulk-synchronous supersteps
-//! and every inter-rank exchange is routed through a [`CommStats`]
-//! accountant that records the bytes a real interconnect would carry
-//! (ring-allreduce / allgather cost models). The *numerics* are exactly
-//! the medium-grained algorithm — each rank only ever reads factor rows
-//! its block references and only writes rows it owns — so convergence
-//! matches the shared-memory solver, and the communication volumes are
-//! the quantity the distributed-tensor literature reports (grid-shape
-//! experiments live in the bench suite's experiment E).
+//! The multi-locale bill of SPLATT's medium-grained algorithm, the
+//! paper's second future-work item. Its arithmetic is the shared-memory
+//! CP-ALS's in another association order, so what distribution adds is a
+//! load balance and a communication bill, computed here without a solver:
+//! [`ProcessGrid`] (also the serving cluster's shard × replica layout),
+//! [`TensorDistribution`] (nnz-balanced chunks, per-block nonzero counts)
+//! and [`medium_grained_volume`] (the bytes its collectives move).
 
-mod comm;
-mod cpd;
 mod dist;
 mod grid;
+mod volume;
 
-pub use comm::CommStats;
-pub use cpd::{dist_cp_als, try_dist_cp_als, DistCpalsError, DistCpalsOptions, DistCpalsOutput};
 pub use dist::TensorDistribution;
 pub use grid::ProcessGrid;
+pub use volume::{medium_grained_volume, CommVolume};

@@ -19,7 +19,7 @@
 //!   budgets; [`RecoveryAction`] / [`FaultRecord`] are the typed audit
 //!   trail that flows into `splatt-probe`'s JSON report.
 //!
-//! The solver crates (`splatt-core`, `splatt-dist`, `splatt-dense`)
+//! The solver (`splatt-core`), the store and the serving cluster
 //! consume these types; this crate depends only on `splatt-rt`-level
 //! facilities and the standard library, so it sits at the bottom of the
 //! workspace graph next to the RNG it mirrors.

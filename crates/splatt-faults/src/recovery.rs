@@ -9,8 +9,6 @@ pub enum RecoveryAction {
     AbsorbedDelay { nanos: u64 },
     /// A dropped collective was retried with exponential backoff.
     Retried { attempts: u32, backoff_nanos: u64 },
-    /// A corrupted payload was detected (checksum) and retransmitted.
-    Retransmitted { bytes: u64 },
     /// A non-SPD normal-equations matrix was solved through an escalating
     /// Tikhonov ridge.
     Regularized { ridge: f64, attempts: u32 },
@@ -27,7 +25,6 @@ impl RecoveryAction {
         match self {
             RecoveryAction::AbsorbedDelay { .. } => "absorbed-delay",
             RecoveryAction::Retried { .. } => "retried",
-            RecoveryAction::Retransmitted { .. } => "retransmitted",
             RecoveryAction::Regularized { .. } => "regularized",
             RecoveryAction::RolledBack { .. } => "rolled-back",
             RecoveryAction::Unrecovered => "unrecovered",
@@ -47,7 +44,6 @@ impl RecoveryAction {
                 "retried ({attempts} attempt(s), {:.1}us backoff)",
                 *backoff_nanos as f64 / 1e3
             ),
-            RecoveryAction::Retransmitted { bytes } => format!("retransmitted ({bytes} B)"),
             RecoveryAction::Regularized { ridge, attempts } => {
                 format!("regularized (ridge {ridge:.3e}, {attempts} attempt(s))")
             }
@@ -137,7 +133,6 @@ mod tests {
                 attempts: 2,
                 backoff_nanos: 3_000,
             },
-            RecoveryAction::Retransmitted { bytes: 64 },
             RecoveryAction::Regularized {
                 ridge: 1e-6,
                 attempts: 3,

@@ -70,8 +70,7 @@ impl LockPool {
     }
 
     /// Attach (or detach) contention counters. While attached, every
-    /// acquisition through [`LockPool::lock`] / [`LockPool::lock_many`]
-    /// records acquisition/contention/spin/wait statistics into `counters`.
+    /// acquisition through [`LockPool::lock`] records acquisition/contention/spin/wait statistics into `counters`.
     pub fn set_counters(&mut self, counters: Option<Arc<LockCounters>>) {
         self.counters = counters;
     }
@@ -154,34 +153,6 @@ impl LockPool {
         if let Some(counters) = &self.counters {
             counters.record_release();
         }
-    }
-
-    /// The pool slot a resource id hashes to. Two ids with the same slot
-    /// share a lock.
-    #[inline]
-    pub fn slot_of(&self, id: usize) -> usize {
-        self.slot(id)
-    }
-
-    /// Acquire the locks guarding *all* of `ids` at once, deadlock-free:
-    /// slots are sorted and deduplicated before locking, so concurrent
-    /// `lock_many` calls can never acquire in conflicting orders. Needed
-    /// by updates that touch one row per mode atomically (e.g. an SGD
-    /// step on a tensor observation).
-    pub fn lock_many(&self, ids: &[usize]) -> Vec<LockPoolGuard<'_>> {
-        let mut slots: Vec<usize> = ids.iter().map(|&id| self.slot(id)).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        slots
-            .into_iter()
-            .map(|slot| {
-                match &self.counters {
-                    None => self.lock_slot(slot),
-                    Some(counters) => Self::lock_slot_counting(&self.slots, slot, counters),
-                }
-                LockPoolGuard { pool: self, slot }
-            })
-            .collect()
     }
 }
 
@@ -311,10 +282,9 @@ mod tests {
             for id in 0..10 {
                 drop(pool.lock(id));
             }
-            drop(pool.lock_many(&[1, 5, 2])); // slots {1, 2} after dedup
             let stats = counters.snapshot();
-            assert_eq!(stats.acquisitions, 12, "{strategy:?}");
-            assert_eq!(stats.releases, 12, "{strategy:?}");
+            assert_eq!(stats.acquisitions, 10, "{strategy:?}");
+            assert_eq!(stats.releases, 10, "{strategy:?}");
             assert!(stats.is_balanced());
             // single-threaded: nothing was ever contended
             assert_eq!(stats.contended, 0, "{strategy:?}");
@@ -350,53 +320,5 @@ mod tests {
                 stats.wait_nanos
             );
         }
-    }
-
-    #[test]
-    fn lock_many_dedups_aliasing_ids() {
-        let pool = LockPool::new(LockStrategy::Spin, 4);
-        // ids 1 and 5 share slot 1 in a 4-lock pool: must not self-deadlock
-        let guards = pool.lock_many(&[1, 5, 2]);
-        assert_eq!(guards.len(), 2);
-    }
-
-    #[test]
-    fn lock_many_no_deadlock_under_contention() {
-        // two threads repeatedly locking overlapping id sets in opposite
-        // orders: sorted-slot acquisition must never deadlock
-        let pool = Arc::new(LockPool::new(LockStrategy::Spin, 8));
-        let p1 = Arc::clone(&pool);
-        let p2 = Arc::clone(&pool);
-        let t1 = std::thread::spawn(move || {
-            for _ in 0..2_000 {
-                let _g = p1.lock_many(&[0, 3, 6]);
-            }
-        });
-        let t2 = std::thread::spawn(move || {
-            for _ in 0..2_000 {
-                let _g = p2.lock_many(&[6, 0, 3]);
-            }
-        });
-        t1.join().unwrap();
-        t2.join().unwrap();
-    }
-
-    #[test]
-    fn lock_many_excludes_single_lockers() {
-        let pool = LockPool::new(LockStrategy::Spin, 8);
-        let guards = pool.lock_many(&[2, 4]);
-        assert!(pool.slot_of(2) != pool.slot_of(4));
-        // a single lock on an aliasing id must block -> try via thread
-        let blocked = std::sync::atomic::AtomicBool::new(true);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _g = pool.lock(2);
-                blocked.store(false, std::sync::atomic::Ordering::SeqCst);
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            assert!(blocked.load(std::sync::atomic::Ordering::SeqCst));
-            drop(guards);
-        });
-        assert!(!blocked.load(std::sync::atomic::Ordering::SeqCst));
     }
 }

@@ -10,8 +10,7 @@
 //! ```
 
 use splatt::core::{
-    rmse_observed, tensor_complete, tensor_complete_ccd, tensor_complete_sgd, CcdOptions,
-    CompletionOptions, SgdOptions,
+    rmse_observed, tensor_complete, tensor_complete_ccd, CcdOptions, CompletionOptions,
 };
 use splatt::par::Routine;
 use splatt::serve::protocol::Response;
@@ -41,7 +40,7 @@ fn usage() -> ExitCode {
          [--checkpoint DIR] [--resume FILE|DIR]\n              \
          [--deadline SECS] [--mem-budget BYTES] [--stall-bound MS]\n              \
          [--on-overrun abort|checkpoint|degrade]\n  \
-         splatt complete <train.tns> [--solver als|sgd|ccd] [--rank R] [--iters N]\n              \
+         splatt complete <train.tns> [--solver als|ccd] [--rank R] [--iters N]\n              \
          [--tol T] [--reg MU] [--tasks N] [--seed S]\n              \
          [--test FILE.tns] [--out PREFIX] [--model FILE]\n  \
          splatt predict <model.kruskal> <coords.tns>\n  \
@@ -99,8 +98,7 @@ const CPD_FLAGS: &[&str] = &[
     "on-overrun",
 ];
 const COMPLETE_FLAGS: &[&str] = &[
-    "solver", "rank", "iters", "tol", "reg", "tasks", "seed", "step", "decay", "test", "out",
-    "model",
+    "solver", "rank", "iters", "tol", "reg", "tasks", "seed", "test", "out", "model",
 ];
 const SERVE_FLAGS: &[&str] = &[
     "model",
@@ -552,20 +550,6 @@ fn cmd_complete(path: &str, flags: &Flags) -> Result<(), String> {
                 ..Default::default()
             },
         ),
-        "sgd" => tensor_complete_sgd(
-            &train,
-            &SgdOptions {
-                rank,
-                max_epochs: max_iters,
-                tolerance,
-                regularization,
-                ntasks,
-                seed,
-                step: flags.parse_or("step", 0.1)?,
-                decay: flags.parse_or("decay", 0.05)?,
-                ..Default::default()
-            },
-        ),
         "ccd" => tensor_complete_ccd(
             &train,
             &CcdOptions {
@@ -578,7 +562,7 @@ fn cmd_complete(path: &str, flags: &Flags) -> Result<(), String> {
                 ..Default::default()
             },
         ),
-        other => return Err(format!("unknown --solver '{other}' (als|sgd|ccd)")),
+        other => return Err(format!("unknown --solver '{other}' (als|ccd)")),
     };
     println!("train RMSE {:.6} after {} sweeps", out.rmse, out.iterations);
 

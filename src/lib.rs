@@ -60,7 +60,8 @@ pub mod locks {
     pub use splatt_locks::*;
 }
 
-/// Simulated distributed-memory (multi-locale) decomposition.
+/// Multi-locale bill: process grid, tensor distribution, and the
+/// medium-grained algorithm's closed-form communication volume.
 pub mod dist {
     pub use splatt_dist::*;
 }
@@ -107,11 +108,11 @@ pub mod store {
 }
 
 pub use splatt_core::{
-    corcondia, cp_als, tensor_complete, tensor_complete_ccd, tensor_complete_sgd, try_cp_als,
-    CcdOptions, Checkpoint, CheckpointError, CompletionOptions, CompletionOutput, Constraint,
-    CpalsError, CpalsOptions, CpalsOutput, CpalsRun, Csf, CsfAlloc, CsfSet, Governance,
-    GovernancePolicy, Implementation, KruskalModel, MatrixAccess, OnOverrun, RefreshEngine,
-    RefreshError, RefreshOptions, RefreshOutcome, RunAborted, SgdOptions,
+    corcondia, cp_als, tensor_complete, tensor_complete_ccd, try_cp_als, CcdOptions, Checkpoint,
+    CheckpointError, CompletionOptions, CompletionOutput, Constraint, CpalsError, CpalsOptions,
+    CpalsOutput, CpalsRun, Csf, CsfAlloc, CsfSet, Governance, GovernancePolicy, Implementation,
+    KruskalModel, MatrixAccess, OnOverrun, RefreshEngine, RefreshError, RefreshOptions,
+    RefreshOutcome, RunAborted,
 };
 pub use splatt_dense::Matrix;
 pub use splatt_faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction, RecoveryPolicy};

@@ -140,7 +140,7 @@ fn complete_runs_each_solver() {
         .status()
         .unwrap()
         .success());
-    for solver in ["als", "sgd", "ccd"] {
+    for solver in ["als", "ccd"] {
         let out = splatt()
             .args(["complete", tns.to_str().unwrap()])
             .args(["--solver", solver, "--rank", "2", "--iters", "3"])
@@ -155,6 +155,26 @@ fn complete_runs_each_solver() {
             String::from_utf8_lossy(&out.stdout).contains("train RMSE"),
             "{solver}"
         );
+    }
+    // SGD is gone: naming it is an error that lists the solvers left
+    let out = splatt()
+        .args(["complete", tns.to_str().unwrap()])
+        .args(["--solver", "sgd", "--rank", "2", "--iters", "3"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("als|ccd"), "{stderr}");
+    // ... and so are its step-size flags
+    for flag in ["--step", "--decay"] {
+        let out = splatt()
+            .args(["complete", tns.to_str().unwrap(), flag, "0.1"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "stderr must name {flag}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
