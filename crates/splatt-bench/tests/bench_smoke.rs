@@ -1,6 +1,6 @@
 //! Smoke over the committed MTTKRP bench baseline.
 //!
-//! Five guarantees, in increasing strictness:
+//! Six guarantees, in increasing strictness:
 //! 1. `BENCH_mttkrp.json` at the repo root parses and carries the pinned
 //!    schema — a PR that changes the layout must bump `BENCH_SCHEMA` and
 //!    regenerate the file.
@@ -17,6 +17,9 @@
 //! 5. In release builds, so does the dense layer: the lane-panel
 //!    `cholesky_solve` runs a YELP-shaped factor at least 2x faster than
 //!    one right-hand side at a time, and returns the same bits.
+//! 6. In release builds, so does the sort: the default CSF build, keys
+//!    radix-sorted and the tree assembled from them, runs a NELL-2-shaped
+//!    tensor at least 1.5x faster than copying, sorting and walking it.
 
 use splatt_bench::baseline::{
     bench_team, run_cells, workload_tensor, BenchWorkload, BASELINE_FILE, BENCH_RANKS, BENCH_SCHEMA,
@@ -174,6 +177,61 @@ fn specialized_r16_beats_generic_in_release() {
     panic!(
         "tuned kernels only reached {best16:.2}x at R=16 (need >= 1.15x) and \
          {root35:.2}x at root R=35 (need >= 1.2x) over the plain loops"
+    );
+}
+
+/// The sort's floor: on a NELL-2-shaped tensor the default CSF build —
+/// the nonzeros packed into keys, radix-sorted, the tree assembled
+/// straight from the keys — runs at least 1.5x faster than the build
+/// that copies the tensor, sorts the copy and walks it (`from_sorted`),
+/// here with the paper's final sort (`AllOpts`: the key-index sort's old
+/// per-bucket body survives only as a unit-test oracle). Quietest of
+/// several builds of each at one task — a ratio on this machine, never
+/// nanoseconds — and the two give the same tree. Meaningless without
+/// optimization, so debug builds skip it.
+#[cfg_attr(
+    debug_assertions,
+    ignore = "perf floor is only meaningful in release builds"
+)]
+#[test]
+fn keyed_csf_build_beats_the_copy_sort_walk_build_in_release() {
+    use splatt_tensor::SortVariant;
+    use std::time::Instant;
+    let tensor = splatt_tensor::synth::NELL2.generate(1.0 / 100.0, 0x5027);
+    let team = splatt_par::TaskTeam::new(1);
+    let quietest = |variant: SortVariant| {
+        let mut best = f64::MAX;
+        let mut set = CsfSet::build(&tensor, CsfAlloc::Two, &team, variant);
+        for _ in 0..5 {
+            let start = Instant::now();
+            set = CsfSet::build(&tensor, CsfAlloc::Two, &team, variant);
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        (best, set)
+    };
+    let (walk_s, walked) = quietest(SortVariant::AllOpts);
+    let (keyed_s, keyed) = quietest(SortVariant::KeyIndex);
+    // the quicksort may order the values of a repeated coordinate
+    // differently, never the tree
+    for (k, w) in keyed.csfs().iter().zip(walked.csfs()) {
+        assert_eq!(k.dim_perm(), w.dim_perm());
+        for l in 0..k.order() {
+            assert_eq!(k.fids(l), w.fids(l), "fids of level {l}");
+        }
+        for l in 0..k.order() - 1 {
+            assert_eq!(k.fptr(l), w.fptr(l), "fptr of level {l}");
+        }
+    }
+    let ratio = walk_s / keyed_s;
+    eprintln!(
+        "CSF build, {} nnz, two trees: copy + AllOpts sort + walk {:.1} ms, keyed {:.1} ms, ratio {ratio:.2}",
+        tensor.nnz(),
+        walk_s * 1e3,
+        keyed_s * 1e3
+    );
+    assert!(
+        ratio >= 1.5,
+        "keyed build only {ratio:.2}x the copy-sort-walk build (need >= 1.5x)"
     );
 }
 

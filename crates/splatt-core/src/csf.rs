@@ -8,7 +8,8 @@
 //! tensor ([`CsfAlloc`]), trading memory for lock-free MTTKRP kernels —
 //! the trade at the center of the paper's YELP-vs-NELL-2 behaviour.
 
-use splatt_par::TaskTeam;
+use splatt_par::{Routine, TaskTeam, TimerRegistry};
+use splatt_tensor::sort::SortedKeys;
 use splatt_tensor::{sort, SortVariant, SortedBatch, SparseTensor};
 use std::ops::Range;
 
@@ -92,8 +93,11 @@ fn open_level(streams: &[&[u32]], x: usize, nlevels: usize) -> usize {
 
 impl Csf {
     /// Build a CSF from `tensor`, rooted at mode `dim_perm[0]` with tree
-    /// levels following `dim_perm`. The tensor is copied and sorted with
-    /// `variant` on `team` (the paper's "Sort" routine runs here).
+    /// levels following `dim_perm`; the nonzeros are sorted with `variant`
+    /// on `team` (the paper's "Sort" routine runs here). Under the default
+    /// `KeyIndex` the tree is assembled straight from the sorted keys
+    /// ([`sort::sort_keys`]); the paper's variants sort a copy of the
+    /// tensor and walk it.
     ///
     /// # Panics
     /// Panics if `dim_perm` is not a permutation of the tensor's modes.
@@ -103,9 +107,7 @@ impl Csf {
         team: &TaskTeam,
         variant: SortVariant,
     ) -> Self {
-        let mut sorted = tensor.clone();
-        sort::sort_by_perm(&mut sorted, dim_perm, team, variant);
-        Self::from_sorted(&sorted, dim_perm)
+        Self::build_guarded(tensor, dim_perm, team, variant, None)
     }
 
     /// [`Csf::build`] under run governance: the sort polls `guard`
@@ -119,37 +121,116 @@ impl Csf {
         variant: SortVariant,
         guard: Option<&splatt_guard::RunGuard>,
     ) -> Self {
+        Self::build_timed(
+            tensor,
+            dim_perm,
+            team,
+            variant,
+            guard,
+            &TimerRegistry::new(),
+        )
+    }
+
+    /// [`Csf::build_guarded`], attributing the sort — and only it — to
+    /// the `Sort` timer: the keys' sort under `KeyIndex`, the copy's sort
+    /// otherwise (and past 64 key bits). Assembly is not sorting.
+    fn build_timed(
+        tensor: &SparseTensor,
+        dim_perm: &[usize],
+        team: &TaskTeam,
+        variant: SortVariant,
+        guard: Option<&splatt_guard::RunGuard>,
+        timers: &TimerRegistry,
+    ) -> Self {
+        if variant == SortVariant::KeyIndex {
+            let keyed = timers.time(Routine::Sort, || {
+                sort::sort_keys(tensor, dim_perm, team, guard)
+            });
+            if let Some(keys) = keyed {
+                return Self::from_keys(&keys, tensor, dim_perm, guard);
+            }
+        }
         let mut sorted = tensor.clone();
-        sort::sort_by_perm_guarded(&mut sorted, dim_perm, team, variant, guard);
-        // A cancelled sort may leave the buffer partially ordered; fall
-        // back to a canonical sort only when the data is actually usable
-        // (i.e. not cancelled), otherwise skip the (now pointless) walk.
+        timers.time(Routine::Sort, || {
+            sort::sort_by_perm_guarded(&mut sorted, dim_perm, team, variant, guard)
+        });
+        // A cancelled sort may leave the buffer partially ordered: then
+        // the run is aborting, and the walk is skipped.
         if guard.is_some_and(|g| g.is_cancelled()) && !sorted.is_sorted_by(dim_perm) {
-            // Produce an empty-but-valid CSF; the run is aborting.
-            let empty = SparseTensor::new(tensor.dims().to_vec());
-            return Self::from_sorted(&empty, dim_perm);
+            return Self::empty(tensor.dims(), dim_perm);
         }
         Self::from_sorted(&sorted, dim_perm)
     }
 
+    /// A valid CSF without nonzeros: what a cancelled build returns.
+    pub(crate) fn empty(dims: &[usize], dim_perm: &[usize]) -> Self {
+        Self::from_sorted(&SparseTensor::new(dims.to_vec()), dim_perm)
+    }
+
     /// Build from a tensor already sorted by `dim_perm`.
-    ///
-    /// Two-pass construction: pass 1 counts the fibers each level will
-    /// hold, both slabs are then sized exactly, and pass 2 fills them
-    /// through per-level write cursors — no reallocation, no per-level
-    /// heap vectors.
     pub(crate) fn from_sorted(sorted: &SparseTensor, dim_perm: &[usize]) -> Self {
         debug_assert!(sorted.is_sorted_by(dim_perm), "tensor must be pre-sorted");
         // index streams in level order
         let streams: Vec<&[u32]> = dim_perm.iter().map(|&m| sorted.ind(m)).collect();
         let nlevels = dim_perm.len();
+        let mut csf = Self::assemble(
+            sorted.dims(),
+            dim_perm,
+            || (0..sorted.nnz()).map(|x| open_level(&streams, x, nlevels)),
+            |x, l| streams[l][x],
+        );
+        csf.vals = sorted.vals().to_vec();
+        csf
+    }
 
-        // Pass 1: count the fibers opened at each level.
+    /// Build from `tensor`'s keys sorted by `dim_perm`: each nonzero's
+    /// opening level and fiber ids read off its key, then the values
+    /// gathered once through the keys' index bits. Keys a cancelled sort
+    /// left out of order give the empty CSF.
+    fn from_keys(
+        keys: &SortedKeys,
+        tensor: &SparseTensor,
+        dim_perm: &[usize],
+        guard: Option<&splatt_guard::RunGuard>,
+    ) -> Self {
+        if guard.is_some_and(|g| g.is_cancelled()) && !keys.is_sorted() {
+            return Self::empty(tensor.dims(), dim_perm);
+        }
+        let mut csf = Self::assemble(
+            tensor.dims(),
+            dim_perm,
+            || keys.open_levels(),
+            |x, l| keys.index(x, l),
+        );
+        csf.vals = keys.values(tensor.vals());
+        csf
+    }
+
+    /// Lay out the tree of the sorted nonzeros, where `opens()` yields, in
+    /// order, the level from which each nonzero `x` opens fibers down,
+    /// and `index(x, l)` is its index at level `l` — all but the values,
+    /// which the caller puts in.
+    ///
+    /// Two-pass construction: pass 1 counts the fibers each level will
+    /// hold, both slabs are then sized exactly, and pass 2 fills them
+    /// through per-level write cursors — no reallocation, no per-level
+    /// heap vectors.
+    fn assemble<I: Iterator<Item = usize>>(
+        dims: &[usize],
+        dim_perm: &[usize],
+        opens: impl Fn() -> I,
+        index: impl Fn(usize, usize) -> u32,
+    ) -> Self {
+        let nlevels = dim_perm.len();
+
+        // Pass 1: count the fibers opened at each level — a nonzero that
+        // opens one at level `l` opens one at every level below too.
         let mut nfib = vec![0usize; nlevels];
-        for x in 0..sorted.nnz() {
-            for count in nfib[open_level(&streams, x, nlevels)..].iter_mut() {
-                *count += 1;
-            }
+        for open in opens() {
+            nfib[open] += 1;
+        }
+        for l in 1..nlevels {
+            nfib[l] += nfib[l - 1];
         }
 
         // Size the slabs exactly: every `fptr` level carries one closing
@@ -172,12 +253,12 @@ impl Csf {
         // opened so far (for the deepest interior level that count equals
         // `x`, the leaves consumed — every nonzero is its own leaf).
         let mut cursor = vec![0usize; nlevels];
-        for x in 0..sorted.nnz() {
-            for l in open_level(&streams, x, nlevels)..nlevels {
+        for (x, open) in opens().enumerate() {
+            for l in open..nlevels {
                 if l < nlevels - 1 {
                     fptr[fptr_off[l] + cursor[l]] = cursor[l + 1];
                 }
-                fids[fids_off[l] + cursor[l]] = streams[l][x];
+                fids[fids_off[l] + cursor[l]] = index(x, l);
                 cursor[l] += 1;
             }
         }
@@ -188,12 +269,12 @@ impl Csf {
 
         let mut csf = Csf {
             dim_perm: dim_perm.to_vec(),
-            dims: sorted.dims().to_vec(),
+            dims: dims.to_vec(),
             fptr,
             fptr_off,
             fids,
             fids_off,
-            vals: sorted.vals().to_vec(),
+            vals: Vec::new(),
             slice_nnz: Vec::new(),
         };
         csf.slice_nnz = csf.leaves_per_slice();
@@ -638,7 +719,7 @@ impl CsfSet {
         alloc: CsfAlloc,
         team: &TaskTeam,
         variant: SortVariant,
-        timers: &splatt_par::TimerRegistry,
+        timers: &TimerRegistry,
     ) -> Self {
         Self::build_timed_guarded(tensor, alloc, team, variant, timers, None)
     }
@@ -651,24 +732,12 @@ impl CsfSet {
         alloc: CsfAlloc,
         team: &TaskTeam,
         variant: SortVariant,
-        timers: &splatt_par::TimerRegistry,
+        timers: &TimerRegistry,
         guard: Option<&splatt_guard::RunGuard>,
     ) -> Self {
-        let dims = tensor.dims();
-        let csfs = Self::level_orders(dims, alloc)
+        let csfs = Self::level_orders(tensor.dims(), alloc)
             .iter()
-            .map(|perm| {
-                let mut sorted = tensor.clone();
-                timers.time(splatt_par::Routine::Sort, || {
-                    sort::sort_by_perm_guarded(&mut sorted, perm, team, variant, guard)
-                });
-                if guard.is_some_and(|g| g.is_cancelled()) && !sorted.is_sorted_by(perm) {
-                    let empty = SparseTensor::new(dims.to_vec());
-                    Csf::from_sorted(&empty, perm)
-                } else {
-                    Csf::from_sorted(&sorted, perm)
-                }
-            })
+            .map(|perm| Csf::build_timed(tensor, perm, team, variant, guard, timers))
             .collect();
         CsfSet { csfs, alloc }
     }
@@ -741,8 +810,7 @@ impl CsfSet {
         team: &TaskTeam,
         variant: SortVariant,
     ) -> Self {
-        let untimed = splatt_par::TimerRegistry::new();
-        Self::build_timed_guarded(tensor, alloc, team, variant, &untimed, None)
+        Self::build_timed(tensor, alloc, team, variant, &TimerRegistry::new())
     }
 
     /// The allocation policy used.
@@ -1195,6 +1263,137 @@ pub(crate) mod tests {
             "a reverse-order scatter passed {} of {} cases",
             cases.get() - reverse_caught.get(),
             cases.get()
+        );
+    }
+
+    /// `t` sorted by `perm` with the standard library's stable sort: the
+    /// order of `splatt-tensor`'s per-bucket key-index oracle.
+    fn stable_sorted(t: &SparseTensor, perm: &[usize]) -> SparseTensor {
+        let mut order: Vec<usize> = (0..t.nnz()).collect();
+        order.sort_by_key(|&x| perm.iter().map(|&m| t.ind(m)[x]).collect::<Vec<_>>());
+        let inds = (0..t.order())
+            .map(|m| order.iter().map(|&x| t.ind(m)[x]).collect())
+            .collect();
+        let vals = order.iter().map(|&x| t.vals()[x]).collect();
+        SparseTensor::from_parts(t.dims().to_vec(), inds, vals)
+    }
+
+    /// `KeyIndex`'s tree against `from_sorted` of the stable order — of
+    /// the `AllOpts` order where the keys need more than 64 bits — field
+    /// for field with values by `to_bits`, on every tree `alloc` holds.
+    fn assert_keyed_trees(t: &SparseTensor, alloc: CsfAlloc, team: &TaskTeam) {
+        let set = CsfSet::build(t, alloc, team, SortVariant::KeyIndex);
+        let perms = CsfSet::level_orders(t.dims(), alloc);
+        assert_eq!(set.csfs().len(), perms.len());
+        for (got, perm) in set.csfs().iter().zip(&perms) {
+            let want = if sort::sort_keys(t, perm, team, None).is_some() {
+                stable_sorted(t, perm)
+            } else {
+                let mut copy = t.clone();
+                sort::sort_by_perm(&mut copy, perm, team, SortVariant::AllOpts);
+                copy
+            };
+            assert_same(got, &Csf::from_sorted(&want, perm));
+        }
+    }
+
+    /// The tree assembled from the sorted keys is the one `from_sorted`
+    /// walks out of the oracle-sorted tensor, under `One`/`Two`/`All`:
+    /// orders 2–5 at 1, 2 and 3 tasks; dims of 1, 2^k and 2^k + 1 (a
+    /// field's width at its edges); nnz 0, 1, 2^k and 2^k + 1 (the
+    /// index's); duplicate-heavy, already sorted and reverse-sorted.
+    #[test]
+    fn keyed_csf_equals_from_sorted_of_the_oracle_order() {
+        qc::check("keyed csf == from_sorted(oracle order)", 96, |g| {
+            let edge = |g: &mut qc::Gen, drawn: usize| {
+                let k = g.range(0..9u32);
+                [1, 1 << k, (1 << k) + 1, 0, drawn][g.usize_in(0..5)]
+            };
+            let order = g.usize_in(2..6);
+            let dims: Vec<usize> = (0..order)
+                .map(|_| {
+                    let drawn = g.usize_in(1..40);
+                    edge(g, drawn).max(1)
+                })
+                .collect();
+            let drawn = g.usize_in(2..300);
+            let nnz = edge(g, drawn);
+            let heavy = g.bool();
+            let mut t = SparseTensor::new(dims.clone());
+            for n in 0..nnz {
+                let coord: Vec<u32> = dims
+                    .iter()
+                    .map(|&d| g.usize_in(0..if heavy { d.min(2) } else { d }) as u32)
+                    .collect();
+                t.push(&coord, f64::from(n as u32) - 0.5);
+            }
+            let perm: Vec<usize> = (0..order).collect();
+            let t = match g.usize_in(0..4) {
+                0 => stable_sorted(&t, &perm),
+                1 => {
+                    let s = stable_sorted(&t, &perm);
+                    let inds = (0..order)
+                        .map(|m| s.ind(m).iter().rev().copied().collect())
+                        .collect();
+                    SparseTensor::from_parts(dims, inds, s.vals().iter().rev().copied().collect())
+                }
+                _ => t,
+            };
+            for ntasks in 1..=3 {
+                let team = TaskTeam::new(ntasks);
+                for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+                    assert_keyed_trees(&t, alloc, &team);
+                }
+            }
+        });
+    }
+
+    /// The same where the key outgrows its word: exactly 64 bits, also
+    /// under a root as wide as the other fields (the root has no field),
+    /// and 65 bits or past 128 — where the build sorts a copy with
+    /// `AllOpts` (for the 2^32-wide dims only the short root's tree: a
+    /// root of 2^32 slices would need a histogram that long).
+    #[test]
+    fn keyed_csf_equals_from_sorted_at_the_word_boundaries() {
+        let k14 = 1 << 14;
+        let big = u32::MAX as usize;
+        let team = TaskTeam::new(2);
+        for (dims, nnz, radix) in [
+            (vec![3, k14, k14, k14, k14], 256, true),
+            (vec![k14; 5], 256, true),
+            (vec![3, k14, k14, k14, k14], 257, false),
+            (vec![3, k14 + 1, k14, k14, k14], 256, false),
+            (vec![3, big, big, big, big], 300, false),
+        ] {
+            let t = synth::power_law(&dims, nnz, 3.0, 41);
+            let perm: Vec<usize> = (0..dims.len()).collect();
+            assert_eq!(sort::sort_keys(&t, &perm, &team, None).is_some(), radix);
+            let allocs: &[CsfAlloc] = if dims[1] == big {
+                &[CsfAlloc::One]
+            } else {
+                &[CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All]
+            };
+            for &alloc in allocs {
+                assert_keyed_trees(&t, alloc, &team);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancelled_keyed_build_is_empty_and_valid() {
+        let t = synth::random_uniform(&[50, 30, 40], 5_000, 3);
+        let guard = splatt_guard::RunGuard::unarmed();
+        guard.cancel();
+        let csf = Csf::build_guarded(&t, &[0, 1, 2], &team(), SortVariant::KeyIndex, Some(&guard));
+        assert_eq!((csf.nnz(), csf.nfibers(0), csf.order()), (0, 0, 3));
+        assert_eq!(csf.dims(), t.dims());
+        assert_eq!(csf.fptr(0), &[0]);
+        // with a clean guard the same build is the whole tree
+        let clean = splatt_guard::RunGuard::unarmed();
+        let csf = Csf::build_guarded(&t, &[0, 1, 2], &team(), SortVariant::KeyIndex, Some(&clean));
+        assert_same(
+            &csf,
+            &Csf::from_sorted(&stable_sorted(&t, &[0, 1, 2]), &[0, 1, 2]),
         );
     }
 

@@ -116,8 +116,7 @@ impl TiledCsf {
                 let mut t = SparseTensor::from_parts(tensor.dims().to_vec(), inds, vals);
                 sort::sort_by_perm_guarded(&mut t, &perm, team, variant, guard);
                 if guard.is_some_and(|g| g.is_cancelled()) && !t.is_sorted_by(&perm) {
-                    let empty = SparseTensor::new(tensor.dims().to_vec());
-                    Csf::from_sorted(&empty, &perm)
+                    Csf::empty(tensor.dims(), &perm)
                 } else {
                     Csf::from_sorted(&t, &perm)
                 }

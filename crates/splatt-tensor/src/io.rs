@@ -174,7 +174,9 @@ pub fn read_tns(reader: impl Read) -> Result<SparseTensor, TnsError> {
 /// # Errors
 /// [`TnsError::Parse`] on malformed lines (wrong arity, non-numeric
 /// fields, zero or `> u32::MAX` indices — the format is 1-based — and
-/// non-finite values, which would silently poison a decomposition);
+/// non-finite values, which would silently poison a decomposition,
+/// including a [`DuplicatePolicy::Sum`] that overflows: the error names
+/// the line whose value did it);
 /// [`TnsError::Duplicate`] on a repeated coordinate under
 /// [`DuplicatePolicy::Error`]; [`TnsError::Io`] on read failures. An
 /// empty stream is an error (the order cannot be inferred).
@@ -226,7 +228,18 @@ pub fn read_tns_with(
             if let Some(&at) = seen.get(&coord) {
                 match duplicates {
                     DuplicatePolicy::Sum => {
-                        vals[at] += v;
+                        let sum = vals[at] + v;
+                        // two finite values can overflow to infinity
+                        if !sum.is_finite() {
+                            return Err(TnsError::Parse {
+                                line: lineno,
+                                message: format!(
+                                    "non-finite value {sum}: '{}' added to an earlier line's",
+                                    fields[ord]
+                                ),
+                            });
+                        }
+                        vals[at] = sum;
                         continue;
                     }
                     DuplicatePolicy::Error => {
@@ -393,6 +406,27 @@ mod tests {
             t.canonical_entries(),
             vec![(vec![0, 1, 2], 1.0), (vec![3, 0, 0], 2.0)]
         );
+    }
+
+    /// Regression: each value is finite, so each line parsed, and the sum
+    /// of the two used to enter the tensor as `inf`.
+    #[test]
+    fn duplicate_policy_sum_rejects_an_overflowing_sum() {
+        let text = "1 1 1 1.5e308\n2 2 2 1.0\n1 1 1 1.5e308\n";
+        match read_tns_with(text.as_bytes(), DuplicatePolicy::Sum).unwrap_err() {
+            TnsError::Parse { line, message } => {
+                assert_eq!(line, 3);
+                assert!(message.contains("non-finite"), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // a finite sum of the same magnitude still merges
+        let t = read_tns_with(
+            "1 1 1.5e308\n1 1 -1.5e308\n".as_bytes(),
+            DuplicatePolicy::Sum,
+        );
+        assert_eq!(t.unwrap().vals(), &[0.0]);
+        assert_eq!(read_tns(text.as_bytes()).unwrap().nnz(), 3);
     }
 
     #[test]

@@ -18,11 +18,19 @@
 //! * [`stats`] — Table I-style data set summaries.
 
 mod coo;
+#[cfg(test)]
+mod mutation;
 
 pub mod io;
 pub mod sort;
 pub mod stats;
 pub mod synth;
+
+/// The unit tests count their heap requests: the mutation test asserts
+/// an allocation bound per decoded tensor file.
+#[cfg(test)]
+#[global_allocator]
+static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingAlloc;
 
 pub use coo::{MergeStats, SortedBatch, SparseTensor};
 pub use sort::SortVariant;

@@ -448,6 +448,24 @@ fn cpd_dedup_flag_controls_duplicate_handling() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Two finite values of one coordinate can sum to infinity: `--dedup sum`
+/// must refuse the file, naming the line, before any decomposition.
+#[test]
+fn cpd_dedup_sum_refuses_an_overflowing_duplicate() {
+    let dir = workdir("dedup_overflow");
+    let tns = dir.join("overflow.tns");
+    std::fs::write(&tns, "1 1 1 1.5e308\n1 1 1 1.5e308\n2 2 2 1.0\n").unwrap();
+    let out = splatt()
+        .args(["cpd", tns.to_str().unwrap(), "--rank", "1", "--iters", "2"])
+        .args(["--dedup", "sum"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 2: non-finite value inf"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Generate a small tensor, decompose it, and export the model in the
 /// canonical bit-exact format; returns (dir, model path).
 fn exported_model(name: &str) -> (PathBuf, PathBuf) {
