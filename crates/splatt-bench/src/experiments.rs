@@ -689,8 +689,8 @@ pub fn profile() -> Table {
 /// Faults: the fault-tolerance study. A seeded [`splatt_faults::FaultPlan`]
 /// injects each fault kind (and then all of them at once) into the early
 /// iterations of a CP-ALS run; the recovery machinery — absorbed delays,
-/// bounded retries, escalating ridge regularization, iteration rollback —
-/// must bring every run back to the fault-free fit. Reports the injected
+/// escalating ridge regularization, iteration rollback — must bring every
+/// run back to the fault-free fit. Reports the injected
 /// event count, the recovery actions taken, and the fit delta against the
 /// clean run.
 pub fn faults_experiment() -> Table {
@@ -723,18 +723,11 @@ pub fn faults_experiment() -> Table {
         "0".to_string(),
     ]);
 
-    let plans: [(&str, FaultRates); 5] = [
+    let plans: [(&str, FaultRates); 4] = [
         (
             "straggler",
             FaultRates {
                 straggler: 0.5,
-                ..Default::default()
-            },
-        ),
-        (
-            "dropped collective",
-            FaultRates {
-                dropped: 0.4,
                 ..Default::default()
             },
         ),
@@ -756,7 +749,6 @@ pub fn faults_experiment() -> Table {
             "all kinds",
             FaultRates {
                 straggler: 0.3,
-                dropped: 0.25,
                 nan: 0.2,
                 nonspd: 0.25,
                 ..Default::default()

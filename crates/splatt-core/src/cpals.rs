@@ -15,7 +15,6 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::csf::{CsfSet, KernelKind};
-use crate::governed::GovernancePolicy;
 use crate::kruskal::KruskalModel;
 use crate::mttkrp::{mttkrp, mttkrp_tiled, uses_locks, MttkrpConfig, MttkrpWorkspace};
 use crate::options::CpalsOptions;
@@ -25,7 +24,7 @@ use splatt_dense::{
     Matrix, RidgeOutcome,
 };
 use splatt_faults::{FaultKind, FaultPlan, FaultRecord, RecoveryAction};
-use splatt_guard::{LaneSpan, RunGuard, TripReason};
+use splatt_guard::{GuardConfig, LaneSpan, RunGuard, TripReason};
 use splatt_par::{Routine, TaskTeam, TimerRegistry};
 use splatt_probe::{FaultRow, MttkrpProbe, ProfileReport, RoutineRow, SpanNode};
 use splatt_tensor::SparseTensor;
@@ -49,12 +48,6 @@ pub struct CpalsOutput {
     /// Full observability report, present when
     /// [`CpalsOptions::profile`] was set.
     pub profile: Option<ProfileReport>,
-    /// Attempts made: 1 unless a [`Governance::Policy`] with
-    /// [`crate::OnOverrun::Degrade`] retried after a guard trip.
-    pub attempts: usize,
-    /// Human-readable description of each degradation rung applied, in
-    /// order; empty when the first attempt finished inside its limits.
-    pub degradations: Vec<String>,
 }
 
 /// Who may stop a run early. An enum, so "caller-owned guard *and*
@@ -71,9 +64,11 @@ pub enum Governance<'a> {
     /// heartbeats lane 0 for the guard's watchdog across the iteration
     /// loop; kernel tasks heartbeat their own lanes.
     Guard(&'a RunGuard),
-    /// Limits the driver arms itself, one guard per attempt, with the
-    /// policy's trip response (abort, checkpoint, or degrade and retry).
-    Policy(&'a GovernancePolicy),
+    /// Limits the driver arms itself: one guard for the run, on a lane
+    /// per task, shut down when the run ends; a trip aborts exactly as a
+    /// caller-owned guard's does. Limits with nothing armed
+    /// ([`GuardConfig::is_armed`]) run without a guard.
+    Policy(&'a GuardConfig),
 }
 
 /// Everything about one CP-ALS run that is not a solver option: what it
@@ -103,8 +98,9 @@ pub struct CpalsRun<'a> {
 pub enum CpalsError {
     /// Checkpoint write, read, or validation failed.
     Checkpoint(CheckpointError),
-    /// A fault exhausted its recovery budget (retries, ridge escalations,
-    /// or iteration rollbacks).
+    /// A fault exhausted its recovery bound (10 ridge escalations or 16
+    /// iteration rollbacks), or the run's state went non-finite with no
+    /// fault plan to roll back with.
     Unrecovered {
         /// The fault kind that could not be recovered.
         kind: FaultKind,
@@ -233,15 +229,13 @@ pub fn cp_als(tensor: &SparseTensor, opts: &CpalsOptions) -> CpalsOutput {
 /// # Errors
 /// [`CpalsError::Checkpoint`] if `opts.resume_from` cannot be read or
 /// validated, or a checkpoint write to `opts.checkpoint_dir` fails;
-/// [`CpalsError::Unrecovered`] if an injected fault exhausts the bounds in
-/// `opts.recovery`; [`CpalsError::Aborted`] when a guard trips and the
-/// policy, if any, cannot (or may not) recover.
+/// [`CpalsError::Unrecovered`] if a fault exhausts the driver's ridge or
+/// rollback bound; [`CpalsError::Aborted`] when a guard trips.
 ///
 /// # Panics
 /// As [`cp_als`] on invalid options (programmer error, not runtime
-/// faults); if `run.team` is given and its size is not `opts.ntasks`; and
-/// on [`crate::OnOverrun::Checkpoint`] without `opts.checkpoint_dir` (a
-/// configuration contradiction).
+/// faults), and if `run.team` is given and its size is not
+/// `opts.ntasks`.
 pub fn try_cp_als(
     tensor: &SparseTensor,
     opts: &CpalsOptions,
@@ -263,11 +257,32 @@ pub fn try_cp_als(
     match run.governance {
         Governance::None => als_attempt(tensor, opts, team, run, None),
         Governance::Guard(guard) => als_attempt(tensor, opts, team, run, Some(guard)),
-        Governance::Policy(policy) => {
-            crate::governed::run_under_policy(tensor, opts, team, run, policy)
+        Governance::Policy(limits) => {
+            let guard = limits
+                .is_armed()
+                .then(|| RunGuard::new(*limits, opts.ntasks));
+            let result = als_attempt(tensor, opts, team, run, guard.as_ref());
+            if let Some(guard) = &guard {
+                guard.shutdown();
+            }
+            result
         }
     }
 }
+
+/// First Tikhonov ridge of the non-SPD recovery, relative to the mean
+/// Gram diagonal (`base` of [`solve_normals_ridge`]).
+const RIDGE_BASE: f64 = 1e-8;
+/// Factor the ridge grows by after each failed factorization.
+const RIDGE_GROWTH: f64 = 100.0;
+/// Ridge escalations before a non-SPD Gramian is unrecovered: the last
+/// ridge tried is `RIDGE_BASE * RIDGE_GROWTH^9` = 1e10 × the mean
+/// diagonal.
+const MAX_RIDGE_ATTEMPTS: u32 = 10;
+/// Iteration rollbacks per run before non-finite state is unrecovered.
+/// Injected sites are one-shot, so a replay runs clean; only state that
+/// poisons every replay (an organic NaN) exhausts it.
+const MAX_ROLLBACKS: u32 = 16;
 
 /// Builds the `Aborted` error from the driver's loop state at a guard
 /// trip. The factor clones are the price of handing back a usable
@@ -291,9 +306,8 @@ fn abort_error(
 }
 
 /// One guarded pass of the ALS driver — the whole of [`try_cp_als`]
-/// except the choice of team (`run.team` is not read) and the policy's
-/// retry loop.
-pub(crate) fn als_attempt(
+/// except the choice of team (`run.team` is not read) and of the guard.
+fn als_attempt(
     tensor: &SparseTensor,
     opts: &CpalsOptions,
     team: &TaskTeam,
@@ -453,7 +467,6 @@ pub(crate) fn als_attempt(
         .collect();
 
     let norm_x_sq = tensor.norm_squared();
-    let policy = opts.recovery;
     let mut iterations = start_iter;
     let mut rollbacks_used = 0u32;
     // the resume source counts as "last durable state" until this run
@@ -511,7 +524,7 @@ pub(crate) fn als_attempt(
             // straggler fault: one task is late; the team absorbs the delay
             // (clamped so a recovery sleep can never outlive the deadline)
             if let Some(plan) = faults {
-                if plan.roll(FaultKind::Straggler, it, mode, 0) {
+                if plan.roll(FaultKind::Straggler, it, mode) {
                     let delay = Duration::from_nanos(plan.straggler_delay_nanos(it, mode));
                     let delay = guard.map_or(delay, |g| g.clamp_sleep(delay));
                     std::thread::sleep(delay);
@@ -562,7 +575,7 @@ pub(crate) fn als_attempt(
             // NaN guard below detects it and rolls the iteration back
             if let Some(plan) = faults {
                 let len = mout[mode].as_slice().len();
-                if len > 0 && plan.roll(FaultKind::NanPoison, it, mode, 0) {
+                if len > 0 && plan.roll(FaultKind::NanPoison, it, mode) {
                     let idx = plan.target_index(FaultKind::NanPoison, it, mode, len);
                     mout[mode].as_mut_slice()[idx] = f64::NAN;
                 }
@@ -585,7 +598,7 @@ pub(crate) fn als_attempt(
                         .as_mut_slice()
                         .copy_from_slice(mout[mode].as_slice());
                     let inject_nonspd = faults
-                        .map(|p| p.roll(FaultKind::NonSpdGram, it, mode, 0))
+                        .map(|p| p.roll(FaultKind::NonSpdGram, it, mode))
                         .unwrap_or(false);
                     if inject_nonspd {
                         let plan = faults.expect("injection implies a plan");
@@ -598,9 +611,9 @@ pub(crate) fn als_attempt(
                         let outcome = solve_normals_ridge(
                             &v,
                             &mut factors[mode],
-                            policy.ridge_base,
-                            policy.ridge_growth,
-                            policy.max_ridge_attempts,
+                            RIDGE_BASE,
+                            RIDGE_GROWTH,
+                            MAX_RIDGE_ATTEMPTS,
                         );
                         let action = match outcome {
                             RidgeOutcome::Cholesky => RecoveryAction::Regularized {
@@ -667,44 +680,6 @@ pub(crate) fn als_attempt(
                 },
             );
 
-            // the Gram refresh behaves as a collective in the distributed
-            // variant; a dropped one is retried with exponential backoff
-            if let Some(plan) = faults {
-                let site = || format!("mode {mode} ata allreduce");
-                let mut attempts = 0u32;
-                while plan.roll(FaultKind::DroppedCollective, it, mode, attempts) {
-                    attempts += 1;
-                    if attempts > policy.max_retries {
-                        plan.record(FaultRecord {
-                            kind: FaultKind::DroppedCollective,
-                            iteration: it,
-                            site: site(),
-                            action: RecoveryAction::Unrecovered,
-                        });
-                        return Err(CpalsError::Unrecovered {
-                            kind: FaultKind::DroppedCollective,
-                            iteration: it,
-                            site: site(),
-                        });
-                    }
-                    // bound the recovery backoff by the active deadline:
-                    // a retry sleep must never be what blows the budget
-                    let backoff = policy.backoff_duration(attempts - 1);
-                    std::thread::sleep(guard.map_or(backoff, |g| g.clamp_sleep(backoff)));
-                }
-                if attempts > 0 {
-                    plan.record(FaultRecord {
-                        kind: FaultKind::DroppedCollective,
-                        iteration: it,
-                        site: site(),
-                        action: RecoveryAction::Retried {
-                            attempts,
-                            backoff_nanos: policy.total_backoff_nanos(attempts),
-                        },
-                    });
-                }
-            }
-
             if let (Some(iter), Some(mut node)) = (iter_node.as_mut(), mode_node) {
                 node.nanos = mode_start.elapsed().as_nanos() as u64;
                 iter.push(node);
@@ -752,7 +727,7 @@ pub(crate) fn als_attempt(
             lambda = l;
             ata = a;
             rollbacks_used += 1;
-            if rollbacks_used > policy.max_rollbacks {
+            if rollbacks_used > MAX_ROLLBACKS {
                 plan.record(FaultRecord {
                     kind,
                     iteration: it,
@@ -853,8 +828,6 @@ pub(crate) fn als_attempt(
         fits,
         timers,
         profile,
-        attempts: 1,
-        degradations: Vec::new(),
     })
 }
 
@@ -1267,5 +1240,137 @@ mod tests {
             ..Default::default()
         };
         let _ = cp_als(&tensor, &opts);
+    }
+
+    /// The ridge ladder's constants on the degenerate Gramians CP-ALS
+    /// meets: near-singular, exactly collinear columns, and rank above
+    /// the smallest dimension — each plain, as a Hadamard product the way
+    /// the driver forms `V`, and knocked indefinite the way a `nonspd`
+    /// fault knocks it. Every solve ends in a typed outcome that is not
+    /// `Failed`, with finite output.
+    #[test]
+    fn ridge_ladder_constants_solve_rank_deficient_gramians() {
+        let rank = 6;
+        let rhs = || Matrix::random(7, rank, 6);
+        let ridge = |v: &Matrix, attempts| {
+            let mut m = rhs();
+            let outcome = solve_normals_ridge(v, &mut m, RIDGE_BASE, RIDGE_GROWTH, attempts);
+            (outcome, m)
+        };
+        // column `rank - 1` rewritten from column `rank - 2`
+        let with_last_column = |seed, f: &dyn Fn(f64, usize) -> f64| {
+            let mut a = Matrix::random(30, rank, seed);
+            for i in 0..a.rows() {
+                a[(i, rank - 1)] = f(a[(i, rank - 2)], i);
+            }
+            a
+        };
+        let near = with_last_column(1, &|x, i| x + 1e-9 * (i as f64).sin());
+        let collinear = with_last_column(2, &|x, _| 2.0 * x);
+        let wide = Matrix::random(4, rank, 3); // rank 6 > 4 rows
+        let mut hadamard = mat_ata(&Matrix::random(3, rank, 4));
+        hadamard_assign(&mut hadamard, &mat_ata(&Matrix::random(1, rank, 5)));
+        let gramians = [
+            ("near-singular", mat_ata(&near)),
+            ("collinear", mat_ata(&collinear)),
+            ("rank > dim", mat_ata(&wide)),
+            ("hadamard, rank > dims", hadamard),
+        ];
+        for (what, gram) in gramians {
+            let mut knocked = gram.clone();
+            let trace: f64 = (0..rank).map(|i| knocked[(i, i)].abs()).sum();
+            knocked[(0, 0)] = -(1.0 + trace);
+            for (how, v) in [("plain", gram), ("knocked", knocked)] {
+                let (outcome, m) = ridge(&v, MAX_RIDGE_ATTEMPTS);
+                assert!(
+                    !matches!(outcome, RidgeOutcome::Failed { .. }),
+                    "{what}, {how}: {outcome:?}"
+                );
+                assert!(
+                    m.as_slice().iter().all(|x| x.is_finite()),
+                    "{what}, {how}: non-finite solve ({outcome:?})"
+                );
+            }
+        }
+        // the cap is what separates "regularized" from "failed": unit
+        // diagonal (ridge scale 1) with an off-diagonal of 1e12 needs a
+        // ridge near 1e12, one rung past the last (1e10)
+        let mut v = Matrix::identity(rank);
+        v[(0, 1)] = 1e12;
+        v[(1, 0)] = 1e12;
+        match ridge(&v, MAX_RIDGE_ATTEMPTS) {
+            (
+                RidgeOutcome::Failed {
+                    last_ridge,
+                    attempts,
+                },
+                m,
+            ) => {
+                assert_eq!(attempts, MAX_RIDGE_ATTEMPTS);
+                assert!((last_ridge / 1e10 - 1.0).abs() < 1e-9, "{last_ridge}");
+                assert_eq!(m.as_slice(), rhs().as_slice(), "a refused solve keeps m");
+            }
+            (other, _) => panic!("expected the cap to refuse, got {other:?}"),
+        }
+        let (outcome, _) = ridge(&v, MAX_RIDGE_ATTEMPTS + 1);
+        assert!(
+            matches!(outcome, RidgeOutcome::Regularized { attempts: 11, .. }),
+            "{outcome:?}"
+        );
+    }
+
+    /// The [`Governance::Policy`] arm: one guard when a limit is armed,
+    /// none otherwise, and a trip aborts with the partial model.
+    mod governed {
+        use super::*;
+        use splatt_guard::GuardConfig;
+
+        fn governed(limits: &GuardConfig) -> Result<CpalsOutput, CpalsError> {
+            let run = CpalsRun {
+                governance: Governance::Policy(limits),
+                ..Default::default()
+            };
+            let tensor = synth::planted_dense(&[16, 14, 12], 3, 0.0, 11).0;
+            let opts = CpalsOptions {
+                rank: 3,
+                max_iters: 10,
+                tolerance: 0.0,
+                ntasks: 2,
+                ..Default::default()
+            };
+            try_cp_als(&tensor, &opts, &run)
+        }
+
+        #[test]
+        fn ungoverned_policy_just_runs() {
+            let out = governed(&GuardConfig::default()).expect("clean run");
+            assert_eq!(out.iterations, 10);
+        }
+
+        #[test]
+        fn generous_deadline_does_not_trip() {
+            let limits = GuardConfig {
+                deadline: Some(Duration::from_secs(300)),
+                ..Default::default()
+            };
+            let out = governed(&limits).expect("clean run");
+            assert_eq!(out.iterations, 10);
+        }
+
+        #[test]
+        fn zero_deadline_aborts_immediately() {
+            let limits = GuardConfig {
+                deadline: Some(Duration::ZERO),
+                ..Default::default()
+            };
+            match governed(&limits) {
+                Err(CpalsError::Aborted(ab)) => {
+                    assert!(matches!(ab.reason, TripReason::DeadlineExceeded { .. }));
+                    assert!(ab.last_checkpoint.is_none());
+                    assert_eq!(ab.partial.factors.len(), 3);
+                }
+                other => panic!("expected Aborted, got {other:?}"),
+            }
+        }
     }
 }

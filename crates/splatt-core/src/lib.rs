@@ -42,7 +42,6 @@ mod completion;
 mod cpals;
 pub mod csf;
 mod diagnostics;
-mod governed;
 mod kruskal;
 mod model_file;
 #[cfg(test)]
@@ -67,7 +66,6 @@ pub use completion::{rmse_observed, tensor_complete, CompletionOptions, Completi
 pub use cpals::{cp_als, try_cp_als, CpalsError, CpalsOutput, CpalsRun, Governance, RunAborted};
 pub use csf::{Csf, CsfAlloc, CsfSet, KernelKind};
 pub use diagnostics::corcondia;
-pub use governed::{GovernancePolicy, OnOverrun};
 pub use kruskal::KruskalModel;
 pub use model_file::{
     load_model, load_model_path, model_from_checkpoint, save_model, save_model_path, MODEL_HEADER,

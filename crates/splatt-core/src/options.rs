@@ -2,7 +2,6 @@
 
 use crate::csf::CsfAlloc;
 use crate::mttkrp::{MatrixAccess, DEFAULT_PRIV_THRESHOLD};
-use splatt_faults::RecoveryPolicy;
 use splatt_locks::{LockStrategy, DEFAULT_POOL_SIZE};
 use splatt_tensor::SortVariant;
 use std::path::PathBuf;
@@ -134,9 +133,6 @@ pub struct CpalsOptions {
     /// seeded random values. Ignored when `resume_from` is set (a
     /// checkpoint is a strictly stronger restart).
     pub warm_start: Option<crate::KruskalModel>,
-    /// Recovery knobs (retry budgets, ridge escalation, rollback cap)
-    /// used when faults — injected or organic — hit the solver.
-    pub recovery: RecoveryPolicy,
 }
 
 impl Default for CpalsOptions {
@@ -161,7 +157,6 @@ impl Default for CpalsOptions {
             checkpoint_dir: None,
             resume_from: None,
             warm_start: None,
-            recovery: RecoveryPolicy::default(),
         }
     }
 }

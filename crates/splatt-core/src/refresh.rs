@@ -40,9 +40,10 @@
 //!    mode past another) is built from the merged tensor by sorting,
 //!    and says so in `sorts_skipped`.
 //! 4. **Warm-start, don't restart** — the refit seeds
-//!    [`CpalsOptions::warm_start`] with the previous model, runs under a
-//!    [`GovernancePolicy`] (deadline / overrun ladder), and publishes
-//!    the result with the atomic artifact protocol.
+//!    [`CpalsOptions::warm_start`] with the previous model, runs under
+//!    the limits of [`RefreshOptions::policy`] (a trip fails the round
+//!    with [`RefreshError::Solver`]), and publishes the result with the
+//!    atomic artifact protocol.
 //!
 //! # The engine never writes the log
 //!
@@ -84,11 +85,11 @@
 
 use crate::cpals::{try_cp_als, CpalsError, CpalsOutput, CpalsRun, Governance};
 use crate::csf::CsfSet;
-use crate::governed::GovernancePolicy;
 use crate::kruskal::KruskalModel;
 use crate::model_file::{load_model_path, save_model};
 use crate::options::CpalsOptions;
 use splatt_faults::IoFaultPlan;
+use splatt_guard::GuardConfig;
 use splatt_par::{TaskTeam, TeamConfig};
 use splatt_probe::RefreshRow;
 use splatt_store::{
@@ -182,9 +183,8 @@ pub struct RefreshOptions {
     /// the engine (overwritten every round); setting it here has no
     /// effect.
     pub cpals: CpalsOptions,
-    /// Governance limits applied to each refit (deadline, overrun
-    /// ladder).
-    pub policy: GovernancePolicy,
+    /// Limits each refit runs under ([`Governance::Policy`]).
+    pub policy: GuardConfig,
     /// Disk-fault plan threaded through every store operation the
     /// engine performs (WAL read, model publish, manifest publish).
     pub plan: Option<Arc<IoFaultPlan>>,
@@ -218,8 +218,6 @@ pub struct RefreshOutcome {
     pub round: u64,
     /// Path of the atomically published model artifact.
     pub model_path: PathBuf,
-    /// Degradation rungs the governed refit applied, in order.
-    pub degradations: Vec<String>,
 }
 
 /// The online refresh driver. See the module docs for the protocol.
@@ -457,7 +455,6 @@ impl RefreshEngine {
             watermark: new_watermark,
             round,
             model_path,
-            degradations: run.degradations,
         }))
     }
 

@@ -1,23 +1,22 @@
 //! Deterministic fault injection and recovery bookkeeping for splatt-rs.
 //!
 //! The paper's CP-ALS stack assumes every sort, MTTKRP, and solve
-//! succeeds and every simulated rank answers. Production deployments
-//! (and the distributed-runtime follow-on work the ROADMAP targets)
-//! cannot: ranks straggle, collectives drop or corrupt payloads,
-//! accumulators take bit flips, and degenerate inputs make the normal
-//! equations indefinite. This crate supplies the two halves such a
-//! system needs:
+//! succeeds. A long run cannot: tasks straggle, accumulators take bit
+//! flips, and degenerate inputs make the normal equations indefinite;
+//! the store's disk and the serving cluster's sub-requests fail on
+//! their own. This crate supplies the two halves such a system needs:
 //!
 //! * **Causing failures** — [`FaultPlan`]: a seed-driven, *stateless*
 //!   fault schedule. Every decision is a pure hash of
-//!   `(seed, kind, iteration, unit, attempt)`, so plans replay
-//!   identically across runs and across checkpoint/restart boundaries.
-//!   Sites are one-shot (transient-fault model), which is what makes
-//!   retry/rollback recovery converge.
-//! * **Bounding recovery** — [`RecoveryPolicy`]: retry counts,
-//!   exponential backoff, escalating Tikhonov ridges, and rollback
-//!   budgets; [`RecoveryAction`] / [`FaultRecord`] are the typed audit
-//!   trail that flows into `splatt-probe`'s JSON report.
+//!   `(seed, kind, iteration, unit)`, so plans replay identically across
+//!   runs and across checkpoint/restart boundaries. Sites are one-shot
+//!   (transient-fault model), which is what makes rollback recovery
+//!   converge. [`IoFaultPlan`] and [`NetFaultPlan`] do the same for the
+//!   store's I/O and the cluster's sub-requests.
+//! * **Recording recovery** — [`RecoveryAction`] / [`FaultRecord`] are
+//!   the typed audit trail that flows into `splatt-probe`'s JSON report.
+//!   The bounds themselves live with the code that recovers (the CP-ALS
+//!   driver's ridge and rollback caps, `splatt_guard::RetryPolicy`).
 //!
 //! The solver (`splatt-core`), the store and the serving cluster
 //! consume these types; this crate depends only on `splatt-rt`-level
@@ -32,4 +31,4 @@ mod recovery;
 pub use io::{IoFault, IoFaultKind, IoFaultPlan, IoFaultRates, IoFaultRecord};
 pub use net::{KillEvent, NetFaultPlan};
 pub use plan::{FaultKind, FaultPlan, FaultPlanParseError, FaultRates, FaultRecord};
-pub use recovery::{RecoveryAction, RecoveryPolicy};
+pub use recovery::RecoveryAction;

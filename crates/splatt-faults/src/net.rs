@@ -98,7 +98,7 @@ impl NetFaultPlan {
     /// Whether to delay the call for `query` to `worker`, and by how
     /// much. Deterministic in the seed; one-shot per (query, worker).
     pub fn delay_before_send(&self, query: usize, worker: usize) -> Option<Duration> {
-        if self.plan.roll(FaultKind::Straggler, query, worker, 0) {
+        if self.plan.roll(FaultKind::Straggler, query, worker) {
             Some(Duration::from_nanos(
                 self.plan.straggler_delay_nanos(query, worker),
             ))
@@ -113,7 +113,7 @@ impl NetFaultPlan {
     /// the observable behaviour of a checksum-guarded transport.
     /// Deterministic in the seed; one-shot per (query, worker).
     pub fn corrupt_frame(&self, query: usize, worker: usize, payload: &mut [u8]) -> bool {
-        if payload.is_empty() || !self.plan.roll(FaultKind::CorruptPayload, query, worker, 0) {
+        if payload.is_empty() || !self.plan.roll(FaultKind::CorruptPayload, query, worker) {
             return false;
         }
         payload[0] ^= 0x80;

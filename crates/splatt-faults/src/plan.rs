@@ -2,17 +2,16 @@
 //!
 //! A [`FaultPlan`] decides, for every *site* the solver stack exposes,
 //! whether a fault fires there. Decisions are **stateless**: each is a
-//! pure hash of `(seed, kind, iteration, unit, attempt)` compared against
-//! the kind's configured rate. That makes plans reproducible across runs
+//! pure hash of `(seed, kind, iteration, unit)` compared against the
+//! kind's configured rate. That makes plans reproducible across runs
 //! and — crucially — across checkpoint/restart boundaries: a resumed run
 //! re-derives exactly the faults the uninterrupted run would have seen
 //! from the resume iteration onward, with no RNG stream to rewind.
 //!
 //! Faults are *one-shot* per site (a fired site is remembered and never
-//! refires), which models transient failures: a retried collective or a
-//! rolled-back iteration re-executes cleanly, the way a real retransmit
-//! or recompute would succeed after a transient network or bit-flip
-//! event.
+//! refires), which models transient failures: a rolled-back iteration
+//! re-executes cleanly, the way a real recompute would succeed after a
+//! transient bit-flip event.
 
 use crate::recovery::RecoveryAction;
 use splatt_rt::rng::{RngExt, SeedableRng, StdRng};
@@ -22,12 +21,11 @@ use std::sync::Mutex;
 /// The fault families the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// A slow rank/task: an injected delay before a kernel or collective.
+    /// A slow task or worker: an injected delay before a kernel or a
+    /// sub-request.
     Straggler,
-    /// A collective "loses" its payload and must be retried.
-    DroppedCollective,
-    /// A collective delivers corrupted bytes (caught by checksum) and
-    /// must be retransmitted.
+    /// A sub-request delivers corrupted bytes (caught by checksum); only
+    /// network plans ([`crate::NetFaultPlan`]) have a site for it.
     CorruptPayload,
     /// A kernel output value is poisoned to NaN (models a bit flip in
     /// the significand/exponent of an accumulator).
@@ -39,9 +37,8 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// All kinds, in a stable order.
-    pub const ALL: [FaultKind; 5] = [
+    pub const ALL: [FaultKind; 4] = [
         FaultKind::Straggler,
-        FaultKind::DroppedCollective,
         FaultKind::CorruptPayload,
         FaultKind::NanPoison,
         FaultKind::NonSpdGram,
@@ -51,7 +48,6 @@ impl FaultKind {
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::Straggler => "straggler",
-            FaultKind::DroppedCollective => "dropped-collective",
             FaultKind::CorruptPayload => "corrupt-payload",
             FaultKind::NanPoison => "nan-poison",
             FaultKind::NonSpdGram => "non-spd-gram",
@@ -61,7 +57,6 @@ impl FaultKind {
     fn tag(self) -> u64 {
         match self {
             FaultKind::Straggler => 0x51,
-            FaultKind::DroppedCollective => 0x52,
             FaultKind::CorruptPayload => 0x53,
             FaultKind::NanPoison => 0x54,
             FaultKind::NonSpdGram => 0x55,
@@ -73,7 +68,6 @@ impl FaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
     pub straggler: f64,
-    pub dropped: f64,
     pub corrupt: f64,
     pub nan: f64,
     pub nonspd: f64,
@@ -83,7 +77,6 @@ impl FaultRates {
     fn rate(&self, kind: FaultKind) -> f64 {
         match kind {
             FaultKind::Straggler => self.straggler,
-            FaultKind::DroppedCollective => self.dropped,
             FaultKind::CorruptPayload => self.corrupt,
             FaultKind::NanPoison => self.nan,
             FaultKind::NonSpdGram => self.nonspd,
@@ -117,7 +110,7 @@ pub struct FaultPlan {
     /// governance tests scale delays up into watchdog territory without
     /// changing which sites fire.
     straggler_scale: u64,
-    fired: Mutex<HashSet<(u64, u64, u64, u64)>>,
+    fired: Mutex<HashSet<(u64, u64, u64)>>,
     events: Mutex<Vec<FaultRecord>>,
 }
 
@@ -141,11 +134,13 @@ fn mix(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-fn site_hash(seed: u64, kind: FaultKind, iteration: u64, unit: u64, attempt: u64) -> u64 {
+/// The site's hash; `salt` is 0 for the fire decision and the straggler
+/// delay, 1 for the target index.
+fn site_hash(seed: u64, kind: FaultKind, iteration: u64, unit: u64, salt: u64) -> u64 {
     let mut h = mix(seed ^ kind.tag().wrapping_mul(0xA24B_AED4_963E_E407));
     h = mix(h ^ iteration.wrapping_mul(0x9FB2_1C65_1E98_DF25));
     h = mix(h ^ unit.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    mix(h ^ attempt.wrapping_mul(0xCA5A_8268_85B3_F57B))
+    mix(h ^ salt.wrapping_mul(0xCA5A_8268_85B3_F57B))
 }
 
 /// Uniform f64 in `[0, 1)` from one xoshiro256** draw seeded by the site
@@ -202,14 +197,16 @@ impl FaultPlan {
         self.rates
     }
 
-    /// Parse a plan from a `key=value` comma list, e.g.
-    /// `seed=42,straggler=0.5,drop=0.25,corrupt=0.25,nan=0.2,nonspd=0.2,horizon=5`.
-    /// Unknown keys are rejected; all keys are optional (`seed` defaults
-    /// to 0, rates to 0, `horizon` to unlimited).
+    /// Parse a CP-ALS plan from a `key=value` comma list, e.g.
+    /// `seed=42,straggler=0.5,nan=0.2,nonspd=0.2,horizon=5`. The keys are
+    /// exactly the kinds CP-ALS has a site for, plus `seed` and
+    /// `horizon`; all are optional (`seed` defaults to 0, rates to 0,
+    /// `horizon` to unlimited). `corrupt` has no CP-ALS site and is
+    /// rejected like any unknown key; network plans set it in code.
     ///
     /// # Errors
-    /// [`FaultPlanParseError`] on unknown keys, malformed numbers, or
-    /// rates outside `[0, 1]`.
+    /// [`FaultPlanParseError`] on unknown keys (the message lists the
+    /// accepted ones), malformed numbers, or rates outside `[0, 1]`.
     pub fn parse(spec: &str) -> Result<Self, FaultPlanParseError> {
         let mut seed = 0u64;
         let mut rates = FaultRates::default();
@@ -243,24 +240,22 @@ impl FaultPlan {
                     })?;
                 }
                 "straggler" => rates.straggler = parse_rate()?,
-                "drop" => rates.dropped = parse_rate()?,
-                "corrupt" => rates.corrupt = parse_rate()?,
                 "nan" => rates.nan = parse_rate()?,
                 "nonspd" => rates.nonspd = parse_rate()?,
                 other => {
                     return Err(FaultPlanParseError(format!(
-                    "unknown key '{other}' (seed, horizon, straggler, drop, corrupt, nan, nonspd)"
-                )))
+                        "unknown key '{other}' (seed, horizon, straggler, nan, nonspd)"
+                    )))
                 }
             }
         }
         Ok(FaultPlan::new(seed, rates).with_horizon(horizon))
     }
 
-    /// Decide whether `kind` fires at `(iteration, unit, attempt)`.
-    /// Deterministic in the plan's seed; one-shot per site — the first
-    /// `true` for a site is also its last.
-    pub fn roll(&self, kind: FaultKind, iteration: usize, unit: usize, attempt: u32) -> bool {
+    /// Decide whether `kind` fires at `(iteration, unit)`. Deterministic
+    /// in the plan's seed; one-shot per site — the first `true` for a
+    /// site is also its last.
+    pub fn roll(&self, kind: FaultKind, iteration: usize, unit: usize) -> bool {
         if iteration >= self.horizon {
             return false;
         }
@@ -268,17 +263,11 @@ impl FaultPlan {
         if rate <= 0.0 {
             return false;
         }
-        let h = site_hash(
-            self.seed,
-            kind,
-            iteration as u64,
-            unit as u64,
-            attempt as u64,
-        );
+        let h = site_hash(self.seed, kind, iteration as u64, unit as u64, 0);
         if unit_f64(h) >= rate {
             return false;
         }
-        let key = (kind.tag(), iteration as u64, unit as u64, attempt as u64);
+        let key = (kind.tag(), iteration as u64, unit as u64);
         self.fired.lock().expect("fault plan poisoned").insert(key)
     }
 
@@ -354,7 +343,6 @@ mod tests {
             7,
             FaultRates {
                 straggler: 0.5,
-                dropped: 0.5,
                 corrupt: 0.5,
                 nan: 0.5,
                 nonspd: 0.5,
@@ -369,7 +357,7 @@ mod tests {
         for it in 0..20 {
             for unit in 0..4 {
                 for kind in FaultKind::ALL {
-                    assert_eq!(a.roll(kind, it, unit, 0), b.roll(kind, it, unit, 0));
+                    assert_eq!(a.roll(kind, it, unit), b.roll(kind, it, unit));
                 }
             }
         }
@@ -384,9 +372,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(p.roll(FaultKind::NanPoison, 3, 1, 0));
-        assert!(!p.roll(FaultKind::NanPoison, 3, 1, 0), "site refired");
-        assert!(p.roll(FaultKind::NanPoison, 3, 2, 0), "other site blocked");
+        assert!(p.roll(FaultKind::NanPoison, 3, 1));
+        assert!(!p.roll(FaultKind::NanPoison, 3, 1), "site refired");
+        assert!(p.roll(FaultKind::NanPoison, 3, 2), "other site blocked");
     }
 
     #[test]
@@ -399,9 +387,9 @@ mod tests {
             },
         )
         .with_horizon(5);
-        assert!(p.roll(FaultKind::NanPoison, 4, 0, 0));
-        assert!(!p.roll(FaultKind::NanPoison, 5, 0, 0));
-        assert!(!p.roll(FaultKind::NanPoison, 100, 0, 0));
+        assert!(p.roll(FaultKind::NanPoison, 4, 0));
+        assert!(!p.roll(FaultKind::NanPoison, 5, 0));
+        assert!(!p.roll(FaultKind::NanPoison, 100, 0));
     }
 
     #[test]
@@ -409,7 +397,7 @@ mod tests {
         let p = FaultPlan::quiet(9);
         for it in 0..50 {
             for kind in FaultKind::ALL {
-                assert!(!p.roll(kind, it, 0, 0));
+                assert!(!p.roll(kind, it, 0));
             }
         }
     }
@@ -424,7 +412,7 @@ mod tests {
             },
         );
         let fired = (0..4000)
-            .filter(|&i| p.roll(FaultKind::Straggler, i, 0, 0))
+            .filter(|&i| p.roll(FaultKind::Straggler, i, 0))
             .count();
         let frac = fired as f64 / 4000.0;
         assert!((frac - 0.25).abs() < 0.05, "observed rate {frac}");
@@ -432,22 +420,28 @@ mod tests {
 
     #[test]
     fn parse_full_spec() {
-        let p = FaultPlan::parse(
-            "seed=42, straggler=0.5,drop=0.25,corrupt=0.1,nan=0.2,nonspd=0.3,horizon=5",
-        )
-        .unwrap();
+        let p = FaultPlan::parse("seed=42, straggler=0.5,nan=0.2,nonspd=0.3,horizon=5").unwrap();
         assert_eq!(p.seed(), 42);
         assert_eq!(p.rates().straggler, 0.5);
-        assert_eq!(p.rates().dropped, 0.25);
-        assert_eq!(p.rates().corrupt, 0.1);
+        assert_eq!(p.rates().corrupt, 0.0);
         assert_eq!(p.rates().nan, 0.2);
         assert_eq!(p.rates().nonspd, 0.3);
-        assert!(!p.roll(FaultKind::NanPoison, 7, 0, 0), "horizon ignored");
+        assert!(!p.roll(FaultKind::NanPoison, 7, 0), "horizon ignored");
     }
 
     #[test]
     fn parse_rejects_bad_specs() {
         assert!(FaultPlan::parse("bogus=1").is_err());
+        // no CP-ALS site: rejected, and the message lists what is accepted
+        for spec in ["drop=0.2", "corrupt=0.5"] {
+            let err = FaultPlan::parse(spec).unwrap_err().to_string();
+            let key = spec.split('=').next().unwrap();
+            assert!(err.contains(&format!("'{key}'")), "{err}");
+            assert!(
+                err.contains("seed, horizon, straggler, nan, nonspd"),
+                "{err}"
+            );
+        }
         assert!(FaultPlan::parse("straggler=1.5").is_err());
         assert!(FaultPlan::parse("straggler=-0.1").is_err());
         assert!(FaultPlan::parse("seed=notanumber").is_err());
@@ -474,9 +468,9 @@ mod tests {
         assert_eq!(events[0].kind, FaultKind::Straggler);
         assert!(!p.any_unrecovered());
         p.record(FaultRecord {
-            kind: FaultKind::DroppedCollective,
+            kind: FaultKind::NanPoison,
             iteration: 3,
-            site: "norms".into(),
+            site: "fit".into(),
             action: RecoveryAction::Unrecovered,
         });
         assert!(p.any_unrecovered());
@@ -509,7 +503,7 @@ mod tests {
                 100 * base.straggler_delay_nanos(it, 1)
             );
             for kind in FaultKind::ALL {
-                assert_eq!(base.roll(kind, it, 1, 0), scaled.roll(kind, it, 1, 0));
+                assert_eq!(base.roll(kind, it, 1), scaled.roll(kind, it, 1));
             }
         }
         // scale 0 clamps to 1 rather than zeroing every delay

@@ -90,8 +90,8 @@ impl std::fmt::Display for TripReason {
     }
 }
 
-/// How a [`RunGuard`] is armed.
-#[derive(Debug, Clone, Default)]
+/// The limits a [`RunGuard`] is armed with.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GuardConfig {
     /// Wall-clock budget for the run.
     pub deadline: Option<Duration>,
@@ -99,8 +99,13 @@ pub struct GuardConfig {
     pub mem_budget: Option<u64>,
     /// Arm the stall watchdog.
     pub watchdog: Option<WatchdogConfig>,
-    /// Heartbeat lanes (>= the task count; lane 0 is the driver's).
-    pub lanes: usize,
+}
+
+impl GuardConfig {
+    /// Is any limit armed? Without one only cancellation can stop a run.
+    pub fn is_armed(&self) -> bool {
+        self.deadline.is_some() || self.mem_budget.is_some() || self.watchdog.is_some()
+    }
 }
 
 struct GuardInner {
@@ -124,12 +129,13 @@ pub struct RunGuard {
 }
 
 impl RunGuard {
-    /// Arm a guard per `cfg`. The watchdog thread (if configured)
-    /// starts immediately and holds a child-independent clone of the
-    /// token so a watchdog trip cancels the whole run.
-    pub fn new(cfg: GuardConfig) -> Self {
+    /// Arm a guard per `cfg` with `lanes` heartbeat lanes (>= the task
+    /// count; lane 0 is the driver's). The watchdog thread (if
+    /// configured) starts immediately and holds a child-independent
+    /// clone of the token so a watchdog trip cancels the whole run.
+    pub fn new(cfg: GuardConfig, lanes: usize) -> Self {
         let token = CancelToken::new();
-        let heartbeats = Arc::new(Heartbeats::new(cfg.lanes.max(1)));
+        let heartbeats = Arc::new(Heartbeats::new(lanes.max(1)));
         let ledger = Arc::new(WatchdogLedger::default());
         let watchdog = cfg.watchdog.map(|wcfg| {
             Watchdog::spawn(
@@ -156,7 +162,7 @@ impl RunGuard {
     /// An unarmed guard: cancellation only, one lane, no deadline,
     /// budget, or watchdog.
     pub fn unarmed() -> Self {
-        RunGuard::new(GuardConfig::default())
+        RunGuard::new(GuardConfig::default(), 1)
     }
 
     /// The run's cancel token.
@@ -346,6 +352,26 @@ mod tests {
     use super::*;
 
     #[test]
+    fn any_limit_arms_the_config() {
+        assert!(!GuardConfig::default().is_armed());
+        let armed = [
+            GuardConfig {
+                deadline: Some(Duration::from_secs(1)),
+                ..Default::default()
+            },
+            GuardConfig {
+                mem_budget: Some(1),
+                ..Default::default()
+            },
+            GuardConfig {
+                watchdog: Some(WatchdogConfig::default()),
+                ..Default::default()
+            },
+        ];
+        assert!(armed.iter().all(GuardConfig::is_armed));
+    }
+
+    #[test]
     fn unarmed_guard_checks_clean() {
         let g = RunGuard::unarmed();
         for _ in 0..10 {
@@ -360,10 +386,13 @@ mod tests {
 
     #[test]
     fn expired_deadline_trips_and_cancels() {
-        let g = RunGuard::new(GuardConfig {
-            deadline: Some(Duration::ZERO),
-            ..Default::default()
-        });
+        let g = RunGuard::new(
+            GuardConfig {
+                deadline: Some(Duration::ZERO),
+                ..Default::default()
+            },
+            1,
+        );
         let err = g.check(0).unwrap_err();
         assert!(matches!(err, TripReason::DeadlineExceeded { .. }));
         assert!(g.is_cancelled(), "a trip must cancel the token");
@@ -372,10 +401,13 @@ mod tests {
 
     #[test]
     fn first_trip_reason_is_sticky() {
-        let g = RunGuard::new(GuardConfig {
-            deadline: Some(Duration::ZERO),
-            ..Default::default()
-        });
+        let g = RunGuard::new(
+            GuardConfig {
+                deadline: Some(Duration::ZERO),
+                ..Default::default()
+            },
+            1,
+        );
         let first = g.check(0).unwrap_err();
         // An external cancel after the deadline trip must not change
         // the attribution.
@@ -395,10 +427,13 @@ mod tests {
     #[test]
     fn memory_budget_trips_check() {
         let _serial = crate::ALLOC_TEST_SERIAL.lock();
-        let g = RunGuard::new(GuardConfig {
-            mem_budget: Some(256),
-            ..Default::default()
-        });
+        let g = RunGuard::new(
+            GuardConfig {
+                mem_budget: Some(256),
+                ..Default::default()
+            },
+            1,
+        );
         g.check(0).expect("no traffic yet");
         splatt_probe::alloc::record_row_copy(1024);
         let err = g.check(0).unwrap_err();
@@ -416,15 +451,17 @@ mod tests {
 
     #[test]
     fn watchdog_trip_is_attributed_as_stalled() {
-        let g = RunGuard::new(GuardConfig {
-            watchdog: Some(WatchdogConfig {
-                stall_bound: Duration::from_millis(5),
-                sample_interval: Duration::from_millis(1),
-                trip_cancel: true,
-            }),
-            lanes: 2,
-            ..Default::default()
-        });
+        let g = RunGuard::new(
+            GuardConfig {
+                watchdog: Some(WatchdogConfig {
+                    stall_bound: Duration::from_millis(5),
+                    sample_interval: Duration::from_millis(1),
+                    trip_cancel: true,
+                }),
+                ..Default::default()
+            },
+            2,
+        );
         let span = LaneSpan::enter(Some(&g), 1);
         std::thread::sleep(Duration::from_millis(40));
         let err = g.check(0).unwrap_err();

@@ -21,7 +21,7 @@ use splatt::serve::{
 use splatt::tensor::{io, synth, TensorStats};
 use splatt::{
     corcondia, try_cp_als, Constraint, CpalsError, CpalsOptions, CpalsRun, CsfAlloc, FaultPlan,
-    Governance, GovernancePolicy, Implementation, KruskalModel, Matrix, OnOverrun, WatchdogConfig,
+    Governance, GuardConfig, Implementation, KruskalModel, Matrix, WatchdogConfig,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -36,10 +36,9 @@ fn usage() -> ExitCode {
          [--csf one|two|all] [--seed S] [--nonneg 1] [--diagnose 1]\n              \
          [--dedup keep|sum|error]\n              \
          [--profile FILE.json] [--out PREFIX]\n              \
-         [--fault-plan seed=S,straggler=P,drop=P,corrupt=P,nan=P,nonspd=P,horizon=N]\n              \
+         [--fault-plan seed=S,straggler=P,nan=P,nonspd=P,horizon=N]\n              \
          [--checkpoint DIR] [--resume FILE|DIR]\n              \
-         [--deadline SECS] [--mem-budget BYTES] [--stall-bound MS]\n              \
-         [--on-overrun abort|checkpoint|degrade]\n  \
+         [--deadline SECS] [--mem-budget BYTES] [--stall-bound MS]\n  \
          splatt complete <train.tns> [--solver als|ccd] [--rank R] [--iters N]\n              \
          [--tol T] [--reg MU] [--tasks N] [--seed S]\n              \
          [--test FILE.tns] [--out PREFIX] [--model FILE]\n  \
@@ -62,8 +61,7 @@ fn usage() -> ExitCode {
          splatt refresh <store-dir> [--base base.tns] [--rank R] [--iters N] [--tol T]\n              \
          [--tasks N] [--seed S] [--rounds N] [--audit-cold 1]\n              \
          [--deadline SECS] [--mem-budget BYTES] [--stall-bound MS]\n              \
-         [--on-overrun abort|checkpoint|degrade] [--checkpoint DIR]\n              \
-         [--model-file NAME] [--report FILE.json]\n              \
+         [--checkpoint DIR] [--model-file NAME] [--report FILE.json]\n              \
          (tail the WAL past the watermark, warm-refit, republish atomically)\n  \
          splatt stats <tensor.tns>\n  \
          splatt check <tensor.tns>\n  \
@@ -95,7 +93,6 @@ const CPD_FLAGS: &[&str] = &[
     "deadline",
     "mem-budget",
     "stall-bound",
-    "on-overrun",
 ];
 const COMPLETE_FLAGS: &[&str] = &[
     "solver", "rank", "iters", "tol", "reg", "tasks", "seed", "test", "out", "model",
@@ -141,7 +138,6 @@ const REFRESH_FLAGS: &[&str] = &[
     "deadline",
     "mem-budget",
     "stall-bound",
-    "on-overrun",
 ];
 
 /// A subcommand body: positional arguments, then the parsed flags.
@@ -227,12 +223,10 @@ impl Flags {
     }
 }
 
-/// The run-governance policy of `cpd` / `refresh`:
-/// `--deadline SECS --mem-budget BYTES --stall-bound MS --on-overrun MODE`.
-fn governance_policy(
-    flags: &Flags,
-    checkpoint_dir: Option<&std::path::Path>,
-) -> Result<GovernancePolicy, String> {
+/// The run limits of `cpd` / `refresh`:
+/// `--deadline SECS --mem-budget BYTES --stall-bound MS`. A tripped limit
+/// aborts the run; `--checkpoint` + `--resume` continue it.
+fn run_limits(flags: &Flags) -> Result<GuardConfig, String> {
     let deadline = flags
         .parse_opt::<f64>("deadline")?
         .map(|secs| {
@@ -240,22 +234,13 @@ fn governance_policy(
                 .map_err(|_| format!("invalid value '{secs}' for --deadline"))
         })
         .transpose()?;
-    let on_overrun = match flags.get("on-overrun") {
-        None => OnOverrun::default(),
-        Some(v) => OnOverrun::parse(v)
-            .ok_or_else(|| format!("unknown --on-overrun '{v}' (abort|checkpoint|degrade)"))?,
-    };
-    if on_overrun == OnOverrun::Checkpoint && checkpoint_dir.is_none() {
-        return Err("--on-overrun checkpoint requires --checkpoint DIR".into());
-    }
-    Ok(GovernancePolicy {
+    Ok(GuardConfig {
         deadline,
         mem_budget: flags.parse_opt("mem-budget")?,
         watchdog: flags.parse_opt("stall-bound")?.map(|ms| WatchdogConfig {
             stall_bound: Duration::from_millis(ms),
             ..Default::default()
         }),
-        on_overrun,
     })
 }
 
@@ -376,27 +361,25 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         println!("checkpointing to {}", dir.display());
     }
 
-    let policy = governance_policy(flags, opts.checkpoint_dir.as_deref())?;
-
-    if policy.is_armed() {
+    let limits = run_limits(flags)?;
+    if limits.is_armed() {
         println!(
-            "governance: deadline {}, mem budget {}, stall bound {}, on overrun {}",
-            policy
+            "governance: deadline {}, mem budget {}, stall bound {}",
+            limits
                 .deadline
                 .map_or("none".into(), |d| format!("{}s", d.as_secs_f64())),
-            policy
+            limits
                 .mem_budget
                 .map_or("none".into(), |b| format!("{b} bytes")),
-            policy.watchdog.map_or("none".into(), |w| format!(
+            limits.watchdog.map_or("none".into(), |w| format!(
                 "{}ms",
                 w.stall_bound.as_millis()
             )),
-            policy.on_overrun.label()
         );
     }
     let run = CpalsRun {
         faults: fault_plan.as_ref(),
-        governance: Governance::Policy(&policy),
+        governance: Governance::Policy(&limits),
         ..Default::default()
     };
     let out = match try_cp_als(&tensor, &opts, &run) {
@@ -408,9 +391,6 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         }
         Err(e) => return Err(e.to_string()),
     };
-    for d in &out.degradations {
-        println!("degraded: {d}");
-    }
     println!(
         "converged: fit {:.6} after {} iterations",
         out.fit, out.iterations
@@ -786,7 +766,7 @@ fn cmd_refresh(store_dir: &str, flags: &Flags) -> Result<(), String> {
         ..Default::default()
     };
 
-    let policy = governance_policy(flags, cpals.checkpoint_dir.as_deref())?;
+    let policy = run_limits(flags)?;
 
     // Disk-fault injection (crash storms drive this from scripts).
     let io_seed: u64 = flags.parse_or("io-fault-seed", 0)?;
@@ -842,9 +822,6 @@ fn cmd_refresh(store_dir: &str, flags: &Flags) -> Result<(), String> {
                     out.round,
                     out.watermark
                 );
-                for d in &out.degradations {
-                    println!("degraded: {d}");
-                }
                 if out.warm_fit_gap > 0.0 {
                     println!("warm-vs-cold fit gap {:.3e}", out.warm_fit_gap);
                 }

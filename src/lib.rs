@@ -17,7 +17,7 @@
 //! | [`par`] | task teams (`coforall`), partitioning, scratch, timers |
 //! | [`locks`] | mutex pools: spin / sleeping / OS-adaptive |
 //! | [`probe`] | lock/thread/allocation profiling, `ProfileReport` |
-//! | [`faults`] | seeded fault injection (`FaultPlan`), recovery policies |
+//! | [`faults`] | seeded fault injection (`FaultPlan`), the recovery audit trail |
 //! | [`mod@guard`] | run governance: cancellation, deadlines, budgets, watchdog |
 //! | [`mod@serve`] | model registry, batched query engine, TCP serving front end |
 //! | [`mod@store`] | checksummed WAL, atomic artifact publish, crash recovery |
@@ -66,7 +66,7 @@ pub mod dist {
     pub use splatt_dist::*;
 }
 
-/// Deterministic fault injection and recovery policies.
+/// Deterministic fault injection and the typed record of each recovery.
 pub mod faults {
     pub use splatt_faults::*;
 }
@@ -110,12 +110,11 @@ pub mod store {
 pub use splatt_core::{
     corcondia, cp_als, tensor_complete, tensor_complete_ccd, try_cp_als, CcdOptions, Checkpoint,
     CheckpointError, CompletionOptions, CompletionOutput, Constraint, CpalsError, CpalsOptions,
-    CpalsOutput, CpalsRun, Csf, CsfAlloc, CsfSet, Governance, GovernancePolicy, Implementation,
-    KruskalModel, MatrixAccess, OnOverrun, RefreshEngine, RefreshError, RefreshOptions,
-    RefreshOutcome, RunAborted,
+    CpalsOutput, CpalsRun, Csf, CsfAlloc, CsfSet, Governance, Implementation, KruskalModel,
+    MatrixAccess, RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome, RunAborted,
 };
 pub use splatt_dense::Matrix;
-pub use splatt_faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction, RecoveryPolicy};
+pub use splatt_faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction};
 pub use splatt_guard::{
     CancelToken, Deadline, GuardConfig, MemoryBudget, RunGuard, TripReason, WatchdogConfig,
 };

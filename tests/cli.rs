@@ -220,9 +220,12 @@ fn unknown_flags_are_rejected_by_name_with_exit_code_2() {
     // silently run with defaults
     let cpd = ["cpd", tns.to_str().unwrap(), "--rank", "2", "--iters", "2"];
     let serve = ["serve", "--model", "m=unread.model"];
+    let refresh = ["refresh", dir.to_str().unwrap(), "--rank", "2"];
     for (subcommand, flag, value) in [
         (&cpd[..], "--format", "csf"),
         (&cpd[..], "--tassks", "8"),
+        (&cpd[..], "--on-overrun", "degrade"),
+        (&refresh[..], "--on-overrun", "abort"),
         (&serve[..], "--legacy-threads", "1"),
     ] {
         let out = splatt()
@@ -397,13 +400,22 @@ fn cpd_fault_plan_checkpoint_and_resume() {
     assert!(stdout.contains("resuming from"), "{stdout}");
     assert!(stdout.contains("after 8 iterations"), "{stdout}");
 
-    // a malformed plan and a dangling resume path are typed CLI errors
-    let out = splatt()
-        .args(["cpd", tns.to_str().unwrap(), "--fault-plan", "bogus=1"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--fault-plan"));
+    // a malformed plan and a dangling resume path are typed CLI errors;
+    // so are kinds CP-ALS has no site for, named in the message
+    for (spec, key) in [
+        ("bogus=1", "bogus"),
+        ("drop=0.2", "drop"),
+        ("corrupt=0.5", "corrupt"),
+    ] {
+        let out = splatt()
+            .args(["cpd", tns.to_str().unwrap(), "--fault-plan", spec])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{spec} must be refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--fault-plan"), "{spec}: {stderr}");
+        assert!(stderr.contains(&format!("'{key}'")), "{spec}: {stderr}");
+    }
     let out = splatt()
         .args(["cpd", tns.to_str().unwrap(), "--resume", "/no/such/ckpt"])
         .output()
