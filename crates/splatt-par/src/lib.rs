@@ -15,19 +15,15 @@
 //!   SPLATT's weight-balanced partitioning of nonzeros across tasks.
 //! * [`ThreadScratch`] — per-thread, cache-line-padded scratch buffers
 //!   (SPLATT's `thd_info`) with flat reductions.
-//! * [`TaskLocal`] — the generic per-task slot container underneath that
-//!   pattern, for richer per-task state (e.g. serving-query arenas).
 //! * [`TimerRegistry`] — the per-routine timer table behind every number in
 //!   the paper's Table III and Figures 5–8.
 
-mod arena;
 mod scratch;
 mod team;
 mod timers;
 
 pub mod partition;
 
-pub use arena::TaskLocal;
 pub use scratch::ThreadScratch;
 pub use team::{TaskTeam, TeamConfig, TeamError};
 pub use timers::{Routine, TimerRegistry};

@@ -251,21 +251,20 @@ counter_set! {
 
 counter_set! {
     /// The scalar counters of the serving engine (and of the cluster
-    /// router, which batches and caches nothing); with the histograms
-    /// and nested rows beside them, `serve` in the report (`null`
-    /// outside a serving process).
+    /// router, which caches nothing); with the histograms and nested
+    /// rows beside them, `serve` in the report (`null` outside a
+    /// serving process).
     pub struct ServeCounters => ServeRow: Eq {
         => kinds,
-        /// Batches executed by the micro-batching scheduler.
+        /// Always 0: the engine has no batcher. Kept, with
+        /// `batched_requests`, because the end-to-end benchmark reads
+        /// both; they leave with that benchmark's next change.
         batches,
-        /// Requests that rode in those batches.
+        /// Always 0; see `batches`.
         batched_requests,
-        /// Largest batch coalesced.
-        max_batch,
-        /// Requests computed on the thread that submitted them: they
-        /// rode in no batch, so a request is in `batched_requests`,
-        /// here, or a cache hit.
-        caller_runs => batch_buckets,
+        /// Queries computed, each on the thread that asked for it: an
+        /// answered query is counted here or is a cache hit.
+        caller_runs,
         /// Result-cache hits (read off the cache).
         cache_hits,
         /// Result-cache misses (read off the cache).
@@ -285,9 +284,6 @@ counter_set! {
     } + {
         /// Per-query-kind latency rows, one per kind that saw traffic.
         kinds: Vec<QueryKindRow>,
-        /// Log2 batch-size histogram: `batch_buckets[i]` counts batches of
-        /// size in `[2^i, 2^(i+1))`.
-        batch_buckets: Vec<u64>,
         /// Per-shard cluster routing counters, indexed by shard; empty
         /// when the process serves single-process, without a router.
         shards: Vec<ShardRow>,

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 /// Version tag embedded in every JSON profile. Bump only with a schema
 /// change; tests pin the current value and a golden document
-/// (`testdata/profile_v14.json`) pins every key and its order. What
+/// (`testdata/profile_v15.json`) pins every key and its order. What
 /// each version added: v2 `faults`; v3 `guard`; v4 `alloc.kernel_scratch_*`;
 /// v5 `serve`; v6 a `dispatch` array, removed again in v11 with the
 /// second tensor format it reported on; v7 `serve.shards`; v8 `store`;
@@ -29,8 +29,9 @@ use std::fmt::Write as _;
 /// `serve` the requests computed on their caller, in `serve.net` the
 /// frames answered on the reactor thread); v13
 /// `refresh.wal_bytes_scanned`; v14 the refresh round's split,
-/// `refresh.{tail,csf,refit}_ns`.
-pub const PROFILE_SCHEMA: &str = "splatt-profile-v14";
+/// `refresh.{tail,csf,refit}_ns`; v15 dropped `serve.max_batch` and
+/// `serve.batch_buckets` with the engine's batcher.
+pub const PROFILE_SCHEMA: &str = "splatt-profile-v15";
 
 /// One row of the per-routine table (label from `splatt_par::Routine`).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -137,7 +138,6 @@ fn kind_row(k: &QueryKindRow) -> Members<'_> {
 fn serve_section(s: &ServeRow) -> Members<'_> {
     section(&s.fields(), |slot| match slot {
         "kinds" => Rows(s.kinds.iter().map(kind_row).collect()),
-        "batch_buckets" => Counts(&s.batch_buckets),
         "cache_hit_rate" => Real(s.cache_hit_rate()),
         // A process without a router has always written `[]` here,
         // not the `[` newline `]` of an empty row array.
@@ -431,7 +431,7 @@ mod tests {
     use crate::tasks::ThreadLoadRow;
 
     /// Every section present, two query kinds, two shards, a net row:
-    /// the report whose JSON `testdata/profile_v14.json` pins.
+    /// the report whose JSON `testdata/profile_v15.json` pins.
     fn sample() -> ProfileReport {
         let mut span = SpanNode::leaf("cpd", 2_000_000);
         span.push(SpanNode::leaf("iteration 0", 1_900_000));
@@ -519,7 +519,6 @@ mod tests {
                 ],
                 batches: 250,
                 batched_requests: 1000,
-                max_batch: 16,
                 caller_runs: 850,
                 cache_hits: 300,
                 cache_misses: 100,
@@ -528,7 +527,6 @@ mod tests {
                 deadline_rejections: 3,
                 arena_growth_allocs: 6,
                 arena_growth_bytes: 4096,
-                batch_buckets: vec![100, 80, 40, 20, 10],
                 shards: vec![
                     ShardRow {
                         retries: 4,
@@ -595,7 +593,7 @@ mod tests {
     #[test]
     fn json_is_byte_identical_to_the_committed_golden() {
         let json = sample().to_json();
-        assert_eq!(json, include_str!("../testdata/profile_v14.json"));
+        assert_eq!(json, include_str!("../testdata/profile_v15.json"));
         let doc = json::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(PROFILE_SCHEMA));
     }

@@ -77,10 +77,9 @@ impl LoopbackCluster {
         let mut addrs: Vec<SocketAddr> = Vec::with_capacity(map.nworkers());
         for rank in 0..map.nworkers() {
             let engine = ServeEngine::start(ServeConfig {
-                ntasks: 2,
                 // Kills are exercised constantly in the fault tests; a
                 // short drain keeps them prompt while still answering
-                // whatever was already queued.
+                // whatever was already computing.
                 drain_deadline: Duration::from_millis(250),
                 worker: rank as u32,
                 shard: map.shard_of_worker(rank) as u32,
@@ -113,7 +112,8 @@ impl LoopbackCluster {
 
     /// Block until the router stops — via the wire `Shutdown` op or
     /// [`LoopbackCluster::request_shutdown`] — then stop every surviving
-    /// worker (each drains its queue under its drain deadline).
+    /// worker (each drains its in-flight requests under its drain
+    /// deadline).
     pub fn join(mut self) {
         if let Some(router) = self.router.take() {
             router.join();

@@ -1,43 +1,39 @@
-//! The serving engine: admission control in front of two execution
-//! paths — caller-runs for point reads, a micro-batching scheduler over
-//! a `splatt-par` task team for everything else.
+//! The serving engine: admission control, an LRU result cache and the
+//! query kernels, all run on the thread that asks.
 //!
-//! Request flow:
+//! [`ServeEngine::query`] is the one path, in this order:
 //!
-//! 1. [`ServeEngine::query`] admits the request through the
-//!    [`AdmissionGate`] (at capacity → typed
-//!    [`ServeError::Overloaded`], immediately), resolves the model and
-//!    validates the query against it.
-//! 2. An `Entry` query of at most [`Query::CALLER_RUNS_COORDS`]
-//!    coordinates (a property of the request, not a setting) is
-//!    computed right there, on the calling thread, and comes back as an
-//!    already-filled ticket. Its kernel is a few hundred nanoseconds;
-//!    queueing it cost two thread hand-offs and a condvar round trip,
-//!    forty times the arithmetic. It never reaches the scheduler, forms
-//!    no batch and cannot wait, which is what lets the TCP front end
-//!    answer it on the reactor thread. It counts through
-//!    [`ServeStats::record_caller_run`].
-//! 3. Slice and top-k requests consult the LRU result cache; a hit
-//!    returns the same kind of filled ticket without touching the
-//!    scheduler.
-//! 4. Everything else — scans that missed the cache, shard-scoped
-//!    queries, large entry batches — is queued. A dedicated batcher
-//!    thread drains the queue, coalesces requests by `(model version,
-//!    query kind)`, and fans each batch out over the task team with
-//!    static block partitioning — every task reconstructs with its own
-//!    grow-only [`QueryArena`], so the steady-state hot path is
-//!    allocation-free after warm-up.
-//! 5. The caller blocks on a response slot with a deadline: expired
-//!    requests come back as typed [`ServeError::DeadlineExpired`]
-//!    (whether they expired in queue or while the caller waited), and a
-//!    caller-supplied abort poll (the TCP front end's disconnect
-//!    detector) turns an abandoned wait into cooperative cancellation —
-//!    a request never hangs. A filled ticket returns at once.
+//! 1. A shut-down engine refuses at once ([`ServeError::ShuttingDown`]);
+//!    otherwise the request is admitted through the [`AdmissionGate`]
+//!    (at capacity → typed [`ServeError::Overloaded`], immediately). An
+//!    admitted query is always computed, even if shutdown trips while
+//!    it runs: that is the drain.
+//! 2. The model is resolved and the query validated against it.
+//! 3. A cancelled token, a tripped abort poll or a passed deadline ends
+//!    the request typed before any work. (A point read — an `Entry`
+//!    within [`Query::CALLER_RUNS_COORDS`] — has no deadline: it is
+//!    answered the same on the reactor thread and on a pool worker.)
+//! 4. Slice and top-k requests consult the LRU result cache.
+//! 5. A miss is computed right there, with a grow-only [`QueryArena`]
+//!    taken from the engine's free list (made on first need, put back
+//!    after): the steady-state hot path is allocation-free after
+//!    warm-up, and there are never more arenas than concurrent callers.
+//! 6. The result enters the cache unless its model version was evicted
+//!    meanwhile.
+//! 7. A result that finished after its deadline is reported as
+//!    [`ServeError::DeadlineExpired`].
 //!
-//! Latency per kind (both paths), batch sizes, caller-run and cache
-//! traffic, sheds, and arena growth all land in [`ServeStats`],
-//! surfaced as the probe schema's `serve` object via
-//! [`ServeEngine::profile_report`].
+//! There is no queue, batcher or task team. The callers — the
+//! `splatt-net` reactor thread for small point reads, a pool worker for
+//! everything else — already run requests in parallel; a second pool
+//! behind them only added a hand-off and spinning workers on the same
+//! cores (the two-pool interference of the paper's §V-E). Which of the
+//! two threads computes a request is the request's own property
+//! ([`Query::CALLER_RUNS_COORDS`]).
+//!
+//! Latency per kind, computed and cached traffic, sheds, and arena
+//! growth all land in [`ServeStats`], surfaced as the probe schema's
+//! `serve` object via [`ServeEngine::profile_report`].
 
 use crate::cache::{CacheKey, CacheValue, ResultCache};
 use crate::cluster::MAX_SHARDS;
@@ -47,31 +43,29 @@ use crate::stats::{QueryKind, ServeStats};
 use splatt_core::query::{self, QueryArena};
 use splatt_core::KruskalModel;
 use splatt_guard::{AdmissionGate, CancelToken, Overloaded};
-use splatt_par::{partition, TaskLocal, TaskTeam};
 use splatt_probe::ProfileReport;
-use splatt_rt::sync::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use splatt_rt::sync::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker tasks executing batched queries.
+    /// Ignored: every query runs on its caller. Kept only because the
+    /// end-to-end benchmark (`bench/`) sets it; it leaves with that
+    /// benchmark's next change.
     pub ntasks: usize,
     /// Admission-gate depth: requests in flight beyond this are shed.
     pub max_depth: usize,
-    /// Largest batch the scheduler coalesces per (model, kind) group.
-    pub max_batch: usize,
     /// LRU result-cache capacity (entries); 0 disables caching.
     pub cache_capacity: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Duration,
     /// Reject slices (and entry batches) larger than this many values.
     pub max_response_values: usize,
-    /// How long shutdown keeps executing already-queued requests before
-    /// failing the remainder with [`ServeError::ShuttingDown`]. New
-    /// submissions are rejected the moment shutdown starts.
+    /// How long a front end's shutdown waits for requests that are
+    /// already computing (the reactor's drain window is this plus one
+    /// second). New requests are refused the moment shutdown starts.
     pub drain_deadline: Duration,
     /// Cluster identity reported by `Health` probes: worker rank and
     /// shard. `u32::MAX` means "not part of a cluster".
@@ -85,7 +79,6 @@ impl Default for ServeConfig {
         ServeConfig {
             ntasks: 4,
             max_depth: 256,
-            max_batch: 64,
             cache_capacity: 256,
             default_deadline: Duration::from_secs(5),
             max_response_values: 1 << 22,
@@ -124,9 +117,9 @@ pub enum Query {
 
 impl Query {
     /// Largest `Entry` query, in coordinates (tuples × order), that the
-    /// engine computes on the thread that submits it instead of
-    /// queueing it for the batcher — and that the TCP front end
-    /// therefore answers on its reactor thread.
+    /// TCP front end answers on its reactor thread instead of handing it
+    /// to a pool worker. The engine computes every query on its caller;
+    /// this bound only picks which thread that is.
     ///
     /// The bound is on coordinates, not tuples, because that is what
     /// the work is proportional to and what a request states about
@@ -138,10 +131,12 @@ impl Query {
     /// per read pass, so `CALLER_RUNS_COORDS` × per-coordinate cost ×
     /// `max_pipeline` ≈ 0.1 ms at rank 16 before another connection is
     /// served. A typical point read is one tuple.
-    ///
-    /// [`ServeEngine::query`] on an `Entry` this small never waits for
-    /// another thread.
     pub const CALLER_RUNS_COORDS: usize = 64;
+
+    /// An `Entry` within [`Query::CALLER_RUNS_COORDS`]: a point read.
+    fn is_point_read(&self) -> bool {
+        matches!(self, Query::Entry { coords } if coords.len() <= Self::CALLER_RUNS_COORDS)
+    }
 
     /// The kind bucket this query records under. Shard-scoped queries
     /// record under their parent kind — they are the same kernels over a
@@ -204,114 +199,33 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-enum SlotState {
-    Waiting,
-    Done(Result<QueryResult, ServeError>),
-    /// The waiter gave up (deadline/cancel); late fills are dropped.
-    Abandoned,
-    /// The waiter took the result out.
-    Consumed,
-}
-
-/// One-shot rendezvous between a waiting caller and the batcher.
-struct ResponseSlot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-impl ResponseSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(ResponseSlot {
-            state: Mutex::new(SlotState::Waiting),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn prefilled(result: Result<QueryResult, ServeError>) -> Arc<Self> {
-        Arc::new(ResponseSlot {
-            state: Mutex::new(SlotState::Done(result)),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Deliver a result; returns false if the waiter already abandoned.
-    fn fill(&self, result: Result<QueryResult, ServeError>) -> bool {
-        let mut state = self.state.lock();
-        if matches!(*state, SlotState::Waiting) {
-            *state = SlotState::Done(result);
-            self.ready.notify_all();
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// A submitted request the caller can block on via [`ServeEngine::wait`].
-pub struct Ticket {
-    slot: Arc<ResponseSlot>,
-    kind: QueryKind,
-    submitted: Instant,
-    deadline: Instant,
-    cancel: CancelToken,
-}
-
-struct Pending {
-    model: Arc<ServableModel>,
-    query: Query,
-    slot: Arc<ResponseSlot>,
-    deadline: Instant,
-    cancel: CancelToken,
-}
-
-struct EngineQueue {
-    pending: VecDeque<Pending>,
-    closed: bool,
-    /// When the queue closed; the batcher drains queued work normally
-    /// until `ServeConfig::drain_deadline` past this instant.
-    closed_at: Option<Instant>,
-}
-
 /// The serving engine; see the module docs. Create with
-/// [`ServeEngine::start`] and stop with [`ServeEngine::shutdown`] —
-/// the batcher thread keeps the engine alive until then.
+/// [`ServeEngine::start`]; [`ServeEngine::shutdown`] refuses new work.
 pub struct ServeEngine {
     config: ServeConfig,
     registry: ModelRegistry,
     cache: ResultCache,
     gate: AdmissionGate,
     stats: ServeStats,
-    queue: Mutex<EngineQueue>,
-    wake: Condvar,
+    /// Arenas no query is using: a computing query pops one (or makes
+    /// one) and pushes it back when done.
+    arenas: Mutex<Vec<QueryArena>>,
     shutdown: CancelToken,
-    batcher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl ServeEngine {
-    /// Build the engine and start its batcher thread.
+    /// Build the engine. It starts no thread: queries run on their
+    /// callers.
     pub fn start(config: ServeConfig) -> Arc<ServeEngine> {
-        let engine = Arc::new(ServeEngine {
+        Arc::new(ServeEngine {
             registry: ModelRegistry::new(),
             cache: ResultCache::new(config.cache_capacity),
             gate: AdmissionGate::new(config.max_depth),
             stats: ServeStats::new(),
-            queue: Mutex::new(EngineQueue {
-                pending: VecDeque::new(),
-                closed: false,
-                closed_at: None,
-            }),
-            wake: Condvar::new(),
+            arenas: Mutex::new(Vec::new()),
             shutdown: CancelToken::new(),
-            batcher: Mutex::new(None),
             config,
-        });
-        let worker = Arc::clone(&engine);
-        let handle = std::thread::Builder::new()
-            .name("splatt-serve-batcher".into())
-            .spawn(move || run_batcher(&worker))
-            .expect("spawn batcher thread");
-        *engine.batcher.lock() = Some(handle);
-        engine
+        })
     }
 
     /// The model registry (publish/evict/list).
@@ -334,8 +248,8 @@ impl ServeEngine {
         &self.cache
     }
 
-    /// The engine-level cancel token; tripping it starts shutdown
-    /// (pair with [`ServeEngine::shutdown`] to also join the batcher).
+    /// The engine-level cancel token; tripping it is
+    /// [`ServeEngine::shutdown`].
     pub fn shutdown_token(&self) -> &CancelToken {
         &self.shutdown
     }
@@ -359,14 +273,14 @@ impl ServeEngine {
         removed
     }
 
-    /// Admit, submit, and block for the answer. `poll_abort` is checked
-    /// while waiting (return true to abandon — the TCP front end passes
-    /// its disconnect detector); pass `|| false` when the caller cannot
-    /// go away.
+    /// Admit, resolve, check and compute one query on this thread (see
+    /// the module docs for the steps). `poll_abort` is asked once,
+    /// before any work (return true to abandon — the TCP front end
+    /// passes its disconnect detector); pass `|| false` when the caller
+    /// cannot go away.
     ///
     /// # Errors
-    /// Every failure is a typed [`ServeError`]; this never blocks past
-    /// the request deadline.
+    /// Every failure is a typed [`ServeError`].
     pub fn query(
         &self,
         name: &str,
@@ -374,33 +288,19 @@ impl ServeEngine {
         query: Query,
         deadline: Option<Duration>,
         cancel: &CancelToken,
-        poll_abort: impl FnMut() -> bool,
+        poll_abort: impl FnOnce() -> bool,
     ) -> Result<QueryResult, ServeError> {
-        let _permit = self.gate.try_admit().map_err(ServeError::Overloaded)?;
-        let ticket = self.submit(name, version, query, deadline, cancel)?;
-        self.wait(ticket, poll_abort)
-    }
-
-    /// Queue a request — or answer it on this thread, when it is an
-    /// `Entry` within [`Query::CALLER_RUNS_COORDS`] or hits the result
-    /// cache — and return a ticket to wait on. Callers that want shedding must admit through
-    /// [`ServeEngine::gate`] first and hold the permit until the wait
-    /// returns; [`ServeEngine::query`] does both.
-    ///
-    /// # Errors
-    /// Fails fast with [`ServeError::ShuttingDown`],
-    /// [`ServeError::ModelNotFound`], or [`ServeError::BadQuery`].
-    pub fn submit(
-        &self,
-        name: &str,
-        version: u64,
-        query: Query,
-        deadline: Option<Duration>,
-        cancel: &CancelToken,
-    ) -> Result<Ticket, ServeError> {
         if self.shutdown.is_cancelled() {
             return Err(ServeError::ShuttingDown);
         }
+        let _permit = self.gate.try_admit().map_err(ServeError::Overloaded)?;
+        let submitted = Instant::now();
+        // A point read is not held to a deadline: its kernel is far
+        // shorter than the millisecond the wire can state, and the
+        // reactor thread and a pool worker must answer it with the same
+        // bytes whatever the clock says.
+        let deadline = (!query.is_point_read())
+            .then(|| submitted + deadline.unwrap_or(self.config.default_deadline));
         let model = self
             .registry
             .get(name, version)
@@ -409,127 +309,40 @@ impl ServeEngine {
                 version,
             })?;
         self.validate(&model, &query)?;
-        let submitted = Instant::now();
-        let deadline = submitted + deadline.unwrap_or(self.config.default_deadline);
-        let kind = query.kind();
-        let ready = |result| Ticket {
-            slot: ResponseSlot::prefilled(result),
-            kind,
-            submitted,
-            deadline,
-            // A filled slot is never waited on, so its token is never
-            // polled: no child to allocate and track.
-            cancel: cancel.clone(),
-        };
+        if cancel.is_cancelled() || poll_abort() {
+            return Err(ServeError::Cancelled);
+        }
+        self.check_deadline(deadline)?;
 
-        match &query {
-            Query::Entry { coords } if coords.len() <= Query::CALLER_RUNS_COORDS => {
+        let key = Self::cache_key(&model, &query);
+        let hit = key.as_ref().and_then(|key| self.cache.get(key));
+        let result = match hit {
+            Some(CacheValue::Slice(v)) => QueryResult::Slice(v),
+            Some(CacheValue::TopK(v)) => QueryResult::TopK(v),
+            None => {
                 self.stats.record_caller_run();
-                return Ok(ready(entry_values(&model.model, coords)));
+                let result = self.compute(&model, &query)?;
+                if let Some(key) = key {
+                    self.insert(&model, key, &result);
+                }
+                self.check_deadline(deadline)?;
+                result
             }
-            _ => {}
-        }
-        if let Some(hit) = self.cache_lookup(&model, &query) {
-            return Ok(ready(Ok(hit)));
-        }
-
-        let slot = ResponseSlot::new();
-        // One child per request: the Pending and the Ticket share it
-        // (clones share the flag), halving what the connection token
-        // has to track.
-        let cancel = cancel.child();
-        let pending = Pending {
-            model,
-            query,
-            slot: Arc::clone(&slot),
-            deadline,
-            cancel: cancel.clone(),
         };
-        {
-            let mut q = self.queue.lock();
-            if q.closed {
-                return Err(ServeError::ShuttingDown);
-            }
-            q.pending.push_back(pending);
-        }
-        self.wake.notify_all();
-        Ok(Ticket {
-            slot,
-            kind,
-            submitted,
-            deadline,
-            cancel,
-        })
+        self.stats
+            .record_latency(query.kind(), submitted.elapsed().as_micros() as u64);
+        Ok(result)
     }
 
-    /// Block until the ticket resolves, its deadline expires, its cancel
-    /// token trips, or `poll_abort` returns true.
-    pub fn wait(
-        &self,
-        ticket: Ticket,
-        mut poll_abort: impl FnMut() -> bool,
-    ) -> Result<QueryResult, ServeError> {
-        let mut state = ticket.slot.state.lock();
-        loop {
-            match std::mem::replace(&mut *state, SlotState::Consumed) {
-                SlotState::Done(result) => {
-                    if result.is_ok() {
-                        // Latency is recorded by the receiving side so the
-                        // per-kind request count matches answers delivered.
-                        self.stats.record_latency(
-                            ticket.kind,
-                            ticket.submitted.elapsed().as_micros() as u64,
-                        );
-                    }
-                    return result;
-                }
-                SlotState::Waiting => {
-                    *state = SlotState::Waiting;
-                    if ticket.cancel.is_cancelled() || poll_abort() {
-                        *state = SlotState::Abandoned;
-                        return Err(ServeError::Cancelled);
-                    }
-                    let now = Instant::now();
-                    if now >= ticket.deadline {
-                        *state = SlotState::Abandoned;
-                        self.stats.record_deadline_rejection();
-                        return Err(ServeError::DeadlineExpired);
-                    }
-                    let nap = (ticket.deadline - now).min(Duration::from_millis(25));
-                    ticket.slot.ready.wait_timeout(&mut state, nap);
-                }
-                other => {
-                    // Single-waiter protocol: only this method consumes.
-                    *state = other;
-                    return Err(ServeError::Cancelled);
-                }
-            }
-        }
-    }
-
-    /// Begin shutdown and join the batcher. New submissions are rejected
-    /// immediately with [`ServeError::ShuttingDown`]; requests already
-    /// queued keep executing (and their responses keep flowing) until
-    /// [`ServeConfig::drain_deadline`] elapses, after which the
-    /// remainder is failed typed. Idempotent.
+    /// Refuse new queries with [`ServeError::ShuttingDown`]. Queries
+    /// already admitted run to their answer. Idempotent.
     pub fn shutdown(&self) {
         self.shutdown.cancel();
-        {
-            let mut q = self.queue.lock();
-            q.closed = true;
-            q.closed_at.get_or_insert(Instant::now());
-        }
-        self.wake.notify_all();
-        let handle = self.batcher.lock().take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
     }
 
-    /// A probe report with the schema v5 `serve` object populated.
+    /// A probe report with the schema's `serve` object populated.
     pub fn profile_report(&self) -> ProfileReport {
         ProfileReport {
-            ntasks: self.config.ntasks,
             serve: Some(self.stats.to_row(
                 self.cache.hits(),
                 self.cache.misses(),
@@ -537,6 +350,43 @@ impl ServeEngine {
                 self.gate.sheds(),
             )),
             ..Default::default()
+        }
+    }
+
+    fn check_deadline(&self, deadline: Option<Instant>) -> Result<(), ServeError> {
+        if deadline.is_some_and(|at| Instant::now() >= at) {
+            self.stats.record_deadline_rejection();
+            return Err(ServeError::DeadlineExpired);
+        }
+        Ok(())
+    }
+
+    /// Run the kernel with an arena off the free list; the arena's
+    /// growth during the call is added to the stats when it goes back.
+    fn compute(&self, model: &ServableModel, query: &Query) -> Result<QueryResult, ServeError> {
+        let mut arena = self.arenas.lock().pop().unwrap_or_default();
+        let (allocs, bytes) = (arena.growth_allocs(), arena.growth_bytes());
+        let result = run_one(model, query, &mut arena);
+        self.stats
+            .add_arena_growth(arena.growth_allocs() - allocs, arena.growth_bytes() - bytes);
+        self.arenas.lock().push(arena);
+        result
+    }
+
+    /// Cache a computed scan. The registry is re-checked first: an
+    /// evict() that ran while we computed already invalidated this
+    /// model's entries, and inserting now would resurrect one. The
+    /// sliver between this check and the insert is benign — versions
+    /// are never reused, so a raced entry is unreachable and ages out
+    /// via LRU.
+    fn insert(&self, model: &ServableModel, key: CacheKey, result: &QueryResult) {
+        let value = match result {
+            QueryResult::Slice(v) => CacheValue::Slice(Arc::clone(v)),
+            QueryResult::TopK(v) => CacheValue::TopK(Arc::clone(v)),
+            QueryResult::Entries(_) => return,
+        };
+        if self.registry.contains(&model.name, model.version) {
+            self.cache.insert(key, value);
         }
     }
 
@@ -680,14 +530,6 @@ impl ServeEngine {
             }),
         }
     }
-
-    fn cache_lookup(&self, model: &ServableModel, query: &Query) -> Option<QueryResult> {
-        let key = Self::cache_key(model, query)?;
-        match self.cache.get(&key)? {
-            CacheValue::Slice(v) => Some(QueryResult::Slice(v)),
-            CacheValue::TopK(v) => Some(QueryResult::TopK(v)),
-        }
-    }
 }
 
 /// Reconstruct the modeled value at each tuple of `coords`.
@@ -698,11 +540,15 @@ fn entry_values(model: &KruskalModel, coords: &[u32]) -> Result<QueryResult, Ser
     Ok(QueryResult::Entries(out))
 }
 
-/// Execute one query against its model with a task-local arena.
-fn run_one(item: &Pending, arena: &mut QueryArena) -> Result<QueryResult, ServeError> {
-    let model = &item.model.model;
+/// Execute one query against its model.
+fn run_one(
+    served: &ServableModel,
+    query: &Query,
+    arena: &mut QueryArena,
+) -> Result<QueryResult, ServeError> {
+    let model = &served.model;
     let to_bad = |e: query::QueryError| ServeError::BadQuery(e.to_string());
-    match &item.query {
+    match query {
         Query::Entry { coords } => entry_values(model, coords),
         Query::Slice { mode, index } => {
             let len = query::slice_len(model, *mode as usize).map_err(to_bad)?;
@@ -722,7 +568,7 @@ fn run_one(item: &Pending, arena: &mut QueryArena) -> Result<QueryResult, ServeE
             fixed,
             sel,
         } => {
-            let rows = item.model.owned_rows(*sel);
+            let rows = served.owned_rows(*sel);
             let mut out = Vec::new();
             query::top_k_rows(
                 model,
@@ -738,7 +584,7 @@ fn run_one(item: &Pending, arena: &mut QueryArena) -> Result<QueryResult, ServeE
         }
         Query::SliceShard { mode, index, sel } => {
             let dim = model.factors[0].rows();
-            let rows = item.model.owned_rows(*sel);
+            let rows = served.owned_rows(*sel);
             let len = query::slice_len(model, *mode as usize).map_err(to_bad)?;
             let block = len.checked_div(dim).unwrap_or(0);
             let mut out = vec![0.0; rows.len() * block];
@@ -747,121 +593,6 @@ fn run_one(item: &Pending, arena: &mut QueryArena) -> Result<QueryResult, ServeE
             Ok(QueryResult::Slice(Arc::new(out)))
         }
     }
-}
-
-fn run_batcher(engine: &Arc<ServeEngine>) {
-    let ntasks = engine.config.ntasks.max(1);
-    let team = TaskTeam::new(ntasks);
-    let arenas: TaskLocal<QueryArena> = TaskLocal::new(ntasks, |_| QueryArena::new());
-    loop {
-        let drained: Vec<Pending> = {
-            let mut q = engine.queue.lock();
-            while q.pending.is_empty() && !q.closed {
-                engine.wake.wait(&mut q);
-            }
-            if q.pending.is_empty() && q.closed {
-                break;
-            }
-            // Graceful drain: after close, keep executing already-queued
-            // batches until the drain deadline, then fail the remainder
-            // typed. Submissions are rejected from the moment of close,
-            // so the queue only shrinks here.
-            let drain_expired = q
-                .closed_at
-                .is_some_and(|at| at.elapsed() >= engine.config.drain_deadline);
-            let items: Vec<Pending> = q.pending.drain(..).collect();
-            if drain_expired {
-                drop(q);
-                for item in items {
-                    item.slot.fill(Err(ServeError::ShuttingDown));
-                }
-                break;
-            }
-            items
-        };
-
-        // Coalesce by (model version identity, query kind).
-        let mut groups: HashMap<(usize, &'static str), Vec<Pending>> = HashMap::new();
-        for item in drained {
-            let key = (Arc::as_ptr(&item.model) as usize, item.query.kind().label());
-            groups.entry(key).or_default().push(item);
-        }
-        for (_, items) in groups {
-            for chunk in items.chunks(engine.config.max_batch.max(1)) {
-                execute_batch(engine, &team, &arenas, chunk);
-            }
-        }
-    }
-}
-
-fn execute_batch(
-    engine: &ServeEngine,
-    team: &TaskTeam,
-    arenas: &TaskLocal<QueryArena>,
-    items: &[Pending],
-) {
-    // Pre-pass: fail requests that died in queue without spending
-    // compute on them.
-    let mut live: Vec<&Pending> = Vec::with_capacity(items.len());
-    let now = Instant::now();
-    for item in items {
-        // The engine shutdown token is deliberately NOT checked here:
-        // requests already queued at shutdown are drained, not dropped.
-        if item.cancel.is_cancelled() {
-            item.slot.fill(Err(ServeError::Cancelled));
-        } else if now >= item.deadline {
-            if item.slot.fill(Err(ServeError::DeadlineExpired)) {
-                engine.stats.record_deadline_rejection();
-            }
-        } else {
-            live.push(item);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    engine.stats.record_batch(live.len() as u64);
-
-    let ntasks = team.ntasks();
-    let live = &live;
-    team.coforall(|tid| {
-        for i in partition::block(live.len(), ntasks, tid) {
-            let item = live[i];
-            let result = arenas.with_mut(tid, |arena| run_one(item, arena));
-            if let (Ok(ok), Some(key)) = (&result, ServeEngine::cache_key(&item.model, &item.query))
-            {
-                let value = match ok {
-                    QueryResult::Slice(v) => Some(CacheValue::Slice(Arc::clone(v))),
-                    QueryResult::TopK(v) => Some(CacheValue::TopK(Arc::clone(v))),
-                    QueryResult::Entries(_) => None,
-                };
-                if let Some(value) = value {
-                    // Re-check the registry: an evict() that ran while we
-                    // computed already invalidated this model's entries,
-                    // and inserting now would resurrect one. The sliver
-                    // between this check and the insert is benign —
-                    // versions are never reused, so a raced entry is
-                    // unreachable and ages out via LRU.
-                    if engine
-                        .registry
-                        .contains(&item.model.name, item.model.version)
-                    {
-                        engine.cache.insert(key, value);
-                    }
-                }
-            }
-            item.slot.fill(result);
-        }
-    });
-
-    // Publish the aggregate arena growth after every batch: flat after
-    // warm-up is the allocation-free certification signal.
-    let (mut allocs, mut bytes) = (0u64, 0u64);
-    arenas.for_each(|_, a| {
-        allocs += a.growth_allocs();
-        bytes += a.growth_bytes();
-    });
-    engine.stats.set_arena_growth(allocs, bytes);
 }
 
 #[cfg(test)]
@@ -883,10 +614,7 @@ mod tests {
     }
 
     fn engine() -> Arc<ServeEngine> {
-        let eng = ServeEngine::start(ServeConfig {
-            ntasks: 2,
-            ..Default::default()
-        });
+        let eng = ServeEngine::start(ServeConfig::default());
         eng.publish("m", model());
         eng
     }
@@ -1022,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_abandons_the_wait() {
+    fn cancelled_token_refuses_before_any_work() {
         let eng = engine();
         let root = CancelToken::new();
         root.cancel();
@@ -1144,9 +872,9 @@ mod tests {
         assert_eq!(serve.kinds.len(), 1);
         assert_eq!(serve.kinds[0].kind, "entry");
         assert_eq!(serve.kinds[0].requests, 4);
-        // Point reads run on their caller: counted, never batched.
+        // Every computed query runs on its caller; nothing is batched.
         assert_eq!((serve.caller_runs, serve.batches), (4, 0));
-        // A scan is what the batcher is for.
+        // A scan too.
         eng.query(
             "m",
             0,
@@ -1158,8 +886,8 @@ mod tests {
         .unwrap();
         let report = eng.profile_report();
         let serve = report.serve.clone().expect("serve row");
-        assert!(serve.batches >= 1);
-        assert_eq!(serve.caller_runs, 4);
+        assert_eq!((serve.caller_runs, serve.batches), (5, 0));
+        assert_eq!(serve.batched_requests, 0);
         let json = report.to_json();
         assert!(json.contains("\"serve\": {"), "json: {json}");
         eng.shutdown();

@@ -11,15 +11,14 @@
 //!   load/evict; models arrive via `splatt-core`'s bit-exact model
 //!   files (or checkpoints).
 //! * [`ServeEngine`] — admission control ([`splatt_guard::AdmissionGate`]),
-//!   an LRU result cache ([`ResultCache`]), and a micro-batching
-//!   scheduler that coalesces queued requests per (model, query kind)
-//!   and fans batches out over a `splatt-par` task team with per-task
-//!   grow-only arenas — allocation-free on the steady-state hot path.
+//!   an LRU result cache ([`ResultCache`]), and the query kernels, run
+//!   on the thread that asks with a grow-only arena off a free list —
+//!   allocation-free on the steady-state hot path.
 //! * [`serve`] / [`Client`] — a length-prefixed binary protocol served
 //!   by the `splatt-net` readiness-polled reactor: a bounded worker
 //!   pool multiplexing all connections, request pipelining, per-request
 //!   deadlines with a timer-wheel backstop, typed overload shedding at
-//!   accept/decode/batch, cancel-on-disconnect, transient-vs-permanent
+//!   accept/decode/engine, cancel-on-disconnect, transient-vs-permanent
 //!   error classification ([`Transience`]), and graceful drain on
 //!   shutdown.
 //! * [`cluster`] — sharded, replicated serving: a consistent-hash
@@ -58,7 +57,7 @@ static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingA
 pub use cache::{CacheKey, CacheValue, ResultCache};
 pub use client::{classify, Client, Transience};
 pub use cluster::{ClusterConfig, LoopbackCluster, Router, SharedModel};
-pub use engine::{Query, QueryResult, ServeConfig, ServeEngine, ServeError, Ticket};
+pub use engine::{Query, QueryResult, ServeConfig, ServeEngine, ServeError};
 pub use registry::{ModelInfo, ModelRegistry, ServableModel};
 pub use server::{serve, serve_with, FrontEndConfig, ServerHandle};
 pub use stats::{Log2Histogram, QueryKind, ServeStats};

@@ -4,17 +4,19 @@
 //! connection (raw `poll(2)` where available) and answers point reads
 //! itself (small `Entry` frames), a bounded worker pool executes every
 //! other request, and three admission layers — connection cap at
-//! accept, queue depth at decode, the engine's own gate at batch — shed
-//! typed `Overloaded` frames instead of queueing unboundedly.
+//! accept, queue depth at decode, the engine's own gate in front of
+//! every computation — shed typed `Overloaded` frames instead of
+//! queueing unboundedly. Whichever of the two threads a request is on
+//! computes it: the engine hands nothing further.
 //! Socket mode is owned by the reactor's connection state machine: a
 //! socket goes nonblocking once at registration and never flips again.
 //!
 //! Shutdown is cooperative, clean, and *graceful*: cancelling the
 //! engine's shutdown token (via [`ServerHandle::shutdown`], the wire
 //! `Shutdown` op, or a signal handler the embedder wires up) stops
-//! accepting and rejects new submissions, but requests already in flight
-//! keep executing through the engine's drain window and their responses
-//! are written in full. Request cancel tokens are fresh roots (not
+//! accepting and rejects new requests, but requests already in flight
+//! finish computing within the drain window and their responses are
+//! written in full. Request cancel tokens are fresh roots (not
 //! children of the shutdown token) precisely so the drain can complete
 //! them; client disconnects are still caught by the reactor's EOF
 //! handling.
@@ -93,7 +95,7 @@ impl ServerHandle {
 
     /// Block until the server stops (token cancelled — by
     /// [`ServerHandle::shutdown`], the wire `Shutdown` op, or the
-    /// embedder), then drain the front end and the engine's batcher.
+    /// embedder), then drain the front end.
     pub fn join(self) {
         self.net.wait();
         self.engine.shutdown();

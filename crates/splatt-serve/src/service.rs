@@ -4,19 +4,19 @@
 //!
 //! The reactor owns sockets, framing, pipelining, and the accept- and
 //! decode-layer admission gates; this adapter owns protocol semantics —
-//! decode, engine dispatch (through the batch-layer gate inside
+//! decode, engine dispatch (through the engine's admission gate inside
 //! [`ServeEngine::query`]), typed error mapping, and the probe `Stats`
 //! answer, into which it splices the live front-end counters so one
 //! wire round trip reports the whole pipeline.
 //!
 //! It also decides which thread a request runs on, from the request
-//! alone: an `Entry` frame small enough that the engine computes it on
-//! its caller ([`Query::CALLER_RUNS_COORDS`]) is answered by
-//! [`FrameService::try_handle_now`] on the reactor thread; every other
-//! frame — scans, shard ops, `Stats`/`List`/`Health`/`Shutdown`, large
-//! entry batches — goes to a pool worker, where it may wait for the
-//! batcher. Both run the same [`EngineService::reply_to`], so a request
-//! gets the same bytes on either thread.
+//! alone: an `Entry` frame of at most [`Query::CALLER_RUNS_COORDS`]
+//! coordinates is answered by [`FrameService::try_handle_now`] on the
+//! reactor thread; every other frame — scans, shard ops,
+//! `Stats`/`List`/`Health`/`Shutdown`, large entry batches — goes to a
+//! pool worker. The engine computes on whichever thread that is, and
+//! both run the same [`EngineService::reply_to`], so a request gets the
+//! same bytes on either thread.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -112,9 +112,9 @@ impl EngineService {
     }
 
     /// The reply to one request payload as [`decode_request`] read it,
-    /// whichever thread that happened on. `aborted` is polled while the
-    /// engine makes the caller wait.
-    fn reply_to(&self, decoded: std::io::Result<Request>, aborted: impl FnMut() -> bool) -> Reply {
+    /// whichever thread that happened on. `aborted` is asked once,
+    /// before the engine computes.
+    fn reply_to(&self, decoded: std::io::Result<Request>, aborted: impl FnOnce() -> bool) -> Reply {
         let (payload, disposition) = match decoded {
             Ok(req) => {
                 let disposition = if matches!(req.body, RequestBody::Shutdown) {
@@ -138,7 +138,7 @@ impl EngineService {
     /// The encoded reply payload for one decoded request. Query results
     /// are encoded from the engine's (possibly cache-shared) buffers as
     /// they are, not first copied into an owned [`Response`].
-    fn respond(&self, req: Request, aborted: impl FnMut() -> bool) -> Vec<u8> {
+    fn respond(&self, req: Request, aborted: impl FnOnce() -> bool) -> Vec<u8> {
         let query = match req.body {
             RequestBody::Stats => {
                 let mut report = self.engine.profile_report();
@@ -213,8 +213,8 @@ impl FrameService for EngineService {
         }
         // The one full decode. A frame it refuses gets its typed
         // `BadRequest` here; one it accepts is answered here only if
-        // the engine will not queue it — the header the peek read
-        // promised that, the decoded body has to keep the promise.
+        // it is a small `Entry` — the header the peek read promised
+        // that, the decoded body has to keep the promise.
         let decoded = decode_request(payload);
         let answered_here = match &decoded {
             Ok(req) => matches!(&req.body, RequestBody::Entry { coords, .. }
@@ -304,7 +304,7 @@ mod tests {
                 other => panic!("unexpected inline reply {other:?}"),
             }
         }
-        // Nothing above reached the batcher, from either entry point.
+        // Nothing above was batched, from either entry point.
         let serve = svc.engine.profile_report().serve.expect("serve row");
         assert_eq!(serve.batches, 0);
         svc.engine.shutdown();

@@ -1,7 +1,7 @@
-//! Serving telemetry: lock-free log2 latency histograms per query kind,
-//! the batch-size distribution, and the scalar counters (declared in
-//! `splatt-probe` as `ServeCounters`) that roll up with them into the
-//! probe report's `serve` object.
+//! Serving telemetry: lock-free log2 latency histograms per query kind
+//! and the scalar counters (declared in `splatt-probe` as
+//! `ServeCounters`) that roll up with them into the probe report's
+//! `serve` object.
 
 use splatt_probe::{QueryKindRow, ServeCounters, ServeRow};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,12 +106,10 @@ impl Log2Histogram {
     }
 }
 
-/// All serving counters, updated lock-free from the scheduler and the
-/// request path.
+/// All serving counters, updated lock-free from the request path.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     latency: [Log2Histogram; 3],
-    batch_sizes: Log2Histogram,
     /// The scalars. The cache and shed counts of the set stay zero here:
     /// the cache and the admission gate keep their own, and
     /// [`ServeStats::to_row`] is handed them.
@@ -130,17 +128,7 @@ impl ServeStats {
         self.latency[kind.index()].record(micros);
     }
 
-    /// Record one executed batch of `size` coalesced requests.
-    pub fn record_batch(&self, size: u64) {
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .batched_requests
-            .fetch_add(size, Ordering::Relaxed);
-        self.counters.max_batch.fetch_max(size, Ordering::Relaxed);
-        self.batch_sizes.record(size);
-    }
-
-    /// Record one request computed on the thread that submitted it.
+    /// Record one request computed on the thread that asked for it.
     pub fn record_caller_run(&self) {
         self.counters.caller_runs.fetch_add(1, Ordering::Relaxed);
     }
@@ -152,15 +140,15 @@ impl ServeStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Publish the current query-arena growth totals (monotonic; the
-    /// scheduler stores the aggregate after each batch).
-    pub fn set_arena_growth(&self, allocs: u64, bytes: u64) {
+    /// Add one query's arena growth (zero once the arena it ran with
+    /// has reached its high-water mark).
+    pub fn add_arena_growth(&self, allocs: u64, bytes: u64) {
         self.counters
             .arena_growth_allocs
-            .fetch_max(allocs, Ordering::Relaxed);
+            .fetch_add(allocs, Ordering::Relaxed);
         self.counters
             .arena_growth_bytes
-            .fetch_max(bytes, Ordering::Relaxed);
+            .fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Roll everything up into the probe `serve` row; cache and shed
@@ -192,7 +180,6 @@ impl ServeStats {
         // row belongs to the front end; both fill in after this rollup.
         ServeRow {
             kinds,
-            batch_buckets: self.batch_sizes.snapshot(),
             cache_hits,
             cache_misses,
             cache_evictions,
@@ -239,16 +226,12 @@ mod tests {
         let stats = ServeStats::new();
         stats.record_latency(QueryKind::Entry, 10);
         stats.record_latency(QueryKind::Entry, 12);
-        stats.record_batch(2);
         stats.record_deadline_rejection();
-        stats.set_arena_growth(3, 1024);
+        stats.add_arena_growth(3, 1024);
         let row = stats.to_row(5, 10, 1, 2);
         assert_eq!(row.kinds.len(), 1);
         assert_eq!(row.kinds[0].kind, "entry");
         assert_eq!(row.kinds[0].requests, 2);
-        assert_eq!(row.batches, 1);
-        assert_eq!(row.batched_requests, 2);
-        assert_eq!(row.max_batch, 2);
         assert_eq!(row.cache_hits, 5);
         assert_eq!(row.sheds, 2);
         assert_eq!(row.deadline_rejections, 1);

@@ -21,8 +21,8 @@
 //!   present ([`splatt_probe::alloc::CountingAlloc`], per thread);
 //! - `try_handle_now` answers exactly the frames that are a small
 //!   `Entry` or malformed beyond decoding, with a well-formed typed
-//!   reply equal to the pooled path's, and nothing it answers ever
-//!   reaches the batcher.
+//!   reply equal to the pooled path's, and nothing it answers is ever
+//!   batched.
 
 use crate::engine::{Query, ServeConfig};
 use crate::protocol::{

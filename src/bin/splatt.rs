@@ -45,9 +45,9 @@ fn usage() -> ExitCode {
          splatt predict <model.kruskal> <coords.tns>\n  \
          splatt export-model <checkpoint|model|.kruskal> --out FILE\n  \
          splatt serve --model NAME=FILE[,NAME=FILE...] [--addr HOST:PORT]\n              \
-         [--tasks N] [--depth N] [--batch N] [--cache N] [--deadline-ms MS]\n              \
-         [--net-workers N] [--max-conns N]\n              \
-         [--shards N [--replicas M] [--seed S]]   (cluster mode: one --model)\n  \
+         [--deadline-ms MS] [--depth N] [--cache N] [--net-workers N] [--max-conns N]\n              \
+         [--shards N [--replicas M] [--seed S]]\n              \
+         (cluster mode: one --model; --depth/--cache/--net-workers/--max-conns refused)\n  \
          splatt cluster <addr>   (router health + per-shard failover counters)\n  \
          splatt query <addr> entry --model NAME --coords i,j,k[;i,j,k...]\n              \
          [--version V] [--deadline-ms MS]   (coords are zero-based)\n  \
@@ -100,9 +100,7 @@ const COMPLETE_FLAGS: &[&str] = &[
 const SERVE_FLAGS: &[&str] = &[
     "model",
     "addr",
-    "tasks",
     "depth",
-    "batch",
     "cache",
     "deadline-ms",
     "net-workers",
@@ -111,6 +109,10 @@ const SERVE_FLAGS: &[&str] = &[
     "replicas",
     "seed",
 ];
+/// The `serve` flags that size the single-process engine and front end.
+/// A cluster (`--shards N`, N > 0) starts its workers with defaults, so
+/// it refuses these like unknown flags rather than ignore them.
+const SINGLE_PROCESS_SERVE_FLAGS: &[&str] = &["depth", "cache", "net-workers", "max-conns"];
 const QUERY_FLAGS: &[&str] = &[
     "model",
     "coords",
@@ -220,6 +222,23 @@ impl Flags {
 
     fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         Ok(self.parse_opt(key)?.unwrap_or(default))
+    }
+}
+
+/// `serve --shards N` (N > 0) with a flag of
+/// [`SINGLE_PROCESS_SERVE_FLAGS`] is a usage error, named like an
+/// unknown flag: a flag that would do nothing is not accepted silently.
+fn refuse_cluster_sizes(cmd: &str, flags: Flags) -> Result<Flags, String> {
+    let cluster =
+        cmd == "serve" && matches!(flags.parse_opt::<usize>("shards"), Ok(Some(n)) if n > 0);
+    match SINGLE_PROCESS_SERVE_FLAGS
+        .iter()
+        .find(|k| flags.get(k).is_some())
+    {
+        Some(key) if cluster => Err(format!(
+            "flag --{key} does not apply to a cluster (--shards): its workers run with defaults"
+        )),
+        _ => Ok(flags),
     }
 }
 
@@ -872,8 +891,8 @@ fn parse_model_specs(flags: &Flags) -> Result<Vec<(String, String)>, String> {
 
 /// SIGTERM/SIGINT → graceful drain, not a dropped connection: the
 /// handler only sets a flag (async-signal-safe); a watcher thread trips
-/// the shutdown token, which stops accepting and lets the engine finish
-/// queued batches under its drain deadline before the process exits.
+/// the shutdown token, which stops accepting and lets requests already
+/// computing finish under the drain deadline before the process exits.
 #[cfg(unix)]
 mod term_signal {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -937,9 +956,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     let addr = flags.get("addr").unwrap_or("127.0.0.1:0");
     let config = ServeConfig {
-        ntasks: flags.parse_or("tasks", ServeConfig::default().ntasks)?,
         max_depth: flags.parse_or("depth", ServeConfig::default().max_depth)?,
-        max_batch: flags.parse_or("batch", ServeConfig::default().max_batch)?,
         cache_capacity: flags.parse_or("cache", ServeConfig::default().cache_capacity)?,
         default_deadline: Duration::from_millis(flags.parse_or(
             "deadline-ms",
@@ -1223,7 +1240,7 @@ fn main() -> ExitCode {
         return usage();
     }
     let (pos, flag_args) = rest.split_at(npos);
-    let flags = match Flags::parse(flag_args, accepted) {
+    let flags = match Flags::parse(flag_args, accepted).and_then(|f| refuse_cluster_sizes(cmd, f)) {
         Ok(flags) => flags,
         Err(e) => {
             eprintln!("error: {e}");

@@ -227,6 +227,8 @@ fn unknown_flags_are_rejected_by_name_with_exit_code_2() {
         (&cpd[..], "--on-overrun", "degrade"),
         (&refresh[..], "--on-overrun", "abort"),
         (&serve[..], "--legacy-threads", "1"),
+        (&serve[..], "--tasks", "2"),
+        (&serve[..], "--batch", "8"),
     ] {
         let out = splatt()
             .args(subcommand)
@@ -245,6 +247,31 @@ fn unknown_flags_are_rejected_by_name_with_exit_code_2() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cluster's workers run with the engine's and the front end's
+/// defaults, so `serve --shards N` refuses the flags that size them —
+/// named, exit 2, before loading anything — instead of ignoring them.
+#[test]
+fn cluster_serve_refuses_single_process_sizing_flags_by_name() {
+    let cluster = ["serve", "--model", "m=unread.model", "--shards", "2"];
+    for flag in ["--depth", "--cache", "--net-workers", "--max-conns"] {
+        let out = splatt().args(cluster).args([flag, "8"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} with --shards");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "stderr must name {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} must fail before running");
+        // Single-process serving takes the flag: it gets as far as
+        // reading the (missing) model file.
+        let out = splatt()
+            .args(["serve", "--model", "m=unread.model", "--shards", "0"])
+            .args([flag, "8"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} without a cluster");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unread.model"), "{stderr}");
+    }
 }
 
 #[test]
@@ -548,7 +575,7 @@ fn spawn_server(model: &std::path::Path) -> (std::process::Child, String) {
     let mut child = splatt()
         .args(["serve", "--model"])
         .arg(format!("demo={}", model.display()))
-        .args(["--addr", "127.0.0.1:0", "--tasks", "2"])
+        .args(["--addr", "127.0.0.1:0", "--net-workers", "2"])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .unwrap();
@@ -654,7 +681,7 @@ fn serve_exits_promptly_on_sigterm() {
         std::thread::sleep(std::time::Duration::from_millis(20));
     };
     // SIGTERM is a graceful drain, not a crash: the process exits 0
-    // after finishing queued work, instead of dying on the default
+    // after finishing in-flight work, instead of dying on the default
     // signal disposition.
     assert!(status.success(), "SIGTERM must drain and exit cleanly");
     std::fs::remove_dir_all(&dir).ok();

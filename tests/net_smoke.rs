@@ -71,8 +71,8 @@ fn start_server_with(
 }
 
 /// A model whose mode-0 top-k is a real scan (tens of microseconds in
-/// release, milliseconds in debug): work that occupies a pool worker
-/// and queues for the batcher, where a point read no longer does.
+/// release, milliseconds in debug): work that occupies a pool worker,
+/// where a point read does not.
 fn scan_model(seed: u64) -> KruskalModel {
     KruskalModel {
         lambda: vec![1.5, -0.75, 0.25, 2.0],
@@ -281,7 +281,6 @@ fn saturation_sheds_typed_overloaded_with_bounded_admitted_latency() {
             ..FrontEndConfig::default()
         },
         ServeConfig {
-            ntasks: 1,
             max_depth: 2,
             cache_capacity: 0,
             ..ServeConfig::default()
@@ -603,8 +602,9 @@ fn wire_path_counts(stream: &mut TcpStream) -> PathCounts {
 }
 
 /// N point reads are N inline frames, N caller-runs, no batch and no
-/// pool job; N scans after them add nothing to either inline count and
-/// ride in batches — and `Stats` answers which path each took.
+/// pool job; N scans after them add nothing to the inline frames, run
+/// on their pool worker (N more caller-runs), and are never batched —
+/// and `Stats` answers which path each took.
 #[test]
 fn point_reads_run_inline_and_scans_go_through_the_pool_counted_exactly() {
     let _guard = serial_guard();
@@ -647,10 +647,9 @@ fn point_reads_run_inline_and_scans_go_through_the_pool_counted_exactly() {
     }
     let counts = wire_path_counts(&mut stream);
     assert_eq!(counts.frames_inline, N, "no scan was answered inline");
-    assert_eq!(counts.caller_runs, N, "no scan ran on its caller");
+    assert_eq!(counts.caller_runs, 2 * N, "every scan ran on its caller");
     assert_eq!(counts.frames_read, 2 * N + 2);
-    assert_eq!(counts.batched_requests, N);
-    assert!(counts.batches >= 1 && counts.batches <= N);
+    assert_eq!((counts.batches, counts.batched_requests), (0, 0));
     handle.shutdown();
 }
 
@@ -678,7 +677,6 @@ fn a_point_read_does_not_wait_for_another_connection_s_scans() {
             ..FrontEndConfig::default()
         },
         ServeConfig {
-            ntasks: 1,
             cache_capacity: 0,
             ..ServeConfig::default()
         },

@@ -192,40 +192,13 @@ fn kernel_routing_follows_fiber_density() {
     }
 }
 
-/// The differential matrix over the ranks people use: every chunk shape
-/// of the blocked gather and scatter (remainders 1..15, one and two full
-/// chunks), 8/16/32 with their neighbours, and the paper's 35 —
-/// x 4 access strategies x root/internal/leaf/tiled x privatized/locks.
-/// The tuned kernels (`specialize: true`: blocked gather, blocked scatter
-/// and — all for the pointer strategies — the fiber-ahead prefetch) must
-/// equal the plain per-nonzero loops (`specialize: false`, no prefetch)
-/// bit for bit, and both the COO oracle to 1e-9. Both sync paths are run
-/// where they are deterministic: replicas reduce in task order on one,
-/// two and three tasks; the lock path on one task.
-///
-/// The tensors are the shapes a look-ahead can get wrong — about one
-/// nonzero per fiber (what the prefetch is for), deeper trees, fewer
-/// fibers than the prefetch distance, one nonzero, none — and the ones a
-/// blocked scatter can: exact duplicate coordinates, fibers longer than a
-/// chunk. The last few fibers of every level are where an off-by-one
-/// would index past `fids`, so this runs in debug (bounds checks live) as
-/// well as `--release`.
-#[test]
-fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
+/// The nine tensors of the kernel suite: the shapes a look-ahead can
+/// get wrong — about one nonzero per fiber (what the prefetch is for),
+/// deeper trees, fewer fibers than the prefetch distance, one nonzero,
+/// none — and the ones a blocked scatter can: exact duplicate
+/// coordinates, fibers longer than a chunk.
+fn kernel_suite() -> Vec<(&'static str, SparseTensor)> {
     use splatt::tensor::synth;
-    let paper_like = synth::power_law(&[30, 14, 40], 2_500, 1.8, 23);
-    // one tree serves all three kernel shapes
-    let team = TaskTeam::new(1);
-    let set = CsfSet::build(&paper_like, CsfAlloc::One, &team, SortVariant::default());
-    let kinds: Vec<KernelKind> = (0..3).map(|m| set.for_mode(m).1).collect();
-    assert!(kinds.contains(&KernelKind::Root));
-    assert!(kinds.contains(&KernelKind::Internal(1)));
-    assert!(kinds.contains(&KernelKind::Leaf));
-
-    let hypersparse = synth::random_uniform(&[300, 200, 400], 700, 29);
-    let set = CsfSet::build(&hypersparse, CsfAlloc::One, &team, SortVariant::default());
-    assert!(set.csfs()[0].nnz_per_fiber() < 1.1);
-
     // Every coordinate two to four times over, uncoalesced, with values
     // that differ: one fiber adds into the same output row more than
     // once, which is where a blocked scatter looping in the wrong order
@@ -237,19 +210,22 @@ fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
             entries.push((coord.clone(), 0.5 + f64::from(n) - 1.25 * f64::from(copy)));
         }
     }
-    let duplicates = SparseTensor::from_entries(vec![4, 3, 9], &entries);
-
-    // Fibers longer than a 16-wide chunk is wide, and than the prefetch
-    // distance is long.
-    let long_fibers = synth::random_uniform(&[4, 3, 60], 500, 43);
-    let set = CsfSet::build(&long_fibers, CsfAlloc::One, &team, SortVariant::default());
-    assert!(set.csfs()[0].nnz_per_fiber() > 16.0);
-
-    let tensors = [
-        ("paper-like", paper_like),
-        ("hypersparse", hypersparse),
-        ("duplicates", duplicates),
-        ("long fibers", long_fibers),
+    vec![
+        (
+            "paper-like",
+            synth::power_law(&[30, 14, 40], 2_500, 1.8, 23),
+        ),
+        (
+            "hypersparse",
+            synth::random_uniform(&[300, 200, 400], 700, 29),
+        ),
+        (
+            "duplicates",
+            SparseTensor::from_entries(vec![4, 3, 9], &entries),
+        ),
+        // Fibers longer than a 16-wide chunk is wide, and than the
+        // prefetch distance is long.
+        ("long fibers", synth::random_uniform(&[4, 3, 60], 500, 43)),
         ("order 4", synth::random_uniform(&[8, 12, 6, 9], 900, 31)),
         ("order 5", synth::random_uniform(&[5, 6, 4, 7, 3], 600, 37)),
         ("5 nonzeros", synth::random_uniform(&[9, 7, 11], 5, 41)),
@@ -258,8 +234,37 @@ fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
             SparseTensor::from_entries(vec![4, 5, 6], &[(vec![1, 2, 3], 2.0)]),
         ),
         ("empty", SparseTensor::new(vec![3, 4, 5])),
-    ];
-    for (name, t) in &tensors {
+    ]
+}
+
+/// The differential matrix over the ranks people use: every chunk shape
+/// of the blocked gather and scatter (remainders 1..15, one and two full
+/// chunks), 8/16/32 with their neighbours, and the paper's 35 —
+/// x 4 access strategies x root/internal/leaf/tiled x privatized/locks.
+/// The tuned kernels (`specialize: true`: blocked gather, blocked scatter
+/// and — all for the pointer strategies — the fiber-ahead prefetch) must
+/// equal the plain per-nonzero loops (`specialize: false`, no prefetch)
+/// bit for bit, and both the COO oracle to 1e-9. Both sync paths are run
+/// where they are deterministic: replicas reduce in task order on one,
+/// two and three tasks; the lock path on one task.
+///
+/// The tensors are [`kernel_suite`]. The last few fibers of every level
+/// are where an off-by-one would index past `fids`, so this runs in
+/// debug (bounds checks live) as well as `--release`.
+#[test]
+fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
+    let suite = kernel_suite();
+    let team = TaskTeam::new(1);
+    let tree = |i: usize| CsfSet::build(&suite[i].1, CsfAlloc::One, &team, SortVariant::default());
+    // one tree of the paper-like tensor serves all three kernel shapes
+    let set = tree(0);
+    let kinds: Vec<KernelKind> = (0..3).map(|m| set.for_mode(m).1).collect();
+    assert!(kinds.contains(&KernelKind::Root));
+    assert!(kinds.contains(&KernelKind::Internal(1)));
+    assert!(kinds.contains(&KernelKind::Leaf));
+    assert!(tree(1).csfs()[0].nnz_per_fiber() < 1.1, "hypersparse");
+    assert!(tree(3).csfs()[0].nnz_per_fiber() > 16.0, "long fibers");
+    for (name, t) in &suite {
         tuned_equals_plain(name, t);
     }
 }
@@ -487,4 +492,143 @@ fn tns_roundtrip() {
         let back = splatt::tensor::io::read_tns(buf.as_slice()).unwrap();
         assert_eq!(back.canonical_entries(), t.canonical_entries());
     });
+}
+
+/// `t` with every value multiplied by `scale` (a power of two: exact).
+fn scaled(t: &SparseTensor, scale: f64) -> SparseTensor {
+    let inds = (0..t.order()).map(|m| t.ind(m).to_vec()).collect();
+    let vals = t.vals().iter().map(|v| v * scale).collect();
+    SparseTensor::from_parts(t.dims().to_vec(), inds, vals)
+}
+
+fn assert_scaled_bits(got: &[f64], want: &[f64], scale: f64, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), (w * scale).to_bits(), "{what}: entry {i}");
+    }
+}
+
+/// Metamorphic: scaling a tensor by an exact power of two, `2^k`, scales
+/// every CP-ALS step exactly — the MTTKRP and the Cholesky solve are
+/// linear, the 2-norm column normalization returns the same columns
+/// with `2^k` times the norms, and the fit is a ratio of norms — and the
+/// seeded initialization never reads the tensor. So on the nine tensors
+/// of [`kernel_suite`], for k in {-4, 7}, each step is checked on its
+/// own (the message names it), and the first iteration of `cp_als`
+/// (the one that normalizes by the 2-norm) gives `to_bits`-equal
+/// factors and fit and exactly `2^k` times the lambda.
+///
+/// One step breaks the property: every later iteration normalizes by
+/// the max-norm with SPLATT's clamp `lambda = max(lambda, 1)`, which
+/// leaves a column whose largest entry is under 1 unnormalized. Scaling
+/// moves columns across that clamp, and the runs part by rounding from
+/// there. The clamp is pinned below; above it the max-norm commutes,
+/// and whole runs stay bit-exact where no column ever falls under it.
+#[test]
+fn power_of_two_scaling_commutes_with_every_cp_als_step() {
+    use splatt::dense::{hadamard_assign, normalize_columns, solve_normals, MatNorm};
+    use splatt::{cp_als, CpalsOptions};
+    const RANK: usize = 5;
+    let team = TaskTeam::new(1);
+    let cfg = MttkrpConfig::default();
+    for (name, t) in &kernel_suite() {
+        let factors = gen_factors(t, RANK, 5);
+        let set = CsfSet::build(t, CsfAlloc::default(), &team, SortVariant::default());
+        for k in [-4, 7] {
+            let scale = 2f64.powi(k);
+            let xs = scaled(t, scale);
+            let set_s = CsfSet::build(&xs, CsfAlloc::default(), &team, SortVariant::default());
+            let mut ws = MttkrpWorkspace::new(&cfg, 1);
+            for mode in 0..t.order() {
+                let step = |what: &str| format!("{name}, 2^{k}, mode {mode}: {what}");
+                let mut m = Matrix::zeros(t.dims()[mode], RANK);
+                let mut m_s = m.clone();
+                mttkrp(&set, &factors, mode, &mut m, &mut ws, &team, &cfg);
+                mttkrp(&set_s, &factors, mode, &mut m_s, &mut ws, &team, &cfg);
+                assert_scaled_bits(m_s.as_slice(), m.as_slice(), scale, &step("MTTKRP"));
+
+                let mut v = Matrix::filled(RANK, RANK, 1.0);
+                for (other, f) in factors.iter().enumerate() {
+                    if other != mode {
+                        hadamard_assign(&mut v, &mat_ata(f));
+                    }
+                }
+                solve_normals(&v, &mut m);
+                solve_normals(&v, &mut m_s);
+                assert_scaled_bits(m_s.as_slice(), m.as_slice(), scale, &step("Cholesky solve"));
+
+                let (mut a, mut a_s) = (m.clone(), m_s.clone());
+                let (mut lambda, mut lambda_s) = (vec![0.0; RANK], vec![0.0; RANK]);
+                normalize_columns(&mut a, &mut lambda, MatNorm::Two);
+                normalize_columns(&mut a_s, &mut lambda_s, MatNorm::Two);
+                assert_eq!(a.as_slice(), a_s.as_slice(), "{}", step("2-norm columns"));
+                assert_scaled_bits(&lambda_s, &lambda, scale, &step("2-norm lambda"));
+
+                // the max-norm, on the columns no clamp touches at either scale
+                normalize_columns(&mut m, &mut lambda, MatNorm::Max);
+                normalize_columns(&mut m_s, &mut lambda_s, MatNorm::Max);
+                for r in 0..RANK {
+                    if lambda[r] > 1.0 && lambda_s[r] > 1.0 {
+                        let column = |a: &Matrix| -> Vec<u64> {
+                            (0..a.rows()).map(|i| a[(i, r)].to_bits()).collect()
+                        };
+                        assert_eq!(column(&m), column(&m_s), "{}", step("max-norm column"));
+                        assert_eq!(
+                            lambda_s[r].to_bits(),
+                            (lambda[r] * scale).to_bits(),
+                            "{}",
+                            step("max-norm lambda")
+                        );
+                    }
+                }
+            }
+
+            // the first iteration end to end, the fit included
+            let opts = CpalsOptions {
+                rank: RANK,
+                max_iters: 1,
+                tolerance: 0.0,
+                ..Default::default()
+            };
+            let (run, run_s) = (cp_als(t, &opts), cp_als(&xs, &opts));
+            let what = format!("{name}, 2^{k}: cp_als, first iteration");
+            for (f, f_s) in run.model.factors.iter().zip(&run_s.model.factors) {
+                assert_eq!(f.as_slice(), f_s.as_slice(), "{what}: factors");
+            }
+            assert_eq!(run.fit.to_bits(), run_s.fit.to_bits(), "{what}: fit");
+            assert_scaled_bits(&run_s.model.lambda, &run.model.lambda, scale, &what);
+
+            // Ten iterations: exact where no column max ever fell under
+            // the clamp, within rounding of it everywhere.
+            let opts = CpalsOptions {
+                max_iters: 10,
+                ..opts
+            };
+            let (run, run_s) = (cp_als(t, &opts), cp_als(&xs, &opts));
+            let what = format!("{name}, 2^{k}: cp_als, ten iterations");
+            assert!((run.fit - run_s.fit).abs() <= 1e-6, "{what}: fit");
+            let unclamped = matches!(
+                (*name, k),
+                ("duplicates", _) | ("paper-like", 7) | ("long fibers", 7)
+            );
+            if unclamped {
+                for (f, f_s) in run.model.factors.iter().zip(&run_s.model.factors) {
+                    assert_eq!(f.as_slice(), f_s.as_slice(), "{what}: factors");
+                }
+                assert_eq!(run.fit.to_bits(), run_s.fit.to_bits(), "{what}: fit");
+                assert_scaled_bits(&run_s.model.lambda, &run.model.lambda, scale, &what);
+            }
+        }
+    }
+
+    // The step that breaks it: a column whose largest entry is 0.5 is
+    // left alone (lambda clamped to 1); scaled by 2^7 it is divided by 64.
+    let column = Matrix::from_vec(2, 1, vec![0.5, -0.25]);
+    let mut scaled_column = Matrix::from_vec(2, 1, vec![64.0, -32.0]);
+    let (mut plain, mut lambda, mut lambda_s) = (column.clone(), [0.0], [0.0]);
+    normalize_columns(&mut plain, &mut lambda, MatNorm::Max);
+    normalize_columns(&mut scaled_column, &mut lambda_s, MatNorm::Max);
+    assert_eq!((lambda, lambda_s), ([1.0], [64.0]), "max-norm clamp");
+    assert_eq!(plain.as_slice(), column.as_slice());
+    assert_eq!(scaled_column.as_slice(), [1.0, -0.5]);
 }

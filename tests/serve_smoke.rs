@@ -17,7 +17,6 @@ const QUERIES_PER_CLIENT: usize = 1_300; // 8 * 1300 = 10_400 total
 #[test]
 fn eight_clients_ten_thousand_queries_zero_failures() {
     let engine = ServeEngine::start(ServeConfig {
-        ntasks: 4,
         max_depth: 64, // well above CLIENTS: nothing should shed
         cache_capacity: 128,
         ..Default::default()
@@ -78,8 +77,8 @@ fn eight_clients_ten_thousand_queries_zero_failures() {
     assert_eq!(latencies.len(), CLIENTS * QUERIES_PER_CLIENT);
     latencies.sort_unstable();
     let p99 = latencies[latencies.len() * 99 / 100];
-    // Loopback round trip through admission + batching: generous bound
-    // that still catches a stalled scheduler (micros).
+    // Loopback round trip through admission + compute: generous bound
+    // that still catches a stalled server (micros).
     assert!(p99 < 2_000_000, "p99 {p99}us exceeds 2s");
 
     let row = engine.profile_report().serve.clone().expect("serve row");
@@ -87,7 +86,7 @@ fn eight_clients_ten_thousand_queries_zero_failures() {
     assert_eq!(answered as usize, CLIENTS * QUERIES_PER_CLIENT);
     assert_eq!(row.sheds, 0, "below the queue limit nothing may shed");
     assert_eq!(row.deadline_rejections, 0);
-    assert!(row.batches > 0);
+    assert_eq!(row.caller_runs + row.cache_hits, answered);
     assert!(row.cache_hits > 0, "repeated slices/top-ks must hit cache");
 
     // Clean shutdown over the wire.

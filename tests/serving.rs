@@ -1,5 +1,6 @@
 //! End-to-end tests of the serving subsystem: qc property tests pinning
-//! the batched engine to a dense-reconstruction oracle (bit-identical),
+//! the engine, under concurrent callers, to a dense-reconstruction
+//! oracle (bit-identical),
 //! tie-handling and degenerate-model cases, the TCP loopback path with
 //! typed errors, and steady-state allocation certification through the
 //! probe schema-v5 `serve` counters.
@@ -8,8 +9,7 @@ use splatt::guard::{Deadline, RetryPolicy};
 use splatt::rt::qc::{self, Gen};
 use splatt::serve::protocol::{Response, WireError};
 use splatt::serve::{
-    classify, serve, Client, Query, QueryResult, ServeConfig, ServeEngine, ServeError, Ticket,
-    Transience,
+    classify, serve, Client, Query, QueryResult, ServeConfig, ServeEngine, ServeError, Transience,
 };
 use splatt::{CancelToken, KruskalModel, Matrix};
 use std::sync::Arc;
@@ -100,29 +100,27 @@ fn gen_coord(g: &mut Gen, model: &KruskalModel) -> Vec<u32> {
 }
 
 #[test]
-fn batched_queries_match_dense_oracle_orders_3_to_5() {
-    qc::check("serve batch matches dense oracle", 20, |g| {
+fn concurrent_queries_match_dense_oracle_orders_3_to_5() {
+    qc::check("concurrent queries match dense oracle", 20, |g| {
         let order = g.usize_in(3..6);
         let model = gen_model(g, order);
+        let callers = g.usize_in(1..5);
         let engine = ServeEngine::start(ServeConfig {
-            ntasks: g.usize_in(1..4),
-            max_batch: g.usize_in(1..9),
             cache_capacity: if g.bool() { 16 } else { 0 },
             ..Default::default()
         });
         engine.publish("m", model.clone());
-        let root = CancelToken::new();
 
-        // Queue a burst of mixed queries before waiting on any of them,
-        // so the batcher genuinely coalesces (same model, same kind).
+        // A burst of mixed queries, dealt round-robin to the callers,
+        // which all run at once against the one engine.
         enum Expect {
             Entries(Vec<f64>),
             Slice(Vec<f64>),
             TopK(Vec<(u32, f64)>),
         }
-        let mut inflight: Vec<(Ticket, Expect)> = Vec::new();
+        let mut burst: Vec<(Query, Expect)> = Vec::new();
         for _ in 0..g.usize_in(4..24) {
-            let (query, expect) = match g.usize_in(0..3) {
+            burst.push(match g.usize_in(0..3) {
                 0 => {
                     let tuples = g.usize_in(1..4);
                     let coords: Vec<u32> = (0..tuples).flat_map(|_| gen_coord(g, &model)).collect();
@@ -159,31 +157,41 @@ fn batched_queries_match_dense_oracle_orders_3_to_5() {
                         Expect::TopK(want),
                     )
                 }
-            };
-            let ticket = engine
-                .submit("m", 0, query, None, &root)
-                .expect("submit should succeed");
-            inflight.push((ticket, expect));
+            });
         }
-        for (ticket, expect) in inflight {
-            let got = engine.wait(ticket, || false).expect("query should succeed");
-            match (got, expect) {
-                (QueryResult::Entries(got), Expect::Entries(want)) => {
-                    assert_bits_eq(&got, &want, "entry");
-                }
-                (QueryResult::Slice(got), Expect::Slice(want)) => {
-                    assert_bits_eq(&got, &want, "slice");
-                }
-                (QueryResult::TopK(got), Expect::TopK(want)) => {
-                    assert_eq!(got.len(), want.len(), "top-k length");
-                    for (g_pair, w_pair) in got.iter().zip(&want) {
-                        assert_eq!(g_pair.0, w_pair.0, "top-k index");
-                        assert_eq!(g_pair.1.to_bits(), w_pair.1.to_bits(), "top-k score");
+        std::thread::scope(|scope| {
+            for caller in 0..callers {
+                let (engine, burst) = (&engine, &burst);
+                scope.spawn(move || {
+                    let root = CancelToken::new();
+                    for (query, expect) in burst.iter().skip(caller).step_by(callers) {
+                        let got = engine
+                            .query("m", 0, query.clone(), None, &root, || false)
+                            .expect("query should succeed");
+                        match (got, expect) {
+                            (QueryResult::Entries(got), Expect::Entries(want)) => {
+                                assert_bits_eq(&got, want, "entry");
+                            }
+                            (QueryResult::Slice(got), Expect::Slice(want)) => {
+                                assert_bits_eq(&got, want, "slice");
+                            }
+                            (QueryResult::TopK(got), Expect::TopK(want)) => {
+                                assert_eq!(got.len(), want.len(), "top-k length");
+                                for (g_pair, w_pair) in got.iter().zip(want) {
+                                    assert_eq!(g_pair.0, w_pair.0, "top-k index");
+                                    assert_eq!(
+                                        g_pair.1.to_bits(),
+                                        w_pair.1.to_bits(),
+                                        "top-k score"
+                                    );
+                                }
+                            }
+                            _ => panic!("result kind does not match query kind"),
+                        }
                     }
-                }
-                _ => panic!("result kind does not match query kind"),
+                });
             }
-        }
+        });
         engine.shutdown();
     });
 }
@@ -525,7 +533,6 @@ fn empty_and_singleton_models_serve_without_panicking() {
 
 fn demo_engine() -> Arc<ServeEngine> {
     let engine = ServeEngine::start(ServeConfig {
-        ntasks: 2,
         cache_capacity: 32,
         ..Default::default()
     });
@@ -625,7 +632,7 @@ fn tcp_loopback_answers_match_oracle_and_errors_are_typed() {
 fn live_stats_reply_has_the_golden_key_set_in_every_section() {
     use splatt::probe::json::{parse, Value};
     let golden = parse(include_str!(
-        "../crates/splatt-probe/testdata/profile_v14.json"
+        "../crates/splatt-probe/testdata/profile_v15.json"
     ))
     .expect("golden parses");
     let handle = serve(demo_engine(), "127.0.0.1:0").expect("bind loopback");
@@ -668,8 +675,8 @@ fn deadline_expired_requests_are_typed_not_hung() {
     let engine = demo_engine();
     let handle = serve(Arc::clone(&engine), "127.0.0.1:0").expect("bind loopback");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    // A 1 ms deadline on a cold engine loses the race against the
-    // batcher often enough; either outcome must be a typed answer.
+    // A 1 ms deadline on a cold engine is sometimes passed before the
+    // answer is ready; either outcome must be a typed answer.
     let started = std::time::Instant::now();
     let resp = client.slice("demo", 0, 1, 0, 1).unwrap();
     assert!(
@@ -758,36 +765,62 @@ fn steady_state_queries_are_allocation_free_after_warmup() {
 
 #[test]
 fn shutdown_drains_queued_queries_instead_of_dropping_them() {
-    let engine = demo_engine();
-    let model = engine.registry().get("demo", 0).unwrap().model.clone();
-    let root = CancelToken::new();
-    let mut tickets = Vec::new();
-    for i in 0..12u32 {
-        let index = i % 5;
-        let ticket = engine
-            .submit("demo", 0, Query::Slice { mode: 1, index }, None, &root)
-            .expect("submit before shutdown");
-        tickets.push((index, ticket));
-    }
-    // Trip shutdown while the burst is still queued: everything already
-    // admitted must drain to a real answer, not fail mid-flight.
-    let drainer = Arc::clone(&engine);
-    let shutdown = std::thread::spawn(move || drainer.shutdown());
-    for (index, ticket) in tickets {
-        match engine.wait(ticket, || false) {
-            Ok(QueryResult::Slice(vals)) => {
-                assert_bits_eq(&vals, &oracle_slice(&model, 1, index), "drained slice");
-            }
+    // 800 x 500 cells at rank 32 per mode-0 slice: every query computes
+    // for milliseconds, far longer than the callers take to be admitted.
+    const CALLERS: usize = 4;
+    let model = KruskalModel {
+        lambda: vec![1.0; 32],
+        factors: vec![
+            Matrix::random(2, 32, 61),
+            Matrix::random(800, 32, 62),
+            Matrix::random(500, 32, 63),
+        ],
+    };
+    let engine = ServeEngine::start(ServeConfig {
+        cache_capacity: 0, // every caller computes
+        ..Default::default()
+    });
+    engine.publish("slow", model.clone());
+    let query = Query::Slice { mode: 0, index: 1 };
+    let go = std::sync::Barrier::new(CALLERS + 1);
+    let answers = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let (engine, go, query) = (&engine, &go, &query);
+                scope.spawn(move || {
+                    go.wait();
+                    let root = CancelToken::new();
+                    engine.query("slow", 0, query.clone(), None, &root, || false)
+                })
+            })
+            .collect();
+        go.wait();
+        // Trip shutdown once every caller holds an admission permit:
+        // each is then computing, and must drain to a real answer.
+        let started = std::time::Instant::now();
+        while engine.gate().depth() < CALLERS {
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "a caller finished before the last one was admitted"
+            );
+            std::thread::yield_now();
+        }
+        engine.shutdown();
+        let answers: Vec<_> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+        answers
+    });
+    let want = oracle_slice(&model, 0, 1);
+    for answer in answers {
+        match answer {
+            Ok(QueryResult::Slice(vals)) => assert_bits_eq(&vals, &want, "drained slice"),
             other => panic!("expected drained answer, got {other:?}"),
         }
     }
-    shutdown.join().unwrap();
-    // And the drain deadline is a real backstop: post-shutdown
-    // submissions are rejected typed, immediately.
-    match engine.submit("demo", 0, Query::Slice { mode: 1, index: 0 }, None, &root) {
+    // After shutdown a new query is refused typed, immediately.
+    let root = CancelToken::new();
+    match engine.query("slow", 0, query, None, &root, || false) {
         Err(ServeError::ShuttingDown) => {}
-        Err(other) => panic!("expected ShuttingDown, got {other:?}"),
-        Ok(_) => panic!("post-shutdown submit must be rejected"),
+        other => panic!("expected ShuttingDown, got {other:?}"),
     }
 }
 
@@ -970,7 +1003,6 @@ fn call_with_retry_gives_up_cleanly_when_the_server_is_gone() {
 fn evicted_version_never_yields_stale_hits_or_torn_reads() {
     qc::check("evict during query storm", 8, |g| {
         let engine = ServeEngine::start(ServeConfig {
-            ntasks: 2,
             cache_capacity: 32,
             ..Default::default()
         });
