@@ -29,7 +29,7 @@ fn steady_state_mttkrp_performs_no_hot_loop_allocations() {
     let tensor = workload_tensor(&w);
     let team = bench_team(w.ntasks);
     let set = CsfSet::build(&tensor, CsfAlloc::One, &team, SortVariant::AllOpts);
-    splatt_probe::alloc::enable();
+    let _recording = splatt_probe::alloc::Recording::start();
     // one full column chunk of the blocked kernels, and the paper's rank
     // (two chunks and a remainder)
     for (rank, imp) in [16, 35].into_iter().flat_map(|rank| {
@@ -79,5 +79,4 @@ fn steady_state_mttkrp_performs_no_hot_loop_allocations() {
             );
         }
     }
-    splatt_probe::alloc::disable();
 }

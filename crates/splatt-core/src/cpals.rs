@@ -172,19 +172,12 @@ impl From<CheckpointError> for CpalsError {
     }
 }
 
-/// Restores the global allocation-tracking state on every exit path
-/// (including the early `?` returns of the fallible driver).
+/// A profiled run's allocation accounting: the counters at its start,
+/// and recording held on until it ends on any exit path (including the
+/// early `?` returns of the fallible driver).
 struct AllocTracking {
     before: splatt_probe::alloc::AllocStats,
-    was_enabled: bool,
-}
-
-impl Drop for AllocTracking {
-    fn drop(&mut self) {
-        if !self.was_enabled {
-            splatt_probe::alloc::disable();
-        }
-    }
+    _recording: splatt_probe::alloc::Recording,
 }
 
 /// Time `f` under `which`, and — when a span parent is given — append a
@@ -384,11 +377,10 @@ fn als_attempt(
         None
     };
     let alloc_before = opts.profile.then(|| {
-        let was_enabled = splatt_probe::alloc::enabled();
-        splatt_probe::alloc::enable();
+        let _recording = splatt_probe::alloc::Recording::start();
         AllocTracking {
             before: splatt_probe::alloc::snapshot(),
-            was_enabled,
+            _recording,
         }
     });
     let mut span_root = opts.profile.then(|| SpanNode::new("CPD total"));
@@ -1214,6 +1206,47 @@ mod tests {
         assert_eq!(p.locks.acquisitions, 0);
         assert!(p.alloc.replica_reductions > 0);
         assert!(p.alloc.replica_bytes > 0);
+    }
+
+    /// Two profiled solves at once: the one that ends first must not
+    /// switch the allocation counters off under the other.
+    #[test]
+    fn concurrent_profiled_runs_both_record() {
+        let (tensor, _) = synth::planted_low_rank(&[16, 12, 10], 2, 800, 0.0, 4);
+        let solve = |max_iters| {
+            let opts = CpalsOptions {
+                rank: 2,
+                max_iters,
+                tolerance: 0.0,
+                ntasks: 2,
+                profile: true,
+                priv_threshold: 1e12,
+                ..Default::default()
+            };
+            let p = cp_als(&tensor, &opts).profile.expect("profile requested");
+            p.alloc.replica_reductions
+        };
+        // The middle mode privatizes in every iteration, so a run records
+        // at least one reduction per iteration of its own; the counters
+        // are process-wide, so other runs' only add to that.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let runs = [2u64, 6].map(|iters| {
+                let (solve, barrier) = (&solve, &barrier);
+                let run = s.spawn(move || {
+                    barrier.wait();
+                    solve(iters as usize)
+                });
+                (iters, run)
+            });
+            for (iters, run) in runs {
+                let recorded = run.join().expect("profiled run");
+                assert!(
+                    recorded >= iters,
+                    "{iters} iterations, {recorded} reductions recorded"
+                );
+            }
+        });
     }
 
     #[test]

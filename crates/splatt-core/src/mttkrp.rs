@@ -80,7 +80,8 @@ pub struct MttkrpConfig {
     /// [`MatrixAccess::PointerChecked`] then take the register-blocked
     /// leaf gather and the blocked leaf scatter — the same code at every
     /// rank — and on sparse-fiber tensors prefetch rows a few fibers
-    /// ahead; `RowCopy` and `Index2D` have no tuned variant. `false` runs
+    /// ahead and walk the bottom two tree levels as one flat loop;
+    /// `RowCopy` and `Index2D` have no tuned variant. `false` runs
     /// the plain per-nonzero loops, without prefetch, for every access
     /// strategy — the differential oracle. Both perform the same
     /// element-wise operations in the same order, so results are
@@ -189,14 +190,20 @@ pub const GUARD_CHUNK: usize = 64;
 ///
 /// Safety protocol: concurrent `row_mut` calls on the *same* row must be
 /// externally synchronized (lock pool), or rows must be partitioned
-/// disjointly across tasks (root kernel).
+/// disjointly across tasks (root and tiled kernels). Debug builds check
+/// the second half: every unlocked write [`claim`](SharedOut::claim)s its
+/// row for its task, and a row claimed by two tasks in one call panics.
 struct SharedOut {
     ptr: *mut f64,
     cols: usize,
+    /// The task that wrote each row without a lock (`usize::MAX`: none).
     #[cfg(debug_assertions)]
-    rows: usize,
+    owners: Vec<std::sync::atomic::AtomicUsize>,
 }
 
+// SAFETY: `ptr` is only written through `row_mut`, whose callers keep
+// writes to one row from two tasks apart (the protocol above); `cols` is
+// a plain integer and `owners` a vector of atomics.
 unsafe impl Send for SharedOut {}
 unsafe impl Sync for SharedOut {}
 
@@ -206,8 +213,30 @@ impl SharedOut {
             ptr: m.as_mut_slice().as_mut_ptr(),
             cols: m.cols(),
             #[cfg(debug_assertions)]
-            rows: m.rows(),
+            owners: (0..m.rows())
+                .map(|_| std::sync::atomic::AtomicUsize::new(usize::MAX))
+                .collect(),
         }
+    }
+
+    /// Record `task` as the writer of row `i` for this call (debug builds;
+    /// nothing in release). Panics, naming both tasks and the row, if
+    /// another task wrote it: the partition was not disjoint.
+    #[inline(always)]
+    fn claim(&self, i: usize, task: usize) {
+        #[cfg(debug_assertions)]
+        {
+            use std::sync::atomic::Ordering::Relaxed;
+            if let Err(owner) = self.owners[i].compare_exchange(usize::MAX, task, Relaxed, Relaxed)
+            {
+                assert!(
+                    owner == task,
+                    "tasks {owner} and {task} both wrote output row {i} without a lock"
+                );
+            }
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (i, task);
     }
 
     /// # Safety
@@ -217,18 +246,20 @@ impl SharedOut {
     #[inline(always)]
     unsafe fn row_mut(&self, i: usize) -> &mut [f64] {
         #[cfg(debug_assertions)]
-        debug_assert!(i < self.rows);
+        debug_assert!(i < self.owners.len());
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.cols), self.cols) }
     }
 }
 
 /// Where a task's scatter contributions land.
 enum OutTarget<'t> {
-    /// Directly into the shared output; `pool` is `None` for the root
-    /// kernel (rows disjoint by partition), `Some` otherwise.
+    /// Directly into the shared output, from task `task`; `pool` is
+    /// `None` for the root and tiled kernels (rows disjoint by
+    /// partition), `Some` otherwise.
     Shared {
         out: &'t SharedOut,
         pool: Option<&'t LockPool>,
+        task: usize,
     },
     /// Into this task's private replica (flat `dim x rank`).
     Replica { buf: &'t mut [f64], rank: usize },
@@ -249,11 +280,14 @@ impl OutTarget<'_> {
     #[inline(always)]
     fn with_row(&mut self, idx: usize, update: impl FnOnce(&mut [f64])) {
         match self {
-            OutTarget::Shared { out, pool } => {
+            OutTarget::Shared { out, pool, task } => {
                 let _guard = pool.map(|p| p.lock(idx));
+                if pool.is_none() {
+                    out.claim(idx, *task);
+                }
                 // SAFETY: either the lock pool serializes access to this
-                // row's hash class, or (root kernel) the row is owned by
-                // this task alone.
+                // row's hash class, or (root and tiled kernels) the row is
+                // owned by this task alone.
                 update(unsafe { out.row_mut(idx) });
             }
             OutTarget::Replica { buf, rank } => update(&mut buf[idx * *rank..(idx + 1) * *rank]),
@@ -314,11 +348,13 @@ impl OutTarget<'_> {
 /// compiled with it rather than once for the baseline target.
 trait Access {
     /// Does the tree walk prefetch rows [`PREFETCH_FIBERS`] fibers ahead
-    /// for this strategy? A property of the strategy, not an option: on
-    /// for the two pointer strategies (the shipped paths), off for
-    /// `RowCopy` and `Index2D` — whose modeled per-access costs are the
-    /// thing the paper's Figures 2/3 measure — and off for [`Plain`], so
-    /// `specialize: false` stays the untouched oracle.
+    /// for this strategy, and walk the bottom two levels of a sparse-fiber
+    /// tree as one flat loop (the hypersparse walk, see `walk!`)? A
+    /// property of the strategy, not an option: on for the two pointer
+    /// strategies (the shipped paths), off for `RowCopy` and `Index2D` —
+    /// whose modeled per-access costs are the thing the paper's Figures
+    /// 2/3 measure — and off for [`Plain`], so `specialize: false` stays
+    /// the untouched oracle.
     const PREFETCH: bool;
     /// `accum[r] += scale * f[idx][r]` — one nonzero of the leaf gather.
     fn axpy_row(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]);
@@ -355,6 +391,22 @@ trait Access {
     ) {
         target.scatter::<PF>(fids, vals, nz, src);
     }
+    /// Columns `c..c + W` of `f[idx]`, by value — the factor read of the
+    /// hypersparse walk's `flat_up` (see `walk!`), which only the
+    /// strategies with [`Access::PREFETCH`] run. The default reads each
+    /// element through a bounds check, as `PointerChecked`'s gather does
+    /// (a loop over the chunk: `std::array::from_fn` here made its root
+    /// kernels 30-50 % slower than the recursive walk's); `PointerZip`
+    /// reads the chunk as one fixed-width slice.
+    #[inline(always)]
+    fn row_chunk<const W: usize>(f: &Matrix, idx: usize, c: usize) -> [f64; W] {
+        let row = f.row(idx);
+        let mut chunk = [0.0; W];
+        for (i, x) in chunk.iter_mut().enumerate() {
+            *x = row[c + i];
+        }
+        chunk
+    }
 }
 
 /// `specialize: false`: `A`'s row operations with the default per-nonzero
@@ -381,10 +433,24 @@ impl<A: Access> Access for Plain<A> {
 /// Run `$chunk` over the column chunks of a rank-long row, with the
 /// constant `$W` set to each chunk's width and `$c` to its first column:
 /// the full chunks of 16, then one remainder chunk of 1..=15 (which the
-/// compiler splits into 8/4/2/1-wide vectors).
+/// compiler splits into 8/4/2/1-wide vectors). `wide` puts one chunk of
+/// 32 first when the rank has one (the hypersparse walk's, whose chunks
+/// hold an accumulator and a partial sum in registers; see `walk!`).
 macro_rules! column_chunks {
+    (wide $rank:ident, $c:ident, $W:ident => $chunk:expr) => {
+        let mut $c = 0;
+        if $rank >= 32 {
+            const $W: usize = 32;
+            $chunk;
+            $c = 32;
+        }
+        column_chunks!(@rest $rank, $c, $W => $chunk);
+    };
     ($rank:ident, $c:ident, $W:ident => $chunk:expr) => {
         let mut $c = 0;
+        column_chunks!(@rest $rank, $c, $W => $chunk);
+    };
+    (@rest $rank:ident, $c:ident, $W:ident => $chunk:expr) => {
         while $rank - $c >= 16 {
             const $W: usize = 16;
             $chunk;
@@ -458,9 +524,10 @@ fn gather_chunk<const W: usize, const CHECKED: bool>(
 /// Two cases keep the per-nonzero loop. Under locks every nonzero is its
 /// own acquisition, with nothing to hold in registers across them. And
 /// the prefetching walk (`PF`) runs where fibers hold about one nonzero,
-/// so there is nothing to reuse across a fiber either — and the chunk
-/// code, compiled into that walk, cost its lock path 10 % on the
-/// `cpd_yelp` shape (31 -> 34.5 ms per leaf MTTKRP) by its size alone.
+/// so there is nothing to reuse across a fiber either; on trees of order
+/// 3 and up its leaf kernel is [`flat_scatter`], which keeps the
+/// down-product itself in registers instead, and only order-2 trees get
+/// here.
 #[inline(always)]
 fn blocked_scatter<const PF: bool>(
     target: &mut OutTarget<'_>,
@@ -498,6 +565,111 @@ fn scatter_chunk<const W: usize>(
         let v = vals[x];
         for i in 0..W {
             row[i] += v * chunk[i];
+        }
+    }
+}
+
+/// The hypersparse walk's root and internal kernels: `compute_up` of
+/// `fiber` at `level == order - 3`, the bottom two levels in one loop.
+/// Into `up` goes, per column, the sum over child fibers `k` of
+/// `C[fid(k)] * (0.0 + Σ vals[x] * B[fid(x)])` over `k`'s nonzeros `x`,
+/// where the recursive walk would `fill(0)` a row of the arena per child,
+/// gather into it, and `fma_row` it into `up`. Per column chunk (see
+/// `column_chunks!`, `wide`) both sums stay in registers across the
+/// children and `up` is written once. Per element the multiplies and adds
+/// are the recursive walk's, in its order and association, so the result
+/// is bit-identical to it — the partial sum starts at `+0.0` as the
+/// arena row did, so a `-0.0` product still sums to `+0.0`. The
+/// fiber-ahead hints are the recursive walk's, issued on the first chunk.
+#[inline(always)]
+fn flat_up<A: Access>(
+    csf: &Csf,
+    level: usize,
+    fiber: usize,
+    factors: &[Matrix],
+    rank: usize,
+    up: &mut [f64],
+) {
+    let order = csf.order();
+    let perm = csf.dim_perm();
+    let (child, leaf) = (&factors[perm[level + 1]], &factors[perm[order - 1]]);
+    let (child_fids, fptr) = (csf.fids(level + 1), csf.fptr(level + 1));
+    let (leaf_fids, vals) = (csf.fids(order - 1), csf.vals());
+    let kids = csf.children(level, fiber);
+    column_chunks!(wide rank, c, W => {
+        let mut acc = [0.0; W];
+        for k in kids.clone() {
+            if c == 0 {
+                if let Some(&ahead) = child_fids.get(k + PREFETCH_FIBERS) {
+                    prefetch_row(child.as_slice().as_ptr(), ahead as usize, rank);
+                    // `fptr` has one entry more than `fids`
+                    if let Some(&first) = leaf_fids.get(fptr[k + PREFETCH_FIBERS]) {
+                        prefetch_row(leaf.as_slice().as_ptr(), first as usize, rank);
+                    }
+                }
+            }
+            let mut sum = [0.0; W];
+            for x in fptr[k]..fptr[k + 1] {
+                let (v, row) = (vals[x], A::row_chunk::<W>(leaf, leaf_fids[x] as usize, c));
+                for i in 0..W {
+                    sum[i] += v * row[i];
+                }
+            }
+            let row = A::row_chunk::<W>(child, child_fids[k] as usize, c);
+            for i in 0..W {
+                acc[i] += sum[i] * row[i];
+            }
+        }
+        *fixed_mut::<W>(&mut up[c..c + W]) = acc;
+    });
+}
+
+/// The hypersparse walk's leaf kernel: `descend` of `fiber` at
+/// `level == order - 3` toward the leaf mode, with `down` its prefix
+/// product. Per child fiber `k`, the strategy's [`Access::mul_row`] forms
+/// `down * F[fid(k)]` in `cur`, one arena row; then each of `k`'s nonzeros
+/// `x` adds `vals[x] * cur` into its output row one column chunk at a
+/// time, the chunk read by value and added from registers — where the
+/// recursive walk would call itself per child and scatter through the
+/// per-nonzero row loop. The same products and sums in the same order, so
+/// the result is the recursive walk's to the bit. Under a lock pool a
+/// nonzero is still one acquisition, held across every chunk of its row.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn flat_scatter<A: Access>(
+    csf: &Csf,
+    level: usize,
+    fiber: usize,
+    factors: &[Matrix],
+    rank: usize,
+    down: &[f64],
+    cur: &mut [f64],
+    target: &mut OutTarget<'_>,
+) {
+    let order = csf.order();
+    let f = &factors[csf.dim_perm()[level + 1]];
+    let (fids, fptr) = (csf.fids(level + 1), csf.fptr(level + 1));
+    let (leaf_fids, vals) = (csf.fids(order - 1), csf.vals());
+    for k in csf.children(level, fiber) {
+        if let Some(&ahead) = fids.get(k + PREFETCH_FIBERS) {
+            prefetch_row(f.as_slice().as_ptr(), ahead as usize, rank);
+        }
+        A::mul_row(f, fids[k] as usize, down, cur);
+        let cur = &*cur;
+        for x in fptr[k]..fptr[k + 1] {
+            if let Some(&ahead) = leaf_fids.get(x + PREFETCH_FIBERS) {
+                target.prefetch_row(ahead as usize);
+            }
+            let v = vals[x];
+            target.with_row(leaf_fids[x] as usize, |out| {
+                column_chunks!(wide rank, c, W => {
+                    let d = *fixed::<W>(&cur[c..c + W]);
+                    let out = fixed_mut::<W>(&mut out[c..c + W]);
+                    for i in 0..W {
+                        out[i] += v * d[i];
+                    }
+                });
+            });
         }
     }
 }
@@ -675,6 +847,10 @@ impl Access for PointerZipAccess {
         src: &[f64],
     ) {
         blocked_scatter::<PF>(target, fids, vals, nz, src);
+    }
+    #[inline(always)]
+    fn row_chunk<const W: usize>(f: &Matrix, idx: usize, c: usize) -> [f64; W] {
+        *fixed::<W>(&f.row(idx)[c..c + W])
     }
     #[inline(always)]
     fn axpy_row(f: &Matrix, idx: usize, scale: f64, accum: &mut [f64]) {
@@ -855,6 +1031,7 @@ fn run_tiled<A: Access>(
             let mut target = OutTarget::Shared {
                 out: shared,
                 pool: None,
+                task: tid,
             };
             task_slices::<A>(
                 isa,
@@ -983,7 +1160,11 @@ fn run<A: Access>(
         let body = |tid: usize| {
             let _lane = splatt_guard::LaneSpan::enter(guard, tid);
             kernel.with_mut(tid, |arena| {
-                let mut target = OutTarget::Shared { out: shared, pool };
+                let mut target = OutTarget::Shared {
+                    out: shared,
+                    pool,
+                    task: tid,
+                };
                 task_slices::<A>(
                     isa,
                     csf,
@@ -1115,11 +1296,33 @@ fn task_slices<A: Access>(
 /// bit-identical to a plain one. The internal kernel's `add_product` row
 /// is not hinted: every internal-kernel run behind a committed number is
 /// on a dense-fiber tree, where nothing is.
+///
+/// # The hypersparse walk
+///
+/// With `PF` set the fibers hold about one nonzero each, and the
+/// recursion's machinery cost more than the nonzero: per fiber a call, a
+/// `fill(0)` of an arena row, a gather that loads and stores it per
+/// column chunk, and an `fma_row` that reads it back into the parent's
+/// row. So the `PF` walk takes the bottom two levels — the level at
+/// `order - 3` and its child fibers — as one loop with no recursion and
+/// no arena row between them: [`flat_up`] for the root and internal
+/// kernels (`compute_up` at `order - 3`), [`flat_scatter`] for the leaf
+/// kernel (`descend` at `order - 3`). Both run column chunk by chunk
+/// (`column_chunks!`, `wide`: 32 first, then 16s and a 1..=15 remainder)
+/// on values held in registers — `flat_up` reads its factor rows through
+/// [`Access::row_chunk`], `flat_scatter` forms each child's product once
+/// with the strategy's `mul_row` — and issue the hints above for the same
+/// rows at the same distance. Each
+/// multiply and add of an output element is the recursive walk's, in its
+/// order and association, so the results are bit-identical to it. Upper
+/// levels of order-4/5 trees still recurse, order-2 trees have no such
+/// level, and a dense-fiber tree never sets `PF`.
 macro_rules! walk {
     ($name:ident $(, #[$feature:meta])?) => {
         mod $name {
             use super::{
-                prefetch_row, Access, Csf, Matrix, OutTarget, GUARD_CHUNK, PREFETCH_FIBERS,
+                flat_scatter, flat_up, prefetch_row, Access, Csf, Matrix, OutTarget, GUARD_CHUNK,
+                PREFETCH_FIBERS,
             };
 
             #[allow(clippy::too_many_arguments)]
@@ -1187,7 +1390,10 @@ macro_rules! walk {
                 let fid = csf.fids(level)[fiber] as usize;
                 let (cur, rest) = down_bufs.split_at_mut(rank);
                 A::mul_row(&factors[perm[level]], fid, down, cur);
-                if level == order - 2 {
+                if PF && level + 3 == order && od + 1 == order {
+                    let next = &mut rest[..rank];
+                    flat_scatter::<A>(csf, level, fiber, factors, rank, cur, next, target);
+                } else if level == order - 2 {
                     // children are the leaves and the output is the leaf
                     // mode: scatter each nonzero into its leaf row
                     // (SPLATT's leaf kernel)
@@ -1227,7 +1433,7 @@ macro_rules! walk {
             /// of `fiber`'s subtree: the sum over nonzeros below of
             /// `val * prod(factor rows at levels > level)`.
             $(#[$feature])?
-            fn compute_up<A: Access, const PF: bool>(
+            pub(super) fn compute_up<A: Access, const PF: bool>(
                 csf: &Csf,
                 level: usize,
                 fiber: usize,
@@ -1238,6 +1444,10 @@ macro_rules! walk {
                 let order = csf.order();
                 let perm = csf.dim_perm();
                 let (buf, rest) = bufs.split_at_mut(rank);
+                if PF && level + 3 == order {
+                    flat_up::<A>(csf, level, fiber, factors, rank, buf);
+                    return;
+                }
                 buf.fill(0.0);
                 if level == order - 2 {
                     // hot loop: gather leaf nonzeros against the leaf factor
@@ -1255,16 +1465,6 @@ macro_rules! walk {
                         if PF {
                             if let Some(&ahead) = child_fids.get(c + PREFETCH_FIBERS) {
                                 prefetch_row(child.as_slice().as_ptr(), ahead as usize, rank);
-                                if level + 3 == order {
-                                    // that fiber's children are the
-                                    // nonzeros (`fptr` has one entry more
-                                    // than `fids`)
-                                    let x = csf.fptr(level + 1)[c + PREFETCH_FIBERS];
-                                    if let Some(&first) = csf.fids(order - 1).get(x) {
-                                        let leaf = &factors[perm[order - 1]];
-                                        prefetch_row(leaf.as_slice().as_ptr(), first as usize, rank);
-                                    }
-                                }
                             }
                         }
                         compute_up::<A, PF>(csf, level + 1, c, factors, rank, rest);
@@ -1473,9 +1673,16 @@ mod tests {
         }
     }
 
+    /// A matrix's values as bits: `==` on `f64` calls `-0.0` equal to
+    /// `+0.0`.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     /// The two compiled copies of the walk must agree to the last bit at
     /// every chunk shape of the blocked gather and scatter (remainders
-    /// 1..15, one and two full chunks), 8/16/32 and their neighbours — for
+    /// 1..15, one and two full chunks), 8/16/32 and their neighbours, the
+    /// edges of the hypersparse walk's 32-wide chunk (47-49, 63-65) — for
     /// every access strategy, kernel, and both the tuned and plain loops —
     /// and on the tensors a fiber-ahead prefetch can get wrong: about one
     /// nonzero per fiber, deeper trees, fewer fibers than
@@ -1500,7 +1707,9 @@ mod tests {
         ] {
             // one tree: root, internal and leaf kernels
             let set = CsfSet::build(&t, CsfAlloc::One, &team, SortVariant::AllOpts);
-            for rank in [1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40] {
+            for rank in [
+                1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40, 47, 48, 49, 63, 64, 65,
+            ] {
                 let factors = factors_for(&t, rank, 9);
                 for access in ALL_ACCESS {
                     for specialize in [true, false] {
@@ -1521,8 +1730,8 @@ mod tests {
                                 out
                             };
                             assert_eq!(
-                                run(None).as_slice(),
-                                run(Some(avx2)).as_slice(),
+                                bits(&run(None)),
+                                bits(&run(Some(avx2))),
                                 "dims {:?} nnz {} rank {rank} mode {mode} ({kind:?}) {access:?} \
                                  specialize {specialize}",
                                 t.dims(),
@@ -1533,6 +1742,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `0.0 + x` is not `x`. Where every contribution to an element of a
+    /// fiber's up-row is `-0.0` (negative values against a zero column of
+    /// the leaf factor), the recursive walk sums them into a zeroed arena
+    /// row and gets `+0.0`; the hypersparse walk must too, so its partial
+    /// sums start at `+0.0`, not at their first product. The sign shows
+    /// in the up-row `compute_up` returns — the kernel's output starts at
+    /// `+0.0` and would wash it out — so that is compared, by `to_bits`,
+    /// at one and two column chunks; then the output of every strategy,
+    /// tuned against plain.
+    #[test]
+    fn negative_zero_contributions_sum_to_positive_zero() {
+        let t = SparseTensor::from_entries(
+            vec![2, 3, 4],
+            &[
+                (vec![0, 0, 1], -1.0),
+                (vec![0, 1, 2], -2.0),
+                (vec![0, 2, 0], -0.5),
+                (vec![0, 2, 3], -3.0),
+                (vec![1, 0, 2], -4.0),
+            ],
+        );
+        let team = TaskTeam::new(1);
+        let csf = Csf::build(&t, &[0, 1, 2], &team, SortVariant::AllOpts);
+        assert!(csf.nnz_per_fiber() < DENSE_FIBER_NNZ);
+        for rank in [5, 35] {
+            let mut factors = factors_for(&t, rank, 3);
+            // every third column of the leaf factor is zero: each
+            // contribution to that column is a negative value times +0.0
+            for i in 0..t.dims()[2] {
+                for r in (0..rank).step_by(3) {
+                    factors[2][(i, r)] = 0.0;
+                }
+            }
+            let zero_columns_are_positive = |row: &[f64], what: &str| {
+                for r in (0..rank).step_by(3) {
+                    assert_eq!(row[r].to_bits(), 0, "{what}: rank {rank} column {r}");
+                }
+            };
+            for s in 0..csf.nfibers(0) {
+                let up = |flat: bool| {
+                    let mut arena = vec![f64::NAN; 3 * rank];
+                    if flat {
+                        walk_portable::compute_up::<PointerZipAccess, true>(
+                            &csf, 0, s, &factors, rank, &mut arena,
+                        );
+                    } else {
+                        walk_portable::compute_up::<PointerZipAccess, false>(
+                            &csf, 0, s, &factors, rank, &mut arena,
+                        );
+                    }
+                    arena.truncate(rank);
+                    arena
+                };
+                let (recursive, flat) = (up(false), up(true));
+                zero_columns_are_positive(&recursive, "recursive walk");
+                let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(to_bits(&recursive), to_bits(&flat), "slice {s} rank {rank}");
+            }
+            let set = CsfSet::build(&t, CsfAlloc::One, &team, SortVariant::AllOpts);
+            for access in ALL_ACCESS {
+                let run = |specialize| {
+                    let cfg = MttkrpConfig {
+                        access,
+                        specialize,
+                        ..Default::default()
+                    };
+                    let mut ws = MttkrpWorkspace::new(&cfg, 1);
+                    let mut out = Matrix::zeros(t.dims()[0], rank);
+                    mttkrp(&set, &factors, 0, &mut out, &mut ws, &team, &cfg);
+                    out
+                };
+                let (plain, tuned) = (run(false), run(true));
+                assert_eq!(bits(&plain), bits(&tuned), "rank {rank} {access:?}");
+                for i in 0..t.dims()[0] {
+                    zero_columns_are_positive(tuned.row(i), "mttkrp");
+                }
+            }
+        }
+    }
+
+    /// The debug shadow of `SharedOut`'s protocol: one task may write a
+    /// row without a lock any number of times, a second task may not.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "tasks 0 and 1 both wrote output row 2 without a lock")]
+    fn unlocked_rows_written_by_two_tasks_panic() {
+        let mut m = Matrix::zeros(4, 3);
+        let shared = SharedOut::new(&mut m);
+        let target = |task| OutTarget::Shared {
+            out: &shared,
+            pool: None,
+            task,
+        };
+        target(0).add_scaled(2, 1.0, &[1.0; 3]);
+        target(0).add_scaled(2, 1.0, &[1.0; 3]);
+        target(1).add_scaled(3, 1.0, &[1.0; 3]);
+        target(1).add_scaled(2, 1.0, &[1.0; 3]);
     }
 
     /// A hint is not an access: a row far outside the matrix, or an

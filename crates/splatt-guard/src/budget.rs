@@ -14,21 +14,22 @@
 use splatt_probe::alloc::{self, AllocStats};
 
 /// A cap on allocation traffic since the budget was armed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct MemoryBudget {
     limit_bytes: u64,
     baseline: AllocStats,
+    _recording: alloc::Recording,
 }
 
 impl MemoryBudget {
-    /// Arm a budget of `limit_bytes`, enabling the probe's allocation
-    /// accounting (it stays enabled; the counters are a few relaxed
-    /// atomics and other users snapshot deltas the same way).
+    /// Arm a budget of `limit_bytes`: the probe's allocation accounting
+    /// records for as long as the budget lives.
     pub fn new(limit_bytes: u64) -> Self {
-        alloc::enable();
+        let _recording = alloc::Recording::start();
         MemoryBudget {
             limit_bytes,
             baseline: alloc::snapshot(),
+            _recording,
         }
     }
 
@@ -60,7 +61,7 @@ mod tests {
         let _serial = ALLOC_TEST_SERIAL.lock();
         // Pre-existing traffic must not count against a budget armed
         // later.
-        alloc::enable();
+        let _on = alloc::Recording::start();
         alloc::record_row_copy(4096);
         let budget = MemoryBudget::new(1024);
         assert_eq!(budget.used_bytes(), 0);

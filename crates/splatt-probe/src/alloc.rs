@@ -8,11 +8,12 @@
 //!
 //! The counters are process-global statics so the innermost kernels don't
 //! need a threaded-through handle; recording is gated on one relaxed
-//! `AtomicBool` load, which keeps the disabled path to a predictable
-//! branch (the row-copy path it instruments performs a heap allocation per
-//! call, so the load is noise even when enabled). Profiled runs in the
-//! same process share the counters — take [`snapshot`] deltas around the
-//! region of interest, as `cp_als` does.
+//! load, which keeps the disabled path to a predictable branch (the
+//! row-copy path it instruments performs a heap allocation per call, so
+//! the load is noise even when enabled). Recording is on while any
+//! [`Recording`] guard lives, so two profiled runs in one process cannot
+//! switch it off under each other. They share the counters — take
+//! [`snapshot`] deltas around the region of interest, as `cp_als` does.
 //!
 //! Those counters see the allocations the kernels announce. What a test
 //! needs when it bounds *every* allocation of a code region — a decoder
@@ -23,24 +24,38 @@ use crate::counters::AllocCounters;
 pub use crate::counters::AllocStats;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Live [`Recording`] guards.
+static RECORDERS: AtomicUsize = AtomicUsize::new(0);
 
 static COUNTERS: AllocCounters = AllocCounters::new();
 
-/// Turn recording on (used while a profiled run is active).
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+/// Allocation recording, on while any guard lives: a profiled run, a
+/// memory budget and a test that reads the counters each hold one, and
+/// dropping one never turns off another's.
+#[derive(Debug)]
+#[must_use = "recording stops when the guard is dropped"]
+pub struct Recording(());
+
+impl Recording {
+    /// Turn recording on until the returned guard is dropped.
+    pub fn start() -> Recording {
+        RECORDERS.fetch_add(1, Ordering::Relaxed);
+        Recording(())
+    }
 }
 
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+impl Drop for Recording {
+    fn drop(&mut self) {
+        RECORDERS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
+/// Is any [`Recording`] guard alive?
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    RECORDERS.load(Ordering::Relaxed) > 0
 }
 
 /// One factor-row copy of `bytes` bytes (RowCopy access variant).
@@ -226,10 +241,12 @@ mod tests {
         assert!(thread_heap_bytes() - before < 1 << 20, "another thread's");
     }
 
+    /// The recording tests read one global; they take turns.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn disabled_records_nothing_enabled_records() {
-        // Runs in one test to avoid cross-test interference on the globals.
-        disable();
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let before = snapshot();
         record_row_copy(280);
         record_descriptor(16);
@@ -237,7 +254,7 @@ mod tests {
         record_replica_reduction();
         assert_eq!(snapshot().since(&before), AllocStats::default());
 
-        enable();
+        let recording = Recording::start();
         let before = snapshot();
         record_row_copy(280);
         record_row_copy(280);
@@ -248,7 +265,7 @@ mod tests {
         record_replica_reduction();
         record_kernel_scratch(2048);
         let delta = snapshot().since(&before);
-        disable();
+        drop(recording);
         assert_eq!(delta.row_copies, 2);
         assert_eq!(delta.row_copy_bytes, 560);
         assert_eq!(delta.descriptor_allocs, 1);
@@ -259,5 +276,22 @@ mod tests {
         assert_eq!(delta.kernel_scratch_bytes, 2048);
         assert_eq!(delta.hot_loop_allocs(), 2 + 1 + 1);
         assert_eq!(delta.total_bytes(), 560 + 16 + 1024 + 512 + 2048);
+    }
+
+    /// The flake this guard fixed: a run that found recording off turned
+    /// it off on exit while another run was still recording.
+    #[test]
+    fn recording_stays_on_while_any_guard_lives() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        assert!(!enabled());
+        let a = Recording::start();
+        let b = Recording::start();
+        drop(a);
+        assert!(enabled(), "B still records after A stopped");
+        let before = snapshot();
+        record_replica_reduction();
+        assert_eq!(snapshot().since(&before).replica_reductions, 1);
+        drop(b);
+        assert!(!enabled(), "off once the last guard is gone");
     }
 }

@@ -295,7 +295,7 @@ fn memory_budget_abort_resumes_bit_for_bit() {
     let straight = try_cp_als(&tensor, &base, &CpalsRun::default()).unwrap();
 
     // calibrate: traffic of (build + 1 iteration) and per-iteration delta
-    splatt::probe::alloc::enable();
+    let _recording = splatt::probe::alloc::Recording::start();
     let before1 = splatt::probe::alloc::snapshot();
     try_cp_als(
         &tensor,

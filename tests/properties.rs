@@ -192,11 +192,12 @@ fn kernel_routing_follows_fiber_density() {
     }
 }
 
-/// The nine tensors of the kernel suite: the shapes a look-ahead can
+/// The ten tensors of the kernel suite: the shapes a look-ahead can
 /// get wrong — about one nonzero per fiber (what the prefetch is for),
 /// deeper trees, fewer fibers than the prefetch distance, one nonzero,
-/// none — and the ones a blocked scatter can: exact duplicate
-/// coordinates, fibers longer than a chunk.
+/// none — the ones a blocked scatter can: exact duplicate coordinates,
+/// fibers longer than a chunk — and the one the hypersparse walk's flat
+/// loop can: sparse fibers of mixed length.
 fn kernel_suite() -> Vec<(&'static str, SparseTensor)> {
     use splatt::tensor::synth;
     // Every coordinate two to four times over, uncoalesced, with values
@@ -234,17 +235,45 @@ fn kernel_suite() -> Vec<(&'static str, SparseTensor)> {
             SparseTensor::from_entries(vec![4, 5, 6], &[(vec![1, 2, 3], 2.0)]),
         ),
         ("empty", SparseTensor::new(vec![3, 4, 5])),
+        ("mixed fibers", mixed_fibers()),
     ]
+}
+
+/// 400 sparse fibers: most hold one nonzero, one in five two or three,
+/// and one in fifty 40 — longer than the widest column chunk — so the
+/// hypersparse walk's flat loop (about 2 nonzeros per fiber, under
+/// `DENSE_FIBER_NNZ`) meets multi-nonzero fibers between single ones.
+fn mixed_fibers() -> SparseTensor {
+    let mut entries = Vec::new();
+    for n in 0..400u32 {
+        let len = match n {
+            _ if n % 50 == 7 => 40,
+            _ if n % 5 == 0 => 2 + n % 2,
+            _ => 1,
+        };
+        for x in 0..len {
+            let coord = vec![n % 20, n / 20, (n * 37 + 11 * x) % 500];
+            entries.push((coord, 0.25 + f64::from(n % 13) - 0.5 * f64::from(x)));
+        }
+    }
+    SparseTensor::from_entries(vec![20, 60, 500], &entries)
+}
+
+/// A matrix's values as bits: `==` on `f64` calls `-0.0` equal to `+0.0`.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// The differential matrix over the ranks people use: every chunk shape
 /// of the blocked gather and scatter (remainders 1..15, one and two full
-/// chunks), 8/16/32 with their neighbours, and the paper's 35 —
+/// chunks), 8/16/32 with their neighbours, the paper's 35, and the edges
+/// of the hypersparse walk's 32-wide first chunk (47-49, 63-65) —
 /// x 4 access strategies x root/internal/leaf/tiled x privatized/locks.
 /// The tuned kernels (`specialize: true`: blocked gather, blocked scatter
-/// and — all for the pointer strategies — the fiber-ahead prefetch) must
-/// equal the plain per-nonzero loops (`specialize: false`, no prefetch)
-/// bit for bit, and both the COO oracle to 1e-9. Both sync paths are run
+/// and — all for the pointer strategies — the fiber-ahead prefetch and,
+/// on sparse fibers, the flat bottom two levels) must equal the plain
+/// per-nonzero loops (`specialize: false`, no prefetch) bit for bit
+/// (`to_bits`), and both the COO oracle to 1e-9. Both sync paths are run
 /// where they are deterministic: replicas reduce in task order on one,
 /// two and three tasks; the lock path on one task.
 ///
@@ -264,6 +293,8 @@ fn tuned_kernels_equal_plain_loops_bit_for_bit_at_every_rank() {
     assert!(kinds.contains(&KernelKind::Leaf));
     assert!(tree(1).csfs()[0].nnz_per_fiber() < 1.1, "hypersparse");
     assert!(tree(3).csfs()[0].nnz_per_fiber() > 16.0, "long fibers");
+    let mixed = tree(9).csfs()[0].nnz_per_fiber();
+    assert!(mixed > 1.5 && mixed < 4.3, "mixed fibers: {mixed}");
     for (name, t) in &suite {
         tuned_equals_plain(name, t);
     }
@@ -276,7 +307,9 @@ fn tuned_equals_plain(name: &str, t: &SparseTensor) {
     let tiled: Vec<_> = (0..t.order())
         .map(|m| splatt::core::TiledCsf::build(t, m, 3, &teams[1], SortVariant::default()))
         .collect();
-    for rank in [1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40] {
+    for rank in [
+        1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 35, 40, 47, 48, 49, 63, 64, 65,
+    ] {
         let factors = gen_factors(t, rank, 5);
         let oracles: Vec<Matrix> = (0..t.order()).map(|m| mttkrp_coo(t, &factors, m)).collect();
         for access in [
@@ -322,7 +355,7 @@ fn tuned_equals_plain(name: &str, t: &SparseTensor) {
                         "{name}: rank {rank} {access:?} {sync} mode {mode} ({:?})",
                         set.for_mode(mode).1
                     );
-                    assert_eq!(plain.as_slice(), tuned.as_slice(), "{cell}");
+                    assert_eq!(bits(&plain), bits(&tuned), "{cell}");
                     assert!(tuned.approx_eq(oracle, 1e-9), "{cell}");
                 }
             }
@@ -512,7 +545,7 @@ fn assert_scaled_bits(got: &[f64], want: &[f64], scale: f64, what: &str) {
 /// every CP-ALS step exactly — the MTTKRP and the Cholesky solve are
 /// linear, the 2-norm column normalization returns the same columns
 /// with `2^k` times the norms, and the fit is a ratio of norms — and the
-/// seeded initialization never reads the tensor. So on the nine tensors
+/// seeded initialization never reads the tensor. So on the ten tensors
 /// of [`kernel_suite`], for k in {-4, 7}, each step is checked on its
 /// own (the message names it), and the first iteration of `cp_als`
 /// (the one that normalizes by the 2-norm) gives `to_bits`-equal
@@ -631,4 +664,63 @@ fn power_of_two_scaling_commutes_with_every_cp_als_step() {
     assert_eq!((lambda, lambda_s), ([1.0], [64.0]), "max-norm clamp");
     assert_eq!(plain.as_slice(), column.as_slice());
     assert_eq!(scaled_column.as_slice(), [1.0, -0.5]);
+}
+
+/// `t` with every coordinate `2 + n % 3` times over (uncoalesced), the
+/// copies' values differing.
+fn repeated_coordinates(t: &SparseTensor) -> SparseTensor {
+    let mut entries = Vec::new();
+    for x in 0..t.nnz() {
+        for copy in 0..2 + x % 3 {
+            entries.push((t.coord(x), t.vals()[x] * (1.0 + 0.375 * copy as f64)));
+        }
+    }
+    SparseTensor::from_entries(t.dims().to_vec(), &entries)
+}
+
+/// Metamorphic: the fit of `cp_als` on an uncoalesced tensor does not
+/// depend on the order its duplicate entries arrive in. Sorting keeps
+/// duplicates in input order, so a shuffle reorders the additions every
+/// MTTKRP makes for them — rounding may move, the fit may not, beyond
+/// 1e-12. On the kernel suite's `duplicates` and a power-law tensor with
+/// every coordinate two to four times over, at one and two tasks, over
+/// three shuffles each.
+#[test]
+fn cp_als_fit_is_invariant_under_duplicate_order() {
+    use splatt::rt::rng::{RngExt, SeedableRng, StdRng};
+    use splatt::{cp_als, CpalsOptions};
+    let duplicates = kernel_suite().swap_remove(2);
+    assert_eq!(duplicates.0, "duplicates");
+    let power_law = repeated_coordinates(&splatt::tensor::synth::power_law(
+        &[40, 30, 50],
+        600,
+        1.6,
+        19,
+    ));
+    for (name, t) in [duplicates, ("power-law, 2-4x over", power_law)] {
+        for ntasks in [1, 2] {
+            let opts = CpalsOptions {
+                rank: 4,
+                max_iters: 15,
+                tolerance: 0.0,
+                ntasks,
+                seed: 7,
+                ..Default::default()
+            };
+            let fit = cp_als(&t, &opts).fit;
+            for shuffle in 0..3u64 {
+                let mut entries: Vec<_> = (0..t.nnz()).map(|x| (t.coord(x), t.vals()[x])).collect();
+                let mut rng = StdRng::seed_from_u64(shuffle);
+                for i in (1..entries.len()).rev() {
+                    entries.swap(i, rng.random_range(0..i + 1));
+                }
+                let shuffled = SparseTensor::from_entries(t.dims().to_vec(), &entries);
+                let got = cp_als(&shuffled, &opts).fit;
+                assert!(
+                    (got - fit).abs() <= 1e-12,
+                    "{name}, {ntasks} task(s), shuffle {shuffle}: fit {got} against {fit}"
+                );
+            }
+        }
+    }
 }
