@@ -751,7 +751,6 @@ pub fn faults_experiment() -> Table {
                 straggler: 0.3,
                 nan: 0.2,
                 nonspd: 0.25,
-                ..Default::default()
             },
         ),
     ];

@@ -14,8 +14,7 @@
 //!
 //! Every value is **bit-identical** to
 //! [`crate::reference::kruskal_value`] at the same coordinate — the
-//! invariant the serving property tests pin down, and what lets a cluster
-//! router merge per-shard partials into the single-process answer.
+//! invariant the serving property tests pin down.
 //!
 //! # One scoring core, and what it may hoist
 //!
@@ -38,8 +37,7 @@
 //! step with four independent accumulators. Each cell's `Σ_r` still runs
 //! in rank order — the four serial chains are interleaved, not
 //! reassociated — so the additions of one cell overlap the others'.
-//! All four scan entry points ([`top_k`], [`top_k_rows`],
-//! [`slice_values`], [`slice_values_rows`]) go through it.
+//! Both scan entry points ([`top_k`] and [`slice_values`]) go through it.
 //!
 //! One caveat is IEEE 754's, not this module's. When two NaNs with
 //! *different* bit patterns meet in one multiply or add, the standard
@@ -443,77 +441,6 @@ fn select_best(
     buf[..take].sort_unstable_by(&best_first);
 }
 
-/// [`top_k`] over every row of `mode` (`rows` is `None`) or over the
-/// listed ones: validate, score through [`scan`], select with
-/// [`select_best`] under the documented comparator (`total_cmp`
-/// descending, then ascending global index). That is a total order on
-/// (score, index) pairs, so which `k` come first, and in what order, does
-/// not depend on how they were found — the answer is the one a full sort
-/// gives.
-fn rank_rows(
-    model: &KruskalModel,
-    mode: usize,
-    k: usize,
-    fixed: &[u32],
-    rows: Option<&[u32]>,
-    arena: &mut QueryArena,
-    out: &mut Vec<(u32, f64)>,
-) -> Result<(), QueryError> {
-    let order = model.order();
-    if mode >= order {
-        return Err(QueryError::ModeOutOfRange { mode, order });
-    }
-    if fixed.len() + 1 != order {
-        return Err(QueryError::OrderMismatch {
-            got: fixed.len(),
-            order,
-        });
-    }
-    let dim = model.factors[mode].rows();
-    if let Some(&index) = rows.and_then(|rows| rows.iter().find(|&&r| r as usize >= dim)) {
-        return Err(QueryError::CoordOutOfRange { mode, index, dim });
-    }
-    let (n, rank) = (rows.map_or(dim, <[u32]>::len), model.lambda.len());
-    let take = k.min(n);
-    let candidates = (2 * take).min(n);
-    arena.reserve(order, rank, n, candidates);
-    let coord = &mut arena.coord[..order];
-    let mut fx = fixed.iter();
-    for (m, c) in coord.iter_mut().enumerate() {
-        if m != mode {
-            *c = *fx.next().expect("fixed length checked above");
-            let dim = model.factors[m].rows();
-            if *c as usize >= dim {
-                return Err(QueryError::CoordOutOfRange {
-                    mode: m,
-                    index: *c,
-                    dim,
-                });
-            }
-        }
-    }
-    if take == 0 {
-        return Ok(());
-    }
-    let (scores, ranked) = (&mut arena.scores[..n], &mut arena.ranked[..candidates]);
-    scan(model, coord, mode, &mut arena.prefix[..rank], rows, scores);
-    // total_cmp gives a deterministic order even for NaN scores
-    // (degenerate models); ties go to the lower *global* index, so a
-    // merge across shards reproduces the single-process ordering.
-    let global = |i: u32| rows.map_or(i, |rows| rows[i as usize]);
-    select_best(n, take, ranked, |&a, &b| {
-        scores[b as usize]
-            .total_cmp(&scores[a as usize])
-            .then_with(|| global(a).cmp(&global(b)))
-    });
-    out.extend(
-        ranked[..take]
-            .iter()
-            .map(|&i| (global(i), scores[i as usize])),
-    );
-    Ok(())
-}
-
 /// Score every index along `mode` against `fixed` (coordinates for the
 /// other modes, ascending mode order) and append the `k` best
 /// `(index, score)` pairs to `out`, scores descending, ties broken
@@ -537,100 +464,51 @@ pub fn top_k(
     arena: &mut QueryArena,
     out: &mut Vec<(u32, f64)>,
 ) -> Result<(), QueryError> {
-    rank_rows(model, mode, k, fixed, None, arena, out)
-}
-
-/// Shard-restricted [`top_k`]: score only the mode-`mode` indices in
-/// `rows` (each scored exactly as `top_k` scores it, so partial answers
-/// are bit-identical to the full kernel on the covered rows) and append
-/// the `k` best `(global index, score)` pairs to `out`, scores
-/// descending, ties broken toward the lower global index. `k` is clamped
-/// to `rows.len()`; selection is O(rows + k log k).
-///
-/// A cluster router merges these per-shard partial heaps with the same
-/// comparator to reproduce the single-process oracle bit-for-bit.
-///
-/// # Errors
-/// Rejects out-of-range `mode`, malformed or out-of-range `fixed`, and
-/// out-of-range entries of `rows`.
-pub fn top_k_rows(
-    model: &KruskalModel,
-    mode: usize,
-    k: usize,
-    fixed: &[u32],
-    rows: &[u32],
-    arena: &mut QueryArena,
-    out: &mut Vec<(u32, f64)>,
-) -> Result<(), QueryError> {
-    rank_rows(model, mode, k, fixed, Some(rows), arena, out)
-}
-
-/// Shard-restricted [`slice_values`] for `mode != 0`: reconstruct only
-/// the sub-blocks of the slice whose mode-0 coordinate is in `rows`,
-/// concatenated in the given row order. In the full slice layout (free
-/// modes ascending, last fastest) mode 0 is the slowest free mode, so
-/// the block for mode-0 index `i` occupies
-/// `out_full[i * block .. (i + 1) * block]` where
-/// `block = slice_len / dim0`; each block here is bit-identical to the
-/// full kernel's (both run the shared scoring core over the same runs),
-/// which is what lets a router stitch per-shard partials into the oracle
-/// answer.
-///
-/// # Errors
-/// Rejects `mode == 0` (the sharded mode cannot also be the fixed one),
-/// out-of-range `mode`/`index`, and out-of-range entries of `rows`.
-///
-/// # Panics
-/// Panics if `out.len() != rows.len() * block`.
-pub fn slice_values_rows(
-    model: &KruskalModel,
-    mode: usize,
-    index: u32,
-    rows: &[u32],
-    arena: &mut QueryArena,
-    out: &mut [f64],
-) -> Result<(), QueryError> {
     let order = model.order();
-    if mode == 0 || mode >= order {
+    if mode >= order {
         return Err(QueryError::ModeOutOfRange { mode, order });
     }
-    let dim = model.factors[mode].rows();
-    if index as usize >= dim {
-        return Err(QueryError::CoordOutOfRange { mode, index, dim });
-    }
-    let dim0 = model.factors[0].rows();
-    if let Some(&index) = rows.iter().find(|&&r| r as usize >= dim0) {
-        return Err(QueryError::CoordOutOfRange {
-            mode: 0,
-            index,
-            dim: dim0,
+    if fixed.len() + 1 != order {
+        return Err(QueryError::OrderMismatch {
+            got: fixed.len(),
+            order,
         });
     }
-    let block: usize = model
-        .factors
-        .iter()
-        .enumerate()
-        .filter(|(m, _)| *m != mode && *m != 0)
-        .map(|(_, f)| f.rows())
-        .product();
-    assert_eq!(
-        out.len(),
-        rows.len() * block,
-        "slice_values_rows: output length mismatch"
-    );
-    let rank = model.lambda.len();
-    arena.reserve(order, rank, 0, 0);
-    let (coord, prefix) = (&mut arena.coord[..order], &mut arena.prefix[..rank]);
-    coord[mode] = index;
-    if order == 2 {
-        // Mode 0 is the only free mode: the listed rows are the scan.
-        scan(model, coord, 0, prefix, Some(rows), out);
-    } else {
-        for (&row, chunk) in rows.iter().zip(out.chunks_exact_mut(block.max(1))) {
-            coord[0] = row;
-            slice_runs(model, mode, 1, coord, prefix, chunk);
+    let (n, rank) = (model.factors[mode].rows(), model.lambda.len());
+    let take = k.min(n);
+    let candidates = (2 * take).min(n);
+    arena.reserve(order, rank, n, candidates);
+    let coord = &mut arena.coord[..order];
+    let mut fx = fixed.iter();
+    for (m, c) in coord.iter_mut().enumerate() {
+        if m != mode {
+            *c = *fx.next().expect("fixed length checked above");
+            let dim = model.factors[m].rows();
+            if *c as usize >= dim {
+                return Err(QueryError::CoordOutOfRange {
+                    mode: m,
+                    index: *c,
+                    dim,
+                });
+            }
         }
     }
+    if take == 0 {
+        return Ok(());
+    }
+    let (scores, ranked) = (&mut arena.scores[..n], &mut arena.ranked[..candidates]);
+    scan(model, coord, mode, &mut arena.prefix[..rank], None, scores);
+    // `total_cmp` descending, then ascending index: a total order on
+    // (score, index) pairs — deterministic even for the NaN scores of a
+    // degenerate model — so which `k` come first, and in what order, does
+    // not depend on how they were found: the answer is the one a full
+    // sort gives.
+    select_best(n, take, ranked, |&a, &b| {
+        scores[b as usize]
+            .total_cmp(&scores[a as usize])
+            .then_with(|| a.cmp(&b))
+    });
+    out.extend(ranked[..take].iter().map(|&i| (i, scores[i as usize])));
     Ok(())
 }
 
@@ -753,6 +631,10 @@ mod tests {
             top_k(&m, 1, 2, &[9, 0], &mut arena, &mut out),
             Err(QueryError::CoordOutOfRange { mode: 0, .. })
         ));
+        assert!(matches!(
+            top_k(&m, 5, 2, &[0, 0], &mut arena, &mut out),
+            Err(QueryError::ModeOutOfRange { .. })
+        ));
     }
 
     #[test]
@@ -768,96 +650,6 @@ mod tests {
         let mut ranked = Vec::new();
         top_k(&m, 0, 2, &[1], &mut arena, &mut ranked).unwrap();
         assert_eq!(ranked, vec![(0, 0.0), (1, 0.0)]);
-    }
-
-    #[test]
-    fn top_k_rows_partials_merge_into_the_full_answer() {
-        let m = model();
-        let mut arena = QueryArena::new();
-        // Full answer over mode 0 (dim 4).
-        let mut full = Vec::new();
-        top_k(&m, 0, 4, &[1, 2], &mut arena, &mut full).unwrap();
-        // Two disjoint "shards" of rows, deliberately unsorted partitions.
-        let mut merged = Vec::new();
-        for rows in [[0u32, 2].as_slice(), [1u32, 3].as_slice()] {
-            top_k_rows(&m, 0, 4, &[1, 2], rows, &mut arena, &mut merged).unwrap();
-        }
-        merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        merged.truncate(4);
-        assert_eq!(full.len(), merged.len());
-        for (f, g) in full.iter().zip(&merged) {
-            assert_eq!(f.0, g.0);
-            assert_eq!(f.1.to_bits(), g.1.to_bits());
-        }
-        // Per-shard answers clamp k to the shard's row count.
-        let mut part = Vec::new();
-        top_k_rows(&m, 0, 10, &[0, 0], &[2], &mut arena, &mut part).unwrap();
-        assert_eq!(part.len(), 1);
-        assert_eq!(part[0].0, 2);
-    }
-
-    #[test]
-    fn top_k_rows_validates_rows_and_fixed() {
-        let m = model();
-        let mut arena = QueryArena::new();
-        let mut out = Vec::new();
-        assert!(matches!(
-            top_k_rows(&m, 0, 2, &[0, 0], &[9], &mut arena, &mut out),
-            Err(QueryError::CoordOutOfRange { mode: 0, .. })
-        ));
-        assert!(matches!(
-            top_k_rows(&m, 0, 2, &[0], &[1], &mut arena, &mut out),
-            Err(QueryError::OrderMismatch { .. })
-        ));
-        assert!(matches!(
-            top_k_rows(&m, 5, 2, &[0, 0], &[1], &mut arena, &mut out),
-            Err(QueryError::ModeOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn slice_rows_blocks_stitch_into_the_full_slice() {
-        let m = model(); // dims 4 x 3 x 5
-        let mut arena = QueryArena::new();
-        for mode in 1..3usize {
-            let len = slice_len(&m, mode).unwrap();
-            let mut full = vec![0.0; len];
-            slice_values(&m, mode, 1, &mut arena, &mut full).unwrap();
-            let dim0 = 4usize;
-            let block = len / dim0;
-            // Owned rows {0, 2} and {1, 3} stitched by global row index.
-            let mut stitched = vec![f64::NAN; len];
-            for rows in [[0u32, 2].as_slice(), [1u32, 3].as_slice()] {
-                let mut part = vec![0.0; rows.len() * block];
-                slice_values_rows(&m, mode, 1, rows, &mut arena, &mut part).unwrap();
-                for (j, &r) in rows.iter().enumerate() {
-                    let dst = r as usize * block;
-                    stitched[dst..dst + block].copy_from_slice(&part[j * block..(j + 1) * block]);
-                }
-            }
-            for (a, b) in full.iter().zip(&stitched) {
-                assert_eq!(a.to_bits(), b.to_bits(), "mode {mode}");
-            }
-        }
-    }
-
-    #[test]
-    fn slice_rows_rejects_mode_zero_and_bad_rows() {
-        let m = model();
-        let mut arena = QueryArena::new();
-        let mut out = vec![0.0; 5];
-        assert!(matches!(
-            slice_values_rows(&m, 0, 1, &[0], &mut arena, &mut out),
-            Err(QueryError::ModeOutOfRange { .. })
-        ));
-        assert!(matches!(
-            slice_values_rows(&m, 1, 9, &[0], &mut arena, &mut out),
-            Err(QueryError::CoordOutOfRange { mode: 1, .. })
-        ));
-        assert!(matches!(
-            slice_values_rows(&m, 1, 1, &[7], &mut arena, &mut out),
-            Err(QueryError::CoordOutOfRange { mode: 0, .. })
-        ));
     }
 
     #[test]

@@ -304,6 +304,67 @@ mod tests {
             let outcome = solve_normals_ridge(&nan_v, &mut untouched, 1e-8, 100.0, 4);
             assert!(matches!(outcome, RidgeOutcome::Failed { attempts: 4, .. }));
             assert_eq!(bits(&untouched), bits(&m), "failed solve, {rows} rows");
+
+            // the rank-deficient Gramians CP-ALS's ridge ladder is pinned
+            // on (`cpals::ridge_ladder_constants_solve_rank_deficient_gramians`),
+            // plain and knocked indefinite: whatever ridge the ladder
+            // settles on, the solve is the per-row loop on V + ridge I
+            for (what, v) in degenerate_gramians() {
+                let m = Matrix::random(rows, v.rows(), 24);
+                let mut solved = m.clone();
+                let ridge = match solve_normals_ridge(&v, &mut solved, 1e-8, 100.0, 10) {
+                    RidgeOutcome::Cholesky => 0.0,
+                    RidgeOutcome::Regularized { ridge, .. } => ridge,
+                    failed => panic!("{what}: {failed:?}"),
+                };
+                let mut vr = v.clone();
+                for i in 0..v.rows() {
+                    vr[(i, i)] = v[(i, i)] + ridge;
+                }
+                let mut expect = m.clone();
+                cholesky_solve_per_row(&cholesky_factor(&vr).unwrap(), &mut expect);
+                assert_eq!(
+                    bits(&solved),
+                    bits(&expect),
+                    "{what} (ridge {ridge:e}), {rows} rows"
+                );
+            }
         }
+    }
+
+    /// Rank-6 Gramians of factors that are near-singular, exactly
+    /// collinear and wider than tall, and a Hadamard product of two
+    /// such — each also with its first diagonal entry knocked negative,
+    /// the way a `nonspd` fault knocks it.
+    fn degenerate_gramians() -> Vec<(String, Matrix)> {
+        use crate::ops::hadamard_assign;
+        let rank = 6;
+        // column `rank - 1` rewritten from column `rank - 2`
+        let with_last_column = |seed, f: &dyn Fn(f64, usize) -> f64| {
+            let mut a = Matrix::random(30, rank, seed);
+            for i in 0..a.rows() {
+                a[(i, rank - 1)] = f(a[(i, rank - 2)], i);
+            }
+            a
+        };
+        let near = with_last_column(1, &|x, i| x + 1e-9 * (i as f64).sin());
+        let collinear = with_last_column(2, &|x, _| 2.0 * x);
+        let wide = Matrix::random(4, rank, 3);
+        let mut hadamard = mat_ata(&Matrix::random(3, rank, 4));
+        hadamard_assign(&mut hadamard, &mat_ata(&Matrix::random(1, rank, 5)));
+        let mut out = Vec::new();
+        for (what, gram) in [
+            ("near-singular", mat_ata(&near)),
+            ("collinear", mat_ata(&collinear)),
+            ("rank > dim", mat_ata(&wide)),
+            ("hadamard, rank > dims", hadamard),
+        ] {
+            let mut knocked = gram.clone();
+            let trace: f64 = (0..rank).map(|i| knocked[(i, i)].abs()).sum();
+            knocked[(0, 0)] = -(1.0 + trace);
+            out.push((format!("{what}, plain"), gram));
+            out.push((format!("{what}, knocked"), knocked));
+        }
+        out
     }
 }

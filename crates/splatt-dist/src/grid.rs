@@ -61,22 +61,6 @@ impl ProcessGrid {
         }
         rank
     }
-
-    /// Every rank whose grid coordinate along `mode` equals `coord`,
-    /// sorted ascending: the *layer* of the medium-grained algorithm,
-    /// whose ranks share the mode-`mode` index range and exchange that
-    /// mode's factor rows — and the replica set of a shard on the
-    /// serving cluster's `[nshards, nreplicas]` grid.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range `mode` or `coord`.
-    pub fn ranks_with_coord(&self, mode: usize, coord: usize) -> Vec<usize> {
-        assert!(mode < self.order(), "mode out of range");
-        assert!(coord < self.dims[mode], "grid coordinate out of range");
-        (0..self.nprocs())
-            .filter(|&r| self.coords_of(r)[mode] == coord)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -99,32 +83,6 @@ mod tests {
         assert_eq!(g.coords_of(1), vec![0, 1]);
         assert_eq!(g.coords_of(3), vec![1, 0]);
         assert_eq!(g.coords_of(5), vec![1, 2]);
-    }
-
-    #[test]
-    fn layers_partition_ranks_into_groups_of_nprocs_over_extent() {
-        let g = ProcessGrid::new(vec![2, 4, 1]);
-        for (mode, &extent) in g.dims().iter().enumerate() {
-            let mut seen = vec![0; g.nprocs()];
-            for layer in 0..extent {
-                let ranks = g.ranks_with_coord(mode, layer);
-                assert_eq!(ranks.len(), 8 / extent, "mode {mode}");
-                for r in ranks {
-                    assert_eq!(g.coords_of(r)[mode], layer);
-                    seen[r] += 1;
-                }
-            }
-            assert!(seen.iter().all(|&n| n == 1), "mode {mode}");
-        }
-    }
-
-    #[test]
-    fn ranks_with_coord_enumerates_a_replica_set() {
-        // A [3 shards, 2 replicas] serving grid: worker = shard * 2 + replica.
-        let g = ProcessGrid::new(vec![3, 2]);
-        assert_eq!(g.ranks_with_coord(0, 0), vec![0, 1]);
-        assert_eq!(g.ranks_with_coord(0, 2), vec![4, 5]);
-        assert_eq!(g.ranks_with_coord(1, 1), vec![1, 3, 5]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! paper's second future-work item. Its arithmetic is the shared-memory
 //! CP-ALS's in another association order, so what distribution adds is a
 //! load balance and a communication bill, computed here without a solver:
-//! [`ProcessGrid`] (also the serving cluster's shard × replica layout),
-//! [`TensorDistribution`] (nnz-balanced chunks, per-block nonzero counts)
-//! and [`medium_grained_volume`] (the bytes its collectives move).
+//! [`ProcessGrid`], [`TensorDistribution`] (nnz-balanced chunks,
+//! per-block nonzero counts) and [`medium_grained_volume`] (the bytes its
+//! collectives move).
 
 mod dist;
 mod grid;

@@ -21,12 +21,8 @@ use std::sync::Mutex;
 /// The fault families the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// A slow task or worker: an injected delay before a kernel or a
-    /// sub-request.
+    /// A slow task: an injected delay before a kernel.
     Straggler,
-    /// A sub-request delivers corrupted bytes (caught by checksum); only
-    /// network plans ([`crate::NetFaultPlan`]) have a site for it.
-    CorruptPayload,
     /// A kernel output value is poisoned to NaN (models a bit flip in
     /// the significand/exponent of an accumulator).
     NanPoison,
@@ -37,9 +33,8 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// All kinds, in a stable order.
-    pub const ALL: [FaultKind; 4] = [
+    pub const ALL: [FaultKind; 3] = [
         FaultKind::Straggler,
-        FaultKind::CorruptPayload,
         FaultKind::NanPoison,
         FaultKind::NonSpdGram,
     ];
@@ -48,7 +43,6 @@ impl FaultKind {
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::Straggler => "straggler",
-            FaultKind::CorruptPayload => "corrupt-payload",
             FaultKind::NanPoison => "nan-poison",
             FaultKind::NonSpdGram => "non-spd-gram",
         }
@@ -57,7 +51,6 @@ impl FaultKind {
     fn tag(self) -> u64 {
         match self {
             FaultKind::Straggler => 0x51,
-            FaultKind::CorruptPayload => 0x53,
             FaultKind::NanPoison => 0x54,
             FaultKind::NonSpdGram => 0x55,
         }
@@ -68,7 +61,6 @@ impl FaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
     pub straggler: f64,
-    pub corrupt: f64,
     pub nan: f64,
     pub nonspd: f64,
 }
@@ -77,7 +69,6 @@ impl FaultRates {
     fn rate(&self, kind: FaultKind) -> f64 {
         match kind {
             FaultKind::Straggler => self.straggler,
-            FaultKind::CorruptPayload => self.corrupt,
             FaultKind::NanPoison => self.nan,
             FaultKind::NonSpdGram => self.nonspd,
         }
@@ -201,8 +192,8 @@ impl FaultPlan {
     /// `seed=42,straggler=0.5,nan=0.2,nonspd=0.2,horizon=5`. The keys are
     /// exactly the kinds CP-ALS has a site for, plus `seed` and
     /// `horizon`; all are optional (`seed` defaults to 0, rates to 0,
-    /// `horizon` to unlimited). `corrupt` has no CP-ALS site and is
-    /// rejected like any unknown key; network plans set it in code.
+    /// `horizon` to unlimited). `drop` and `corrupt` have no site and are
+    /// rejected like any unknown key.
     ///
     /// # Errors
     /// [`FaultPlanParseError`] on unknown keys (the message lists the
@@ -286,7 +277,7 @@ impl FaultPlan {
     }
 
     /// A deterministic index used to pick which payload element gets
-    /// poisoned/corrupted at a site.
+    /// poisoned at a site.
     pub fn target_index(
         &self,
         kind: FaultKind,
@@ -343,7 +334,6 @@ mod tests {
             7,
             FaultRates {
                 straggler: 0.5,
-                corrupt: 0.5,
                 nan: 0.5,
                 nonspd: 0.5,
             },
@@ -423,7 +413,6 @@ mod tests {
         let p = FaultPlan::parse("seed=42, straggler=0.5,nan=0.2,nonspd=0.3,horizon=5").unwrap();
         assert_eq!(p.seed(), 42);
         assert_eq!(p.rates().straggler, 0.5);
-        assert_eq!(p.rates().corrupt, 0.0);
         assert_eq!(p.rates().nan, 0.2);
         assert_eq!(p.rates().nonspd, 0.3);
         assert!(!p.roll(FaultKind::NanPoison, 7, 0), "horizon ignored");

@@ -7,7 +7,7 @@
 //! - [`CancelToken`] — hierarchical cooperative cancellation, one
 //!   relaxed atomic load per check on the hot path.
 //! - [`Deadline`] — a wall-clock budget with [`Deadline::clamp`] so
-//!   recovery sleeps and retry backoffs can never sleep past the run.
+//!   recovery sleeps can never sleep past the run.
 //! - [`MemoryBudget`] — a cap on *allocation traffic* (row copies,
 //!   descriptor allocations, privatized replicas) measured through
 //!   `splatt-probe`'s process-global counters. The counters are
@@ -17,12 +17,9 @@
 //!   reports tasks which stay busy without beating for longer than a
 //!   stall bound, and can optionally trip the cancel token.
 //!
-//! Two more primitives serve the request path rather than batch runs:
+//! One more primitive serves the request path rather than batch runs:
 //! [`AdmissionGate`] caps a server's in-flight depth and sheds the
-//! excess with a typed [`Overloaded`] rejection, and [`RetryPolicy`]
-//! is the shared retry budget — capped exponential backoff with every
-//! sleep clamped to the request's [`Deadline`] — used by the serving
-//! client and the cluster router alike.
+//! excess with a typed [`Overloaded`] rejection.
 //!
 //! [`RunGuard`] bundles the first four behind two entry points: a cheap,
 //! infallible [`RunGuard::poll`] for kernel workers (beat + one load)
@@ -35,7 +32,6 @@ mod budget;
 mod cancel;
 mod deadline;
 mod guard;
-mod retry;
 mod watchdog;
 
 pub use admission::{AdmissionGate, AdmissionPermit, Overloaded, OwnedAdmissionPermit};
@@ -43,7 +39,6 @@ pub use budget::MemoryBudget;
 pub use cancel::CancelToken;
 pub use deadline::Deadline;
 pub use guard::{GuardConfig, LaneSpan, RunGuard, TripReason};
-pub use retry::RetryPolicy;
 pub use watchdog::{Heartbeats, StallReport, Watchdog, WatchdogConfig, WatchdogLedger};
 
 /// Process-global alloc counters are shared by tests in this crate;

@@ -19,7 +19,7 @@
 //!
 //! Where a set lives is its owner's business: `splatt-store` and
 //! [`crate::alloc`] keep one process-global `static` each, the reactor,
-//! the lock pool, the engine, the router and the run guard an instance.
+//! the lock pool, the engine and the run guard an instance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -280,36 +280,13 @@ counter_set! {
         /// in a healthy steady state).
         arena_growth_allocs,
         /// Bytes of query-arena growth.
-        arena_growth_bytes => shards => net,
+        arena_growth_bytes => net,
     } + {
         /// Per-query-kind latency rows, one per kind that saw traffic.
         kinds: Vec<QueryKindRow>,
-        /// Per-shard cluster routing counters, indexed by shard; empty
-        /// when the process serves single-process, without a router.
-        shards: Vec<ShardRow>,
         /// Multiplexed front-end counters; `None` when the engine is used
         /// in-process with no front end attached.
         net: Option<NetSnapshot>,
-    }
-}
-
-counter_set! {
-    /// Cluster routing counters of one shard of the consistent-hash
-    /// ring; `serve.shards[shard]` in the report.
-    pub struct ShardCounters => ShardRow: Copy, Eq {
-        => shard,
-        /// Full replica-sweep retries (capped exponential backoff rounds).
-        retries,
-        /// Calls answered by a non-first replica after a sibling failed.
-        failovers,
-        /// Typed `Degraded` answers: no live replica covered this shard.
-        degraded,
-        /// Health-state transitions across the shard's replica set
-        /// (live→suspect, suspect→dead, re-admissions; read off the
-        /// router's health board).
-        health_transitions,
-        /// Max−min health-probe round-trip across answering replicas, µs.
-        replica_lag_micros,
     }
 }
 

@@ -43,8 +43,7 @@ static HEAP: alloc::CountingAlloc = alloc::CountingAlloc;
 
 pub use counters::{
     AllocStats, Field, GuardCounters, GuardRow, LockCounters, LockStats, NetCounters, NetSnapshot,
-    QueryKindRow, RefreshRow, ServeCounters, ServeRow, ShardCounters, ShardRow, StoreAtomics,
-    StoreCounters,
+    QueryKindRow, RefreshRow, ServeCounters, ServeRow, StoreAtomics, StoreCounters,
 };
 pub use report::{render_counters, FaultRow, ProfileReport, RoutineRow, PROFILE_SCHEMA};
 pub use span::SpanNode;

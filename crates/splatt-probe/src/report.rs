@@ -4,7 +4,7 @@
 //! schema-stable JSON.
 //!
 //! The counter sections (`locks`, `alloc`, `guard`, `serve` and its
-//! `shards` / `net`, `store`, `refresh`) are not written out here: each
+//! `net`, `store`, `refresh`) are not written out here: each
 //! is the field table of its [`counter_set!`](crate::counters)
 //! snapshot, walked once into a [`Value`] tree that both the JSON and
 //! the text renderer print. This file supplies only what no table can:
@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 /// Version tag embedded in every JSON profile. Bump only with a schema
 /// change; tests pin the current value and a golden document
-/// (`testdata/profile_v15.json`) pins every key and its order. What
+/// (`testdata/profile_v16.json`) pins every key and its order. What
 /// each version added: v2 `faults`; v3 `guard`; v4 `alloc.kernel_scratch_*`;
 /// v5 `serve`; v6 a `dispatch` array, removed again in v11 with the
 /// second tensor format it reported on; v7 `serve.shards`; v8 `store`;
@@ -30,8 +30,9 @@ use std::fmt::Write as _;
 /// frames answered on the reactor thread); v13
 /// `refresh.wal_bytes_scanned`; v14 the refresh round's split,
 /// `refresh.{tail,csf,refit}_ns`; v15 dropped `serve.max_batch` and
-/// `serve.batch_buckets` with the engine's batcher.
-pub const PROFILE_SCHEMA: &str = "splatt-profile-v15";
+/// `serve.batch_buckets` with the engine's batcher; v16 dropped
+/// `serve.shards` with the loopback cluster.
+pub const PROFILE_SCHEMA: &str = "splatt-profile-v16";
 
 /// One row of the per-routine table (label from `splatt_par::Routine`).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -139,15 +140,6 @@ fn serve_section(s: &ServeRow) -> Members<'_> {
     section(&s.fields(), |slot| match slot {
         "kinds" => Rows(s.kinds.iter().map(kind_row).collect()),
         "cache_hit_rate" => Real(s.cache_hit_rate()),
-        // A process without a router has always written `[]` here,
-        // not the `[` newline `]` of an empty row array.
-        "shards" if s.shards.is_empty() => Counts(&[]),
-        "shards" => Rows(
-            (0u64..)
-                .zip(&s.shards)
-                .map(|(i, sh)| section(&sh.fields(), |_| Count(i)))
-                .collect(),
-        ),
         "net" => Object(s.net.map(|n| section(&n.fields(), no_member))),
         other => no_member(other),
     })
@@ -427,11 +419,11 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{NetSnapshot, ShardRow};
+    use crate::counters::NetSnapshot;
     use crate::tasks::ThreadLoadRow;
 
-    /// Every section present, two query kinds, two shards, a net row:
-    /// the report whose JSON `testdata/profile_v15.json` pins.
+    /// Every section present, two query kinds, a net row: the report
+    /// whose JSON `testdata/profile_v16.json` pins.
     fn sample() -> ProfileReport {
         let mut span = SpanNode::leaf("cpd", 2_000_000);
         span.push(SpanNode::leaf("iteration 0", 1_900_000));
@@ -527,16 +519,6 @@ mod tests {
                 deadline_rejections: 3,
                 arena_growth_allocs: 6,
                 arena_growth_bytes: 4096,
-                shards: vec![
-                    ShardRow {
-                        retries: 4,
-                        failovers: 2,
-                        degraded: 1,
-                        health_transitions: 3,
-                        replica_lag_micros: 250,
-                    },
-                    ShardRow::default(),
-                ],
                 net: Some(NetSnapshot {
                     accepted: 10_500,
                     connections_open: 9_800,
@@ -593,7 +575,7 @@ mod tests {
     #[test]
     fn json_is_byte_identical_to_the_committed_golden() {
         let json = sample().to_json();
-        assert_eq!(json, include_str!("../testdata/profile_v15.json"));
+        assert_eq!(json, include_str!("../testdata/profile_v16.json"));
         let doc = json::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(PROFILE_SCHEMA));
     }
@@ -617,15 +599,6 @@ mod tests {
             let text = report.render();
             assert!(!text.contains(&format!("{section}:")), "{text}");
         }
-    }
-
-    #[test]
-    fn a_process_without_a_router_writes_an_empty_shards_array() {
-        let mut report = sample();
-        report.serve.as_mut().unwrap().shards.clear();
-        let json = report.to_json();
-        assert!(json.contains("\"shards\": [], \"net\""), "{json}");
-        json::parse(&json).expect("valid JSON");
     }
 
     #[test]
@@ -664,7 +637,6 @@ mod tests {
         assert!(text.contains("  serve: batches 250, batched_requests 1000,"));
         assert!(text.contains("cache_hit_rate 0.75,"));
         assert!(text.contains("    kinds[1]: kind \"topk\", requests 100,"));
-        assert!(text.contains("    shards[0]: shard 0, retries 4,"));
         assert!(text.contains("    net: accepted 10500, connections_open 9800,"));
         assert!(text.contains("  store: wal_appends 120, wal_commits 30,"));
         assert!(text.contains("  refresh: rounds 3, deltas_applied 12,"));

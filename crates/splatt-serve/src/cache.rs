@@ -11,15 +11,12 @@
 //! `Vec`), so steady-state hits and inserts touch no allocator once the
 //! slab is full: eviction recycles slots in place.
 
-use crate::protocol::ShardSel;
 use splatt_rt::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache key: model identity (name + version) plus the full query shape.
-/// Shard-scoped queries carry their [`ShardSel`] so a partial never
-/// collides with the full answer (or with another shard's partial).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CacheKey {
     Slice {
@@ -34,21 +31,6 @@ pub enum CacheKey {
         mode: u8,
         k: u32,
         fixed: Vec<u32>,
-    },
-    SliceShard {
-        model: String,
-        version: u64,
-        mode: u8,
-        index: u32,
-        sel: ShardSel,
-    },
-    TopKShard {
-        model: String,
-        version: u64,
-        mode: u8,
-        k: u32,
-        fixed: Vec<u32>,
-        sel: ShardSel,
     },
 }
 
@@ -204,8 +186,6 @@ impl ResultCache {
                 let (name, ver) = match k {
                     CacheKey::Slice { model, version, .. } => (model, *version),
                     CacheKey::TopK { model, version, .. } => (model, *version),
-                    CacheKey::SliceShard { model, version, .. } => (model, *version),
-                    CacheKey::TopKShard { model, version, .. } => (model, *version),
                 };
                 name == model && (version == 0 || ver == version)
             })

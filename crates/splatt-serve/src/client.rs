@@ -1,87 +1,33 @@
 //! A minimal blocking client for the serving protocol — used by the
-//! `splatt query` CLI, the cluster router, and the loopback tests.
-//!
-//! Failures split along one load-bearing line, [`Transience`]:
-//! *transient* failures (transport errors, `Overloaded`, `ShuttingDown`,
-//! `Internal`) may succeed on retry — against the same endpoint or a
-//! sibling replica — while *permanent* failures (`BadRequest`,
-//! `ModelNotFound`, `DeadlineExpired`, `Degraded`) will not, no matter
-//! how often they are replayed. [`Client::call_with_retry`] is the
-//! shared retry path built on that classification: capped exponential
-//! backoff from a [`RetryPolicy`], clamped to the request's
-//! [`Deadline`] budget, reconnecting after transport errors (which
-//! poison the stream framing). The cluster router drives the same
-//! helper for its per-replica failover hops.
+//! `splatt query` CLI, the benchmark's load generators, and the
+//! loopback tests.
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, Request, RequestBody, Response,
-    WireError,
 };
-use splatt_guard::{Deadline, RetryPolicy};
 use std::io::{Error, ErrorKind};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// Whether a failed call may succeed if replayed; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transience {
-    /// Worth retrying (after backoff, possibly on another replica).
-    Transient,
-    /// Retrying can only repeat the failure; surface it.
-    Permanent,
-}
-
-/// Classify a typed wire error. Transport-level `io::Error`s are always
-/// [`Transience::Transient`] — the peer may be restarting or a replica
-/// may still be live.
-pub fn classify(code: WireError) -> Transience {
-    match code {
-        // Cancelled is transient: the server aborted because it judged
-        // the transport dead, not because the request was wrong — a
-        // replay on a fresh connection may well succeed.
-        WireError::Overloaded
-        | WireError::ShuttingDown
-        | WireError::Internal
-        | WireError::Cancelled => Transience::Transient,
-        WireError::BadRequest
-        | WireError::ModelNotFound
-        | WireError::DeadlineExpired
-        | WireError::Degraded => Transience::Permanent,
-    }
-}
 
 /// One connection to a serving endpoint; requests are issued one at a
 /// time (the protocol is strictly request/response per frame).
 pub struct Client {
     stream: TcpStream,
-    addr: SocketAddr,
 }
 
 impl Client {
-    /// Connect to `addr` (anything `ToSocketAddrs` accepts).
+    /// Connect to `addr` (anything `ToSocketAddrs` accepts), trying each
+    /// resolved address for up to ten seconds.
     ///
     /// # Errors
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Client::connect_with_timeout(addr, Duration::from_secs(10))
-    }
-
-    /// [`Client::connect`] with an explicit per-address timeout (the
-    /// router uses short timeouts so a dead worker costs milliseconds,
-    /// not seconds).
-    ///
-    /// # Errors
-    /// Propagates connection failures.
-    pub fn connect_with_timeout(
-        addr: impl ToSocketAddrs,
-        timeout: Duration,
-    ) -> std::io::Result<Client> {
         let mut last = None;
         for a in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&a, timeout) {
+            match TcpStream::connect_timeout(&a, Duration::from_secs(10)) {
                 Ok(stream) => {
                     stream.set_nodelay(true)?;
-                    return Ok(Client { stream, addr: a });
+                    return Ok(Client { stream });
                 }
                 Err(e) => last = Some(e),
             }
@@ -89,31 +35,14 @@ impl Client {
         Err(last.unwrap_or_else(|| Error::new(ErrorKind::InvalidInput, "no address resolved")))
     }
 
-    /// The endpoint this client is connected to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Bound every read/write on the connection (`None` blocks forever).
-    /// A timeout mid-frame desyncs the stream; pair with
-    /// [`Client::reconnect`] as [`Client::call_with_retry`] does.
+    /// A timeout mid-frame desyncs the stream: drop the client after one.
     ///
     /// # Errors
     /// Propagates socket option failures.
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.stream.set_read_timeout(timeout)?;
         self.stream.set_write_timeout(timeout)
-    }
-
-    /// Drop the (possibly poisoned) stream and dial the endpoint again.
-    ///
-    /// # Errors
-    /// Propagates connection failures; the old stream is already gone.
-    pub fn reconnect(&mut self, timeout: Duration) -> std::io::Result<()> {
-        let stream = TcpStream::connect_timeout(&self.addr, timeout)?;
-        stream.set_nodelay(true)?;
-        self.stream = stream;
-        Ok(())
     }
 
     /// Issue one request and block for its response.
@@ -127,51 +56,14 @@ impl Client {
         decode_response(&self.call_frame(req)?)
     }
 
-    /// Issue one request and return the *undecoded* response frame. The
-    /// cluster router uses this so its fault plan can corrupt the raw
-    /// bytes before decoding, exercising the failover path the way a
-    /// checksum mismatch would.
+    /// Issue one request and return the *undecoded* response frame, for a
+    /// caller that compares reply bytes rather than decoded values.
     ///
     /// # Errors
     /// Propagates transport and framing errors.
     pub fn call_frame(&mut self, req: &Request) -> std::io::Result<Vec<u8>> {
         write_frame(&mut self.stream, &encode_request(req)?)?;
         read_frame(&mut self.stream)
-    }
-
-    /// Issue `req`, retrying transient failures with capped exponential
-    /// backoff until `policy` or the `deadline` budget runs out.
-    /// Transport errors reconnect before the next attempt. Permanent
-    /// failures (and success) return immediately.
-    ///
-    /// # Errors
-    /// The last transport error when retries are exhausted; typed
-    /// server-side failures still come back as `Ok(Response::Error(..))`.
-    pub fn call_with_retry(
-        &mut self,
-        req: &Request,
-        policy: &RetryPolicy,
-        deadline: &Deadline,
-    ) -> std::io::Result<Response> {
-        let mut retry = 0u32;
-        loop {
-            let outcome = self.call(req);
-            let transient = match &outcome {
-                Ok(Response::Error(code, _)) => classify(*code) == Transience::Transient,
-                Ok(_) => return outcome,
-                Err(_) => true,
-            };
-            if !transient || !policy.allows(retry) || !policy.sleep_before_retry(retry, deadline) {
-                return outcome;
-            }
-            if outcome.is_err() {
-                // A transport error leaves the framing in an unknown
-                // state; only a fresh connection is safe to reuse. A
-                // failed reconnect surfaces on the next call attempt.
-                let _ = self.reconnect(Duration::from_secs(1));
-            }
-            retry += 1;
-        }
     }
 
     /// Reconstruct entries of `model` at flat `coords`.
@@ -258,19 +150,6 @@ impl Client {
             model: String::new(),
             version: 0,
             body: RequestBody::List,
-        })
-    }
-
-    /// Probe liveness and cluster identity (worker rank + shard).
-    ///
-    /// # Errors
-    /// See [`Client::call`].
-    pub fn health(&mut self) -> std::io::Result<Response> {
-        self.call(&Request {
-            deadline_ms: 0,
-            model: String::new(),
-            version: 0,
-            body: RequestBody::Health,
         })
     }
 

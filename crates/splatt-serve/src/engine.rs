@@ -36,8 +36,6 @@
 //! `serve` object via [`ServeEngine::profile_report`].
 
 use crate::cache::{CacheKey, CacheValue, ResultCache};
-use crate::cluster::MAX_SHARDS;
-use crate::protocol::ShardSel;
 use crate::registry::{ModelRegistry, ServableModel};
 use crate::stats::{QueryKind, ServeStats};
 use splatt_core::query::{self, QueryArena};
@@ -67,11 +65,6 @@ pub struct ServeConfig {
     /// already computing (the reactor's drain window is this plus one
     /// second). New requests are refused the moment shutdown starts.
     pub drain_deadline: Duration,
-    /// Cluster identity reported by `Health` probes: worker rank and
-    /// shard. `u32::MAX` means "not part of a cluster".
-    pub worker: u32,
-    /// See [`ServeConfig::worker`].
-    pub shard: u32,
 }
 
 impl Default for ServeConfig {
@@ -83,8 +76,6 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_secs(5),
             max_response_values: 1 << 22,
             drain_deadline: Duration::from_secs(2),
-            worker: u32::MAX,
-            shard: u32::MAX,
         }
     }
 }
@@ -100,19 +91,6 @@ pub enum Query {
     /// Score every index along `mode` against `fixed` and return the
     /// `k` best.
     TopK { mode: u8, k: u32, fixed: Vec<u32> },
-    /// Shard-local top-k over mode 0: score only the mode-0 indices
-    /// `sel` owns and return the `k` best partials (the cluster router
-    /// merges partials from every shard).
-    TopKShard {
-        mode: u8,
-        k: u32,
-        fixed: Vec<u32>,
-        sel: ShardSel,
-    },
-    /// Shard-local piece of a `mode != 0` slice: the mode-0 blocks `sel`
-    /// owns, concatenated in ascending row order (the router stitches
-    /// them back at each row's offset).
-    SliceShard { mode: u8, index: u32, sel: ShardSel },
 }
 
 impl Query {
@@ -138,16 +116,12 @@ impl Query {
         matches!(self, Query::Entry { coords } if coords.len() <= Self::CALLER_RUNS_COORDS)
     }
 
-    /// The kind bucket this query records under. Shard-scoped queries
-    /// record under their parent kind — they are the same kernels over a
-    /// row subset, and keeping the kind set stable keeps the probe
-    /// schema's per-kind rows comparable between cluster and
-    /// single-process runs.
+    /// The kind bucket this query records under.
     pub fn kind(&self) -> QueryKind {
         match self {
             Query::Entry { .. } => QueryKind::Entry,
-            Query::Slice { .. } | Query::SliceShard { .. } => QueryKind::Slice,
-            Query::TopK { .. } | Query::TopKShard { .. } => QueryKind::TopK,
+            Query::Slice { .. } => QueryKind::Slice,
+            Query::TopK { .. } => QueryKind::TopK,
         }
     }
 }
@@ -366,7 +340,7 @@ impl ServeEngine {
     fn compute(&self, model: &ServableModel, query: &Query) -> Result<QueryResult, ServeError> {
         let mut arena = self.arenas.lock().pop().unwrap_or_default();
         let (allocs, bytes) = (arena.growth_allocs(), arena.growth_bytes());
-        let result = run_one(model, query, &mut arena);
+        let result = run_one(&model.model, query, &mut arena);
         self.stats
             .add_arena_growth(arena.growth_allocs() - allocs, arena.growth_bytes() - bytes);
         self.arenas.lock().push(arena);
@@ -432,62 +406,6 @@ impl ServeEngine {
                     return bad("k too large".into());
                 }
             }
-            Query::TopKShard {
-                mode,
-                k,
-                fixed,
-                sel,
-                ..
-            } => {
-                Self::validate_sel(sel)?;
-                if *mode != 0 {
-                    return bad("shard top-k partitions mode 0 only".into());
-                }
-                if order == 0 || fixed.len() + 1 != order {
-                    return bad(format!(
-                        "{} fixed coordinates for an order-{order} top-k",
-                        fixed.len()
-                    ));
-                }
-                if *k as usize > self.config.max_response_values {
-                    return bad("k too large".into());
-                }
-            }
-            Query::SliceShard { mode, sel, .. } => {
-                Self::validate_sel(sel)?;
-                if *mode == 0 {
-                    return bad("mode-0 slices are whole-shard; use Slice".into());
-                }
-                if *mode as usize >= order {
-                    return bad(format!("mode {mode} out of range for order {order}"));
-                }
-                let len = query::slice_len(&model.model, *mode as usize)
-                    .map_err(|e| ServeError::BadQuery(e.to_string()))?;
-                if len > self.config.max_response_values {
-                    return bad(format!(
-                        "slice has {len} values (limit {})",
-                        self.config.max_response_values
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_sel(sel: &ShardSel) -> Result<(), ServeError> {
-        // `nshards` sizes the hash ring the worker rebuilds for the
-        // query, so it is bounded before anything is built from it.
-        if sel.nshards > MAX_SHARDS {
-            return Err(ServeError::BadQuery(format!(
-                "{} shards exceed the limit of {MAX_SHARDS}",
-                sel.nshards
-            )));
-        }
-        if sel.nshards == 0 || sel.shard >= sel.nshards {
-            return Err(ServeError::BadQuery(format!(
-                "shard {} out of range for {} shard(s)",
-                sel.shard, sel.nshards
-            )));
         }
         Ok(())
     }
@@ -508,26 +426,6 @@ impl ServeEngine {
                 k: *k,
                 fixed: fixed.clone(),
             }),
-            Query::SliceShard { mode, index, sel } => Some(CacheKey::SliceShard {
-                model: model.name.clone(),
-                version: model.version,
-                mode: *mode,
-                index: *index,
-                sel: *sel,
-            }),
-            Query::TopKShard {
-                mode,
-                k,
-                fixed,
-                sel,
-            } => Some(CacheKey::TopKShard {
-                model: model.name.clone(),
-                version: model.version,
-                mode: *mode,
-                k: *k,
-                fixed: fixed.clone(),
-                sel: *sel,
-            }),
         }
     }
 }
@@ -542,11 +440,10 @@ fn entry_values(model: &KruskalModel, coords: &[u32]) -> Result<QueryResult, Ser
 
 /// Execute one query against its model.
 fn run_one(
-    served: &ServableModel,
+    model: &KruskalModel,
     query: &Query,
     arena: &mut QueryArena,
 ) -> Result<QueryResult, ServeError> {
-    let model = &served.model;
     let to_bad = |e: query::QueryError| ServeError::BadQuery(e.to_string());
     match query {
         Query::Entry { coords } => entry_values(model, coords),
@@ -561,36 +458,6 @@ fn run_one(
             query::top_k(model, *mode as usize, *k as usize, fixed, arena, &mut out)
                 .map_err(to_bad)?;
             Ok(QueryResult::TopK(Arc::new(out)))
-        }
-        Query::TopKShard {
-            mode,
-            k,
-            fixed,
-            sel,
-        } => {
-            let rows = served.owned_rows(*sel);
-            let mut out = Vec::new();
-            query::top_k_rows(
-                model,
-                *mode as usize,
-                *k as usize,
-                fixed,
-                &rows,
-                arena,
-                &mut out,
-            )
-            .map_err(to_bad)?;
-            Ok(QueryResult::TopK(Arc::new(out)))
-        }
-        Query::SliceShard { mode, index, sel } => {
-            let dim = model.factors[0].rows();
-            let rows = served.owned_rows(*sel);
-            let len = query::slice_len(model, *mode as usize).map_err(to_bad)?;
-            let block = len.checked_div(dim).unwrap_or(0);
-            let mut out = vec![0.0; rows.len() * block];
-            query::slice_values_rows(model, *mode as usize, *index, &rows, arena, &mut out)
-                .map_err(to_bad)?;
-            Ok(QueryResult::Slice(Arc::new(out)))
         }
     }
 }

@@ -18,27 +18,18 @@
 //!   by the `splatt-net` readiness-polled reactor: a bounded worker
 //!   pool multiplexing all connections, request pipelining, per-request
 //!   deadlines with a timer-wheel backstop, typed overload shedding at
-//!   accept/decode/engine, cancel-on-disconnect, transient-vs-permanent
-//!   error classification ([`Transience`]), and graceful drain on
+//!   accept/decode/engine, cancel-on-disconnect, and graceful drain on
 //!   shutdown.
-//! * [`cluster`] — sharded, replicated serving: a consistent-hash
-//!   [`cluster::ShardRing`] over mode-0 rows, a scatter-gather
-//!   [`cluster::Router`] with replica failover and typed `Degraded`
-//!   answers, shared single-parse model loading
-//!   ([`cluster::SharedModel`]), and a [`cluster::LoopbackCluster`]
-//!   harness for deterministic shard-kill storms.
 //! * Probe integration — every counter surfaces in the probe schema's
-//!   `serve` object via [`ServeEngine::profile_report`] (the cluster's
-//!   per-shard failover counters ride in `serve.shards`, the reactor
+//!   `serve` object via [`ServeEngine::profile_report`] (the reactor
 //!   front end's connection/wakeup/shed counters in `serve.net`).
 //!
 //! Answers are **bit-identical** to dense reconstruction from the same
-//! model: the query kernels, the wire format, and the cluster's
-//! partial-result merges all preserve IEEE-754 bit patterns end to end.
+//! model: the query kernels and the wire format both preserve IEEE-754
+//! bit patterns end to end.
 
 mod cache;
 mod client;
-pub mod cluster;
 mod engine;
 pub mod protocol;
 mod registry;
@@ -55,8 +46,7 @@ mod wire_mutation;
 static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingAlloc;
 
 pub use cache::{CacheKey, CacheValue, ResultCache};
-pub use client::{classify, Client, Transience};
-pub use cluster::{ClusterConfig, LoopbackCluster, Router, SharedModel};
+pub use client::Client;
 pub use engine::{Query, QueryResult, ServeConfig, ServeEngine, ServeError};
 pub use registry::{ModelInfo, ModelRegistry, ServableModel};
 pub use server::{serve, serve_with, FrontEndConfig, ServerHandle};

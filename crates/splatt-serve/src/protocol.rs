@@ -9,16 +9,14 @@
 //!
 //! ```text
 //! u8  op          1=entry 2=slice 3=topk 4=stats 5=list 6=shutdown
-//!                 7=health 8=topk-shard 9=slice-shard
 //! u32 deadline_ms 0 = server default
 //! u16 name_len    + name bytes (UTF-8; empty for stats/list/shutdown)
 //! u64 version     0 = latest
 //! ...op-specific body (see RequestBody)
 //! ```
 //!
-//! Ops 7–9 are the cluster extension: `health` is the router's liveness
-//! probe, and the shard-scoped query ops carry a [`ShardSel`] so a
-//! worker can re-derive its owned mode-0 row set from pure hash math.
+//! Op bytes 7–9 and status byte 7 are retired: they decode as unknown,
+//! to the same typed error as any other byte no op or status has.
 //!
 //! Response payload: `u8` status (0 = ok, else a [`WireError`] code)
 //! followed by either an error message (`u16` length + UTF-8) or the
@@ -41,10 +39,6 @@ pub enum WireError {
     BadRequest = 4,
     ShuttingDown = 5,
     Internal = 6,
-    /// A cluster router could not cover part of the query's hash range:
-    /// no live replica held a required shard. The answer is *absent*,
-    /// not wrong — clients may retry once replicas re-admit.
-    Degraded = 7,
     /// The request was cancelled server-side before producing a result
     /// — typically the client vanished mid-wait, or the front end tore
     /// the connection down. Distinct from [`WireError::Internal`]: the
@@ -61,25 +55,10 @@ impl WireError {
             4 => WireError::BadRequest,
             5 => WireError::ShuttingDown,
             6 => WireError::Internal,
-            7 => WireError::Degraded,
             8 => WireError::Cancelled,
             _ => return None,
         })
     }
-}
-
-/// Which shard of a consistent-hash partition a shard-scoped request
-/// addresses. Workers re-derive the owned mode-0 row set from
-/// `(nshards, seed)` — pure math, so the wire cost is constant no matter
-/// how large the mode-0 dimension is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ShardSel {
-    /// Shard index in `0..nshards`.
-    pub shard: u32,
-    /// Total shard count of the partition.
-    pub nshards: u32,
-    /// Hash seed of the partition's ring.
-    pub seed: u64,
 }
 
 /// Op-specific request body.
@@ -104,25 +83,6 @@ pub enum RequestBody {
     Stats,
     List,
     Shutdown,
-    /// Liveness probe; answered with [`Response::Health`].
-    Health,
-    /// Shard-scoped top-k: like `TopK` but scoring only the mode-0 rows
-    /// owned by `sel`'s shard. Body adds `u32 shard, u32 nshards,
-    /// u64 seed`.
-    TopKShard {
-        mode: u8,
-        k: u32,
-        fixed: Vec<u32>,
-        sel: ShardSel,
-    },
-    /// Shard-scoped slice (`mode != 0`): only the sub-blocks whose
-    /// mode-0 coordinate is owned by `sel`'s shard, in ascending owned
-    /// order. Body adds `u32 shard, u32 nshards, u64 seed`.
-    SliceShard {
-        mode: u8,
-        index: u32,
-        sel: ShardSel,
-    },
 }
 
 /// One decoded request.
@@ -148,12 +108,6 @@ pub enum Response {
     Models(Vec<ModelInfo>),
     /// Acknowledges a shutdown request.
     Ack,
-    /// Liveness answer: which worker/shard identity answered. Routers
-    /// answer with `u32::MAX` for both.
-    Health {
-        worker: u32,
-        shard: u32,
-    },
     Error(WireError, String),
 }
 
@@ -321,9 +275,6 @@ const OP_TOPK: u8 = 3;
 const OP_STATS: u8 = 4;
 const OP_LIST: u8 = 5;
 const OP_SHUTDOWN: u8 = 6;
-const OP_HEALTH: u8 = 7;
-const OP_TOPK_SHARD: u8 = 8;
-const OP_SLICE_SHARD: u8 = 9;
 
 fn op_of(body: &RequestBody) -> u8 {
     match body {
@@ -333,24 +284,7 @@ fn op_of(body: &RequestBody) -> u8 {
         RequestBody::Stats => OP_STATS,
         RequestBody::List => OP_LIST,
         RequestBody::Shutdown => OP_SHUTDOWN,
-        RequestBody::Health => OP_HEALTH,
-        RequestBody::TopKShard { .. } => OP_TOPK_SHARD,
-        RequestBody::SliceShard { .. } => OP_SLICE_SHARD,
     }
-}
-
-fn put_sel(out: &mut Vec<u8>, sel: &ShardSel) {
-    out.extend_from_slice(&sel.shard.to_le_bytes());
-    out.extend_from_slice(&sel.nshards.to_le_bytes());
-    out.extend_from_slice(&sel.seed.to_le_bytes());
-}
-
-fn take_sel(c: &mut Cursor<'_>) -> std::io::Result<ShardSel> {
-    Ok(ShardSel {
-        shard: c.u32()?,
-        nshards: c.u32()?,
-        seed: c.u64()?,
-    })
 }
 
 /// Serialize a request payload (no frame prefix).
@@ -394,26 +328,7 @@ pub fn encode_request(req: &Request) -> std::io::Result<Vec<u8>> {
                 out.extend_from_slice(&c.to_le_bytes());
             }
         }
-        RequestBody::TopKShard {
-            mode,
-            k,
-            fixed,
-            sel,
-        } => {
-            out.push(*mode);
-            out.extend_from_slice(&k.to_le_bytes());
-            out.push(fixed.len() as u8);
-            for c in fixed {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-            put_sel(&mut out, sel);
-        }
-        RequestBody::SliceShard { mode, index, sel } => {
-            out.push(*mode);
-            out.extend_from_slice(&index.to_le_bytes());
-            put_sel(&mut out, sel);
-        }
-        RequestBody::Stats | RequestBody::List | RequestBody::Shutdown | RequestBody::Health => {}
+        RequestBody::Stats | RequestBody::List | RequestBody::Shutdown => {}
     }
     Ok(out)
 }
@@ -463,28 +378,6 @@ pub fn decode_request(payload: &[u8]) -> std::io::Result<Request> {
         OP_STATS => RequestBody::Stats,
         OP_LIST => RequestBody::List,
         OP_SHUTDOWN => RequestBody::Shutdown,
-        OP_HEALTH => RequestBody::Health,
-        OP_TOPK_SHARD => {
-            let mode = c.u8()?;
-            let k = c.u32()?;
-            let nfixed = c.u8()? as usize;
-            let fixed = c.u32s(nfixed)?;
-            RequestBody::TopKShard {
-                mode,
-                k,
-                fixed,
-                sel: take_sel(&mut c)?,
-            }
-        }
-        OP_SLICE_SHARD => {
-            let mode = c.u8()?;
-            let index = c.u32()?;
-            RequestBody::SliceShard {
-                mode,
-                index,
-                sel: take_sel(&mut c)?,
-            }
-        }
         other => return Err(bad(format!("unknown op {other}"))),
     };
     c.done()?;
@@ -586,11 +479,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
         }
         Response::Ack => out.extend_from_slice(&[0, OP_SHUTDOWN]),
-        Response::Health { worker, shard } => {
-            out.extend_from_slice(&[0, OP_HEALTH]);
-            out.extend_from_slice(&worker.to_le_bytes());
-            out.extend_from_slice(&shard.to_le_bytes());
-        }
     }
     out
 }
@@ -637,10 +525,6 @@ pub fn decode_response(payload: &[u8]) -> std::io::Result<Response> {
             Response::Models(models)
         }
         OP_SHUTDOWN => Response::Ack,
-        OP_HEALTH => Response::Health {
-            worker: c.u32()?,
-            shard: c.u32()?,
-        },
         other => return Err(bad(format!("unknown response op {other}"))),
     };
     c.done()?;
@@ -688,12 +572,7 @@ mod tests {
                 fixed: vec![7, 9],
             },
         });
-        for body in [
-            RequestBody::Stats,
-            RequestBody::List,
-            RequestBody::Shutdown,
-            RequestBody::Health,
-        ] {
+        for body in [RequestBody::Stats, RequestBody::List, RequestBody::Shutdown] {
             roundtrip_request(Request {
                 deadline_ms: 0,
                 model: String::new(),
@@ -701,36 +580,6 @@ mod tests {
                 body,
             });
         }
-    }
-
-    #[test]
-    fn shard_scoped_requests_roundtrip() {
-        let sel = ShardSel {
-            shard: 2,
-            nshards: 3,
-            seed: 0xDEAD_BEEF_u64,
-        };
-        roundtrip_request(Request {
-            deadline_ms: 100,
-            model: "m".into(),
-            version: 1,
-            body: RequestBody::TopKShard {
-                mode: 0,
-                k: 5,
-                fixed: vec![1, 4],
-                sel,
-            },
-        });
-        roundtrip_request(Request {
-            deadline_ms: 0,
-            model: "m".into(),
-            version: 0,
-            body: RequestBody::SliceShard {
-                mode: 2,
-                index: 7,
-                sel,
-            },
-        });
     }
 
     #[test]
@@ -746,13 +595,8 @@ mod tests {
             rank: 16,
         }]));
         roundtrip_response(Response::Ack);
-        roundtrip_response(Response::Health {
-            worker: 4,
-            shard: 2,
-        });
         roundtrip_response(Response::Error(WireError::Overloaded, "busy".into()));
         roundtrip_response(Response::Error(WireError::DeadlineExpired, String::new()));
-        roundtrip_response(Response::Error(WireError::Degraded, "shard 1 dark".into()));
         roundtrip_response(Response::Error(WireError::Cancelled, "client gone".into()));
     }
 
@@ -810,8 +654,7 @@ mod tests {
     #[test]
     fn response_counts_are_checked_against_the_bytes_present() {
         // A 6-byte frame claiming u32::MAX records must be refused from
-        // its length alone, typed, before anything is reserved for it —
-        // in a client, or in the router decoding a shard reply.
+        // its length alone, typed, before anything is reserved for it.
         // (op, smallest record in bytes)
         for (op, width) in [(OP_ENTRY, 8), (OP_SLICE, 8), (OP_TOPK, 12), (OP_LIST, 26)] {
             let mut frame = vec![0, op];
@@ -832,9 +675,9 @@ mod tests {
 
     #[test]
     fn a_flipped_status_high_bit_fails_decode() {
-        // The NetFaultPlan's frame corruption XORs the status byte with
-        // 0x80; every such frame must decode to a typed error, never to
-        // silently wrong values.
+        // A status byte with its high bit flipped names no status; every
+        // such frame must decode to a typed error, never to silently
+        // wrong values.
         for resp in [
             Response::Entries(vec![1.0]),
             Response::Error(WireError::Overloaded, "x".into()),
@@ -873,8 +716,8 @@ mod tests {
         assert!(read_frame(&mut buf.as_slice()).is_err());
     }
 
-    /// The cluster router reads every worker reply through `read_frame`:
-    /// a prefix is a claim, and only bytes that arrive earn heap.
+    /// `Client` reads every reply through `read_frame`: a prefix is a
+    /// claim, and only bytes that arrive earn heap.
     #[test]
     fn a_frame_is_allocated_as_its_bytes_arrive_not_as_its_prefix_claims() {
         use splatt_probe::alloc::thread_heap_bytes;
@@ -910,6 +753,16 @@ mod tests {
         assert!(decode_request(&[]).is_err());
         assert!(decode_request(&[99, 0, 0, 0, 0, 0, 0]).is_err());
         assert!(decode_response(&[7]).is_err());
+        // Retired codes: status 7 with a well-formed message, and ok op 7
+        // with the body it once had, decode as unknown.
+        for retired in [
+            &[7u8, 2, 0, b'n', b'o'][..],
+            &[0, 7, 1, 0, 0, 0, 2, 0, 0, 0],
+        ] {
+            let err = decode_response(retired).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{retired:?}");
+            assert!(err.to_string().contains("unknown"), "{err}");
+        }
         // trailing garbage
         let mut bytes = encode_request(&Request {
             deadline_ms: 0,

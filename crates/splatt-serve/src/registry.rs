@@ -6,18 +6,12 @@
 //! eviction is safe at any time. Versions start at 1; version 0 in the
 //! query API means "latest".
 
-use crate::cluster::ShardRing;
-use crate::protocol::ShardSel;
 use splatt_core::KruskalModel;
 use splatt_rt::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One published model version, immutable once registered.
-///
-/// The payload is held behind its own `Arc` so many registries (one per
-/// cluster worker) can publish the *same* single parse of a model file:
-/// N workers, one heap copy.
 #[derive(Debug)]
 pub struct ServableModel {
     /// Registry name the model was published under.
@@ -25,32 +19,7 @@ pub struct ServableModel {
     /// Monotonic version within that name, starting at 1.
     pub version: u64,
     /// The Kruskal payload queries are answered from.
-    pub model: Arc<KruskalModel>,
-    /// The owned-row list of the shard selection last asked for; see
-    /// [`ServableModel::owned_rows`].
-    shard_rows: Mutex<Option<(ShardSel, Arc<Vec<u32>>)>>,
-}
-
-impl ServableModel {
-    /// The mode-0 rows of this model that `sel`'s shard owns, ascending.
-    ///
-    /// Deriving the list hashes every mode-0 row through the ring — more
-    /// than the shard-scoped kernel it feeds costs — so it is derived
-    /// once and kept. One slot is enough: a worker answers for one shard
-    /// of one ring, and because a different selection replaces the slot
-    /// rather than adding to it, selections off the wire cannot grow it.
-    pub(crate) fn owned_rows(&self, sel: ShardSel) -> Arc<Vec<u32>> {
-        if let Some((cached, rows)) = &*self.shard_rows.lock() {
-            if *cached == sel {
-                return Arc::clone(rows);
-            }
-        }
-        let dim0 = self.model.factors.first().map_or(0, |f| f.rows());
-        let rows =
-            Arc::new(ShardRing::new(sel.nshards as usize, sel.seed).owned_rows(sel.shard, dim0));
-        *self.shard_rows.lock() = Some((sel, Arc::clone(&rows)));
-        rows
-    }
+    pub model: KruskalModel,
 }
 
 /// Summary row for registry listings (and the wire `List` response).
@@ -83,13 +52,6 @@ impl ModelRegistry {
 
     /// Publish `model` under `name`, returning the version it received.
     pub fn publish(&self, name: &str, model: KruskalModel) -> u64 {
-        self.publish_arc(name, Arc::new(model))
-    }
-
-    /// Publish an already-shared model payload under `name`. Cluster
-    /// workers use this to register per-worker views of one shared parse
-    /// of a `splatt-model-v1` file instead of N heap copies.
-    pub fn publish_arc(&self, name: &str, model: Arc<KruskalModel>) -> u64 {
         let mut inner = self.inner.lock();
         let (next, versions) = inner
             .models
@@ -101,7 +63,6 @@ impl ModelRegistry {
             name: name.to_string(),
             version,
             model,
-            shard_rows: Mutex::new(None),
         }));
         version
     }
@@ -113,14 +74,14 @@ impl ModelRegistry {
     /// The file is read, checksum-verified, and parsed entirely
     /// *outside* the registry lock, so republishing a refreshed model
     /// never blocks in-flight queries: readers see the old latest until
-    /// the one `publish_arc` call at the end swaps in the new version.
+    /// the one `publish` call at the end swaps in the new version.
     ///
     /// # Errors
     /// Propagates load failures (torn/corrupt files surface as typed
     /// `InvalidData` errors from the store layer, never a wrong model).
     pub fn publish_path(&self, name: &str, path: &std::path::Path) -> std::io::Result<u64> {
         let model = splatt_core::load_model_path(path)?;
-        Ok(self.publish_arc(name, Arc::new(model)))
+        Ok(self.publish(name, model))
     }
 
     /// Resolve `name` at `version` (0 = latest).
@@ -218,35 +179,6 @@ mod tests {
         assert!(reg.get("m", 3).is_none());
         assert!(reg.get("other", 0).is_none());
         assert_eq!(reg.len(), 2);
-    }
-
-    #[test]
-    fn owned_rows_are_derived_once_per_selection() {
-        let reg = ModelRegistry::new();
-        reg.publish(
-            "m",
-            KruskalModel {
-                lambda: vec![1.0],
-                factors: vec![Matrix::random(200, 1, 5), Matrix::random(4, 1, 6)],
-            },
-        );
-        let served = reg.get("m", 0).unwrap();
-        let sel = |shard| ShardSel {
-            shard,
-            nshards: 3,
-            seed: 42,
-        };
-        let ring = ShardRing::new(3, 42);
-        let first = served.owned_rows(sel(1));
-        assert_eq!(*first, ring.owned_rows(1, 200));
-        assert!(
-            Arc::ptr_eq(&first, &served.owned_rows(sel(1))),
-            "the same selection must reuse the derived list"
-        );
-        // Another selection replaces the slot (it does not accumulate)
-        // and is answered just as exactly.
-        assert_eq!(*served.owned_rows(sel(2)), ring.owned_rows(2, 200));
-        assert_eq!(*served.owned_rows(sel(1)), *first);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! It also decides which thread a request runs on, from the request
 //! alone: an `Entry` frame of at most [`Query::CALLER_RUNS_COORDS`]
 //! coordinates is answered by [`FrameService::try_handle_now`] on the
-//! reactor thread; every other frame — scans, shard ops,
-//! `Stats`/`List`/`Health`/`Shutdown`, large entry batches — goes to a
-//! pool worker. The engine computes on whichever thread that is, and
-//! both run the same [`EngineService::reply_to`], so a request gets the
-//! same bytes on either thread.
+//! reactor thread; every other frame — scans, `Stats`/`List`/`Shutdown`,
+//! large entry batches — goes to a pool worker. The engine computes on
+//! whichever thread that is, and both run the same
+//! [`EngineService::reply_to`], so a request gets the same bytes on
+//! either thread.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -151,27 +151,9 @@ impl EngineService {
                 return encode_response(&Response::Models(self.engine.registry().list()))
             }
             RequestBody::Shutdown => return encode_response(&Response::Ack),
-            RequestBody::Health => {
-                return encode_response(&Response::Health {
-                    worker: self.engine.config().worker,
-                    shard: self.engine.config().shard,
-                })
-            }
             RequestBody::Entry { order: _, coords } => Query::Entry { coords },
             RequestBody::Slice { mode, index } => Query::Slice { mode, index },
             RequestBody::TopK { mode, k, fixed } => Query::TopK { mode, k, fixed },
-            RequestBody::TopKShard {
-                mode,
-                k,
-                fixed,
-                sel,
-            } => Query::TopKShard {
-                mode,
-                k,
-                fixed,
-                sel,
-            },
-            RequestBody::SliceShard { mode, index, sel } => Query::SliceShard { mode, index, sel },
         };
         let deadline = if req.deadline_ms > 0 {
             Some(Duration::from_millis(u64::from(req.deadline_ms)))
@@ -264,7 +246,7 @@ pub(crate) fn test_service(config: crate::engine::ServeConfig) -> EngineService 
 mod tests {
     use super::*;
     use crate::engine::ServeConfig;
-    use crate::protocol::{decode_response, encode_request, ShardSel};
+    use crate::protocol::{decode_response, encode_request};
     use std::sync::atomic::AtomicBool;
 
     fn entry(model: &str, order: u8, coords: Vec<u32>) -> Vec<u8> {
@@ -313,11 +295,6 @@ mod tests {
     #[test]
     fn only_small_entries_are_answered_inline() {
         let svc = test_service(ServeConfig::default());
-        let sel = ShardSel {
-            shard: 0,
-            nshards: 1,
-            seed: 7,
-        };
         let mut declined: Vec<RequestBody> = vec![
             RequestBody::Slice { mode: 0, index: 0 },
             RequestBody::TopK {
@@ -328,18 +305,6 @@ mod tests {
             RequestBody::Stats,
             RequestBody::List,
             RequestBody::Shutdown,
-            RequestBody::Health,
-            RequestBody::TopKShard {
-                mode: 0,
-                k: 2,
-                fixed: vec![0, 0],
-                sel,
-            },
-            RequestBody::SliceShard {
-                mode: 1,
-                index: 0,
-                sel,
-            },
         ];
         // One coordinate past the bound, as tuples of either order.
         declined.push(RequestBody::Entry {

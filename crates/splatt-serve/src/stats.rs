@@ -152,8 +152,7 @@ impl ServeStats {
     }
 
     /// Roll everything up into the probe `serve` row; cache and shed
-    /// counters come from their owning components, and the cluster
-    /// router appends its per-shard counters afterwards.
+    /// counters come from their owning components.
     pub fn to_row(
         &self,
         cache_hits: u64,
@@ -176,8 +175,8 @@ impl ServeStats {
                 }
             })
             .collect();
-        // Per-shard failover counters are a router concern, and the net
-        // row belongs to the front end; both fill in after this rollup.
+        // The net row belongs to the front end; it fills in after this
+        // rollup.
         ServeRow {
             kinds,
             cache_hits,

@@ -3,13 +3,13 @@
 //! [`EngineService::try_handle_now`] — the decode that now runs on the
 //! reactor thread, where a panic is an outage and not a lost worker —
 //! and every wire response kind, mutated, through [`decode_response`],
-//! which the cluster router runs on whatever a worker sent back.
+//! which [`crate::Client`] runs on whatever a server sent back.
 //!
 //! Start from a valid encoding of each [`RequestBody`] / [`Response`]
 //! kind (fields drawn by `splatt_rt::qc`), then: truncate at every byte,
 //! invert every byte, flip one drawn bit in every byte, overwrite every
-//! integer field (op, deadline, lengths, counts, order, mode, shard
-//! selection, …) with 0, 1, `MAX − 1` and `MAX`, and overwrite a few
+//! integer field (op, deadline, lengths, counts, order, mode, …) with
+//! 0, 1, `MAX − 1` and `MAX`, and overwrite a few
 //! drawn bytes with drawn values. For every mutant:
 //!
 //! - no panic (`qc::check` turns one into a failure naming the seed);
@@ -27,7 +27,7 @@
 use crate::engine::{Query, ServeConfig};
 use crate::protocol::{
     decode_request, decode_response, encode_request, encode_response, peek_entry_coords, Request,
-    RequestBody, Response, ShardSel, WireError,
+    RequestBody, Response, WireError,
 };
 use crate::registry::ModelInfo;
 use crate::service::{test_service, EngineService};
@@ -51,19 +51,11 @@ const RESPONSE_HEAP_FACTOR: u64 = 3;
 /// message, the response slot, a one-tuple answer and its frame).
 const HEAP_SLACK: u64 = 512;
 
-const KINDS: usize = 9;
+const KINDS: usize = 6;
 
 /// A valid request of kind `kind` against the model [`service`] serves.
 fn request_of(kind: usize, g: &mut Gen) -> Request {
     let fixed = |g: &mut Gen| vec![g.range(0..4u32), g.range(0..5u32)];
-    let sel = |g: &mut Gen| {
-        let nshards = g.range(1..5u32);
-        ShardSel {
-            shard: g.range(0..nshards),
-            nshards,
-            seed: g.u64(),
-        }
-    };
     let body = match kind {
         0 => {
             // On both sides of the inline bound, sometimes empty.
@@ -86,21 +78,9 @@ fn request_of(kind: usize, g: &mut Gen) -> Request {
         },
         3 => RequestBody::Stats,
         4 => RequestBody::List,
-        5 => RequestBody::Shutdown,
-        6 => RequestBody::Health,
-        7 => RequestBody::TopKShard {
-            mode: 0,
-            k: g.range(1..8u32),
-            fixed: fixed(g),
-            sel: sel(g),
-        },
-        _ => RequestBody::SliceShard {
-            mode: g.range(1..3u8),
-            index: g.range(0..4u32),
-            sel: sel(g),
-        },
+        _ => RequestBody::Shutdown,
     };
-    let named = matches!(kind, 0..=2 | 7 | 8);
+    let named = matches!(kind, 0..=2);
     Request {
         deadline_ms: *g.choose(&[0, 1, 250, u32::MAX]),
         model: if named { "m".into() } else { String::new() },
@@ -131,14 +111,7 @@ fn integer_fields(req: &Request) -> Vec<(usize, usize)> {
             push(&[1, 4, 1]);
             push(&vec![4; fixed.len()]);
         }
-        // … then shard, nshards, seed
-        RequestBody::TopKShard { fixed, .. } => {
-            push(&[1, 4, 1]);
-            push(&vec![4; fixed.len()]);
-            push(&[4, 4, 8]);
-        }
-        RequestBody::SliceShard { .. } => push(&[1, 4, 4, 4, 8]),
-        RequestBody::Stats | RequestBody::List | RequestBody::Shutdown | RequestBody::Health => {}
+        RequestBody::Stats | RequestBody::List | RequestBody::Shutdown => {}
     }
     fields
 }
@@ -255,16 +228,15 @@ fn regressions_the_mutation_test_found() {
     svc.engine.shutdown();
 }
 
-const RESPONSE_KINDS: usize = 8;
+const RESPONSE_KINDS: usize = 7;
 
-const WIRE_ERRORS: [WireError; 8] = [
+const WIRE_ERRORS: [WireError; 7] = [
     WireError::Overloaded,
     WireError::DeadlineExpired,
     WireError::ModelNotFound,
     WireError::BadRequest,
     WireError::ShuttingDown,
     WireError::Internal,
-    WireError::Degraded,
     WireError::Cancelled,
 ];
 
@@ -273,7 +245,7 @@ fn name_of(g: &mut Gen) -> String {
     (0..len).map(|_| *g.choose(&['m', '-', '7', 'é'])).collect()
 }
 
-/// A valid response of kind `kind`; kind 7 is one of every [`WireError`].
+/// A valid response of kind `kind`; kind 6 is one of every [`WireError`].
 fn responses_of(kind: usize, g: &mut Gen) -> Vec<Response> {
     let len = *g.choose(&[0usize, 1, 2, 9]);
     vec![match kind {
@@ -296,10 +268,6 @@ fn responses_of(kind: usize, g: &mut Gen) -> Vec<Response> {
                 .collect(),
         ),
         5 => Response::Ack,
-        6 => Response::Health {
-            worker: *g.choose(&[0, 3, u32::MAX]),
-            shard: *g.choose(&[0, 2, u32::MAX]),
-        },
         _ => {
             return WIRE_ERRORS
                 .iter()
@@ -311,7 +279,7 @@ fn responses_of(kind: usize, g: &mut Gen) -> Vec<Response> {
 
 /// `(offset, width)` of every integer field of `resp`'s encoding: the
 /// status byte, the op, every length and count, and the fixed-width
-/// fields of `Health` and of each `Models` row.
+/// fields of each `Models` row.
 fn response_integer_fields(resp: &Response) -> Vec<(usize, usize)> {
     let mut fields = vec![(0, 1)];
     match resp {
@@ -322,7 +290,6 @@ fn response_integer_fields(resp: &Response) -> Vec<(usize, usize)> {
         Response::Entries(_) | Response::Slice(_) | Response::TopK(_) | Response::Stats(_) => {
             fields.extend([(1, 1), (2, 4)]);
         }
-        Response::Health { .. } => fields.extend([(1, 1), (2, 4), (6, 4)]),
         Response::Models(rows) => {
             fields.extend([(1, 1), (2, 4)]);
             let mut at = 6;

@@ -13,11 +13,8 @@ use splatt::core::{
     rmse_observed, tensor_complete, tensor_complete_ccd, CcdOptions, CompletionOptions,
 };
 use splatt::par::Routine;
-use splatt::serve::protocol::Response;
-use splatt::serve::{
-    serve_with, Client, ClusterConfig, FrontEndConfig, LoopbackCluster, ServeConfig, ServeEngine,
-    SharedModel,
-};
+use splatt::serve::protocol::{Request, RequestBody, Response};
+use splatt::serve::{serve_with, Client, FrontEndConfig, ServeConfig, ServeEngine};
 use splatt::tensor::{io, synth, TensorStats};
 use splatt::{
     corcondia, try_cp_als, Constraint, CpalsError, CpalsOptions, CpalsRun, CsfAlloc, FaultPlan,
@@ -45,15 +42,12 @@ fn usage() -> ExitCode {
          splatt predict <model.kruskal> <coords.tns>\n  \
          splatt export-model <checkpoint|model|.kruskal> --out FILE\n  \
          splatt serve --model NAME=FILE[,NAME=FILE...] [--addr HOST:PORT]\n              \
-         [--deadline-ms MS] [--depth N] [--cache N] [--net-workers N] [--max-conns N]\n              \
-         [--shards N [--replicas M] [--seed S]]\n              \
-         (cluster mode: one --model; --depth/--cache/--net-workers/--max-conns refused)\n  \
-         splatt cluster <addr>   (router health + per-shard failover counters)\n  \
+         [--deadline-ms MS] [--depth N] [--cache N] [--net-workers N] [--max-conns N]\n  \
          splatt query <addr> entry --model NAME --coords i,j,k[;i,j,k...]\n              \
          [--version V] [--deadline-ms MS]   (coords are zero-based)\n  \
          splatt query <addr> slice --model NAME --mode M --index I\n  \
          splatt query <addr> topk  --model NAME --mode M --k K [--fixed i,j]\n  \
-         splatt query <addr> stats|list|health|shutdown\n  \
+         splatt query <addr> stats|list|shutdown\n  \
          splatt ingest <store-dir> <delta.tns> [--batch N] [--segment-bytes B]\n              \
          (append nnz deltas to the store's checksummed WAL)\n  \
          splatt recover <store-dir> [--base base.tns] [--out merged.tns]\n              \
@@ -105,14 +99,9 @@ const SERVE_FLAGS: &[&str] = &[
     "deadline-ms",
     "net-workers",
     "max-conns",
-    "shards",
-    "replicas",
-    "seed",
 ];
-/// The `serve` flags that size the single-process engine and front end.
-/// A cluster (`--shards N`, N > 0) starts its workers with defaults, so
-/// it refuses these like unknown flags rather than ignore them.
-const SINGLE_PROCESS_SERVE_FLAGS: &[&str] = &["depth", "cache", "net-workers", "max-conns"];
+/// The ops `splatt query` sends; any other is a usage error.
+const QUERY_OPS: &[&str] = &["entry", "slice", "topk", "stats", "list", "shutdown"];
 const QUERY_FLAGS: &[&str] = &[
     "model",
     "coords",
@@ -154,7 +143,6 @@ fn subcommand(cmd: &str) -> Option<(usize, &'static [&'static str], Command)> {
         "predict" => (2, &[], |p, _| cmd_predict(&p[0], &p[1])),
         "export-model" => (1, &["out"], |p, f| cmd_export_model(&p[0], f)),
         "serve" => (0, SERVE_FLAGS, |_, f| cmd_serve(f)),
-        "cluster" => (1, &[], |p, _| cmd_cluster(&p[0])),
         "query" => (2, QUERY_FLAGS, |p, f| cmd_query(&p[0], &p[1], f)),
         "ingest" => (2, &["batch", "segment-bytes"], |p, f| {
             cmd_ingest(&p[0], &p[1], f)
@@ -225,20 +213,15 @@ impl Flags {
     }
 }
 
-/// `serve --shards N` (N > 0) with a flag of
-/// [`SINGLE_PROCESS_SERVE_FLAGS`] is a usage error, named like an
-/// unknown flag: a flag that would do nothing is not accepted silently.
-fn refuse_cluster_sizes(cmd: &str, flags: Flags) -> Result<Flags, String> {
-    let cluster =
-        cmd == "serve" && matches!(flags.parse_opt::<usize>("shards"), Ok(Some(n)) if n > 0);
-    match SINGLE_PROCESS_SERVE_FLAGS
-        .iter()
-        .find(|k| flags.get(k).is_some())
-    {
-        Some(key) if cluster => Err(format!(
-            "flag --{key} does not apply to a cluster (--shards): its workers run with defaults"
-        )),
-        _ => Ok(flags),
+/// A usage error the flag table cannot see: `splatt query` naming an op
+/// it does not send. Refused before anything is dialed, like an unknown
+/// flag.
+fn check_positionals(cmd: &str, pos: &[String]) -> Result<(), String> {
+    match (cmd, pos) {
+        ("query", [_, op]) if !QUERY_OPS.contains(&op.as_str()) => {
+            Err(format!("unknown query op '{op}' ({})", QUERY_OPS.join("|")))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -929,19 +912,16 @@ mod term_signal {
     }
 }
 
-/// Run `drain` once a termination signal arrives; exit quietly when
-/// `done` reports the server already stopped on its own.
-fn spawn_term_watcher(
-    drain: impl FnOnce() + Send + 'static,
-    done: impl Fn() -> bool + Send + 'static,
-) {
+/// Trip `shutdown` once a termination signal arrives; exit quietly when
+/// the server stopped on its own (a wire `Shutdown`).
+fn spawn_term_watcher(shutdown: splatt::CancelToken) {
     term_signal::install();
     std::thread::spawn(move || loop {
         if term_signal::received() {
-            drain();
+            shutdown.cancel();
             return;
         }
-        if done() {
+        if shutdown.is_cancelled() {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
@@ -950,10 +930,6 @@ fn spawn_term_watcher(
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let specs = parse_model_specs(flags)?;
-    let nshards: usize = flags.parse_or("shards", 0)?;
-    if nshards > 0 {
-        return cmd_serve_cluster(&specs, flags, nshards);
-    }
     let addr = flags.get("addr").unwrap_or("127.0.0.1:0");
     let config = ServeConfig {
         max_depth: flags.parse_or("depth", ServeConfig::default().max_depth)?,
@@ -981,86 +957,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // Tests parse the bound address from a pipe: flush past block buffering.
     println!("serving {} model(s) on {}", specs.len(), handle.addr());
     std::io::stdout().flush().map_err(|e| e.to_string())?;
-    let drain = Arc::clone(handle.engine());
-    let done = Arc::clone(handle.engine());
-    spawn_term_watcher(
-        move || drain.shutdown_token().cancel(),
-        move || done.shutdown_token().is_cancelled(),
-    );
+    spawn_term_watcher(handle.engine().shutdown_token().clone());
     handle.join();
     println!("server stopped");
     Ok(())
-}
-
-/// `splatt serve --shards N [--replicas M]`: a loopback cluster —
-/// N×M shard workers behind one router that speaks the ordinary wire
-/// protocol, so `splatt query` works unchanged against it.
-fn cmd_serve_cluster(
-    specs: &[(String, String)],
-    flags: &Flags,
-    nshards: usize,
-) -> Result<(), String> {
-    if specs.len() != 1 {
-        return Err("cluster mode serves exactly one --model NAME=FILE".into());
-    }
-    let (name, path) = &specs[0];
-    let shared =
-        SharedModel::load(name, std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    let defaults = ClusterConfig::default();
-    let nreplicas: usize = flags.parse_or("replicas", defaults.nreplicas)?;
-    if nreplicas == 0 {
-        return Err("--replicas must be at least 1".into());
-    }
-    let seed: u64 = flags.parse_or("seed", defaults.seed)?;
-    let config = ClusterConfig {
-        nshards,
-        nreplicas,
-        seed,
-        default_deadline: Duration::from_millis(
-            flags.parse_or("deadline-ms", defaults.default_deadline.as_millis() as u64)?,
-        ),
-        ..defaults
-    };
-    let addr = flags.get("addr").unwrap_or("127.0.0.1:0");
-    let cluster = LoopbackCluster::start_on(config, &shared, None, addr)
-        .map_err(|e| format!("{addr}: {e}"))?;
-    println!(
-        "published {name} v1 from {path} on {} worker(s) \
-         ({nshards} shard(s) x {nreplicas} replica(s), ring seed {seed:#x})",
-        nshards * nreplicas
-    );
-    // Same line format as single-process serve: tests and scripts parse
-    // the bound address from it.
-    println!("serving 1 model(s) on {}", cluster.router_addr());
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
-    let drain = cluster.router();
-    let done = cluster.router();
-    spawn_term_watcher(
-        move || drain.stop_token().cancel(),
-        move || done.stop_token().is_cancelled(),
-    );
-    cluster.join();
-    println!("server stopped");
-    Ok(())
-}
-
-/// `splatt cluster <addr>`: ping a running router and print its stats
-/// JSON (the schema v7 `serve` object with per-shard failover counters).
-fn cmd_cluster(addr: &str) -> Result<(), String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    match client.health().map_err(|e| format!("{addr}: {e}"))? {
-        Response::Health { .. } => println!("{addr}: healthy"),
-        Response::Error(code, msg) => return Err(format!("server error ({code:?}): {msg}")),
-        other => return Err(format!("unexpected health response {other:?}")),
-    }
-    match client.stats().map_err(|e| format!("{addr}: {e}"))? {
-        Response::Stats(json) => {
-            println!("{json}");
-            Ok(())
-        }
-        Response::Error(code, msg) => Err(format!("server error ({code:?}): {msg}")),
-        other => Err(format!("unexpected stats response {other:?}")),
-    }
 }
 
 fn parse_coord_list(spec: &str, what: &str) -> Result<Vec<u32>, String> {
@@ -1073,16 +973,25 @@ fn parse_coord_list(spec: &str, what: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-fn cmd_query(addr: &str, op: &str, flags: &Flags) -> Result<(), String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
+/// The request `splatt query <addr> <op>` sends, built and checked
+/// before anything is dialed: a malformed query fails the same with or
+/// without a server.
+fn query_request(op: &str, flags: &Flags) -> Result<Request, String> {
     let model = flags.get("model").unwrap_or("");
     let version: u64 = flags.parse_or("version", 0)?;
     let deadline_ms: u32 = flags.parse_or("deadline-ms", 0)?;
+    // Server-wide ops name no model and take the server's deadline.
+    let server_wide = |body| Request {
+        deadline_ms: 0,
+        model: String::new(),
+        version: 0,
+        body,
+    };
     let needs_model = matches!(op, "entry" | "slice" | "topk");
     if needs_model && model.is_empty() {
         return Err(format!("query {op} requires --model NAME"));
     }
-    let response = match op {
+    let body = match op {
         "entry" => {
             let spec = flags.get("coords").ok_or("entry requires --coords")?;
             let tuples: Vec<Vec<u32>> = spec
@@ -1100,29 +1009,41 @@ fn cmd_query(addr: &str, op: &str, flags: &Flags) -> Result<(), String> {
                 ));
             }
             let coords: Vec<u32> = tuples.into_iter().flatten().collect();
-            client.entries(model, version, deadline_ms, order as u8, coords)
+            RequestBody::Entry {
+                order: order as u8,
+                coords,
+            }
         }
-        "slice" => {
-            let mode: u8 = flags.parse_or("mode", 0)?;
-            let index: u32 = flags.parse_or("index", 0)?;
-            client.slice(model, version, deadline_ms, mode, index)
-        }
-        "topk" => {
-            let mode: u8 = flags.parse_or("mode", 0)?;
-            let k: u32 = flags.parse_or("k", 10)?;
-            let fixed = match flags.get("fixed") {
+        "slice" => RequestBody::Slice {
+            mode: flags.parse_or("mode", 0)?,
+            index: flags.parse_or("index", 0)?,
+        },
+        "topk" => RequestBody::TopK {
+            mode: flags.parse_or("mode", 0)?,
+            k: flags.parse_or("k", 10)?,
+            fixed: match flags.get("fixed") {
                 Some(spec) => parse_coord_list(spec, "--fixed")?,
                 None => Vec::new(),
-            };
-            client.top_k(model, version, deadline_ms, mode, k, fixed)
-        }
-        "stats" => client.stats(),
-        "list" => client.list(),
-        "health" => client.health(),
-        "shutdown" => client.shutdown(),
+            },
+        },
+        "stats" => return Ok(server_wide(RequestBody::Stats)),
+        "list" => return Ok(server_wide(RequestBody::List)),
+        "shutdown" => return Ok(server_wide(RequestBody::Shutdown)),
         other => return Err(format!("unknown query op '{other}'")),
-    }
-    .map_err(|e| format!("{addr}: {e}"))?;
+    };
+    Ok(Request {
+        deadline_ms,
+        model: model.to_string(),
+        version,
+        body,
+    })
+}
+
+fn cmd_query(addr: &str, op: &str, flags: &Flags) -> Result<(), String> {
+    let request = query_request(op, flags)?;
+    let response = Client::connect(addr)
+        .and_then(|mut client| client.call(&request))
+        .map_err(|e| format!("{addr}: {e}"))?;
     print_response(&response)
 }
 
@@ -1151,16 +1072,6 @@ fn print_response(response: &Response) -> Result<(), String> {
                     "{} v{}: order {}, rank {}",
                     m.name, m.version, m.order, m.rank
                 );
-            }
-            Ok(())
-        }
-        Response::Health { worker, shard } => {
-            if *worker == u32::MAX {
-                // The sentinel covers both a router front end and a
-                // standalone server — neither has a shard identity.
-                println!("healthy");
-            } else {
-                println!("healthy (worker {worker}, shard {shard})");
             }
             Ok(())
         }
@@ -1234,13 +1145,14 @@ fn main() -> ExitCode {
         None => return usage(),
     };
     let Some((npos, accepted, body)) = subcommand(cmd) else {
+        eprintln!("error: unknown subcommand '{cmd}'");
         return usage();
     };
     if rest.len() < npos {
         return usage();
     }
     let (pos, flag_args) = rest.split_at(npos);
-    let flags = match Flags::parse(flag_args, accepted).and_then(|f| refuse_cluster_sizes(cmd, f)) {
+    let flags = match check_positionals(cmd, pos).and_then(|()| Flags::parse(flag_args, accepted)) {
         Ok(flags) => flags,
         Err(e) => {
             eprintln!("error: {e}");

@@ -19,7 +19,7 @@
 //! | [`probe`] | lock/thread/allocation profiling, `ProfileReport` |
 //! | [`faults`] | seeded fault injection (`FaultPlan`), the recovery audit trail |
 //! | [`mod@guard`] | run governance: cancellation, deadlines, budgets, watchdog |
-//! | [`mod@serve`] | model registry, batched query engine, TCP serving front end |
+//! | [`mod@serve`] | model registry, query engine, TCP serving front end |
 //! | [`mod@store`] | checksummed WAL, atomic artifact publish, crash recovery |
 //! | [`rt`] | sync primitives, seeded RNG, parallel helpers, qc harness |
 //!

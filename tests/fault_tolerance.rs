@@ -120,7 +120,6 @@ fn three_fault_kinds_at_once_still_converge() {
         straggler: 0.5,
         nonspd: 0.5,
         nan: 0.3,
-        ..Default::default()
     };
     // a seed whose first four iterations fire all three kinds
     let plan = FaultPlan::new(0xFA14, rates).with_horizon(4);
@@ -282,7 +281,6 @@ fn profile_report_lists_every_injected_fault() {
         straggler: 0.5,
         nan: 0.3,
         nonspd: 0.4,
-        ..Default::default()
     };
     let plan = FaultPlan::new(0x0B5, rates).with_horizon(4);
     let out = try_cp_als(&tensor, &opts, &injecting(&plan)).unwrap();

@@ -9,7 +9,7 @@
 
 use splatt::serve::protocol::{
     decode_response, encode_request, encode_response, read_frame, write_frame, Request,
-    RequestBody, Response, ShardSel, WireError,
+    RequestBody, Response, WireError,
 };
 use splatt::serve::{serve_with, FrontEndConfig, ServeConfig, ServeEngine, ServerHandle};
 use splatt::{KruskalModel, Matrix};
@@ -471,17 +471,12 @@ fn oracle_response(model: &KruskalModel, req: &Request) -> Response {
             order: 3,
             rank: 3,
         }]),
-        // a single-process engine is not part of a cluster
-        RequestBody::Health => Response::Health {
-            worker: u32::MAX,
-            shard: u32::MAX,
-        },
         other => panic!("the sweep does not issue {other:?}"),
     }
 }
 
-/// 160 seeded requests over six kinds (entry, slice, top-k, list,
-/// health, typed model-not-found): every response frame must equal,
+/// 160 seeded requests over five kinds (entry, slice, top-k, list,
+/// typed model-not-found): every response frame must equal,
 /// byte for byte, the frame encoded from [`oracle_response`]. The sweep
 /// once compared the reactor against a thread-per-connection loop over
 /// the same engine; this oracle shares neither the socket loop nor the
@@ -498,9 +493,9 @@ fn reactor_answers_a_seeded_sweep_bit_identically_to_the_query_oracle() {
         .unwrap();
 
     let mut rng = Rng(0xAB0_CAFE);
-    let mut kinds_seen = [0usize; 6];
+    let mut kinds_seen = [0usize; 5];
     for i in 0..160 {
-        let kind = rng.below(6) as usize;
+        let kind = rng.below(5) as usize;
         kinds_seen[kind] += 1;
         let req = match kind {
             0 => entry_request(&mut rng, &model, 5_000).0,
@@ -529,12 +524,6 @@ fn reactor_answers_a_seeded_sweep_bit_identically_to_the_query_oracle() {
                 version: 0,
                 body: RequestBody::List,
             },
-            4 => Request {
-                deadline_ms: 0,
-                model: String::new(),
-                version: 0,
-                body: RequestBody::Health,
-            },
             // Typed errors must match bit-for-bit too.
             _ => Request {
                 deadline_ms: 5_000,
@@ -549,7 +538,7 @@ fn reactor_answers_a_seeded_sweep_bit_identically_to_the_query_oracle() {
     }
     assert!(
         kinds_seen.iter().all(|&n| n > 0),
-        "the seed must reach all six request kinds: {kinds_seen:?}"
+        "the seed must reach all five request kinds: {kinds_seen:?}"
     );
 
     reactor.shutdown();
@@ -757,69 +746,52 @@ fn wire_shutdown_drains_with_inline_traffic_in_flight() {
     assert!(hammer.join().expect("hammer thread") >= 50);
 }
 
-/// One ~50-byte frame used to be able to abort the server: a shard
-/// selection's `nshards` sized a hash ring unchecked. It is refused
-/// typed, and the connection goes on being served.
+/// Op bytes 7, 8 and 9 once carried a liveness probe and two
+/// shard-scoped scans. Frames laid out as those ops were are now unknown
+/// ops: each is refused typed, naming the op, and the connection goes
+/// on being served.
 #[test]
-fn an_oversized_shard_count_is_refused_typed_and_the_connection_lives() {
+fn retired_ops_are_refused_typed_and_the_connection_lives() {
     let _guard = serial_guard();
     let (handle, model) = start_server(FrontEndConfig::default(), ServeConfig::default());
     let mut stream = connect(&handle);
-    let sel = |nshards| ShardSel {
-        shard: 0,
-        nshards,
-        seed: 0x5EED,
-    };
-    let shard_ops = |nshards| {
-        [
-            RequestBody::TopKShard {
-                mode: 0,
-                k: 3,
-                fixed: vec![0, 0],
-                sel: sel(nshards),
-            },
-            RequestBody::SliceShard {
-                mode: 1,
-                index: 0,
-                sel: sel(nshards),
-            },
-        ]
-    };
-    for nshards in [u32::MAX, splatt::serve::cluster::MAX_SHARDS + 1] {
-        for body in shard_ops(nshards) {
-            let req = Request {
-                deadline_ms: 5_000,
-                model: "m".into(),
-                version: 0,
-                body,
-            };
-            assert!(encode_request(&req).unwrap().len() < 64);
-            match call_raw(&mut stream, &req).expect("typed refusal") {
-                Response::Error(WireError::BadRequest, msg) => {
-                    assert!(msg.contains("exceed the limit"), "{msg}");
-                }
-                other => panic!("expected BadRequest for {nshards} shards, got {other:?}"),
+    // Each op's former body after the request header: none; mode, k,
+    // two fixed coordinates and a shard selection (shard, nshards, seed);
+    // mode, index and a shard selection.
+    let selection = [
+        &0u32.to_le_bytes()[..],
+        &3u32.to_le_bytes(),
+        &0x5EEDu64.to_le_bytes(),
+    ]
+    .concat();
+    let top_k_shard = [&[0u8][..], &3u32.to_le_bytes(), &[2], &[0; 8], &selection].concat();
+    let slice_shard = [&[1u8][..], &0u32.to_le_bytes(), &selection].concat();
+    for (op, name, body) in [
+        (7u8, "", vec![]),
+        (8, "m", top_k_shard),
+        (9, "m", slice_shard),
+    ] {
+        let mut frame = vec![op];
+        frame.extend_from_slice(&5_000u32.to_le_bytes());
+        frame.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        frame.extend_from_slice(name.as_bytes());
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        frame.extend_from_slice(&body);
+        assert!(frame.len() <= 56, "op {op}: {} bytes", frame.len());
+        write_frame(&mut stream, &frame).expect("send");
+        let reply = read_frame(&mut stream).expect("a reply, not a dropped connection");
+        match decode_response(&reply).expect("a well-formed reply") {
+            Response::Error(WireError::BadRequest, msg) => {
+                assert!(msg.contains(&format!("unknown op {op}")), "{msg}");
             }
+            other => panic!("expected BadRequest for op {op}, got {other:?}"),
         }
-    }
-    // Same connection, next request: answered.
-    let mut rng = Rng(0x11FE);
-    let (req, want) = entry_request(&mut rng, &model, 5_000);
-    match call_raw(&mut stream, &req).expect("follow-up") {
-        Response::Entries(vals) => assert_bits_eq(&vals, &want, "follow-up entry"),
-        other => panic!("expected entries, got {other:?}"),
-    }
-    // And the largest legal ring is still built and answered from.
-    for body in shard_ops(splatt::serve::cluster::MAX_SHARDS) {
-        let req = Request {
-            deadline_ms: 20_000,
-            model: "m".into(),
-            version: 0,
-            body,
-        };
-        match call_raw(&mut stream, &req).expect("legal ring") {
-            Response::TopK(_) | Response::Slice(_) => {}
-            other => panic!("expected a shard answer, got {other:?}"),
+        // Same connection, next request: answered bit-exactly.
+        let mut rng = Rng(0x11FE + u64::from(op));
+        let (req, want) = entry_request(&mut rng, &model, 5_000);
+        match call_raw(&mut stream, &req).expect("follow-up") {
+            Response::Entries(vals) => assert_bits_eq(&vals, &want, "follow-up entry"),
+            other => panic!("expected entries, got {other:?}"),
         }
     }
     handle.shutdown();

@@ -5,12 +5,9 @@
 //! typed errors, and steady-state allocation certification through the
 //! probe schema-v5 `serve` counters.
 
-use splatt::guard::{Deadline, RetryPolicy};
 use splatt::rt::qc::{self, Gen};
 use splatt::serve::protocol::{Response, WireError};
-use splatt::serve::{
-    classify, serve, Client, Query, QueryResult, ServeConfig, ServeEngine, ServeError, Transience,
-};
+use splatt::serve::{serve, Client, Query, QueryResult, ServeConfig, ServeEngine, ServeError};
 use splatt::{CancelToken, KruskalModel, Matrix};
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,16 +230,6 @@ fn gen_edgy_factor(g: &mut Gen, rows: usize, rank: usize) -> Matrix {
     Matrix::from_vec(rows, rank, data)
 }
 
-/// `rows` of a dimension, unsorted and with repeats.
-fn gen_row_list(g: &mut Gen, dim: usize) -> Vec<u32> {
-    let mut rows: Vec<u32> = g.permutation(dim).into_iter().map(|r| r as u32).collect();
-    rows.truncate(g.usize_in(0..dim + 1));
-    for _ in 0..g.usize_in(0..4) {
-        rows.push(g.usize_in(0..dim) as u32);
-    }
-    rows
-}
-
 fn assert_pairs_eq(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length mismatch");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -256,9 +243,7 @@ fn assert_pairs_eq(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) {
 
 #[test]
 fn scan_kernels_match_the_per_cell_oracle_bit_for_bit() {
-    use splatt::core::query::{
-        slice_len, slice_values, slice_values_rows, top_k, top_k_rows, QueryArena,
-    };
+    use splatt::core::query::{slice_len, slice_values, top_k, QueryArena};
     use splatt::core::reference::kruskal_value;
 
     const RANKS: [usize; 9] = [0, 1, 3, 4, 5, 15, 16, 17, 35];
@@ -301,62 +286,37 @@ fn scan_kernels_match_the_per_cell_oracle_bit_for_bit() {
             let what = format!("order {order} rank {rank} dims {dims:?}");
 
             for mode in 0..order {
-                // -- top-k: every row, then an unsorted list with repeats
+                // -- top-k over every row
                 let fixed: Vec<u32> = (0..order)
                     .filter(|&m| m != mode)
                     .map(|m| g.usize_in(0..dims[m]) as u32)
                     .collect();
-                let all: Vec<u32> = (0..dims[mode] as u32).collect();
-                let listed = gen_row_list(&mut g, dims[mode]);
-                for rows in [None, Some(&listed)] {
-                    let mut coord = fixed.clone();
-                    coord.insert(mode, 0);
-                    let mut ranked: Vec<(u32, f64)> = rows
-                        .unwrap_or(&all)
-                        .iter()
-                        .map(|&i| {
-                            coord[mode] = i;
-                            (i, value(&coord))
-                        })
-                        .collect();
-                    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                    let n = ranked.len();
-                    for k in [0, 1, n.saturating_sub(1), n, n + 7] {
-                        let mut got = Vec::new();
-                        match rows {
-                            None => top_k(&model, mode, k, &fixed, &mut arena, &mut got),
-                            Some(rows) => {
-                                top_k_rows(&model, mode, k, &fixed, rows, &mut arena, &mut got)
-                            }
-                        }
-                        .unwrap();
-                        let listed = rows.is_some();
-                        assert_pairs_eq(
-                            &got,
-                            &ranked[..k.min(n)],
-                            &format!("{what}: top-{k} of mode {mode} (listed rows: {listed})"),
-                        );
-                    }
+                let mut coord = fixed.clone();
+                coord.insert(mode, 0);
+                let mut ranked: Vec<(u32, f64)> = (0..dims[mode] as u32)
+                    .map(|i| {
+                        coord[mode] = i;
+                        (i, value(&coord))
+                    })
+                    .collect();
+                ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                let n = ranked.len();
+                for k in [0, 1, n.saturating_sub(1), n, n + 7] {
+                    let mut got = Vec::new();
+                    top_k(&model, mode, k, &fixed, &mut arena, &mut got).unwrap();
+                    assert_pairs_eq(
+                        &got,
+                        &ranked[..k.min(n)],
+                        &format!("{what}: top-{k} of mode {mode}"),
+                    );
                 }
 
-                // -- slice: whole, then the blocks of listed mode-0 rows
+                // -- slice
                 let index = g.usize_in(0..dims[mode]) as u32;
                 let want = oracle_slice(&model, mode, index);
                 let mut got = vec![f64::NAN; slice_len(&model, mode).unwrap()];
                 slice_values(&model, mode, index, &mut arena, &mut got).unwrap();
                 assert_bits_eq(&got, &want, &format!("{what}: slice of mode {mode}"));
-                if mode > 0 {
-                    let rows = gen_row_list(&mut g, dims[0]);
-                    let block = want.len() / dims[0];
-                    let want: Vec<f64> = rows
-                        .iter()
-                        .flat_map(|&r| &want[r as usize * block..][..block])
-                        .copied()
-                        .collect();
-                    let mut got = vec![f64::NAN; want.len()];
-                    slice_values_rows(&model, mode, index, &rows, &mut arena, &mut got).unwrap();
-                    assert_bits_eq(&got, &want, &format!("{what}: slice rows of mode {mode}"));
-                }
             }
         }
     }
@@ -632,7 +592,7 @@ fn tcp_loopback_answers_match_oracle_and_errors_are_typed() {
 fn live_stats_reply_has_the_golden_key_set_in_every_section() {
     use splatt::probe::json::{parse, Value};
     let golden = parse(include_str!(
-        "../crates/splatt-probe/testdata/profile_v15.json"
+        "../crates/splatt-probe/testdata/profile_v16.json"
     ))
     .expect("golden parses");
     let handle = serve(demo_engine(), "127.0.0.1:0").expect("bind loopback");
@@ -859,142 +819,6 @@ fn open_connections_get_complete_frames_across_shutdown() {
         }
     }
     handle.join();
-}
-
-// ---- client retry: transient vs permanent classification ----
-
-#[test]
-fn transience_classification_matches_the_retry_contract() {
-    for code in [
-        WireError::Overloaded,
-        WireError::ShuttingDown,
-        WireError::Internal,
-        WireError::Cancelled,
-    ] {
-        assert_eq!(classify(code), Transience::Transient, "{code:?}");
-    }
-    for code in [
-        WireError::BadRequest,
-        WireError::ModelNotFound,
-        WireError::DeadlineExpired,
-        WireError::Degraded,
-    ] {
-        assert_eq!(classify(code), Transience::Permanent, "{code:?}");
-    }
-}
-
-#[test]
-fn call_with_retry_returns_permanent_errors_immediately() {
-    let engine = demo_engine();
-    let handle = serve(Arc::clone(&engine), "127.0.0.1:0").expect("bind loopback");
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    let policy = RetryPolicy {
-        max_attempts: 5,
-        base: Duration::from_millis(200),
-        cap: Duration::from_secs(1),
-    };
-    let deadline = Deadline::after(Duration::from_secs(5));
-    let started = std::time::Instant::now();
-    let resp = client
-        .call_with_retry(
-            &splatt::serve::protocol::Request {
-                deadline_ms: 0,
-                model: "nope".into(),
-                version: 0,
-                body: splatt::serve::protocol::RequestBody::Slice { mode: 0, index: 0 },
-            },
-            &policy,
-            &deadline,
-        )
-        .expect("transport is healthy");
-    match resp {
-        Response::Error(WireError::ModelNotFound, _) => {}
-        other => panic!("expected ModelNotFound, got {other:?}"),
-    }
-    assert!(
-        started.elapsed() < Duration::from_millis(150),
-        "permanent errors must not burn backoff budget"
-    );
-    handle.shutdown();
-}
-
-#[test]
-fn call_with_retry_backs_off_on_overload_then_surfaces_the_typed_error() {
-    // max_depth 0 sheds everything: every attempt comes back Overloaded,
-    // a transient error, so the client should retry with backoff and
-    // finally surface the typed error — not an untyped failure.
-    let engine = ServeEngine::start(ServeConfig {
-        max_depth: 0,
-        ..Default::default()
-    });
-    engine.publish(
-        "m",
-        KruskalModel {
-            lambda: vec![1.0],
-            factors: vec![Matrix::random(3, 1, 1), Matrix::random(3, 1, 2)],
-        },
-    );
-    let handle = serve(Arc::clone(&engine), "127.0.0.1:0").expect("bind loopback");
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        base: Duration::from_millis(10),
-        cap: Duration::from_millis(40),
-    };
-    let deadline = Deadline::after(Duration::from_secs(5));
-    let started = std::time::Instant::now();
-    let resp = client
-        .call_with_retry(
-            &splatt::serve::protocol::Request {
-                deadline_ms: 0,
-                model: "m".into(),
-                version: 0,
-                body: splatt::serve::protocol::RequestBody::Slice { mode: 1, index: 0 },
-            },
-            &policy,
-            &deadline,
-        )
-        .expect("transport is healthy");
-    match resp {
-        Response::Error(WireError::Overloaded, _) => {}
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-    // Two backoff sleeps happened between the three attempts: 10 + 20 ms.
-    assert!(
-        started.elapsed() >= Duration::from_millis(25),
-        "overloaded retries skipped their backoff ({:?})",
-        started.elapsed()
-    );
-    handle.shutdown();
-}
-
-#[test]
-fn call_with_retry_gives_up_cleanly_when_the_server_is_gone() {
-    let engine = demo_engine();
-    let handle = serve(Arc::clone(&engine), "127.0.0.1:0").expect("bind loopback");
-    let addr = handle.addr().to_string();
-    let mut client = Client::connect(&addr).expect("connect");
-    handle.shutdown(); // server fully gone; the port refuses connections
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        base: Duration::from_millis(5),
-        cap: Duration::from_millis(20),
-    };
-    let deadline = Deadline::after(Duration::from_secs(2));
-    let err = client
-        .call_with_retry(
-            &splatt::serve::protocol::Request {
-                deadline_ms: 0,
-                model: String::new(),
-                version: 0,
-                body: splatt::serve::protocol::RequestBody::List,
-            },
-            &policy,
-            &deadline,
-        )
-        .expect_err("no server to answer");
-    // A typed io error after bounded retries — never a hang.
-    let _ = err;
 }
 
 // ---- registry evict racing a query storm ----
