@@ -42,6 +42,7 @@ mod completion;
 mod cpals;
 pub mod csf;
 mod diagnostics;
+mod isa;
 mod kruskal;
 mod model_file;
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //!   drop all bounds checks; the C-reference configuration.
 
 use crate::csf::{Csf, CsfSet, KernelKind, DENSE_FIBER_NNZ};
+use crate::isa::{on_isa, Avx2};
 use splatt_dense::Matrix;
 use splatt_locks::{LockPool, LockStrategy, DEFAULT_POOL_SIZE};
 use splatt_par::{partition, TaskTeam, ThreadScratch};
@@ -1188,29 +1189,6 @@ fn run<A: Access>(
     }
 }
 
-mod isa {
-    /// Proof that this CPU reported AVX2: the field is private to this
-    /// module, so [`Avx2::detect`] is the only way to obtain one.
-    #[derive(Debug, Clone, Copy)]
-    pub(super) struct Avx2(());
-
-    impl Avx2 {
-        /// `Some` on an x86-64 CPU with AVX2 (std caches the `cpuid`
-        /// answer; this is a relaxed load). Run-time rather than
-        /// `target-cpu`/`RUSTFLAGS`, because a plain `cargo build
-        /// --release` — the end-to-end benchmark's, and any downstream
-        /// user's — targets baseline x86-64.
-        pub(super) fn detect() -> Option<Avx2> {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Some(Avx2(()));
-            }
-            None
-        }
-    }
-}
-use isa::Avx2;
-
 /// Process a contiguous range of root slices for one task on the walk
 /// compiled for `isa`. When `guard` is present, the task heartbeats and
 /// polls for cancellation once per [`GUARD_CHUNK`] slices on its lane and
@@ -1236,30 +1214,19 @@ fn task_slices<A: Access>(
     // the hints or a loop without them, never a loop that asks.
     let prefetch = A::PREFETCH && csf.nnz_per_fiber() < DENSE_FIBER_NNZ;
     macro_rules! call {
-        ($walk:ident, $prefetch:literal) => {
-            $walk::task_slices::<A, $prefetch>(csf, od, factors, rank, target, arena, slices, guard)
+        ($prefetch:literal) => {
+            on_isa!(
+                isa,
+                walk_avx2::task_slices::<A, $prefetch>,
+                walk_portable::task_slices::<A, $prefetch>,
+                (csf, od, factors, rank, target, arena, slices, guard)
+            )
         };
     }
-    #[cfg(target_arch = "x86_64")]
-    if isa.is_some() {
-        // SAFETY: an `Avx2` value exists only after
-        // `is_x86_feature_detected!("avx2")` returned true on this CPU
-        // (`isa::Avx2::detect` is its sole constructor), which is the
-        // one requirement of calling a `target_feature(enable = "avx2")`
-        // function.
-        return unsafe {
-            if prefetch {
-                call!(walk_avx2, true)
-            } else {
-                call!(walk_avx2, false)
-            }
-        };
-    }
-    let _ = isa;
     if prefetch {
-        call!(walk_portable, true)
+        call!(true)
     } else {
-        call!(walk_portable, false)
+        call!(false)
     }
 }
 

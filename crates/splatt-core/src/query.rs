@@ -33,11 +33,35 @@
 //!   order. Folding them into one weight vector (the GEMV form
 //!   `F_s · (λ ∘ a ∘ b)`) would reassociate and move low bits.
 //!
-//! The core takes factor rows once as slices and scores four cells per
-//! step with four independent accumulators. Each cell's `Σ_r` still runs
-//! in rank order — the four serial chains are interleaved, not
-//! reassociated — so the additions of one cell overlap the others'.
-//! Both scan entry points ([`top_k`] and [`slice_values`]) go through it.
+//! Both scan entry points ([`top_k`] and [`slice_values`]) go through
+//! the core, and it scores several cells at once, each cell's `Σ_r` still
+//! in rank order — the serial chains are interleaved, not reassociated —
+//! so the additions of one cell overlap the others'. Its cells come from
+//! one of two sources:
+//!
+//! * **Lane panels.** A [`LanePanel`] holds a factor's rows in blocks of
+//!   [`LANES`], rank-major, so the scanned entries of a block's cells for
+//!   one rank term are `LANES` contiguous doubles: one vector load, and
+//!   every lane runs exactly the per-cell chain above. The panel forms
+//!   ([`top_k_with_panels`], [`slice_values_with_panels`]) take a
+//!   model's [`LanePanels`], which lay out a mode's panel the first time a
+//!   scan over that mode asks for it — never for a mode that is only
+//!   fixed, never ahead of use — so the memory is at most one copy of each
+//!   scanned factor. The serving registry keeps one per model version.
+//! * **Factor rows.** Four rows per step, their `r`-th entries gathered
+//!   one by one. It serves the `rows % LANES` rows after a panel's last
+//!   full block, and every scan of a caller holding only a
+//!   `&KruskalModel` ([`top_k`], [`slice_values`]). An order-1 slice has
+//!   no scan: its one cell is `kruskal_value` itself.
+//!
+//! `LANES` is 16, set by a sweep of top-k scoring over a 16 384 × 16
+//! factor (8 / 16 / 32 lanes: about 66 / 59 / 56 µs with AVX2; 16 is as
+//! fast on that scan and faster on the short scans of a slice). The core
+//! is compiled twice, portable and with AVX2, picked per call from
+//! `cpuid` exactly as the MTTKRP walk is; no FMA in either, so the two
+//! copies are bit-identical. On that factor a scan over the panel costs
+//! about half of one over rows; the panel's layout, once per version and
+//! mode, about 0.3 ms.
 //!
 //! One caveat is IEEE 754's, not this module's. When two NaNs with
 //! *different* bit patterns meet in one multiply or add, the standard
@@ -54,9 +78,12 @@
 //! kernel-scratch counters and to the arena's own monotonic counters,
 //! which the serving stats surface for allocation-free certification.
 
+use crate::isa::{on_isa, Avx2};
 use crate::kruskal::KruskalModel;
 use crate::reference::kruskal_value;
 use splatt_dense::Matrix;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Why a query cannot be answered against a given model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,10 +227,106 @@ pub fn entry_values(
     Ok(())
 }
 
-/// `W` cells of a scan, their `Σ_r` chains interleaved: cell `c` reads the
-/// scanned factor's row `rows[c]`, and per rank term the multiplications
-/// run in `kruskal_value`'s order — `prefix` (when `PRE`), the scanned
-/// entry, `tail`'s modes, `λ_r` last.
+/// Rows per block of a [`LanePanel`]: the cells one panel step scores.
+/// Set by a sweep of top-k scoring over the bench's 16 384 × 16 factor
+/// (see the module docs).
+pub const LANES: usize = 16;
+
+/// One factor's rows in blocks of [`LANES`], each block rank-major: entry
+/// `r` of the block's `LANES` rows is `LANES` contiguous doubles. Only full
+/// blocks are laid out; the `rows % LANES` rows after them are read from
+/// the factor itself.
+#[derive(Debug)]
+pub struct LanePanel {
+    rank: usize,
+    blocks: usize,
+    data: Vec<f64>,
+}
+
+impl LanePanel {
+    fn build(factor: &Matrix) -> LanePanel {
+        let (rank, blocks) = (factor.cols(), factor.rows() / LANES);
+        let mut data = Vec::with_capacity(blocks * rank * LANES);
+        for rows in factor.as_slice().chunks_exact(rank.max(1) * LANES) {
+            for r in 0..rank {
+                data.extend(rows.chunks_exact(rank).map(|row| row[r]));
+            }
+        }
+        LanePanel { rank, blocks, data }
+    }
+
+    /// Whether this is the layout of `factor` (by shape).
+    fn fits(&self, factor: &Matrix) -> bool {
+        (self.rank, self.blocks) == (factor.cols(), factor.rows() / LANES)
+    }
+
+    /// The full blocks, `rank * LANES` entries each.
+    fn blocks(&self) -> impl Iterator<Item = &[f64]> {
+        let width = self.rank * LANES;
+        (0..self.blocks).map(move |b| &self.data[b * width..(b + 1) * width])
+    }
+
+    /// Heap bytes of the layout.
+    pub fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// The lane panels of one model, one slot per mode, each laid out the
+/// first time a scan over that mode asks for it (and never again): a mode
+/// that is only ever fixed, or a model that only answers entries, holds
+/// none. At most one copy of each scanned factor.
+#[derive(Debug)]
+pub struct LanePanels {
+    modes: Vec<OnceLock<LanePanel>>,
+    builds: AtomicUsize,
+}
+
+impl LanePanels {
+    /// Empty slots for an order-`order` model; lays out nothing.
+    pub fn new(order: usize) -> Self {
+        LanePanels {
+            modes: (0..order).map(|_| OnceLock::new()).collect(),
+            builds: AtomicUsize::new(0),
+        }
+    }
+
+    /// Mode `mode`'s panel, if a scan has laid it out.
+    pub fn built(&self, mode: usize) -> Option<&LanePanel> {
+        self.modes.get(mode)?.get()
+    }
+
+    /// How many panels have been laid out (monotonic; at most the order).
+    pub fn builds(&self) -> usize {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// Mode `mode`'s panel of `model`, laid out on first need. Concurrent
+    /// first callers wait for one layout.
+    ///
+    /// # Panics
+    /// Panics if these slots were made for a model of another order, or
+    /// the panel for another shape of factor.
+    fn panel(&self, model: &KruskalModel, mode: usize) -> &LanePanel {
+        assert_eq!(
+            self.modes.len(),
+            model.order(),
+            "lane panels of another model"
+        );
+        let factor = &model.factors[mode];
+        let panel = self.modes[mode].get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            LanePanel::build(factor)
+        });
+        assert!(panel.fits(factor), "lane panels of another model");
+        panel
+    }
+}
+
+/// `W` cells of a scan read from factor rows, their `Σ_r` chains
+/// interleaved: cell `c` reads row `rows[c]`, and per rank term the
+/// multiplications run in `kruskal_value`'s order — `prefix` (when `PRE`),
+/// the scanned entry, `tail`'s modes, `λ_r` last.
 #[inline(always)]
 fn score_cells<const W: usize, const PRE: bool>(
     lambda: &[f64],
@@ -222,22 +345,48 @@ fn score_cells<const W: usize, const PRE: bool>(
     acc
 }
 
+/// The [`LANES`] cells of one panel block: the chain of [`score_cells`]
+/// on every lane, each rank term's scanned entries one contiguous load.
+#[inline(always)]
+fn score_lanes<const PRE: bool>(
+    lambda: &[f64],
+    prefix: &[f64],
+    block: &[f64],
+    tail: &impl Fn(usize, f64) -> f64,
+) -> [f64; LANES] {
+    let mut acc = [std::iter::empty::<f64>().sum::<f64>(); LANES];
+    for (r, (&weight, column)) in lambda.iter().zip(block.chunks_exact(LANES)).enumerate() {
+        for (acc, &x) in acc.iter_mut().zip(column) {
+            let head = if PRE { prefix[r] * x } else { x };
+            *acc += weight * tail(r, head);
+        }
+    }
+    acc
+}
+
 /// The scoring loop of [`scan`] for one compile-time shape of the
-/// product: four cells per step, then the 0..=3 left over one at a time.
+/// product: the panel's full blocks when there is a panel, then four
+/// rows per step from the factor, then the 0..=3 left over one at a time.
 #[inline(always)]
 fn score_rows<const PRE: bool>(
     lambda: &[f64],
     prefix: &[f64],
     factor: &Matrix,
-    rows: Option<&[u32]>,
+    panel: Option<&LanePanel>,
     tail: impl Fn(usize, f64) -> f64,
     out: &mut [f64],
 ) {
     let rank = lambda.len();
     let prefix = if PRE { &prefix[..rank] } else { prefix };
-    let row = |j: usize| &factor.row(rows.map_or(j, |rows| rows[j] as usize))[..rank];
-    let mut quads = out.chunks_exact_mut(4);
     let mut j = 0;
+    if let Some(panel) = panel {
+        for (cells, block) in out.chunks_exact_mut(LANES).zip(panel.blocks()) {
+            cells.copy_from_slice(&score_lanes::<PRE>(lambda, prefix, block, &tail));
+        }
+        j = panel.blocks * LANES;
+    }
+    let row = |j: usize| &factor.row(j)[..rank];
+    let mut quads = out[j..].chunks_exact_mut(4);
     for quad in &mut quads {
         let rows = [row(j), row(j + 1), row(j + 2), row(j + 3)];
         quad.copy_from_slice(&score_cells::<4, PRE>(lambda, prefix, rows, &tail));
@@ -252,12 +401,13 @@ fn score_rows<const PRE: bool>(
 /// The modes after the scanned one, applied per cell in mode order. Up to
 /// two are compiled in with their rows taken once; a longer tail (order
 /// five and up) loops over the modes per element.
+#[inline(always)]
 fn score_tail<const PRE: bool>(
     model: &KruskalModel,
+    panel: Option<&LanePanel>,
     coord: &[u32],
     mode: usize,
     prefix: &[f64],
-    rows: Option<&[u32]>,
     out: &mut [f64],
 ) {
     let (lambda, factor) = (&model.lambda[..], &model.factors[mode]);
@@ -266,14 +416,14 @@ fn score_tail<const PRE: bool>(
     let at = &coord[mode + 1..];
     let fixed_row = |j: usize| &after[j].row(at[j] as usize)[..rank];
     match after.len() {
-        0 => score_rows::<PRE>(lambda, prefix, factor, rows, |_, p| p, out),
+        0 => score_rows::<PRE>(lambda, prefix, factor, panel, |_, p| p, out),
         1 => {
             let a = fixed_row(0);
-            score_rows::<PRE>(lambda, prefix, factor, rows, |r, p| p * a[r], out);
+            score_rows::<PRE>(lambda, prefix, factor, panel, |r, p| p * a[r], out);
         }
         2 => {
             let (a, b) = (fixed_row(0), fixed_row(1));
-            score_rows::<PRE>(lambda, prefix, factor, rows, |r, p| p * a[r] * b[r], out);
+            score_rows::<PRE>(lambda, prefix, factor, panel, |r, p| p * a[r] * b[r], out);
         }
         _ => {
             let tail = |r: usize, p: f64| {
@@ -282,28 +432,29 @@ fn score_tail<const PRE: bool>(
                     .zip(at)
                     .fold(p, |p, (f, &i)| p * f.row(i as usize)[r])
             };
-            score_rows::<PRE>(lambda, prefix, factor, rows, tail, out);
+            score_rows::<PRE>(lambda, prefix, factor, panel, tail, out);
         }
     }
 }
 
 /// The scoring core every scan entry point shares: `out[j]` is the
-/// model's value with mode `mode` at row `rows[j]` (row `j` when `rows` is
-/// `None`) and every other mode at its `coord` entry, bit-identical to
-/// `kruskal_value` there. See the module docs for what is hoisted: the
-/// product over the modes before `mode` goes to `prefix` once, everything
-/// else stays in the per-cell chain.
-fn scan(
+/// model's value with mode `mode` at row `j` and every other mode at its
+/// `coord` entry, bit-identical to `kruskal_value` there. See the module
+/// docs for what is hoisted: the product over the modes before `mode`
+/// goes to `prefix` once, everything else stays in the per-cell chain.
+/// `panel`, when given, is mode `mode`'s.
+#[inline(always)]
+fn scan_core(
     model: &KruskalModel,
+    panel: Option<&LanePanel>,
     coord: &[u32],
     mode: usize,
     prefix: &mut [f64],
-    rows: Option<&[u32]>,
     out: &mut [f64],
 ) {
     let rank = model.lambda.len();
     if mode == 0 {
-        return score_tail::<false>(model, coord, mode, prefix, rows, out);
+        return score_tail::<false>(model, panel, coord, mode, prefix, out);
     }
     prefix.copy_from_slice(&model.factors[0].row(coord[0] as usize)[..rank]);
     for (f, &i) in model.factors[1..mode].iter().zip(&coord[1..mode]) {
@@ -311,7 +462,49 @@ fn scan(
             *p *= x;
         }
     }
-    score_tail::<true>(model, coord, mode, prefix, rows, out);
+    score_tail::<true>(model, panel, coord, mode, prefix, out);
+}
+
+fn scan_portable(
+    model: &KruskalModel,
+    panel: Option<&LanePanel>,
+    coord: &[u32],
+    mode: usize,
+    prefix: &mut [f64],
+    out: &mut [f64],
+) {
+    scan_core(model, panel, coord, mode, prefix, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scan_avx2(
+    model: &KruskalModel,
+    panel: Option<&LanePanel>,
+    coord: &[u32],
+    mode: usize,
+    prefix: &mut [f64],
+    out: &mut [f64],
+) {
+    scan_core(model, panel, coord, mode, prefix, out);
+}
+
+/// [`scan_core`] on the copy compiled for `isa` (`None` = portable).
+fn scan(
+    isa: Option<Avx2>,
+    model: &KruskalModel,
+    panel: Option<&LanePanel>,
+    coord: &[u32],
+    mode: usize,
+    prefix: &mut [f64],
+    out: &mut [f64],
+) {
+    on_isa!(
+        isa,
+        scan_avx2,
+        scan_portable,
+        (model, panel, coord, mode, prefix, out)
+    )
 }
 
 /// Number of entries in the dense slice obtained by fixing `mode`.
@@ -329,20 +522,20 @@ pub fn slice_len(model: &KruskalModel, mode: usize) -> Result<usize, QueryError>
         .product())
 }
 
-/// The part of a slice (fixing `fixed`) in which the modes below `lo`
-/// keep their `coord` entries: the free modes from `lo` up walk row-major,
-/// last fastest — one [`scan`] of the last free mode per tick of the
-/// odometer over the ones before it. The caller guarantees a free mode at
-/// or above `lo`.
+/// A slice fixing `fixed` (with `coord[fixed]` set), for a model with a
+/// free mode: the free modes walk row-major, last fastest — one [`scan`]
+/// of the last free mode per tick of the odometer over the ones before
+/// it.
 fn slice_runs(
+    isa: Option<Avx2>,
     model: &KruskalModel,
+    panels: Option<&LanePanels>,
     fixed: usize,
-    lo: usize,
     coord: &mut [u32],
     prefix: &mut [f64],
     out: &mut [f64],
 ) {
-    let scanned = (lo..model.order())
+    let scanned = (0..model.order())
         .rev()
         .find(|&m| m != fixed)
         .expect("a slice run needs a free mode");
@@ -350,13 +543,14 @@ fn slice_runs(
     if run == 0 {
         return;
     }
+    let panel = panels.map(|p| p.panel(model, scanned));
     let outer = |m: &usize| *m != fixed;
-    for m in (lo..scanned).filter(outer) {
+    for m in (0..scanned).filter(outer) {
         coord[m] = 0;
     }
     for chunk in out.chunks_exact_mut(run) {
-        scan(model, coord, scanned, prefix, None, chunk);
-        for m in (lo..scanned).rev().filter(outer) {
+        scan(isa, model, panel, coord, scanned, prefix, chunk);
+        for m in (0..scanned).rev().filter(outer) {
             coord[m] += 1;
             if (coord[m] as usize) < model.factors[m].rows() {
                 break;
@@ -373,7 +567,8 @@ fn slice_runs(
 /// The last free mode is scanned by the shared scoring core with the
 /// product over every mode before it hoisted per run, so a slice costs
 /// about three flops per value and rank term instead of a full
-/// `kruskal_value` each.
+/// `kruskal_value` each. This form reads the scanned factor's rows;
+/// [`slice_values_with_panels`] reads its lane panel.
 ///
 /// # Errors
 /// Rejects out-of-range `mode`/`index`.
@@ -382,6 +577,39 @@ fn slice_runs(
 /// Panics if `out.len() != slice_len(model, mode)`.
 pub fn slice_values(
     model: &KruskalModel,
+    mode: usize,
+    index: u32,
+    arena: &mut QueryArena,
+    out: &mut [f64],
+) -> Result<(), QueryError> {
+    slice_on(Avx2::detect(), model, None, mode, index, arena, out)
+}
+
+/// [`slice_values`] with the scanned mode's entries read from `panels`
+/// (laid out on first use): the same values, to the bit.
+///
+/// # Errors
+/// As [`slice_values`].
+///
+/// # Panics
+/// As [`slice_values`]. `panels` must be the ones made for `model`:
+/// panels of a model of another shape panic; of another model of the
+/// same shape, they are read as if they were this one's.
+pub fn slice_values_with_panels(
+    model: &KruskalModel,
+    panels: &LanePanels,
+    mode: usize,
+    index: u32,
+    arena: &mut QueryArena,
+    out: &mut [f64],
+) -> Result<(), QueryError> {
+    slice_on(Avx2::detect(), model, Some(panels), mode, index, arena, out)
+}
+
+fn slice_on(
+    isa: Option<Avx2>,
+    model: &KruskalModel,
+    panels: Option<&LanePanels>,
     mode: usize,
     index: u32,
     arena: &mut QueryArena,
@@ -399,9 +627,9 @@ pub fn slice_values(
     coord[mode] = index;
     if order == 1 {
         // No free mode: the slice is the one cell at the fixed row.
-        scan(model, coord, 0, prefix, Some(&[index]), out);
+        out[0] = kruskal_value(&model.lambda, &model.factors, coord);
     } else {
-        slice_runs(model, mode, 0, coord, prefix, out);
+        slice_runs(isa, model, panels, mode, coord, prefix, out);
     }
     Ok(())
 }
@@ -452,12 +680,58 @@ fn select_best(
 /// shared core of the module docs); choosing the `k` best of `dim` is
 /// O(dim + k log k) in the worst case — a bounded candidate buffer, not a
 /// sort of all `dim` — and on unordered scores close to one comparison
-/// per row.
+/// per row. This form reads the factor's rows; [`top_k_with_panels`]
+/// reads its lane panel.
 ///
 /// # Errors
 /// Rejects out-of-range `mode` and malformed or out-of-range `fixed`.
 pub fn top_k(
     model: &KruskalModel,
+    mode: usize,
+    k: usize,
+    fixed: &[u32],
+    arena: &mut QueryArena,
+    out: &mut Vec<(u32, f64)>,
+) -> Result<(), QueryError> {
+    top_k_on(Avx2::detect(), model, None, mode, k, fixed, arena, out)
+}
+
+/// [`top_k`] with mode `mode`'s entries read from `panels` (laid out on
+/// first use): the same answer, to the bit.
+///
+/// # Errors
+/// As [`top_k`].
+///
+/// # Panics
+/// `panels` must be the ones made for `model`: panels of a model of
+/// another shape panic; of another model of the same shape, they are
+/// read as if they were this one's.
+pub fn top_k_with_panels(
+    model: &KruskalModel,
+    panels: &LanePanels,
+    mode: usize,
+    k: usize,
+    fixed: &[u32],
+    arena: &mut QueryArena,
+    out: &mut Vec<(u32, f64)>,
+) -> Result<(), QueryError> {
+    top_k_on(
+        Avx2::detect(),
+        model,
+        Some(panels),
+        mode,
+        k,
+        fixed,
+        arena,
+        out,
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn top_k_on(
+    isa: Option<Avx2>,
+    model: &KruskalModel,
+    panels: Option<&LanePanels>,
     mode: usize,
     k: usize,
     fixed: &[u32],
@@ -496,8 +770,17 @@ pub fn top_k(
     if take == 0 {
         return Ok(());
     }
+    let panel = panels.map(|p| p.panel(model, mode));
     let (scores, ranked) = (&mut arena.scores[..n], &mut arena.ranked[..candidates]);
-    scan(model, coord, mode, &mut arena.prefix[..rank], None, scores);
+    scan(
+        isa,
+        model,
+        panel,
+        coord,
+        mode,
+        &mut arena.prefix[..rank],
+        scores,
+    );
     // `total_cmp` descending, then ascending index: a total order on
     // (score, index) pairs — deterministic even for the NaN scores of a
     // degenerate model — so which `k` come first, and in what order, does
@@ -650,6 +933,118 @@ mod tests {
         let mut ranked = Vec::new();
         top_k(&m, 0, 2, &[1], &mut arena, &mut ranked).unwrap();
         assert_eq!(ranked, vec![(0, 0.0), (1, 0.0)]);
+    }
+
+    /// A factor of `Matrix::random` entries with ±0, ±∞ and the NaN of
+    /// `∞ − ∞` sprinkled over every fifth row.
+    fn edgy_factor(rows: usize, rank: usize, seed: u64) -> Matrix {
+        let nan = std::hint::black_box(f64::INFINITY) - std::hint::black_box(f64::INFINITY);
+        let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, nan];
+        let mut m = Matrix::random(rows, rank, seed);
+        for i in (0..rows).step_by(5) {
+            for r in (0..rank).filter(|r| (i + r) % 7 == 0) {
+                m.row_mut(i)[r] = special[(i / 5 + r) % special.len()];
+            }
+        }
+        m
+    }
+
+    /// Every scan of `model` — each mode's full top-k and a slice fixing
+    /// each mode — through the copy for `isa`, from rows or from panels.
+    fn every_scan(
+        isa: Option<Avx2>,
+        model: &KruskalModel,
+        panels: Option<&LanePanels>,
+    ) -> Vec<u64> {
+        let mut arena = QueryArena::new();
+        let mut bits = Vec::new();
+        for mode in 0..model.order() {
+            let n = model.factors[mode].rows();
+            let fixed: Vec<u32> = (0..model.order())
+                .filter(|&m| m != mode)
+                .map(|m| (model.factors[m].rows() / 2) as u32)
+                .collect();
+            let mut ranked = Vec::new();
+            top_k_on(isa, model, panels, mode, n, &fixed, &mut arena, &mut ranked).unwrap();
+            bits.extend(
+                ranked
+                    .iter()
+                    .flat_map(|&(i, v)| [u64::from(i), v.to_bits()]),
+            );
+            let mut slice = vec![0.0; slice_len(model, mode).unwrap()];
+            let index = (n / 2) as u32;
+            slice_on(isa, model, panels, mode, index, &mut arena, &mut slice).unwrap();
+            bits.extend(slice.iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    /// The two compiled copies of the scan core, each reading rows and
+    /// reading lane panels, agree to the last bit: orders 1-5, ranks on
+    /// both sides of the vector widths, a long dimension on both sides of
+    /// `LANES` in each mode in turn (so panels are read under every tail
+    /// length). Debug builds do not vectorize, so CI also runs this in
+    /// `--release`.
+    #[test]
+    fn portable_and_avx2_scans_are_bit_identical() {
+        let Some(avx2) = Avx2::detect() else {
+            println!("skipped: no avx2");
+            return;
+        };
+        println!("isa: avx2");
+        let mut seed = 70;
+        for order in 1..=5usize {
+            for rank in [0, 1, 3, 4, 5, 15, 16, 17, 35] {
+                let longs = [LANES - 1, LANES, LANES + 1, 2 * LANES + 3, 130];
+                for (long_mode, long) in (0..order).flat_map(|m| longs.map(|l| (m, l))) {
+                    let dims: Vec<usize> = (0..order)
+                        .map(|m| if m == long_mode { long } else { 2 + m % 3 })
+                        .collect();
+                    seed += 1;
+                    let weights = Matrix::random(1, rank, seed);
+                    let model = KruskalModel {
+                        lambda: weights.as_slice().iter().map(|w| 2.0 * w - 0.5).collect(),
+                        factors: dims
+                            .iter()
+                            .map(|&d| {
+                                seed += 1;
+                                edgy_factor(d, rank, seed)
+                            })
+                            .collect(),
+                    };
+                    let want = every_scan(None, &model, None);
+                    for (isa, paneled) in [(None, true), (Some(avx2), false), (Some(avx2), true)] {
+                        let panels = LanePanels::new(order);
+                        let got = every_scan(isa, &model, paneled.then_some(&panels));
+                        assert!(
+                            got == want,
+                            "order {order} rank {rank} dims {dims:?}: avx2 {} panels {paneled}",
+                            isa.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_lay_out_full_blocks_rank_major() {
+        let rows = 2 * LANES + 3;
+        let factor = Matrix::random(rows, 3, 5);
+        let panel = LanePanel::build(&factor);
+        assert_eq!(
+            panel.bytes(),
+            2 * LANES * 3 * 8,
+            "leftover rows are not laid out"
+        );
+        for (b, block) in panel.blocks().enumerate() {
+            for r in 0..3 {
+                for l in 0..LANES {
+                    assert_eq!(block[r * LANES + l], factor.row(b * LANES + l)[r]);
+                }
+            }
+        }
+        assert_eq!(panel.blocks().count(), 2);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!    taken from the engine's free list (made on first need, put back
 //!    after): the steady-state hot path is allocation-free after
 //!    warm-up, and there are never more arenas than concurrent callers.
+//!    A scan reads its model version's lane panel of the scanned mode,
+//!    laid out by the first scan over that mode (not at publish).
 //! 6. The result enters the cache unless its model version was evicted
 //!    meanwhile.
 //! 7. A result that finished after its deadline is reported as
@@ -340,7 +342,7 @@ impl ServeEngine {
     fn compute(&self, model: &ServableModel, query: &Query) -> Result<QueryResult, ServeError> {
         let mut arena = self.arenas.lock().pop().unwrap_or_default();
         let (allocs, bytes) = (arena.growth_allocs(), arena.growth_bytes());
-        let result = run_one(&model.model, query, &mut arena);
+        let result = run_one(model, query, &mut arena);
         self.stats
             .add_arena_growth(arena.growth_allocs() - allocs, arena.growth_bytes() - bytes);
         self.arenas.lock().push(arena);
@@ -438,24 +440,28 @@ fn entry_values(model: &KruskalModel, coords: &[u32]) -> Result<QueryResult, Ser
     Ok(QueryResult::Entries(out))
 }
 
-/// Execute one query against its model.
+/// Execute one query against its model version; scans read (and on
+/// first need lay out) the version's lane panels.
 fn run_one(
-    model: &KruskalModel,
+    servable: &ServableModel,
     query: &Query,
     arena: &mut QueryArena,
 ) -> Result<QueryResult, ServeError> {
+    let (model, panels) = (&servable.model, servable.panels());
     let to_bad = |e: query::QueryError| ServeError::BadQuery(e.to_string());
     match query {
         Query::Entry { coords } => entry_values(model, coords),
         Query::Slice { mode, index } => {
             let len = query::slice_len(model, *mode as usize).map_err(to_bad)?;
             let mut out = vec![0.0; len];
-            query::slice_values(model, *mode as usize, *index, arena, &mut out).map_err(to_bad)?;
+            query::slice_values_with_panels(model, panels, *mode as usize, *index, arena, &mut out)
+                .map_err(to_bad)?;
             Ok(QueryResult::Slice(Arc::new(out)))
         }
         Query::TopK { mode, k, fixed } => {
             let mut out = Vec::new();
-            query::top_k(model, *mode as usize, *k as usize, fixed, arena, &mut out)
+            let (mode, k) = (*mode as usize, *k as usize);
+            query::top_k_with_panels(model, panels, mode, k, fixed, arena, &mut out)
                 .map_err(to_bad)?;
             Ok(QueryResult::TopK(Arc::new(out)))
         }

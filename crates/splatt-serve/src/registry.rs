@@ -5,7 +5,13 @@
 //! queries keep their `Arc` pin on whichever version they resolved, so
 //! eviction is safe at any time. Versions start at 1; version 0 in the
 //! query API means "latest".
+//!
+//! Each version also carries the lane panels its scans read
+//! ([`splatt_core::query::LanePanels`]): empty at publish, each mode's
+//! laid out by the first scan over that mode, dropped with the version's
+//! last `Arc`.
 
+use splatt_core::query::LanePanels;
 use splatt_core::KruskalModel;
 use splatt_rt::sync::Mutex;
 use std::collections::HashMap;
@@ -20,6 +26,14 @@ pub struct ServableModel {
     pub version: u64,
     /// The Kruskal payload queries are answered from.
     pub model: KruskalModel,
+    panels: LanePanels,
+}
+
+impl ServableModel {
+    /// The lane panels of `model` its scans have laid out so far.
+    pub fn panels(&self) -> &LanePanels {
+        &self.panels
+    }
 }
 
 /// Summary row for registry listings (and the wire `List` response).
@@ -62,6 +76,7 @@ impl ModelRegistry {
         versions.push(Arc::new(ServableModel {
             name: name.to_string(),
             version,
+            panels: LanePanels::new(model.order()),
             model,
         }));
         version

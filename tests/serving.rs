@@ -7,7 +7,9 @@
 
 use splatt::rt::qc::{self, Gen};
 use splatt::serve::protocol::{Response, WireError};
-use splatt::serve::{serve, Client, Query, QueryResult, ServeConfig, ServeEngine, ServeError};
+use splatt::serve::{
+    serve, Client, Query, QueryResult, ServableModel, ServeConfig, ServeEngine, ServeError,
+};
 use splatt::{CancelToken, KruskalModel, Matrix};
 use std::sync::Arc;
 use std::time::Duration;
@@ -243,15 +245,19 @@ fn assert_pairs_eq(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) {
 
 #[test]
 fn scan_kernels_match_the_per_cell_oracle_bit_for_bit() {
-    use splatt::core::query::{slice_len, slice_values, top_k, QueryArena};
+    use splatt::core::query::{
+        slice_len, slice_values, slice_values_with_panels, top_k, top_k_with_panels, LanePanels,
+        QueryArena, LANES,
+    };
     use splatt::core::reference::kruskal_value;
 
     const RANKS: [usize; 9] = [0, 1, 3, 4, 5, 15, 16, 17, 35];
     // Dimensions on both sides of the four-cell block. Every mode gets a
-    // small one except one per case, which gets a long one, so a whole
-    // slice stays a few thousand cells.
+    // small one except one per case, which gets a long one — each in
+    // turn, among them the edges of a lane-panel block — so a whole slice
+    // stays a few thousand cells.
     const SHORT: [usize; 4] = [1, 3, 4, 5];
-    const LONG: [usize; 3] = [5, 9, 130];
+    const LONG: [usize; 7] = [5, 9, 130, LANES - 1, LANES, LANES + 1, 2 * LANES + 3];
 
     let mut g = Gen::from_seed(0x5ca9_0018);
     // One arena for the whole sweep: every call inherits the previous
@@ -259,13 +265,13 @@ fn scan_kernels_match_the_per_cell_oracle_bit_for_bit() {
     let mut arena = QueryArena::new();
     let mut case = 0usize;
     for order in 1..=5usize {
-        for rank in RANKS {
+        for (rank, long) in RANKS.into_iter().flat_map(|r| LONG.map(|l| (r, l))) {
             case += 1;
             let long_mode = case % order;
             let dims: Vec<usize> = (0..order)
                 .map(|m| {
                     if m == long_mode {
-                        LONG[case % LONG.len()]
+                        long
                     } else {
                         SHORT[(case + m) % SHORT.len()]
                     }
@@ -282,6 +288,8 @@ fn scan_kernels_match_the_per_cell_oracle_bit_for_bit() {
                     .map(|&d| gen_edgy_factor(&mut g, d, rank))
                     .collect(),
             };
+            // Each model's own panels, laid out by its first scans below.
+            let panels = LanePanels::new(order);
             let value = |coord: &[u32]| kruskal_value(&model.lambda, &model.factors, coord);
             let what = format!("order {order} rank {rank} dims {dims:?}");
 
@@ -309,6 +317,14 @@ fn scan_kernels_match_the_per_cell_oracle_bit_for_bit() {
                         &ranked[..k.min(n)],
                         &format!("{what}: top-{k} of mode {mode}"),
                     );
+                    got.clear();
+                    top_k_with_panels(&model, &panels, mode, k, &fixed, &mut arena, &mut got)
+                        .unwrap();
+                    assert_pairs_eq(
+                        &got,
+                        &ranked[..k.min(n)],
+                        &format!("{what}: top-{k} of mode {mode} over panels"),
+                    );
                 }
 
                 // -- slice
@@ -317,10 +333,21 @@ fn scan_kernels_match_the_per_cell_oracle_bit_for_bit() {
                 let mut got = vec![f64::NAN; slice_len(&model, mode).unwrap()];
                 slice_values(&model, mode, index, &mut arena, &mut got).unwrap();
                 assert_bits_eq(&got, &want, &format!("{what}: slice of mode {mode}"));
+                got.fill(f64::NAN);
+                slice_values_with_panels(&model, &panels, mode, index, &mut arena, &mut got)
+                    .unwrap();
+                assert_bits_eq(
+                    &got,
+                    &want,
+                    &format!("{what}: slice of mode {mode} over panels"),
+                );
             }
         }
     }
 }
+
+/// Held by the timing tests, so that one does not time the other's load.
+static TIMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The blocked scan plus bounded selection against what they replaced —
 /// one `kruskal_value` per row and a sort of every row — as a ratio on
@@ -331,6 +358,9 @@ fn top_k_beats_the_per_cell_full_sort_oracle_threefold() {
     if cfg!(debug_assertions) {
         return;
     }
+    let _timing = TIMING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     use splatt::core::query::{top_k, QueryArena};
     let model = KruskalModel {
         lambda: (0..16).map(|r| 0.5 + r as f64 * 0.1).collect(),
@@ -363,6 +393,48 @@ fn top_k_beats_the_per_cell_full_sort_oracle_threefold() {
     assert!(
         ratio >= 3.0,
         "top_k ({kernel:?}) must be at least 3x the per-cell oracle ({oracle:?}), got {ratio:.2}x"
+    );
+}
+
+/// Scoring through lane panels against scoring through factor rows: one
+/// scan of a 16 384 × 16 factor (a slice of an order-2 model, so no
+/// selection is timed), same answer to the bit, as a ratio on the same
+/// box, same run. Release only.
+#[test]
+fn scans_over_lane_panels_beat_scans_over_rows() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _timing = TIMING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    use splatt::core::query::{slice_values, slice_values_with_panels, LanePanels, QueryArena};
+    let model = KruskalModel {
+        lambda: (0..16).map(|r| 0.5 + r as f64 * 0.1).collect(),
+        factors: vec![Matrix::random(16_384, 16, 1), Matrix::random(8, 16, 2)],
+    };
+    let panels = LanePanels::new(2);
+    let mut arena = QueryArena::new();
+    let (mut want, mut got) = (vec![0.0; 16_384], vec![0.0; 16_384]);
+    // The two forms alternate, so a burst of load elsewhere on the box
+    // lands on both; the quietest of each is compared.
+    let (mut rows, mut lanes) = (Duration::MAX, Duration::MAX);
+    for _ in 0..31 {
+        let started = std::time::Instant::now();
+        slice_values(&model, 1, 3, &mut arena, &mut want).unwrap();
+        rows = rows.min(std::hint::black_box(started.elapsed()));
+        let started = std::time::Instant::now();
+        // the first repetition lays the panel out
+        slice_values_with_panels(&model, &panels, 1, 3, &mut arena, &mut got).unwrap();
+        lanes = lanes.min(std::hint::black_box(started.elapsed()));
+    }
+    assert_bits_eq(&got, &want, "scan of 16384 over panels");
+    let ratio = rows.as_secs_f64() / lanes.as_secs_f64();
+    println!("scan over rows {rows:?}, over lane panels {lanes:?}, ratio {ratio:.2}");
+    assert!(
+        ratio >= 1.4,
+        "a scan over lane panels ({lanes:?}) must be at least 1.4x one over rows ({rows:?}), \
+         got {ratio:.2}x"
     );
 }
 
@@ -725,15 +797,16 @@ fn steady_state_queries_are_allocation_free_after_warmup() {
 
 #[test]
 fn shutdown_drains_queued_queries_instead_of_dropping_them() {
-    // 800 x 500 cells at rank 32 per mode-0 slice: every query computes
-    // for milliseconds, far longer than the callers take to be admitted.
+    // Every caller stops inside `poll_abort`, which the engine asks after
+    // admission with the permit held: all of them are admitted before
+    // shutdown trips and compute after it, whatever the kernel's speed.
     const CALLERS: usize = 4;
     let model = KruskalModel {
         lambda: vec![1.0; 32],
         factors: vec![
             Matrix::random(2, 32, 61),
-            Matrix::random(800, 32, 62),
-            Matrix::random(500, 32, 63),
+            Matrix::random(80, 32, 62),
+            Matrix::random(50, 32, 63),
         ],
     };
     let engine = ServeEngine::start(ServeConfig {
@@ -742,30 +815,33 @@ fn shutdown_drains_queued_queries_instead_of_dropping_them() {
     });
     engine.publish("slow", model.clone());
     let query = Query::Slice { mode: 0, index: 1 };
-    let go = std::sync::Barrier::new(CALLERS + 1);
+    let (admitted, released) = (
+        std::sync::Barrier::new(CALLERS + 1),
+        std::sync::Barrier::new(CALLERS + 1),
+    );
     let answers = std::thread::scope(|scope| {
         let callers: Vec<_> = (0..CALLERS)
             .map(|_| {
-                let (engine, go, query) = (&engine, &go, &query);
+                let (engine, query) = (&engine, &query);
+                let (admitted, released) = (&admitted, &released);
                 scope.spawn(move || {
-                    go.wait();
                     let root = CancelToken::new();
-                    engine.query("slow", 0, query.clone(), None, &root, || false)
+                    engine.query("slow", 0, query.clone(), None, &root, || {
+                        admitted.wait();
+                        released.wait();
+                        false
+                    })
                 })
             })
             .collect();
-        go.wait();
-        // Trip shutdown once every caller holds an admission permit:
-        // each is then computing, and must drain to a real answer.
-        let started = std::time::Instant::now();
-        while engine.gate().depth() < CALLERS {
-            assert!(
-                started.elapsed() < Duration::from_secs(60),
-                "a caller finished before the last one was admitted"
-            );
-            std::thread::yield_now();
-        }
+        admitted.wait();
+        assert_eq!(
+            engine.gate().depth(),
+            CALLERS,
+            "every caller holds a permit"
+        );
         engine.shutdown();
+        released.wait();
         let answers: Vec<_> = callers.into_iter().map(|c| c.join().unwrap()).collect();
         answers
     });
@@ -931,4 +1007,167 @@ fn evicted_version_never_yields_stale_hits_or_torn_reads() {
         }
         engine.shutdown();
     });
+}
+
+// ---- lane panels: laid out per version and scanned mode, on first scan ----
+
+/// The modes of `servable` whose lane panel a scan has laid out.
+fn built_panels(servable: &ServableModel) -> Vec<usize> {
+    (0..servable.model.order())
+        .filter(|&m| servable.panels().built(m).is_some())
+        .collect()
+}
+
+#[test]
+fn lane_panels_are_laid_out_per_version_and_scanned_mode_on_first_scan() {
+    let engine = ServeEngine::start(ServeConfig {
+        cache_capacity: 0, // every scan computes
+        ..Default::default()
+    });
+    let model = KruskalModel {
+        lambda: vec![1.0, -0.5, 2.0],
+        factors: vec![
+            Matrix::random(40, 3, 71),
+            Matrix::random(20, 3, 72),
+            Matrix::random(24, 3, 73),
+        ],
+    };
+    assert_eq!(engine.publish("m", model.clone()), 1);
+    let v1 = engine.registry().get("m", 1).unwrap();
+    assert_eq!(
+        built_panels(&v1),
+        [0usize; 0],
+        "a fresh version holds no panel"
+    );
+    let root = CancelToken::new();
+    let ask = |version: u64, query: Query| {
+        engine
+            .query("m", version, query, None, &root, || false)
+            .expect("query should succeed")
+    };
+
+    for coords in [vec![0, 0, 0], vec![39, 19, 23, 1, 2, 3]] {
+        ask(1, Query::Entry { coords });
+    }
+    assert_eq!(built_panels(&v1), [0usize; 0], "entries lay out no panel");
+
+    let fixed = vec![5, 7];
+    match ask(
+        1,
+        Query::TopK {
+            mode: 1,
+            k: 4,
+            fixed: fixed.clone(),
+        },
+    ) {
+        QueryResult::TopK(got) => {
+            assert_pairs_eq(&got, &oracle_topk(&model, 1, 4, &fixed), "top-k")
+        }
+        other => panic!("expected top-k, got {other:?}"),
+    }
+    assert_eq!(
+        built_panels(&v1),
+        [1],
+        "a top-k lays out its mode's panel only"
+    );
+
+    match ask(1, Query::Slice { mode: 0, index: 3 }) {
+        QueryResult::Slice(got) => assert_bits_eq(&got, &oracle_slice(&model, 0, 3), "slice"),
+        other => panic!("expected slice, got {other:?}"),
+    }
+    assert_eq!(
+        built_panels(&v1),
+        [1, 2],
+        "a mode-0 slice scans the last free mode"
+    );
+    ask(
+        1,
+        Query::TopK {
+            mode: 1,
+            k: 2,
+            fixed: vec![1, 1],
+        },
+    );
+    ask(1, Query::Slice { mode: 1, index: 0 });
+    assert_eq!(v1.panels().builds(), 2, "a panel is laid out once");
+    let bytes = v1.panels().built(2).expect("built").bytes();
+    assert!(
+        bytes <= 24 * 3 * 8,
+        "a panel is at most its factor ({bytes} B)"
+    );
+
+    // A republished name's new version starts with panels of its own.
+    assert_eq!(engine.publish("m", model.clone()), 2);
+    let v2 = engine.registry().get("m", 2).unwrap();
+    assert_eq!(built_panels(&v2), [0usize; 0]);
+    ask(
+        2,
+        Query::TopK {
+            mode: 0,
+            k: 3,
+            fixed: vec![0, 0],
+        },
+    );
+    assert_eq!(
+        (built_panels(&v1), built_panels(&v2)),
+        (vec![1, 2], vec![0])
+    );
+
+    // Evicting a version drops its panels with its last `Arc`.
+    let gone = Arc::downgrade(&v1);
+    drop(v1);
+    assert_eq!(engine.evict("m", 1), 1);
+    assert!(
+        gone.upgrade().is_none(),
+        "an evicted version's panels outlive it"
+    );
+    engine.shutdown();
+}
+
+#[test]
+fn concurrent_first_scans_lay_out_a_panel_once() {
+    const CALLERS: usize = 4;
+    let engine = ServeEngine::start(ServeConfig {
+        cache_capacity: 0,
+        ..Default::default()
+    });
+    let model = KruskalModel {
+        lambda: vec![0.5; 8],
+        factors: vec![
+            Matrix::random(4096, 8, 81),
+            Matrix::random(6, 8, 82),
+            Matrix::random(5, 8, 83),
+        ],
+    };
+    engine.publish("m", model.clone());
+    let go = std::sync::Barrier::new(CALLERS);
+    std::thread::scope(|scope| {
+        for caller in 0..CALLERS as u32 {
+            let (engine, model, go) = (&engine, &model, &go);
+            scope.spawn(move || {
+                let fixed = vec![caller, caller];
+                let root = CancelToken::new();
+                go.wait();
+                let query = Query::TopK {
+                    mode: 0,
+                    k: 5,
+                    fixed: fixed.clone(),
+                };
+                match engine.query("m", 0, query, None, &root, || false) {
+                    Ok(QueryResult::TopK(got)) => {
+                        assert_pairs_eq(&got, &oracle_topk(model, 0, 5, &fixed), "top-k")
+                    }
+                    other => panic!("expected top-k, got {other:?}"),
+                }
+            });
+        }
+    });
+    let servable = engine.registry().get("m", 0).unwrap();
+    assert_eq!(
+        servable.panels().builds(),
+        1,
+        "four first scans, one layout"
+    );
+    assert_eq!(built_panels(&servable), [0]);
+    engine.shutdown();
 }
