@@ -84,9 +84,9 @@ pub struct CpalsRun<'a> {
     /// to the profile report when [`CpalsOptions::profile`] is set).
     pub faults: Option<&'a FaultPlan>,
     /// The tensor's CSF representations, when the caller already holds
-    /// them (the refresh engine keeps each root's order alive between
-    /// refits); `None` sorts the tensor and builds them for this run.
-    /// Must be the set [`CsfSet::build`] gives this tensor under
+    /// them (the refresh engine keeps its set between refits, and no
+    /// tensor); `None` sorts the tensor and builds them for this run.
+    /// Must be the set [`CsfSet::build`] gives the tensor under
     /// [`CpalsOptions::csf_alloc`].
     pub csf: Option<&'a CsfSet>,
     /// Who may stop the run early.
@@ -219,6 +219,13 @@ pub fn cp_als(tensor: &SparseTensor, opts: &CpalsOptions) -> CpalsOutput {
 /// exhausted fault recovery and guard trips as typed errors instead of
 /// panicking, on the team, fault plan and governance `run` names.
 ///
+/// `tensor` may be `None` when [`CpalsRun::csf`] gives the set: the run
+/// then reads the dims off the set and sums ‖X‖² over its first tree's
+/// values in tree order — the last bits of the fit may differ from those
+/// of the same run given the tensor, whose ‖X‖² is summed in its own
+/// order. Such a run with [`CpalsOptions::tiling`] on lays the tensor
+/// out of the set to build its tiles.
+///
 /// # Errors
 /// [`CpalsError::Checkpoint`] if `opts.resume_from` cannot be read or
 /// validated, or a checkpoint write to `opts.checkpoint_dir` fails;
@@ -227,13 +234,14 @@ pub fn cp_als(tensor: &SparseTensor, opts: &CpalsOptions) -> CpalsOutput {
 ///
 /// # Panics
 /// As [`cp_als`] on invalid options (programmer error, not runtime
-/// faults), and if `run.team` is given and its size is not
-/// `opts.ntasks`.
-pub fn try_cp_als(
-    tensor: &SparseTensor,
+/// faults), if `run.team` is given and its size is not `opts.ntasks`,
+/// and if neither `tensor` nor `run.csf` is given.
+pub fn try_cp_als<'t>(
+    tensor: impl Into<Option<&'t SparseTensor>>,
     opts: &CpalsOptions,
     run: &CpalsRun<'_>,
 ) -> Result<CpalsOutput, CpalsError> {
+    let tensor = tensor.into();
     let own_team;
     let team = match run.team {
         Some(team) => team,
@@ -301,7 +309,7 @@ fn abort_error(
 /// One guarded pass of the ALS driver — the whole of [`try_cp_als`]
 /// except the choice of team (`run.team` is not read) and of the guard.
 fn als_attempt(
-    tensor: &SparseTensor,
+    tensor: Option<&SparseTensor>,
     opts: &CpalsOptions,
     team: &TaskTeam,
     run: &CpalsRun<'_>,
@@ -313,24 +321,23 @@ fn als_attempt(
     assert_eq!(team.ntasks(), opts.ntasks, "team size must match options");
 
     let timers = TimerRegistry::new();
-    let order = tensor.order();
     let rank = opts.rank;
 
     // ---- pre-processing: sort + CSF construction, unless given ----
     let built;
-    let set = match run.csf {
-        Some(given) => {
+    let set = match (run.csf, tensor) {
+        (Some(given), tensor) => {
             assert_eq!(given.alloc(), opts.csf_alloc, "given CSF set: wrong policy");
+            let first = &given.csfs()[0];
             assert!(
-                given
-                    .csfs()
-                    .iter()
-                    .all(|c| c.dims() == tensor.dims() && c.nnz() == tensor.nnz()),
+                given.csfs().iter().all(|c| c.dims() == first.dims()
+                    && c.nnz() == first.nnz()
+                    && tensor.is_none_or(|t| c.dims() == t.dims() && c.nnz() == t.nnz())),
                 "given CSF set is not of this tensor"
             );
             given
         }
-        None => {
+        (None, Some(tensor)) => {
             built = CsfSet::build_timed_guarded(
                 tensor,
                 opts.csf_alloc,
@@ -341,10 +348,22 @@ fn als_attempt(
             );
             &built
         }
+        (None, None) => panic!("CP-ALS needs a tensor or its CSF set"),
     };
+    let dims = tensor.map_or(set.csfs()[0].dims(), SparseTensor::dims);
+    let order = dims.len();
     // optional mode tiling for the modes that would otherwise scatter
-    // (sorting inside the tile build is attributed to the Sort timer)
+    // (sorting inside the tile build is attributed to the Sort timer);
+    // a run given only the set lays its tensor out once for the tiles
+    let materialized;
     let tiled: Vec<Option<TiledCsf>> = if opts.tiling {
+        let tensor = match tensor {
+            Some(t) => t,
+            None => {
+                materialized = set.to_coo();
+                &materialized
+            }
+        };
         (0..order)
             .map(|m| match set.for_mode(m).1 {
                 KernelKind::Root => None,
@@ -395,7 +414,7 @@ fn als_attempt(
     let factors_init: Vec<Matrix>;
     if let Some(path) = &opts.resume_from {
         let ck = Checkpoint::read_from(path)?;
-        ck.validate(tensor.dims(), rank, opts.max_iters)?;
+        ck.validate(dims, rank, opts.max_iters)?;
         start_iter = ck.iteration;
         lambda = ck.lambda;
         fits = ck.fits;
@@ -403,17 +422,12 @@ fn als_attempt(
         factors_init = ck.factors;
     } else if let Some(model) = &opts.warm_start {
         assert_eq!(model.rank(), rank, "warm-start model rank mismatch");
-        assert_eq!(
-            model.order(),
-            tensor.order(),
-            "warm-start model order mismatch"
-        );
+        assert_eq!(model.order(), order, "warm-start model order mismatch");
         // Fold lambda into mode 0 so the starting point *is* the model;
         // the first iteration re-normalizes as usual. Rows past the
         // model's dimension (modes grown by merged deltas) take the
         // seeded random values a cold start would give them.
-        factors_init = tensor
-            .dims()
+        factors_init = dims
             .iter()
             .enumerate()
             .map(|(m, &d)| {
@@ -438,8 +452,7 @@ fn als_attempt(
             })
             .collect();
     } else {
-        factors_init = tensor
-            .dims()
+        factors_init = dims
             .iter()
             .enumerate()
             .map(|(m, &d)| Matrix::random(d, rank, opts.seed.wrapping_add(m as u64)))
@@ -452,13 +465,9 @@ fn als_attempt(
         .iter()
         .map(|f| timers.time(Routine::AtA, || mat_ata(f)))
         .collect();
-    let mut mout: Vec<Matrix> = tensor
-        .dims()
-        .iter()
-        .map(|&d| Matrix::zeros(d, rank))
-        .collect();
+    let mut mout: Vec<Matrix> = dims.iter().map(|&d| Matrix::zeros(d, rank)).collect();
 
-    let norm_x_sq = tensor.norm_squared();
+    let norm_x_sq = tensor.map_or_else(|| set.norm_squared(), SparseTensor::norm_squared);
     let mut iterations = start_iter;
     let mut rollbacks_used = 0u32;
     // the resume source counts as "last durable state" until this run
@@ -870,6 +879,49 @@ mod tests {
     use super::*;
     use crate::options::Implementation;
     use splatt_tensor::synth;
+
+    /// A run given only the CSF set — no tensor — is the run given both:
+    /// λ, factors and iterations bit for bit, and fits within 1e-12 (the
+    /// first sums ‖X‖² over the first tree in tree order, the second over
+    /// the tensor); also with tiling on, which lays the tensor out of the
+    /// set to build its tiles.
+    #[test]
+    fn a_run_given_only_the_set_is_the_run_given_the_tensor() {
+        let (mut tensor, _) = synth::planted_low_rank(&[18, 14, 22], 3, 1_500, 0.05, 4);
+        tensor.merge_entries(&[]);
+        let bits = |m: &KruskalModel| {
+            let mut all: Vec<u64> = m.lambda.iter().map(|x| x.to_bits()).collect();
+            for f in &m.factors {
+                all.extend(f.as_slice().iter().map(|x| x.to_bits()));
+            }
+            all
+        };
+        for tiling in [false, true] {
+            let opts = CpalsOptions {
+                rank: 3,
+                max_iters: 15,
+                tolerance: 1e-9,
+                tiling,
+                ..Default::default()
+            };
+            let team = TaskTeam::new(opts.ntasks);
+            let set = CsfSet::build(&tensor, opts.csf_alloc, &team, opts.sort_variant);
+            let run = CpalsRun {
+                csf: Some(&set),
+                ..Default::default()
+            };
+            let given = try_cp_als(&tensor, &opts, &run).unwrap();
+            let set_only = try_cp_als(None, &opts, &run).unwrap();
+            assert_eq!(given.iterations, set_only.iterations, "tiling {tiling}");
+            assert_eq!(bits(&given.model), bits(&set_only.model), "tiling {tiling}");
+            assert!(
+                (given.fit - set_only.fit).abs() <= 1e-12,
+                "tiling {tiling}: {} vs {}",
+                given.fit,
+                set_only.fit
+            );
+        }
+    }
 
     #[test]
     fn recovers_planted_low_rank_tensor() {

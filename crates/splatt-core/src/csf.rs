@@ -9,8 +9,9 @@
 //! the trade at the center of the paper's YELP-vs-NELL-2 behaviour.
 
 use splatt_par::{Routine, TaskTeam, TimerRegistry};
+use splatt_store::DeltaBatch;
 use splatt_tensor::sort::SortedKeys;
-use splatt_tensor::{sort, SortVariant, SortedBatch, SparseTensor};
+use splatt_tensor::{sort, SortVariant, SparseTensor};
 use std::ops::Range;
 
 /// How many CSF representations to allocate (SPLATT's `SPLATT_CSF_*`).
@@ -277,92 +278,153 @@ impl Csf {
             vals: Vec::new(),
             slice_nnz: Vec::new(),
         };
-        csf.slice_nnz = csf.leaves_per_slice();
+        csf.count_slice_nnz();
         csf
     }
 
-    /// Per-slice nonzero counts for weighted partitioning. Subtrees are
-    /// contiguous at every level, so slice `s` owns the leaf range
-    /// between the first-child chains of slices `s` and `s + 1`.
-    fn leaves_per_slice(&self) -> Vec<usize> {
+    /// Fill `slice_nnz`, the per-slice nonzero counts for weighted
+    /// partitioning, in the memory it holds. Subtrees are contiguous at
+    /// every level, so slice `s` owns the leaf range between the
+    /// first-child chains of slices `s` and `s + 1`.
+    fn count_slice_nnz(&mut self) {
+        let mut counts = std::mem::take(&mut self.slice_nnz);
         let leaf_start =
             |s: usize| -> usize { (0..self.order() - 1).fold(s, |f, l| self.fptr(l)[f]) };
         let mut prev = leaf_start(0);
-        (1..=self.nfibers(0))
-            .map(|s| {
-                let next = leaf_start(s);
-                let n = next - prev;
-                prev = next;
-                n
-            })
-            .collect()
+        counts.clear();
+        counts.extend((1..=self.nfibers(0)).map(|s| {
+            let next = leaf_start(s);
+            let n = next - prev;
+            prev = next;
+            n
+        }));
+        self.slice_nnz = counts;
     }
 
-    /// The CSF [`Csf::build`] builds from this tree's tensor with
-    /// `delta` merged in by [`SparseTensor::merged_canonical`], read off
-    /// this tree and the delta alone — no tensor, no sort of its
-    /// nonzeros. `self` must hold a canonical tensor (distinct
-    /// coordinates, no stored zeros), as the CSFs of the refresh
-    /// engine's tensor do.
-    ///
-    /// The delta is permuted into the tree's level order and sorted
-    /// stably ([`SortedBatch`]), then merged into the old tree level by
-    /// level. Sibling fibers the delta does not touch are appended with
-    /// their subtrees as one run per level (`fids` and `vals` verbatim,
-    /// `fptr` shifted by one offset); a prefix the tree lacks becomes a
-    /// new fiber; a cell accumulates as the tensor merge does — its old
-    /// value or `0.0`, then each delta in batch order — and is dropped
-    /// when that is exactly zero, as is every fiber left without
-    /// children, up to the root. Dims grow to admit the delta.
-    pub fn merged(&self, delta: &[(Vec<u32>, f64)]) -> Csf {
-        let batch = SortedBatch::new(delta, &self.dim_perm);
-        let mut dims = self.dims.clone();
-        for (&m, &e) in self.dim_perm.iter().zip(batch.extent()) {
-            dims[m] = dims[m].max(e);
-        }
-        let order = self.order();
-        // each delta entry opens at most one fiber per level
-        let room = |l: usize| self.nfibers(l) + batch.len() + 1;
-        let mut merge = TreeMerge {
-            base: self,
-            batch: &batch,
-            fids: (0..order).map(|l| Vec::with_capacity(room(l))).collect(),
-            fptr: (0..order - 1)
-                .map(|l| Vec::with_capacity(room(l)))
-                .collect(),
-            vals: Vec::with_capacity(room(order - 1)),
-        };
-        merge.level(0, 0..self.nfibers(0), 0..batch.len());
-
-        // Close every pointer level, then lay the levels end to end.
-        let TreeMerge {
-            mut fptr,
-            fids,
-            vals,
-            ..
-        } = merge;
-        for (l, ptrs) in fptr.iter_mut().enumerate() {
-            ptrs.push(fids[l + 1].len());
-        }
-        let offsets = |lens: Vec<usize>| -> Vec<usize> {
-            let ends = lens.into_iter().scan(0, |end, n| {
-                *end += n;
-                Some(*end)
-            });
-            std::iter::once(0).chain(ends).collect()
-        };
-        let mut out = Csf {
-            dim_perm: self.dim_perm.clone(),
-            dims,
-            fptr_off: offsets(fptr.iter().map(Vec::len).collect()),
-            fptr: fptr.concat(),
-            fids_off: offsets(fids.iter().map(Vec::len).collect()),
-            fids: fids.concat(),
-            vals,
+    /// A tree without nonzeros, levels or memory: a slot for
+    /// [`Csf::merge_into`] to write into.
+    fn blank() -> Csf {
+        Csf {
+            dim_perm: Vec::new(),
+            dims: Vec::new(),
+            fptr: Vec::new(),
+            fptr_off: Vec::new(),
+            fids: Vec::new(),
+            fids_off: Vec::new(),
+            vals: Vec::new(),
             slice_nnz: Vec::new(),
+        }
+    }
+
+    /// Write into `out` the CSF [`Csf::build`] builds from this tree's
+    /// tensor with `batch` merged in by [`SparseTensor::merge_entries`],
+    /// read off this tree and the batch alone — no tensor, no sort of
+    /// its nonzeros. `self` must hold a canonical tensor (distinct
+    /// coordinates, no stored zeros), as the CSFs of the refresh
+    /// engine's tensor do, and `batch` must be sorted in its level
+    /// order. Returns the fiber-id comparisons the walk made to place
+    /// the batch among the tree's fibers.
+    ///
+    /// One pass merges the old tree and the batch level by level,
+    /// writing every level straight into `out`'s slabs: sibling fibers
+    /// the batch does not touch are copied with their subtrees as one
+    /// run per level (`fids` and `vals` verbatim, `fptr` shifted by one
+    /// offset); a prefix the tree lacks becomes a new fiber; a cell
+    /// accumulates as the tensor merge does — its old value or `0.0`,
+    /// then each delta in batch order — and is dropped when that is
+    /// exactly zero, as is every fiber left without children, up to the
+    /// root. Dims grow to admit the batch.
+    ///
+    /// The leaf level is written where it stays unless the batch adds or
+    /// empties a fiber above it; every other level at the place it would
+    /// hold if each batch entry opened a fiber there, and moved down
+    /// onto its neighbour once the walk is done. `out`'s slabs are
+    /// reused: a recycled tree grows only by what its tensor grew since
+    /// it was last written (with `SLAB_HEADROOM` to spare when it must
+    /// reallocate), and nothing it held is read.
+    fn merge_into(&self, batch: &LevelBatch, out: &mut Csf) -> u64 {
+        debug_assert_eq!(batch.perm, self.dim_perm, "batch sorted for another tree");
+        let order = self.order();
+        out.dim_perm.clone_from(&self.dim_perm);
+        out.dims.clone_from(&self.dims);
+        for (&m, &e) in self.dim_perm.iter().zip(&batch.extent) {
+            out.dims[m] = out.dims[m].max(e);
+        }
+
+        // Each batch entry opens at most one fiber per level. The leaves
+        // are written where they stay if the levels above keep their
+        // fiber counts, as they do unless the batch adds or empties a
+        // fiber there; those levels go past the leaves, past room for
+        // the leaves to move up by every fiber the batch may add above.
+        let (leaf, n) = (order - 1, batch.len());
+        let room = |l: usize| self.nfibers(l) + n;
+        let starts = |from: usize, lens: &mut dyn Iterator<Item = usize>| -> Vec<usize> {
+            lens.scan(from, |end, len| {
+                let start = *end;
+                *end += len;
+                Some(start)
+            })
+            .collect()
         };
-        out.slice_nnz = out.leaves_per_slice();
-        out
+        let above: usize = (0..leaf).map(|l| self.nfibers(l)).sum();
+        let mut fids_lo = starts(above + room(leaf) + leaf * n, &mut (0..leaf).map(room));
+        fids_lo.push(above);
+        let fptr_lo = starts(0, &mut (0..leaf).map(|l| room(l) + 1));
+        stretch(&mut out.fids, fids_lo[leaf - 1] + room(leaf - 1));
+        stretch(&mut out.fptr, fptr_lo[leaf - 1] + room(leaf - 1) + 1);
+        stretch(&mut out.vals, room(leaf));
+
+        let mut walk = TreeMerge {
+            base: self,
+            batch,
+            fids_at: fids_lo.clone(),
+            fptr_at: fptr_lo.clone(),
+            fids_lo,
+            fptr_lo,
+            fids: &mut out.fids,
+            fptr: &mut out.fptr,
+            vals: &mut out.vals,
+            leaves: 0..0,
+            compare_ops: 0,
+        };
+        walk.level(0, 0..self.nfibers(0), 0..batch.len());
+        walk.flush_leaves();
+        // close every pointer level
+        for l in 0..order - 1 {
+            let end = walk.written(l + 1);
+            walk.fptr[walk.fptr_at[l]] = end;
+            walk.fptr_at[l] += 1;
+        }
+        let TreeMerge {
+            fids_lo,
+            fids_at,
+            fptr_lo,
+            fptr_at,
+            compare_ops,
+            ..
+        } = walk;
+
+        // Lay the levels end to end: the leaves first, if the levels above
+        // changed size, then those levels down in front of them.
+        let leaves = fids_lo[leaf]..fids_at[leaf];
+        let above: usize = (0..leaf).map(|l| fids_at[l] - fids_lo[l]).sum();
+        if above != leaves.start {
+            out.fids.copy_within(leaves.clone(), above);
+        }
+        close_gaps(
+            &mut out.fids,
+            &mut out.fids_off,
+            &fids_lo[..leaf],
+            &fids_at[..leaf],
+        );
+        out.fids_off.push(above + leaves.len());
+        out.fids.truncate(above + leaves.len());
+        close_gaps(&mut out.fptr, &mut out.fptr_off, &fptr_lo, &fptr_at);
+        out.fptr
+            .truncate(*out.fptr_off.last().expect("one offset per level"));
+        out.vals.truncate(leaves.len());
+        out.count_slice_nnz();
+        compare_ops
     }
 
     /// Number of modes.
@@ -499,21 +561,70 @@ impl Csf {
     }
 }
 
-/// The walk of [`Csf::merged`]: the old tree and the sorted delta in
-/// step, the merged tree appended level by level.
+/// A recycled slab grown by this share of the length it must reach
+/// when it has to reallocate: a refresh round writes each tree into the
+/// slabs its tensor had two rounds before, so headroom for some rounds
+/// of growth keeps a warm round from allocating anything that scales
+/// with the tensor.
+const SLAB_HEADROOM: usize = 8;
+
+/// Make `slab` `len` long for a merge to overwrite, keeping its memory:
+/// only the entries past its current length are written here, and a
+/// reallocation takes `len / SLAB_HEADROOM` more.
+fn stretch<T: Copy + Default>(slab: &mut Vec<T>, len: usize) {
+    if slab.capacity() < len {
+        slab.reserve_exact(len + len / SLAB_HEADROOM - slab.len());
+    }
+    slab.resize(len, T::default());
+}
+
+/// Move level `l`'s entries, written from `lo[l]` up to `at[l]`, down
+/// to follow level `l - 1`'s from the front of `slab`, and record the
+/// level offsets in `off`. Each level's entries must lie at or past
+/// where they go.
+fn close_gaps<T: Copy>(slab: &mut [T], off: &mut Vec<usize>, lo: &[usize], at: &[usize]) {
+    off.clear();
+    off.push(0);
+    for (&lo, &at) in lo.iter().zip(at) {
+        let to = *off.last().expect("starts at 0");
+        if to != lo {
+            slab.copy_within(lo..at, to);
+        }
+        off.push(to + at - lo);
+    }
+}
+
+/// The walk of [`Csf::merge_into`]: the old tree and the sorted batch in
+/// step, the merged tree written level by level into the output slabs.
 struct TreeMerge<'a> {
     base: &'a Csf,
-    batch: &'a SortedBatch<'a>,
-    /// Per level, the fiber ids written so far (leaf ids at the last).
-    fids: Vec<Vec<u32>>,
-    /// Per level but the last, each written fiber's first child.
-    fptr: Vec<Vec<usize>>,
-    vals: Vec<f64>,
+    batch: &'a LevelBatch,
+    /// Where each level's region of `fids` starts, and its next write.
+    fids_lo: Vec<usize>,
+    fids_at: Vec<usize>,
+    /// The same for `fptr` (levels `0..order - 1`).
+    fptr_lo: Vec<usize>,
+    fptr_at: Vec<usize>,
+    fids: &'a mut [u32],
+    fptr: &'a mut [usize],
+    /// The leaf values: the `i`-th leaf written goes to `vals[i]`.
+    vals: &'a mut [f64],
+    /// Base leaves counted as written but not yet copied, the last ones
+    /// before the leaf cursor: runs that continue each other across
+    /// fibers are copied as one.
+    leaves: Range<usize>,
+    compare_ops: u64,
 }
 
 impl TreeMerge<'_> {
+    /// Fibers written so far at `level`.
+    #[inline]
+    fn written(&self, level: usize) -> usize {
+        self.fids_at[level] - self.fids_lo[level]
+    }
+
     /// Merge the base fibers `fibers` of `level` — siblings under one
-    /// parent, or the roots — with the delta entries `ds`, which share
+    /// parent, or the roots — with the batch entries `ds`, which share
     /// their first `level` indices with that parent.
     fn level(&mut self, level: usize, fibers: Range<usize>, ds: Range<usize>) {
         let (base, batch) = (self.base, self.batch);
@@ -522,39 +633,62 @@ impl TreeMerge<'_> {
         let (mut f, mut d) = (fibers.start, ds.start);
         while d < ds.end {
             let id = batch.index(d, level);
-            let ties = (d..ds.end).take_while(|&e| batch.index(e, level) == id);
-            let group = d..d + ties.count();
-            let at = f + ids[f..fibers.end].partition_point(|&x| x < id);
+            let mut end = d + 1;
+            while end < ds.end && batch.index(end, level) == id {
+                end += 1;
+            }
+            let ops = &mut self.compare_ops;
+            let at = f + ids[f..fibers.end].partition_point(|&x| {
+                *ops += 1;
+                x < id
+            });
             self.copy(level, f..at);
             let present = at < fibers.end && ids[at] == id;
             if leaf {
                 let old = if present { base.vals[at] } else { 0.0 };
-                let acc = group.clone().fold(old, |acc, e| acc + batch.value(e));
+                let acc = (d..end).fold(old, |acc, e| acc + batch.value(e));
                 if acc != 0.0 {
-                    self.fids[level].push(id);
-                    self.vals.push(acc);
+                    self.flush_leaves();
+                    self.vals[self.written(level)] = acc;
+                    self.fids[self.fids_at[level]] = id;
+                    self.fids_at[level] += 1;
                 }
             } else {
-                let first_child = self.fids[level + 1].len();
+                let first_child = self.written(level + 1);
                 let children = if present {
                     base.children(level, at)
                 } else {
                     0..0
                 };
-                self.level(level + 1, children, group.clone());
-                if self.fids[level + 1].len() > first_child {
-                    self.fids[level].push(id);
-                    self.fptr[level].push(first_child);
+                self.level(level + 1, children, d..end);
+                if self.written(level + 1) > first_child {
+                    self.fids[self.fids_at[level]] = id;
+                    self.fids_at[level] += 1;
+                    self.fptr[self.fptr_at[level]] = first_child;
+                    self.fptr_at[level] += 1;
                 }
             }
             f = at + usize::from(present);
-            d = group.end;
+            d = end;
         }
         self.copy(level, f..fibers.end);
     }
 
-    /// Append the base fibers `fibers` of `level` with their subtrees:
-    /// one contiguous run per level below.
+    /// Copy the deferred base leaves to their place, before the cursor.
+    fn flush_leaves(&mut self) {
+        let leaf = self.base.order() - 1;
+        let Range { start, end } = std::mem::replace(&mut self.leaves, 0..0);
+        let n = end - start;
+        if n > 0 {
+            let at = self.fids_at[leaf] - n;
+            self.fids[at..at + n].copy_from_slice(&self.base.fids(leaf)[start..end]);
+            let v = at - self.fids_lo[leaf];
+            self.vals[v..v + n].copy_from_slice(&self.base.vals[start..end]);
+        }
+    }
+
+    /// Write the base fibers `fibers` of `level` with their subtrees:
+    /// one contiguous run per level below (the leaves' copy deferred).
     fn copy(&mut self, level: usize, fibers: Range<usize>) {
         let base = self.base;
         let Range {
@@ -565,17 +699,243 @@ impl TreeMerge<'_> {
             if lo == hi {
                 return;
             }
-            self.fids[l].extend_from_slice(&base.fids(l)[lo..hi]);
+            let (at, n) = (self.fids_at[l], hi - lo);
             if l + 1 == base.order() {
-                self.vals.extend_from_slice(&base.vals[lo..hi]);
+                if self.leaves.end != lo {
+                    self.flush_leaves();
+                    self.leaves = lo..lo;
+                }
+                self.leaves.end = hi;
+                self.fids_at[l] += n;
                 return;
             }
+            self.fids[at..at + n].copy_from_slice(&base.fids(l)[lo..hi]);
+            self.fids_at[l] += n;
             // the run's children land where the next level stands
             let ptrs = &base.fptr(l)[lo..=hi];
-            let (from, to) = (ptrs[0], self.fids[l + 1].len());
-            self.fptr[l].extend(ptrs[..hi - lo].iter().map(|&p| p - from + to));
-            (lo, hi) = (ptrs[0], ptrs[hi - lo]);
+            let (from, to) = (ptrs[0], self.written(l + 1));
+            let at = self.fptr_at[l];
+            for (out, &p) in self.fptr[at..at + n].iter_mut().zip(ptrs) {
+                *out = p - from + to;
+            }
+            self.fptr_at[l] += n;
+            (lo, hi) = (ptrs[0], ptrs[n]);
         }
+    }
+}
+
+/// Widest digit one pass of the batch's radix sort sorts on: a
+/// 2048-entry histogram stays in L1.
+const BATCH_RADIX_BITS: u32 = 11;
+
+/// Bits that hold every value below `n` (0 for `n <= 1`).
+fn bits_below(n: usize) -> u32 {
+    usize::BITS - n.saturating_sub(1).leading_zeros()
+}
+
+/// A delta batch sorted in one tree's level order: entry `i` of the
+/// sorted order has its index at level `l` in `coords[i * order + l]`
+/// and its value in `vals[i]`. The sort is stable — a cell's deltas keep
+/// their batch order, the order they accumulate in.
+#[derive(Debug, Clone, Default)]
+struct LevelBatch {
+    perm: Vec<usize>,
+    coords: Vec<u32>,
+    vals: Vec<f64>,
+    /// One past the largest index at each level (0 for an empty batch).
+    extent: Vec<usize>,
+}
+
+impl LevelBatch {
+    #[inline]
+    fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// Level `l`'s index of the `i`-th entry in sorted order.
+    #[inline]
+    fn index(&self, i: usize, l: usize) -> u32 {
+        self.coords[i * self.perm.len() + l]
+    }
+
+    /// The value of the `i`-th entry in sorted order.
+    #[inline]
+    fn value(&self, i: usize) -> f64 {
+        self.vals[i]
+    }
+}
+
+/// A round's delta sorted once for each tree of a [`CsfSet`] it merges
+/// into ([`SortedDelta::sort`]), and the dims and level orders of the
+/// merged set — what [`CsfSet::merge_into`] reads. Every buffer is kept
+/// for the next delta.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SortedDelta {
+    /// The merged tensor's dims: the set's, grown to admit the delta.
+    dims: Vec<usize>,
+    /// The level orders of the merged set.
+    perms: Vec<Vec<usize>>,
+    /// The delta in each level order it is merged in, then spare ones.
+    sorted: Vec<LevelBatch>,
+    nsorted: usize,
+    /// Sort scratch: packed keys and their radix buffers.
+    keys: Vec<u64>,
+    swap: Vec<u64>,
+    counts: Vec<usize>,
+}
+
+impl SortedDelta {
+    /// Sort `delta` for a merge into `resident`: in the level order of
+    /// each tree of the merged set that `resident` holds a tree for — or,
+    /// when the delta's growth re-orders the levels of every tree, in the
+    /// first resident tree's, for the set's other trees to be built from
+    /// its merged coordinates.
+    ///
+    /// Each sort packs an entry's indices, level by level in the bits
+    /// the delta's extents need, above its position in the batch into one
+    /// `u64`, and sorts those keys on their coordinate bits in stable LSD
+    /// radix passes of at most [`BATCH_RADIX_BITS`] — no comparisons.
+    /// Past 64 bits it sorts positions by comparing coordinates (stable
+    /// too).
+    ///
+    /// # Panics
+    /// If the delta is not of the set's order.
+    pub(crate) fn sort(&mut self, resident: &CsfSet, delta: &DeltaBatch) {
+        let first = &resident.csfs[0];
+        let order = first.order();
+        assert_eq!(delta.order(), order, "delta of another order than the set");
+        let mut extent = vec![0usize; order];
+        for coord in delta.coords().chunks_exact(order) {
+            for (e, &c) in extent.iter_mut().zip(coord) {
+                *e = (*e).max(c as usize + 1);
+            }
+        }
+        self.dims.clone_from(&first.dims);
+        for (d, &e) in self.dims.iter_mut().zip(&extent) {
+            *d = (*d).max(e);
+        }
+        self.perms = CsfSet::level_orders(&self.dims, resident.alloc);
+        let held = |perm: &Vec<usize>| resident.csfs.iter().any(|c| c.dim_perm == *perm);
+        let mut perms: Vec<&[usize]> = self
+            .perms
+            .iter()
+            .filter(|p| held(p))
+            .map(Vec::as_slice)
+            .collect();
+        if perms.is_empty() {
+            perms.push(&first.dim_perm);
+        }
+        if self.sorted.len() < perms.len() {
+            self.sorted.resize_with(perms.len(), LevelBatch::default);
+        }
+        self.nsorted = perms.len();
+        for (out, perm) in self.sorted.iter_mut().zip(perms) {
+            sort_batch(
+                delta,
+                perm,
+                &extent,
+                out,
+                (&mut self.keys, &mut self.swap, &mut self.counts),
+            );
+        }
+    }
+
+    /// The delta sorted in level order `perm`, if it was.
+    fn sorted_for(&self, perm: &[usize]) -> Option<&LevelBatch> {
+        self.sorted[..self.nsorted].iter().find(|b| b.perm == perm)
+    }
+
+    /// The merged tensor's dims.
+    pub(crate) fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+}
+
+/// Sort `delta` into `out` in level order `perm` ([`SortedDelta::sort`]);
+/// `extent` is one past its largest index in each mode.
+fn sort_batch(
+    delta: &DeltaBatch,
+    perm: &[usize],
+    extent: &[usize],
+    out: &mut LevelBatch,
+    (keys, swap, counts): (&mut Vec<u64>, &mut Vec<u64>, &mut Vec<usize>),
+) {
+    let (n, order) = (delta.len(), perm.len());
+    let widths: Vec<u32> = perm.iter().map(|&m| bits_below(extent[m])).collect();
+    let index_bits = bits_below(n);
+    let coordinate_bits: u32 = widths.iter().sum();
+    keys.clear();
+    let entry = if coordinate_bits + index_bits <= u64::BITS {
+        keys.extend(
+            delta
+                .coords()
+                .chunks_exact(order)
+                .enumerate()
+                .map(|(x, coord)| {
+                    let key = perm
+                        .iter()
+                        .zip(&widths)
+                        .fold(0u64, |k, (&m, &w)| (k << w) | u64::from(coord[m]));
+                    (key << index_bits) | x as u64
+                }),
+        );
+        radix_sort(keys, swap, counts, index_bits, coordinate_bits);
+        (1u64 << index_bits) - 1
+    } else {
+        keys.extend(0..n as u64);
+        let coord = |x: u64| perm.iter().map(move |&m| delta.coord(x as usize)[m]);
+        keys.sort_by(|&a, &b| coord(a).cmp(coord(b)));
+        u64::MAX
+    };
+    out.perm.clear();
+    out.perm.extend_from_slice(perm);
+    out.extent.clear();
+    out.extent.extend(perm.iter().map(|&m| extent[m]));
+    out.coords.clear();
+    out.vals.clear();
+    for &key in keys.iter() {
+        let x = (key & entry) as usize;
+        let coord = delta.coord(x);
+        out.coords.extend(perm.iter().map(|&m| coord[m]));
+        out.vals.push(delta.vals()[x]);
+    }
+}
+
+/// Stable LSD radix sort of `keys` on their bits `lo..lo + bits`, in as
+/// few passes of at most [`BATCH_RADIX_BITS`] as cover them.
+fn radix_sort(
+    keys: &mut Vec<u64>,
+    swap: &mut Vec<u64>,
+    counts: &mut Vec<usize>,
+    lo: u32,
+    bits: u32,
+) {
+    if bits == 0 || keys.len() < 2 {
+        return;
+    }
+    let passes = bits.div_ceil(BATCH_RADIX_BITS);
+    let width = bits.div_ceil(passes);
+    swap.clear();
+    swap.resize(keys.len(), 0);
+    for pass in 0..passes {
+        let shift = lo + pass * width;
+        let mask = (1u64 << width.min(bits - pass * width)) - 1;
+        let digit = |k: u64| ((k >> shift) & mask) as usize;
+        counts.clear();
+        counts.resize(mask as usize + 1, 0);
+        for &k in keys.iter() {
+            counts[digit(k)] += 1;
+        }
+        let mut start = 0;
+        for c in counts.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        for &k in keys.iter() {
+            let slot = &mut counts[digit(k)];
+            swap[*slot] = k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, swap);
     }
 }
 
@@ -742,6 +1102,15 @@ impl CsfSet {
         CsfSet { csfs, alloc }
     }
 
+    /// A set without trees: a slot for [`CsfSet::merge_into`] to write
+    /// into, for nothing else.
+    pub(crate) fn unfilled() -> CsfSet {
+        CsfSet {
+            csfs: Vec::new(),
+            alloc: CsfAlloc::default(),
+        }
+    }
+
     /// The level order (`dim_perm`) of each representation `alloc`
     /// dictates for a tensor with these dims, in the set's order.
     pub fn level_orders(dims: &[usize], alloc: CsfAlloc) -> Vec<Vec<usize>> {
@@ -751,37 +1120,70 @@ impl CsfSet {
             .collect()
     }
 
-    /// The set [`CsfSet::build`] gives `tensor` under `alloc`, where
-    /// `tensor` is the canonical tensor `resident` was built from with
-    /// `delta` merged in ([`SparseTensor::merged_canonical`]). Each
-    /// representation whose level order `resident` holds is merged from
-    /// it ([`Csf::merged`]); the others — no resident set yet, or dims
-    /// growth that re-ordered a tree's levels — are built by sorting
-    /// `tensor`. Also returns how many were merged. `resident` is only
-    /// read.
-    pub fn merged(
-        resident: Option<&CsfSet>,
-        tensor: &SparseTensor,
-        delta: &[(Vec<u32>, f64)],
-        alloc: CsfAlloc,
+    /// Write into `out` the set [`CsfSet::build`] gives this set's
+    /// tensor with the delta `sorted` was sorted from merged in
+    /// ([`SparseTensor::merge_entries`]). Each tree whose level order
+    /// this set holds is merged from it in one pass that writes every
+    /// level straight into the slabs of `out`'s tree in that place
+    /// (`Csf::merge_into`); a level order it does not hold — dims growth
+    /// re-ordered a tree's levels — is built by sorting the coordinates
+    /// of a merged tree. `self` is only read, so a caller that keeps it
+    /// and may still fail loses nothing; `out` may hold any set or none,
+    /// and only its memory is reused. Returns how many trees were merged
+    /// from a tree that held nonzeros — whose nonzeros were not sorted
+    /// again; a merge into an empty tree sorts them all, as the delta —
+    /// and the fiber-id comparisons the merges made.
+    ///
+    /// # Panics
+    /// If `sorted` was not sorted for this set ([`SortedDelta::sort`]).
+    pub(crate) fn merge_into(
+        &self,
+        sorted: &SortedDelta,
+        out: &mut CsfSet,
         team: &TaskTeam,
         variant: SortVariant,
-    ) -> (Self, usize) {
-        let mut merged = 0;
-        let csfs = Self::level_orders(tensor.dims(), alloc)
-            .iter()
-            .map(|perm| {
-                let old = resident.and_then(|set| set.csfs.iter().find(|c| c.dim_perm == *perm));
-                match old {
-                    Some(old) => {
-                        merged += 1;
-                        old.merged(delta)
-                    }
-                    None => Csf::build(tensor, perm, team, variant),
+    ) -> (usize, u64) {
+        let perms = &sorted.perms;
+        out.alloc = self.alloc;
+        out.csfs.truncate(perms.len());
+        out.csfs.resize_with(perms.len(), Csf::blank);
+        let (mut merged, mut compare_ops) = (0, 0);
+        let mut missing = Vec::new();
+        for (i, (slot, perm)) in out.csfs.iter_mut().zip(perms).enumerate() {
+            match self.csfs.iter().find(|c| c.dim_perm == *perm) {
+                Some(old) => {
+                    let batch = sorted.sorted_for(perm).expect("delta sorted for this set");
+                    compare_ops += old.merge_into(batch, slot);
+                    merged += usize::from(old.nnz() > 0);
                 }
-            })
-            .collect();
-        (CsfSet { csfs, alloc }, merged)
+                None => missing.push(i),
+            }
+        }
+        if !missing.is_empty() {
+            let scratch;
+            let source = match (0..perms.len()).find(|i| !missing.contains(i)) {
+                Some(i) => &out.csfs[i],
+                None => {
+                    let old = &self.csfs[0];
+                    let batch = sorted
+                        .sorted_for(&old.dim_perm)
+                        .expect("delta sorted for this set");
+                    let mut tree = Csf::blank();
+                    compare_ops += old.merge_into(batch, &mut tree);
+                    scratch = tree;
+                    &scratch
+                }
+            };
+            let coo = source.to_coo();
+            let built: Vec<Csf> = missing
+                .iter()
+                .map(|&i| Csf::build(&coo, &perms[i], team, variant))
+                .collect();
+            for (i, csf) in missing.into_iter().zip(built) {
+                out.csfs[i] = csf;
+            }
+        }
+        (merged, compare_ops)
     }
 
     /// The root modes `alloc` dictates for a tensor with these dims.
@@ -821,6 +1223,28 @@ impl CsfSet {
     /// All representations.
     pub fn csfs(&self) -> &[Csf] {
         &self.csfs
+    }
+
+    /// The coordinate tensor the set holds, its nonzeros in lexicographic
+    /// mode order: the first tree's nonzeros ([`Csf::to_coo`]) sorted by
+    /// `KeyIndex` on one task. For a set built from a canonical tensor
+    /// that is the tensor, bit for bit.
+    pub(crate) fn to_coo(&self) -> SparseTensor {
+        let mut tensor = self.csfs[0].to_coo();
+        let identity: Vec<usize> = (0..tensor.order()).collect();
+        sort::sort_by_perm(
+            &mut tensor,
+            &identity,
+            &TaskTeam::new(1),
+            SortVariant::KeyIndex,
+        );
+        tensor
+    }
+
+    /// Squared Frobenius norm of the tensor the set holds, summed over
+    /// the first tree's values in tree order.
+    pub(crate) fn norm_squared(&self) -> f64 {
+        self.csfs[0].vals.iter().map(|v| v * v).sum()
     }
 
     /// Pick the representation and kernel for an MTTKRP on `mode`
@@ -1149,13 +1573,38 @@ pub(crate) mod tests {
         );
     }
 
-    /// `Csf::merged` against a rebuild from the merged tensor, on every
+    /// `entries` as the packed batch a refresh round decodes.
+    fn packed(order: usize, entries: &[(Vec<u32>, f64)]) -> DeltaBatch {
+        let mut batch = DeltaBatch::new(order);
+        batch
+            .decode_append(&splatt_store::encode_delta(order, entries))
+            .expect("a batch just encoded decodes");
+        batch
+    }
+
+    /// `old` with `delta` merged in, written into `out`.
+    fn merge_tree(old: &Csf, delta: &DeltaBatch, out: &mut Csf) -> u64 {
+        let one = CsfSet {
+            csfs: vec![old.clone()],
+            alloc: CsfAlloc::One,
+        };
+        let mut sorted = SortedDelta::default();
+        sorted.sort(&one, delta);
+        let batch = sorted
+            .sorted_for(&old.dim_perm)
+            .expect("sorted for its tree");
+        old.merge_into(batch, out)
+    }
+
+    /// `Csf::merge_into` against a rebuild from the merged tensor, on every
     /// tree `CsfAlloc::{One, Two, All}` would hold: orders 2–5; empty
     /// bases and empty deltas; duplicates inside the delta; cancellations
     /// that empty a leaf, a fiber, a root slice or the whole tensor; a
     /// cancelled cell re-created later in the batch; `-0.0` into absent
     /// and present cells; dims growth; deltas wholly before, wholly after
-    /// or interleaved with the base.
+    /// or interleaved with the base — each tree written into a blank slot
+    /// or the slabs of another tree, each set into a set of another
+    /// policy.
     #[test]
     fn merged_csf_equals_a_rebuild_of_the_merged_tensor() {
         use std::cell::Cell;
@@ -1163,106 +1612,194 @@ pub(crate) mod tests {
         // exactly 0.0, and sums depend on the order they are added in
         const VALUES: [f64; 7] = [0.1, -0.1, 0.7, -0.7, 2.5, -0.0, 1e-3];
         let (cases, reverse_caught) = (Cell::new(0u32), Cell::new(0u32));
-        qc::check("Csf::merged == Csf::from_sorted(merged tensor)", 300, |g| {
-            let order = g.usize_in(2..6);
-            let dims: Vec<usize> = (0..order).map(|_| g.usize_in(1..5)).collect();
-            let cells: usize = dims.iter().product();
-            // where the batch lies relative to the base in mode 0 — band 0
-            // before it, 2 after it, 1 among it and past its dims
-            let layout = g.usize_in(0..3);
-            let coord = |g: &mut qc::Gen, band: u32, grow: u32| -> Vec<u32> {
-                let mut c: Vec<u32> = dims.iter().map(|&d| g.range(0..d as u32 + grow)).collect();
-                c[0] += band * dims[0] as u32;
-                c
-            };
-            let mut base_dims = dims.clone();
-            base_dims[0] *= 2;
-            let mut base = SparseTensor::new(base_dims);
-            let drawn: Vec<(Vec<u32>, f64)> = (0..[0, 1, cells / 2, cells * 2][g.usize_in(0..4)])
-                .map(|_| (coord(g, u32::from(layout != 1), 0), *g.choose(&VALUES)))
-                .collect();
-            base.merge_entries(&drawn);
-            let (band, grow) = ([0, 2, 1][layout], u32::from(layout == 2) * 2);
-            let mut delta: Vec<(Vec<u32>, f64)> = (0..[0, 1, 3, cells, cells * 3]
-                [g.usize_in(0..5)])
-                .map(|_| (coord(g, band, grow), *g.choose(&VALUES)))
-                .collect();
-
-            // Cancel the base nonzeros that agree with a drawn one on the
-            // modes in `agree`: all of them (a leaf), all but one (a
-            // fiber of the trees with that leaf mode), one (a root slice
-            // of the tree rooted there) or none (the whole tensor). The
-            // cut goes in at a drawn place, maybe followed by a
-            // re-creation of one of its cells.
-            if base.nnz() > 0 && g.bool() {
-                let pick = base.coord(g.usize_in(0..base.nnz()));
-                let agree: Vec<usize> = match g.usize_in(0..4) {
-                    0 => (0..order).collect(),
-                    1 => {
-                        let free = g.usize_in(0..order);
-                        (0..order).filter(|&m| m != free).collect()
-                    }
-                    2 => vec![g.usize_in(0..order)],
-                    _ => Vec::new(),
+        qc::check(
+            "Csf::merge_into == Csf::from_sorted(merged tensor)",
+            300,
+            |g| {
+                let order = g.usize_in(2..6);
+                let dims: Vec<usize> = (0..order).map(|_| g.usize_in(1..5)).collect();
+                let cells: usize = dims.iter().product();
+                // where the batch lies relative to the base in mode 0 — band 0
+                // before it, 2 after it, 1 among it and past its dims
+                let layout = g.usize_in(0..3);
+                let coord = |g: &mut qc::Gen, band: u32, grow: u32| -> Vec<u32> {
+                    let mut c: Vec<u32> =
+                        dims.iter().map(|&d| g.range(0..d as u32 + grow)).collect();
+                    c[0] += band * dims[0] as u32;
+                    c
                 };
-                let mut cut: Vec<(Vec<u32>, f64)> = (0..base.nnz())
-                    .filter(|&x| agree.iter().all(|&m| base.ind(m)[x] == pick[m]))
-                    .map(|x| (base.coord(x), -base.vals()[x]))
+                let mut base_dims = dims.clone();
+                base_dims[0] *= 2;
+                let mut base = SparseTensor::new(base_dims);
+                let drawn: Vec<(Vec<u32>, f64)> = (0..[0, 1, cells / 2, cells * 2]
+                    [g.usize_in(0..4)])
+                    .map(|_| (coord(g, u32::from(layout != 1), 0), *g.choose(&VALUES)))
                     .collect();
-                if g.bool() {
-                    cut.push((pick, *g.choose(&VALUES)));
-                }
-                let at = g.usize_in(0..delta.len() + 1);
-                delta.splice(at..at, cut);
-            }
+                base.merge_entries(&drawn);
+                let (band, grow) = ([0, 2, 1][layout], u32::from(layout == 2) * 2);
+                let mut delta: Vec<(Vec<u32>, f64)> = (0..[0, 1, 3, cells, cells * 3]
+                    [g.usize_in(0..5)])
+                    .map(|_| (coord(g, band, grow), *g.choose(&VALUES)))
+                    .collect();
 
-            let merged = base.merged_canonical(&delta).0;
-            let team = TaskTeam::new(1);
-            let build =
-                |t: &SparseTensor, perm: &[usize]| Csf::build(t, perm, &team, SortVariant::AllOpts);
-            let reversed: Vec<_> = delta.iter().rev().cloned().collect();
-            let mut caught = false;
-            for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
-                for perm in CsfSet::level_orders(base.dims(), alloc) {
-                    let old = build(&base, &perm);
-                    let got = old.merged(&delta);
-                    assert_same(&got, &build(&merged, &perm));
-                    let oracle = nested::build(&merged, &perm, &team, SortVariant::AllOpts);
-                    nested::assert_equivalent(&got, &oracle);
-                    // adding each cell's deltas in reverse batch order
-                    let bits = |c: &Csf| c.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    caught |= bits(&old.merged(&reversed)) != bits(&got);
+                // Cancel the base nonzeros that agree with a drawn one on the
+                // modes in `agree`: all of them (a leaf), all but one (a
+                // fiber of the trees with that leaf mode), one (a root slice
+                // of the tree rooted there) or none (the whole tensor). The
+                // cut goes in at a drawn place, maybe followed by a
+                // re-creation of one of its cells.
+                if base.nnz() > 0 && g.bool() {
+                    let pick = base.coord(g.usize_in(0..base.nnz()));
+                    let agree: Vec<usize> = match g.usize_in(0..4) {
+                        0 => (0..order).collect(),
+                        1 => {
+                            let free = g.usize_in(0..order);
+                            (0..order).filter(|&m| m != free).collect()
+                        }
+                        2 => vec![g.usize_in(0..order)],
+                        _ => Vec::new(),
+                    };
+                    let mut cut: Vec<(Vec<u32>, f64)> = (0..base.nnz())
+                        .filter(|&x| agree.iter().all(|&m| base.ind(m)[x] == pick[m]))
+                        .map(|x| (base.coord(x), -base.vals()[x]))
+                        .collect();
+                    if g.bool() {
+                        cut.push((pick, *g.choose(&VALUES)));
+                    }
+                    let at = g.usize_in(0..delta.len() + 1);
+                    delta.splice(at..at, cut);
                 }
-                // the set: merged where the level order held, built where not
-                let resident = CsfSet::build(&base, alloc, &team, SortVariant::AllOpts);
-                let (set, n) = CsfSet::merged(
-                    Some(&resident),
-                    &merged,
-                    &delta,
-                    alloc,
-                    &team,
-                    SortVariant::AllOpts,
-                );
-                let want = CsfSet::build(&merged, alloc, &team, SortVariant::AllOpts);
-                assert_eq!(set.csfs().len(), want.csfs().len());
-                for (got, want) in set.csfs().iter().zip(want.csfs()) {
-                    assert_same(got, want);
+
+                let mut merged = base.clone();
+                merged.merge_entries(&delta);
+                let team = TaskTeam::new(1);
+                let build = |t: &SparseTensor, perm: &[usize]| {
+                    Csf::build(t, perm, &team, SortVariant::AllOpts)
+                };
+                let forwards = packed(order, &delta);
+                let reversed: Vec<_> = delta.iter().rev().cloned().collect();
+                let reversed = packed(order, &reversed);
+                // a recycled slot holds some other tree, longer or shorter
+                let mut recycled = [
+                    Csf::blank(),
+                    build(&merged, &perm_rooted_at(merged.dims(), 0)),
+                ];
+                let mut caught = false;
+                for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+                    for perm in CsfSet::level_orders(base.dims(), alloc) {
+                        let old = build(&base, &perm);
+                        let slot = &mut recycled[g.usize_in(0..2)];
+                        merge_tree(&old, &forwards, slot);
+                        let got = slot.clone();
+                        assert_same(&got, &build(&merged, &perm));
+                        let oracle = nested::build(&merged, &perm, &team, SortVariant::AllOpts);
+                        nested::assert_equivalent(&got, &oracle);
+                        // adding each cell's deltas in reverse batch order
+                        let bits = |c: &Csf| c.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        let mut backwards = Csf::blank();
+                        merge_tree(&old, &reversed, &mut backwards);
+                        caught |= bits(&backwards) != bits(&got);
+                    }
+                    // the set: merged where the level order held, built where
+                    // not, into a set that held another
+                    let resident = CsfSet::build(&base, alloc, &team, SortVariant::AllOpts);
+                    let mut sorted = SortedDelta::default();
+                    sorted.sort(&resident, &forwards);
+                    assert_eq!(sorted.dims(), merged.dims());
+                    let other = [CsfAlloc::One, CsfAlloc::All][g.usize_in(0..2)];
+                    let mut set = CsfSet::build(&base, other, &team, SortVariant::AllOpts);
+                    let (n, _) =
+                        resident.merge_into(&sorted, &mut set, &team, SortVariant::AllOpts);
+                    let want = CsfSet::build(&merged, alloc, &team, SortVariant::AllOpts);
+                    assert_eq!(set.alloc(), alloc);
+                    assert_eq!(set.csfs().len(), want.csfs().len());
+                    for (got, want) in set.csfs().iter().zip(want.csfs()) {
+                        assert_same(got, want);
+                    }
+                    let kept = CsfSet::level_orders(merged.dims(), alloc)
+                        .iter()
+                        .filter(|p| CsfSet::level_orders(base.dims(), alloc).contains(p))
+                        .count();
+                    assert_eq!(n, if base.nnz() > 0 { kept } else { 0 });
+                    assert_eq!(set.norm_squared().to_bits(), {
+                        let first = &want.csfs()[0];
+                        first.vals().iter().map(|v| v * v).sum::<f64>().to_bits()
+                    });
+                    assert_eq!(set.to_coo(), merged);
                 }
-                let kept = CsfSet::level_orders(merged.dims(), alloc)
-                    .iter()
-                    .filter(|p| CsfSet::level_orders(base.dims(), alloc).contains(p))
-                    .count();
-                assert_eq!(n, kept);
-            }
-            cases.set(cases.get() + 1);
-            reverse_caught.set(reverse_caught.get() + u32::from(caught));
-        });
+                cases.set(cases.get() + 1);
+                reverse_caught.set(reverse_caught.get() + u32::from(caught));
+            },
+        );
         // the property tells batch order from its reverse
         assert!(
             reverse_caught.get() * 10 >= cases.get(),
             "a reverse-order scatter passed {} of {} cases",
             cases.get() - reverse_caught.get(),
             cases.get()
+        );
+    }
+
+    /// The batch sort is the standard library's stable sort of the
+    /// entries by their coordinates in the level order: over packed keys
+    /// in radix passes, and by comparison past 64 key bits — for batches
+    /// of 0, 1, 2 and more entries, ties common, dims up to `u32::MAX`.
+    #[test]
+    fn the_batch_sort_is_the_stable_sort_in_any_level_order() {
+        qc::check(
+            "sort_batch == stable sort by level-order coordinates",
+            128,
+            |g| {
+                let order = g.usize_in(2..6);
+                let wide = g.usize_in(0..4) == 0;
+                let dims: Vec<u32> = (0..order)
+                    .map(|_| if wide { u32::MAX } else { g.range(1..3000u32) })
+                    .collect();
+                let n = [0, 1, 2, g.usize_in(3..600)][g.usize_in(0..4)];
+                let entries: Vec<(Vec<u32>, f64)> = (0..n)
+                    .map(|i| {
+                        let coord = dims
+                            .iter()
+                            .map(|&d| if g.bool() { d / 2 } else { g.range(0..d) })
+                            .collect();
+                        (coord, i as f64)
+                    })
+                    .collect();
+                let batch = packed(order, &entries);
+                let perm = g.permutation(order);
+                let mut extent = vec![0usize; order];
+                for (coord, _) in &entries {
+                    for (e, &c) in extent.iter_mut().zip(coord) {
+                        *e = (*e).max(c as usize + 1);
+                    }
+                }
+                let mut out = LevelBatch::default();
+                let (mut keys, mut swap, mut counts) = (Vec::new(), Vec::new(), Vec::new());
+                sort_batch(
+                    &batch,
+                    &perm,
+                    &extent,
+                    &mut out,
+                    (&mut keys, &mut swap, &mut counts),
+                );
+
+                let mut want: Vec<usize> = (0..n).collect();
+                want.sort_by_key(|&x| perm.iter().map(|&m| entries[x].0[m]).collect::<Vec<_>>());
+                let coords: Vec<u32> = want
+                    .iter()
+                    .flat_map(|&x| {
+                        let coord = &entries[x].0;
+                        perm.iter().map(move |&m| coord[m])
+                    })
+                    .collect();
+                assert_eq!(out.coords, coords);
+                let vals: Vec<f64> = want.iter().map(|&x| x as f64).collect();
+                assert_eq!(out.vals, vals, "ties out of batch order");
+                assert_eq!(
+                    out.extent,
+                    perm.iter().map(|&m| extent[m]).collect::<Vec<_>>()
+                );
+            },
         );
     }
 

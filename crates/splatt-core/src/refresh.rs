@@ -5,9 +5,11 @@
 //! sorts the tensor and refits from random factors — pays for the whole
 //! tensor and the whole log every time a few records arrive.
 //! [`RefreshEngine`] is the streaming driver whose round costs what the
-//! round's *delta* requires: reading it, merging it into the tensor and
-//! into each resident CSF, a warm refit and the publish. Four moves,
-//! each giving the bits the batch pipeline gives:
+//! round's *delta* requires: reading it, merging it into each resident
+//! CSF, a warm refit and the publish. The trees are the resident tensor:
+//! the engine keeps no coordinate copy of it, as SPLATT keeps only the
+//! CSF once it is built. Four moves, each giving the tensor and the
+//! model the batch pipeline gives, bit for bit:
 //!
 //! 1. **Tail, don't re-scan** — the engine remembers the
 //!    [`WalPosition`] of the first record it has not applied and
@@ -17,28 +19,38 @@
 //!    sequence **below** it is folded into the state the store manifest
 //!    records (sequences start at 0, so watermark `k` means "the first
 //!    `k` records are in").
-//! 2. **One merge per round** — every pending record is decoded and
-//!    validated first, the batches are concatenated in record order and
-//!    merged once. [`SparseTensor::merge_entries`] accumulates a cell
-//!    left to right in batch order, so one merge of the concatenation is
-//!    bit-identical to one merge per record — through cancellations to
-//!    zero, cells that reappear later, and `-0.0`.
-//!    [`RefreshEngine::open`] replays the records below the watermark
-//!    the same way. [`MergeStats::compare_ops`] of the merge into the
-//!    resident tensor is the auditable cost evidence, surfaced in the
-//!    probe report's `refresh` row.
-//! 3. **The resident CSFs are merged** — the engine keeps the
-//!    [`CsfSet`] it handed the last refit, and [`CsfSet::merged`] reads
-//!    the round's delta into each of its trees ([`Csf::merged`](crate::csf::Csf::merged):
-//!    untouched sibling runs copied, missing prefixes inserted, cells
-//!    accumulated as the tensor merge accumulates them, emptied fibers
-//!    dropped). The result is field for field the set
-//!    [`CsfSet::build`] sorts out of the merged tensor, and the solver
-//!    is handed it ([`CpalsRun::csf`]), so a warm round sorts nothing
-//!    and copies no tensor. A level order the engine holds no tree for
-//!    (the first round; one that changed because merged deltas grew a
-//!    mode past another) is built from the merged tensor by sorting,
-//!    and says so in `sorts_skipped`.
+//! 2. **One decode, one sort per tree** — every pending record is
+//!    decoded and validated first, straight into one packed batch
+//!    ([`DeltaBatch`]: coordinates side by side in one `u32` slab,
+//!    values in another, record order), which keeps its memory from
+//!    round to round. The batch is sorted once per tree in that tree's
+//!    level order, over packed keys in stable radix passes: ties keep
+//!    batch order, and a cell accumulates left to right in it — its old
+//!    value, then each delta — exactly as [`SparseTensor::merge_entries`]
+//!    accumulates it, so one merge of the round's batch is bit-identical
+//!    to one merge per record, through cancellations to zero, cells that
+//!    reappear later, and `-0.0`. [`RefreshEngine::open`] replays the
+//!    records below the watermark the same way, into the set it builds
+//!    from the base.
+//! 3. **The resident CSFs are merged, into recycled slabs** —
+//!    `CsfSet::merge_into` reads the sorted batch into each resident
+//!    tree in one pass ([`Csf`](crate::csf::Csf): untouched sibling runs
+//!    copied, missing prefixes inserted, cells accumulated, emptied
+//!    fibers dropped), writing every level straight into the slabs of
+//!    the set the previous round displaced. That spare grows only with
+//!    headroom (an eighth), so a warm round allocates nothing that
+//!    scales with the tensor. The result is field for field the set
+//!    [`CsfSet::build`] sorts out of the merged tensor, and the solver is
+//!    handed it ([`CpalsRun::csf`], no tensor): it reads the dims off the
+//!    set and sums ‖X‖² over its first tree in tree order — so the
+//!    reported fit may part from the batch pipeline's in its last bits,
+//!    while the model and the iteration counts do not. A level order the
+//!    engine holds no tree for (dims growth that moves a mode past
+//!    another) is built by sorting a merged tree's coordinates, and not
+//!    counted in `sorts_skipped`. [`MergeStats::compare_ops`] of the tree
+//!    merges (fiber-id comparisons; the radix sort makes none) is the
+//!    auditable cost evidence, surfaced in the probe report's `refresh`
+//!    row.
 //! 4. **Warm-start, don't restart** — the refit seeds
 //!    [`CpalsOptions::warm_start`] with the previous model, runs under
 //!    the limits of [`RefreshOptions::policy`] (a trip fails the round
@@ -69,10 +81,11 @@
 //! redo round overwrites it atomically). No interleaving leaves a torn
 //! model or a watermark ahead of the data it claims.
 //!
-//! A round only *reads* the tensor and the resident CSFs — the merges
-//! produce new ones — and installs tensor, CSFs, model, watermark and
-//! log position together after the commit, so a failed round leaves
-//! every one of them exactly as it was.
+//! A round only *reads* the resident CSFs — the merges write into the
+//! spare — and installs CSFs, model, watermark and log position together
+//! after the commit (the resident set and the spare swap places), so a
+//! failed round leaves every one of them exactly as it was; it has
+//! overwritten only the spare.
 //!
 //! The whole path threads an optional [`IoFaultPlan`], so the recovery
 //! storm test can crash a refresh at every injected I/O op and pin
@@ -84,7 +97,7 @@
 //! for zero-downtime republish.
 
 use crate::cpals::{try_cp_als, CpalsError, CpalsOutput, CpalsRun, Governance};
-use crate::csf::CsfSet;
+use crate::csf::{CsfSet, SortedDelta};
 use crate::kruskal::KruskalModel;
 use crate::model_file::{load_model_path, save_model};
 use crate::options::CpalsOptions;
@@ -93,11 +106,11 @@ use splatt_guard::GuardConfig;
 use splatt_par::{TaskTeam, TeamConfig};
 use splatt_probe::RefreshRow;
 use splatt_store::{
-    decode_delta, publish_artifact, DeltaEntry, Manifest, StoreError, Wal, WalPosition, WalRecord,
+    decode_delta, publish_artifact, DeltaBatch, Manifest, StoreError, Wal, WalPosition, WalRecord,
 };
 use splatt_tensor::{MergeStats, SparseTensor};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Default file name of the published model artifact inside the store.
@@ -204,7 +217,9 @@ pub struct RefreshOutcome {
     pub applied: u64,
     /// Individual delta entries merged this round.
     pub entries: u64,
-    /// Statistics of this round's merge into the resident tensor.
+    /// This round's merge into the resident trees: nonzeros before and
+    /// after, delta entries, and the fiber-id comparisons the tree
+    /// merges made.
     pub merge: MergeStats,
     /// Fit of the refreshed model.
     pub fit: f64,
@@ -225,11 +240,21 @@ pub struct RefreshOutcome {
 pub struct RefreshEngine {
     dir: PathBuf,
     opts: RefreshOptions,
-    /// Canonical ([`SparseTensor::is_canonical`]) from `open` on.
-    tensor: SparseTensor,
-    /// The set [`CsfSet::build`] gives `tensor` under the solver's
-    /// allocation policy; `None` until the first round.
-    csf: Option<CsfSet>,
+    /// The resident tensor: the set [`CsfSet::build`] gives the canonical
+    /// tensor under the solver's allocation policy.
+    csf: CsfSet,
+    /// The slabs of the set the last committed round displaced (none
+    /// before it): the next round writes its set into them.
+    spare: CsfSet,
+    /// The round's delta, decoded flat and sorted once per tree; both
+    /// keep their memory for the next round.
+    delta: DeltaBatch,
+    sorted: SortedDelta,
+    /// [`Self::tensor`]'s canonical tensor, laid out of `csf` on demand.
+    tensor: OnceLock<SparseTensor>,
+    /// The tensor the last install displaced, dropped by the next
+    /// [`Self::tensor`] call rather than inside the installing round.
+    stale: Mutex<Option<SparseTensor>>,
     model: Option<KruskalModel>,
     watermark: u64,
     round: u64,
@@ -241,13 +266,13 @@ pub struct RefreshEngine {
 impl RefreshEngine {
     /// Open a store directory for refreshing.
     ///
-    /// Rebuilds the resident tensor as `base` (or an all-ones-dims
-    /// empty tensor of the store's order) plus every WAL record below
-    /// the committed watermark — merged in one batch, which also makes a
-    /// `base` with duplicates or stored zeros canonical — and loads the
-    /// previously published model for warm starts. The log is read up to
-    /// the watermark and no further; records *past* it are left for
-    /// [`Self::refresh_once`].
+    /// Builds the resident set from `base` (or an all-ones-dims empty
+    /// tensor of the store's order), made canonical — duplicates summed,
+    /// stored zeros dropped — and merges every WAL record below the
+    /// committed watermark into it in one batch, the round's merge; then
+    /// loads the previously published model for warm starts. The log is
+    /// read up to the watermark and no further; records *past* it are
+    /// left for [`Self::refresh_once`].
     ///
     /// # Errors
     /// Store/decode errors, [`RefreshError::Manifest`] for a committed
@@ -273,12 +298,15 @@ impl RefreshEngine {
         let round = committed(KEY_REFRESH_ROUND)?;
 
         // Redo: everything below the watermark is already part of the
-        // committed state, so fold it back into the resident tensor.
+        // committed state, so fold it back into the resident set.
         let start = WalPosition::default();
         let replay = Wal::tail(dir, start, watermark, plan)?;
 
-        let mut tensor = match base {
-            Some(t) => t,
+        let base = match base {
+            Some(mut t) => {
+                t.merge_entries(&[]);
+                t
+            }
             None => {
                 let of_first = |records: &[WalRecord]| {
                     let first = records.first()?;
@@ -293,7 +321,21 @@ impl RefreshEngine {
                 SparseTensor::new(vec![1; order.ok_or(RefreshError::EmptyStore)?])
             }
         };
-        tensor.merge_entries(&decode_batch(&replay.records, tensor.order())?);
+        let mut delta = DeltaBatch::new(base.order());
+        decode_records(&replay.records, &mut delta)?;
+        let cpals = &opts.cpals;
+        let team = team_for(cpals);
+        let built = CsfSet::build(&base, cpals.csf_alloc, &team, cpals.sort_variant);
+        drop(base);
+        let mut sorted = SortedDelta::default();
+        let (csf, spare) = if delta.is_empty() {
+            (built, CsfSet::unfilled())
+        } else {
+            sorted.sort(&built, &delta);
+            let mut merged = CsfSet::unfilled();
+            built.merge_into(&sorted, &mut merged, &team, cpals.sort_variant);
+            (merged, built)
+        };
 
         let model_file = manifest
             .get(KEY_REFRESH_MODEL)
@@ -313,8 +355,12 @@ impl RefreshEngine {
         Ok(RefreshEngine {
             dir: dir.to_path_buf(),
             opts,
-            tensor,
-            csf: None,
+            csf,
+            spare,
+            delta,
+            sorted,
+            tensor: OnceLock::new(),
+            stale: Mutex::new(None),
             model,
             watermark,
             round,
@@ -345,52 +391,44 @@ impl RefreshEngine {
             return Ok(None);
         };
         let new_watermark = last.seq + 1;
-        let delta = decode_batch(&tail.records, self.tensor.order())?;
         let tail_ns = since(started);
 
+        // One decode into the packed batch, one sort per tree.
         let started = Instant::now();
-        let (work, merge) = self.tensor.merged_canonical(&delta);
+        decode_records(&tail.records, &mut self.delta)?;
+        self.sorted.sort(&self.csf, &self.delta);
         let merge_ns = since(started);
 
-        // The same delta merged into the resident CSFs (or, for a level
-        // order they do not hold, the merged tensor sorted).
+        // The delta merged into the resident trees, written into the
+        // spare's slabs (or, for a level order they do not hold, a merged
+        // tree's coordinates sorted).
         let mut cpals = self.opts.cpals.clone();
-        let team = TaskTeam::with_config(
-            cpals.ntasks,
-            TeamConfig {
-                spin_count: cpals.spin_count,
-            },
-        );
+        let team = team_for(&cpals);
         let started = Instant::now();
-        let (csf, sorts_skipped) = CsfSet::merged(
-            self.csf.as_ref(),
-            &work,
-            &delta,
-            cpals.csf_alloc,
-            &team,
-            cpals.sort_variant,
-        );
+        let (sorts_skipped, compare_ops) =
+            self.csf
+                .merge_into(&self.sorted, &mut self.spare, &team, cpals.sort_variant);
         let csf_ns = since(started);
-        drop(delta);
+        let csf = &self.spare;
 
         // Warm-started, governed refit on that set.
         let started = Instant::now();
         cpals.warm_start = self
             .model
             .as_ref()
-            .filter(|m| warm_start_compatible(m, &work, cpals.rank))
+            .filter(|m| warm_start_compatible(m, self.sorted.dims(), cpals.rank))
             .cloned();
         let governed = CpalsRun {
             team: Some(&team),
-            csf: Some(&csf),
+            csf: Some(csf),
             governance: Governance::Policy(&self.opts.policy),
             ..Default::default()
         };
-        let run = try_cp_als(&work, &cpals, &governed).map_err(RefreshError::Solver)?;
+        let run = try_cp_als(None, &cpals, &governed).map_err(RefreshError::Solver)?;
         let warm_fit_gap = if self.opts.audit_cold {
             let mut cold = cpals.clone();
             cold.warm_start = None;
-            let cold_run = try_cp_als(&work, &cold, &governed).map_err(RefreshError::Solver)?;
+            let cold_run = try_cp_als(None, &cold, &governed).map_err(RefreshError::Solver)?;
             (run.fit - cold_run.fit).abs()
         } else {
             0.0
@@ -407,24 +445,35 @@ impl RefreshEngine {
         publish_artifact(&model_path, round, &payload, plan)?;
 
         let mut manifest = Manifest::load(&self.dir, plan)?.unwrap_or_default();
-        manifest.set("order", &work.order().to_string());
+        manifest.set("order", &self.delta.order().to_string());
         manifest.set(KEY_REFRESH_SEQ, &new_watermark.to_string());
         manifest.set(KEY_REFRESH_MODEL, &model_file);
         manifest.set(KEY_REFRESH_ROUND, &round.to_string());
         manifest.publish(&self.dir, plan)?;
         let publish_ns = since(started);
 
-        // Committed: install the round's state and counters.
+        // Committed: install the round's state and counters. The
+        // displaced set becomes the spare; a tensor laid out of it waits
+        // for the next `tensor()` call to be dropped.
         let CpalsOutput {
             model,
             fit,
             iterations,
             ..
         } = run;
+        let merge = MergeStats {
+            base_nnz: self.nnz(),
+            delta_nnz: self.delta.len(),
+            out_nnz: self.spare.csfs()[0].nnz(),
+            compare_ops,
+            base_was_canonical: true,
+        };
         let applied = tail.records.len() as u64;
         let entries = merge.delta_nnz as u64;
-        self.tensor = work;
-        self.csf = Some(csf);
+        std::mem::swap(&mut self.csf, &mut self.spare);
+        if let Some(displaced) = self.tensor.take() {
+            *self.stale.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(displaced);
+        }
         self.model = Some(model);
         self.watermark = new_watermark;
         self.round = round;
@@ -469,9 +518,26 @@ impl RefreshEngine {
         self.round
     }
 
-    /// The resident canonical tensor.
+    /// The resident canonical tensor, laid out of the resident set on the
+    /// first call after a round installs one and kept until the next
+    /// install: a sort of every nonzero, for tests, checks and tools,
+    /// never for a round. The tensor a round displaces is dropped here,
+    /// by the next call, not in the round.
     pub fn tensor(&self) -> &SparseTensor {
-        &self.tensor
+        self.tensor.get_or_init(|| {
+            drop(
+                self.stale
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take(),
+            );
+            self.csf.to_coo()
+        })
+    }
+
+    /// Nonzeros in the resident tensor.
+    pub fn nnz(&self) -> usize {
+        self.csf.csfs()[0].nnz()
     }
 
     /// The most recently published model, if any round has committed
@@ -502,29 +568,40 @@ impl RefreshOptions {
     }
 }
 
-/// Can `model` seed a warm start for `tensor` at `rank`? Modes may only
-/// have *grown* since the model was fit.
-fn warm_start_compatible(model: &KruskalModel, tensor: &SparseTensor, rank: usize) -> bool {
-    model.rank() == rank
-        && model.order() == tensor.order()
-        && model
-            .factors
-            .iter()
-            .zip(tensor.dims())
-            .all(|(f, &d)| f.rows() <= d)
+/// The task team the solver options ask for.
+fn team_for(cpals: &CpalsOptions) -> TaskTeam {
+    TaskTeam::with_config(
+        cpals.ntasks,
+        TeamConfig {
+            spin_count: cpals.spin_count,
+        },
+    )
 }
 
-/// Decode `records` into one batch, in record order.
+/// Can `model` seed a warm start for a tensor of `dims` at `rank`? Modes
+/// may only have *grown* since the model was fit.
+fn warm_start_compatible(model: &KruskalModel, dims: &[usize], rank: usize) -> bool {
+    model.rank() == rank
+        && model.order() == dims.len()
+        && model.factors.iter().zip(dims).all(|(f, &d)| f.rows() <= d)
+}
+
+/// Decode `records` into `batch` (emptied first, its order kept), in
+/// record order.
 ///
 /// # Errors
-/// The first record that does not decode, or is not of `order`.
-fn decode_batch(records: &[WalRecord], order: usize) -> Result<Vec<DeltaEntry>, RefreshError> {
-    let mut batch = Vec::new();
+/// The first record that does not decode, or is not of the batch's
+/// order.
+fn decode_records(records: &[WalRecord], batch: &mut DeltaBatch) -> Result<(), RefreshError> {
+    let order = batch.order();
+    batch.clear(order);
     for rec in records {
-        let (found, entries) = decode_delta(&rec.payload).map_err(|e| RefreshError::Decode {
-            seq: rec.seq,
-            detail: e.to_string(),
-        })?;
+        let found = batch
+            .decode_append(&rec.payload)
+            .map_err(|e| RefreshError::Decode {
+                seq: rec.seq,
+                detail: e.to_string(),
+            })?;
         if found != order {
             return Err(RefreshError::OrderMismatch {
                 seq: rec.seq,
@@ -532,9 +609,8 @@ fn decode_batch(records: &[WalRecord], order: usize) -> Result<Vec<DeltaEntry>, 
                 found,
             });
         }
-        batch.extend(entries);
     }
-    Ok(batch)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -743,14 +819,14 @@ mod tests {
         eng.opts.policy.deadline = Some(std::time::Duration::ZERO);
         let before = (eng.watermark(), eng.round(), eng.tensor().clone());
         let model = eng.model().cloned();
-        let csf = eng.csf.clone().expect("the first round built the set");
+        let csf = eng.csf.clone();
         let err = eng.refresh_once().unwrap_err();
         assert!(matches!(err, RefreshError::Solver(_)), "{err}");
         assert_eq!((eng.watermark(), eng.round()), (before.0, before.1));
         assert_eq!(eng.tensor(), &before.2);
         assert_eq!(eng.model(), model.as_ref());
         assert_eq!(eng.refresh_row().rounds, 1, "nothing counted");
-        assert_same_set(eng.csf.as_ref().unwrap(), &csf);
+        assert_same_set(&eng.csf, &csf);
 
         // the retry merges into every resident tree, and publishes what
         // the twin publishes
@@ -782,7 +858,8 @@ mod tests {
     /// After every committed and every failed round the engine's resident
     /// set is field for field the one `CsfSet::build` sorts out of its
     /// tensor — through dims growth that keeps the level orders, growth
-    /// that changes them, and a delta that cancels a root slice.
+    /// that changes them, and a delta that cancels a root slice — and an
+    /// engine reopened on the store holds the same set.
     #[test]
     fn the_resident_set_is_always_a_rebuild() {
         use crate::csf::CsfAlloc;
@@ -797,7 +874,7 @@ mod tests {
             let rebuilt = |eng: &RefreshEngine| {
                 let team = TaskTeam::new(1);
                 let want = CsfSet::build(eng.tensor(), alloc, &team, Default::default());
-                assert_same_set(eng.csf.as_ref().expect("a committed round"), &want);
+                assert_same_set(&eng.csf, &want);
             };
             eng.refresh_once().unwrap().unwrap();
             rebuilt(&eng);
@@ -833,6 +910,12 @@ mod tests {
             }
             assert_eq!(eng.tensor().dims(), &[11, 15, 6]);
             assert!(!eng.tensor().ind(2).contains(&5), "the slice cancelled");
+            // a reopened engine replays the log into the same set
+            let mut opts = quick_opts();
+            opts.cpals.csf_alloc = alloc;
+            let reopened = RefreshEngine::open(&dir, None, opts).unwrap();
+            assert_same_set(&reopened.csf, &eng.csf);
+            assert_eq!(reopened.tensor(), eng.tensor());
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -866,6 +949,53 @@ mod tests {
         assert!(split.iter().all(|&ns| ns > 0), "{row:?}");
         assert!(split.iter().sum::<u64>() <= wall, "{split:?} > {wall}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A warm round allocates nothing that scales with the tensor: past
+    /// two warm-up rounds — one filling the spare set, one growing the
+    /// set built at open — a round merging a delta of the same cells
+    /// requests the same heap on bases whose nnz differ by more than 4x,
+    /// up to the kernels' scratch: the sparser tree runs the solver's
+    /// mode 0 through the leaf kernel, the denser through the internal
+    /// one (`DENSE_FIBER_NNZ`), ≈ 2 KB apart. A round that copies the
+    /// tensor requests ≈ 20 B per nonzero more.
+    #[test]
+    fn a_warm_round_allocates_nothing_that_scales_with_the_tensor() {
+        use splatt_probe::alloc::heap_of;
+        let warm_round_heap = |nnz: usize| -> (usize, u64) {
+            let dir = temp_dir(&format!("heap_{nnz}"));
+            let base = splatt_tensor::synth::random_uniform(&[40, 30, 20], nnz, 5);
+            let mut opts = quick_opts();
+            opts.cpals.tolerance = 0.0;
+            let mut eng = RefreshEngine::open(&dir, Some(base), opts).unwrap();
+            let (mut wal, _r) = Wal::open(&dir, WalOptions::default()).unwrap();
+            let mut heap = 0;
+            for round in 0..3u32 {
+                let delta: Batch = (0..64u32)
+                    .map(|i| {
+                        (
+                            vec![i % 40, i * 7 % 30, (i + round) % 20],
+                            0.5 + f64::from(i),
+                        )
+                    })
+                    .collect();
+                wal.append(&encode_delta(3, &delta)).unwrap();
+                wal.commit().unwrap();
+                heap = heap_of(|| eng.refresh_once().unwrap().unwrap()).1;
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            (eng.nnz(), heap)
+        };
+        let (small, large) = (warm_round_heap(2_000), warm_round_heap(16_000));
+        assert!(large.0 > 4 * small.0, "{small:?} vs {large:?}");
+        assert!(
+            large.1.abs_diff(small.1) <= 4096,
+            "a warm round requested {} B at {} nonzeros but {} B at {}",
+            small.1,
+            small.0,
+            large.1,
+            large.0
+        );
     }
 
     #[test]

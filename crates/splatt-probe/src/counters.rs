@@ -300,21 +300,25 @@ counter_set! {
         deltas_applied,
         /// Individual delta entries merged into the resident tensor.
         entries_merged,
-        /// Coordinate comparisons spent in the incremental merges — the
-        /// asymptotic-cost evidence (compare against a full re-coalesce
-        /// bound, not wall-clock).
+        /// Fiber-id comparisons the merges into the resident trees made
+        /// to place each round's delta (its sort is a radix sort and
+        /// compares nothing) — the asymptotic-cost evidence (compare
+        /// against a full re-coalesce bound, not wall-clock).
         merge_compare_ops,
-        /// Nanoseconds spent merging deltas into the resident tensor.
+        /// Nanoseconds spent preparing each round's delta for the trees:
+        /// decoding it into one packed batch and sorting that once per
+        /// tree's level order.
         merge_ns,
         /// Nanoseconds spent producing the CSF set each refit runs on:
-        /// merging the round's delta into the resident trees, or sorting
-        /// the merged tensor for a level order the engine held none of.
+        /// merging the sorted delta into the resident trees, or sorting a
+        /// merged tree's coordinates for a level order the engine held
+        /// none of.
         csf_ns,
         /// CSF roots handed to the solver without sorting the tensor:
         /// the engine merged the round's delta into its resident tree of
         /// that level order.
         sorts_skipped,
-        /// Nanoseconds spent reading and decoding the WAL tail.
+        /// Nanoseconds spent reading the WAL tail.
         tail_ns,
         /// Framed bytes of the WAL records the rounds read: the log is
         /// tailed from the first unapplied record, so a round's share is

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 /// Version tag embedded in every JSON profile. Bump only with a schema
 /// change; tests pin the current value and a golden document
-/// (`testdata/profile_v16.json`) pins every key and its order. What
+/// (`testdata/profile_v17.json`) pins every key and its order. What
 /// each version added: v2 `faults`; v3 `guard`; v4 `alloc.kernel_scratch_*`;
 /// v5 `serve`; v6 a `dispatch` array, removed again in v11 with the
 /// second tensor format it reported on; v7 `serve.shards`; v8 `store`;
@@ -31,8 +31,10 @@ use std::fmt::Write as _;
 /// `refresh.wal_bytes_scanned`; v14 the refresh round's split,
 /// `refresh.{tail,csf,refit}_ns`; v15 dropped `serve.max_batch` and
 /// `serve.batch_buckets` with the engine's batcher; v16 dropped
-/// `serve.shards` with the loopback cluster.
-pub const PROFILE_SCHEMA: &str = "splatt-profile-v16";
+/// `serve.shards` with the loopback cluster; v17 redefined
+/// `refresh.merge_ns` and `refresh.merge_compare_ops` when the refresh
+/// engine stopped keeping a coordinate tensor beside its trees.
+pub const PROFILE_SCHEMA: &str = "splatt-profile-v17";
 
 /// One row of the per-routine table (label from `splatt_par::Routine`).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -423,7 +425,7 @@ mod tests {
     use crate::tasks::ThreadLoadRow;
 
     /// Every section present, two query kinds, a net row: the report
-    /// whose JSON `testdata/profile_v16.json` pins.
+    /// whose JSON `testdata/profile_v17.json` pins.
     fn sample() -> ProfileReport {
         let mut span = SpanNode::leaf("cpd", 2_000_000);
         span.push(SpanNode::leaf("iteration 0", 1_900_000));
@@ -575,7 +577,7 @@ mod tests {
     #[test]
     fn json_is_byte_identical_to_the_committed_golden() {
         let json = sample().to_json();
-        assert_eq!(json, include_str!("../testdata/profile_v16.json"));
+        assert_eq!(json, include_str!("../testdata/profile_v17.json"));
         let doc = json::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(PROFILE_SCHEMA));
     }

@@ -66,9 +66,10 @@ pub fn encode_delta(order: usize, entries: &[DeltaEntry]) -> Vec<u8> {
     out
 }
 
-/// Decode a batch; returns `(order, entries)` with values bit-identical
-/// to what [`encode_delta`] was given.
-pub fn decode_delta(bytes: &[u8]) -> Result<(usize, Vec<DeltaEntry>), DeltaDecodeError> {
+/// Check a payload's header against its length; returns the order and
+/// the entry bytes. The only place a payload's lengths are read, so
+/// every decoder allocates after — and by — what this has checked.
+fn entry_bytes(bytes: &[u8]) -> Result<(usize, &[u8]), DeltaDecodeError> {
     if bytes.len() < 5 {
         return Err(err(bytes.len(), "payload shorter than the 5-byte header"));
     }
@@ -91,21 +92,117 @@ pub fn decode_delta(bytes: &[u8]) -> Result<(usize, Vec<DeltaEntry>), DeltaDecod
             ),
         ));
     }
-    let mut entries = Vec::with_capacity(count);
-    let mut at = 5;
-    for _ in 0..count {
-        let mut coords = Vec::with_capacity(order);
-        for _ in 0..order {
-            coords.push(u32::from_le_bytes(
-                bytes[at..at + 4].try_into().expect("4 bytes"),
-            ));
-            at += 4;
-        }
-        let bits = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        at += 8;
-        entries.push((coords, f64::from_bits(bits)));
-    }
+    Ok((order, &bytes[5..]))
+}
+
+/// The entries of checked entry bytes, in order: each one's coordinates
+/// (read as they are consumed) and its value.
+fn entries(
+    body: &[u8],
+    order: usize,
+) -> impl ExactSizeIterator<Item = (impl Iterator<Item = u32> + '_, f64)> + '_ {
+    body.chunks_exact(4 * order + 8).map(move |entry| {
+        let (coords, bits) = entry.split_at(4 * order);
+        let coords = coords
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
+        let bits = u64::from_le_bytes(bits.try_into().expect("8 bytes"));
+        (coords, f64::from_bits(bits))
+    })
+}
+
+/// Decode a batch; returns `(order, entries)` with values bit-identical
+/// to what [`encode_delta`] was given.
+pub fn decode_delta(bytes: &[u8]) -> Result<(usize, Vec<DeltaEntry>), DeltaDecodeError> {
+    let (order, body) = entry_bytes(bytes)?;
+    let entries = entries(body, order)
+        .map(|(coords, value)| (coords.collect(), value))
+        .collect();
     Ok((order, entries))
+}
+
+/// Delta entries of one order held flat: every entry's coordinates side
+/// by side in one `u32` slab, the values in another, in the order they
+/// were added. The packed form a refresh round decodes its WAL tail
+/// into — one allocation per slab, none per entry, and kept for the next
+/// round's entries by [`DeltaBatch::clear`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DeltaBatch {
+    order: usize,
+    coords: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl DeltaBatch {
+    /// An empty batch of `order`-way entries.
+    pub fn new(order: usize) -> DeltaBatch {
+        DeltaBatch {
+            order,
+            ..DeltaBatch::default()
+        }
+    }
+
+    /// Drop every entry and take `order`-way ones from now on, keeping
+    /// both slabs' memory.
+    pub fn clear(&mut self, order: usize) {
+        self.order = order;
+        self.coords.clear();
+        self.vals.clear();
+    }
+
+    /// Decode a payload and append its entries — the decoder
+    /// [`decode_delta`] runs, read into the slabs. Returns the
+    /// payload's order; a payload of another order than the batch's is
+    /// appended nothing, and neither is one that does not decode.
+    pub fn decode_append(&mut self, bytes: &[u8]) -> Result<usize, DeltaDecodeError> {
+        let (order, body) = entry_bytes(bytes)?;
+        if order == self.order {
+            let entries = entries(body, order);
+            self.coords.reserve(entries.len() * order);
+            self.vals.reserve(entries.len());
+            for (coords, value) in entries {
+                self.coords.extend(coords);
+                self.vals.push(value);
+            }
+        }
+        Ok(order)
+    }
+
+    /// Coordinates per entry.
+    #[inline]
+    pub fn order(&self) -> usize {
+        self.order
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// `true` without entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.vals.is_empty()
+    }
+
+    /// Entry `i`'s coordinates.
+    #[inline]
+    pub fn coord(&self, i: usize) -> &[u32] {
+        &self.coords[i * self.order..(i + 1) * self.order]
+    }
+
+    /// Every entry's coordinates, entry after entry.
+    #[inline]
+    pub fn coords(&self) -> &[u32] {
+        &self.coords
+    }
+
+    /// Every entry's value, in entry order.
+    #[inline]
+    pub fn vals(&self) -> &[f64] {
+        &self.vals
+    }
 }
 
 #[cfg(test)]
@@ -129,6 +226,38 @@ mod tests {
             assert_eq!(ec, dc);
             assert_eq!(ev.to_bits(), dv.to_bits(), "value bits must match");
         }
+    }
+
+    #[test]
+    fn the_packed_decoder_appends_what_decode_delta_returns() {
+        let first: Vec<DeltaEntry> = vec![(vec![0, 1, 2], 1.5), (vec![9, 9, 9], -0.0)];
+        let second: Vec<DeltaEntry> = vec![(vec![u32::MAX, 0, 7], f64::MIN_POSITIVE)];
+        let mut batch = DeltaBatch::new(3);
+        for entries in [&first, &second] {
+            assert_eq!(batch.decode_append(&encode_delta(3, entries)), Ok(3));
+        }
+        let all: Vec<DeltaEntry> = first.iter().chain(&second).cloned().collect();
+        assert_eq!(batch.len(), all.len());
+        for (i, (coords, value)) in all.iter().enumerate() {
+            assert_eq!(batch.coord(i), coords.as_slice());
+            assert_eq!(batch.vals()[i].to_bits(), value.to_bits());
+        }
+        let flat: Vec<u32> = all.iter().flat_map(|(c, _)| c.iter().copied()).collect();
+        assert_eq!(batch.coords(), flat.as_slice());
+
+        // another order, or bytes that do not decode: nothing appended
+        let before = batch.clone();
+        assert_eq!(
+            batch.decode_append(&encode_delta(2, &[(vec![1, 2], 3.0)])),
+            Ok(2)
+        );
+        let torn = encode_delta(3, &first);
+        assert!(batch.decode_append(&torn[..torn.len() - 1]).is_err());
+        assert_eq!(batch, before);
+
+        batch.clear(2);
+        assert!(batch.is_empty() && batch.coords().is_empty());
+        assert_eq!(batch.order(), 2);
     }
 
     #[test]

@@ -51,7 +51,7 @@ static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingA
 pub use atomic::{is_framed, publish_artifact, publish_bytes, read_artifact, unwrap_artifact};
 pub use counters::snapshot as counters_snapshot;
 pub use crc::{crc32, Crc32};
-pub use delta::{decode_delta, encode_delta, DeltaDecodeError, DeltaEntry};
+pub use delta::{decode_delta, encode_delta, DeltaBatch, DeltaDecodeError, DeltaEntry};
 pub use error::StoreError;
 pub use frame::{
     encode_frame, encode_frame_into, frame_len, parse_frame_at, parse_frames, Frame, FrameDefect,

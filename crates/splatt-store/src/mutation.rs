@@ -1,7 +1,8 @@
 //! Mutation test over the bytes the disk controls: a frame through
-//! [`parse_frame_at`] and a delta payload through [`decode_delta`] —
-//! what WAL recovery runs on whatever a crash, a torn write or a bad
-//! sector left behind — and an artifact file through
+//! [`parse_frame_at`] and a delta payload through [`decode_delta`] and
+//! [`DeltaBatch::decode_append`] — what WAL recovery and a refresh round
+//! run on whatever a crash, a torn write or a bad sector left behind —
+//! and an artifact file through
 //! [`unwrap_artifact`] with the manifest inside it through
 //! [`Manifest::decode`], what every store open reads first. The store
 //! slice of the harness `splatt-serve/src/wire_mutation.rs` runs over
@@ -22,7 +23,7 @@
 //!   present ([`splatt_probe::alloc::CountingAlloc`], per thread).
 
 use crate::atomic::unwrap_artifact;
-use crate::delta::{decode_delta, encode_delta, DeltaDecodeError, DeltaEntry};
+use crate::delta::{decode_delta, encode_delta, DeltaBatch, DeltaDecodeError, DeltaEntry};
 use crate::error::StoreError;
 use crate::frame::{
     encode_frame, encode_frame_into, parse_frame_at, Frame, FrameDefect, ARTIFACT_MAGIC,
@@ -72,6 +73,27 @@ fn check_delta_mutant(m: &[u8]) -> Result<(), DeltaDecodeError> {
         "decode_delta asked for {heap} B for {} B: {m:?}",
         m.len()
     );
+    // the packed decoder: the same verdict, the same entries, and no
+    // more heap than the bytes present
+    let order = m.first().map_or(0, |&o| usize::from(o));
+    let mut packed = DeltaBatch::new(order);
+    let (appended, heap) = heap_of(|| packed.decode_append(m));
+    assert!(
+        heap <= m.len() as u64 + HEAP_SLACK,
+        "DeltaBatch::decode_append asked for {heap} B for {} B: {m:?}",
+        m.len()
+    );
+    match &decoded {
+        Ok((order, entries)) => {
+            assert_eq!(appended, Ok(*order));
+            assert_eq!(encode_delta(*order, &packed_entries(&packed)), m);
+            assert_eq!(packed.len(), entries.len());
+        }
+        Err(e) => {
+            assert_eq!(appended.as_ref(), Err(e));
+            assert!(packed.is_empty(), "a refused payload appended entries");
+        }
+    }
     let (order, entries) = decoded.inspect_err(|e| assert!(e.offset <= m.len(), "{e}: {m:?}"))?;
     // Compared as bytes: a flipped bit makes NaNs, which no value equals.
     assert_eq!(
@@ -80,6 +102,13 @@ fn check_delta_mutant(m: &[u8]) -> Result<(), DeltaDecodeError> {
         "decode then encode changed the bytes of {entries:?}"
     );
     Ok(())
+}
+
+/// A packed batch's entries as `(coords, value)` pairs.
+fn packed_entries(batch: &DeltaBatch) -> Vec<DeltaEntry> {
+    (0..batch.len())
+        .map(|i| (batch.coord(i).to_vec(), batch.vals()[i]))
+        .collect()
 }
 
 fn check_artifact_mutant(m: &[u8]) -> Result<Frame, StoreError> {

@@ -30,45 +30,40 @@ pub struct MergeStats {
     pub base_was_canonical: bool,
 }
 
-/// A delta batch sorted by coordinate in one mode order — the sort both
-/// incremental merges run: [`SparseTensor::merged_canonical`] in the
-/// tensor's own mode order, `Csf::merged` (in `splatt-core`) in a
-/// tree's level order.
+/// A delta batch sorted by coordinate — the sort
+/// [`SparseTensor::merge_entries`] runs.
 ///
 /// The entries are ordered by a stable `sort_by`: ties keep batch order,
 /// so a cell's deltas accumulate left to right. Where a coordinate's
-/// indices — each in the bits its position's extent needs — and the
-/// entry's index fit in 64 bits together, the sort runs over one `u64`
-/// per entry (coordinate above index) and compares the coordinate bits
-/// in place; else it runs over entry indices and compares the
-/// coordinates through them. Either way it sorts one 8-byte item per
-/// entry and each comparison has the outcome the entries' `Vec<u32>`s
-/// would give, so the comparisons — and [`SortedBatch::compare_ops`] —
-/// are those of sorting entry indices by their `Vec`s, in the memory
-/// that takes.
+/// indices — each in the bits its mode's extent needs — and the entry's
+/// index fit in 64 bits together, the sort runs over one `u64` per entry
+/// (coordinate above index) and compares the coordinate bits in place;
+/// else it runs over entry indices and compares the coordinates through
+/// them. Either way it sorts one 8-byte item per entry and each
+/// comparison has the outcome the entries' `Vec<u32>`s would give, so
+/// the comparisons — and [`SortedBatch::compare_ops`] — are those of
+/// sorting entry indices by their `Vec`s, in the memory that takes.
 #[derive(Debug, Clone)]
-pub struct SortedBatch<'a> {
+struct SortedBatch<'a> {
     entries: &'a [(Vec<u32>, f64)],
-    modes: Vec<usize>,
     /// Entry indices in sorted order.
     sorted: Vec<usize>,
-    /// One past the largest index at each position (0 when empty).
+    /// One past the largest index in each mode (0 when empty).
     extent: Vec<usize>,
     compare_ops: u64,
 }
 
 impl<'a> SortedBatch<'a> {
-    /// Sort `entries` by their coordinates read in the mode order
-    /// `modes`: position `l` of a sorted coordinate is mode `modes[l]`.
+    /// Sort `order`-way `entries` by their coordinates.
     ///
     /// # Panics
-    /// Panics if any entry's coordinate arity differs from `modes.len()`.
-    pub fn new(entries: &'a [(Vec<u32>, f64)], modes: &[usize]) -> Self {
-        let mut extent = vec![0usize; modes.len()];
+    /// Panics if any entry's coordinate arity differs from `order`.
+    fn new(entries: &'a [(Vec<u32>, f64)], order: usize) -> Self {
+        let mut extent = vec![0usize; order];
         for (coord, _) in entries {
-            assert_eq!(coord.len(), modes.len(), "delta entry arity mismatch");
-            for (e, &m) in extent.iter_mut().zip(modes) {
-                *e = (*e).max(coord[m] as usize + 1);
+            assert_eq!(coord.len(), order, "delta entry arity mismatch");
+            for (e, &c) in extent.iter_mut().zip(coord) {
+                *e = (*e).max(c as usize + 1);
             }
         }
         // bits that hold every value below `n`
@@ -81,10 +76,10 @@ impl<'a> SortedBatch<'a> {
                 .iter()
                 .enumerate()
                 .map(|(x, (coord, _))| {
-                    let key = modes
+                    let key = coord
                         .iter()
                         .zip(&widths)
-                        .fold(0u64, |k, (&m, &w)| (k << w) | u64::from(coord[m]));
+                        .fold(0u64, |k, (&c, &w)| (k << w) | u64::from(c));
                     (key << index_bits) | x as u64
                 })
                 .collect();
@@ -95,17 +90,15 @@ impl<'a> SortedBatch<'a> {
             let index = (1u64 << index_bits) - 1;
             packed.into_iter().map(|p| (p & index) as usize).collect()
         } else {
-            let key = |x: usize| modes.iter().map(move |&m| entries[x].0[m]);
             let mut sorted: Vec<usize> = (0..entries.len()).collect();
             sorted.sort_by(|&a, &b| {
                 compare_ops += 1;
-                key(a).cmp(key(b))
+                entries[a].0.cmp(&entries[b].0)
             });
             sorted
         };
         SortedBatch {
             entries,
-            modes: modes.to_vec(),
             sorted,
             extent,
             compare_ops,
@@ -114,43 +107,30 @@ impl<'a> SortedBatch<'a> {
 
     /// Number of entries.
     #[inline]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.sorted.len()
-    }
-
-    /// `true` for an empty batch.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// The `i`-th entry in sorted order, as the batch holds it.
     #[inline]
-    pub fn entry(&self, i: usize) -> &'a (Vec<u32>, f64) {
+    fn entry(&self, i: usize) -> &'a (Vec<u32>, f64) {
         &self.entries[self.sorted[i]]
-    }
-
-    /// Position `l` of the `i`-th coordinate in sorted order: its index
-    /// in mode `modes[l]`.
-    #[inline]
-    pub fn index(&self, i: usize, l: usize) -> u32 {
-        self.entry(i).0[self.modes[l]]
     }
 
     /// The value of the `i`-th entry in sorted order.
     #[inline]
-    pub fn value(&self, i: usize) -> f64 {
+    fn value(&self, i: usize) -> f64 {
         self.entry(i).1
     }
 
-    /// One past the largest index at each position of the mode order:
-    /// the dims the batch needs (0 everywhere for an empty batch).
-    pub fn extent(&self) -> &[usize] {
+    /// One past the largest index in each mode: the dims the batch needs
+    /// (0 everywhere for an empty batch).
+    fn extent(&self) -> &[usize] {
         &self.extent
     }
 
     /// Coordinate comparisons the sort made.
-    pub fn compare_ops(&self) -> u64 {
+    fn compare_ops(&self) -> u64 {
         self.compare_ops
     }
 }
@@ -359,9 +339,9 @@ impl SparseTensor {
     /// replaying the same acknowledged prefix always yields the same
     /// tensor.
     ///
-    /// The merge sorts the batch — O(Δ·log Δ) — and then runs
-    /// [`SparseTensor::merged_canonical`] against the canonical base,
-    /// not a full re-sort of all N + Δ entries. A non-canonical base
+    /// The merge sorts the batch — O(Δ·log Δ) — and then merges it into
+    /// the canonical base in one pass, not a full re-sort of all N + Δ
+    /// entries. A non-canonical base
     /// pays a one-time [`SparseTensor::coalesce`] first, and explicit
     /// zeros stored in the base are dropped. Per-cell accumulation is
     /// strictly left-to-right (base value first, then deltas in batch
@@ -389,13 +369,10 @@ impl SparseTensor {
         }
     }
 
-    /// [`SparseTensor::merge_entries`] for a base the caller keeps
-    /// canonical ([`SparseTensor::is_canonical`]), into a new tensor:
-    /// `self` is only read, so a caller that may still fail keeps its
-    /// old state without cloning it first. The O(N) canonicity scan runs
-    /// under `debug_assert!` only — what a caller that merges round after
-    /// round (the refresh engine: every output of this function is
-    /// canonical) saves over the public entry point.
+    /// [`SparseTensor::merge_entries`] past its canonicalization: `self`
+    /// is canonical ([`SparseTensor::is_canonical`], checked under
+    /// `debug_assert!` only) and only read, the merge goes into a new
+    /// tensor.
     ///
     /// The batch is sorted as a [`SortedBatch`]. Each distinct batch
     /// coordinate is then located in the base by a
@@ -408,13 +385,12 @@ impl SparseTensor {
     /// # Panics
     /// Panics if any entry's coordinate arity differs from the tensor
     /// order.
-    pub fn merged_canonical(&self, entries: &[(Vec<u32>, f64)]) -> (SparseTensor, MergeStats) {
+    fn merged_canonical(&self, entries: &[(Vec<u32>, f64)]) -> (SparseTensor, MergeStats) {
         debug_assert!(self.is_canonical(), "base must be canonical");
         let order = self.order();
         // Stable sort of the batch by coordinate: ties keep batch order,
         // so duplicate deltas to one cell accumulate left-to-right.
-        let identity: Vec<usize> = (0..order).collect();
-        let batch = SortedBatch::new(entries, &identity);
+        let batch = SortedBatch::new(entries, order);
         let dims = self
             .dims
             .iter()
@@ -971,11 +947,10 @@ mod tests {
     }
 
     #[test]
-    fn the_flat_sort_compares_like_the_entry_sort_in_any_mode_order() {
+    fn the_flat_sort_compares_like_the_entry_sort() {
         use splatt_rt::qc;
         qc::check("SortedBatch == stable sort of the entries", 64, |g| {
             let order = g.usize_in(2..6);
-            let modes = g.permutation(order);
             // 32-bit indices at two positions do not pack into 64 bits;
             // batches past the sort's small-input thresholds too
             let wide = g.bool();
@@ -990,30 +965,23 @@ mod tests {
                     (coord.collect(), i as f64)
                 })
                 .collect();
-            let batch = SortedBatch::new(&entries, &modes);
-            // the sort `merged_canonical` ran before: an index vector
-            // ordered by comparing the entries' own `Vec`s
-            let permuted: Vec<Vec<u32>> = entries
-                .iter()
-                .map(|(c, _)| modes.iter().map(|&m| c[m]).collect())
-                .collect();
+            let batch = SortedBatch::new(&entries, order);
+            // the sort the merge ran before: an index vector ordered by
+            // comparing the entries' own `Vec`s
             let mut ops = 0u64;
             let mut expect: Vec<usize> = (0..entries.len()).collect();
             expect.sort_by(|&a, &b| {
                 ops += 1;
-                permuted[a].cmp(&permuted[b])
+                entries[a].0.cmp(&entries[b].0)
             });
             assert_eq!(batch.compare_ops(), ops);
             assert_eq!(batch.len(), expect.len());
             for (i, &x) in expect.iter().enumerate() {
                 assert_eq!(batch.entry(i), &entries[x]);
-                for (l, &c) in permuted[x].iter().enumerate() {
-                    assert_eq!(batch.index(i, l), c);
-                }
             }
-            for (l, &m) in modes.iter().enumerate() {
+            for m in 0..order {
                 let most = entries.iter().map(|(c, _)| c[m] as usize + 1).max();
-                assert_eq!(batch.extent()[l], most.unwrap_or(0));
+                assert_eq!(batch.extent()[m], most.unwrap_or(0));
             }
         });
     }

@@ -32,7 +32,7 @@ pub mod synth;
 #[global_allocator]
 static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingAlloc;
 
-pub use coo::{MergeStats, SortedBatch, SparseTensor};
+pub use coo::{MergeStats, SparseTensor};
 pub use sort::SortVariant;
 pub use stats::TensorStats;
 pub use synth::DatasetShape;

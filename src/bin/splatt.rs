@@ -793,7 +793,7 @@ fn cmd_refresh(store_dir: &str, flags: &Flags) -> Result<(), String> {
     println!(
         "refresh: store {store_dir}, watermark {} ({} nonzeros resident, previous model {})",
         eng.watermark(),
-        eng.tensor().nnz(),
+        eng.nnz(),
         if eng.model().is_some() {
             "loaded"
         } else {

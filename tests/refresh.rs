@@ -25,9 +25,12 @@
 //!    appends, rounds, restarts and crashed rounds, checked after every
 //!    committed round against one `merge_entries` per record and a
 //!    `cp_als` that sorts the tensor itself — tensor and model bit for
-//!    bit.
+//!    bit, iteration counts equal, and the fit within 1e-12 (the refit
+//!    sums ‖X‖² over the resident tree, in tree order).
 
-use splatt::core::refresh::{RefreshEngine, RefreshError, RefreshOptions, REFRESH_MODEL_FILE};
+use splatt::core::refresh::{
+    RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome, REFRESH_MODEL_FILE,
+};
 use splatt::core::{CsfAlloc, KruskalModel};
 use splatt::faults::IoFaultPlan;
 use splatt::rt::qc;
@@ -515,6 +518,9 @@ fn model_bits(m: &KruskalModel) -> (Vec<u64>, Vec<Vec<u64>>) {
 struct Pipeline {
     tensor: SparseTensor,
     model: Option<KruskalModel>,
+    /// Fit and iterations of the last refit (0 before the first).
+    fit: f64,
+    iterations: usize,
     applied: usize,
 }
 
@@ -529,10 +535,12 @@ impl Pipeline {
             warm_start: self.model.clone(),
             ..opts.clone()
         };
-        let model = Some(cp_als(&tensor, &refit).model);
+        let out = cp_als(&tensor, &refit);
         Pipeline {
             tensor,
-            model,
+            model: Some(out.model),
+            fit: out.fit,
+            iterations: out.iterations,
             applied: upto,
         }
     }
@@ -636,7 +644,21 @@ fn simulate(seed: u64) {
             .clone()
             .unwrap_or_else(|| SparseTensor::new(vec![1; order])),
         model: None,
+        fit: 0.0,
+        iterations: 0,
         applied: 0,
+    };
+    // The refit sums ‖X‖² over the resident tree, the pipeline over its
+    // tensor: the fits may part in their last bits, the iterations not.
+    let check_refit = |out: &RefreshOutcome, oracle: &Pipeline, what: &str| {
+        let ctx = format!("seed {seed}, {what} at watermark {}", oracle.applied);
+        assert!(
+            (out.fit - oracle.fit).abs() <= 1e-12,
+            "{ctx}: fit {} vs the pipeline's {}",
+            out.fit,
+            oracle.fit
+        );
+        assert_eq!(out.iterations, oracle.iterations, "{ctx}: iterations");
     };
     let check = |eng: &RefreshEngine, oracle: &Pipeline, acked: usize, what: &str| {
         let ctx = format!("seed {seed}, {what} at watermark {}", oracle.applied);
@@ -667,10 +689,11 @@ fn simulate(seed: u64) {
             2 | 3 => {
                 let out = eng.refresh_once().unwrap();
                 assert_eq!(out.is_some(), acked > oracle.applied, "seed {seed}");
-                if out.is_some() {
+                if let Some(out) = out {
                     oracle = oracle.after_round(&records, acked, &cpals);
                     rounds += 1;
                     check(&eng, &oracle, acked, "round");
+                    check_refit(&out, &oracle, "round");
                 }
             }
             4 => {
@@ -682,9 +705,9 @@ fn simulate(seed: u64) {
                 // or past its last one, and then it simply commits
                 let k = g.range(0..14u64);
                 let plan = Arc::new(IoFaultPlan::quiet(seed).with_crash_at_op(k));
-                let died = match open(Some(plan)).and_then(|mut e| e.refresh_once()) {
-                    Ok(_) => false,
-                    Err(RefreshError::Store(e)) if e.is_crash() => true,
+                let (died, committed) = match open(Some(plan)).and_then(|mut e| e.refresh_once()) {
+                    Ok(out) => (false, out),
+                    Err(RefreshError::Store(e)) if e.is_crash() => (true, None),
                     Err(other) => panic!("seed {seed}, crash at op {k}: {other}"),
                 };
                 eng = open(None).unwrap();
@@ -700,6 +723,9 @@ fn simulate(seed: u64) {
                 if w > oracle.applied {
                     oracle = next;
                     rounds += 1;
+                    if let Some(out) = &committed {
+                        check_refit(out, &oracle, "round that did not die");
+                    }
                 } else if oracle.applied > 0
                     && eng.model().map(model_bits) == next.model.as_ref().map(model_bits)
                 {

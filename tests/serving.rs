@@ -664,7 +664,7 @@ fn tcp_loopback_answers_match_oracle_and_errors_are_typed() {
 fn live_stats_reply_has_the_golden_key_set_in_every_section() {
     use splatt::probe::json::{parse, Value};
     let golden = parse(include_str!(
-        "../crates/splatt-probe/testdata/profile_v16.json"
+        "../crates/splatt-probe/testdata/profile_v17.json"
     ))
     .expect("golden parses");
     let handle = serve(demo_engine(), "127.0.0.1:0").expect("bind loopback");
