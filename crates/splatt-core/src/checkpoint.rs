@@ -26,7 +26,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic/format header; bump only with a format change.
-pub const CHECKPOINT_HEADER: &str = "splatt-checkpoint-v1";
+pub(crate) const CHECKPOINT_HEADER: &str = "splatt-checkpoint-v1";
 
 /// Errors produced while writing or reading a checkpoint.
 #[derive(Debug)]
@@ -127,12 +127,12 @@ fn parse_hex_line(line: &str, lineno: usize, expect: usize) -> Result<Vec<f64>, 
 
 impl Checkpoint {
     /// Decomposition rank.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.lambda.len()
     }
 
     /// Number of modes.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.factors.len()
     }
 
@@ -140,7 +140,7 @@ impl Checkpoint {
     ///
     /// # Errors
     /// Propagates I/O failures.
-    pub fn write(&self, w: impl Write) -> Result<(), CheckpointError> {
+    pub(crate) fn write(&self, w: impl Write) -> Result<(), CheckpointError> {
         let mut w = BufWriter::new(w);
         writeln!(
             w,
@@ -167,7 +167,7 @@ impl Checkpoint {
     /// # Errors
     /// [`CheckpointError::Parse`] on malformed content, [`CheckpointError::Io`]
     /// on read failures.
-    pub fn read(r: impl Read) -> Result<Checkpoint, CheckpointError> {
+    pub(crate) fn read(r: impl Read) -> Result<Checkpoint, CheckpointError> {
         let mut lines = BufReader::new(r).lines();
         let mut lineno = 0usize;
         let mut next = |lineno: &mut usize| -> Result<String, CheckpointError> {
@@ -271,7 +271,7 @@ impl Checkpoint {
     /// # Errors
     /// [`CheckpointError::Corrupt`] when the file is not a framed
     /// artifact or the frame fails verification; otherwise see
-    /// [`Checkpoint::read`].
+    /// `Checkpoint::read`.
     pub fn read_from(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let bytes = std::fs::read(path)?;
         let frame = splatt_store::unwrap_artifact(&bytes, path)?;
@@ -306,7 +306,7 @@ impl Checkpoint {
     ///
     /// # Errors
     /// [`CheckpointError::Mismatch`] naming the first discrepancy.
-    pub fn validate(
+    pub(crate) fn validate(
         &self,
         dims: &[usize],
         rank: usize,

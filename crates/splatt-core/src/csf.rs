@@ -115,7 +115,7 @@ impl Csf {
     /// between buckets. A cancelled build returns a structurally valid
     /// but unusable CSF; the caller's next guard check aborts before it
     /// is consumed.
-    pub fn build_guarded(
+    pub(crate) fn build_guarded(
         tensor: &SparseTensor,
         dim_perm: &[usize],
         team: &TaskTeam,
@@ -441,7 +441,7 @@ impl Csf {
 
     /// Original mode dimensions.
     #[inline]
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
     }
 
@@ -452,7 +452,7 @@ impl Csf {
     }
 
     /// The tree level holding original mode `m`.
-    pub fn level_of_mode(&self, m: usize) -> usize {
+    pub(crate) fn level_of_mode(&self, m: usize) -> usize {
         self.dim_perm
             .iter()
             .position(|&p| p == m)
@@ -483,14 +483,14 @@ impl Csf {
     /// Child range of fiber `f` at `level` (children live at `level + 1`,
     /// or in [`Csf::vals`] when `level == order - 2`).
     #[inline]
-    pub fn children(&self, level: usize, f: usize) -> std::ops::Range<usize> {
+    pub(crate) fn children(&self, level: usize, f: usize) -> std::ops::Range<usize> {
         let base = self.fptr_off[level];
         self.fptr[base + f]..self.fptr[base + f + 1]
     }
 
     /// Nonzero values in tree order.
     #[inline]
-    pub fn vals(&self) -> &[f64] {
+    pub(crate) fn vals(&self) -> &[f64] {
         &self.vals
     }
 
@@ -952,7 +952,7 @@ pub(crate) mod nested {
     use splatt_tensor::{sort, SortVariant, SparseTensor};
 
     /// The original per-level `Vec<Vec>` CSF layout.
-    pub struct NestedCsf {
+    pub(crate) struct NestedCsf {
         pub fptr: Vec<Vec<usize>>,
         pub fids: Vec<Vec<u32>>,
         pub vals: Vec<f64>,
@@ -960,7 +960,7 @@ pub(crate) mod nested {
     }
 
     /// Mirror of [`super::Csf::build`] using the nested construction.
-    pub fn build(
+    pub(crate) fn build(
         tensor: &SparseTensor,
         dim_perm: &[usize],
         team: &TaskTeam,
@@ -972,7 +972,7 @@ pub(crate) mod nested {
     }
 
     /// The pre-refactor single-pass push-growth build.
-    pub fn from_sorted(sorted: &SparseTensor, dim_perm: &[usize]) -> NestedCsf {
+    pub(crate) fn from_sorted(sorted: &SparseTensor, dim_perm: &[usize]) -> NestedCsf {
         let nlevels = sorted.order();
         let nnz = sorted.nnz();
         let mut fptr: Vec<Vec<usize>> = vec![Vec::new(); nlevels - 1];
@@ -1026,7 +1026,7 @@ pub(crate) mod nested {
     ///
     /// # Panics
     /// Panics (with the diverging level named) on any mismatch.
-    pub fn assert_equivalent(flat: &super::Csf, oracle: &NestedCsf) {
+    pub(crate) fn assert_equivalent(flat: &super::Csf, oracle: &NestedCsf) {
         let nlevels = flat.order();
         for l in 0..nlevels {
             assert_eq!(
@@ -1087,7 +1087,7 @@ impl CsfSet {
     /// [`CsfSet::build_timed`] under run governance: the sorting phase
     /// polls `guard` so a cancelled run stops building representations
     /// early instead of finishing a multi-second preprocessing pass.
-    pub fn build_timed_guarded(
+    pub(crate) fn build_timed_guarded(
         tensor: &SparseTensor,
         alloc: CsfAlloc,
         team: &TaskTeam,
@@ -1113,7 +1113,7 @@ impl CsfSet {
 
     /// The level order (`dim_perm`) of each representation `alloc`
     /// dictates for a tensor with these dims, in the set's order.
-    pub fn level_orders(dims: &[usize], alloc: CsfAlloc) -> Vec<Vec<usize>> {
+    pub(crate) fn level_orders(dims: &[usize], alloc: CsfAlloc) -> Vec<Vec<usize>> {
         Self::roots_for(dims, alloc)
             .iter()
             .map(|&root| perm_rooted_at(dims, root))
@@ -1216,7 +1216,7 @@ impl CsfSet {
     }
 
     /// The allocation policy used.
-    pub fn alloc(&self) -> CsfAlloc {
+    pub(crate) fn alloc(&self) -> CsfAlloc {
         self.alloc
     }
 
@@ -1251,7 +1251,7 @@ impl CsfSet {
     /// (SPLATT's `csf_mode_to_use`, plus one measured rule): a root
     /// pairing if one exists; else, when `mode` is the leaf of a *later*
     /// representation, the leaf kernel there unless the first
-    /// representation's fibers are dense ([`DENSE_FIBER_NNZ`]) — then, as
+    /// representation's fibers are dense (`DENSE_FIBER_NNZ`) — then, as
     /// whenever no root or leaf pairing exists, the internal kernel on
     /// the first representation.
     pub fn for_mode(&self, mode: usize) -> (&Csf, KernelKind) {
@@ -1288,7 +1288,7 @@ impl CsfSet {
 /// and 2 nonzeros per fiber, the two level at 4, and the internal kernel
 /// ahead from 8 up; the constant sits at that crossover, a factor of 4
 /// away from both bench shapes.
-pub const DENSE_FIBER_NNZ: f64 = 4.3;
+pub(crate) const DENSE_FIBER_NNZ: f64 = 4.3;
 
 #[cfg(test)]
 pub(crate) mod tests {

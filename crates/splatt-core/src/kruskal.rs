@@ -171,7 +171,7 @@ impl KruskalModel {
     /// each (the Gramian is symmetric, so only `r <= s` is stored and the
     /// final bilinear form counts each off-diagonal entry twice). No
     /// `rank x rank` matrices are materialized.
-    pub fn norm_squared(&self) -> f64 {
+    pub(crate) fn norm_squared(&self) -> f64 {
         let rank = self.rank();
         let packed = rank * (rank + 1) / 2;
         let mut had = vec![1.0; packed];

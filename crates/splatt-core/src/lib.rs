@@ -62,19 +62,14 @@ pub mod reference;
 static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingAlloc;
 
 pub use ccd::{tensor_complete_ccd, CcdOptions};
-pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_HEADER};
+pub use checkpoint::{Checkpoint, CheckpointError};
 pub use completion::{rmse_observed, tensor_complete, CompletionOptions, CompletionOutput};
 pub use cpals::{cp_als, try_cp_als, CpalsError, CpalsOutput, CpalsRun, Governance, RunAborted};
 pub use csf::{Csf, CsfAlloc, CsfSet, KernelKind};
 pub use diagnostics::corcondia;
 pub use kruskal::KruskalModel;
-pub use model_file::{
-    load_model, load_model_path, model_from_checkpoint, save_model, save_model_path, MODEL_HEADER,
-};
+pub use model_file::{load_model_path, save_model, save_model_path};
 pub use mttkrp::{MatrixAccess, MttkrpConfig, MttkrpWorkspace};
 pub use options::{Constraint, CpalsOptions, Implementation};
-pub use query::{QueryArena, QueryError};
-pub use refresh::{
-    RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome, REFRESH_MODEL_FILE,
-};
+pub use refresh::{RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome};
 pub use tiling::TiledCsf;

@@ -22,7 +22,7 @@ use std::io::{BufRead, BufReader, BufWriter, Error, ErrorKind, Read, Write};
 use std::path::Path;
 
 /// Magic/format header; bump only with a format change.
-pub const MODEL_HEADER: &str = "splatt-model-v1";
+pub(crate) const MODEL_HEADER: &str = "splatt-model-v1";
 
 fn bad(msg: impl Into<String>) -> Error {
     Error::new(ErrorKind::InvalidData, msg.into())
@@ -72,7 +72,7 @@ pub fn save_model(model: &KruskalModel, w: impl Write) -> std::io::Result<()> {
 ///
 /// # Errors
 /// Returns `InvalidData` on malformed content.
-pub fn load_model(r: impl Read) -> std::io::Result<KruskalModel> {
+pub(crate) fn load_model(r: impl Read) -> std::io::Result<KruskalModel> {
     let mut lines = BufReader::new(r).lines();
     let mut next = || -> std::io::Result<String> {
         lines
@@ -127,7 +127,7 @@ pub fn save_model_path(model: &KruskalModel, path: &Path, generation: u64) -> st
 
 /// Extract the model payload from a checkpoint: the serving layer does
 /// not need the iteration count or fit history.
-pub fn model_from_checkpoint(ckpt: Checkpoint) -> KruskalModel {
+pub(crate) fn model_from_checkpoint(ckpt: Checkpoint) -> KruskalModel {
     KruskalModel {
         lambda: ckpt.lambda,
         factors: ckpt.factors,

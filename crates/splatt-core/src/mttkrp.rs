@@ -128,7 +128,6 @@ pub struct MttkrpWorkspace {
     /// Per-task walk buffers (`ones` + up/down prefix products), grow-only
     /// so steady-state kernel calls never allocate.
     kernel: ThreadScratch,
-    ntasks: usize,
     probe: Option<std::sync::Arc<splatt_probe::MttkrpProbe>>,
     guard: Option<splatt_guard::RunGuard>,
 }
@@ -140,15 +139,9 @@ impl MttkrpWorkspace {
             pool: LockPool::new(cfg.locks, cfg.pool_size),
             replicas: ThreadScratch::new(ntasks, 0),
             kernel: ThreadScratch::new(ntasks, 0),
-            ntasks,
             probe: None,
             guard: None,
         }
-    }
-
-    /// Number of tasks this workspace serves.
-    pub fn ntasks(&self) -> usize {
-        self.ntasks
     }
 
     /// Attach observability probes: per-thread kernel times and lock-pool
@@ -171,13 +164,8 @@ impl MttkrpWorkspace {
     /// once per [`GUARD_CHUNK`] root slices, so a tripped run stops
     /// scattering within a bounded amount of work. Pass `None` to return
     /// the kernels to the unguarded fast path.
-    pub fn set_guard(&mut self, guard: Option<splatt_guard::RunGuard>) {
+    pub(crate) fn set_guard(&mut self, guard: Option<splatt_guard::RunGuard>) {
         self.guard = guard;
-    }
-
-    /// The attached guard, if any.
-    pub fn guard(&self) -> Option<&splatt_guard::RunGuard> {
-        self.guard.as_ref()
     }
 }
 
@@ -185,7 +173,7 @@ impl MttkrpWorkspace {
 /// enough that cancellation latency stays in the microsecond range,
 /// large enough that a clean run's overhead is one predictable branch
 /// plus a relaxed load every `GUARD_CHUNK` slices.
-pub const GUARD_CHUNK: usize = 64;
+pub(crate) const GUARD_CHUNK: usize = 64;
 
 /// Shared writable view of the output matrix for scatter kernels.
 ///
@@ -970,7 +958,7 @@ fn mttkrp_on(
 /// no reduction).
 ///
 /// Under run governance (`guard` given) each task heartbeats its lane
-/// and polls the guard between tiles (and every [`GUARD_CHUNK`] root
+/// and polls the guard between tiles (and every `GUARD_CHUNK` root
 /// slices within a tile), abandoning remaining work once the run is
 /// cancelled. The output is unspecified after a cancelled kernel; the
 /// driver's next guard check aborts the run before the partial output is

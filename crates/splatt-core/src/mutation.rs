@@ -113,9 +113,9 @@ fn check_checkpoint_mutant(m: &[u8]) -> Result<Bits, CheckpointError> {
         fits(&ckpt),
         "encode then decode moved fit bits"
     );
-    let model = crate::model_from_checkpoint(ckpt);
+    let model = crate::model_file::model_from_checkpoint(ckpt);
     assert_eq!(
-        bits(&crate::model_from_checkpoint(back)),
+        bits(&crate::model_file::model_from_checkpoint(back)),
         bits(&model),
         "encode then decode moved bits"
     );

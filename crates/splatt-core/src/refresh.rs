@@ -513,11 +513,6 @@ impl RefreshEngine {
         self.watermark
     }
 
-    /// Completed refresh rounds (equals the model artifact generation).
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// The resident canonical tensor, laid out of the resident set on the
     /// first call after a round installs one and kept until the next
     /// install: a sort of every nonzero, for tests, checks and tools,
@@ -549,11 +544,6 @@ impl RefreshEngine {
     /// Cumulative counters in probe-report form (the `refresh` row).
     pub fn refresh_row(&self) -> RefreshRow {
         self.counters
-    }
-
-    /// The store directory this engine refreshes.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -685,7 +675,7 @@ mod tests {
         // Nothing new → no-op round, state unchanged.
         assert!(eng.refresh_once().unwrap().is_none());
         assert_eq!(eng.watermark(), 3);
-        assert_eq!(eng.round(), 1);
+        assert_eq!(eng.round, 1);
 
         // Manifest carries the commit.
         let m = Manifest::load(&dir, None).unwrap().unwrap();
@@ -817,12 +807,12 @@ mod tests {
 
         // the refit aborts: past the merges, before anything is published
         eng.opts.policy.deadline = Some(std::time::Duration::ZERO);
-        let before = (eng.watermark(), eng.round(), eng.tensor().clone());
+        let before = (eng.watermark(), eng.round, eng.tensor().clone());
         let model = eng.model().cloned();
         let csf = eng.csf.clone();
         let err = eng.refresh_once().unwrap_err();
         assert!(matches!(err, RefreshError::Solver(_)), "{err}");
-        assert_eq!((eng.watermark(), eng.round()), (before.0, before.1));
+        assert_eq!((eng.watermark(), eng.round), (before.0, before.1));
         assert_eq!(eng.tensor(), &before.2);
         assert_eq!(eng.model(), model.as_ref());
         assert_eq!(eng.refresh_row().rounds, 1, "nothing counted");

@@ -24,14 +24,13 @@ use splatt_par::TaskTeam;
 use splatt_tensor::{sort, SortVariant, SparseTensor};
 
 /// A tensor tiled along one mode: `tiles[t]` holds the nonzeros whose
-/// index in `mode` falls in `row_bounds[t]..row_bounds[t + 1]`, stored as
-/// a CSF *rooted at that mode* so each tile runs the root kernel.
+/// index in `mode` falls in the `t`-th of `ntiles` contiguous row ranges,
+/// stored as a CSF *rooted at that mode* so each tile runs the root
+/// kernel.
 #[derive(Debug, Clone)]
 pub struct TiledCsf {
     /// The output mode this tiling serves.
     mode: usize,
-    /// `ntiles + 1` row boundaries in `mode`'s index space.
-    row_bounds: Vec<usize>,
     /// One CSF per tile (possibly empty).
     tiles: Vec<Csf>,
 }
@@ -58,7 +57,7 @@ impl TiledCsf {
     ///
     /// # Panics
     /// Panics if `ntiles == 0` or `mode` is out of range.
-    pub fn build_guarded(
+    pub(crate) fn build_guarded(
         tensor: &SparseTensor,
         mode: usize,
         ntiles: usize,
@@ -123,41 +122,27 @@ impl TiledCsf {
             })
             .collect();
 
-        TiledCsf {
-            mode,
-            row_bounds,
-            tiles,
-        }
+        TiledCsf { mode, tiles }
     }
 
     /// The mode this tiling serves.
-    pub fn mode(&self) -> usize {
+    pub(crate) fn mode(&self) -> usize {
         self.mode
     }
 
     /// Number of tiles.
-    pub fn ntiles(&self) -> usize {
+    pub(crate) fn ntiles(&self) -> usize {
         self.tiles.len()
     }
 
     /// Tile `t`'s CSF.
-    pub fn tile(&self, t: usize) -> &Csf {
+    pub(crate) fn tile(&self, t: usize) -> &Csf {
         &self.tiles[t]
     }
 
-    /// Output-row range owned by tile `t`.
-    pub fn rows_of(&self, t: usize) -> std::ops::Range<usize> {
-        self.row_bounds[t]..self.row_bounds[t + 1]
-    }
-
     /// Total nonzeros across tiles (equals the source tensor's count).
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.tiles.iter().map(|t| t.nnz()).sum()
-    }
-
-    /// Bytes across all tile CSFs.
-    pub fn storage_bytes(&self) -> usize {
-        self.tiles.iter().map(|t| t.storage_bytes()).sum()
     }
 }
 
@@ -177,12 +162,6 @@ mod tests {
             let tiled = TiledCsf::build(&t, mode, 4, &team(), SortVariant::AllOpts);
             assert_eq!(tiled.nnz(), t.nnz(), "mode {mode}");
             assert_eq!(tiled.ntiles(), 4);
-            // row ranges cover the dim and are disjoint
-            assert_eq!(tiled.rows_of(0).start, 0);
-            assert_eq!(tiled.rows_of(3).end, t.dims()[mode]);
-            for k in 0..3 {
-                assert_eq!(tiled.rows_of(k).end, tiled.rows_of(k + 1).start);
-            }
         }
     }
 
@@ -191,15 +170,18 @@ mod tests {
         let t = synth::power_law(&[30, 20, 25], 2_000, 2.0, 9);
         let mode = 1;
         let tiled = TiledCsf::build(&t, mode, 3, &team(), SortVariant::AllOpts);
+        // the row ranges are disjoint and ascending: every row of tile
+        // `k` lies above every row of the tiles before it
+        let mut floor = 0;
         for k in 0..tiled.ntiles() {
-            let range = tiled.rows_of(k);
-            let csf = tiled.tile(k);
             // tile CSFs are rooted at `mode`, so level-0 fids are its rows
-            for &fid in csf.fids(0) {
+            let rows = tiled.tile(k).fids(0);
+            if let (Some(&lo), Some(&hi)) = (rows.iter().min(), rows.iter().max()) {
                 assert!(
-                    range.contains(&(fid as usize)),
-                    "tile {k} contains row {fid} outside {range:?}"
+                    lo >= floor,
+                    "tile {k} holds row {lo}, below an earlier tile's"
                 );
+                floor = hi + 1;
             }
         }
     }

@@ -57,7 +57,7 @@ impl std::error::Error for CholeskyError {}
 /// semantics as used by SPLATT (which stores Gram matrices upper-symmetric).
 ///
 /// # Errors
-/// Returns [`CholeskyError`] if a pivot is not strictly positive, i.e. the
+/// Returns `CholeskyError` if a pivot is not strictly positive, i.e. the
 /// matrix is singular or indefinite to working precision.
 pub fn cholesky_factor(a: &Matrix) -> Result<Matrix, CholeskyError> {
     let n = a.rows();

@@ -25,16 +25,12 @@ mod norms;
 mod ops;
 mod solve;
 
-pub use cholesky::{cholesky_factor, cholesky_solve, CholeskyError};
-pub use eigen::{jacobi_eigen, EigenDecomposition};
+pub use cholesky::{cholesky_factor, cholesky_solve};
+pub use eigen::jacobi_eigen;
 pub use matrix::Matrix;
 pub use norms::{normalize_columns, MatNorm};
-pub use ops::{gemm, hadamard, hadamard_assign, mat_ata, syrk_upper};
-pub use solve::{solve_normals, solve_normals_ridge, NormalsMethod, RidgeOutcome};
-
-/// Absolute tolerance used by the test suites in this crate when comparing
-/// floating point results of algebraically-equivalent computations.
-pub const TEST_TOL: f64 = 1e-9;
+pub use ops::{gemm, hadamard_assign, mat_ata};
+pub use solve::{solve_normals, solve_normals_ridge, RidgeOutcome};
 
 /// The bit patterns of a matrix: what the differential tests of this
 /// crate compare, so that the sign of zero and NaN count.

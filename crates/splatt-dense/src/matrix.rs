@@ -49,7 +49,12 @@ impl Matrix {
     }
 
     /// Build a matrix from a generator function over `(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for i in 0..rows {
             for j in 0..cols {
@@ -95,7 +100,8 @@ impl Matrix {
     }
 
     /// `true` when the matrix has no elements.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
@@ -151,21 +157,8 @@ impl Matrix {
     }
 
     /// Frobenius norm (`sqrt(sum of squares)`).
-    pub fn frobenius_norm(&self) -> f64 {
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Sum of element-wise products with `other` (`<A, B>_F`).
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn dot(&self, other: &Matrix) -> f64 {
-        assert_eq!(self.shape(), other.shape(), "dot: shape mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .sum()
     }
 
     /// `(rows, cols)` pair.
@@ -196,7 +189,8 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if shapes differ.
-    pub fn add_assign(&mut self, other: &Matrix) {
+    #[cfg(test)]
+    pub(crate) fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
@@ -337,28 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn dot_matches_manual_sum() {
-        let a = Matrix::from_fn(2, 2, |i, j| (i + j) as f64);
-        let b = Matrix::filled(2, 2, 2.0);
-        // elements of a: 0 1 1 2, doubled and summed = 8
-        assert_eq!(a.dot(&b), 8.0);
-    }
-
-    #[test]
     fn add_assign_and_scale() {
         let mut a = Matrix::filled(2, 2, 1.0);
         let b = Matrix::filled(2, 2, 2.0);
         a.add_assign(&b);
         a.scale(0.5);
         assert!(a.approx_eq(&Matrix::filled(2, 2, 1.5), 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn dot_shape_mismatch_panics() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.dot(&b);
     }
 
     #[test]

@@ -46,7 +46,7 @@ const ROW_BLOCK: usize = 64;
 /// Mirrors BLAS `dsyrk(uplo='U', trans='T')` as SPLATT calls it. See the
 /// module docs for the blocking and for what it does to the bits
 /// (nothing, on finite input).
-pub fn syrk_upper(a: &Matrix) -> Matrix {
+pub(crate) fn syrk_upper(a: &Matrix) -> Matrix {
     let r = a.cols();
     let mut out = Matrix::zeros(r, r);
     if r == 0 {
@@ -110,7 +110,7 @@ fn mirror_upper(m: &mut Matrix) {
 }
 
 /// Compute the full symmetric Gram matrix `A^T A` (SPLATT's `mat_aTa`):
-/// [`syrk_upper`], mirrored. A function of the matrix alone — every entry
+/// `syrk_upper`, mirrored. A function of the matrix alone — every entry
 /// is its sum over rows in row order, whatever the host or the run.
 pub fn mat_ata(a: &Matrix) -> Matrix {
     let mut out = syrk_upper(a);
@@ -118,18 +118,7 @@ pub fn mat_ata(a: &Matrix) -> Matrix {
     out
 }
 
-/// Element-wise (Hadamard) product `a .* b` into a fresh matrix.
-///
-/// # Panics
-/// Panics if shapes differ.
-pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.shape(), b.shape(), "hadamard: shape mismatch");
-    let mut out = a.clone();
-    hadamard_assign(&mut out, b);
-    out
-}
-
-/// Element-wise product `a .*= b` in place.
+/// Element-wise (Hadamard) product `a .*= b` in place.
 ///
 /// # Panics
 /// Panics if shapes differ.
@@ -179,7 +168,10 @@ pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::bits;
-    use crate::TEST_TOL;
+
+    /// Absolute tolerance when comparing floating point results of
+    /// algebraically-equivalent computations.
+    const TEST_TOL: f64 = 1e-9;
 
     fn naive_ata(a: &Matrix) -> Matrix {
         gemm(&a.transpose(), a)
@@ -317,7 +309,8 @@ mod tests {
     fn hadamard_elementwise() {
         let a = Matrix::from_fn(2, 2, |i, j| (i + j) as f64);
         let b = Matrix::filled(2, 2, 3.0);
-        let h = hadamard(&a, &b);
+        let mut h = a.clone();
+        hadamard_assign(&mut h, &b);
         assert_eq!(h[(0, 0)], 0.0);
         assert_eq!(h[(1, 1)], 6.0);
     }
@@ -326,7 +319,9 @@ mod tests {
     fn hadamard_with_ones_is_identity_op() {
         let a = Matrix::random(4, 4, 2);
         let ones = Matrix::filled(4, 4, 1.0);
-        assert!(hadamard(&a, &ones).approx_eq(&a, 0.0));
+        let mut h = a.clone();
+        hadamard_assign(&mut h, &ones);
+        assert!(h.approx_eq(&a, 0.0));
     }
 
     #[test]

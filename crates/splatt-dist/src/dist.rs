@@ -7,13 +7,11 @@ use splatt_tensor::SparseTensor;
 /// A tensor partitioned into per-rank blocks: rank `(i1..iN)` owns the
 /// nonzeros whose mode-`m` index falls in chunk `i_m` of that mode, for
 /// every mode. Chunk boundaries are balanced by per-index nonzero counts
-/// (the medium-grained paper's "chunking" step). Only the boundaries and
-/// each block's nonzero count are kept, not the blocks themselves.
+/// (the medium-grained paper's "chunking" step). Only each block's
+/// nonzero count is kept, not the blocks or their boundaries.
 #[derive(Debug, Clone)]
 pub struct TensorDistribution {
     grid: ProcessGrid,
-    /// Per mode: `grid.dims()[m] + 1` index boundaries.
-    mode_bounds: Vec<Vec<usize>>,
     /// Per rank: the nonzeros in its block.
     block_nnz: Vec<usize>,
 }
@@ -30,17 +28,7 @@ impl TensorDistribution {
             "grid order must match tensor order"
         );
         let order = tensor.order();
-
-        // nnz-balanced chunk boundaries per mode
-        let mode_bounds: Vec<Vec<usize>> = (0..order)
-            .map(|m| {
-                let mut hist = vec![0usize; tensor.dims()[m]];
-                for &i in tensor.ind(m) {
-                    hist[i as usize] += 1;
-                }
-                partition::weighted(&partition::prefix_sum(&hist), grid.dims()[m])
-            })
-            .collect();
+        let mode_bounds = mode_bounds(tensor, &grid);
 
         // count each nonzero into its block: the chunk of each index is
         // the last boundary <= it (bounds repeat for empty chunks; the
@@ -55,11 +43,7 @@ impl TensorDistribution {
             block_nnz[grid.rank_of(&gcoord)] += 1;
         }
 
-        TensorDistribution {
-            grid,
-            mode_bounds,
-            block_nnz,
-        }
+        TensorDistribution { grid, block_nnz }
     }
 
     /// The grid.
@@ -67,15 +51,24 @@ impl TensorDistribution {
         &self.grid
     }
 
-    /// Index range of chunk `layer` in `mode`.
-    pub fn mode_range(&self, mode: usize, layer: usize) -> std::ops::Range<usize> {
-        self.mode_bounds[mode][layer]..self.mode_bounds[mode][layer + 1]
-    }
-
     /// Heaviest block's nonzero count (load-balance indicator).
     pub fn max_block_nnz(&self) -> usize {
         self.block_nnz.iter().copied().max().unwrap_or(0)
     }
+}
+
+/// Per mode, the `grid.dims()[m] + 1` index boundaries of its chunks,
+/// balanced by per-index nonzero counts.
+fn mode_bounds(tensor: &SparseTensor, grid: &ProcessGrid) -> Vec<Vec<usize>> {
+    (0..tensor.order())
+        .map(|m| {
+            let mut hist = vec![0usize; tensor.dims()[m]];
+            for &i in tensor.ind(m) {
+                hist[i as usize] += 1;
+            }
+            partition::weighted(&partition::prefix_sum(&hist), grid.dims()[m])
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -112,11 +105,15 @@ mod tests {
         }
         for t in [dist(vec![2, 2, 2]).0, octant] {
             let d = TensorDistribution::new(&t, ProcessGrid::new(vec![2, 2, 2]));
+            let bounds = mode_bounds(&t, d.grid());
             for r in 0..8 {
                 let layers = d.grid().coords_of(r);
                 let inside = (0..t.nnz())
                     .filter(|&x| {
-                        (0..3).all(|m| d.mode_range(m, layers[m]).contains(&(t.ind(m)[x] as usize)))
+                        (0..3).all(|m| {
+                            let (lo, hi) = (bounds[m][layers[m]], bounds[m][layers[m] + 1]);
+                            (lo..hi).contains(&(t.ind(m)[x] as usize))
+                        })
                     })
                     .count();
                 assert_eq!(d.block_nnz[r], inside, "rank {r}");
@@ -128,13 +125,12 @@ mod tests {
     fn mode_ranges_tile_each_dimension() {
         for grid in [vec![2, 3, 2], vec![1, 1, 1]] {
             let (t, d) = dist(grid);
-            for m in 0..3 {
-                let extent = d.grid().dims()[m];
-                assert_eq!(d.mode_range(m, 0).start, 0);
-                assert_eq!(d.mode_range(m, extent - 1).end, t.dims()[m]);
-                for l in 1..extent {
-                    assert_eq!(d.mode_range(m, l - 1).end, d.mode_range(m, l).start);
-                }
+            let bounds = mode_bounds(&t, d.grid());
+            for (m, b) in bounds.iter().enumerate() {
+                assert_eq!(b.len(), d.grid().dims()[m] + 1);
+                assert_eq!(b[0], 0);
+                assert_eq!(b[b.len() - 1], t.dims()[m]);
+                assert!(b.windows(2).all(|w| w[0] <= w[1]), "mode {m}: {b:?}");
             }
         }
     }

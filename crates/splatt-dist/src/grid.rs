@@ -24,12 +24,12 @@ impl ProcessGrid {
     }
 
     /// Number of grid dimensions (must equal the tensor order).
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.dims.len()
     }
 
     /// Total rank count.
-    pub fn nprocs(&self) -> usize {
+    pub(crate) fn nprocs(&self) -> usize {
         self.dims.iter().product()
     }
 
@@ -37,7 +37,8 @@ impl ProcessGrid {
     ///
     /// # Panics
     /// Panics if `rank >= nprocs()`.
-    pub fn coords_of(&self, rank: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn coords_of(&self, rank: usize) -> Vec<usize> {
         assert!(rank < self.nprocs(), "rank out of range");
         let mut rest = rank;
         let mut coords = vec![0; self.order()];
@@ -52,7 +53,7 @@ impl ProcessGrid {
     ///
     /// # Panics
     /// Panics on wrong arity or out-of-range coordinates.
-    pub fn rank_of(&self, coords: &[usize]) -> usize {
+    pub(crate) fn rank_of(&self, coords: &[usize]) -> usize {
         assert_eq!(coords.len(), self.order(), "coordinate arity mismatch");
         let mut rank = 0;
         for (&c, &d) in coords.iter().zip(&self.dims) {

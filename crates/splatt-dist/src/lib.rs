@@ -12,4 +12,4 @@ mod volume;
 
 pub use dist::TensorDistribution;
 pub use grid::ProcessGrid;
-pub use volume::{medium_grained_volume, CommVolume};
+pub use volume::medium_grained_volume;

@@ -39,7 +39,7 @@ use std::sync::Mutex;
 
 /// The disk-fault families the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoFaultKind {
+pub(crate) enum IoFaultKind {
     /// Only a prefix of a buffer reaches the file, then the process dies.
     TornWrite,
     /// One bit of an outgoing buffer is inverted before the write.
@@ -53,17 +53,6 @@ pub enum IoFaultKind {
 }
 
 impl IoFaultKind {
-    /// Stable label used in reports and assertion messages.
-    pub fn label(self) -> &'static str {
-        match self {
-            IoFaultKind::TornWrite => "torn-write",
-            IoFaultKind::BitFlip => "bit-flip",
-            IoFaultKind::ShortRead => "short-read",
-            IoFaultKind::FailedFsync => "failed-fsync",
-            IoFaultKind::Crash => "crash",
-        }
-    }
-
     fn tag(self) -> u64 {
         match self {
             IoFaultKind::TornWrite => 0x61,
@@ -112,7 +101,7 @@ impl std::error::Error for IoFault {}
 
 /// One injected disk fault, for the plan's audit trail.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IoFaultRecord {
+pub(crate) struct IoFaultRecord {
     pub kind: IoFaultKind,
     /// Op index the fault fired at.
     pub op: u64,
@@ -177,21 +166,6 @@ impl IoFaultPlan {
     pub fn with_crash_at_op(mut self, op: u64) -> Self {
         self.crash_at_op = Some(op);
         self
-    }
-
-    /// The seed every decision derives from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Configured rates.
-    pub fn rates(&self) -> IoFaultRates {
-        self.rates
-    }
-
-    /// The scheduled crash op, if any.
-    pub fn crash_at_op(&self) -> Option<u64> {
-        self.crash_at_op
     }
 
     /// Ops drawn so far. After a quiet run this is the total number of
@@ -279,7 +253,8 @@ impl IoFaultPlan {
     }
 
     /// Snapshot of every recorded event, in injection order.
-    pub fn events(&self) -> Vec<IoFaultRecord> {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> Vec<IoFaultRecord> {
         self.events.lock().expect("io plan poisoned").clone()
     }
 }

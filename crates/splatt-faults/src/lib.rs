@@ -26,6 +26,6 @@ mod io;
 mod plan;
 mod recovery;
 
-pub use io::{IoFault, IoFaultKind, IoFaultPlan, IoFaultRates, IoFaultRecord};
-pub use plan::{FaultKind, FaultPlan, FaultPlanParseError, FaultRates, FaultRecord};
+pub use io::{IoFault, IoFaultPlan, IoFaultRates};
+pub use plan::{FaultKind, FaultPlan, FaultRates, FaultRecord};
 pub use recovery::RecoveryAction;

@@ -33,7 +33,8 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// All kinds, in a stable order.
-    pub const ALL: [FaultKind; 3] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [FaultKind; 3] = [
         FaultKind::Straggler,
         FaultKind::NanPoison,
         FaultKind::NonSpdGram,
@@ -154,7 +155,8 @@ impl FaultPlan {
     }
 
     /// A plan that injects nothing (useful as a control arm).
-    pub fn quiet(seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn quiet(seed: u64) -> Self {
         Self::new(seed, FaultRates::default())
     }
 
@@ -178,11 +180,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The straggler-delay multiplier.
-    pub fn straggler_scale(&self) -> u64 {
-        self.straggler_scale
-    }
-
     /// Configured rates.
     pub fn rates(&self) -> FaultRates {
         self.rates
@@ -196,7 +193,7 @@ impl FaultPlan {
     /// rejected like any unknown key.
     ///
     /// # Errors
-    /// [`FaultPlanParseError`] on unknown keys (the message lists the
+    /// `FaultPlanParseError` on unknown keys (the message lists the
     /// accepted ones), malformed numbers, or rates outside `[0, 1]`.
     pub fn parse(spec: &str) -> Result<Self, FaultPlanParseError> {
         let mut seed = 0u64;
@@ -485,7 +482,7 @@ mod tests {
     fn straggler_scale_multiplies_delays_without_changing_decisions() {
         let base = noisy();
         let scaled = noisy().with_straggler_scale(100);
-        assert_eq!(scaled.straggler_scale(), 100);
+        assert_eq!(scaled.straggler_scale, 100);
         for it in 0..10 {
             assert_eq!(
                 scaled.straggler_delay_nanos(it, 1),
@@ -496,6 +493,6 @@ mod tests {
             }
         }
         // scale 0 clamps to 1 rather than zeroing every delay
-        assert_eq!(noisy().with_straggler_scale(0).straggler_scale(), 1);
+        assert_eq!(noisy().with_straggler_scale(0).straggler_scale, 1);
     }
 }

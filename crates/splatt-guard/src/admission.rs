@@ -84,18 +84,14 @@ impl AdmissionGate {
         }
     }
 
-    /// Configured capacity.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
     /// Permits currently outstanding.
     pub fn depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
     }
 
     /// Total requests admitted since construction.
-    pub fn admitted(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn admitted(&self) -> u64 {
         self.admitted.load(Ordering::Relaxed)
     }
 
@@ -143,7 +139,8 @@ pub struct OwnedAdmissionPermit {
 
 impl OwnedAdmissionPermit {
     /// The gate this permit was admitted through.
-    pub fn gate(&self) -> &Arc<AdmissionGate> {
+    #[cfg(test)]
+    pub(crate) fn gate(&self) -> &Arc<AdmissionGate> {
         &self.gate
     }
 }

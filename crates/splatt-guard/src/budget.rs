@@ -24,7 +24,7 @@ pub struct MemoryBudget {
 impl MemoryBudget {
     /// Arm a budget of `limit_bytes`: the probe's allocation accounting
     /// records for as long as the budget lives.
-    pub fn new(limit_bytes: u64) -> Self {
+    pub(crate) fn new(limit_bytes: u64) -> Self {
         let _recording = alloc::Recording::start();
         MemoryBudget {
             limit_bytes,
@@ -34,17 +34,17 @@ impl MemoryBudget {
     }
 
     /// The configured cap.
-    pub fn limit_bytes(&self) -> u64 {
+    pub(crate) fn limit_bytes(&self) -> u64 {
         self.limit_bytes
     }
 
     /// Allocation traffic since arming.
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         alloc::snapshot().since(&self.baseline).total_bytes()
     }
 
     /// `Some(used)` when traffic has crossed the cap.
-    pub fn over_budget(&self) -> Option<u64> {
+    pub(crate) fn over_budget(&self) -> Option<u64> {
         let used = self.used_bytes();
         (used > self.limit_bytes).then_some(used)
     }

@@ -82,8 +82,9 @@ impl CancelToken {
     }
 
     /// Children currently tracked for cancel propagation (live plus any
-    /// dropped-but-unswept); exposed for leak diagnostics.
-    pub fn tracked_children(&self) -> usize {
+    /// dropped-but-unswept).
+    #[cfg(test)]
+    fn tracked_children(&self) -> usize {
         self.inner.children.lock().len()
     }
 

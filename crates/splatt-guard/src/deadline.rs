@@ -18,7 +18,7 @@ pub struct Deadline {
 
 impl Deadline {
     /// A deadline expiring `limit` from now.
-    pub fn after(limit: Duration) -> Self {
+    pub(crate) fn after(limit: Duration) -> Self {
         Deadline {
             start: Instant::now(),
             limit,
@@ -26,28 +26,28 @@ impl Deadline {
     }
 
     /// The total budget.
-    pub fn limit(&self) -> Duration {
+    pub(crate) fn limit(&self) -> Duration {
         self.limit
     }
 
     /// Time since the deadline was armed.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
     /// Budget left, saturating at zero.
-    pub fn remaining(&self) -> Duration {
+    pub(crate) fn remaining(&self) -> Duration {
         self.limit.saturating_sub(self.start.elapsed())
     }
 
     /// Whether the budget is spent.
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         self.start.elapsed() >= self.limit
     }
 
     /// Clamp a sleep to the remaining budget: sleeping `clamp(d)` can
     /// never carry the caller past the deadline.
-    pub fn clamp(&self, d: Duration) -> Duration {
+    pub(crate) fn clamp(&self, d: Duration) -> Duration {
         d.min(self.remaining())
     }
 }

@@ -54,7 +54,8 @@ pub enum TripReason {
 
 impl TripReason {
     /// Short machine-readable tag (probe rows, CLI output).
-    pub fn label(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             TripReason::Cancelled => "cancelled",
             TripReason::DeadlineExceeded { .. } => "deadline",
@@ -165,11 +166,6 @@ impl RunGuard {
         RunGuard::new(GuardConfig::default(), 1)
     }
 
-    /// The run's cancel token.
-    pub fn token(&self) -> &CancelToken {
-        &self.inner.token
-    }
-
     /// Request cancellation.
     pub fn cancel(&self) {
         self.inner.token.cancel();
@@ -179,11 +175,6 @@ impl RunGuard {
     #[inline]
     pub fn is_cancelled(&self) -> bool {
         self.inner.token.is_cancelled()
-    }
-
-    /// The active deadline, if armed.
-    pub fn deadline(&self) -> Option<Deadline> {
-        self.inner.deadline
     }
 
     /// Clamp a sleep against the active deadline (identity when no
@@ -202,19 +193,13 @@ impl RunGuard {
     }
 
     /// Mark `lane` busy (nests).
-    pub fn enter(&self, lane: usize) {
+    pub(crate) fn enter(&self, lane: usize) {
         self.inner.heartbeats.enter(lane);
     }
 
     /// Drop one busy level on `lane`.
-    pub fn leave(&self, lane: usize) {
+    pub(crate) fn leave(&self, lane: usize) {
         self.inner.heartbeats.leave(lane);
-    }
-
-    /// Beat `lane` without a full check.
-    #[inline]
-    pub fn beat(&self, lane: usize) {
-        self.inner.heartbeats.beat(lane);
     }
 
     /// Kernel-worker fast path: beat `lane`, return `true` if the

@@ -6,14 +6,14 @@
 //!
 //! - [`CancelToken`] — hierarchical cooperative cancellation, one
 //!   relaxed atomic load per check on the hot path.
-//! - [`Deadline`] — a wall-clock budget with [`Deadline::clamp`] so
+//! - [`Deadline`] — a wall-clock budget with `Deadline::clamp` so
 //!   recovery sleeps can never sleep past the run.
 //! - [`MemoryBudget`] — a cap on *allocation traffic* (row copies,
 //!   descriptor allocations, privatized replicas) measured through
 //!   `splatt-probe`'s process-global counters. The counters are
 //!   monotonic, so this bounds cumulative traffic since the budget was
 //!   armed, not live heap occupancy.
-//! - [`Watchdog`] — a sampling thread over per-lane [`Heartbeats`] that
+//! - `Watchdog` — a sampling thread over per-lane `Heartbeats` that
 //!   reports tasks which stay busy without beating for longer than a
 //!   stall bound, and can optionally trip the cancel token.
 //!
@@ -34,12 +34,12 @@ mod deadline;
 mod guard;
 mod watchdog;
 
-pub use admission::{AdmissionGate, AdmissionPermit, Overloaded, OwnedAdmissionPermit};
+pub use admission::{AdmissionGate, Overloaded, OwnedAdmissionPermit};
 pub use budget::MemoryBudget;
 pub use cancel::CancelToken;
 pub use deadline::Deadline;
 pub use guard::{GuardConfig, LaneSpan, RunGuard, TripReason};
-pub use watchdog::{Heartbeats, StallReport, Watchdog, WatchdogConfig, WatchdogLedger};
+pub use watchdog::{StallReport, WatchdogConfig};
 
 /// Process-global alloc counters are shared by tests in this crate;
 /// tests that record or baseline traffic hold this to avoid seeing

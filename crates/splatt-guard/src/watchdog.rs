@@ -53,7 +53,7 @@ impl Heartbeats {
 
 impl Heartbeats {
     /// A table with `lanes` lanes, all idle.
-    pub fn new(lanes: usize) -> Self {
+    pub(crate) fn new(lanes: usize) -> Self {
         let epoch = Instant::now();
         Heartbeats {
             epoch,
@@ -70,7 +70,7 @@ impl Heartbeats {
     }
 
     /// Number of lanes.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes.len()
     }
 
@@ -81,7 +81,7 @@ impl Heartbeats {
     /// Record progress on `lane`. Out-of-range lanes are ignored so
     /// callers sized for fewer tasks than a kernel spawns stay safe.
     #[inline]
-    pub fn beat(&self, lane: usize) {
+    pub(crate) fn beat(&self, lane: usize) {
         if let Some(l) = self.lanes.get(lane) {
             l.last_beat_nanos.store(self.now_nanos(), Ordering::Relaxed);
             l.beats.fetch_add(1, Ordering::Relaxed);
@@ -89,7 +89,7 @@ impl Heartbeats {
     }
 
     /// Mark `lane` busy (nests) and beat it.
-    pub fn enter(&self, lane: usize) {
+    pub(crate) fn enter(&self, lane: usize) {
         if let Some(l) = self.lanes.get(lane) {
             l.busy.fetch_add(1, Ordering::Relaxed);
             l.last_beat_nanos.store(self.now_nanos(), Ordering::Relaxed);
@@ -98,7 +98,7 @@ impl Heartbeats {
     }
 
     /// Beat `lane` and drop one level of busy nesting.
-    pub fn leave(&self, lane: usize) {
+    pub(crate) fn leave(&self, lane: usize) {
         if let Some(l) = self.lanes.get(lane) {
             l.last_beat_nanos.store(self.now_nanos(), Ordering::Relaxed);
             l.beats.fetch_add(1, Ordering::Relaxed);
@@ -108,7 +108,7 @@ impl Heartbeats {
     }
 
     /// Whether `lane` is inside at least one busy span.
-    pub fn is_busy(&self, lane: usize) -> bool {
+    pub(crate) fn is_busy(&self, lane: usize) -> bool {
         self.lanes
             .get(lane)
             .is_some_and(|l| l.busy.load(Ordering::Relaxed) > 0)
@@ -157,7 +157,7 @@ pub struct StallReport {
 /// Shared record of what the watchdog saw; lives as long as the guard
 /// so reports survive the watchdog thread.
 #[derive(Default)]
-pub struct WatchdogLedger {
+pub(crate) struct WatchdogLedger {
     reports: Mutex<Vec<StallReport>>,
     samples: AtomicU64,
     tripping_report: Mutex<Option<StallReport>>,
@@ -165,28 +165,28 @@ pub struct WatchdogLedger {
 
 impl WatchdogLedger {
     /// All stall reports so far.
-    pub fn reports(&self) -> Vec<StallReport> {
+    pub(crate) fn reports(&self) -> Vec<StallReport> {
         self.reports.lock().clone()
     }
 
     /// Number of stall reports so far.
-    pub fn report_count(&self) -> u64 {
+    pub(crate) fn report_count(&self) -> u64 {
         self.reports.lock().len() as u64
     }
 
     /// Number of sampling passes completed.
-    pub fn samples(&self) -> u64 {
+    pub(crate) fn samples(&self) -> u64 {
         self.samples.load(Ordering::Relaxed)
     }
 
     /// The report that tripped the cancel token, if any.
-    pub fn tripping_report(&self) -> Option<StallReport> {
+    pub(crate) fn tripping_report(&self) -> Option<StallReport> {
         self.tripping_report.lock().clone()
     }
 }
 
 /// The sampling thread; stops and joins on [`Watchdog::stop`] or drop.
-pub struct Watchdog {
+pub(crate) struct Watchdog {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -195,7 +195,7 @@ impl Watchdog {
     /// Start watching `heartbeats` under `cfg`, appending reports to
     /// `ledger` and (with `trip_cancel`) cancelling `token` on the
     /// first stall.
-    pub fn spawn(
+    pub(crate) fn spawn(
         heartbeats: Arc<Heartbeats>,
         cfg: WatchdogConfig,
         token: Option<CancelToken>,
@@ -254,7 +254,7 @@ impl Watchdog {
     }
 
     /// Stop sampling and join the thread (idempotent).
-    pub fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();

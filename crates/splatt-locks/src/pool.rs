@@ -76,17 +76,14 @@ impl LockPool {
     }
 
     /// The attached contention counters, if any.
-    pub fn counters(&self) -> Option<&Arc<LockCounters>> {
+    #[cfg(test)]
+    pub(crate) fn counters(&self) -> Option<&Arc<LockCounters>> {
         self.counters.as_ref()
     }
 
-    /// Number of locks in the pool.
-    pub fn nlocks(&self) -> usize {
-        self.mask + 1
-    }
-
     /// The strategy this pool was built with.
-    pub fn strategy(&self) -> LockStrategy {
+    #[cfg(test)]
+    pub(crate) fn strategy(&self) -> LockStrategy {
         match self.slots {
             Slots::Spin(_) => LockStrategy::Spin,
             Slots::Sleep(_) => LockStrategy::Sleep,
@@ -177,9 +174,9 @@ mod tests {
     #[test]
     fn size_rounds_to_power_of_two() {
         let p = LockPool::new(LockStrategy::Spin, 1000);
-        assert_eq!(p.nlocks(), 1024);
+        assert_eq!(p.mask + 1, 1024);
         let p = LockPool::new(LockStrategy::Spin, 1);
-        assert_eq!(p.nlocks(), 1);
+        assert_eq!(p.mask + 1, 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A raw (unguarded) lock: the minimal interface SPLATT's `mutex_pool`
 /// needs — `set` and `unset` in the paper's Listing 6 terminology.
-pub trait RawLock: Send + Sync + Default {
+pub(crate) trait RawLock: Send + Sync + Default {
     /// Acquire the lock, blocking (by spinning or parking) until available.
     fn lock(&self);
     /// Release the lock.
@@ -60,7 +60,7 @@ impl LockStrategy {
 /// attempts exactly as the Chapel code calls `chpl_task_yield()`. Suited
 /// to the MTTKRP's short, low-contention critical sections.
 #[derive(Default)]
-pub struct SpinLock {
+pub(crate) struct SpinLock {
     flag: AtomicBool,
 }
 
@@ -105,7 +105,7 @@ impl RawLock for SpinLock {
 /// that finds the variable empty is put to sleep, so contended acquires
 /// always pay a park/unpark round trip. We reproduce that by parking on a
 /// condition variable without any spinning.
-pub struct SleepLock {
+pub(crate) struct SleepLock {
     /// `true` = full (lock available), `false` = empty (held).
     state: Mutex<bool>,
     cv: Condvar,
@@ -166,7 +166,7 @@ impl RawLock for SleepLock {
 /// which the paper measured as competitive with the atomic spin lock
 /// because that layer implements `sync` with spin-wait-like behaviour.
 #[derive(Default)]
-pub struct OsLock {
+pub(crate) struct OsLock {
     inner: Mutex<()>,
 }
 

@@ -25,5 +25,5 @@ mod timers;
 pub mod partition;
 
 pub use scratch::ThreadScratch;
-pub use team::{TaskTeam, TeamConfig, TeamError};
+pub use team::{TaskTeam, TeamConfig};
 pub use timers::{Routine, TimerRegistry};

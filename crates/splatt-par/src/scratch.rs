@@ -32,21 +32,6 @@ impl ThreadScratch {
         }
     }
 
-    /// Number of per-task buffers.
-    pub fn ntasks(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// Length of each buffer.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if buffers have zero length.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Run `f` with mutable access to task `tid`'s buffer.
     pub fn with_mut<R>(&self, tid: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
         let mut guard = self.bufs[tid].lock();
@@ -101,21 +86,6 @@ impl ThreadScratch {
             }
         }
     }
-
-    /// Sum all *other* task buffers into task 0's buffer and return a copy
-    /// of the result prefix of length `n` — SPLATT's post-`omp parallel`
-    /// reduction step.
-    pub fn reduce_to_first(&self, n: usize) -> Vec<f64> {
-        let mut acc = self.bufs[0].lock().clone();
-        for b in &self.bufs[1..] {
-            let buf = b.lock();
-            for (a, &v) in acc.iter_mut().zip(buf.iter()) {
-                *a += v;
-            }
-        }
-        acc.truncate(n);
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +127,7 @@ mod tests {
         s.with_mut(0, |b| b[1] = 3.0);
         // growth reports the newly allocated bytes across both buffers
         assert_eq!(s.ensure_len(5), 3 * 2 * std::mem::size_of::<f64>());
-        assert_eq!(s.len(), 5);
+        assert_eq!(s.len, 5);
         s.with_mut(0, |b| {
             assert_eq!(b.len(), 5);
             assert_eq!(b[1], 3.0);
@@ -165,19 +135,9 @@ mod tests {
         });
         // shrink request is ignored and allocates nothing
         assert_eq!(s.ensure_len(1), 0);
-        assert_eq!(s.len(), 5);
+        assert_eq!(s.len, 5);
         // re-requesting the current size is also allocation-free
         assert_eq!(s.ensure_len(5), 0);
-    }
-
-    #[test]
-    fn reduce_to_first_sums_everything() {
-        let s = ThreadScratch::new(3, 3);
-        for tid in 0..3 {
-            s.with_mut(tid, |b| b.fill((tid + 1) as f64));
-        }
-        assert_eq!(s.reduce_to_first(3), vec![6.0, 6.0, 6.0]);
-        assert_eq!(s.reduce_to_first(2), vec![6.0, 6.0]);
     }
 
     #[test]

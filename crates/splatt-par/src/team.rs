@@ -59,7 +59,7 @@ impl TeamConfig {
 /// payload's message, so callers can attribute a kernel failure to a
 /// worker instead of unwinding with a context-free string.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TeamError {
+pub(crate) enum TeamError {
     /// A task panicked while running the broadcast body.
     Panicked {
         /// The task id (`tid`) whose body panicked. When several tasks
@@ -211,18 +211,13 @@ impl TaskTeam {
         self.ntasks
     }
 
-    /// The team's configuration.
-    pub fn config(&self) -> TeamConfig {
-        self.shared.config
-    }
-
     /// Run `f(tid)` for every `tid in 0..ntasks` concurrently and wait for
     /// all of them. The calling thread executes task 0.
     ///
     /// # Panics
     /// Panics (after all tasks finish or unwind) if any task panicked: a
     /// task-0 panic resumes its original payload on the caller, a worker
-    /// panic raises the [`TeamError`] message naming the worker.
+    /// panic raises the `TeamError` message naming the worker.
     pub fn coforall<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,

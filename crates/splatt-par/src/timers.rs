@@ -106,7 +106,8 @@ impl TimerRegistry {
     }
 
     /// Zero every timer.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&self) {
         for n in &self.nanos {
             n.store(0, Ordering::Relaxed);
         }

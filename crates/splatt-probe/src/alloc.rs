@@ -54,7 +54,7 @@ impl Drop for Recording {
 
 /// Is any [`Recording`] guard alive?
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     RECORDERS.load(Ordering::Relaxed) > 0
 }
 

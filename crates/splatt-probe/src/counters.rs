@@ -32,14 +32,15 @@ pub enum Field {
     Slot(&'static str),
 }
 
-/// See the module docs. `struct Atomics => Row` generates both types,
-/// `struct Row` only the plain one, for values a single owner keeps in
+/// See the module docs. `struct Atomics => Row` generates both types
+/// (the atomic one at the visibility written, the row `pub`),
+/// `pub struct Row` only the plain one, for values a single owner keeps in
 /// ordinary fields; `Row: Copy, Eq` adds derives to the row's `Debug`,
 /// `Clone`, `Default` and `PartialEq`.
 macro_rules! counter_set {
     (
         $(#[$meta:meta])*
-        pub struct $atomics:ident => $row:ident $(: $($derive:ident),+)? {
+        $vis:vis struct $atomics:ident => $row:ident $(: $($derive:ident),+)? {
             $(=> $lead:ident,)*
             $( $(#[$fmeta:meta])* $field:ident $(=> $slot:ident)* ),+ $(,)?
         }
@@ -48,7 +49,7 @@ macro_rules! counter_set {
         $(#[$meta])*
         /// All increments are relaxed — statistics, not synchronization.
         #[derive(Debug, Default)]
-        pub struct $atomics {
+        $vis struct $atomics {
             $( $(#[$fmeta])* pub $field: AtomicU64, )+
         }
 
@@ -140,7 +141,7 @@ counter_set! {
     /// Allocation traffic the kernels announce ([`crate::alloc`]): the
     /// `RowCopy` access variant's slice story and the privatization
     /// side of the lock-vs-replica tradeoff.
-    pub struct AllocCounters => AllocStats: Copy, Eq {
+    pub(crate) struct AllocCounters => AllocStats: Copy, Eq {
         /// Factor-row copies (`RowCopy` access variant).
         row_copies,
         /// Bytes of those row copies.
@@ -383,7 +384,7 @@ mod tests {
 
     counter_set! {
         /// A set with every slot position the macro accepts.
-        pub struct DemoCounters => DemoRow: Eq {
+        pub(crate) struct DemoCounters => DemoRow: Eq {
             => lead,
             /// First.
             a,

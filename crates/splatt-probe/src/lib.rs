@@ -42,12 +42,12 @@ mod tasks;
 static HEAP: alloc::CountingAlloc = alloc::CountingAlloc;
 
 pub use counters::{
-    AllocStats, Field, GuardCounters, GuardRow, LockCounters, LockStats, NetCounters, NetSnapshot,
-    QueryKindRow, RefreshRow, ServeCounters, ServeRow, StoreAtomics, StoreCounters,
+    GuardCounters, GuardRow, LockCounters, NetCounters, NetSnapshot, QueryKindRow, RefreshRow,
+    ServeCounters, ServeRow, StoreAtomics, StoreCounters,
 };
 pub use report::{render_counters, FaultRow, ProfileReport, RoutineRow, PROFILE_SCHEMA};
 pub use span::SpanNode;
-pub use tasks::{TaskTimes, ThreadLoad, ThreadLoadRow};
+pub use tasks::TaskTimes;
 
 use std::sync::Arc;
 

@@ -27,7 +27,7 @@ impl SpanNode {
         }
     }
 
-    pub fn seconds(&self) -> f64 {
+    pub(crate) fn seconds(&self) -> f64 {
         self.nanos as f64 * 1e-9
     }
 
@@ -36,7 +36,7 @@ impl SpanNode {
     }
 
     /// Sum of direct children's durations.
-    pub fn child_nanos(&self) -> u64 {
+    pub(crate) fn child_nanos(&self) -> u64 {
         self.children.iter().map(|c| c.nanos).sum()
     }
 
@@ -56,7 +56,7 @@ impl SpanNode {
     }
 
     /// Indented text rendering (two spaces per level).
-    pub fn render_into(&self, out: &mut String, depth: usize) {
+    pub(crate) fn render_into(&self, out: &mut String, depth: usize) {
         use std::fmt::Write;
         let _ = writeln!(
             out,

@@ -12,7 +12,7 @@ struct TaskSlot {
 }
 
 /// Per-thread busy-time accumulators, one cache line per task id.
-/// Recorded by `TaskTeam::coforall_timed`; snapshot as [`ThreadLoad`].
+/// Recorded by `TaskTeam::coforall_timed`; snapshot as `ThreadLoad`.
 #[derive(Debug)]
 pub struct TaskTimes {
     slots: Vec<CachePadded<TaskSlot>>,
@@ -56,7 +56,8 @@ impl TaskTimes {
         }
     }
 
-    pub fn reset(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&self) {
         for s in &self.slots {
             s.nanos.store(0, Ordering::Relaxed);
             s.invocations.store(0, Ordering::Relaxed);
@@ -75,7 +76,7 @@ pub struct ThreadLoadRow {
 }
 
 impl ThreadLoadRow {
-    pub fn seconds(&self) -> f64 {
+    pub(crate) fn seconds(&self) -> f64 {
         self.nanos as f64 * 1e-9
     }
 }

@@ -17,9 +17,6 @@
 
 use crate::rng::{RngExt, SampleRange, SeedableRng, StdRng};
 
-/// Default number of cases per property.
-pub const DEFAULT_CASES: u32 = 64;
-
 /// Per-case input source handed to properties.
 pub struct Gen {
     rng: StdRng,

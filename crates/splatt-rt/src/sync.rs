@@ -87,10 +87,6 @@ impl<T> Mutex<T> {
             data: UnsafeCell::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -127,11 +123,6 @@ impl<T: ?Sized> Mutex<T> {
     /// The mutex must be held, and no guard for it may still be live.
     pub unsafe fn force_unlock(&self) {
         self.raw.unlock();
-    }
-
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.raw.locked.load(Ordering::Relaxed)
     }
 }
 
@@ -214,37 +205,6 @@ impl Condvar {
         mutex.raw.lock();
     }
 
-    /// Like [`Condvar::wait`], but gives up after `timeout`. Returns
-    /// `true` if the wait timed out (the mutex is reacquired either way).
-    ///
-    /// Spurious wakeups are possible, and a `false` return does not
-    /// guarantee the predicate holds — callers loop, exactly as with
-    /// [`Condvar::wait`].
-    pub fn wait_timeout<T: ?Sized>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> bool {
-        let mutex = guard.lock;
-        let start = *self.generation.lock().unwrap_or_else(|e| e.into_inner());
-        mutex.raw.unlock();
-        let timed_out = {
-            let gen = self.generation.lock().unwrap_or_else(|e| e.into_inner());
-            if *gen == start {
-                let (gen, result) = self
-                    .cv
-                    .wait_timeout(gen, timeout)
-                    .unwrap_or_else(|e| e.into_inner());
-                drop(gen);
-                result.timed_out()
-            } else {
-                false
-            }
-        };
-        mutex.raw.lock();
-        timed_out
-    }
-
     pub fn notify_one(&self) {
         let mut gen = self.generation.lock().unwrap_or_else(|e| e.into_inner());
         *gen = gen.wrapping_add(1);
@@ -282,10 +242,6 @@ pub struct CachePadded<T> {
 impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         CachePadded { value }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.value
     }
 }
 
@@ -332,7 +288,7 @@ mod tests {
         drop(g);
         let mut m = m;
         *m.get_mut() = 42;
-        assert_eq!(m.into_inner(), 42);
+        assert_eq!(*m.lock(), 42);
     }
 
     #[test]
@@ -358,7 +314,7 @@ mod tests {
     fn force_unlock_roundtrip() {
         let m = Mutex::new(());
         std::mem::forget(m.lock());
-        assert!(m.is_locked());
+        assert!(m.try_lock().is_none());
         unsafe { m.force_unlock() };
         assert!(m.try_lock().is_some());
     }
@@ -375,37 +331,6 @@ mod tests {
             }
         });
         std::thread::sleep(std::time::Duration::from_millis(10));
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_timeout_expires_and_delivers() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-
-        // Un-notified wait times out and reacquires the mutex.
-        {
-            let (m, cv) = &*pair;
-            let mut done = m.lock();
-            let timed_out = cv.wait_timeout(&mut done, std::time::Duration::from_millis(10));
-            assert!(timed_out);
-            assert!(!*done);
-        }
-
-        // A notification arriving within the window is delivered.
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait_timeout(&mut done, std::time::Duration::from_millis(50));
-            }
-        });
-        std::thread::sleep(std::time::Duration::from_millis(5));
         {
             let (m, cv) = &*pair;
             *m.lock() = true;

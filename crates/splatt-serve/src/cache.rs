@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// Cache key: model identity (name + version) plus the full query shape.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CacheKey {
+pub(crate) enum CacheKey {
     Slice {
         model: String,
         version: u64,
@@ -36,7 +36,7 @@ pub enum CacheKey {
 
 /// Cached result payload, shared by reference on hit.
 #[derive(Debug, Clone)]
-pub enum CacheValue {
+pub(crate) enum CacheValue {
     Slice(Arc<Vec<f64>>),
     TopK(Arc<Vec<(u32, f64)>>),
 }
@@ -87,7 +87,7 @@ impl LruInner {
 }
 
 /// Bounded LRU result cache; see the module docs.
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     capacity: usize,
     inner: Mutex<LruInner>,
     hits: AtomicU64,
@@ -98,7 +98,7 @@ pub struct ResultCache {
 impl ResultCache {
     /// A cache holding at most `capacity` results; 0 disables caching
     /// (every lookup misses, every insert is dropped).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ResultCache {
             capacity,
             inner: Mutex::new(LruInner {
@@ -115,7 +115,7 @@ impl ResultCache {
     }
 
     /// Look `key` up, promoting it to most-recent on hit.
-    pub fn get(&self, key: &CacheKey) -> Option<CacheValue> {
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<CacheValue> {
         let mut inner = self.inner.lock();
         match inner.map.get(key).copied() {
             Some(i) => {
@@ -133,7 +133,7 @@ impl ResultCache {
 
     /// Insert (or refresh) `key`, evicting the least-recent entry when
     /// at capacity.
-    pub fn insert(&self, key: CacheKey, value: CacheValue) {
+    pub(crate) fn insert(&self, key: CacheKey, value: CacheValue) {
         if self.capacity == 0 {
             return;
         }
@@ -177,7 +177,7 @@ impl ResultCache {
 
     /// Drop every entry belonging to `model` (any version when
     /// `version == 0`) — called on model eviction.
-    pub fn invalidate_model(&self, model: &str, version: u64) {
+    pub(crate) fn invalidate_model(&self, model: &str, version: u64) {
         let mut inner = self.inner.lock();
         let doomed: Vec<usize> = inner
             .map
@@ -200,27 +200,23 @@ impl ResultCache {
     }
 
     /// Live entry count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().map.len()
     }
 
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Hits since construction.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
     /// Misses since construction.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
     /// Evictions since construction.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 }
@@ -317,6 +313,6 @@ mod tests {
         let cache = ResultCache::new(0);
         cache.insert(key(1), val(1.0));
         assert!(cache.get(&key(1)).is_none());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 }

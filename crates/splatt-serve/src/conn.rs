@@ -27,14 +27,14 @@ use crate::service::{Disposition, Reply};
 
 /// Wire framing: a `u32` little-endian payload length precedes each
 /// payload (matching `splatt-serve`'s frame layer).
-pub const FRAME_HEADER: usize = 4;
+pub(crate) const FRAME_HEADER: usize = 4;
 
 /// Reassembly-buffer capacity an idle connection may keep.
 const READ_BUF_KEEP: usize = 16 * 1024;
 
 /// Result of pumping bytes from the socket.
 #[derive(Debug, PartialEq, Eq)]
-pub enum ReadOutcome {
+pub(crate) enum ReadOutcome {
     /// Some bytes may have arrived; the socket would now block.
     Progress,
     /// Orderly EOF from the peer.
@@ -43,14 +43,11 @@ pub enum ReadOutcome {
 
 /// A frame-layer protocol violation (oversized frame).
 #[derive(Debug)]
-pub struct FrameTooLarge {
-    pub len: usize,
-    pub max: usize,
-}
+pub(crate) struct FrameTooLarge;
 
 /// See the module docs.
 #[derive(Debug)]
-pub struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     pub fd: i32,
     /// Distinguishes reincarnations of the same slab slot so stale
@@ -94,7 +91,7 @@ impl Conn {
     ///
     /// # Errors
     /// Propagates `set_nonblocking` failure.
-    pub fn new(
+    pub(crate) fn new(
         stream: TcpStream,
         generation: u32,
         permit: OwnedAdmissionPermit,
@@ -127,7 +124,11 @@ impl Conn {
     ///
     /// # Errors
     /// Propagates socket errors other than `WouldBlock`/`Interrupted`.
-    pub fn read_ready(&mut self, scratch: &mut [u8], now: Instant) -> io::Result<ReadOutcome> {
+    pub(crate) fn read_ready(
+        &mut self,
+        scratch: &mut [u8],
+        now: Instant,
+    ) -> io::Result<ReadOutcome> {
         loop {
             match self.stream.read(scratch) {
                 Ok(0) => return Ok(ReadOutcome::Eof),
@@ -150,24 +151,21 @@ impl Conn {
     ///
     /// # Errors
     /// [`FrameTooLarge`] when the peer announces a frame over `max_frame`.
-    pub fn peek_frame(&self, max_frame: usize) -> Result<Option<&[u8]>, FrameTooLarge> {
+    pub(crate) fn peek_frame(&self, max_frame: usize) -> Result<Option<&[u8]>, FrameTooLarge> {
         let unframed = &self.read_buf[self.read_pos..];
         let Some((header, rest)) = unframed.split_first_chunk::<FRAME_HEADER>() else {
             return Ok(None);
         };
         let len = u32::from_le_bytes(*header) as usize;
         if len > max_frame {
-            return Err(FrameTooLarge {
-                len,
-                max: max_frame,
-            });
+            return Err(FrameTooLarge);
         }
         Ok(rest.get(..len))
     }
 
     /// Drop the frame [`Conn::peek_frame`] last returned, whose payload
     /// was `payload_len` bytes.
-    pub fn consume_frame(&mut self, payload_len: usize) {
+    pub(crate) fn consume_frame(&mut self, payload_len: usize) {
         self.read_pos = (self.read_pos + FRAME_HEADER + payload_len).min(self.read_buf.len());
     }
 
@@ -175,7 +173,7 @@ impl Conn {
     /// per read pass, after its frames: when every byte was framed (the
     /// usual case) nothing moves, otherwise the partial tail slides to
     /// the front. A buffer one large request grew is given back.
-    pub fn compact(&mut self) {
+    pub(crate) fn compact(&mut self) {
         if self.read_pos == self.read_buf.len() {
             self.read_buf.clear();
             self.read_buf.shrink_to(READ_BUF_KEEP);
@@ -186,7 +184,7 @@ impl Conn {
     }
 
     /// Assign the next request sequence number and mark it in flight.
-    pub fn begin_request(&mut self) -> u64 {
+    pub(crate) fn begin_request(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.in_flight.insert(seq);
@@ -196,35 +194,28 @@ impl Conn {
     /// Assign a sequence number for a request answered instantly on the
     /// reactor thread (a shed): it participates in response ordering
     /// but never goes in flight.
-    pub fn begin_instant(&mut self) -> u64 {
+    pub(crate) fn begin_instant(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
     }
 
-    /// Whether `seq` is still awaiting an answer. The deadline backstop
-    /// and late worker completions race through this: whoever calls
-    /// [`Conn::finish_request`] first wins.
-    pub fn is_in_flight(&self, seq: u64) -> bool {
-        self.in_flight.contains(&seq)
-    }
-
     /// Claim `seq` as answered; returns false if something else (the
     /// backstop, a duplicate completion) already did.
-    pub fn finish_request(&mut self, seq: u64) -> bool {
+    pub(crate) fn finish_request(&mut self, seq: u64) -> bool {
         self.in_flight.remove(&seq)
     }
 
     /// Requests currently unanswered on this connection (in flight in
     /// the pool plus completions parked for ordering).
-    pub fn pipeline_depth(&self) -> usize {
+    pub(crate) fn pipeline_depth(&self) -> usize {
         self.in_flight.len() + self.done.len()
     }
 
     /// Park a completed reply, then move every now-contiguous reply
     /// into the write buffer. Returns the number of frames buffered by
     /// this call (0 if `seq` is still blocked behind an earlier one).
-    pub fn enqueue_reply(&mut self, seq: u64, reply: Reply) -> usize {
+    pub(crate) fn enqueue_reply(&mut self, seq: u64, reply: Reply) -> usize {
         self.done.insert(seq, reply);
         let mut appended = 0;
         while let Some(reply) = self.done.remove(&self.next_write_seq) {
@@ -236,7 +227,7 @@ impl Conn {
             self.out_buf.extend_from_slice(&reply.payload);
             match reply.disposition {
                 Disposition::Continue => {}
-                Disposition::CloseAfterWrite | Disposition::ShutdownAfterWrite => {
+                Disposition::ShutdownAfterWrite => {
                     self.closing = true;
                 }
             }
@@ -245,7 +236,7 @@ impl Conn {
     }
 
     /// Whether any buffered response bytes await the socket.
-    pub fn wants_write(&self) -> bool {
+    pub(crate) fn wants_write(&self) -> bool {
         self.out_pos < self.out_buf.len()
     }
 
@@ -256,7 +247,7 @@ impl Conn {
     ///
     /// # Errors
     /// Propagates socket errors other than `WouldBlock`/`Interrupted`.
-    pub fn flush(&mut self, now: Instant) -> io::Result<(u64, u64, bool)> {
+    pub(crate) fn flush(&mut self, now: Instant) -> io::Result<(u64, u64, bool)> {
         let coalesced = self.pending_out_frames >= 2;
         let mut syscalls = 0u64;
         while self.out_pos < self.out_buf.len() {
@@ -292,13 +283,13 @@ impl Conn {
 
     /// Whether the connection has fully quiesced: nothing unanswered
     /// and nothing left to write.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.in_flight.is_empty() && self.done.is_empty() && !self.wants_write()
     }
 
     /// Mark the connection dead so worker jobs holding its alive flag
     /// abort.
-    pub fn mark_dead(&self) {
+    pub(crate) fn mark_dead(&self) {
         self.alive.store(false, Ordering::Relaxed);
     }
 }
@@ -363,9 +354,11 @@ mod tests {
         let mut scratch = [0u8; 4096];
         std::thread::sleep(std::time::Duration::from_millis(20));
         conn.read_ready(&mut scratch, Instant::now()).unwrap();
-        let err = conn.peek_frame(10).unwrap_err();
-        assert_eq!(err.len, 100);
-        assert_eq!(err.max, 10);
+        assert!(conn.peek_frame(99).is_err());
+        assert!(
+            conn.peek_frame(100).unwrap().is_none(),
+            "header only, no payload yet"
+        );
     }
 
     #[test]
@@ -400,7 +393,7 @@ mod tests {
     fn finish_request_claims_a_sequence_exactly_once() {
         let (mut conn, _peer) = test_conn();
         let seq = conn.begin_request();
-        assert!(conn.is_in_flight(seq));
+        assert_eq!(conn.pipeline_depth(), 1);
         assert!(conn.finish_request(seq));
         assert!(!conn.finish_request(seq), "second claim must lose the race");
         assert_eq!(conn.pipeline_depth(), 0);
@@ -428,7 +421,7 @@ mod tests {
             seq,
             Reply {
                 payload: b"bye".to_vec(),
-                disposition: Disposition::CloseAfterWrite,
+                disposition: Disposition::ShutdownAfterWrite,
             },
         );
         assert!(conn.closing);

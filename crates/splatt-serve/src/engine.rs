@@ -26,7 +26,7 @@
 //!    [`ServeError::DeadlineExpired`].
 //!
 //! There is no queue, batcher or task team. The callers — the
-//! `splatt-net` reactor thread for small point reads, a pool worker for
+//! front end's reactor thread for small point reads, a pool worker for
 //! everything else — already run requests in parallel; a second pool
 //! behind them only added a hand-off and spinning workers on the same
 //! cores (the two-pool interference of the paper's §V-E). Which of the
@@ -111,7 +111,7 @@ impl Query {
     /// per read pass, so `CALLER_RUNS_COORDS` × per-coordinate cost ×
     /// `max_pipeline` ≈ 0.1 ms at rank 16 before another connection is
     /// served. A typical point read is one tuple.
-    pub const CALLER_RUNS_COORDS: usize = 64;
+    pub(crate) const CALLER_RUNS_COORDS: usize = 64;
 
     /// An `Entry` within [`Query::CALLER_RUNS_COORDS`]: a point read.
     fn is_point_read(&self) -> bool {
@@ -119,7 +119,7 @@ impl Query {
     }
 
     /// The kind bucket this query records under.
-    pub fn kind(&self) -> QueryKind {
+    pub(crate) fn kind(&self) -> QueryKind {
         match self {
             Query::Entry { .. } => QueryKind::Entry,
             Query::Slice { .. } => QueryKind::Slice,
@@ -214,16 +214,6 @@ impl ServeEngine {
         &self.gate
     }
 
-    /// Serving telemetry.
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
-    }
-
-    /// The result cache.
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
-    }
-
     /// The engine-level cancel token; tripping it is
     /// [`ServeEngine::shutdown`].
     pub fn shutdown_token(&self) -> &CancelToken {
@@ -231,7 +221,7 @@ impl ServeEngine {
     }
 
     /// Engine configuration.
-    pub fn config(&self) -> &ServeConfig {
+    pub(crate) fn config(&self) -> &ServeConfig {
         &self.config
     }
 
@@ -532,9 +522,9 @@ mod tests {
         let root = CancelToken::new();
         let q = Query::Slice { mode: 1, index: 2 };
         let a = eng.query("m", 0, q.clone(), None, &root, || false).unwrap();
-        let hits_before = eng.cache().hits();
+        let hits_before = eng.cache.hits();
         let b = eng.query("m", 0, q, None, &root, || false).unwrap();
-        assert_eq!(eng.cache().hits(), hits_before + 1);
+        assert_eq!(eng.cache.hits(), hits_before + 1);
         match (a, b) {
             (QueryResult::Slice(x), QueryResult::Slice(y)) => {
                 assert!(Arc::ptr_eq(&x, &y), "hit should share the buffer");
@@ -618,7 +608,7 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, ServeError::DeadlineExpired);
-        assert!(eng.stats().counters.snapshot().deadline_rejections >= 1);
+        assert!(eng.stats.counters.snapshot().deadline_rejections >= 1);
         eng.shutdown();
     }
 
@@ -671,9 +661,9 @@ mod tests {
             fixed: vec![1, 1],
         };
         eng.query("m", 0, q.clone(), None, &root, || false).unwrap();
-        assert_eq!(eng.cache().len(), 1);
+        assert_eq!(eng.cache.len(), 1);
         assert_eq!(eng.evict("m", 0), 1);
-        assert_eq!(eng.cache().len(), 0);
+        assert_eq!(eng.cache.len(), 0);
         assert!(matches!(
             eng.query("m", 0, q, None, &root, || false),
             Err(ServeError::ModelNotFound { .. })
@@ -700,11 +690,11 @@ mod tests {
         eng.query("m", 2, q.clone(), None, &root, || false).unwrap();
         eng.query("other", 1, q.clone(), None, &root, || false)
             .unwrap();
-        assert_eq!(eng.cache().len(), 3);
+        assert_eq!(eng.cache.len(), 3);
 
         assert_eq!(eng.evict("m", 0), 2, "both versions evicted");
         assert_eq!(
-            eng.cache().len(),
+            eng.cache.len(),
             1,
             "every cached version of 'm' must be invalidated"
         );
@@ -715,9 +705,9 @@ mod tests {
             ));
         }
         // the survivor is still served (from cache — no new miss needed)
-        let hits_before = eng.cache().hits();
+        let hits_before = eng.cache.hits();
         eng.query("other", 1, q, None, &root, || false).unwrap();
-        assert_eq!(eng.cache().hits(), hits_before + 1);
+        assert_eq!(eng.cache.hits(), hits_before + 1);
         // re-publishing never reuses an evicted version number
         assert_eq!(eng.publish("m", model()), 3);
         eng.shutdown();

@@ -20,7 +20,7 @@ use crate::sys;
 
 /// Which backend a [`Poller`] is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollerKind {
+pub(crate) enum PollerKind {
     /// Kernel readiness via `poll(2)`.
     Poll,
     /// Optimistic nonblocking sweep with pacing sleeps.
@@ -29,7 +29,7 @@ pub enum PollerKind {
 
 /// One descriptor the caller wants readiness for.
 #[derive(Debug, Clone, Copy)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Caller-defined identity, echoed back in [`Event::token`].
     pub token: u64,
     /// Raw descriptor (ignored by the sweep backend).
@@ -40,7 +40,7 @@ pub struct Interest {
 
 /// Readiness reported for one interest.
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     pub token: u64,
     pub readable: bool,
     pub writable: bool,
@@ -55,7 +55,7 @@ const SWEEP_PACE: Duration = Duration::from_millis(1);
 
 /// See the module docs.
 #[derive(Debug)]
-pub struct Poller {
+pub(crate) struct Poller {
     kind: PollerKind,
     /// Scratch `pollfd` array, reused across waits (poll backend only).
     fds: Vec<sys::PollFd>,
@@ -64,7 +64,7 @@ pub struct Poller {
 impl Poller {
     /// A poller on the best backend this platform has; `force_sweep`
     /// selects the fallback even where `poll(2)` exists (for tests).
-    pub fn new(force_sweep: bool) -> Poller {
+    pub(crate) fn new(force_sweep: bool) -> Poller {
         let kind = if sys::have_poll() && !force_sweep {
             PollerKind::Poll
         } else {
@@ -76,18 +76,13 @@ impl Poller {
         }
     }
 
-    /// The backend in use.
-    pub fn kind(&self) -> PollerKind {
-        self.kind
-    }
-
     /// Wait up to `timeout` for readiness on `interests`, clearing and
     /// filling `events`. Returns the number of ready interests (0 on
     /// timeout).
     ///
     /// # Errors
     /// Propagates `poll(2)` failures (poll backend only).
-    pub fn wait(
+    pub(crate) fn wait(
         &mut self,
         interests: &[Interest],
         timeout: Duration,
@@ -154,6 +149,13 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
+
+    impl Poller {
+        /// The backend in use.
+        fn kind(&self) -> PollerKind {
+            self.kind
+        }
+    }
 
     fn fd_of(stream: &TcpStream) -> i32 {
         #[cfg(unix)]

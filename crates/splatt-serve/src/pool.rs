@@ -19,11 +19,13 @@ type Job = Box<dyn FnOnce() + Send>;
 struct PoolInner {
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
+    /// Written only under `queue`'s lock (see [`WorkerPool::stop`]);
+    /// atomic so that `submit` can assert on it without the lock.
     shutdown: AtomicBool,
 }
 
 /// See the module docs.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     inner: Arc<PoolInner>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -39,7 +41,7 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawn `workers` threads named `{name}-{i}`.
-    pub fn new(workers: usize, name: &str) -> WorkerPool {
+    pub(crate) fn new(workers: usize, name: &str) -> WorkerPool {
         let workers = workers.max(1);
         let inner = Arc::new(PoolInner {
             queue: Mutex::new(VecDeque::new()),
@@ -59,7 +61,7 @@ impl WorkerPool {
     }
 
     /// Enqueue a job. Panics if called after [`WorkerPool::shutdown`].
-    pub fn submit(&self, job: Job) {
+    pub(crate) fn submit(&self, job: Job) {
         assert!(
             !self.inner.shutdown.load(Ordering::Acquire),
             "submit after pool shutdown"
@@ -71,18 +73,29 @@ impl WorkerPool {
     }
 
     /// Jobs waiting for a worker (excludes jobs mid-execution).
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.inner.queue.lock().len()
     }
 
     /// Worker threads in the pool.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.threads.len()
     }
 
-    /// Finish every queued job, then stop the workers and join them.
-    pub fn shutdown(mut self) {
+    /// Finish every queued job, then stop the workers and join them —
+    /// what dropping the pool does.
+    pub(crate) fn shutdown(self) {
+        drop(self);
+    }
+
+    /// The one stop path. The flag is set under the queue lock: a
+    /// worker that has read it false holds that lock until
+    /// [`Condvar::wait`] has taken its wake-up ticket, so the notify
+    /// below cannot fall between the worker's check and its sleep.
+    fn stop(&mut self) {
+        let queue = self.inner.queue.lock();
         self.inner.shutdown.store(true, Ordering::Release);
+        drop(queue);
         self.inner.available.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -92,14 +105,8 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // A dropped (not shut down) pool still stops its threads so the
-        // process can exit; queued jobs are drained first, as in
-        // `shutdown`.
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.available.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        // Queued jobs are drained first; the threads then exit.
+        self.stop();
     }
 }
 
@@ -114,6 +121,8 @@ fn worker_loop(inner: &PoolInner) {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                #[cfg(test)]
+                tests::stall_before_wait(inner);
                 inner.available.wait(&mut queue);
             }
         };
@@ -125,6 +134,55 @@ fn worker_loop(inner: &PoolInner) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
+
+    /// Name of the pools whose workers stall in [`stall_before_wait`].
+    const STALLING: &str = "stall-before-wait";
+    /// Set once a stalling worker is inside the window.
+    static STALLED: AtomicBool = AtomicBool::new(false);
+
+    /// Called by `worker_loop` between its shutdown check and its wait,
+    /// holding the queue lock. A worker of a [`STALLING`] pool waits
+    /// there until the shutdown flag reads true or 200 ms pass, then
+    /// ≈ 10 ms more, so that a notify sent right after the flag lands
+    /// inside the window. A flag written without the lock is seen here
+    /// and its notify is lost; one written under the lock cannot change
+    /// while the worker is here.
+    pub(super) fn stall_before_wait(inner: &PoolInner) {
+        let stalling = std::thread::current()
+            .name()
+            .is_some_and(|name| name.starts_with(STALLING));
+        if !stalling {
+            return;
+        }
+        STALLED.store(true, Ordering::SeqCst);
+        let give_up = Instant::now() + Duration::from_millis(200);
+        while !inner.shutdown.load(Ordering::Acquire) && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    #[test]
+    fn shutdown_wakes_a_worker_caught_between_its_check_and_its_wait() {
+        let pool = WorkerPool::new(1, STALLING);
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while !STALLED.load(Ordering::SeqCst) {
+            assert!(Instant::now() < give_up, "the worker never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The watchdog: a worker that slept through the stop notify
+        // never exits, so `shutdown`'s join would hang this test.
+        let (done, stopped) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            pool.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            stopped.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "shutdown hung for 5 s: the idle worker missed its wake-up"
+        );
+    }
 
     #[test]
     fn runs_every_submitted_job_across_workers() {

@@ -27,7 +27,7 @@ use std::io::{Error, ErrorKind, Read, Write};
 
 /// Refuse frames beyond this size (64 MiB) — a corrupt or malicious
 /// length prefix must not trigger a giant allocation.
-pub const MAX_FRAME: usize = 64 << 20;
+pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Wire error codes; the typed mirror of [`crate::ServeError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

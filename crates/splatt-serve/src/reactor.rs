@@ -85,7 +85,7 @@ const WAKE_TOKEN: u64 = u64::MAX - 1;
 
 /// Front-end tuning; see the module docs for what each layer does.
 #[derive(Debug, Clone)]
-pub struct ReactorConfig {
+pub(crate) struct ReactorConfig {
     /// Worker-pool threads running [`FrameService::handle`].
     pub workers: usize,
     /// Accept-layer cap: connections registered at once.
@@ -192,8 +192,9 @@ impl Shared {
 }
 
 /// Handle to a running reactor; dropping it does NOT stop the reactor —
-/// call [`NetHandle::join`] (or at least [`NetHandle::stop`]).
-pub struct NetHandle {
+/// trip the stop token given to [`serve_frames`], then
+/// [`NetHandle::wait`].
+pub(crate) struct NetHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -208,49 +209,20 @@ impl std::fmt::Debug for NetHandle {
 }
 
 impl NetHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Current front-end counters.
-    pub fn counters(&self) -> NetSnapshot {
+    pub(crate) fn counters(&self) -> NetSnapshot {
         self.shared.counters.snapshot()
     }
 
     /// The live counters themselves, for embedding in probe reports.
-    pub fn counters_handle(&self) -> Arc<NetCounters> {
+    pub(crate) fn counters_handle(&self) -> Arc<NetCounters> {
         Arc::clone(&self.shared.counters)
-    }
-
-    /// The accept-layer gate (connection cap).
-    pub fn accept_gate(&self) -> &Arc<AdmissionGate> {
-        &self.shared.accept_gate
-    }
-
-    /// The decode-layer gate (request queue depth).
-    pub fn decode_gate(&self) -> &Arc<AdmissionGate> {
-        &self.shared.decode_gate
-    }
-
-    /// Begin a drain: trip the stop token and wake the reactor.
-    pub fn stop(&self) {
-        self.shared.stop.cancel();
-        self.shared.wake();
-    }
-
-    /// Stop and wait for the reactor thread (and its workers) to exit.
-    pub fn join(mut self) {
-        self.stop();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 
     /// Wait for the reactor to exit *without* tripping the stop token —
     /// for embedders whose handle contract is "block until someone else
     /// requests shutdown" (a signal handler, a wire op, another thread).
-    pub fn wait(mut self) {
+    pub(crate) fn wait(mut self) {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -262,7 +234,7 @@ impl NetHandle {
 ///
 /// # Errors
 /// Propagates listener/wake-channel setup failures.
-pub fn serve_frames(
+pub(crate) fn serve_frames(
     listener: TcpListener,
     service: Arc<dyn FrameService>,
     config: ReactorConfig,
@@ -695,10 +667,9 @@ impl Reactor {
         };
         let generation = conn.generation;
         let seq = conn.begin_request();
-        let deadline = self.service.deadline_of(&payload).map(|d| now + d);
-        if let Some(d) = deadline {
+        if let Some(d) = self.service.deadline_of(&payload) {
             self.wheel.schedule(
-                d + BACKSTOP_GRACE,
+                now + d + BACKSTOP_GRACE,
                 TimerKey::Backstop {
                     slot: slot as u32,
                     generation,
@@ -706,7 +677,7 @@ impl Reactor {
                 },
             );
         }
-        let ctx = RequestCtx::new(Arc::clone(&conn.alive), deadline);
+        let ctx = RequestCtx::new(Arc::clone(&conn.alive));
         let token = Self::token(slot, generation);
         let service = Arc::clone(&self.service);
         let shared = Arc::clone(&self.shared);
@@ -886,6 +857,31 @@ impl Reactor {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// What the tests drive a reactor with besides the wire.
+    impl NetHandle {
+        fn addr(&self) -> SocketAddr {
+            self.addr
+        }
+
+        /// The accept-layer gate (connection cap).
+        fn accept_gate(&self) -> &Arc<AdmissionGate> {
+            &self.shared.accept_gate
+        }
+
+        /// The decode-layer gate (request queue depth).
+        fn decode_gate(&self) -> &Arc<AdmissionGate> {
+            &self.shared.decode_gate
+        }
+
+        /// Trip the stop token, wake the reactor, and wait for it (and
+        /// its workers) to exit.
+        fn join(self) {
+            self.shared.stop.cancel();
+            self.shared.wake();
+            self.wait();
+        }
+    }
 
     /// Echoes payloads back; payloads starting with `b"sleep"` stall
     /// the worker long enough to exercise pipelining and backstops,

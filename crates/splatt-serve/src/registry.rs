@@ -65,7 +65,7 @@ impl ModelRegistry {
     }
 
     /// Publish `model` under `name`, returning the version it received.
-    pub fn publish(&self, name: &str, model: KruskalModel) -> u64 {
+    pub(crate) fn publish(&self, name: &str, model: KruskalModel) -> u64 {
         let mut inner = self.inner.lock();
         let (next, versions) = inner
             .models
@@ -111,7 +111,7 @@ impl ModelRegistry {
     }
 
     /// True when the exact `name`@`version` is still published.
-    pub fn contains(&self, name: &str, version: u64) -> bool {
+    pub(crate) fn contains(&self, name: &str, version: u64) -> bool {
         let inner = self.inner.lock();
         inner
             .models
@@ -122,7 +122,7 @@ impl ModelRegistry {
     /// Evict one version (or every version when `version == 0`) of
     /// `name`, returning how many were removed. In-flight queries that
     /// already resolved the model keep serving from their pin.
-    pub fn evict(&self, name: &str, version: u64) -> usize {
+    pub(crate) fn evict(&self, name: &str, version: u64) -> usize {
         let mut inner = self.inner.lock();
         let Some((_, versions)) = inner.models.get_mut(name) else {
             return 0;
@@ -139,7 +139,7 @@ impl ModelRegistry {
     }
 
     /// Every live version, sorted by name then version.
-    pub fn list(&self) -> Vec<ModelInfo> {
+    pub(crate) fn list(&self) -> Vec<ModelInfo> {
         let inner = self.inner.lock();
         let mut out: Vec<ModelInfo> = inner
             .models
@@ -157,18 +157,14 @@ impl ModelRegistry {
     }
 
     /// Number of live model versions.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner
             .lock()
             .models
             .values()
             .map(|(_, v)| v.len())
             .sum()
-    }
-
-    /// True when nothing is published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -1,6 +1,6 @@
 //! The serving front end.
 //!
-//! One `splatt-net` readiness-polled reactor thread multiplexes every
+//! One readiness-polled reactor thread ([`crate::reactor`]) multiplexes every
 //! connection (raw `poll(2)` where available) and answers point reads
 //! itself (small `Entry` frames), a bounded worker pool executes every
 //! other request, and three admission layers — connection cap at
@@ -21,10 +21,11 @@
 //! them; client disconnects are still caught by the reactor's EOF
 //! handling.
 
+use crate::counters::NetSnapshot;
 use crate::engine::ServeEngine;
 use crate::protocol::MAX_FRAME;
+use crate::reactor::{serve_frames, NetHandle, ReactorConfig};
 use crate::service::{accept_shed_frame, EngineService};
-use splatt_net::{serve_frames, NetHandle, NetSnapshot, ReactorConfig};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
@@ -153,7 +154,7 @@ pub fn serve_with(
     let stop = engine.shutdown_token().child();
     let handle = serve_frames(
         listener,
-        Arc::clone(&service) as Arc<dyn splatt_net::FrameService>,
+        Arc::clone(&service) as Arc<dyn crate::service::FrameService>,
         reactor_config,
         stop,
     )?;

@@ -1,8 +1,16 @@
-//! The `splatt-net` ↔ `splatt-serve` seam: [`EngineService`] adapts a
-//! [`ServeEngine`] to the reactor's protocol-agnostic
-//! [`FrameService`] trait.
+//! The seam between the reactor and the application.
 //!
-//! The reactor owns sockets, framing, pipelining, and the accept- and
+//! The reactor ([`crate::reactor`]) owns sockets, framing, ordering,
+//! and backpressure; it knows nothing about what the bytes inside a
+//! frame mean. A [`FrameService`] supplies that meaning: it turns one
+//! request payload into one [`Reply`] — on the reactor thread when the
+//! request is cheap enough to run to completion there, on a worker
+//! otherwise — peeks deadlines out of payloads so the reactor can arm
+//! its backstop timers, and encodes the typed shed frames the reactor
+//! writes when admission control refuses work.
+//!
+//! [`EngineService`] is the one implementation: it adapts a
+//! [`ServeEngine`] to the trait. The reactor owns the accept- and
 //! decode-layer admission gates; this adapter owns protocol semantics —
 //! decode, engine dispatch (through the engine's admission gate inside
 //! [`ServeEngine::query`]), typed error mapping, and the probe `Stats`
@@ -18,18 +26,137 @@
 //! [`EngineService::reply_to`], so a request gets the same bytes on
 //! either thread.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use splatt_net::{
-    Disposition, FrameService, NetCounters, NetSnapshot, Reply, RequestCtx, ShedLayer,
-};
-
+use crate::counters::{NetCounters, NetSnapshot};
 use crate::engine::{Query, QueryResult, ServeEngine, ServeError};
 use crate::protocol::{
     decode_request, encode_entries, encode_response, encode_slice, encode_top_k, peek_entry_coords,
     Request, RequestBody, Response, WireError,
 };
+
+/// Which admission layer refused a request; passed to
+/// [`FrameService::shed_reply`] so the payload can say so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ShedLayer {
+    /// The decode-layer queue-depth gate was full.
+    QueueDepth {
+        /// Depth observed at rejection time.
+        depth: usize,
+        /// The gate's configured capacity.
+        max_depth: usize,
+    },
+    /// The connection's pipeline already held the maximum number of
+    /// unanswered requests.
+    Pipeline {
+        /// The per-connection pipeline cap.
+        max_pipeline: usize,
+    },
+}
+
+/// What the reactor should do with the connection after writing a
+/// reply's payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Disposition {
+    /// Keep serving the connection.
+    Continue,
+    /// Flush this reply, then close the connection *and* begin reactor
+    /// drain (used for protocol-level shutdown requests). The reactor
+    /// calls [`FrameService::on_shutdown`] when it sees this.
+    ShutdownAfterWrite,
+}
+
+/// One response frame plus its connection-lifecycle consequence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Reply {
+    /// The response payload; the reactor adds the length prefix.
+    pub payload: Vec<u8>,
+    pub disposition: Disposition,
+}
+
+impl Reply {
+    /// A normal keep-alive reply.
+    pub(crate) fn ok(payload: Vec<u8>) -> Reply {
+        Reply {
+            payload,
+            disposition: Disposition::Continue,
+        }
+    }
+}
+
+/// Per-request context handed to [`FrameService::handle`] on a worker
+/// thread.
+#[derive(Debug, Clone)]
+pub(crate) struct RequestCtx {
+    alive: Arc<AtomicBool>,
+}
+
+impl RequestCtx {
+    /// The context of a request on the connection `alive` stands for.
+    /// The reactor builds one per pooled request.
+    pub(crate) fn new(alive: Arc<AtomicBool>) -> RequestCtx {
+        RequestCtx { alive }
+    }
+
+    /// Whether the requesting connection has disconnected (or the
+    /// reactor is tearing down). Long-running handlers poll this and
+    /// abort: nobody is waiting for the answer.
+    pub(crate) fn is_aborted(&self) -> bool {
+        !self.alive.load(Ordering::Relaxed)
+    }
+}
+
+/// The application half of the reactor; see the module docs.
+///
+/// Every admitted request is offered to `try_handle_now` first, on the
+/// reactor thread; one it declines goes to `handle` on a worker-pool
+/// thread, which may block. Everything but `handle` runs on the reactor
+/// thread — while it runs, no other connection is served — and must be
+/// fast, allocation-light and free of waits.
+pub(crate) trait FrameService: Send + Sync + 'static {
+    /// Serve one request payload. Runs on a worker thread; may block.
+    fn handle(&self, payload: &[u8], ctx: &RequestCtx) -> Reply;
+
+    /// Answer `payload` right now, or decline with `None` and have it
+    /// go to [`FrameService::handle`]. Runs on the **reactor thread,
+    /// must not block**: no waiting on another thread, a queue or a
+    /// timer, and a bounded amount of work the implementation can state
+    /// — the reply cannot outlive this call, so the reactor arms no
+    /// deadline backstop for it. The reactor consults the pipeline cap
+    /// and the decode gate first, exactly as for a pooled request, and
+    /// holds the decode permit across this call; a `Some` reply keeps
+    /// its place in the connection's response order and, for the same
+    /// payload, must carry the bytes `handle` would have produced.
+    fn try_handle_now(&self, payload: &[u8]) -> Option<Reply> {
+        let _ = payload;
+        None
+    }
+
+    /// Peek the request's deadline budget out of its payload without
+    /// fully decoding it, so the reactor can arm a backstop timer.
+    /// `None` means no per-request deadline.
+    fn deadline_of(&self, payload: &[u8]) -> Option<Duration> {
+        let _ = payload;
+        None
+    }
+
+    /// Encode the typed "overloaded" response payload written when
+    /// admission control sheds the request at `layer`. Runs on the
+    /// reactor thread; keep it cheap.
+    fn shed_reply(&self, layer: ShedLayer) -> Vec<u8>;
+
+    /// Encode the typed "deadline expired" response payload the
+    /// reactor's backstop timer writes when a worker overruns a
+    /// request's deadline.
+    fn deadline_reply(&self) -> Vec<u8>;
+
+    /// Called once, on the reactor thread, when a reply carries
+    /// [`Disposition::ShutdownAfterWrite`] — the hook where the
+    /// application starts its own drain.
+    fn on_shutdown(&self) {}
+}
 
 /// Map a typed engine refusal onto its wire code. The `Cancelled`
 /// mapping is deliberate: it used to be folded into `Internal`, which
@@ -262,7 +389,7 @@ mod tests {
     #[test]
     fn an_inline_reply_has_the_pooled_reply_s_bytes() {
         let svc = test_service(ServeConfig::default());
-        let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)), None);
+        let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)));
         let mut truncated = entry("m", 3, vec![1, 2, 3]);
         truncated.pop();
         let at_the_bound = entry("m", 1, vec![0; Query::CALLER_RUNS_COORDS]);
@@ -326,7 +453,8 @@ mod tests {
             assert_eq!(svc.try_handle_now(&payload), None, "{body:?}");
         }
         assert_eq!(svc.try_handle_now(&[]), None);
-        assert_eq!(svc.engine.stats().counters.snapshot().caller_runs, 0);
+        let serve = svc.engine.profile_report().serve.expect("serve row");
+        assert_eq!(serve.caller_runs, 0);
         svc.engine.shutdown();
     }
 
@@ -345,7 +473,8 @@ mod tests {
         ));
         assert_eq!(reply.disposition, Disposition::Continue);
         assert_eq!(svc.engine.gate().sheds(), 1);
-        assert_eq!(svc.engine.stats().counters.snapshot().caller_runs, 0);
+        let serve = svc.engine.profile_report().serve.expect("serve row");
+        assert_eq!(serve.caller_runs, 0);
         svc.engine.shutdown();
     }
 
@@ -409,5 +538,14 @@ mod tests {
             Response::Error(WireError::DeadlineExpired, _) => {}
             other => panic!("expected typed DeadlineExpired, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn ctx_reports_disconnect_through_the_alive_flag() {
+        let alive = Arc::new(AtomicBool::new(true));
+        let ctx = RequestCtx::new(Arc::clone(&alive));
+        assert!(!ctx.is_aborted());
+        alive.store(false, Ordering::Relaxed);
+        assert!(ctx.is_aborted());
     }
 }

@@ -11,7 +11,7 @@ const BUCKETS: usize = 32;
 
 /// The three query kinds the server answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryKind {
+pub(crate) enum QueryKind {
     Entry,
     Slice,
     TopK,
@@ -19,7 +19,7 @@ pub enum QueryKind {
 
 impl QueryKind {
     /// Stable label used in the probe schema and CLI output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             QueryKind::Entry => "entry",
             QueryKind::Slice => "slice",
@@ -41,7 +41,7 @@ impl QueryKind {
 /// A lock-free log2 histogram: `buckets[i]` counts samples in
 /// `[2^i, 2^(i+1))`, with 0-valued samples in bucket 0.
 #[derive(Debug, Default)]
-pub struct Log2Histogram {
+pub(crate) struct Log2Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     max: AtomicU64,
@@ -57,26 +57,26 @@ fn bucket_of(v: u64) -> usize {
 
 impl Log2Histogram {
     /// Record one sample.
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Largest sample recorded.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
     /// Upper bound (`2^(i+1)`) of the bucket containing quantile `q`
     /// (`0.0..=1.0`); 0 when empty. Conservative: the true quantile is
     /// at most this.
-    pub fn quantile_upper(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_upper(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -93,7 +93,7 @@ impl Log2Histogram {
     }
 
     /// Bucket counts trimmed of trailing zeros.
-    pub fn snapshot(&self) -> Vec<u64> {
+    pub(crate) fn snapshot(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self
             .buckets
             .iter()
@@ -108,7 +108,7 @@ impl Log2Histogram {
 
 /// All serving counters, updated lock-free from the request path.
 #[derive(Debug, Default)]
-pub struct ServeStats {
+pub(crate) struct ServeStats {
     latency: [Log2Histogram; 3],
     /// The scalars. The cache and shed counts of the set stay zero here:
     /// the cache and the admission gate keep their own, and
@@ -118,23 +118,23 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Fresh, zeroed stats.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ServeStats::default()
     }
 
     /// Record one answered request of `kind` with the given end-to-end
     /// latency in microseconds.
-    pub fn record_latency(&self, kind: QueryKind, micros: u64) {
+    pub(crate) fn record_latency(&self, kind: QueryKind, micros: u64) {
         self.latency[kind.index()].record(micros);
     }
 
     /// Record one request computed on the thread that asked for it.
-    pub fn record_caller_run(&self) {
+    pub(crate) fn record_caller_run(&self) {
         self.counters.caller_runs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a request rejected because its deadline expired.
-    pub fn record_deadline_rejection(&self) {
+    pub(crate) fn record_deadline_rejection(&self) {
         self.counters
             .deadline_rejections
             .fetch_add(1, Ordering::Relaxed);
@@ -142,7 +142,7 @@ impl ServeStats {
 
     /// Add one query's arena growth (zero once the arena it ran with
     /// has reached its high-water mark).
-    pub fn add_arena_growth(&self, allocs: u64, bytes: u64) {
+    pub(crate) fn add_arena_growth(&self, allocs: u64, bytes: u64) {
         self.counters
             .arena_growth_allocs
             .fetch_add(allocs, Ordering::Relaxed);
@@ -153,7 +153,7 @@ impl ServeStats {
 
     /// Roll everything up into the probe `serve` row; cache and shed
     /// counters come from their owning components.
-    pub fn to_row(
+    pub(crate) fn to_row(
         &self,
         cache_hits: u64,
         cache_misses: u64,

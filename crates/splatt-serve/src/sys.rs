@@ -15,18 +15,18 @@ mod unix {
     use std::os::fd::RawFd;
 
     /// Readable interest/readiness (`POLLIN`).
-    pub const POLL_IN: i16 = 0x001;
+    pub(crate) const POLL_IN: i16 = 0x001;
     /// Writable interest/readiness (`POLLOUT`).
-    pub const POLL_OUT: i16 = 0x004;
+    pub(crate) const POLL_OUT: i16 = 0x004;
     /// Error condition (`POLLERR`) — always reported, never requested.
-    pub const POLL_ERR: i16 = 0x008;
+    pub(crate) const POLL_ERR: i16 = 0x008;
     /// Peer hangup (`POLLHUP`) — always reported, never requested.
-    pub const POLL_HUP: i16 = 0x010;
+    pub(crate) const POLL_HUP: i16 = 0x010;
 
     /// One `struct pollfd` as `poll(2)` expects it.
     #[repr(C)]
     #[derive(Debug, Clone, Copy)]
-    pub struct PollFd {
+    pub(crate) struct PollFd {
         pub fd: RawFd,
         pub events: i16,
         pub revents: i16,
@@ -34,7 +34,7 @@ mod unix {
 
     impl PollFd {
         /// Interest in `events` on `fd`, with readiness cleared.
-        pub fn new(fd: RawFd, events: i16) -> PollFd {
+        pub(crate) fn new(fd: RawFd, events: i16) -> PollFd {
             PollFd {
                 fd,
                 events,
@@ -63,7 +63,7 @@ mod unix {
     ///
     /// # Errors
     /// Propagates `poll(2)` failures other than `EINTR`.
-    pub fn poll_fds(fds: &mut [PollFd], timeout: std::time::Duration) -> io::Result<usize> {
+    pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: std::time::Duration) -> io::Result<usize> {
         let millis = timeout.as_millis().min(i32::MAX as u128) as i32;
         loop {
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, millis) };
@@ -78,7 +78,7 @@ mod unix {
     }
 
     /// Whether this platform has a real `poll(2)` backend.
-    pub fn have_poll() -> bool {
+    pub(crate) fn have_poll() -> bool {
         true
     }
 
@@ -134,22 +134,22 @@ pub use portable::*;
 mod portable {
     use std::io;
 
-    pub const POLL_IN: i16 = 0x001;
-    pub const POLL_OUT: i16 = 0x004;
-    pub const POLL_ERR: i16 = 0x008;
-    pub const POLL_HUP: i16 = 0x010;
+    pub(crate) const POLL_IN: i16 = 0x001;
+    pub(crate) const POLL_OUT: i16 = 0x004;
+    pub(crate) const POLL_ERR: i16 = 0x008;
+    pub(crate) const POLL_HUP: i16 = 0x010;
 
     /// Mirror of the unix layout so the reactor compiles unchanged; the
     /// sweep poller never hands these to the OS.
     #[derive(Debug, Clone, Copy)]
-    pub struct PollFd {
+    pub(crate) struct PollFd {
         pub fd: i32,
         pub events: i16,
         pub revents: i16,
     }
 
     impl PollFd {
-        pub fn new(fd: i32, events: i16) -> PollFd {
+        pub(crate) fn new(fd: i32, events: i16) -> PollFd {
             PollFd {
                 fd,
                 events,
@@ -159,14 +159,17 @@ mod portable {
     }
 
     /// No `poll(2)` here; the reactor uses the sweep poller instead.
-    pub fn poll_fds(_fds: &mut [PollFd], _timeout: std::time::Duration) -> io::Result<usize> {
+    pub(crate) fn poll_fds(
+        _fds: &mut [PollFd],
+        _timeout: std::time::Duration,
+    ) -> io::Result<usize> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "poll(2) unavailable; use the sweep poller",
         ))
     }
 
-    pub fn have_poll() -> bool {
+    pub(crate) fn have_poll() -> bool {
         false
     }
 

@@ -27,21 +27,20 @@ struct Entry<K> {
 
 /// The wheel; see the module docs. `K` is caller-defined timer identity.
 #[derive(Debug)]
-pub struct TimerWheel<K> {
+pub(crate) struct TimerWheel<K> {
     slots: Vec<Vec<Entry<K>>>,
     granularity: Duration,
     /// Origin instant; ticks are counted from here.
     epoch: Instant,
     /// First tick not yet processed by [`TimerWheel::expired`].
     next_tick: u64,
-    len: usize,
 }
 
 impl<K: Copy> TimerWheel<K> {
     /// A wheel with `slots` buckets of `granularity` width each. One
     /// full lap spans `slots * granularity`; timers beyond a lap simply
     /// stay bucketed until their lap comes around.
-    pub fn new(slots: usize, granularity: Duration) -> TimerWheel<K> {
+    pub(crate) fn new(slots: usize, granularity: Duration) -> TimerWheel<K> {
         assert!(slots > 0, "timer wheel needs at least one slot");
         assert!(
             granularity > Duration::ZERO,
@@ -52,7 +51,6 @@ impl<K: Copy> TimerWheel<K> {
             granularity,
             epoch: Instant::now(),
             next_tick: 0,
-            len: 0,
         }
     }
 
@@ -63,29 +61,17 @@ impl<K: Copy> TimerWheel<K> {
 
     /// Schedule `key` to fire once `due` has passed. Timers already in
     /// the past fire on the next [`TimerWheel::expired`] call.
-    pub fn schedule(&mut self, due: Instant, key: K) {
+    pub(crate) fn schedule(&mut self, due: Instant, key: K) {
         // A due tick behind the sweep cursor would never be visited
         // again this lap; clamp it to the cursor so it fires promptly.
         let tick = self.tick_of(due).max(self.next_tick);
         let slot = (tick % self.slots.len() as u64) as usize;
         self.slots[slot].push(Entry { due, key });
-        self.len += 1;
-    }
-
-    /// Timers currently scheduled (including stale ones awaiting lazy
-    /// cancellation).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the wheel holds no timers at all.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Advance the wheel to `now`, appending every fired key to `out`.
     /// Entries sharing a bucket but due on a later lap are retained.
-    pub fn expired(&mut self, now: Instant, out: &mut Vec<K>) {
+    pub(crate) fn expired(&mut self, now: Instant, out: &mut Vec<K>) {
         let current = self.tick_of(now);
         if current < self.next_tick {
             return;
@@ -113,7 +99,6 @@ impl<K: Copy> TimerWheel<K> {
             while i < bucket.len() {
                 if bucket[i].due <= now {
                     out.push(bucket.swap_remove(i).key);
-                    self.len -= 1;
                 } else {
                     i += 1;
                 }
@@ -125,6 +110,17 @@ impl<K: Copy> TimerWheel<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<K: Copy> TimerWheel<K> {
+        /// Timers currently scheduled.
+        fn len(&self) -> usize {
+            self.slots.iter().map(Vec::len).sum()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     #[test]
     fn fires_due_timers_and_keeps_future_ones() {

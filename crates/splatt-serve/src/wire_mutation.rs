@@ -31,7 +31,7 @@ use crate::protocol::{
 };
 use crate::registry::ModelInfo;
 use crate::service::{test_service, EngineService};
-use splatt_net::{Disposition, FrameService, RequestCtx};
+use crate::service::{Disposition, FrameService, RequestCtx};
 use splatt_probe::alloc::heap_of;
 use splatt_rt::qc::{self, Gen};
 use std::io::ErrorKind;
@@ -185,7 +185,7 @@ fn check_mutant(svc: &EngineService, ctx: &RequestCtx, m: &[u8]) {
 #[test]
 fn mutated_requests_decode_typed_bounded_and_never_panic() {
     let svc = service();
-    let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)), None);
+    let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)));
     qc::check("wire request mutants", 48, |g| {
         for kind in 0..KINDS {
             let req = request_of(kind, g);
@@ -208,7 +208,7 @@ fn mutated_requests_decode_typed_bounded_and_never_panic() {
 #[test]
 fn regressions_the_mutation_test_found() {
     let svc = service();
-    let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)), None);
+    let ctx = RequestCtx::new(Arc::new(AtomicBool::new(true)));
     // An `Entry` of order 0 announcing one tuple decoded as the empty
     // batch, which encodes with count 0: two byte strings, one request.
     let mut order_zero = encode_request(&Request {

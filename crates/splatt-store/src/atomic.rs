@@ -214,7 +214,7 @@ pub fn unwrap_artifact(bytes: &[u8], path: &Path) -> Result<Frame, StoreError> {
 }
 
 /// Read and unwrap a framed artifact file.
-pub fn read_artifact(path: &Path, plan: Option<&IoFaultPlan>) -> Result<Frame, StoreError> {
+pub(crate) fn read_artifact(path: &Path, plan: Option<&IoFaultPlan>) -> Result<Frame, StoreError> {
     let bytes = read_faulted(path, plan, "artifact read")?;
     unwrap_artifact(&bytes, path)
 }

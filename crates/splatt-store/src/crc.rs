@@ -31,7 +31,7 @@ const fn build_table() -> [u32; 256] {
 
 /// Streaming CRC32 state, for checksumming without concatenating.
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -43,12 +43,12 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// Fresh state (all-ones preconditioning).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
     /// Fold `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
         for &b in bytes {
             crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
@@ -57,13 +57,13 @@ impl Crc32 {
     }
 
     /// The finalized (bit-inverted) checksum.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         !self.state
     }
 }
 
 /// One-shot CRC32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()

@@ -13,7 +13,7 @@
 //! Layout: `u8 order ‖ u32 count ‖ count × (order × u32 coords ‖ u64 value-bits)`.
 
 /// One sparse entry: zero-based coordinates and the value.
-pub type DeltaEntry = (Vec<u32>, f64);
+pub(crate) type DeltaEntry = (Vec<u32>, f64);
 
 /// Why a delta payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -43,7 +43,8 @@ impl StoreError {
 
     /// Whether this error is an injected fsync failure (data written
     /// but not acknowledged durable; a retry may succeed).
-    pub fn is_fsync_failure(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_fsync_failure(&self) -> bool {
         matches!(self, StoreError::Fault(IoFault::FsyncFailed { .. }))
     }
 }

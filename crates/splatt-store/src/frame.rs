@@ -26,37 +26,37 @@
 use crate::crc::crc32;
 
 /// Per-frame magic, first 4 bytes of every frame header.
-pub const FRAME_MAGIC: [u8; 4] = *b"SFR1";
+pub(crate) const FRAME_MAGIC: [u8; 4] = *b"SFR1";
 
 /// File-level magic prefixing single-frame artifact files.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"SPLTFRM1";
 
 /// Header bytes before the payload: magic + generation + length + crc.
-pub const FRAME_HEADER_LEN: usize = 4 + 8 + 4 + 4;
+pub(crate) const FRAME_HEADER_LEN: usize = 4 + 8 + 4 + 4;
 
 /// Upper bound on a single frame's payload. Anything larger is treated
 /// as corruption — this is what stops a torn length field from driving
 /// a multi-gigabyte allocation during recovery.
-pub const MAX_PAYLOAD_LEN: u32 = 1 << 28; // 256 MiB
+pub(crate) const MAX_PAYLOAD_LEN: u32 = 1 << 28; // 256 MiB
 
 /// Why a frame failed to parse, and therefore where valid data ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameDefect {
-    /// Fewer than [`FRAME_HEADER_LEN`] bytes remained.
+    /// Fewer than `FRAME_HEADER_LEN` bytes remained.
     TruncatedHeader,
     /// The header promised more payload bytes than remained.
     TruncatedPayload,
-    /// The first 4 bytes were not [`FRAME_MAGIC`].
+    /// The first 4 bytes were not `FRAME_MAGIC`.
     BadMagic,
     /// The stored CRC did not match the recomputed one.
     ChecksumMismatch,
-    /// The length field exceeded [`MAX_PAYLOAD_LEN`].
+    /// The length field exceeded `MAX_PAYLOAD_LEN`.
     OversizedLength,
 }
 
 impl FrameDefect {
     /// Stable label for reports and error messages.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FrameDefect::TruncatedHeader => "truncated-header",
             FrameDefect::TruncatedPayload => "truncated-payload",
@@ -159,7 +159,7 @@ pub fn parse_frame_at(bytes: &[u8], offset: usize) -> Result<(Frame, usize), Fra
 /// defect that stopped the scan. This is the primitive WAL recovery is
 /// built on: everything before the returned offset is good, everything
 /// from it on is the (possibly torn) tail.
-pub fn parse_frames(bytes: &[u8]) -> (Vec<Frame>, Option<(usize, FrameDefect)>) {
+pub(crate) fn parse_frames(bytes: &[u8]) -> (Vec<Frame>, Option<(usize, FrameDefect)>) {
     let mut frames = Vec::new();
     let mut offset = 0;
     while offset < bytes.len() {

@@ -48,15 +48,13 @@ mod wal;
 #[global_allocator]
 static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingAlloc;
 
-pub use atomic::{is_framed, publish_artifact, publish_bytes, read_artifact, unwrap_artifact};
+pub use atomic::{is_framed, publish_artifact, publish_bytes, unwrap_artifact};
 pub use counters::snapshot as counters_snapshot;
-pub use crc::{crc32, Crc32};
-pub use delta::{decode_delta, encode_delta, DeltaBatch, DeltaDecodeError, DeltaEntry};
+pub use delta::{decode_delta, encode_delta, DeltaBatch};
 pub use error::StoreError;
 pub use frame::{
-    encode_frame, encode_frame_into, frame_len, parse_frame_at, parse_frames, Frame, FrameDefect,
-    ARTIFACT_MAGIC, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_PAYLOAD_LEN,
+    encode_frame, encode_frame_into, frame_len, parse_frame_at, Frame, FrameDefect, ARTIFACT_MAGIC,
 };
-pub use manifest::{Manifest, MANIFEST_HEADER, MANIFEST_NAME};
+pub use manifest::Manifest;
 pub use splatt_probe::StoreCounters;
-pub use wal::{Wal, WalOptions, WalPosition, WalRecord, WalRecovery, WalTail};
+pub use wal::{Wal, WalOptions, WalPosition, WalRecord};

@@ -14,10 +14,10 @@ use splatt_faults::IoFaultPlan;
 use std::path::Path;
 
 /// File name of the manifest inside a store directory.
-pub const MANIFEST_NAME: &str = "MANIFEST.splatt";
+pub(crate) const MANIFEST_NAME: &str = "MANIFEST.splatt";
 
 /// First payload line of every manifest.
-pub const MANIFEST_HEADER: &str = "splatt-manifest-v1";
+pub(crate) const MANIFEST_HEADER: &str = "splatt-manifest-v1";
 
 /// The decoded manifest: a generation stamp and ordered entries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

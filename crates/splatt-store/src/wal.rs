@@ -283,7 +283,7 @@ impl Wal {
     /// [`StoreError::SequenceGap`] when a frame does not carry the next
     /// sequence number; [`StoreError::Corrupt`] for a defect in a segment
     /// that has a successor. A defect in the final segment ends the read
-    /// with [`WalTail::tail_defect`] set: a torn tail, or the writer in
+    /// with `WalTail::tail_defect` set: a torn tail, or the writer in
     /// the middle of a `write`.
     pub fn tail(
         dir: &Path,
@@ -419,18 +419,14 @@ impl Wal {
     }
 
     /// Next sequence number [`Wal::append`] will assign.
-    pub fn next_seq(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Index of the active segment file.
     pub fn segment_index(&self) -> u64 {
         self.seg_index
-    }
-
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 

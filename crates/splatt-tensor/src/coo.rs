@@ -266,7 +266,7 @@ impl SparseTensor {
     }
 
     /// Fraction of possible positions that hold a stored nonzero.
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         let cells: f64 = self.dims.iter().map(|&d| d as f64).product();
         self.nnz() as f64 / cells
     }
@@ -547,7 +547,7 @@ impl SparseTensor {
     /// `true` if nonzeros are *strictly* sorted lexicographically by the
     /// identity mode order — sorted with no duplicate coordinates, the
     /// canonical form [`SparseTensor::coalesce`] produces.
-    pub fn is_strictly_sorted(&self) -> bool {
+    pub(crate) fn is_strictly_sorted(&self) -> bool {
         (1..self.nnz()).all(|x| {
             for ind in &self.inds {
                 match ind[x - 1].cmp(&ind[x]) {
@@ -562,7 +562,7 @@ impl SparseTensor {
 
     /// `true` if the tensor is in the form [`SparseTensor::merge_entries`]
     /// leaves it in: strictly sorted, and no stored value is an exact zero.
-    pub fn is_canonical(&self) -> bool {
+    pub(crate) fn is_canonical(&self) -> bool {
         self.is_strictly_sorted() && self.vals.iter().all(|&v| v != 0.0)
     }
 

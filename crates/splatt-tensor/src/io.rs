@@ -45,7 +45,7 @@ impl From<std::io::Error> for TnsError {
     }
 }
 
-/// What [`read_tns_with`] does when the same coordinate appears on more
+/// What `read_tns_with` does when the same coordinate appears on more
 /// than one data line. FROSTT files are nominally duplicate-free, but
 /// real exports (and the scaled-down synthetic generators) are not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,7 +106,7 @@ fn parse_entry_fields(
 ///
 /// # Errors
 /// See [`read_tns_with`]; an empty stream is an error.
-pub fn read_tns_entries(reader: impl Read) -> Result<RawEntries, TnsError> {
+pub(crate) fn read_tns_entries(reader: impl Read) -> Result<RawEntries, TnsError> {
     let mut reader = BufReader::new(reader);
     let mut order: Option<usize> = None;
     let mut entries: Vec<(Vec<u32>, f64)> = Vec::new();
@@ -149,21 +149,21 @@ pub fn read_tns_entries(reader: impl Read) -> Result<RawEntries, TnsError> {
 
 /// Raw `.tns` content: the inferred order and every `(coords, value)`
 /// entry in file order (0-based coordinates, duplicates preserved).
-pub type RawEntries = (usize, Vec<(Vec<u32>, f64)>);
+pub(crate) type RawEntries = (usize, Vec<(Vec<u32>, f64)>);
 
-/// Read raw `.tns` entries from a file on disk; see [`read_tns_entries`].
+/// Read raw `.tns` entries from a file on disk; see `read_tns_entries`.
 ///
 /// # Errors
-/// See [`read_tns_entries`].
+/// See `read_tns_entries`.
 pub fn read_tns_entries_file(path: impl AsRef<Path>) -> Result<RawEntries, TnsError> {
     read_tns_entries(std::fs::File::open(path)?)
 }
 
 /// Parse a `.tns` stream, inferring mode dimensions from the data.
-/// Equivalent to [`read_tns_with`] under [`DuplicatePolicy::Keep`].
+/// Equivalent to `read_tns_with` under [`DuplicatePolicy::Keep`].
 ///
 /// # Errors
-/// See [`read_tns_with`].
+/// See `read_tns_with`.
 pub fn read_tns(reader: impl Read) -> Result<SparseTensor, TnsError> {
     read_tns_with(reader, DuplicatePolicy::Keep)
 }
@@ -180,7 +180,7 @@ pub fn read_tns(reader: impl Read) -> Result<SparseTensor, TnsError> {
 /// [`TnsError::Duplicate`] on a repeated coordinate under
 /// [`DuplicatePolicy::Error`]; [`TnsError::Io`] on read failures. An
 /// empty stream is an error (the order cannot be inferred).
-pub fn read_tns_with(
+pub(crate) fn read_tns_with(
     reader: impl Read,
     duplicates: DuplicatePolicy,
 ) -> Result<SparseTensor, TnsError> {
@@ -280,7 +280,7 @@ pub fn read_tns_file(path: impl AsRef<Path>) -> Result<SparseTensor, TnsError> {
 /// Read a `.tns` file from disk with an explicit duplicate policy.
 ///
 /// # Errors
-/// See [`read_tns_with`].
+/// See `read_tns_with`.
 pub fn read_tns_file_with(
     path: impl AsRef<Path>,
     duplicates: DuplicatePolicy,

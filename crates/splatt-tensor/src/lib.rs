@@ -35,4 +35,3 @@ static HEAP: splatt_probe::alloc::CountingAlloc = splatt_probe::alloc::CountingA
 pub use coo::{MergeStats, SparseTensor};
 pub use sort::SortVariant;
 pub use stats::TensorStats;
-pub use synth::DatasetShape;

@@ -572,18 +572,6 @@ pub struct SortedKeys {
 }
 
 impl SortedKeys {
-    /// Number of nonzeros.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// `true` for a tensor without nonzeros.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// `true` when the keys are in order — always, unless a guard
     /// cancelled the sort before its last bucket.
     pub fn is_sorted(&self) -> bool {
@@ -1211,7 +1199,7 @@ mod tests {
         let keys = sort_keys(&t, &[0, 1, 2], &TaskTeam::new(2), Some(&guard))
             .expect("5 000 nonzeros of 50 x 30 x 30 pack into a u64");
         assert!(!keys.is_sorted());
-        let coords: Vec<Vec<u32>> = (0..keys.len())
+        let coords: Vec<Vec<u32>> = (0..keys.keys.len())
             .map(|x| (0..3).map(|l| keys.index(x, l)).collect())
             .collect();
         let mut got: Vec<(Vec<u32>, u64)> = coords

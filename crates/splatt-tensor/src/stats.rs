@@ -54,7 +54,7 @@ impl TensorStats {
     }
 
     /// Dimensions rendered like Table I ("41k x 11k x 75k").
-    pub fn dims_human(&self) -> String {
+    pub(crate) fn dims_human(&self) -> String {
         self.dims
             .iter()
             .map(|&d| human_count(d))
@@ -64,7 +64,7 @@ impl TensorStats {
 }
 
 /// Render a count with k/M suffixes like the paper's Table I.
-pub fn human_count(n: usize) -> String {
+pub(crate) fn human_count(n: usize) -> String {
     if n >= 10_000_000 {
         format!("{}M", n / 1_000_000)
     } else if n >= 10_000 {

@@ -42,7 +42,7 @@ pub const YELP: DatasetShape = DatasetShape {
 };
 
 /// RATE-BEER: 27k x 105k x 262k, 62M nonzeros.
-pub const RATE_BEER: DatasetShape = DatasetShape {
+pub(crate) const RATE_BEER: DatasetShape = DatasetShape {
     name: "RATE-BEER",
     dims: [27_000, 105_000, 262_000],
     nnz: 62_000_000,
@@ -50,7 +50,7 @@ pub const RATE_BEER: DatasetShape = DatasetShape {
 };
 
 /// BEER-ADVOCATE: 31k x 61k x 182k, 63M nonzeros.
-pub const BEER_ADVOCATE: DatasetShape = DatasetShape {
+pub(crate) const BEER_ADVOCATE: DatasetShape = DatasetShape {
     name: "BEER-ADVOCATE",
     dims: [31_000, 61_000, 182_000],
     nnz: 63_000_000,
@@ -85,7 +85,7 @@ impl DatasetShape {
     /// Scaling `dims` and `nnz` by the same factor preserves the
     /// privatization ratio `dim * ntasks / nnz` exactly, so the lock
     /// decisions of the full-size data set survive scaling.
-    pub fn scaled(&self, scale: f64) -> (Vec<usize>, usize) {
+    pub(crate) fn scaled(&self, scale: f64) -> (Vec<usize>, usize) {
         assert!(scale > 0.0 && scale.is_finite(), "scale must be positive");
         let dims = self
             .dims
@@ -153,7 +153,7 @@ pub struct PlantedModel {
 
 impl PlantedModel {
     /// The model's value at a coordinate: `sum_r prod_m A_m[i_m, r]`.
-    pub fn value_at(&self, coord: &[u32]) -> f64 {
+    pub(crate) fn value_at(&self, coord: &[u32]) -> f64 {
         (0..self.rank)
             .map(|r| {
                 coord

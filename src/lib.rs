@@ -16,10 +16,11 @@
 //! | [`dense`] | matrices, SYRK, Cholesky, eigen, normal-equation solves |
 //! | [`par`] | task teams (`coforall`), partitioning, scratch, timers |
 //! | [`locks`] | mutex pools: spin / sleeping / OS-adaptive |
+//! | [`dist`] | the multi-locale bill: process grid, nnz-balanced distribution, closed-form communication volume |
 //! | [`probe`] | lock/thread/allocation profiling, `ProfileReport` |
 //! | [`faults`] | seeded fault injection (`FaultPlan`), the recovery audit trail |
 //! | [`mod@guard`] | run governance: cancellation, deadlines, budgets, watchdog |
-//! | [`mod@serve`] | model registry, query engine, TCP serving front end |
+//! | [`mod@serve`] | model registry, query engine, TCP serving front end (its reactor's OS shims also as [`net`]) |
 //! | [`mod@store`] | checksummed WAL, atomic artifact publish, crash recovery |
 //! | [`rt`] | sync primitives, seeded RNG, parallel helpers, qc harness |
 //!
@@ -89,11 +90,11 @@ pub mod guard {
     pub use splatt_guard::*;
 }
 
-/// The std-only multiplexed I/O substrate: readiness-polled reactor,
-/// bounded worker pool, frame state machines, and the timer wheel the
-/// serving front end runs on.
+/// The serving front end's OS shims: `poll(2)` and the
+/// `RLIMIT_NOFILE` descriptor limit (the reactor itself is private to
+/// [`mod@serve`]).
 pub mod net {
-    pub use splatt_net::*;
+    pub use splatt_serve::sys;
 }
 
 /// Factor-model serving: registry, batched query engine, TCP front end.

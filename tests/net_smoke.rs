@@ -1,4 +1,4 @@
-//! Front-end smoke tests for the `splatt-net` reactor: a 10k-connection
+//! Front-end smoke tests for the serving reactor: a 10k-connection
 //! mostly-idle run served by a bounded worker pool, a saturation run
 //! showing typed shedding with bounded admitted-request latency, a
 //! bit-identical sweep against an in-test oracle built from the
