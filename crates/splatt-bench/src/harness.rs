@@ -1,9 +1,9 @@
 //! Timing wrappers shared by every experiment.
 
 use crate::datasets::{bench_iters, BENCH_RANK};
+use splatt_core::locks::LockStrategy;
 use splatt_core::MatrixAccess;
 use splatt_core::{cp_als, CpalsOptions, Implementation};
-use splatt_locks::LockStrategy;
 use splatt_par::{Routine, TaskTeam, TeamConfig};
 use splatt_tensor::{SortVariant, SparseTensor};
 

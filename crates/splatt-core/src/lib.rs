@@ -53,7 +53,30 @@ pub mod refresh;
 mod tiling;
 
 pub mod mttkrp;
+mod pool;
+mod raw;
 pub mod reference;
+
+/// The MTTKRP's mutex pool (SPLATT's `mutex_pool`): cache-padded locks
+/// hashed by row id, of one of the paper's three lock kinds.
+///
+/// SPLATT's lock-based MTTKRP kernels protect output-matrix rows with a
+/// pool of mutexes hashed by row index. The Chapel port's biggest
+/// scalability bug (paper Section V-D.2, Figure 4) was the *kind* of lock
+/// in that pool:
+///
+/// * Chapel `sync` variables under Qthreads put the waiting task to sleep —
+///   catastrophic for the MTTKRP's very short critical sections.
+///   `SleepLock` reproduces that cost model (park immediately).
+/// * The fix was `atomic bool` + `testAndSet()` + task-yield spinning
+///   (paper Listing 6) — `SpinLock` is a direct translation.
+/// * Chapel's `fifo` tasking layer implements `sync` with spin-ish OS
+///   mutexes, which the paper found competitive — `OsLock` (adaptive
+///   spin, then park on `splatt_rt::sync::Mutex`) plays that role.
+pub mod locks {
+    pub use crate::pool::LockPool;
+    pub use crate::raw::LockStrategy;
+}
 
 /// The unit tests count their heap requests: the mutation test asserts
 /// an allocation bound per decoded model file.

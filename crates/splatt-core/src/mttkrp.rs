@@ -31,8 +31,9 @@
 
 use crate::csf::{Csf, CsfSet, KernelKind, DENSE_FIBER_NNZ};
 use crate::isa::{on_isa, Avx2};
+use crate::locks::{LockPool, LockStrategy};
+use crate::pool::DEFAULT_POOL_SIZE;
 use splatt_dense::Matrix;
-use splatt_locks::{LockPool, LockStrategy, DEFAULT_POOL_SIZE};
 use splatt_par::{partition, TaskTeam, ThreadScratch};
 
 /// SPLATT's default privatization threshold (`DEFAULT_PRIV_THRESH`).

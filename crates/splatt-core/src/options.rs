@@ -1,8 +1,9 @@
 //! CP-ALS configuration and the paper's three implementation presets.
 
 use crate::csf::CsfAlloc;
+use crate::locks::LockStrategy;
 use crate::mttkrp::{MatrixAccess, DEFAULT_PRIV_THRESHOLD};
-use splatt_locks::{LockStrategy, DEFAULT_POOL_SIZE};
+use crate::pool::DEFAULT_POOL_SIZE;
 use splatt_tensor::SortVariant;
 use std::path::PathBuf;
 

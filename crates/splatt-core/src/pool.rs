@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Default number of locks in a pool, matching SPLATT's `DEFAULT_NLOCKS`.
-pub const DEFAULT_POOL_SIZE: usize = 1024;
+pub(crate) const DEFAULT_POOL_SIZE: usize = 1024;
 
 enum Slots {
     Spin(Vec<CachePadded<SpinLock>>),
@@ -26,7 +26,7 @@ enum Slots {
 /// by an arbitrary resource id (e.g. an output-matrix row).
 ///
 /// ```
-/// use splatt_locks::{LockPool, LockStrategy};
+/// use splatt_core::locks::{LockPool, LockStrategy};
 ///
 /// let pool = LockPool::new(LockStrategy::Spin, 64);
 /// {

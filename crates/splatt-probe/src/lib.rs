@@ -10,7 +10,7 @@
 //!
 //! - [`LockCounters`] — acquisitions / contended acquisitions / failed
 //!   CAS-spin iterations / accumulated wait time for a lock pool.
-//!   Attached to `splatt_locks::LockPool` behind an `Option<Arc<_>>`, so
+//!   Attached to `splatt_core::locks::LockPool` behind an `Option<Arc<_>>`, so
 //!   the un-instrumented path pays a single branch.
 //! - [`TaskTimes`] — per-thread busy-time/invocation/item histograms,
 //!   recorded by `TaskTeam::coforall_timed`, making MTTKRP load imbalance

@@ -58,7 +58,7 @@ pub mod par {
 
 /// Lock pools and strategies.
 pub mod locks {
-    pub use splatt_locks::*;
+    pub use splatt_core::locks::*;
 }
 
 /// Multi-locale bill: process grid, tensor distribution, and the
@@ -108,6 +108,7 @@ pub mod store {
     pub use splatt_store::*;
 }
 
+pub use splatt_core::locks::LockStrategy;
 pub use splatt_core::{
     corcondia, cp_als, tensor_complete, tensor_complete_ccd, try_cp_als, CcdOptions, Checkpoint,
     CheckpointError, CompletionOptions, CompletionOutput, Constraint, CpalsError, CpalsOptions,
@@ -119,6 +120,5 @@ pub use splatt_faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction};
 pub use splatt_guard::{
     CancelToken, Deadline, GuardConfig, MemoryBudget, RunGuard, TripReason, WatchdogConfig,
 };
-pub use splatt_locks::LockStrategy;
 pub use splatt_serve::{ServeConfig, ServeEngine, ServeError};
 pub use splatt_tensor::{SortVariant, SparseTensor};
