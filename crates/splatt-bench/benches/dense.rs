@@ -6,7 +6,7 @@
 
 use splatt_bench::microbench::{self as criterion, BenchmarkId, Criterion};
 use splatt_bench::{criterion_group, criterion_main};
-use splatt_dense::{
+use splatt_core::dense::{
     cholesky_factor, cholesky_solve, jacobi_eigen, mat_ata, normalize_columns, solve_normals,
     MatNorm, Matrix,
 };

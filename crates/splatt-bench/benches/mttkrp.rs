@@ -3,10 +3,10 @@
 
 use splatt_bench::microbench::{BenchmarkId, Criterion};
 use splatt_bench::{criterion_group, criterion_main};
+use splatt_core::dense::Matrix;
 use splatt_core::locks::LockStrategy;
 use splatt_core::mttkrp::{mttkrp, MttkrpConfig, MttkrpWorkspace};
 use splatt_core::{CsfAlloc, CsfSet, MatrixAccess};
-use splatt_dense::Matrix;
 use splatt_par::{TaskTeam, TeamConfig};
 use splatt_tensor::{synth, SortVariant};
 

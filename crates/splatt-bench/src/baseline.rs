@@ -16,9 +16,9 @@
 //! the tuned-over-plain speedup (the `generic_ns` / `specialized_ns` /
 //! `speedup` keys keep their v4 names).
 
+use splatt_core::dense::Matrix;
 use splatt_core::mttkrp::{mttkrp, MatrixAccess, MttkrpConfig, MttkrpWorkspace};
 use splatt_core::{CsfAlloc, CsfSet, KernelKind};
-use splatt_dense::Matrix;
 use splatt_par::{TaskTeam, TeamConfig};
 use splatt_tensor::{synth, SortVariant, SparseTensor};
 use std::fmt::Write as _;

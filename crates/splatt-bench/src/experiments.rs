@@ -7,12 +7,12 @@
 use crate::datasets;
 use crate::harness::{fmt_secs, run_cpals, sort_seconds, team_for, RunSpec};
 use crate::report::Table;
+use splatt_core::dense::{mat_ata, solve_normals, Matrix};
 use splatt_core::locks::LockStrategy;
 use splatt_core::mttkrp::{uses_locks, MttkrpConfig};
 use splatt_core::{
     cp_als, try_cp_als, CpalsOptions, CpalsRun, CsfAlloc, CsfSet, Implementation, MatrixAccess,
 };
-use splatt_dense::{mat_ata, solve_normals, Matrix};
 use splatt_par::{TaskTeam, TeamConfig};
 use splatt_tensor::{synth, SortVariant, SparseTensor, TensorStats};
 

@@ -24,9 +24,9 @@
 use splatt_bench::baseline::{
     bench_team, run_cells, workload_tensor, BenchWorkload, BASELINE_FILE, BENCH_RANKS, BENCH_SCHEMA,
 };
+use splatt_core::dense::Matrix;
 use splatt_core::mttkrp::{mttkrp, MatrixAccess, MttkrpConfig, MttkrpWorkspace};
 use splatt_core::{CsfAlloc, CsfSet};
-use splatt_dense::Matrix;
 use splatt_probe::json;
 use std::path::PathBuf;
 
@@ -242,7 +242,7 @@ fn solve_per_row(l: &Matrix, b: &mut Matrix) {
     let mut one = Matrix::zeros(1, b.cols());
     for i in 0..b.rows() {
         one.as_mut_slice().copy_from_slice(b.row(i));
-        splatt_dense::cholesky_solve(l, &mut one);
+        splatt_core::dense::cholesky_solve(l, &mut one);
         b.row_mut(i).copy_from_slice(one.as_slice());
     }
 }
@@ -261,11 +261,11 @@ fn panel_solve_beats_per_row_solve_in_release() {
     use std::time::Instant;
     let (rows, rank) = (25_000, 35);
     let m = Matrix::random(rows, rank, 3);
-    let mut v = splatt_dense::mat_ata(&m);
+    let mut v = splatt_core::dense::mat_ata(&m);
     for i in 0..rank {
         v[(i, i)] += 1.0;
     }
-    let l = splatt_dense::cholesky_factor(&v).unwrap();
+    let l = splatt_core::dense::cholesky_factor(&v).unwrap();
     let quietest = |solve: &dyn Fn(&Matrix, &mut Matrix)| {
         let mut best = f64::MAX;
         let mut solved = m.clone();
@@ -278,7 +278,7 @@ fn panel_solve_beats_per_row_solve_in_release() {
         (best, solved)
     };
     let (per_row_s, expect) = quietest(&solve_per_row);
-    let (panel_s, got) = quietest(&splatt_dense::cholesky_solve);
+    let (panel_s, got) = quietest(&splatt_core::dense::cholesky_solve);
     assert!(
         got.as_slice()
             .iter()

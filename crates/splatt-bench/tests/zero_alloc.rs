@@ -10,9 +10,9 @@
 //! deltas.
 
 use splatt_bench::baseline::{bench_team, workload_tensor, BenchWorkload};
+use splatt_core::dense::Matrix;
 use splatt_core::mttkrp::{mttkrp, MttkrpConfig, MttkrpWorkspace};
 use splatt_core::{CsfAlloc, CsfSet, Implementation};
-use splatt_dense::Matrix;
 use splatt_tensor::SortVariant;
 
 #[test]

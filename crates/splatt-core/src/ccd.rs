@@ -19,8 +19,8 @@
 //! the three solvers).
 
 use crate::completion::{rmse_observed, CompletionOutput};
+use crate::dense::Matrix;
 use crate::kruskal::KruskalModel;
-use splatt_dense::Matrix;
 use splatt_par::{partition, TaskTeam, TeamConfig};
 use splatt_tensor::SparseTensor;
 

@@ -19,8 +19,8 @@
 //! verifies the frame checksum before parsing; a file without the
 //! artifact magic is rejected typed, never handed to the text parser.
 
+use crate::dense::Matrix;
 use crate::kruskal::with_claimed_capacity;
-use splatt_dense::Matrix;
 use splatt_store::StoreError;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};

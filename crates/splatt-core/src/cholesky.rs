@@ -27,7 +27,7 @@
 //! two-lane registers); there is no run-time dispatch here. Measured at
 //! 25000 x 35: 24-28 ms per solve before, 6-9 ms after.
 
-use crate::Matrix;
+use crate::matrix::Matrix;
 
 /// Error returned when a matrix is not (numerically) positive definite.
 #[derive(Debug, Clone, PartialEq)]

@@ -21,8 +21,8 @@
 //! "root-mode" treatment, using one CSF per mode ([`CsfAlloc::All`]).
 
 use crate::csf::{Csf, CsfAlloc, CsfSet};
+use crate::dense::{cholesky_factor, cholesky_solve, Matrix};
 use crate::kruskal::KruskalModel;
-use splatt_dense::{cholesky_factor, cholesky_solve, Matrix};
 use splatt_par::{partition, TaskTeam, TeamConfig};
 use splatt_tensor::{SortVariant, SparseTensor};
 

@@ -15,14 +15,12 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::csf::{CsfSet, KernelKind};
+use crate::dense::{hadamard_assign, mat_ata, normalize_columns, solve_normals, MatNorm, Matrix};
 use crate::kruskal::KruskalModel;
 use crate::mttkrp::{mttkrp, mttkrp_tiled, uses_locks, MttkrpConfig, MttkrpWorkspace};
 use crate::options::CpalsOptions;
+use crate::solve::{solve_normals_ridge, RidgeOutcome};
 use crate::tiling::TiledCsf;
-use splatt_dense::{
-    hadamard_assign, mat_ata, normalize_columns, solve_normals, solve_normals_ridge, MatNorm,
-    Matrix, RidgeOutcome,
-};
 use splatt_faults::{FaultKind, FaultPlan, FaultRecord, RecoveryAction};
 use splatt_guard::{GuardConfig, LaneSpan, RunGuard, TripReason};
 use splatt_par::{Routine, TaskTeam, TimerRegistry};

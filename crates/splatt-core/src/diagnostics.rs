@@ -23,8 +23,8 @@
 //! observed entries only: evaluating the core against the zero-filled
 //! tensor then reflects the missing-data pattern, not the model quality.
 
+use crate::dense::{gemm, jacobi_eigen, mat_ata, Matrix};
 use crate::kruskal::KruskalModel;
-use splatt_dense::{gemm, jacobi_eigen, mat_ata, Matrix};
 use splatt_tensor::SparseTensor;
 
 /// Left pseudo-inverse `(M^T M)^+ M^T` of a tall matrix (`R x I` result).

@@ -7,7 +7,7 @@
 //! classic cyclic Jacobi rotation scheme — simple, dependency-free, and
 //! plenty fast for the `R x R` (R ≈ 35) matrices CP-ALS produces.
 
-use crate::Matrix;
+use crate::matrix::Matrix;
 
 /// Result of a symmetric eigendecomposition `A = Q diag(w) Q^T`.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ impl EigenDecomposition {
 
     /// Moore-Penrose pseudo-inverse `Q diag(w+) Q^T`, where eigenvalues with
     /// magnitude below `rcond * max|w|` are treated as zero.
-    pub fn pseudo_inverse(&self, rcond: f64) -> Matrix {
+    pub(crate) fn pseudo_inverse(&self, rcond: f64) -> Matrix {
         let n = self.values.len();
         let wmax = self.values.iter().fold(0.0_f64, |m, &w| m.max(w.abs()));
         let cutoff = rcond * wmax;

@@ -1,7 +1,7 @@
 //! The Kruskal (rank-decomposed) model produced by CP-ALS.
 
+use crate::dense::Matrix;
 use crate::reference::kruskal_value;
-use splatt_dense::Matrix;
 use splatt_tensor::SparseTensor;
 
 /// Most elements a model decoder reserves on the word of a count it read

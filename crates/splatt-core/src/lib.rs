@@ -38,18 +38,24 @@
 
 mod ccd;
 mod checkpoint;
+mod cholesky;
 mod completion;
 mod cpals;
 pub mod csf;
 mod diagnostics;
+mod eigen;
 mod isa;
 mod kruskal;
+mod matrix;
 mod model_file;
 #[cfg(test)]
 mod mutation;
+mod norms;
+mod ops;
 mod options;
 pub mod query;
 pub mod refresh;
+mod solve;
 mod tiling;
 
 pub mod mttkrp;
@@ -76,6 +82,33 @@ pub mod reference;
 pub mod locks {
     pub use crate::pool::LockPool;
     pub use crate::raw::LockStrategy;
+}
+
+/// Dense linear algebra on [`Matrix`](dense::Matrix), a flat row-major
+/// `f64` matrix — the layout of SPLATT's factor matrices.
+///
+/// SPLATT leans on three LAPACK/BLAS routines — `syrk` (Gram matrices
+/// AᵀA), `potrf` (Cholesky factorization) and `potrs` (triangular
+/// solves) — plus Hadamard products of Gram matrices, column
+/// normalization, and a pseudo-inverse fallback when the normal-equation
+/// matrix is singular. The paper pins OpenBLAS to one thread (Section
+/// V-E); these native kernels are sequential and deterministic: the same
+/// bits on any host.
+pub mod dense {
+    pub use crate::cholesky::{cholesky_factor, cholesky_solve};
+    pub use crate::eigen::jacobi_eigen;
+    pub use crate::matrix::Matrix;
+    pub use crate::norms::{normalize_columns, MatNorm};
+    pub use crate::ops::{gemm, hadamard_assign, mat_ata};
+    pub use crate::solve::solve_normals;
+}
+
+/// The bit patterns of a matrix: what the differential tests compare, so
+/// that the sign of zero and NaN count (`==` on `f64` calls `-0.0` equal
+/// to `+0.0`).
+#[cfg(test)]
+fn bits(m: &dense::Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// The unit tests count their heap requests: the mutation test asserts

@@ -136,7 +136,7 @@ impl Matrix {
     /// This is the "array slicing" analogue used by the `RowCopy` MTTKRP
     /// access strategy: every row access materializes a fresh allocation,
     /// mimicking the descriptor/domain setup cost of a Chapel array view.
-    pub fn row_copy(&self, i: usize) -> Vec<f64> {
+    pub(crate) fn row_copy(&self, i: usize) -> Vec<f64> {
         self.row(i).to_vec()
     }
 

@@ -16,8 +16,8 @@
 //! whatever a pipeline already has on disk.
 
 use crate::checkpoint::{hex_line, Checkpoint};
+use crate::dense::Matrix;
 use crate::kruskal::{with_claimed_capacity, KruskalModel};
-use splatt_dense::Matrix;
 use std::io::{BufRead, BufReader, BufWriter, Error, ErrorKind, Read, Write};
 use std::path::Path;
 

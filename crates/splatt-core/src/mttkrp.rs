@@ -30,10 +30,10 @@
 //!   drop all bounds checks; the C-reference configuration.
 
 use crate::csf::{Csf, CsfSet, KernelKind, DENSE_FIBER_NNZ};
+use crate::dense::Matrix;
 use crate::isa::{on_isa, Avx2};
 use crate::locks::{LockPool, LockStrategy};
 use crate::pool::DEFAULT_POOL_SIZE;
-use splatt_dense::Matrix;
 use splatt_par::{partition, TaskTeam, ThreadScratch};
 
 /// SPLATT's default privatization threshold (`DEFAULT_PRIV_THRESH`).
@@ -892,7 +892,7 @@ macro_rules! dispatch_access {
 /// ```
 /// use splatt_core::mttkrp::{mttkrp, MttkrpConfig, MttkrpWorkspace};
 /// use splatt_core::{CsfAlloc, CsfSet};
-/// use splatt_dense::Matrix;
+/// use splatt_core::dense::Matrix;
 /// use splatt_par::TaskTeam;
 /// use splatt_tensor::{synth, SortVariant};
 ///
@@ -1439,6 +1439,7 @@ walk!(walk_avx2, #[target_feature(enable = "avx2")]);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
     use crate::csf::CsfAlloc;
     use crate::reference::mttkrp_coo;
     use splatt_tensor::{synth, SortVariant, SparseTensor};
@@ -1627,12 +1628,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A matrix's values as bits: `==` on `f64` calls `-0.0` equal to
-    /// `+0.0`.
-    fn bits(m: &Matrix) -> Vec<u64> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     /// The two compiled copies of the walk must agree to the last bit at

@@ -22,9 +22,9 @@
 //!   count read from a header is reserved on its word.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::dense::Matrix;
 use crate::kruskal::KruskalModel;
 use crate::model_file::{load_model, load_model_bytes, save_model};
-use splatt_dense::Matrix;
 use splatt_probe::alloc::heap_of;
 use splatt_rt::qc::{self, Gen};
 use splatt_store::{encode_frame_into, ARTIFACT_MAGIC};

@@ -7,7 +7,7 @@
 //! subsequent iterations; both are reproduced here and the paper's
 //! "Mat norm" timer covers exactly this routine.
 
-use crate::Matrix;
+use crate::matrix::Matrix;
 
 /// Which column norm to use, matching SPLATT's `MAT_NORM_2` / `MAT_NORM_MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

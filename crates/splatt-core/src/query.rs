@@ -78,10 +78,10 @@
 //! kernel-scratch counters and to the arena's own monotonic counters,
 //! which the serving stats surface for allocation-free certification.
 
+use crate::dense::Matrix;
 use crate::isa::{on_isa, Avx2};
 use crate::kruskal::KruskalModel;
 use crate::reference::kruskal_value;
-use splatt_dense::Matrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -798,7 +798,7 @@ fn top_k_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splatt_dense::Matrix;
+    use crate::dense::Matrix;
 
     fn model() -> KruskalModel {
         KruskalModel {

@@ -6,7 +6,7 @@
 //! they also serve as the "no data structure" baseline in the benchmark
 //! ablations.
 
-use splatt_dense::Matrix;
+use crate::dense::Matrix;
 use splatt_tensor::SparseTensor;
 
 /// MTTKRP straight off the COO representation:

@@ -11,8 +11,8 @@
 
 use crate::cholesky::{cholesky_factor, cholesky_solve};
 use crate::eigen::jacobi_eigen;
+use crate::matrix::Matrix;
 use crate::ops::gemm;
-use crate::Matrix;
 
 /// Which method ended up being used to apply `V^+`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub fn solve_normals(v: &Matrix, m: &mut Matrix) -> NormalsMethod {
 
 /// Outcome of [`solve_normals_ridge`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RidgeOutcome {
+pub(crate) enum RidgeOutcome {
     /// `V` was positive definite: no regularization was needed.
     Cholesky,
     /// Cholesky failed on `V` but succeeded on `V + ridge * I` after
@@ -84,7 +84,7 @@ pub enum RidgeOutcome {
 ///
 /// # Panics
 /// Panics if `v` is not square or `m.cols() != v.rows()`.
-pub fn solve_normals_ridge(
+pub(crate) fn solve_normals_ridge(
     v: &Matrix,
     m: &mut Matrix,
     base: f64,

@@ -461,9 +461,9 @@ fn run_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splatt_core::dense::Matrix;
     use splatt_core::reference::kruskal_value;
     use splatt_core::KruskalModel;
-    use splatt_dense::Matrix;
 
     fn model() -> KruskalModel {
         KruskalModel {

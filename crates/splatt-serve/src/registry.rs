@@ -171,7 +171,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splatt_dense::Matrix;
+    use splatt_core::dense::Matrix;
 
     fn model(seed: u64) -> KruskalModel {
         KruskalModel {

@@ -353,7 +353,7 @@ impl FrameService for EngineService {
 /// A service over a fresh engine serving one small order-3 model, `"m"`.
 #[cfg(test)]
 pub(crate) fn test_service(config: crate::engine::ServeConfig) -> EngineService {
-    use splatt_dense::Matrix;
+    use splatt_core::dense::Matrix;
     let engine = ServeEngine::start(config);
     engine.publish(
         "m",

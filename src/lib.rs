@@ -48,7 +48,7 @@ pub mod tensor {
 
 /// Dense linear algebra substrate.
 pub mod dense {
-    pub use splatt_dense::*;
+    pub use splatt_core::dense::*;
 }
 
 /// Tasking substrate: teams, partitioning, scratch buffers, timers.
@@ -108,6 +108,7 @@ pub mod store {
     pub use splatt_store::*;
 }
 
+pub use splatt_core::dense::Matrix;
 pub use splatt_core::locks::LockStrategy;
 pub use splatt_core::{
     corcondia, cp_als, tensor_complete, tensor_complete_ccd, try_cp_als, CcdOptions, Checkpoint,
@@ -115,7 +116,6 @@ pub use splatt_core::{
     CpalsOutput, CpalsRun, Csf, CsfAlloc, CsfSet, Governance, Implementation, KruskalModel,
     MatrixAccess, RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome, RunAborted,
 };
-pub use splatt_dense::Matrix;
 pub use splatt_faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction};
 pub use splatt_guard::{
     CancelToken, Deadline, GuardConfig, MemoryBudget, RunGuard, TripReason, WatchdogConfig,
