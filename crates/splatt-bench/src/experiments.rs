@@ -686,7 +686,7 @@ pub fn profile() -> Table {
     crate::report::profile_table(&report)
 }
 
-/// Faults: the fault-tolerance study. A seeded [`splatt_faults::FaultPlan`]
+/// Faults: the fault-tolerance study. A seeded [`splatt_core::faults::FaultPlan`]
 /// injects each fault kind (and then all of them at once) into the early
 /// iterations of a CP-ALS run; the recovery machinery — absorbed delays,
 /// escalating ridge regularization, iteration rollback — must bring every
@@ -694,7 +694,7 @@ pub fn profile() -> Table {
 /// event count, the recovery actions taken, and the fit delta against the
 /// clean run.
 pub fn faults_experiment() -> Table {
-    use splatt_faults::{FaultPlan, FaultRates};
+    use splatt_core::faults::{FaultPlan, FaultRates};
 
     let mut t = Table::new(
         "faults",

@@ -16,12 +16,12 @@
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::csf::{CsfSet, KernelKind};
 use crate::dense::{hadamard_assign, mat_ata, normalize_columns, solve_normals, MatNorm, Matrix};
+use crate::faults::{FaultKind, FaultPlan, FaultRecord, RecoveryAction};
 use crate::kruskal::KruskalModel;
 use crate::mttkrp::{mttkrp, mttkrp_tiled, uses_locks, MttkrpConfig, MttkrpWorkspace};
 use crate::options::CpalsOptions;
 use crate::solve::{solve_normals_ridge, RidgeOutcome};
 use crate::tiling::TiledCsf;
-use splatt_faults::{FaultKind, FaultPlan, FaultRecord, RecoveryAction};
 use splatt_guard::{GuardConfig, LaneSpan, RunGuard, TripReason};
 use splatt_par::{Routine, TaskTeam, TimerRegistry};
 use splatt_probe::{FaultRow, MttkrpProbe, ProfileReport, RoutineRow, SpanNode};

@@ -53,6 +53,7 @@ mod mutation;
 mod norms;
 mod ops;
 mod options;
+mod plan;
 pub mod query;
 pub mod refresh;
 mod solve;
@@ -61,6 +62,7 @@ mod tiling;
 pub mod mttkrp;
 mod pool;
 mod raw;
+mod recovery;
 pub mod reference;
 
 /// The MTTKRP's mutex pool (SPLATT's `mutex_pool`): cache-padded locks
@@ -101,6 +103,24 @@ pub mod dense {
     pub use crate::norms::{normalize_columns, MatNorm};
     pub use crate::ops::{gemm, hadamard_assign, mat_ata};
     pub use crate::solve::solve_normals;
+}
+
+/// Deterministic fault injection for CP-ALS and the typed record of each
+/// recovery.
+///
+/// A [`FaultPlan`](faults::FaultPlan) is a seed-driven, *stateless* fault
+/// schedule: every decision is a pure hash of `(seed, kind, iteration,
+/// unit)`, so plans replay identically across runs and across
+/// checkpoint/restart boundaries. Sites are one-shot (the transient-fault
+/// model), which is what makes rollback recovery converge.
+/// [`RecoveryAction`](faults::RecoveryAction) and
+/// [`FaultRecord`](faults::FaultRecord) are the audit trail that flows
+/// into the profile report; the bounds themselves live with the driver
+/// (the ridge and rollback caps). The store's disk faults are
+/// `splatt_store::IoFaultPlan`.
+pub mod faults {
+    pub use crate::plan::{FaultKind, FaultPlan, FaultRates, FaultRecord};
+    pub use crate::recovery::RecoveryAction;
 }
 
 /// The bit patterns of a matrix: what the differential tests compare, so

@@ -106,18 +106,6 @@ pub struct FaultPlan {
     events: Mutex<Vec<FaultRecord>>,
 }
 
-/// Error from [`FaultPlan::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlanParseError(pub String);
-
-impl std::fmt::Display for FaultPlanParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid fault plan: {}", self.0)
-    }
-}
-
-impl std::error::Error for FaultPlanParseError {}
-
 /// SplitMix64-style finalizer over a combined word stream.
 fn mix(mut h: u64) -> u64 {
     h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -193,45 +181,45 @@ impl FaultPlan {
     /// rejected like any unknown key.
     ///
     /// # Errors
-    /// `FaultPlanParseError` on unknown keys (the message lists the
-    /// accepted ones), malformed numbers, or rates outside `[0, 1]`.
-    pub fn parse(spec: &str) -> Result<Self, FaultPlanParseError> {
+    /// A message starting `invalid fault plan:` on unknown keys (it
+    /// lists the accepted ones), malformed numbers, or rates outside
+    /// `[0, 1]`.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let bad = |msg: String| format!("invalid fault plan: {msg}");
         let mut seed = 0u64;
         let mut rates = FaultRates::default();
         let mut horizon = usize::MAX;
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
             let (key, value) = part
                 .split_once('=')
-                .ok_or_else(|| FaultPlanParseError(format!("expected key=value, got '{part}'")))?;
+                .ok_or_else(|| bad(format!("expected key=value, got '{part}'")))?;
             let key = key.trim();
             let value = value.trim();
-            let parse_rate = || -> Result<f64, FaultPlanParseError> {
+            let parse_rate = || -> Result<f64, String> {
                 let r: f64 = value
                     .parse()
-                    .map_err(|_| FaultPlanParseError(format!("bad number '{value}' for {key}")))?;
+                    .map_err(|_| bad(format!("bad number '{value}' for {key}")))?;
                 if !(0.0..=1.0).contains(&r) {
-                    return Err(FaultPlanParseError(format!(
-                        "rate {key}={r} outside [0, 1]"
-                    )));
+                    return Err(bad(format!("rate {key}={r} outside [0, 1]")));
                 }
                 Ok(r)
             };
             match key {
                 "seed" => {
-                    seed = value.parse().map_err(|_| {
-                        FaultPlanParseError(format!("bad integer '{value}' for seed"))
-                    })?;
+                    seed = value
+                        .parse()
+                        .map_err(|_| bad(format!("bad integer '{value}' for seed")))?;
                 }
                 "horizon" => {
-                    horizon = value.parse().map_err(|_| {
-                        FaultPlanParseError(format!("bad integer '{value}' for horizon"))
-                    })?;
+                    horizon = value
+                        .parse()
+                        .map_err(|_| bad(format!("bad integer '{value}' for horizon")))?;
                 }
                 "straggler" => rates.straggler = parse_rate()?,
                 "nan" => rates.nan = parse_rate()?,
                 "nonspd" => rates.nonspd = parse_rate()?,
                 other => {
-                    return Err(FaultPlanParseError(format!(
+                    return Err(bad(format!(
                         "unknown key '{other}' (seed, horizon, straggler, nan, nonspd)"
                     )))
                 }
@@ -262,7 +250,7 @@ impl FaultPlan {
     /// A deterministic per-site straggler delay in nanoseconds
     /// (100 µs – 1 ms at the default scale), derived from the same hash
     /// stream and multiplied by the straggler scale.
-    pub fn straggler_delay_nanos(&self, iteration: usize, unit: usize) -> u64 {
+    pub(crate) fn straggler_delay_nanos(&self, iteration: usize, unit: usize) -> u64 {
         let h = site_hash(
             self.seed ^ 0xDE1A_F00D,
             FaultKind::Straggler,
@@ -275,7 +263,7 @@ impl FaultPlan {
 
     /// A deterministic index used to pick which payload element gets
     /// poisoned at a site.
-    pub fn target_index(
+    pub(crate) fn target_index(
         &self,
         kind: FaultKind,
         iteration: usize,
@@ -295,7 +283,7 @@ impl FaultPlan {
     }
 
     /// Append a fault/recovery record to the plan's event log.
-    pub fn record(&self, record: FaultRecord) {
+    pub(crate) fn record(&self, record: FaultRecord) {
         self.events
             .lock()
             .expect("fault plan poisoned")

@@ -101,10 +101,10 @@ use crate::csf::{CsfSet, SortedDelta};
 use crate::kruskal::KruskalModel;
 use crate::model_file::{load_model_path, save_model};
 use crate::options::CpalsOptions;
-use splatt_faults::IoFaultPlan;
 use splatt_guard::GuardConfig;
 use splatt_par::{TaskTeam, TeamConfig};
 use splatt_probe::RefreshRow;
+use splatt_store::IoFaultPlan;
 use splatt_store::{
     decode_delta, publish_artifact, DeltaBatch, Manifest, StoreError, Wal, WalPosition, WalRecord,
 };

@@ -17,7 +17,7 @@
 use crate::counters::COUNTERS;
 use crate::error::StoreError;
 use crate::frame::{self, Frame, FrameDefect, ARTIFACT_MAGIC};
-use splatt_faults::{IoFault, IoFaultPlan};
+use crate::io::{IoFault, IoFaultPlan};
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -222,7 +222,7 @@ pub(crate) fn read_artifact(path: &Path, plan: Option<&IoFaultPlan>) -> Result<F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splatt_faults::IoFaultRates;
+    use crate::io::IoFaultRates;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {

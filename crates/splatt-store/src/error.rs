@@ -1,7 +1,7 @@
 //! The store's typed error surface.
 
 use crate::frame::FrameDefect;
-use splatt_faults::IoFault;
+use crate::io::IoFault;
 use std::path::PathBuf;
 
 /// Everything a persistence operation can fail with. The invariant the

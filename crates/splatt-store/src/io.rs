@@ -1,9 +1,9 @@
 //! Disk-level fault plans for the durability layer.
 //!
-//! [`IoFaultPlan`] brings the crate's deterministic, seed-driven fault
-//! discipline to the persistence stack (`splatt-store`). Where
-//! [`crate::FaultPlan`] sites are *(iteration, unit)* pairs inside a
-//! solver run, durable-I/O sites are **operations**: every create,
+//! [`IoFaultPlan`] brings the deterministic, seed-driven fault
+//! discipline of the solver's fault plan to the persistence stack. Where
+//! `splatt_core::faults::FaultPlan` sites are *(iteration, unit)* pairs
+//! inside a solver run, durable-I/O sites are **operations**: every create,
 //! write, fsync, and rename the store performs draws the next index
 //! from a monotonically increasing op counter. Decisions are pure
 //! hashes of `(seed, kind, op)`, so a seed replays the exact same
@@ -14,7 +14,7 @@
 //! kill the process at every instruction boundary the storage layer
 //! exposes. That enumeration is what the recovery storm test sweeps.
 //!
-//! Fault semantics, as consumed by `splatt-store`:
+//! Fault semantics, as consumed by the store:
 //!
 //! * **Torn write** — only a prefix of the buffer reaches the file,
 //!   then the process "dies" ([`IoFault::Crash`]). Models a crash (or
@@ -109,7 +109,7 @@ pub(crate) struct IoFaultRecord {
     pub site: String,
 }
 
-/// SplitMix64-style finalizer, same family as [`crate::FaultPlan`].
+/// SplitMix64-style finalizer, same family as the solver's fault plan.
 fn mix(mut h: u64) -> u64 {
     h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -179,7 +179,7 @@ impl IoFaultPlan {
     /// # Errors
     /// [`IoFault::Crash`] when the counter reaches the scheduled crash
     /// op; the caller must abandon the operation mid-flight.
-    pub fn next_op(&self, site: &str) -> Result<u64, IoFault> {
+    pub(crate) fn next_op(&self, site: &str) -> Result<u64, IoFault> {
         let op = self.ops.fetch_add(1, Ordering::SeqCst);
         if self.crash_at_op == Some(op) {
             self.record(IoFaultKind::Crash, op, site);
@@ -199,7 +199,7 @@ impl IoFaultPlan {
     /// bytes actually reach the file (strictly fewer than `len`; the
     /// caller then reports [`IoFault::Crash`]). Always `None` for empty
     /// buffers.
-    pub fn torn_write_len(&self, op: u64, site: &str, len: usize) -> Option<usize> {
+    pub(crate) fn torn_write_len(&self, op: u64, site: &str, len: usize) -> Option<usize> {
         if len == 0 || !self.roll(IoFaultKind::TornWrite, op, self.rates.torn_write) {
             return None;
         }
@@ -210,7 +210,7 @@ impl IoFaultPlan {
     /// Invert one deterministic bit of `bytes` before they are written;
     /// returns whether a flip happened. CRC-framed readers must turn
     /// this into a typed checksum failure.
-    pub fn flip_bit(&self, op: u64, site: &str, bytes: &mut [u8]) -> bool {
+    pub(crate) fn flip_bit(&self, op: u64, site: &str, bytes: &mut [u8]) -> bool {
         if bytes.is_empty() || !self.roll(IoFaultKind::BitFlip, op, self.rates.bit_flip) {
             return false;
         }
@@ -223,7 +223,7 @@ impl IoFaultPlan {
 
     /// Whether the read at `op` comes up short, and how many of `len`
     /// bytes it actually returns (strictly fewer than `len`).
-    pub fn short_read_len(&self, op: u64, site: &str, len: usize) -> Option<usize> {
+    pub(crate) fn short_read_len(&self, op: u64, site: &str, len: usize) -> Option<usize> {
         if len == 0 || !self.roll(IoFaultKind::ShortRead, op, self.rates.short_read) {
             return None;
         }
@@ -233,7 +233,7 @@ impl IoFaultPlan {
 
     /// Whether the fsync at `op` fails. The caller surfaces
     /// [`IoFault::FsyncFailed`] and must not acknowledge the data.
-    pub fn fsync_fails(&self, op: u64, site: &str) -> bool {
+    pub(crate) fn fsync_fails(&self, op: u64, site: &str) -> bool {
         if !self.roll(IoFaultKind::FailedFsync, op, self.rates.failed_fsync) {
             return false;
         }

@@ -22,7 +22,7 @@
 //!    live log uses [`Wal::tail`], which writes nothing.
 //!
 //! The whole crate is std-only and deterministic under the
-//! [`splatt_faults::IoFaultPlan`] disk-fault injector: every create,
+//! [`IoFaultPlan`] disk-fault injector: every create,
 //! write, fsync, and rename draws an op index, which is how the
 //! recovery storm test replays a workload crashed at every single op
 //! boundary and pins that nothing acknowledged is ever lost.
@@ -37,6 +37,7 @@ mod crc;
 mod delta;
 mod error;
 mod frame;
+mod io;
 mod manifest;
 #[cfg(test)]
 mod mutation;
@@ -55,6 +56,7 @@ pub use error::StoreError;
 pub use frame::{
     encode_frame, encode_frame_into, frame_len, parse_frame_at, Frame, FrameDefect, ARTIFACT_MAGIC,
 };
+pub use io::{IoFault, IoFaultPlan, IoFaultRates};
 pub use manifest::Manifest;
 pub use splatt_probe::StoreCounters;
 pub use wal::{Wal, WalOptions, WalPosition, WalRecord};

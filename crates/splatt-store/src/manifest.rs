@@ -10,7 +10,7 @@
 use crate::atomic::{publish_artifact, read_artifact};
 use crate::error::StoreError;
 use crate::frame::FrameDefect;
-use splatt_faults::IoFaultPlan;
+use crate::io::IoFaultPlan;
 use std::path::Path;
 
 /// File name of the manifest inside a store directory.

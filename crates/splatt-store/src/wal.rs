@@ -41,7 +41,7 @@ use crate::atomic::{fsync_dir, fsync_faulted, read_faulted, read_faulted_from, w
 use crate::counters::COUNTERS;
 use crate::error::StoreError;
 use crate::frame::{self, FrameDefect};
-use splatt_faults::IoFaultPlan;
+use crate::io::IoFaultPlan;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
@@ -700,7 +700,7 @@ mod tests {
 
     #[test]
     fn fsync_failure_leaves_records_unacked_and_retry_commits_them() {
-        use splatt_faults::{IoFaultPlan, IoFaultRates};
+        use crate::io::{IoFaultPlan, IoFaultRates};
         let dir = tmpdir("fsync");
         // Plan: first fsync op fails; later rolls (different ops) may
         // pass. Find a seed where op0's fsync fails and op1's doesn't.

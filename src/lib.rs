@@ -69,7 +69,8 @@ pub mod dist {
 
 /// Deterministic fault injection and the typed record of each recovery.
 pub mod faults {
-    pub use splatt_faults::*;
+    pub use splatt_core::faults::*;
+    pub use splatt_store::{IoFault, IoFaultPlan, IoFaultRates};
 }
 
 /// Observability: lock-contention counters, per-thread load, allocation
@@ -109,6 +110,7 @@ pub mod store {
 }
 
 pub use splatt_core::dense::Matrix;
+pub use splatt_core::faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction};
 pub use splatt_core::locks::LockStrategy;
 pub use splatt_core::{
     corcondia, cp_als, tensor_complete, tensor_complete_ccd, try_cp_als, CcdOptions, Checkpoint,
@@ -116,7 +118,6 @@ pub use splatt_core::{
     CpalsOutput, CpalsRun, Csf, CsfAlloc, CsfSet, Governance, Implementation, KruskalModel,
     MatrixAccess, RefreshEngine, RefreshError, RefreshOptions, RefreshOutcome, RunAborted,
 };
-pub use splatt_faults::{FaultKind, FaultPlan, FaultRates, RecoveryAction};
 pub use splatt_guard::{
     CancelToken, Deadline, GuardConfig, MemoryBudget, RunGuard, TripReason, WatchdogConfig,
 };
