@@ -559,7 +559,7 @@ pub fn ablation_d() -> Table {
 /// form; the fit is the shared-memory solver's, which the distributed
 /// arithmetic reproduces on every grid.
 pub fn experiment_e() -> Table {
-    use splatt_dist::{medium_grained_volume, ProcessGrid, TensorDistribution};
+    use splatt_tensor::dist::{medium_grained_volume, ProcessGrid, TensorDistribution};
     let mut t = Table::new(
         "expE",
         "Experiment E: medium-grained distribution, NELL-2, 8 locales (communication per grid shape)",

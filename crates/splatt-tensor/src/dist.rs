@@ -1,8 +1,15 @@
-//! Medium-grained tensor distribution over a process grid.
+//! The multi-locale bill of SPLATT's medium-grained algorithm, the
+//! paper's second future-work item. Its arithmetic is the shared-memory
+//! CP-ALS's in another association order, so what distribution adds is a
+//! load balance and a communication bill, computed here without a solver:
+//! [`ProcessGrid`], [`TensorDistribution`] (nnz-balanced chunks,
+//! per-block nonzero counts) and [`medium_grained_volume`] (the bytes its
+//! collectives move).
 
-use crate::grid::ProcessGrid;
+pub use crate::grid::ProcessGrid;
+pub use crate::volume::medium_grained_volume;
+use crate::SparseTensor;
 use splatt_par::partition;
-use splatt_tensor::SparseTensor;
 
 /// A tensor partitioned into per-rank blocks: rank `(i1..iN)` owns the
 /// nonzeros whose mode-`m` index falls in chunk `i_m` of that mode, for
@@ -74,7 +81,7 @@ fn mode_bounds(tensor: &SparseTensor, grid: &ProcessGrid) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splatt_tensor::synth;
+    use crate::synth;
 
     fn dist(grid_dims: Vec<usize>) -> (SparseTensor, TensorDistribution) {
         let t = synth::power_law(&[30, 24, 40], 4_000, 1.6, 3);

@@ -16,10 +16,16 @@
 //!   four optimization variants of Figure 1 reproduced as selectable
 //!   [`sort::SortVariant`]s.
 //! * [`stats`] — Table I-style data set summaries.
+//! * [`dist`] — the multi-locale bill: SPLATT's medium-grained process
+//!   grid, the nnz-balanced distribution over it and the closed-form
+//!   communication volume. It runs no solver, and this crate has none.
 
 mod coo;
+pub mod dist;
+mod grid;
 #[cfg(test)]
 mod mutation;
+mod volume;
 
 pub mod io;
 pub mod sort;

@@ -39,7 +39,7 @@ impl CommVolume {
 /// `rank` on a tensor with mode lengths `dims` distributed over `grid`.
 ///
 /// ```
-/// use splatt_dist::{medium_grained_volume, ProcessGrid};
+/// use splatt_tensor::dist::{medium_grained_volume, ProcessGrid};
 ///
 /// let flat = medium_grained_volume(&[64, 64, 64], &ProcessGrid::new(vec![8, 1, 1]), 16, 5);
 /// let cube = medium_grained_volume(&[64, 64, 64], &ProcessGrid::new(vec![2, 2, 2]), 16, 5);

@@ -64,7 +64,7 @@ pub mod locks {
 /// Multi-locale bill: process grid, tensor distribution, and the
 /// medium-grained algorithm's closed-form communication volume.
 pub mod dist {
-    pub use splatt_dist::*;
+    pub use splatt_tensor::dist::*;
 }
 
 /// Deterministic fault injection and the typed record of each recovery.
