@@ -40,7 +40,7 @@ impl Matrix {
     }
 
     /// Create the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -141,7 +141,7 @@ impl Matrix {
     }
 
     /// Set every element to `value`.
-    pub fn fill(&mut self, value: f64) {
+    pub(crate) fn fill(&mut self, value: f64) {
         self.data.fill(value);
     }
 
@@ -163,7 +163,7 @@ impl Matrix {
 
     /// `(rows, cols)` pair.
     #[inline]
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
@@ -198,7 +198,7 @@ impl Matrix {
     }
 
     /// Scale all elements by `s`.
-    pub fn scale(&mut self, s: f64) {
+    pub(crate) fn scale(&mut self, s: f64) {
         for v in &mut self.data {
             *v *= s;
         }

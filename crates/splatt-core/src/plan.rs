@@ -231,7 +231,7 @@ impl FaultPlan {
     /// Decide whether `kind` fires at `(iteration, unit)`. Deterministic
     /// in the plan's seed; one-shot per site — the first `true` for a
     /// site is also its last.
-    pub fn roll(&self, kind: FaultKind, iteration: usize, unit: usize) -> bool {
+    pub(crate) fn roll(&self, kind: FaultKind, iteration: usize, unit: usize) -> bool {
         if iteration >= self.horizon {
             return false;
         }

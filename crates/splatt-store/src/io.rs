@@ -66,7 +66,7 @@ impl IoFaultKind {
 
 /// Per-kind injection probabilities, each in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct IoFaultRates {
+pub(crate) struct IoFaultRates {
     pub torn_write: f64,
     pub bit_flip: f64,
     pub short_read: f64,
@@ -146,7 +146,7 @@ pub struct IoFaultPlan {
 
 impl IoFaultPlan {
     /// A plan firing each kind independently at its configured rate.
-    pub fn new(seed: u64, rates: IoFaultRates) -> Self {
+    pub(crate) fn new(seed: u64, rates: IoFaultRates) -> Self {
         IoFaultPlan {
             seed,
             rates,

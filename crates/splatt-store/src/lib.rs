@@ -56,7 +56,7 @@ pub use error::StoreError;
 pub use frame::{
     encode_frame, encode_frame_into, frame_len, parse_frame_at, Frame, FrameDefect, ARTIFACT_MAGIC,
 };
-pub use io::{IoFault, IoFaultPlan, IoFaultRates};
+pub use io::{IoFault, IoFaultPlan};
 pub use manifest::Manifest;
 pub use splatt_probe::StoreCounters;
 pub use wal::{Wal, WalOptions, WalPosition, WalRecord};

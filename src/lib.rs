@@ -70,7 +70,7 @@ pub mod dist {
 /// Deterministic fault injection and the typed record of each recovery.
 pub mod faults {
     pub use splatt_core::faults::*;
-    pub use splatt_store::{IoFault, IoFaultPlan, IoFaultRates};
+    pub use splatt_store::{IoFault, IoFaultPlan};
 }
 
 /// Observability: lock-contention counters, per-thread load, allocation
