@@ -14,7 +14,7 @@
 //! transient bit-flip event.
 
 use crate::recovery::RecoveryAction;
-use splatt_rt::rng::{RngExt, SeedableRng, StdRng};
+use splatt_rt::rng::{splitmix64, RngExt, SeedableRng, StdRng};
 use std::collections::HashSet;
 use std::sync::Mutex;
 
@@ -106,21 +106,13 @@ pub struct FaultPlan {
     events: Mutex<Vec<FaultRecord>>,
 }
 
-/// SplitMix64-style finalizer over a combined word stream.
-fn mix(mut h: u64) -> u64 {
-    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
 /// The site's hash; `salt` is 0 for the fire decision and the straggler
 /// delay, 1 for the target index.
 fn site_hash(seed: u64, kind: FaultKind, iteration: u64, unit: u64, salt: u64) -> u64 {
-    let mut h = mix(seed ^ kind.tag().wrapping_mul(0xA24B_AED4_963E_E407));
-    h = mix(h ^ iteration.wrapping_mul(0x9FB2_1C65_1E98_DF25));
-    h = mix(h ^ unit.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    mix(h ^ salt.wrapping_mul(0xCA5A_8268_85B3_F57B))
+    let mut h = splitmix64(seed ^ kind.tag().wrapping_mul(0xA24B_AED4_963E_E407));
+    h = splitmix64(h ^ iteration.wrapping_mul(0x9FB2_1C65_1E98_DF25));
+    h = splitmix64(h ^ unit.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+    splitmix64(h ^ salt.wrapping_mul(0xCA5A_8268_85B3_F57B))
 }
 
 /// Uniform f64 in `[0, 1)` from one xoshiro256** draw seeded by the site

@@ -70,8 +70,26 @@ impl Sample for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     #[inline]
     fn sample<R: RngExt>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(rng.next_u64())
     }
+}
+
+/// The top 53 bits of `bits` as a uniform `f64` in `[0, 1)`: what
+/// [`RngExt::random`] makes of one draw.
+#[inline]
+pub fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// SplitMix64 (Steele, Lea & Flood): the output for state `x`, i.e. the
+/// finalizer of `x + γ`. It expands a seed into [`StdRng`]'s state and
+/// hashes the fault plans' sites.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl Sample for f32 {
@@ -142,14 +160,13 @@ pub struct StdRng {
 
 impl SeedableRng for StdRng {
     fn seed_from_u64(seed: u64) -> Self {
-        // SplitMix64 expansion, as recommended by the xoshiro authors.
+        // SplitMix64 expansion, as recommended by the xoshiro authors:
+        // the outputs for states seed, seed + γ, seed + 2γ, seed + 3γ.
         let mut x = seed;
         let mut next = || {
+            let z = splitmix64(x);
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            z
         };
         let s = [next(), next(), next(), next()];
         StdRng { s }
@@ -190,6 +207,17 @@ mod tests {
         }
         let mut c = StdRng::seed_from_u64(8);
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // The first outputs of the reference SplitMix64 seeded with 0.
+        let (mut x, mut out) = (0u64, [0u64; 2]);
+        for o in &mut out {
+            *o = splitmix64(x);
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        }
+        assert_eq!(out, [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //!   abandons the operation mid-flight, leaving the file system in
 //!   exactly the state a killed process would.
 
+use splatt_rt::rng::{splitmix64, unit_f64};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -109,24 +110,10 @@ pub(crate) struct IoFaultRecord {
     pub site: String,
 }
 
-/// SplitMix64-style finalizer, same family as the solver's fault plan.
-fn mix(mut h: u64) -> u64 {
-    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
 fn io_hash(seed: u64, kind: IoFaultKind, op: u64) -> u64 {
-    let mut h = mix(seed ^ kind.tag().wrapping_mul(0xA24B_AED4_963E_E407));
-    h = mix(h ^ op.wrapping_mul(0x9FB2_1C65_1E98_DF25));
-    mix(h)
-}
-
-/// Uniform f64 in `[0, 1)` from the site hash.
-fn unit_f64(h: u64) -> f64 {
-    // 53 mantissa bits of the hash, scaled into [0, 1).
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    let mut h = splitmix64(seed ^ kind.tag().wrapping_mul(0xA24B_AED4_963E_E407));
+    h = splitmix64(h ^ op.wrapping_mul(0x9FB2_1C65_1E98_DF25));
+    splitmix64(h)
 }
 
 /// A seeded, deterministic disk-fault plan; see the module docs.
