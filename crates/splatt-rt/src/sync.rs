@@ -48,21 +48,37 @@ impl RawMutex {
         self.lock_slow();
     }
 
+    /// The waiter's half of the `waiters` handshake with [`Self::unlock`].
+    ///
+    /// Each side is a store then a load on two different atomics: the
+    /// waiter counts itself in `waiters`, then tries `locked`; the
+    /// unlocker clears `locked`, then reads `waiters`. All four accesses
+    /// are `SeqCst`, so they sit in one total order that keeps each
+    /// side's program order. If the unlocker's read of `waiters` comes
+    /// first in it, its store to `locked` comes before the waiter's swap,
+    /// which then sees the lock free (or taken by a thread whose own
+    /// unlock repeats this argument). Otherwise the read sees the waiter
+    /// counted and notifies under `park`, where the waiter checks and
+    /// sleeps. With a `Release` store, the unlocker's read could pass its
+    /// store and see no waiter while the waiter still sees the lock held:
+    /// that waiter would sleep until some later unlock.
     #[cold]
     fn lock_slow(&self) {
         self.waiters.fetch_add(1, Ordering::SeqCst);
         {
             let mut guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
-            while !self.try_lock() {
+            while self.locked.swap(true, Ordering::SeqCst) {
                 guard = self.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
             }
         }
         self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
+    /// Release; wakes one parked waiter if any counted itself (the
+    /// handshake is argued at [`Self::lock_slow`]).
     #[inline]
     fn unlock(&self) {
-        self.locked.store(false, Ordering::Release);
+        self.locked.store(false, Ordering::SeqCst);
         if self.waiters.load(Ordering::SeqCst) > 0 {
             let _guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
             self.cv.notify_one();
