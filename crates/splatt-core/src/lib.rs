@@ -23,6 +23,8 @@
 //!   configurations the paper measures (`Reference` ≙ C/OpenMP,
 //!   `PortedInitial` ≙ unoptimized Chapel, `PortedOptimized` ≙ tuned
 //!   Chapel).
+//! * [`dense`], [`locks`], [`faults`] — the substrates only this crate
+//!   uses, as modules of it, the way SPLATT is one library.
 //!
 //! # Quick start
 //!
@@ -65,37 +67,18 @@ mod raw;
 mod recovery;
 pub mod reference;
 
-/// The MTTKRP's mutex pool (SPLATT's `mutex_pool`): cache-padded locks
-/// hashed by row id, of one of the paper's three lock kinds.
-///
-/// SPLATT's lock-based MTTKRP kernels protect output-matrix rows with a
-/// pool of mutexes hashed by row index. The Chapel port's biggest
-/// scalability bug (paper Section V-D.2, Figure 4) was the *kind* of lock
-/// in that pool:
-///
-/// * Chapel `sync` variables under Qthreads put the waiting task to sleep —
-///   catastrophic for the MTTKRP's very short critical sections.
-///   `SleepLock` reproduces that cost model (park immediately).
-/// * The fix was `atomic bool` + `testAndSet()` + task-yield spinning
-///   (paper Listing 6) — `SpinLock` is a direct translation.
-/// * Chapel's `fifo` tasking layer implements `sync` with spin-ish OS
-///   mutexes, which the paper found competitive — `OsLock` (adaptive
-///   spin, then park on `splatt_rt::sync::Mutex`) plays that role.
+/// The MTTKRP's mutex pool (SPLATT's `mutex_pool`) and the paper's three
+/// lock kinds (Figure 4): `Sleep` parks at once, like a Chapel `sync`
+/// variable under Qthreads; `Spin` is Listing 6's test-and-set loop; `Os`
+/// (adaptive spin, then park) plays the `fifo` layer's `sync`.
 pub mod locks {
     pub use crate::pool::LockPool;
     pub use crate::raw::LockStrategy;
 }
 
-/// Dense linear algebra on [`Matrix`](dense::Matrix), a flat row-major
-/// `f64` matrix — the layout of SPLATT's factor matrices.
-///
-/// SPLATT leans on three LAPACK/BLAS routines — `syrk` (Gram matrices
-/// AᵀA), `potrf` (Cholesky factorization) and `potrs` (triangular
-/// solves) — plus Hadamard products of Gram matrices, column
-/// normalization, and a pseudo-inverse fallback when the normal-equation
-/// matrix is singular. The paper pins OpenBLAS to one thread (Section
-/// V-E); these native kernels are sequential and deterministic: the same
-/// bits on any host.
+/// Dense linear algebra on a row-major `f64` [`Matrix`](dense::Matrix):
+/// SPLATT's `syrk`, `potrf`/`potrs` and eigen fallback, written natively,
+/// sequential and deterministic — the same bits on any host.
 pub mod dense {
     pub use crate::cholesky::{cholesky_factor, cholesky_solve};
     pub use crate::eigen::jacobi_eigen;
@@ -105,19 +88,11 @@ pub mod dense {
     pub use crate::solve::solve_normals;
 }
 
-/// Deterministic fault injection for CP-ALS and the typed record of each
-/// recovery.
-///
-/// A [`FaultPlan`](faults::FaultPlan) is a seed-driven, *stateless* fault
-/// schedule: every decision is a pure hash of `(seed, kind, iteration,
-/// unit)`, so plans replay identically across runs and across
-/// checkpoint/restart boundaries. Sites are one-shot (the transient-fault
-/// model), which is what makes rollback recovery converge.
-/// [`RecoveryAction`](faults::RecoveryAction) and
-/// [`FaultRecord`](faults::FaultRecord) are the audit trail that flows
-/// into the profile report; the bounds themselves live with the driver
-/// (the ridge and rollback caps). The store's disk faults are
-/// `splatt_store::IoFaultPlan`.
+/// The seed-driven CP-ALS fault plan: every decision is a pure hash of
+/// `(seed, kind, iteration, unit)` and every site fires once, so a plan
+/// replays across runs and restarts. [`FaultRecord`](faults::FaultRecord)
+/// is the audit trail the profile report carries. The store's disk faults
+/// are `splatt_store::IoFaultPlan`.
 pub mod faults {
     pub use crate::plan::{FaultKind, FaultPlan, FaultRates, FaultRecord};
     pub use crate::recovery::RecoveryAction;

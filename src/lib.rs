@@ -9,20 +9,20 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! | crate | contents |
-//! |---|---|
-//! | [`mod@core`] | CSF format, MTTKRP kernels, CP-ALS driver |
-//! | [`tensor`] | COO tensors, `.tns` I/O, synthetic data sets, sorting |
-//! | [`dense`] | matrices, SYRK, Cholesky, eigen, normal-equation solves |
-//! | [`par`] | task teams (`coforall`), partitioning, scratch, timers |
-//! | [`locks`] | mutex pools: spin / sleeping / OS-adaptive |
-//! | [`dist`] | the multi-locale bill: process grid, nnz-balanced distribution, closed-form communication volume |
-//! | [`probe`] | lock/thread/allocation profiling, `ProfileReport` |
-//! | [`faults`] | seeded fault injection (`FaultPlan`), the recovery audit trail |
-//! | [`mod@guard`] | run governance: cancellation, deadlines, budgets, watchdog |
-//! | [`mod@serve`] | model registry, query engine, TCP serving front end (its reactor's OS shims also as [`net`]) |
-//! | [`mod@store`] | checksummed WAL, atomic artifact publish, crash recovery |
-//! | [`rt`] | sync primitives, seeded RNG, parallel helpers, qc harness |
+//! | module | contents | from |
+//! |---|---|---|
+//! | [`mod@core`] | CSF format, MTTKRP kernels, CP-ALS driver | `splatt-core` |
+//! | [`dense`] | matrices, SYRK, Cholesky, eigen, normal-equation solves | `splatt_core::dense` |
+//! | [`locks`] | mutex pools: spin / sleeping / OS-adaptive | `splatt_core::locks` |
+//! | [`faults`] | seeded fault injection (`FaultPlan`, `IoFaultPlan`), the recovery audit trail | `splatt_core::faults`, `splatt-store` |
+//! | [`tensor`] | COO tensors, `.tns` I/O, synthetic data sets, sorting | `splatt-tensor` |
+//! | [`dist`] | the multi-locale bill: process grid, nnz-balanced distribution, closed-form communication volume | `splatt_tensor::dist` |
+//! | [`par`] | task teams (`coforall`), partitioning, scratch, timers | `splatt-par` |
+//! | [`probe`] | lock/thread/allocation profiling, `ProfileReport` | `splatt-probe` |
+//! | [`mod@guard`] | run governance: cancellation, deadlines, budgets, watchdog | `splatt-guard` |
+//! | [`mod@serve`] | model registry, query engine, TCP serving front end (its reactor's OS shims also as [`net`]) | `splatt-serve` |
+//! | [`mod@store`] | checksummed WAL, atomic artifact publish, crash recovery | `splatt-store` |
+//! | [`rt`] | sync primitives, seeded RNG, parallel helpers, qc harness | `splatt-rt` |
 //!
 //! The most common entry points are also re-exported at the top level.
 //!
@@ -67,7 +67,8 @@ pub mod dist {
     pub use splatt_tensor::dist::*;
 }
 
-/// Deterministic fault injection and the typed record of each recovery.
+/// Deterministic fault injection and the typed record of each recovery:
+/// the CP-ALS fault plan (from the core) and the store's disk-fault plan.
 pub mod faults {
     pub use splatt_core::faults::*;
     pub use splatt_store::{IoFault, IoFaultPlan};
