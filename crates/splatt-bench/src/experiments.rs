@@ -426,6 +426,7 @@ pub fn ablation_b() -> Table {
             tolerance: 0.0,
             ntasks: tasks,
             priv_threshold: threshold,
+            csf_alloc: CsfAlloc::Two,
             ..Default::default()
         };
         let out = try_cp_als(&tensor, &opts, &on_team).expect("no checkpointing configured");
@@ -465,7 +466,12 @@ pub fn ablation_c() -> Table {
         team: Some(&team),
         ..Default::default()
     };
-    for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+    for alloc in [
+        CsfAlloc::One,
+        CsfAlloc::Two,
+        CsfAlloc::All,
+        CsfAlloc::LockFree,
+    ] {
         progress(&format!("ablationC: alloc={alloc:?}"));
         let set = CsfSet::build(&tensor, alloc, &team, SortVariant::AllOpts);
         let bytes: usize = set.csfs().iter().map(|c| c.storage_bytes()).sum();
@@ -513,6 +519,7 @@ pub fn ablation_d() -> Table {
         max_iters: datasets::bench_iters(),
         tolerance: 0.0,
         ntasks: tasks,
+        csf_alloc: CsfAlloc::Two,
         ..Default::default()
     };
     let regimes: [(&str, CpalsOptions); 3] = [

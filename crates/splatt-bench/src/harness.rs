@@ -41,7 +41,8 @@ pub fn team_for(ntasks: usize) -> TaskTeam {
     TaskTeam::with_config(ntasks, TeamConfig::short_spin())
 }
 
-/// Fully-specified CP-ALS run configuration for one measurement.
+/// Fully-specified CP-ALS run configuration for one measurement, on
+/// SPLATT's two CSF trees ([`run_cpals`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec {
     pub access: MatrixAccess,
@@ -74,6 +75,8 @@ pub fn run_cpals(tensor: &SparseTensor, spec: RunSpec) -> (RoutineSeconds, f64) 
         access: spec.access,
         locks: spec.locks,
         sort_variant: spec.sort_variant,
+        // the paper's configurations: SPLATT's two trees, locks and all
+        csf_alloc: splatt_core::CsfAlloc::Two,
         ..Default::default()
     };
     let out = cp_als(tensor, &opts);

@@ -20,13 +20,20 @@
 //! rounded — no FMA, no reassociation. So a row's solution is
 //! bit-identical to the one-row loop's, does not depend on which rows
 //! share its panel, and a NaN or infinity in one row stays in that row.
-//! What changes is that eight chains are in flight instead of one, and
+//! What changes is that `W` chains are in flight instead of one, and
 //! that the backward sweep reads `L^T` (transposed once per call) along a
 //! row instead of `L` down a column at stride `R`. The lane arrays have a
-//! fixed width, so LLVM vectorizes them at the baseline target (SSE2: four
-//! two-lane registers); there is no run-time dispatch here. Measured at
-//! 25000 x 35: 24-28 ms per solve before, 6-9 ms after.
+//! fixed width, so LLVM vectorizes them at whatever width the copy is
+//! compiled for: the solve is compiled twice, portable (SSE2: two-lane
+//! registers) and under `#[target_feature(enable = "avx2")]` (four-lane),
+//! and [`cholesky_solve`] picks the copy per call ([`crate::isa`]). Both
+//! copies perform the same operations, so they give the same bits.
+//! Measured at 25000 x 35: 24-28 ms per solve for the per-row loop, 6-9 ms
+//! for the eight-lane SSE2 panel; per CP-ALS iteration at the `cpd_yelp`
+//! factor shapes, 10.2-11.2 ms on the SSE2 copy, 7.9-8.6 ms on the AVX2
+//! copy at eight lanes and 6.3 ms at sixteen — hence `W = 16`.
 
+use crate::isa::{on_isa, Avx2};
 use crate::matrix::Matrix;
 
 /// Error returned when a matrix is not (numerically) positive definite.
@@ -91,23 +98,28 @@ pub fn cholesky_factor(a: &Matrix) -> Result<Matrix, CholeskyError> {
 }
 
 /// Right-hand-side rows solved together by [`cholesky_solve`]: the SIMD
-/// lanes of one panel.
-const W: usize = 8;
+/// lanes of one panel (four AVX2 registers per entry of the panel).
+pub(crate) const W: usize = 16;
 
 /// Solve `X L L^T = B` for `X` given the Cholesky factor `L`, overwriting
 /// `b` with the solution. Each *row* of `b` is an independent right-hand
 /// side — this is the orientation CP-ALS needs (`M V^{-1}` with `M` being
 /// the `I x R` MTTKRP output), equivalent to LAPACK `dpotrs` on `B^T`.
 ///
-/// Rows are taken eight at a time as a lane panel (see the module docs);
-/// the fewer than eight left over are solved one by one. Either way a row's
+/// Rows are taken `W` at a time as a lane panel (see the module docs);
+/// the fewer than `W` left over are solved one by one. Either way a row's
 /// solution is the same sequence of operations on that row alone, so the
-/// result does not depend on where in `b` a row sits or on what the other
-/// rows hold.
+/// result does not depend on where in `b` a row sits, on what the other
+/// rows hold, or on which compiled copy ran.
 ///
 /// # Panics
 /// Panics if `l` is not square or `b.cols() != l.rows()`.
 pub fn cholesky_solve(l: &Matrix, b: &mut Matrix) {
+    cholesky_solve_on(Avx2::detect(), l, b);
+}
+
+/// [`cholesky_solve`] on the copy compiled for `isa` (`None` = portable).
+pub(crate) fn cholesky_solve_on(isa: Option<Avx2>, l: &Matrix, b: &mut Matrix) {
     let n = l.rows();
     assert_eq!(n, l.cols(), "cholesky_solve: factor must be square");
     assert_eq!(
@@ -121,6 +133,23 @@ pub fn cholesky_solve(l: &Matrix, b: &mut Matrix) {
     if n == 0 {
         return;
     }
+    on_isa!(isa, solve_avx2, solve_portable, (l, b));
+}
+
+fn solve_portable(l: &Matrix, b: &mut Matrix) {
+    solve_lanes(l, b);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn solve_avx2(l: &Matrix, b: &mut Matrix) {
+    solve_lanes(l, b);
+}
+
+/// The body of both copies: whole panels, then the rows left over.
+#[inline(always)]
+fn solve_lanes(l: &Matrix, b: &mut Matrix) {
+    let n = l.rows();
     let mut panels = b.as_mut_slice().chunks_exact_mut(W * n);
     if panels.len() > 0 {
         // L^T once per call: the backward sweep then reads a row of it
@@ -150,6 +179,7 @@ pub fn cholesky_solve(l: &Matrix, b: &mut Matrix) {
 /// the panel's right-hand side `lane`; `lt` is `l` transposed. One entry
 /// of `L` is broadcast against a lane vector, so each lane performs the
 /// operations of [`solve_row`] in the same order.
+#[inline(always)]
 fn solve_panel(l: &Matrix, lt: &Matrix, panel: &mut [[f64; W]]) {
     let n = panel.len();
     // forward: y_j = (b_j - sum_{k<j} l_jk y_k) / l_jj, k ascending
@@ -186,6 +216,7 @@ fn solve_panel(l: &Matrix, lt: &Matrix, panel: &mut [[f64; W]]) {
 
 /// Both triangular sweeps on a single right-hand side: the scalar
 /// sequence every lane of [`solve_panel`] reproduces.
+#[inline(always)]
 fn solve_row(l: &Matrix, row: &mut [f64]) {
     let n = row.len();
     // forward solve y L^T = b  =>  treat as L y^T = b^T (y_j computed in order)

@@ -14,7 +14,7 @@
 //! Every phase is attributed to the [`Routine`] timer the paper reports.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::csf::{CsfSet, KernelKind};
+use crate::csf::{CsfSet, KernelKind, LockTest};
 use crate::dense::{hadamard_assign, mat_ata, normalize_columns, solve_normals, MatNorm, Matrix};
 use crate::faults::{FaultKind, FaultPlan, FaultRecord, RecoveryAction};
 use crate::kruskal::KruskalModel;
@@ -85,7 +85,11 @@ pub struct CpalsRun<'a> {
     /// them (the refresh engine keeps its set between refits, and no
     /// tensor); `None` sorts the tensor and builds them for this run.
     /// Must be the set [`CsfSet::build`] gives the tensor under
-    /// [`CpalsOptions::csf_alloc`].
+    /// [`CpalsOptions::csf_alloc`] (for [`crate::CsfAlloc::LockFree`], on
+    /// a team of [`CpalsOptions::ntasks`] at
+    /// [`CpalsOptions::priv_threshold`]; a set decided for another task
+    /// count still gives a correct run, which may take a lock or carry a
+    /// tree it does not need).
     pub csf: Option<&'a CsfSet>,
     /// Who may stop the run early.
     pub governance: Governance<'a>,
@@ -339,6 +343,7 @@ fn als_attempt(
             built = CsfSet::build_timed_guarded(
                 tensor,
                 opts.csf_alloc,
+                LockTest::of(opts),
                 team,
                 opts.sort_variant,
                 &timers,
@@ -463,7 +468,9 @@ fn als_attempt(
         .iter()
         .map(|f| timers.time(Routine::AtA, || mat_ata(f)))
         .collect();
-    let mut mout: Vec<Matrix> = dims.iter().map(|&d| Matrix::zeros(d, rank)).collect();
+    // One MTTKRP output, sized for the longest mode: each mode's MTTKRP
+    // writes its rows into it, and the fit reads the last mode's.
+    let mut mout = Matrix::zeros(dims.iter().copied().max().unwrap_or(0), rank);
 
     let norm_x_sq = tensor.map_or_else(|| set.norm_squared(), SparseTensor::norm_squared);
     let mut iterations = start_iter;
@@ -537,23 +544,16 @@ fn als_attempt(
                     });
                 }
             }
+            mout.set_rows(dims[mode]);
             span_time(
                 &timers,
                 Routine::Mttkrp,
                 mode_node.as_mut().map(|n| (n, "mttkrp")),
                 || {
                     if let Some(tc) = &tiled[mode] {
-                        mttkrp_tiled(tc, &factors, &mut mout[mode], team, &mtt_cfg, guard);
+                        mttkrp_tiled(tc, &factors, &mut mout, team, &mtt_cfg, guard);
                     } else {
-                        mttkrp(
-                            set,
-                            &factors,
-                            mode,
-                            &mut mout[mode],
-                            &mut ws,
-                            team,
-                            &mtt_cfg,
-                        );
+                        mttkrp(set, &factors, mode, &mut mout, &mut ws, team, &mtt_cfg);
                     }
                 },
             );
@@ -573,10 +573,10 @@ fn als_attempt(
             // kernel-boundary poison: corrupt one MTTKRP output entry; the
             // NaN guard below detects it and rolls the iteration back
             if let Some(plan) = faults {
-                let len = mout[mode].as_slice().len();
+                let len = mout.as_slice().len();
                 if len > 0 && plan.roll(FaultKind::NanPoison, it, mode) {
                     let idx = plan.target_index(FaultKind::NanPoison, it, mode, len);
-                    mout[mode].as_mut_slice()[idx] = f64::NAN;
+                    mout.as_mut_slice()[idx] = f64::NAN;
                 }
             }
 
@@ -595,7 +595,7 @@ fn als_attempt(
                     // A <- M V^+ (Cholesky fast path, eigen pseudo-inverse fallback)
                     factors[mode]
                         .as_mut_slice()
-                        .copy_from_slice(mout[mode].as_slice());
+                        .copy_from_slice(mout.as_slice());
                     let inject_nonspd = faults
                         .map(|p| p.roll(FaultKind::NonSpdGram, it, mode))
                         .unwrap_or(false);
@@ -690,15 +690,7 @@ fn als_attempt(
                 &timers,
                 Routine::Fit,
                 iter_node.as_mut().map(|n| (n, "fit")),
-                || {
-                    compute_fit(
-                        norm_x_sq,
-                        &lambda,
-                        &ata,
-                        &factors[order - 1],
-                        &mout[order - 1],
-                    )
-                },
+                || compute_fit(norm_x_sq, &lambda, &ata, &factors[order - 1], &mout),
             );
             if !fit.is_finite() {
                 poisoned = Some((FaultKind::NanPoison, "fit".to_string()));

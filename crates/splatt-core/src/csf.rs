@@ -6,15 +6,18 @@
 //! array (`fptr`) into the next level; the leaves carry the values. SPLATT
 //! can allocate one, two, or one-per-mode CSF representations of the same
 //! tensor ([`CsfAlloc`]), trading memory for lock-free MTTKRP kernels —
-//! the trade at the center of the paper's YELP-vs-NELL-2 behaviour.
+//! the trade at the center of the paper's YELP-vs-NELL-2 behaviour. The
+//! default spends that memory only where a lock would be taken.
 
+use crate::mttkrp::{use_privatization, DEFAULT_PRIV_THRESHOLD};
 use splatt_par::{Routine, TaskTeam, TimerRegistry};
 use splatt_store::DeltaBatch;
 use splatt_tensor::sort::SortedKeys;
 use splatt_tensor::{sort, SortVariant, SparseTensor};
 use std::ops::Range;
 
-/// How many CSF representations to allocate (SPLATT's `SPLATT_CSF_*`).
+/// How many CSF representations to allocate (SPLATT's `SPLATT_CSF_*`,
+/// plus the default, which decides per mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CsfAlloc {
     /// One representation rooted at the shortest mode. MTTKRPs for the
@@ -22,12 +25,48 @@ pub enum CsfAlloc {
     One,
     /// Two representations: one rooted at the shortest mode, one at the
     /// longest. SPLATT's default — the middle mode still needs the
-    /// internal kernel.
-    #[default]
+    /// internal kernel. The paper's presets
+    /// ([`crate::CpalsOptions::with_implementation`]) pin it, so Figure 4
+    /// still prices the locks.
     Two,
     /// One representation per mode: every MTTKRP is a lock-free root-mode
     /// kernel, at `order` times the memory.
     All,
+    /// `Two`'s representations, plus one rooted at every other mode whose
+    /// MTTKRP would take the lock path — exactly the modes
+    /// [`crate::mttkrp::uses_locks`] reports under `Two` (SPLATT's
+    /// privatization test fails at this team width). No mode then takes a
+    /// lock, and a mode's output is summed per root slice in tree order,
+    /// whatever the task count; privatized modes keep their replicas.
+    /// Phipps & Kolda's choice of a permuted copy over atomics.
+    #[default]
+    LockFree,
+}
+
+/// What [`CsfAlloc::LockFree`] decides by besides the dims and the nnz:
+/// the team width and threshold of SPLATT's privatization test.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LockTest {
+    ntasks: usize,
+    priv_threshold: f64,
+}
+
+impl LockTest {
+    /// The test the MTTKRPs of a CP-ALS run under `opts` make.
+    pub(crate) fn of(opts: &crate::options::CpalsOptions) -> LockTest {
+        LockTest {
+            ntasks: opts.ntasks,
+            priv_threshold: opts.priv_threshold,
+        }
+    }
+
+    /// The test the MTTKRP runs on `team` at SPLATT's default threshold.
+    fn default_for(team: &TaskTeam) -> LockTest {
+        LockTest {
+            ntasks: team.ntasks(),
+            priv_threshold: DEFAULT_PRIV_THRESHOLD,
+        }
+    }
 }
 
 /// Which MTTKRP kernel a (CSF, mode) pairing requires.
@@ -525,7 +564,7 @@ impl Csf {
             + self.slice_nnz.len() * size_of::<usize>()
     }
 
-    /// Rebuild the coordinate tensor (for round-trip tests).
+    /// Rebuild the coordinate tensor, its nonzeros in tree order.
     pub fn to_coo(&self) -> SparseTensor {
         let order = self.order();
         let nnz = self.nnz();
@@ -766,15 +805,12 @@ impl LevelBatch {
 }
 
 /// A round's delta sorted once for each tree of a [`CsfSet`] it merges
-/// into ([`SortedDelta::sort`]), and the dims and level orders of the
-/// merged set — what [`CsfSet::merge_into`] reads. Every buffer is kept
-/// for the next delta.
+/// into ([`SortedDelta::sort`]), and the dims of the merged set — what
+/// [`CsfSet::merge_into`] reads. Every buffer is kept for the next delta.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SortedDelta {
     /// The merged tensor's dims: the set's, grown to admit the delta.
     dims: Vec<usize>,
-    /// The level orders of the merged set.
-    perms: Vec<Vec<usize>>,
     /// The delta in each level order it is merged in, then spare ones.
     sorted: Vec<LevelBatch>,
     nsorted: usize,
@@ -786,10 +822,13 @@ pub(crate) struct SortedDelta {
 
 impl SortedDelta {
     /// Sort `delta` for a merge into `resident`: in the level order of
-    /// each tree of the merged set that `resident` holds a tree for — or,
-    /// when the delta's growth re-orders the levels of every tree, in the
-    /// first resident tree's, for the set's other trees to be built from
-    /// its merged coordinates.
+    /// each tree the merged set may hold that `resident` holds a tree for
+    /// — the trees its policy fixes by the dims alone, and under
+    /// [`CsfAlloc::LockFree`] every resident tree whose level order the
+    /// growth keeps, since the merged nnz decides which of those stay —
+    /// or, when the delta's growth re-orders the levels of every such
+    /// tree, in the first resident tree's, for the set's other trees to be
+    /// built from its merged coordinates.
     ///
     /// Each sort packs an entry's indices, level by level in the bits
     /// the delta's extents need, above its position in the batch into one
@@ -814,13 +853,13 @@ impl SortedDelta {
         for (d, &e) in self.dims.iter_mut().zip(&extent) {
             *d = (*d).max(e);
         }
-        self.perms = CsfSet::level_orders(&self.dims, resident.alloc);
-        let held = |perm: &Vec<usize>| resident.csfs.iter().any(|c| c.dim_perm == *perm);
-        let mut perms: Vec<&[usize]> = self
-            .perms
+        let fixed = CsfSet::fixed_roots(&self.dims, resident.alloc);
+        let may_hold = |root: usize| fixed.contains(&root) || resident.alloc == CsfAlloc::LockFree;
+        let mut perms: Vec<&[usize]> = resident
+            .csfs
             .iter()
-            .filter(|p| held(p))
-            .map(Vec::as_slice)
+            .map(|c| c.dim_perm.as_slice())
+            .filter(|p| may_hold(p[0]) && *p == perm_rooted_at(&self.dims, p[0]))
             .collect();
         if perms.is_empty() {
             perms.push(&first.dim_perm);
@@ -1056,6 +1095,7 @@ pub(crate) mod nested {
 pub struct CsfSet {
     csfs: Vec<Csf>,
     alloc: CsfAlloc,
+    lock_test: LockTest,
 }
 
 /// Mode permutation rooted at `root` with the remaining modes ordered by
@@ -1074,6 +1114,8 @@ impl CsfSet {
     /// Build the representations dictated by `alloc`, attributing the
     /// sorting phase (and only it) to the `Sort` timer — the paper's
     /// "Sort" column times the nonzero sort, not CSF assembly.
+    /// [`CsfAlloc::LockFree`] decides at `team`'s width and SPLATT's
+    /// default privatization threshold.
     pub fn build_timed(
         tensor: &SparseTensor,
         alloc: CsfAlloc,
@@ -1081,25 +1123,32 @@ impl CsfSet {
         variant: SortVariant,
         timers: &TimerRegistry,
     ) -> Self {
-        Self::build_timed_guarded(tensor, alloc, team, variant, timers, None)
+        let test = LockTest::default_for(team);
+        Self::build_timed_guarded(tensor, alloc, test, team, variant, timers, None)
     }
 
-    /// [`CsfSet::build_timed`] under run governance: the sorting phase
-    /// polls `guard` so a cancelled run stops building representations
-    /// early instead of finishing a multi-second preprocessing pass.
+    /// [`CsfSet::build_timed`] at the privatization test `test`, under
+    /// run governance: the sorting phase polls `guard` so a cancelled run
+    /// stops building representations early instead of finishing a
+    /// multi-second preprocessing pass.
     pub(crate) fn build_timed_guarded(
         tensor: &SparseTensor,
         alloc: CsfAlloc,
+        lock_test: LockTest,
         team: &TaskTeam,
         variant: SortVariant,
         timers: &TimerRegistry,
         guard: Option<&splatt_guard::RunGuard>,
     ) -> Self {
-        let csfs = Self::level_orders(tensor.dims(), alloc)
+        let csfs = Self::level_orders(tensor.dims(), tensor.nnz(), alloc, lock_test)
             .iter()
             .map(|perm| Csf::build_timed(tensor, perm, team, variant, guard, timers))
             .collect();
-        CsfSet { csfs, alloc }
+        CsfSet {
+            csfs,
+            alloc,
+            lock_test,
+        }
     }
 
     /// A set without trees: a slot for [`CsfSet::merge_into`] to write
@@ -1108,31 +1157,47 @@ impl CsfSet {
         CsfSet {
             csfs: Vec::new(),
             alloc: CsfAlloc::default(),
+            lock_test: LockTest {
+                ntasks: 1,
+                priv_threshold: DEFAULT_PRIV_THRESHOLD,
+            },
         }
     }
 
     /// The level order (`dim_perm`) of each representation `alloc`
-    /// dictates for a tensor with these dims, in the set's order.
-    pub(crate) fn level_orders(dims: &[usize], alloc: CsfAlloc) -> Vec<Vec<usize>> {
-        Self::roots_for(dims, alloc)
+    /// dictates for a tensor with these dims and `nnz` nonzeros, in the
+    /// set's order.
+    pub(crate) fn level_orders(
+        dims: &[usize],
+        nnz: usize,
+        alloc: CsfAlloc,
+        test: LockTest,
+    ) -> Vec<Vec<usize>> {
+        let fixed = Self::fixed_roots(dims, alloc);
+        let lock_bound = Self::lock_bound_roots(dims, nnz, alloc, test, &fixed);
+        fixed
             .iter()
+            .chain(&lock_bound)
             .map(|&root| perm_rooted_at(dims, root))
             .collect()
     }
 
     /// Write into `out` the set [`CsfSet::build`] gives this set's
     /// tensor with the delta `sorted` was sorted from merged in
-    /// ([`SparseTensor::merge_entries`]). Each tree whose level order
-    /// this set holds is merged from it in one pass that writes every
-    /// level straight into the slabs of `out`'s tree in that place
-    /// (`Csf::merge_into`); a level order it does not hold — dims growth
-    /// re-ordered a tree's levels — is built by sorting the coordinates
-    /// of a merged tree. `self` is only read, so a caller that keeps it
-    /// and may still fail loses nothing; `out` may hold any set or none,
-    /// and only its memory is reused. Returns how many trees were merged
-    /// from a tree that held nonzeros — whose nonzeros were not sorted
-    /// again; a merge into an empty tree sorts them all, as the delta —
-    /// and the fiber-id comparisons the merges made.
+    /// ([`SparseTensor::merge_entries`]), at this set's privatization
+    /// test. Each tree whose level order this set holds is merged from it
+    /// in one pass that writes every level straight into the slabs of
+    /// `out`'s tree in that place (`Csf::merge_into`); a level order it
+    /// does not hold — dims growth re-ordered a tree's levels, or the
+    /// merged nnz put a mode on the lock path — is built by sorting the
+    /// coordinates of a merged tree. The trees that do not depend on the
+    /// nnz are merged first; the merged nnz then decides the lock-bound
+    /// roots. `self` is only read, so a caller that keeps it and may still
+    /// fail loses nothing; `out` may hold any set or none, and only its
+    /// memory is reused. Returns how many trees were merged from a tree
+    /// that held nonzeros — whose nonzeros were not sorted again; a merge
+    /// into an empty tree sorts them all, as the delta — and the fiber-id
+    /// comparisons the merges made.
     ///
     /// # Panics
     /// If `sorted` was not sorted for this set ([`SortedDelta::sort`]).
@@ -1143,36 +1208,51 @@ impl CsfSet {
         team: &TaskTeam,
         variant: SortVariant,
     ) -> (usize, u64) {
-        let perms = &sorted.perms;
+        let dims = sorted.dims();
         out.alloc = self.alloc;
+        out.lock_test = self.lock_test;
+        let fixed = Self::fixed_roots(dims, self.alloc);
+        let mut perms: Vec<Vec<usize>> = fixed.iter().map(|&r| perm_rooted_at(dims, r)).collect();
+        if out.csfs.len() < perms.len() {
+            out.csfs.resize_with(perms.len(), Csf::blank);
+        }
+        let mut counts = (0, 0);
+        let mut missing = Vec::new();
+        for (i, perm) in perms.iter().enumerate() {
+            if !self.merge_tree(sorted, perm, &mut out.csfs[i], &mut counts) {
+                missing.push(i);
+            }
+        }
+        // any merged tree has the merged nnz; with none, one resident
+        // tree is merged aside, for its nnz and its coordinates
+        let mut aside = None;
+        let nnz = match (0..perms.len()).find(|i| !missing.contains(i)) {
+            Some(i) => out.csfs[i].nnz(),
+            None => {
+                let old = self
+                    .csfs
+                    .iter()
+                    .find(|c| sorted.sorted_for(&c.dim_perm).is_some())
+                    .expect("delta sorted for this set");
+                let (mut tree, mut aside_counts) = (Csf::blank(), (0, 0));
+                self.merge_tree(sorted, &old.dim_perm, &mut tree, &mut aside_counts);
+                counts.1 += aside_counts.1;
+                aside.insert(tree).nnz()
+            }
+        };
+        let lock_bound = Self::lock_bound_roots(dims, nnz, self.alloc, self.lock_test, &fixed);
+        perms.extend(lock_bound.iter().map(|&r| perm_rooted_at(dims, r)));
         out.csfs.truncate(perms.len());
         out.csfs.resize_with(perms.len(), Csf::blank);
-        let (mut merged, mut compare_ops) = (0, 0);
-        let mut missing = Vec::new();
-        for (i, (slot, perm)) in out.csfs.iter_mut().zip(perms).enumerate() {
-            match self.csfs.iter().find(|c| c.dim_perm == *perm) {
-                Some(old) => {
-                    let batch = sorted.sorted_for(perm).expect("delta sorted for this set");
-                    compare_ops += old.merge_into(batch, slot);
-                    merged += usize::from(old.nnz() > 0);
-                }
-                None => missing.push(i),
+        for (i, perm) in perms.iter().enumerate().skip(fixed.len()) {
+            if !self.merge_tree(sorted, perm, &mut out.csfs[i], &mut counts) {
+                missing.push(i);
             }
         }
         if !missing.is_empty() {
-            let scratch;
             let source = match (0..perms.len()).find(|i| !missing.contains(i)) {
                 Some(i) => &out.csfs[i],
-                None => {
-                    let old = &self.csfs[0];
-                    let batch = sorted
-                        .sorted_for(&old.dim_perm)
-                        .expect("delta sorted for this set");
-                    let mut tree = Csf::blank();
-                    compare_ops += old.merge_into(batch, &mut tree);
-                    scratch = tree;
-                    &scratch
-                }
+                None => aside.as_ref().expect("merged aside when no tree was"),
             };
             let coo = source.to_coo();
             let built: Vec<Csf> = missing
@@ -1183,18 +1263,38 @@ impl CsfSet {
                 out.csfs[i] = csf;
             }
         }
-        (merged, compare_ops)
+        counts
     }
 
-    /// The root modes `alloc` dictates for a tensor with these dims.
-    fn roots_for(dims: &[usize], alloc: CsfAlloc) -> Vec<usize> {
+    /// Merge this set's tree in level order `perm`, if it holds one,
+    /// into `slot`, counting it and its comparisons into `counts` as
+    /// [`CsfSet::merge_into`] returns them; `false` if it holds none.
+    fn merge_tree(
+        &self,
+        sorted: &SortedDelta,
+        perm: &[usize],
+        slot: &mut Csf,
+        counts: &mut (usize, u64),
+    ) -> bool {
+        let Some(old) = self.csfs.iter().find(|c| c.dim_perm == perm) else {
+            return false;
+        };
+        let batch = sorted.sorted_for(perm).expect("delta sorted for this set");
+        counts.1 += old.merge_into(batch, slot);
+        counts.0 += usize::from(old.nnz() > 0);
+        true
+    }
+
+    /// The root modes `alloc` dictates for a tensor with these dims
+    /// whatever its nnz, in the set's order: the shortest mode first.
+    fn fixed_roots(dims: &[usize], alloc: CsfAlloc) -> Vec<usize> {
         let order = dims.len();
         let by_dim = |m: &usize| (dims[*m], *m);
         let shortest = (0..order).min_by_key(by_dim).unwrap();
         let longest = (0..order).max_by_key(by_dim).unwrap();
         match alloc {
             CsfAlloc::One => vec![shortest],
-            CsfAlloc::Two => {
+            CsfAlloc::Two | CsfAlloc::LockFree => {
                 if shortest == longest {
                     vec![shortest]
                 } else {
@@ -1203,6 +1303,26 @@ impl CsfSet {
             }
             CsfAlloc::All => (0..order).collect(),
         }
+    }
+
+    /// The roots [`CsfAlloc::LockFree`] adds to `fixed`, ascending: every
+    /// other mode that fails SPLATT's privatization test at `nnz`
+    /// nonzeros — the modes whose MTTKRP would lock without a tree of
+    /// their own. None under the other policies.
+    fn lock_bound_roots(
+        dims: &[usize],
+        nnz: usize,
+        alloc: CsfAlloc,
+        test: LockTest,
+        fixed: &[usize],
+    ) -> Vec<usize> {
+        if alloc != CsfAlloc::LockFree {
+            return Vec::new();
+        }
+        (0..dims.len())
+            .filter(|m| !fixed.contains(m))
+            .filter(|&m| !use_privatization(dims[m], test.ntasks, nnz, test.priv_threshold))
+            .collect()
     }
 
     /// Build the representations dictated by `alloc`.
@@ -1226,12 +1346,24 @@ impl CsfSet {
     }
 
     /// The coordinate tensor the set holds, its nonzeros in lexicographic
-    /// mode order: the first tree's nonzeros ([`Csf::to_coo`]) sorted by
-    /// `KeyIndex` on one task. For a set built from a canonical tensor
-    /// that is the tensor, bit for bit.
+    /// mode order, laid out of the cheapest tree: a tree whose level order
+    /// is the modes' own is already in that order; a tree rooted at mode
+    /// 0 is in it slice by slice, so only each root slice's nonzeros are
+    /// sorted; otherwise the first tree's nonzeros ([`Csf::to_coo`]) are
+    /// sorted by `KeyIndex` on one task. For a set built from a canonical
+    /// tensor that is the tensor, bit for bit, whichever tree is read
+    /// (the trees of a set built by a stable sort also agree on the order
+    /// of duplicates).
     pub(crate) fn to_coo(&self) -> SparseTensor {
+        let order = self.csfs[0].order();
+        let identity: Vec<usize> = (0..order).collect();
+        if let Some(tree) = self.csfs.iter().find(|c| c.dim_perm == identity) {
+            return tree.to_coo();
+        }
+        if let Some(tree) = self.csfs.iter().find(|c| c.dim_perm[0] == 0) {
+            return slices_sorted(tree);
+        }
         let mut tensor = self.csfs[0].to_coo();
-        let identity: Vec<usize> = (0..tensor.order()).collect();
         sort::sort_by_perm(
             &mut tensor,
             &identity,
@@ -1272,6 +1404,55 @@ impl CsfSet {
         }
         (first, KernelKind::Internal(first.level_of_mode(mode)))
     }
+}
+
+/// [`Csf::to_coo`] of `tree`, a tree rooted at mode 0, with each root
+/// slice's nonzeros sorted by the modes below the root in mode order,
+/// stably (a slice's duplicates keep their tree order): the slice's keys
+/// packed above their position into one `u64` where they fit, compared
+/// mode by mode where they do not.
+fn slices_sorted(tree: &Csf) -> SparseTensor {
+    let walked = tree.to_coo();
+    let order = walked.order();
+    let below = 1..order;
+    let widths: Vec<u32> = below
+        .clone()
+        .map(|m| bits_below(walked.dims()[m]))
+        .collect();
+    let longest = tree.slice_nnz.iter().copied().max().unwrap_or(0);
+    let index_bits = bits_below(longest);
+    let packed = widths.iter().sum::<u32>() + index_bits <= u64::BITS;
+    let mask = (1u64 << index_bits) - 1;
+    let mut at: Vec<usize> = Vec::with_capacity(walked.nnz());
+    let mut keys: Vec<u64> = Vec::new();
+    let mut start = 0;
+    for &n in &tree.slice_nnz {
+        let slice = start..start + n;
+        if packed {
+            keys.clear();
+            keys.extend(slice.clone().map(|x| {
+                let key = below
+                    .clone()
+                    .zip(&widths)
+                    .fold(0u64, |k, (m, &w)| (k << w) | u64::from(walked.ind(m)[x]));
+                (key << index_bits) | (x - start) as u64
+            }));
+            keys.sort_unstable();
+            at.extend(keys.iter().map(|&k| start + (k & mask) as usize));
+        } else {
+            let from = at.len();
+            at.extend(slice);
+            let walked = &walked;
+            let coord = |x: usize| (1..order).map(move |m| walked.ind(m)[x]);
+            at[from..].sort_by(|&a, &b| coord(a).cmp(coord(b)));
+        }
+        start += n;
+    }
+    let inds = (0..order)
+        .map(|m| at.iter().map(|&x| walked.ind(m)[x]).collect())
+        .collect();
+    let vals = at.iter().map(|&x| walked.vals()[x]).collect();
+    SparseTensor::from_parts(walked.dims().to_vec(), inds, vals)
 }
 
 /// Mean nonzeros per lowest-level fiber of the first representation at
@@ -1587,6 +1768,7 @@ pub(crate) mod tests {
         let one = CsfSet {
             csfs: vec![old.clone()],
             alloc: CsfAlloc::One,
+            ..CsfSet::unfilled()
         };
         let mut sorted = SortedDelta::default();
         sorted.sort(&one, delta);
@@ -1596,8 +1778,98 @@ pub(crate) mod tests {
         old.merge_into(batch, out)
     }
 
+    /// `CsfSet::to_coo`, laid out of the set's cheapest tree, is the
+    /// layout it replaced — the first tree's nonzeros sorted whole by
+    /// `KeyIndex` — index for index and value by `to_bits`: under
+    /// `One`/`Two`/`All`/`LockFree`, orders 2–5, empty tensors and dims of
+    /// one; canonical tensors under the `KeyIndex` and `AllOpts` builds,
+    /// and tensors with duplicate coordinates under the stable `KeyIndex`
+    /// build; and a tensor whose slices' keys outgrow a word. Each layout
+    /// (the identity tree, a tree rooted at mode 0 with packed and with
+    /// compared keys, the whole sort) is taken.
+    #[test]
+    fn to_coo_equals_the_full_sort_of_the_first_tree() {
+        use std::cell::Cell;
+        let taken = [Cell::new(0u32), Cell::new(0), Cell::new(0), Cell::new(0)];
+        let check = |t: &SparseTensor, variant: SortVariant, team: &TaskTeam| {
+            let order = t.order();
+            let identity: Vec<usize> = (0..order).collect();
+            let bits = |t: &SparseTensor| t.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for alloc in [
+                CsfAlloc::One,
+                CsfAlloc::Two,
+                CsfAlloc::All,
+                CsfAlloc::LockFree,
+            ] {
+                let set = CsfSet::build(t, alloc, team, variant);
+                let mut want = set.csfs()[0].to_coo();
+                sort::sort_by_perm(
+                    &mut want,
+                    &identity,
+                    &TaskTeam::new(1),
+                    SortVariant::KeyIndex,
+                );
+                let got = set.to_coo();
+                assert_eq!(got.dims(), want.dims());
+                for m in 0..order {
+                    assert_eq!(got.ind(m), want.ind(m), "{alloc:?} mode {m}");
+                }
+                assert_eq!(bits(&got), bits(&want), "{alloc:?} values");
+                let trees = set.csfs();
+                let path = match trees.iter().find(|c| c.dim_perm[0] == 0) {
+                    _ if trees.iter().any(|c| c.dim_perm == identity) => 0,
+                    Some(c) => {
+                        let key_bits: u32 = (1..order).map(|m| bits_below(t.dims()[m])).sum();
+                        let longest = c.slice_nnz().iter().copied().max().unwrap_or(0);
+                        if key_bits + bits_below(longest) <= u64::BITS {
+                            1
+                        } else {
+                            2
+                        }
+                    }
+                    None => 3,
+                };
+                taken[path].set(taken[path].get() + 1);
+            }
+        };
+        qc::check(
+            "CsfSet::to_coo == KeyIndex sort of the first tree",
+            120,
+            |g| {
+                let order = g.usize_in(2..6);
+                let dims: Vec<usize> = (0..order).map(|_| *g.choose(&[1, 2, 3, 7, 40])).collect();
+                let nnz = g.usize_in(0..300);
+                let mut t = SparseTensor::new(dims.clone());
+                for _ in 0..nnz {
+                    let coord: Vec<u32> = dims.iter().map(|&d| g.usize_in(0..d) as u32).collect();
+                    t.push(&coord, g.f64_in(-5.0, 5.0));
+                }
+                let variant = if g.bool() {
+                    t.coalesce();
+                    *g.choose(&[SortVariant::KeyIndex, SortVariant::AllOpts])
+                } else {
+                    SortVariant::KeyIndex
+                };
+                check(&t, variant, &TaskTeam::new(g.usize_in(1..3)));
+            },
+        );
+        // modes 1-4 need 20 + 20 + 20 + 3 key bits, and a slice's
+        // positions several more
+        let wide = synth::power_law(&[3, 1 << 20, 1 << 20, 1 << 20, 5], 400, 1.0, 17);
+        check(&wide, SortVariant::KeyIndex, &TaskTeam::new(1));
+        let paths = [
+            "identity tree",
+            "root-0 packed",
+            "root-0 compared",
+            "whole sort",
+        ];
+        for (path, n) in paths.iter().zip(&taken) {
+            assert!(n.get() > 0, "{path} never taken");
+        }
+    }
+
     /// `Csf::merge_into` against a rebuild from the merged tensor, on every
-    /// tree `CsfAlloc::{One, Two, All}` would hold: orders 2–5; empty
+    /// tree `CsfAlloc::{One, Two, All, LockFree}` would hold: orders 2–5; empty
     /// bases and empty deltas; duplicates inside the delta; cancellations
     /// that empty a leaf, a fiber, a root slice or the whole tensor; a
     /// cancelled cell re-created later in the batch; `-0.0` into absent
@@ -1685,8 +1957,16 @@ pub(crate) mod tests {
                     build(&merged, &perm_rooted_at(merged.dims(), 0)),
                 ];
                 let mut caught = false;
-                for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
-                    for perm in CsfSet::level_orders(base.dims(), alloc) {
+                let test = LockTest::default_for(&team);
+                let orders =
+                    |t: &SparseTensor, alloc| CsfSet::level_orders(t.dims(), t.nnz(), alloc, test);
+                for alloc in [
+                    CsfAlloc::One,
+                    CsfAlloc::Two,
+                    CsfAlloc::All,
+                    CsfAlloc::LockFree,
+                ] {
+                    for perm in orders(&base, alloc) {
                         let old = build(&base, &perm);
                         let slot = &mut recycled[g.usize_in(0..2)];
                         merge_tree(&old, &forwards, slot);
@@ -1716,9 +1996,9 @@ pub(crate) mod tests {
                     for (got, want) in set.csfs().iter().zip(want.csfs()) {
                         assert_same(got, want);
                     }
-                    let kept = CsfSet::level_orders(merged.dims(), alloc)
+                    let kept = orders(&merged, alloc)
                         .iter()
-                        .filter(|p| CsfSet::level_orders(base.dims(), alloc).contains(p))
+                        .filter(|p| orders(&base, alloc).contains(p))
                         .count();
                     assert_eq!(n, if base.nnz() > 0 { kept } else { 0 });
                     assert_eq!(set.norm_squared().to_bits(), {
@@ -1820,7 +2100,7 @@ pub(crate) mod tests {
     /// for field with values by `to_bits`, on every tree `alloc` holds.
     fn assert_keyed_trees(t: &SparseTensor, alloc: CsfAlloc, team: &TaskTeam) {
         let set = CsfSet::build(t, alloc, team, SortVariant::KeyIndex);
-        let perms = CsfSet::level_orders(t.dims(), alloc);
+        let perms = CsfSet::level_orders(t.dims(), t.nnz(), alloc, LockTest::default_for(team));
         assert_eq!(set.csfs().len(), perms.len());
         for (got, perm) in set.csfs().iter().zip(&perms) {
             let want = if sort::sort_keys(t, perm, team, None).is_some() {
@@ -1878,7 +2158,12 @@ pub(crate) mod tests {
             };
             for ntasks in 1..=3 {
                 let team = TaskTeam::new(ntasks);
-                for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+                for alloc in [
+                    CsfAlloc::One,
+                    CsfAlloc::Two,
+                    CsfAlloc::All,
+                    CsfAlloc::LockFree,
+                ] {
                     assert_keyed_trees(&t, alloc, &team);
                 }
             }

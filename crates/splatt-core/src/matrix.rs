@@ -140,6 +140,13 @@ impl Matrix {
         self.row(i).to_vec()
     }
 
+    /// Make the matrix `rows` long, in place: rows past the old end are
+    /// zeros, and a buffer that once held `rows` rows is not reallocated.
+    pub(crate) fn set_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
+    }
+
     /// Set every element to `value`.
     pub(crate) fn fill(&mut self, value: f64) {
         self.data.fill(value);

@@ -6,7 +6,13 @@
 //! max-norm (clamped below at 1 so `lambda` never grows without bound) on
 //! subsequent iterations; both are reproduced here and the paper's
 //! "Mat norm" timer covers exactly this routine.
+//!
+//! The routine is compiled twice, portable and under
+//! `#[target_feature(enable = "avx2")]`, and picked per call
+//! ([`crate::isa`]): the same row-order sums and maxima at twice the
+//! vector width, so the same bits.
 
+use crate::isa::{on_isa, Avx2};
 use crate::matrix::Matrix;
 
 /// Which column norm to use, matching SPLATT's `MAT_NORM_2` / `MAT_NORM_MAX`.
@@ -29,14 +35,41 @@ pub enum MatNorm {
 /// # Panics
 /// Panics if `lambda.len() != a.cols()`.
 pub fn normalize_columns(a: &mut Matrix, lambda: &mut [f64], which: MatNorm) {
-    let cols = a.cols();
+    normalize_columns_on(Avx2::detect(), a, lambda, which);
+}
+
+/// [`normalize_columns`] on the copy compiled for `isa` (`None` =
+/// portable).
+pub(crate) fn normalize_columns_on(
+    isa: Option<Avx2>,
+    a: &mut Matrix,
+    lambda: &mut [f64],
+    which: MatNorm,
+) {
     assert_eq!(
         lambda.len(),
-        cols,
+        a.cols(),
         "normalize_columns: lambda length {} != cols {}",
         lambda.len(),
-        cols
+        a.cols()
     );
+    on_isa!(isa, normalize_avx2, normalize_portable, (a, lambda, which));
+}
+
+fn normalize_portable(a: &mut Matrix, lambda: &mut [f64], which: MatNorm) {
+    normalize(a, lambda, which);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn normalize_avx2(a: &mut Matrix, lambda: &mut [f64], which: MatNorm) {
+    normalize(a, lambda, which);
+}
+
+/// The body of both copies of [`normalize_columns`].
+#[inline(always)]
+fn normalize(a: &mut Matrix, lambda: &mut [f64], which: MatNorm) {
+    let cols = a.cols();
     // Column norms, accumulated over rows in row order: `lambda` is a
     // function of the matrix alone, whatever the host or the run.
     lambda.fill(0.0);

@@ -174,12 +174,16 @@ impl CpalsOptions {
         }
     }
 
-    /// Apply an [`Implementation`] preset's knobs.
+    /// Apply an [`Implementation`] preset's knobs, on SPLATT's own
+    /// [`CsfAlloc::Two`]: the paper's configurations put the middle mode
+    /// on the lock path where SPLATT's privatization test fails, and
+    /// Figure 4 prices those locks.
     pub fn with_implementation(mut self, imp: Implementation) -> Self {
         let (access, locks, sort) = imp.knobs();
         self.access = access;
         self.locks = locks;
         self.sort_variant = sort;
+        self.csf_alloc = CsfAlloc::Two;
         self
     }
 }
@@ -219,6 +223,7 @@ mod tests {
         assert_eq!(o.access, MatrixAccess::RowCopy);
         assert_eq!(o.locks, LockStrategy::Sleep);
         assert_eq!(o.sort_variant, SortVariant::Initial);
+        assert_eq!(o.csf_alloc, CsfAlloc::Two);
         // unrelated fields untouched
         assert_eq!(o.rank, CpalsOptions::default().rank);
     }

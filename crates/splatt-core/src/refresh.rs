@@ -97,12 +97,12 @@
 //! for zero-downtime republish.
 
 use crate::cpals::{try_cp_als, CpalsError, CpalsOutput, CpalsRun, Governance};
-use crate::csf::{CsfSet, SortedDelta};
+use crate::csf::{CsfSet, LockTest, SortedDelta};
 use crate::kruskal::KruskalModel;
 use crate::model_file::{load_model_path, save_model};
 use crate::options::CpalsOptions;
 use splatt_guard::GuardConfig;
-use splatt_par::{TaskTeam, TeamConfig};
+use splatt_par::{TaskTeam, TeamConfig, TimerRegistry};
 use splatt_probe::RefreshRow;
 use splatt_store::IoFaultPlan;
 use splatt_store::{
@@ -325,7 +325,15 @@ impl RefreshEngine {
         decode_records(&replay.records, &mut delta)?;
         let cpals = &opts.cpals;
         let team = team_for(cpals);
-        let built = CsfSet::build(&base, cpals.csf_alloc, &team, cpals.sort_variant);
+        let built = CsfSet::build_timed_guarded(
+            &base,
+            cpals.csf_alloc,
+            LockTest::of(cpals),
+            &team,
+            cpals.sort_variant,
+            &TimerRegistry::new(),
+            None,
+        );
         drop(base);
         let mut sorted = SortedDelta::default();
         let (csf, spare) = if delta.is_empty() {
@@ -855,7 +863,12 @@ mod tests {
         use crate::csf::CsfAlloc;
         let (batches, full) = planted_batches(3);
         let order = full.order();
-        for alloc in [CsfAlloc::One, CsfAlloc::Two, CsfAlloc::All] {
+        for alloc in [
+            CsfAlloc::One,
+            CsfAlloc::Two,
+            CsfAlloc::All,
+            CsfAlloc::LockFree,
+        ] {
             let dir = temp_dir(&format!("resident_{alloc:?}"));
             ingest(&dir, &batches[..1], order);
             let mut opts = quick_opts();
@@ -908,6 +921,62 @@ mod tests {
             assert_eq!(reopened.tensor(), eng.tensor());
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// Under the default policy the merged nnz decides the trees: a round
+    /// whose growth puts the middle mode on the lock path (its dim past
+    /// 2 % of the nnz) adds a tree rooted at it, built from a merged
+    /// tree's coordinates, and a round that brings enough nonzeros drops
+    /// it again. After every round the set is the rebuild of the engine's
+    /// tensor, and that tensor is the clean replay of every batch.
+    #[test]
+    fn crossing_the_privatization_threshold_adds_and_drops_the_tree() {
+        use crate::csf::CsfAlloc;
+        use splatt_rt::rng::{RngExt, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x10C);
+        let mut cells = |n: usize, dims: [u32; 3]| -> Batch {
+            (0..n)
+                .map(|_| {
+                    let c = dims.map(|d| rng.random::<u64>() as u32 % d).to_vec();
+                    (c, 0.5 + rng.random::<f64>())
+                })
+                .collect()
+        };
+        // mode 1 is the middle mode throughout: 20 <= 0.02 nnz at first,
+        // then 25 > 0.02 nnz, then 25 <= 0.02 nnz again
+        let mut first = cells(1_300, [10, 20, 30]);
+        first.push((vec![9, 19, 29], 1.0));
+        let mut grow = cells(3, [10, 25, 30]);
+        grow.push((vec![0, 24, 0], 1.0));
+        let rounds = [grow, cells(900, [10, 25, 30])];
+        let order = 3;
+        let dir = temp_dir("threshold");
+        ingest(&dir, std::slice::from_ref(&first), order);
+        let mut eng = RefreshEngine::open(&dir, None, quick_opts()).unwrap();
+        assert_eq!(eng.opts.cpals.csf_alloc, CsfAlloc::LockFree);
+        eng.refresh_once().unwrap().unwrap();
+        let mut replay = SparseTensor::new(vec![10, 20, 30]);
+        replay.merge_entries(&first);
+        let roots = |eng: &RefreshEngine| -> Vec<usize> {
+            eng.csf.csfs().iter().map(|c| c.dim_perm()[0]).collect()
+        };
+        let check = |eng: &RefreshEngine, replay: &SparseTensor| {
+            assert_eq!(eng.tensor(), replay);
+            let team = TaskTeam::new(1);
+            let want = CsfSet::build(replay, CsfAlloc::LockFree, &team, Default::default());
+            assert_same_set(&eng.csf, &want);
+        };
+        assert!(replay.nnz() >= 1_000, "{}", replay.nnz());
+        assert_eq!(roots(&eng), [0, 2]);
+        check(&eng, &replay);
+        for (batch, want) in rounds.iter().zip([vec![0, 2, 1], vec![0, 2]]) {
+            ingest(&dir, std::slice::from_ref(batch), order);
+            eng.refresh_once().unwrap().unwrap();
+            replay.merge_entries(batch);
+            assert_eq!(roots(&eng), want, "nnz {}", replay.nnz());
+            check(&eng, &replay);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The round split the engine counts: five disjoint stretches of a

@@ -31,6 +31,8 @@ fn usage() -> ExitCode {
          splatt cpd <tensor.tns> [--rank R] [--iters N] [--tol T] [--tasks N]\n              \
          [--impl reference|ported-initial|ported-optimized]\n              \
          [--csf one|two|all] [--seed S] [--nonneg 1] [--diagnose 1]\n              \
+         (--csf default: two trees plus one per mode that would lock;\n              \
+          two when --impl is given)\n              \
          [--dedup keep|sum|error]\n              \
          [--profile FILE.json] [--out PREFIX]\n              \
          [--fault-plan seed=S,straggler=P,nan=P,nonspd=P,horizon=N]\n              \
@@ -281,11 +283,15 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         "ported-optimized" => Implementation::PortedOptimized,
         other => return Err(format!("unknown --impl '{other}'")),
     };
-    let csf_alloc = match flags.get("csf").unwrap_or("two") {
-        "one" => CsfAlloc::One,
-        "two" => CsfAlloc::Two,
-        "all" => CsfAlloc::All,
-        other => return Err(format!("unknown --csf '{other}'")),
+    // a named preset runs on SPLATT's two trees (Figure 4 prices their
+    // locks); without one, the reference knobs run on the default set
+    let csf_alloc = match flags.get("csf") {
+        None if flags.get("impl").is_some() => CsfAlloc::Two,
+        None => CsfAlloc::default(),
+        Some("one") => CsfAlloc::One,
+        Some("two") => CsfAlloc::Two,
+        Some("all") => CsfAlloc::All,
+        Some(other) => return Err(format!("unknown --csf '{other}'")),
     };
     let constraint = if flags.parse_or("nonneg", 0u8)? != 0 {
         Constraint::NonNegative
@@ -333,7 +339,6 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         tolerance: flags.parse_or("tol", 1e-5)?,
         ntasks: flags.parse_or("tasks", 1)?,
         seed: flags.parse_or("seed", 0xC0FFEE_u64)?,
-        csf_alloc,
         constraint,
         profile: profile_path.is_some(),
         checkpoint_dir,
@@ -341,6 +346,7 @@ fn cmd_cpd(path: &str, flags: &Flags) -> Result<(), String> {
         ..Default::default()
     }
     .with_implementation(imp);
+    let opts = CpalsOptions { csf_alloc, ..opts };
 
     println!(
         "\nCP-ALS: rank {}, max {} iterations, {} task(s), {} implementation",

@@ -724,3 +724,129 @@ fn cp_als_fit_is_invariant_under_duplicate_order() {
         }
     }
 }
+
+/// A YELP shape at a tenth of the end-to-end benchmark's quick size: the
+/// middle mode (137 > 2 % of 6 000 nonzeros) fails SPLATT's
+/// privatization test at one task.
+fn tiny_yelp() -> SparseTensor {
+    let yelp = splatt::tensor::synth::YELP;
+    splatt::tensor::synth::power_law(&[137, 37, 250], 6_000, yelp.skew, 20180521)
+}
+
+/// λ, every factor and the fit of a run, as bits.
+fn run_bits(out: &splatt::CpalsOutput) -> Vec<u64> {
+    let model = &out.model;
+    let mut all: Vec<u64> = model.lambda.iter().map(|x| x.to_bits()).collect();
+    for f in &model.factors {
+        all.extend(bits(f));
+    }
+    all.push(out.fit.to_bits());
+    all
+}
+
+/// The default CSF set (`CsfAlloc::LockFree`) takes no lock: on every
+/// tensor of the kernel suite and a tiny YELP shape, at 1, 2, 3, 4 and 8
+/// tasks, `uses_locks` reports no mode. Where that set roots every mode,
+/// every MTTKRP sums an output row inside one root slice in tree order,
+/// so default `cp_als` gives the same bits at every task count.
+#[test]
+fn default_cp_als_takes_no_lock_and_its_bits_ignore_the_task_count() {
+    use splatt::core::mttkrp::uses_locks;
+    let mut suite = kernel_suite();
+    suite.push(("tiny yelp", tiny_yelp()));
+    let counts = [1, 2, 3, 4, 8];
+    let mut rooted = Vec::new();
+    for (name, t) in &suite {
+        let cfg = MttkrpConfig::default();
+        let mut every_root = false;
+        for ntasks in counts {
+            let team = TaskTeam::new(ntasks);
+            let set = CsfSet::build(t, CsfAlloc::default(), &team, SortVariant::default());
+            for m in 0..t.order() {
+                assert!(
+                    !uses_locks(&set, m, ntasks, &cfg),
+                    "{name}: mode {m} at {ntasks}"
+                );
+            }
+            if ntasks == 1 {
+                every_root = (0..t.order()).all(|m| set.for_mode(m).1 == KernelKind::Root);
+            }
+        }
+        if !every_root {
+            continue;
+        }
+        rooted.push(*name);
+        let run = |ntasks| {
+            let opts = splatt::CpalsOptions {
+                rank: 5,
+                max_iters: 4,
+                tolerance: 0.0,
+                ntasks,
+                ..Default::default()
+            };
+            run_bits(&splatt::cp_als(t, &opts))
+        };
+        let one = run(1);
+        for ntasks in &counts[1..] {
+            assert!(one == run(*ntasks), "{name}: {ntasks} tasks");
+        }
+    }
+    assert!(rooted.contains(&"tiny yelp"), "{rooted:?}");
+    assert!(rooted.len() >= 5, "{rooted:?}");
+}
+
+/// The paper's presets run SPLATT's two trees: on the YELP shape mode 0
+/// still takes the lock path at one task, as Figure 4's `locked` column
+/// needs, and a profiled preset run says so.
+#[test]
+fn every_preset_still_locks_the_yelp_middle_mode() {
+    use splatt::core::mttkrp::uses_locks;
+    use splatt::Implementation;
+    let t = tiny_yelp();
+    for imp in [
+        Implementation::Reference,
+        Implementation::PortedInitial,
+        Implementation::PortedOptimized,
+    ] {
+        let opts = splatt::CpalsOptions {
+            rank: 4,
+            max_iters: 2,
+            tolerance: 0.0,
+            profile: true,
+            ..Default::default()
+        }
+        .with_implementation(imp);
+        assert_eq!(opts.csf_alloc, CsfAlloc::Two);
+        let team = TaskTeam::new(1);
+        let set = CsfSet::build(&t, opts.csf_alloc, &team, opts.sort_variant);
+        let cfg = MttkrpConfig::default();
+        assert!(uses_locks(&set, 0, 1, &cfg), "{imp:?}");
+        let out = splatt::cp_als(&t, &opts);
+        assert!(out.profile.expect("profiled").used_locks, "{imp:?}");
+    }
+}
+
+/// The default's YELP-shaped bits change on purpose (mode 0 is summed per
+/// root slice of its own tree): the tuned run equals the plain-loop
+/// oracle (`specialize: false`) on the same set, bit for bit.
+#[test]
+fn default_yelp_bits_equal_the_plain_loop_oracle() {
+    let t = tiny_yelp();
+    let base = splatt::CpalsOptions {
+        rank: 35,
+        max_iters: 3,
+        tolerance: 0.0,
+        ..Default::default()
+    };
+    let set = CsfSet::build(&t, base.csf_alloc, &TaskTeam::new(1), base.sort_variant);
+    assert_eq!(set.csfs().len(), 3, "a tree rooted at mode 0");
+    let tuned = splatt::cp_als(&t, &base);
+    let plain = splatt::cp_als(
+        &t,
+        &splatt::CpalsOptions {
+            specialize: false,
+            ..base
+        },
+    );
+    assert!(run_bits(&tuned) == run_bits(&plain));
+}
