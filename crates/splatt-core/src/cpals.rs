@@ -896,6 +896,10 @@ mod tests {
             };
             let team = TaskTeam::new(opts.ntasks);
             let set = CsfSet::build(&tensor, opts.csf_alloc, &team, opts.sort_variant);
+            assert!(
+                (0..3).any(|m| !matches!(set.for_mode(m).1, KernelKind::Root)),
+                "every mode has a root: nothing is tiled"
+            );
             let run = CpalsRun {
                 csf: Some(&set),
                 ..Default::default()
@@ -1092,10 +1096,22 @@ mod tests {
             tolerance: 0.0,
             ntasks: 3,
             // force the non-root modes away from privatization so tiling
-            // actually replaces the lock path
+            // actually replaces the lock path: under `Two`, since the
+            // default set would give every such mode a root of its own
             priv_threshold: 0.0,
+            csf_alloc: crate::csf::CsfAlloc::Two,
             ..Default::default()
         };
+        let set = CsfSet::build(
+            &tensor,
+            base.csf_alloc,
+            &TaskTeam::new(base.ntasks),
+            base.sort_variant,
+        );
+        assert!(
+            (0..3).any(|m| !matches!(set.for_mode(m).1, KernelKind::Root)),
+            "every mode has a root: nothing is tiled"
+        );
         let untiled = cp_als(&tensor, &base);
         let tiled = cp_als(
             &tensor,

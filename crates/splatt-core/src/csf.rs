@@ -1224,7 +1224,8 @@ impl CsfSet {
             }
         }
         // any merged tree has the merged nnz; with none, one resident
-        // tree is merged aside, for its nnz and its coordinates
+        // tree is merged aside, for its nnz and its coordinates, and
+        // counted once it takes a slot of the set
         let mut aside = None;
         let nnz = match (0..perms.len()).find(|i| !missing.contains(i)) {
             Some(i) => out.csfs[i].nnz(),
@@ -1237,7 +1238,7 @@ impl CsfSet {
                 let (mut tree, mut aside_counts) = (Csf::blank(), (0, 0));
                 self.merge_tree(sorted, &old.dim_perm, &mut tree, &mut aside_counts);
                 counts.1 += aside_counts.1;
-                aside.insert(tree).nnz()
+                aside.insert((tree, aside_counts.0)).0.nnz()
             }
         };
         let lock_bound = Self::lock_bound_roots(dims, nnz, self.alloc, self.lock_test, &fixed);
@@ -1245,14 +1246,18 @@ impl CsfSet {
         out.csfs.truncate(perms.len());
         out.csfs.resize_with(perms.len(), Csf::blank);
         for (i, perm) in perms.iter().enumerate().skip(fixed.len()) {
-            if !self.merge_tree(sorted, perm, &mut out.csfs[i], &mut counts) {
+            // the tree merged aside is this slot's: moved, not merged twice
+            if let Some((tree, merged)) = aside.take_if(|(tree, _)| tree.dim_perm == *perm) {
+                out.csfs[i] = tree;
+                counts.0 += merged;
+            } else if !self.merge_tree(sorted, perm, &mut out.csfs[i], &mut counts) {
                 missing.push(i);
             }
         }
         if !missing.is_empty() {
             let source = match (0..perms.len()).find(|i| !missing.contains(i)) {
                 Some(i) => &out.csfs[i],
-                None => aside.as_ref().expect("merged aside when no tree was"),
+                None => &aside.as_ref().expect("merged aside when no tree was").0,
             };
             let coo = source.to_coo();
             let built: Vec<Csf> = missing
@@ -1346,24 +1351,24 @@ impl CsfSet {
     }
 
     /// The coordinate tensor the set holds, its nonzeros in lexicographic
-    /// mode order, laid out of the cheapest tree: a tree whose level order
-    /// is the modes' own is already in that order; a tree rooted at mode
-    /// 0 is in it slice by slice, so only each root slice's nonzeros are
-    /// sorted; otherwise the first tree's nonzeros ([`Csf::to_coo`]) are
-    /// sorted by `KeyIndex` on one task. For a set built from a canonical
-    /// tensor that is the tensor, bit for bit, whichever tree is read
-    /// (the trees of a set built by a stable sort also agree on the order
-    /// of duplicates).
+    /// mode order: the nonzeros of its tree rooted at mode 0 — of its
+    /// first tree if it holds none — sorted by `KeyIndex` on one task.
+    /// Walked out of a tree rooted at mode 0 they come grouped by root
+    /// slice, and the sort takes them in 29 ms where the first tree's walk
+    /// takes 37 ms at `refresh_stream`'s 1 M nnz (EXPERIMENTS.md, "`cpd_yelp`
+    /// off SSE2 and off locks"); a walk already in mode order is not
+    /// sorted again.
+    /// For a set built from a canonical tensor that is the tensor, bit
+    /// for bit, whichever tree is read (the trees of a set built by a
+    /// stable sort also agree on the order of duplicates).
     pub(crate) fn to_coo(&self) -> SparseTensor {
-        let order = self.csfs[0].order();
-        let identity: Vec<usize> = (0..order).collect();
-        if let Some(tree) = self.csfs.iter().find(|c| c.dim_perm == identity) {
-            return tree.to_coo();
-        }
-        if let Some(tree) = self.csfs.iter().find(|c| c.dim_perm[0] == 0) {
-            return slices_sorted(tree);
-        }
-        let mut tensor = self.csfs[0].to_coo();
+        let tree = self
+            .csfs
+            .iter()
+            .find(|c| c.dim_perm[0] == 0)
+            .unwrap_or(&self.csfs[0]);
+        let mut tensor = tree.to_coo();
+        let identity: Vec<usize> = (0..tensor.order()).collect();
         sort::sort_by_perm(
             &mut tensor,
             &identity,
@@ -1404,55 +1409,6 @@ impl CsfSet {
         }
         (first, KernelKind::Internal(first.level_of_mode(mode)))
     }
-}
-
-/// [`Csf::to_coo`] of `tree`, a tree rooted at mode 0, with each root
-/// slice's nonzeros sorted by the modes below the root in mode order,
-/// stably (a slice's duplicates keep their tree order): the slice's keys
-/// packed above their position into one `u64` where they fit, compared
-/// mode by mode where they do not.
-fn slices_sorted(tree: &Csf) -> SparseTensor {
-    let walked = tree.to_coo();
-    let order = walked.order();
-    let below = 1..order;
-    let widths: Vec<u32> = below
-        .clone()
-        .map(|m| bits_below(walked.dims()[m]))
-        .collect();
-    let longest = tree.slice_nnz.iter().copied().max().unwrap_or(0);
-    let index_bits = bits_below(longest);
-    let packed = widths.iter().sum::<u32>() + index_bits <= u64::BITS;
-    let mask = (1u64 << index_bits) - 1;
-    let mut at: Vec<usize> = Vec::with_capacity(walked.nnz());
-    let mut keys: Vec<u64> = Vec::new();
-    let mut start = 0;
-    for &n in &tree.slice_nnz {
-        let slice = start..start + n;
-        if packed {
-            keys.clear();
-            keys.extend(slice.clone().map(|x| {
-                let key = below
-                    .clone()
-                    .zip(&widths)
-                    .fold(0u64, |k, (m, &w)| (k << w) | u64::from(walked.ind(m)[x]));
-                (key << index_bits) | (x - start) as u64
-            }));
-            keys.sort_unstable();
-            at.extend(keys.iter().map(|&k| start + (k & mask) as usize));
-        } else {
-            let from = at.len();
-            at.extend(slice);
-            let walked = &walked;
-            let coord = |x: usize| (1..order).map(move |m| walked.ind(m)[x]);
-            at[from..].sort_by(|&a, &b| coord(a).cmp(coord(b)));
-        }
-        start += n;
-    }
-    let inds = (0..order)
-        .map(|m| at.iter().map(|&x| walked.ind(m)[x]).collect())
-        .collect();
-    let vals = at.iter().map(|&x| walked.vals()[x]).collect();
-    SparseTensor::from_parts(walked.dims().to_vec(), inds, vals)
 }
 
 /// Mean nonzeros per lowest-level fiber of the first representation at
@@ -1755,7 +1711,7 @@ pub(crate) mod tests {
     }
 
     /// `entries` as the packed batch a refresh round decodes.
-    fn packed(order: usize, entries: &[(Vec<u32>, f64)]) -> DeltaBatch {
+    pub(crate) fn packed(order: usize, entries: &[(Vec<u32>, f64)]) -> DeltaBatch {
         let mut batch = DeltaBatch::new(order);
         batch
             .decode_append(&splatt_store::encode_delta(order, entries))
@@ -1764,7 +1720,7 @@ pub(crate) mod tests {
     }
 
     /// `old` with `delta` merged in, written into `out`.
-    fn merge_tree(old: &Csf, delta: &DeltaBatch, out: &mut Csf) -> u64 {
+    pub(crate) fn merge_tree(old: &Csf, delta: &DeltaBatch, out: &mut Csf) -> u64 {
         let one = CsfSet {
             csfs: vec![old.clone()],
             alloc: CsfAlloc::One,
@@ -1778,19 +1734,18 @@ pub(crate) mod tests {
         old.merge_into(batch, out)
     }
 
-    /// `CsfSet::to_coo`, laid out of the set's cheapest tree, is the
-    /// layout it replaced — the first tree's nonzeros sorted whole by
+    /// `CsfSet::to_coo`, laid out of the set's tree rooted at mode 0, is
+    /// the layout it replaced — the first tree's nonzeros sorted whole by
     /// `KeyIndex` — index for index and value by `to_bits`: under
     /// `One`/`Two`/`All`/`LockFree`, orders 2–5, empty tensors and dims of
     /// one; canonical tensors under the `KeyIndex` and `AllOpts` builds,
     /// and tensors with duplicate coordinates under the stable `KeyIndex`
-    /// build; and a tensor whose slices' keys outgrow a word. Each layout
-    /// (the identity tree, a tree rooted at mode 0 with packed and with
-    /// compared keys, the whole sort) is taken.
+    /// build; and a tensor whose keys outgrow a word. Sets with and
+    /// without a tree rooted at mode 0 are both taken.
     #[test]
     fn to_coo_equals_the_full_sort_of_the_first_tree() {
         use std::cell::Cell;
-        let taken = [Cell::new(0u32), Cell::new(0), Cell::new(0), Cell::new(0)];
+        let taken = [Cell::new(0u32), Cell::new(0)];
         let check = |t: &SparseTensor, variant: SortVariant, team: &TaskTeam| {
             let order = t.order();
             let identity: Vec<usize> = (0..order).collect();
@@ -1815,21 +1770,9 @@ pub(crate) mod tests {
                     assert_eq!(got.ind(m), want.ind(m), "{alloc:?} mode {m}");
                 }
                 assert_eq!(bits(&got), bits(&want), "{alloc:?} values");
-                let trees = set.csfs();
-                let path = match trees.iter().find(|c| c.dim_perm[0] == 0) {
-                    _ if trees.iter().any(|c| c.dim_perm == identity) => 0,
-                    Some(c) => {
-                        let key_bits: u32 = (1..order).map(|m| bits_below(t.dims()[m])).sum();
-                        let longest = c.slice_nnz().iter().copied().max().unwrap_or(0);
-                        if key_bits + bits_below(longest) <= u64::BITS {
-                            1
-                        } else {
-                            2
-                        }
-                    }
-                    None => 3,
-                };
-                taken[path].set(taken[path].get() + 1);
+                let rooted = set.csfs().iter().any(|c| c.dim_perm[0] == 0);
+                let path = &taken[usize::from(rooted)];
+                path.set(path.get() + 1);
             }
         };
         qc::check(
@@ -1853,17 +1796,11 @@ pub(crate) mod tests {
                 check(&t, variant, &TaskTeam::new(g.usize_in(1..3)));
             },
         );
-        // modes 1-4 need 20 + 20 + 20 + 3 key bits, and a slice's
-        // positions several more
+        // modes 1-4 need 20 + 20 + 20 + 3 key bits, and the positions
+        // several more
         let wide = synth::power_law(&[3, 1 << 20, 1 << 20, 1 << 20, 5], 400, 1.0, 17);
         check(&wide, SortVariant::KeyIndex, &TaskTeam::new(1));
-        let paths = [
-            "identity tree",
-            "root-0 packed",
-            "root-0 compared",
-            "whole sort",
-        ];
-        for (path, n) in paths.iter().zip(&taken) {
+        for (path, n) in ["first tree", "tree rooted at mode 0"].iter().zip(&taken) {
             assert!(n.get() > 0, "{path} never taken");
         }
     }

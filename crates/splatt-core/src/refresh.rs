@@ -927,7 +927,10 @@ mod tests {
     /// whose growth puts the middle mode on the lock path (its dim past
     /// 2 % of the nnz) adds a tree rooted at it, built from a merged
     /// tree's coordinates, and a round that brings enough nonzeros drops
-    /// it again. After every round the set is the rebuild of the engine's
+    /// it again. A round whose growth re-orders both fixed trees while
+    /// the new middle mode's tree is one the set holds merges that tree
+    /// once: its merge stands in for the merged nnz and then takes its
+    /// slot. After every round the set is the rebuild of the engine's
     /// tensor, and that tensor is the clean replay of every batch.
     #[test]
     fn crossing_the_privatization_threshold_adds_and_drops_the_tree() {
@@ -976,6 +979,42 @@ mod tests {
             assert_eq!(roots(&eng), want, "nnz {}", replay.nnz());
             check(&eng, &replay);
         }
+        std::fs::remove_dir_all(&dir).ok();
+
+        // [10, 12, 30] -> [15, 12, 30]: the shortest-rooted [0, 1, 2]
+        // becomes mode 0's lock-bound tree (15 > 0.02 nnz), the two fixed
+        // trees are rebuilt from its coordinates
+        let mut first = cells(700, [10, 12, 30]);
+        first.push((vec![9, 11, 29], 1.0));
+        let mut grow = cells(20, [10, 12, 30]);
+        grow.push((vec![14, 0, 0], 1.0));
+        let dir = temp_dir("threshold-reorder");
+        ingest(&dir, std::slice::from_ref(&first), order);
+        let mut eng = RefreshEngine::open(&dir, None, quick_opts()).unwrap();
+        eng.refresh_once().unwrap().unwrap();
+        let mut replay = SparseTensor::new(vec![10, 12, 30]);
+        replay.merge_entries(&first);
+        assert_eq!(roots(&eng), [0, 2]);
+        check(&eng, &replay);
+        let held = eng.csf.csfs()[0].clone();
+        let mut merged = crate::csf::Csf::empty(&[15, 12, 30], held.dim_perm());
+        let once = crate::csf::tests::merge_tree(
+            &held,
+            &crate::csf::tests::packed(order, &grow),
+            &mut merged,
+        );
+        assert!(once > 0, "the delta lands in held slices");
+        let before = eng.refresh_row();
+        ingest(&dir, std::slice::from_ref(&grow), order);
+        eng.refresh_once().unwrap().unwrap();
+        replay.merge_entries(&grow);
+        // 12 <= 0.02 nnz < 15
+        assert!((600..750).contains(&replay.nnz()), "{}", replay.nnz());
+        assert_eq!(roots(&eng), [1, 2, 0]);
+        check(&eng, &replay);
+        let row = eng.refresh_row();
+        assert_eq!(row.merge_compare_ops - before.merge_compare_ops, once);
+        assert_eq!(row.sorts_skipped - before.sorts_skipped, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
